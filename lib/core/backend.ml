@@ -66,12 +66,11 @@ type suite_factory = (string * Pattern.t) list -> t array
 
 (* ---- structural (Drct, the paper's construction) ---------------------- *)
 
-let of_monitor_gen ~mode monitor0 =
+let direct ?mode pattern =
   (* [reset] swaps in a fresh monitor; every closure reads the ref. *)
-  let m = ref monitor0 in
-  let pattern = Monitor.pattern monitor0 in
+  let m = ref (Monitor.create ?mode pattern) in
   make ~label:"direct" ~pattern
-    ~alphabet:(Monitor.alphabet monitor0)
+    ~alphabet:(Monitor.alphabet !m)
     ~step:(fun e -> Monitor.step !m e)
     ~check_time:(fun ~now -> Monitor.check_time !m ~now)
     ~next_deadline:(fun () -> Monitor.next_deadline !m)
@@ -82,9 +81,6 @@ let of_monitor_gen ~mode monitor0 =
     ~acceptable:(fun () -> Monitor.acceptable !m)
     ~ops:(fun () -> Monitor.ops !m)
     ()
-
-let of_monitor monitor = of_monitor_gen ~mode:None monitor
-let direct ?mode pattern = of_monitor_gen ~mode (Monitor.create ?mode pattern)
 
 (* ---- compiled (flat-table fast path) ---------------------------------- *)
 
@@ -103,7 +99,8 @@ let lift_compiled c = function
   | Compiled.Violated { reason; time; index } ->
       Violated (violation_of_compiled c ~reason ~time ~index)
 
-let of_compiled c =
+let compiled pattern =
+  let c = Compiled.compile pattern in
   make ~label:"compiled"
     ~pattern:(Compiled.pattern c)
     ~alphabet:(Compiled.alphabet c)
@@ -120,8 +117,6 @@ let of_compiled c =
     ~persist:(fun () -> Compiled.persist c)
     ~restore:(fun p -> Compiled.restore c p)
     ()
-
-let compiled pattern = of_compiled (Compiled.compile pattern)
 
 (* ---- flat (whole-suite table engine) ----------------------------------- *)
 

@@ -65,7 +65,7 @@ type t = {
           meters them. *)
   persist : (unit -> Compiled.persisted) option;
       (** Exact serializable run state, for checkpoint/resume of
-          streaming monitors (compiled backend only). *)
+          streaming monitors (compiled and flat backends). *)
   restore : (Compiled.persisted -> unit) option;
       (** Overwrite the run state with a {!t.persist}ed one (compiled
           and flat backends; same-pattern monitors). *)
@@ -141,13 +141,6 @@ val flat : factory
 (** A single-pattern flat engine (a one-entry suite) — [--backend flat]
     on per-pattern hosts.  The suite-level entry points above are where
     the flavor earns its keep. *)
-
-val of_monitor : Monitor.t -> t
-(** Wrap an existing structural monitor ([reset] rebuilds it in lenient
-    mode). *)
-
-val of_compiled : Compiled.t -> t
-(** Wrap an existing compiled monitor ([reset] reuses its tables). *)
 
 (** {1 Signature-style extension}
 

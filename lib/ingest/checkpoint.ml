@@ -453,18 +453,7 @@ let restore session json =
 let save ~path session =
   match capture session with
   | exception Failure msg -> Error msg
-  | json -> (
-      let data = Json.to_string json in
-      let tmp = path ^ ".tmp" in
-      match open_out_bin tmp with
-      | exception Sys_error msg -> Error msg
-      | oc -> (
-          output_string oc data;
-          output_char oc '\n';
-          close_out oc;
-          match Sys.rename tmp path with
-          | () -> Ok (String.length data + 1)
-          | exception Sys_error msg -> Error msg))
+  | json -> Atomic_file.write ~path (Json.to_string json ^ "\n")
 
 let load ~path =
   match open_in_bin path with

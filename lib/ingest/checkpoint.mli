@@ -46,9 +46,9 @@ val restore : Session.t -> Json.t -> (unit, string) result
     time and the hub's deadline wheel is re-armed. *)
 
 val save : path:string -> Session.t -> (int, string) result
-(** {!capture} to a file, atomically (write to [path ^ ".tmp"], then
-    rename).  [Ok n] is the encoded byte size written — surfaced in
-    the server's [checkpoint] NDJSON record. *)
+(** {!capture} to a file via {!Atomic_file.write} (temporary file,
+    fsync, rename).  [Ok n] is the encoded byte size written —
+    surfaced in the server's [checkpoint] NDJSON record. *)
 
 val load : path:string -> (Json.t, string) result
 

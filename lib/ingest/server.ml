@@ -18,11 +18,8 @@ let violation_fields ~name (v : Diag.violation) =
     ("message", Json.String (Diag.violation_to_string v));
   ]
 
-let violation_record ~name v = Json.Obj (violation_fields ~name v)
-
 (* The flag a signal flips; the read loop checks it between chunks
-   (reads are EINTR-transparent so a signal interrupts a blocking
-   read). *)
+   (a signal interrupts the blocking select with EINTR). *)
 let stop_requested = ref false
 
 let with_signals f =
@@ -39,13 +36,6 @@ let with_signals f =
       Sys.set_signal Sys.sigint prev_int;
       Sys.set_signal Sys.sigpipe prev_pipe)
     f
-
-(* EINTR-safe read; [None] when a stop was requested while blocked. *)
-let rec read_chunk fd buf =
-  match Unix.read fd buf 0 (Bytes.length buf) with
-  | n -> if !stop_requested then None else Some n
-  | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-      if !stop_requested then None else read_chunk fd buf
 
 exception Input_error of string
 
@@ -88,19 +78,13 @@ let rec feed_chunk state chunk ~push =
   | Sniffing buf ->
       Buffer.add_string buf chunk;
       let data = Buffer.contents buf in
-      if String.length data < String.length Codec.magic then begin
-        if not (Codec.looks_binary data) then begin
-          state := Csv { partial = ""; lineno = 0 };
-          feed_chunk state data ~push
-        end
-        (* else: still ambiguous, keep sniffing *)
-      end
-      else if Codec.looks_binary data then begin
-        state := Binary (Codec.Decoder.create ());
-        feed_chunk state data ~push
-      end
-      else begin
-        state := Csv { partial = ""; lineno = 0 };
+      let binary = Codec.looks_binary data in
+      (* a binary-looking prefix shorter than the magic is still
+         ambiguous: keep sniffing *)
+      if not (binary && String.length data < String.length Codec.magic) then begin
+        state :=
+          if binary then Binary (Codec.Decoder.create ())
+          else Csv { partial = ""; lineno = 0 };
         feed_chunk state data ~push
       end
 
@@ -113,13 +97,10 @@ let finish_input state ~push =
   | Csv st -> if st.partial <> "" then feed_csv st "\n" ~push
   | Sniffing buf ->
       let data = Buffer.contents buf in
-      if data <> "" then
-        if Codec.looks_binary data then
-          raise (Input_error "truncated stream: incomplete header")
-        else begin
-          state := Csv { partial = ""; lineno = 0 };
-          feed_csv { partial = data; lineno = 0 } "\n" ~push
-        end
+      if data = "" then ()
+      else if Codec.looks_binary data then
+        raise (Input_error "truncated stream: incomplete header")
+      else feed_csv { partial = data; lineno = 0 } "\n" ~push
 
 (* Consult the suite's lateness-robustness certificate before any event
    flows.  Skipped entirely on the default in-order path (lateness 0,
@@ -129,22 +110,18 @@ let finish_input state ~push =
    to start.  [cert_thunk] defers the (possibly budgeted) analysis to
    when it is actually consulted. *)
 let reorder_gate ~lateness ~strict_reorder ~out cert_thunk =
+  let module R = Loseq_analysis.Robust in
   if lateness = 0 && not strict_reorder then Ok ()
   else begin
-    let cert : Loseq_analysis.Robust.certificate = cert_thunk () in
-    let robust =
-      Loseq_analysis.Robust.(compare_bound cert.bound (Finite lateness) >= 0)
-    in
+    let cert : R.certificate = cert_thunk () in
+    let robust = R.compare_bound cert.bound (Finite lateness) >= 0 in
     emit_record out
       (Json.Obj
          [
            ("type", Json.String "reorder-certificate");
            ("lateness", Json.Int lateness);
-           ( "certified",
-             Json.String
-               (Loseq_analysis.Robust.bound_to_string
-                  cert.Loseq_analysis.Robust.bound) );
-           ("decided", Json.Bool cert.Loseq_analysis.Robust.decided);
+           ("certified", Json.String (R.bound_to_string cert.bound));
+           ("decided", Json.Bool cert.decided);
            ("robust", Json.Bool robust);
          ]);
     if robust || not strict_reorder then Ok ()
@@ -153,9 +130,7 @@ let reorder_gate ~lateness ~strict_reorder ~out cert_thunk =
         (Printf.sprintf
            "suite certified for lateness <= %s but hosted with lateness \
             %d; refusing under --strict-reorder"
-           (Loseq_analysis.Robust.bound_to_string
-              cert.Loseq_analysis.Robust.bound)
-           lateness)
+           (R.bound_to_string cert.bound) lateness)
   end
 
 (* ---- the metrics endpoint ---------------------------------------------- *)
@@ -175,12 +150,10 @@ let http_listen ~host ~port =
     else
       try Unix.inet_addr_of_string host
       with Failure _ -> (
-        match Unix.gethostbyname host with
-        | exception Not_found ->
+        match (Unix.gethostbyname host).h_addr_list with
+        | exception Not_found | [||] ->
             raise (Input_error (Printf.sprintf "unknown host %S" host))
-        | { Unix.h_addr_list = [||]; _ } ->
-            raise (Input_error (Printf.sprintf "unknown host %S" host))
-        | h -> h.Unix.h_addr_list.(0))
+        | addrs -> addrs.(0))
   in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
@@ -193,6 +166,12 @@ let contains haystack needle =
   let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
   at 0
 
+let rec write_all fd buf off len =
+  if len > 0 then begin
+    let w = Unix.write fd buf off len in
+    write_all fd buf (off + w) (len - w)
+  end
+
 let http_respond conn ~status ~content_type body =
   let response =
     Printf.sprintf
@@ -200,13 +179,7 @@ let http_respond conn ~status ~content_type body =
        Connection: close\r\n\r\n%s"
       status content_type (String.length body) body
   in
-  let rec write off remaining =
-    if remaining > 0 then begin
-      let w = Unix.write_substring conn response off remaining in
-      write (off + w) (remaining - w)
-    end
-  in
-  write 0 (String.length response)
+  write_all conn (Bytes.of_string response) 0 (String.length response)
 
 let http_serve_one listener metrics =
   let conn, _ = Unix.accept listener in
@@ -301,10 +274,10 @@ let make_server_obs metrics =
             ~help:"Checkpoint files written" ();
       }
 
-(* ---- the serve loop ---------------------------------------------------- *)
+(* ---- input, endpoint and linger ----------------------------------------- *)
 
 let open_input = function
-  | `Stdin -> (Unix.stdin, None)
+  | `Stdin -> (Unix.stdin, ignore)
   | `Socket path ->
       if Sys.file_exists path then Sys.remove path;
       let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -312,15 +285,10 @@ let open_input = function
       Unix.listen listener 1;
       let conn, _ = Unix.accept listener in
       Unix.close listener;
-      (conn, Some (fun () -> Unix.close conn; if Sys.file_exists path then Sys.remove path))
-
-(* ---- hosting-loop helpers ----------------------------------------------
-
-   Both hosting modes — the buffered reorder path and the speculative
-   [--ooo] path — share the same plumbing: an optional HTTP metrics
-   endpoint multiplexed into the read loop, a chunked input pump, and a
-   post-summary linger that keeps the endpoint answering until SIGTERM.
-   Extracted here so the modes differ only in what an event does. *)
+      ( conn,
+        fun () ->
+          Unix.close conn;
+          if Sys.file_exists path then Sys.remove path )
 
 let with_http ~out ~metrics_addr f =
   let http =
@@ -348,50 +316,37 @@ let with_http ~out ~metrics_addr f =
   in
   Fun.protect
     ~finally:(fun () ->
-      match http with
-      | Some l -> ( try Unix.close l with Unix.Unix_error _ -> ())
-      | None -> ())
+      Option.iter (fun l -> try Unix.close l with Unix.Unix_error _ -> ()) http)
   @@ fun () -> f http
 
 let handle_http listener metrics =
   try http_serve_one listener metrics with Unix.Unix_error _ -> ()
 
 (* Pump chunks from [fd] into [consume] until end of stream or a
-   requested stop.  With an endpoint, multiplex: the input stream and
-   the HTTP listener share one select, so a scrape is answered between
-   chunks without threads. *)
+   requested stop.  The input and the optional HTTP listener share one
+   select, so a scrape is answered between chunks without threads. *)
 let stream_loop ~fd ~metrics ~consume http =
   let buf = Bytes.create 65536 in
-  let rec plain_loop () =
-    match read_chunk fd buf with
-    | None -> `Interrupted
-    | Some 0 -> `Eof
-    | Some n ->
-        consume (Bytes.sub_string buf 0 n);
-        if !stop_requested then `Interrupted else plain_loop ()
-  in
-  let rec select_loop listener =
+  let watched = fd :: Option.to_list http in
+  let rec loop () =
     if !stop_requested then `Interrupted
     else
-      match Unix.select [ fd; listener ] [] [] (-1.0) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-          if !stop_requested then `Interrupted else select_loop listener
+      match Unix.select watched [] [] (-1.0) with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
       | readable, _, _ -> (
-          if List.memq listener readable then handle_http listener metrics;
-          if not (List.memq fd readable) then
-            if !stop_requested then `Interrupted else select_loop listener
+          Option.iter
+            (fun l -> if List.memq l readable then handle_http l metrics)
+            http;
+          if not (List.memq fd readable) then loop ()
           else
             match Unix.read fd buf 0 (Bytes.length buf) with
             | 0 -> `Eof
             | n ->
                 consume (Bytes.sub_string buf 0 n);
-                if !stop_requested then `Interrupted else select_loop listener
-            | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-                if !stop_requested then `Interrupted else select_loop listener)
+                loop ()
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
   in
-  match http with
-  | None -> plain_loop ()
-  | Some listener -> select_loop listener
+  loop ()
 
 (* Keep the endpoint up after end of stream so a scraper can still
    collect the final counters; SIGTERM/SIGINT ends the linger (and the
@@ -429,301 +384,157 @@ let error_record out msg =
 
 (* ---- flight-recorder artifacts ------------------------------------------ *)
 
-let write_file path data =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
-  output_string oc data
-
-(* Export format by extension: [.ndjson] gets the line-oriented record
-   dump, anything else the Chrome trace-event JSON Perfetto loads. *)
-let write_trace_artifact ~out trace path =
-  let ndjson = Filename.check_suffix path ".ndjson" in
-  write_file path (if ndjson then Tr.to_ndjson trace else Tr.to_chrome trace);
-  emit_record out
-    (Json.Obj
-       [
-         ("type", Json.String "trace");
-         ("path", Json.String path);
-         ("format", Json.String (if ndjson then "ndjson" else "chrome"));
-         ("records", Json.Int (Tr.length trace));
-         ("dropped", Json.Int (Tr.dropped trace));
-       ])
-
-let write_profile_artifact ~out ~metrics ~checkers path =
-  write_file path (Loseq_obs.Profile.render ~metrics ~checkers ());
-  emit_record out
-    (Json.Obj
-       [
-         ("type", Json.String "profile");
-         ("path", Json.String path);
-         ("checkers", Json.Int (List.length checkers));
-       ])
+let write_or_raise ~path data =
+  match Atomic_file.write ~path data with
+  | Ok _ -> ()
+  | Error msg -> raise (Input_error msg)
 
 (* Written on BOTH exits — end of stream and interruption — so a
-   monitor cut down by SIGTERM still leaves its artifacts behind. *)
+   monitor cut down by SIGTERM still leaves its artifacts behind.  The
+   trace export format goes by extension: [.ndjson] gets the
+   line-oriented record dump, anything else the Chrome trace-event
+   JSON Perfetto loads. *)
 let write_artifacts ~out ~metrics ~trace ~trace_out ~profile_out ~checkers =
   (match trace_out with
-  | Some path when Tr.is_live trace -> write_trace_artifact ~out trace path
+  | Some path when Tr.is_live trace ->
+      let ndjson = Filename.check_suffix path ".ndjson" in
+      write_or_raise ~path
+        (if ndjson then Tr.to_ndjson trace else Tr.to_chrome trace);
+      emit_record out
+        (Json.Obj
+           [
+             ("type", Json.String "trace");
+             ("path", Json.String path);
+             ("format", Json.String (if ndjson then "ndjson" else "chrome"));
+             ("records", Json.Int (Tr.length trace));
+             ("dropped", Json.Int (Tr.dropped trace));
+           ])
   | Some _ | None -> ());
   match profile_out with
-  | Some path -> write_profile_artifact ~out ~metrics ~checkers path
+  | Some path ->
+      write_or_raise ~path (Loseq_obs.Profile.render ~metrics ~checkers ());
+      emit_record out
+        (Json.Obj
+           [
+             ("type", Json.String "profile");
+             ("path", Json.String path);
+             ("checkers", Json.Int (List.length checkers));
+           ])
   | None -> ()
 
 (* The minimal causal chain behind a failed verdict, attached to its
    NDJSON record: the frozen provenance ring, delta-debugged down to
    1-minimality against the entry's own pattern. *)
-let provenance_field ?backend ~prov ~final_time ~pattern_of name passed =
-  if passed then []
-  else
-    match pattern_of name with
-    | None -> []
-    | Some pattern ->
-        let chain =
-          Provenance.minimize ?backend ~final_time ~label:name pattern
-            (Provenance.captured prov name)
-        in
-        [
-          ( "provenance",
-            Provenance.chain_json
-              ?violation:(Provenance.violation_of prov name)
-              chain );
-        ]
+let provenance_field ?backend ~prov ~final_time ~suite name passed =
+  match List.find_opt (fun (e : Suite.entry) -> String.equal e.label name) suite with
+  | Some entry when not passed ->
+      let chain =
+        Provenance.minimize ?backend ~final_time ~label:name entry.pattern
+          (Provenance.captured prov name)
+      in
+      [
+        ( "provenance",
+          Provenance.chain_json ?violation:(Provenance.violation_of prov name)
+            chain );
+      ]
+  | _ -> []
 
-(* ---- buffered hosting (the default mode) ------------------------------- *)
+(* ---- hosts --------------------------------------------------------------
 
-let serve_buffered ~metrics ~metrics_addr ~stats_interval ?backend
-    ?suite_backend ~lateness ~window ?checkpoint ~checkpoint_every ~resume
-    ~strict_reorder ?final_time ~trace ~trace_out ~profile_out
-    ?latency_sample_rate ~out ~input suite =
-  let error msg = error_record out msg in
+   One serve loop hosts the suite two ways: buffered (a {!Session}
+   behind a reorder buffer, the default) or speculative ([--ooo], a
+   {!Loseq_ooo.Engine} applying events on arrival and repairing by
+   rollback).  A host carries only what differs between the two; the
+   loop below does everything else once. *)
+
+type host = {
+  start : (string * Json.t) list;  (** [start] record fields after [properties] *)
+  lateness : int;  (** the window the reorder gate certifies *)
+  certificate : unit -> Loseq_analysis.Robust.certificate;
+  skip : int;  (** leading events a resumed host already accounts for *)
+  offer : Trace.event -> unit;
+  position : unit -> int;  (** events accepted so far *)
+  stats : unit -> (string * Json.t) list;
+  finalize : unit -> (string * Backend.verdict) list * string list * int;
+      (** labelled verdicts, their renderings, and the final time *)
+  summary : unit -> (string * Json.t) list;
+  save : (string * (unit -> (int, string) result)) option;
+      (** checkpoint path and writer *)
+  prov : Provenance.t;
+}
+
+let buffered ~metrics ~trace ?backend ?suite_backend ?latency_sample_rate
+    ~lateness ~window ?checkpoint ~resume ?final_time ~out suite =
   let resuming =
     resume
     && match checkpoint with Some p -> Sys.file_exists p | None -> false
   in
-  let session_result =
+  let session =
     if resuming then
       Checkpoint.resume ~metrics ~trace ?backend ?suite_backend
         ?latency_sample_rate ~path:(Option.get checkpoint) suite
     else
-      match
-        Session.create ~metrics ~trace ?backend ?suite_backend
-          ?latency_sample_rate ~lateness ~window suite
-      with
-      | s -> Ok s
-      | exception Wellformed.Ill_formed (p, errs) ->
-          Error
-            (Format.asprintf "ill-formed pattern %a:@ %a" Pattern.pp p
-               (Format.pp_print_list Wellformed.pp_error)
-               errs)
+      Ok
+        (Session.create ~metrics ~trace ?backend ?suite_backend
+           ?latency_sample_rate ~lateness ~window suite)
   in
-  match session_result with
-  | Error msg -> error msg
-  | Ok session -> (
-      match
-        reorder_gate ~lateness:(Session.lateness session) ~strict_reorder ~out
-          (fun () -> Session.reorder_certificate session)
-      with
-      | Error msg -> error msg
-      | Ok () -> (
-      let srv_obs = make_server_obs metrics in
+  Result.map
+    (fun session ->
       (* Always-on verdict provenance: tap-level capture is one bounded
          ring push per alphabet event, and pays for itself the first
          time a Fail needs explaining. *)
       let prov = Provenance.create (Hub.tap (Session.hub session)) suite in
-      let pattern_of name =
-        List.find_map
-          (fun (e : Suite.entry) ->
-            if String.equal e.label name then Some e.pattern else None)
-          suite
-      in
-      (* Server-track flight-recorder categories: the admission span
-         around each input chunk and the checkpoint-write span. *)
-      let trc =
-        if Tr.is_live trace then
-          Some
-            ( Tr.intern trace ~track:"ingest" "admit",
-              Tr.intern trace ~track:"ingest" "checkpoint" )
-        else None
-      in
-      let skip = Session.position session in
       Session.on_violation session (fun ~name v ->
           Provenance.note_violation prov ~label:name v;
-          emit_record out (violation_record ~name v));
-      let offered = ref 0 in
-      let save_checkpoint () =
-        match checkpoint with
-        | None -> Ok false
-        | Some path -> (
-            (match trc with
-            | Some (_, ckpt) -> Tr.emit trace ckpt Tr.Span_begin 0
-            | None -> ());
-            match Checkpoint.save ~path session with
-            | Ok bytes ->
-                (match trc with
-                | Some (_, ckpt) -> Tr.emit trace ckpt Tr.Span_end bytes
-                | None -> ());
-                (match srv_obs with Some o -> Obs.incr o.ckpt | None -> ());
-                emit_record out
-                  (Json.Obj
-                     [
-                       ("type", Json.String "checkpoint");
-                       ("path", Json.String path);
-                       ("events", Json.Int (Session.position session));
-                       ("bytes", Json.Int bytes);
-                     ]);
-                Ok true
-            | Error _ as err ->
-                (match trc with
-                | Some (_, ckpt) -> Tr.emit trace ckpt Tr.Span_end 0
-                | None -> ());
-                err)
+          emit_record out (Json.Obj (violation_fields ~name v)));
+      let counters ~max_seen () =
+        let s = Session.stats session
+        and r = Reorder.stats (Session.reorder session) in
+        [
+          ("events", Json.Int s.accepted);
+          ("delivered", Json.Int s.delivered);
+          ("reordered", Json.Int s.reordered);
+          ("dropped_late", Json.Int s.dropped_late);
+          ("forced", Json.Int s.forced);
+          ("occupancy", Json.Int r.occupancy);
+          ("watermark", Json.Int r.watermark);
+        ]
+        @ if max_seen then [ ("max_seen", Json.Int r.max_seen) ] else []
       in
-      let stats_record () =
-        let s = Session.stats session in
-        let r = Reorder.stats (Session.reorder session) in
-        Json.Obj
-          [
-            ("type", Json.String "stats");
-            ("events", Json.Int s.accepted);
-            ("delivered", Json.Int s.delivered);
-            ("reordered", Json.Int s.reordered);
-            ("dropped_late", Json.Int s.dropped_late);
-            ("forced", Json.Int s.forced);
-            ("occupancy", Json.Int r.Reorder.occupancy);
-            ("watermark", Json.Int r.Reorder.watermark);
-          ]
-      in
-      let push e =
-        incr offered;
-        (match srv_obs with Some o -> Obs.incr o.records | None -> ());
-        if !offered > skip then begin
-          Session.offer_force session e;
-          let pos = Session.position session in
-          if checkpoint_every > 0 && pos mod checkpoint_every = 0 then
-            (match save_checkpoint () with
-            | Ok _ -> ()
-            | Error msg -> raise (Input_error msg));
-          if stats_interval > 0 && pos mod stats_interval = 0 then
-            emit_record out (stats_record ())
-        end
-      in
-      match with_signals @@ fun () ->
-        with_http ~out ~metrics_addr @@ fun http ->
-        let fd, cleanup = open_input input in
-        Fun.protect ~finally:(fun () -> Option.iter (fun f -> f ()) cleanup)
-        @@ fun () ->
-        (match srv_obs with Some o -> Obs.set o.sessions 1 | None -> ());
-        emit_record out
-          (Json.Obj
-             [
-               ("type", Json.String "start");
-               ("properties", Json.Int (List.length suite));
-               ("resumed", Json.Bool resuming);
-               ("skip", Json.Int skip);
-             ]);
-        let state = ref (Sniffing (Buffer.create 8)) in
-        let consume chunk =
-          (match srv_obs with
-          | Some o -> Obs.add o.bytes_in (String.length chunk)
-          | None -> ());
-          match trc with
-          | None -> feed_chunk state chunk ~push
-          | Some (admit, _) ->
-              Tr.emit trace admit Tr.Span_begin 0;
-              feed_chunk state chunk ~push;
-              Tr.emit trace admit Tr.Span_end (String.length chunk)
-        in
-        match stream_loop ~fd ~metrics ~consume http with
-        | `Interrupted -> `Interrupted
-        | `Eof ->
-            finish_input state ~push;
+      let skip = Session.position session in
+      {
+        start = [ ("resumed", Json.Bool resuming); ("skip", Json.Int skip) ];
+        lateness = Session.lateness session;
+        certificate = (fun () -> Session.reorder_certificate session);
+        skip;
+        offer = Session.offer_force session;
+        position = (fun () -> Session.position session);
+        stats = counters ~max_seen:false;
+        finalize =
+          (fun () ->
             let report = Session.finalize ?final_time session in
-            let ft = Session.now session in
-            List.iter2
-              (fun (name, verdict) (_, rendered) ->
-                let passed = Backend.passed verdict in
-                (match srv_obs with
-                | Some o -> Obs.incr (if passed then o.pass else o.fail)
-                | None -> ());
-                emit_record out
-                  (Json.Obj
-                     ([
-                        ("type", Json.String "verdict");
-                        ("property", Json.String name);
-                        ("passed", Json.Bool passed);
-                        ("verdict", Json.String rendered);
-                      ]
-                     @ provenance_field ?backend ~prov ~final_time:ft
-                         ~pattern_of name passed)))
-              (Report.summary report)
-              (Report.summary_strings report);
-            let stats = Session.stats session in
-            let snap = Reorder.stats (Session.reorder session) in
-            let passed = Report.all_passed report in
-            (match srv_obs with Some o -> Obs.set o.sessions 0 | None -> ());
-            emit_record out
-              (Json.Obj
-                 [
-                   ("type", Json.String "summary");
-                   ("passed", Json.Bool passed);
-                   ("events", Json.Int stats.accepted);
-                   ("delivered", Json.Int stats.delivered);
-                   ("reordered", Json.Int stats.reordered);
-                   ("dropped_late", Json.Int stats.dropped_late);
-                   ("forced", Json.Int stats.forced);
-                   ("occupancy", Json.Int snap.Reorder.occupancy);
-                   ("watermark", Json.Int snap.Reorder.watermark);
-                   ("max_seen", Json.Int snap.Reorder.max_seen);
-                 ]);
-            write_artifacts ~out ~metrics ~trace ~trace_out ~profile_out
-              ~checkers:(Provenance.seen prov);
-            linger ~metrics http;
-            `Done (if passed then 0 else 1)
-      with
-      | exception Input_error msg -> error msg
-      | exception Unix.Unix_error (e, fn, arg) ->
-          error
-            (Printf.sprintf "%s%s: %s" fn
-               (if arg = "" then "" else " " ^ arg)
-               (Unix.error_message e))
-      | `Interrupted -> (
-          match save_checkpoint () with
-          | Error msg -> error msg
-          | Ok _ ->
-              emit_record out
-                (Json.Obj
-                   [
-                     ("type", Json.String "interrupted");
-                     ("events", Json.Int (Session.position session));
-                   ]);
-              write_artifacts ~out ~metrics ~trace ~trace_out ~profile_out
-                ~checkers:(Provenance.seen prov);
-              0)
-      | `Done code -> code))
-
-(* ---- speculative hosting (--ooo) ---------------------------------------
-
-   Same wire protocol as the buffered mode — start, violations,
-   verdicts, summary, the same exit codes — but events flow through
-   {!Loseq_ooo.Engine} instead of a reorder buffer: applied the moment
-   they arrive, repaired by rollback when a late one lands.  The extra
-   records are the speculative markers: violation records carry
-   ["speculative"], [retracted] records withdraw them, and [settled]
-   records mark verdicts the watermark has made definitive.  After end
-   of stream the settled verdict records are byte-identical to the
-   buffered mode's. *)
+            ( Report.summary report,
+              List.map snd (Report.summary_strings report),
+              Session.now session ));
+        summary = counters ~max_seen:true;
+        save =
+          Option.map
+            (fun path -> (path, fun () -> Checkpoint.save ~path session))
+            checkpoint;
+        prov;
+      })
+    session
 
 module Engine = Loseq_ooo.Engine
 
-let serve_ooo ~metrics ~metrics_addr ~stats_interval ?backend ?suite_backend
-    ~lateness ~strict_reorder ?final_time ~trace ~trace_out ~profile_out ~out
-    ~input suite =
-  let error msg = error_record out msg in
-  let rendered v = Format.asprintf "%a" Backend.pp_verdict v in
-  let srv_obs = make_server_obs metrics in
-  (* The speculative engine routes no tap, so the provenance recorder
-     is detached and fed from the arrival stream; retractions unfreeze
-     the ring again. *)
+(* Same wire protocol as the buffered host, plus the speculative
+   markers: violation records carry ["speculative"], [retracted]
+   records withdraw them, [settled] records mark verdicts the
+   watermark has made definitive. *)
+let speculative ~metrics ~trace ?backend ?suite_backend ~lateness ?final_time
+    ~out suite =
+  (* The engine routes no tap, so the provenance recorder is detached
+     and fed from the arrival stream; retractions unfreeze the ring. *)
   let prov = Provenance.create_detached suite in
   let notice = function
     | Engine.Violation { label; violation; settled; _ } ->
@@ -737,8 +548,7 @@ let serve_ooo ~metrics ~metrics_addr ~stats_interval ?backend ?suite_backend
         emit_record out
           (Json.Obj
              [
-               ("type", Json.String "retracted");
-               ("property", Json.String label);
+               ("type", Json.String "retracted"); ("property", Json.String label);
              ])
     | Engine.Settled { label; verdict; _ } ->
         emit_record out
@@ -747,170 +557,206 @@ let serve_ooo ~metrics ~metrics_addr ~stats_interval ?backend ?suite_backend
                ("type", Json.String "settled");
                ("property", Json.String label);
                ("passed", Json.Bool (Backend.passed verdict));
-               ("verdict", Json.String (rendered verdict));
+               ( "verdict",
+                 Json.String (Format.asprintf "%a" Backend.pp_verdict verdict) );
              ])
   in
-  let entries =
-    List.map (fun (e : Suite.entry) -> (e.label, e.pattern)) suite
+  let engine =
+    Engine.create
+      ?metrics:(if Obs.is_live metrics then Some metrics else None)
+      ~trace ?backend ?suite_backend ~notice ~lateness
+      (List.map (fun (e : Suite.entry) -> (e.label, e.pattern)) suite)
   in
-  let engine_result =
-    match
-      Engine.create
-        ?metrics:(if Obs.is_live metrics then Some metrics else None)
-        ~trace ?backend ?suite_backend ~notice ~lateness entries
-    with
-    | e -> Ok e
-    | exception Wellformed.Ill_formed (p, errs) ->
-        Error
-          (Format.asprintf "ill-formed pattern %a:@ %a" Pattern.pp p
-             (Format.pp_print_list Wellformed.pp_error)
-             errs)
-    | exception Invalid_argument msg -> Error msg
+  let offered = ref 0 in
+  let counters () =
+    let s = Engine.stats engine in
+    [
+      ("events", Json.Int !offered);
+      ("applied", Json.Int s.applied);
+      ("late", Json.Int s.late);
+      ("commute_hits", Json.Int s.commute_hits);
+      ("rollbacks", Json.Int s.rollbacks);
+      ("replayed", Json.Int s.replayed);
+      ("dropped_late", Json.Int s.dropped_late);
+    ]
   in
-  match engine_result with
-  | Error msg -> error msg
-  | Ok engine -> (
-      match
-        reorder_gate ~lateness ~strict_reorder ~out (fun () ->
-            Engine.certificate engine)
-      with
-      | Error msg -> error msg
-      | Ok () -> (
-          let offered = ref 0 in
-          let stats_record () =
-            let s = Engine.stats engine in
-            Json.Obj
-              [
-                ("type", Json.String "stats");
-                ("events", Json.Int !offered);
-                ("applied", Json.Int s.Engine.applied);
-                ("late", Json.Int s.Engine.late);
-                ("commute_hits", Json.Int s.Engine.commute_hits);
-                ("rollbacks", Json.Int s.Engine.rollbacks);
-                ("replayed", Json.Int s.Engine.replayed);
-                ("dropped_late", Json.Int s.Engine.dropped_late);
-                ("journal_depth", Json.Int (Engine.journal_depth engine));
-                ("watermark", Json.Int (Engine.watermark engine));
-                ("settled", Json.Int s.Engine.settled_events);
-              ]
-          in
-          let push e =
-            incr offered;
-            (match srv_obs with Some o -> Obs.incr o.records | None -> ());
-            (* Ring first, offer second: a violation the offer raises
-               synchronously must find its deciding event captured. *)
-            Provenance.record prov ~time:e.Trace.time e.Trace.name;
-            ignore (Engine.offer engine e);
-            if stats_interval > 0 && !offered mod stats_interval = 0 then
-              emit_record out (stats_record ())
-          in
-          let trc =
-            if Tr.is_live trace then
-              Some (Tr.intern trace ~track:"ingest" "admit")
-            else None
-          in
-          match
-            with_signals @@ fun () ->
-            with_http ~out ~metrics_addr @@ fun http ->
-            let fd, cleanup = open_input input in
-            Fun.protect ~finally:(fun () -> Option.iter (fun f -> f ()) cleanup)
-            @@ fun () ->
-            (match srv_obs with Some o -> Obs.set o.sessions 1 | None -> ());
+  Ok
+    {
+      start =
+        [ ("mode", Json.String "speculative"); ("lateness", Json.Int lateness) ];
+      lateness;
+      certificate = (fun () -> Engine.certificate engine);
+      skip = 0;
+      offer =
+        (fun e ->
+          incr offered;
+          (* Ring first, offer second: a violation the offer raises
+             synchronously must find its deciding event captured. *)
+          Provenance.record prov ~time:e.time e.name;
+          ignore (Engine.offer engine e));
+      position = (fun () -> !offered);
+      stats =
+        (fun () ->
+          counters ()
+          @ [
+              ("journal_depth", Json.Int (Engine.journal_depth engine));
+              ("watermark", Json.Int (Engine.watermark engine));
+              ("settled", Json.Int (Engine.stats engine).settled_events);
+            ]);
+      finalize =
+        (fun () ->
+          Engine.finalize ?final_time engine;
+          ( Engine.report engine,
+            Engine.report_strings engine,
+            max 0
+              (max (Engine.max_seen engine) (Option.value final_time ~default:0))
+          ));
+      summary =
+        (fun () ->
+          let s = Engine.stats engine in
+          counters ()
+          @ [
+              ("snapshots", Json.Int s.snapshots);
+              ("max_journal", Json.Int s.max_journal);
+              ("watermark", Json.Int (Engine.watermark engine));
+            ]);
+      save = None;
+      prov;
+    }
+
+(* ---- the serve loop ---------------------------------------------------- *)
+
+(* Build the host and pass the reorder gate; construction failures
+   (ill-formed patterns, backends unfit for the mode) become errors. *)
+let setup ~strict_reorder ~out make_host =
+  match make_host () with
+  | exception Wellformed.Ill_formed (p, errs) ->
+      Error
+        (Format.asprintf "ill-formed pattern %a:@ %a" Pattern.pp p
+           (Format.pp_print_list Wellformed.pp_error)
+           errs)
+  | exception Invalid_argument msg -> Error msg
+  | result ->
+      Result.bind result (fun host ->
+          reorder_gate ~lateness:host.lateness ~strict_reorder ~out
+            host.certificate
+          |> Result.map (fun () -> host))
+
+let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
+    ~trace ~trace_out ~profile_out ~out ~input suite host =
+  let error msg = error_record out msg in
+  let srv_obs = make_server_obs metrics in
+  let obs f = Option.iter f srv_obs in
+  (* Server-track flight-recorder categories: the admission span
+     around each input chunk and the checkpoint-write span (emitting
+     into the noop ring is a single branch). *)
+  let admit = Tr.intern trace ~track:"ingest" "admit"
+  and ckpt = Tr.intern trace ~track:"ingest" "checkpoint" in
+  let save_checkpoint () =
+    match host.save with
+    | None -> ()
+    | Some (path, save) -> (
+        Tr.emit trace ckpt Tr.Span_begin 0;
+        match save () with
+        | Ok bytes ->
+            Tr.emit trace ckpt Tr.Span_end bytes;
+            obs (fun o -> Obs.incr o.ckpt);
             emit_record out
               (Json.Obj
                  [
-                   ("type", Json.String "start");
-                   ("properties", Json.Int (List.length suite));
-                   ("mode", Json.String "speculative");
-                   ("lateness", Json.Int lateness);
-                 ]);
-            let state = ref (Sniffing (Buffer.create 8)) in
-            let consume chunk =
-              (match srv_obs with
-              | Some o -> Obs.add o.bytes_in (String.length chunk)
-              | None -> ());
-              match trc with
-              | None -> feed_chunk state chunk ~push
-              | Some admit ->
-                  Tr.emit trace admit Tr.Span_begin 0;
-                  feed_chunk state chunk ~push;
-                  Tr.emit trace admit Tr.Span_end (String.length chunk)
-            in
-            match stream_loop ~fd ~metrics ~consume http with
-            | `Interrupted -> `Interrupted
-            | `Eof ->
-                finish_input state ~push;
-                Engine.finalize ?final_time engine;
-                let report = Engine.report engine in
-                let ft =
-                  max 0
-                    (max (Engine.max_seen engine)
-                       (Option.value final_time ~default:0))
-                in
-                let pattern_of name = List.assoc_opt name entries in
-                List.iter2
-                  (fun (name, verdict) rendered_v ->
-                    let passed = Backend.passed verdict in
-                    (match srv_obs with
-                    | Some o -> Obs.incr (if passed then o.pass else o.fail)
-                    | None -> ());
-                    emit_record out
-                      (Json.Obj
-                         ([
-                            ("type", Json.String "verdict");
-                            ("property", Json.String name);
-                            ("passed", Json.Bool passed);
-                            ("verdict", Json.String rendered_v);
-                          ]
-                         @ provenance_field ?backend ~prov ~final_time:ft
-                             ~pattern_of name passed)))
-                  report
-                  (Engine.report_strings engine);
-                let s = Engine.stats engine in
-                let passed =
-                  List.for_all (fun (_, v) -> Backend.passed v) report
-                in
-                (match srv_obs with Some o -> Obs.set o.sessions 0 | None -> ());
-                emit_record out
-                  (Json.Obj
-                     [
-                       ("type", Json.String "summary");
-                       ("passed", Json.Bool passed);
-                       ("events", Json.Int !offered);
-                       ("applied", Json.Int s.Engine.applied);
-                       ("late", Json.Int s.Engine.late);
-                       ("commute_hits", Json.Int s.Engine.commute_hits);
-                       ("rollbacks", Json.Int s.Engine.rollbacks);
-                       ("replayed", Json.Int s.Engine.replayed);
-                       ("dropped_late", Json.Int s.Engine.dropped_late);
-                       ("snapshots", Json.Int s.Engine.snapshots);
-                       ("max_journal", Json.Int s.Engine.max_journal);
-                       ("watermark", Json.Int (Engine.watermark engine));
-                     ]);
-                write_artifacts ~out ~metrics ~trace ~trace_out ~profile_out
-                  ~checkers:(Provenance.seen prov);
-                linger ~metrics http;
-                `Done (if passed then 0 else 1)
-          with
-          | exception Input_error msg -> error msg
-          | exception Unix.Unix_error (e, fn, arg) ->
-              error
-                (Printf.sprintf "%s%s: %s" fn
-                   (if arg = "" then "" else " " ^ arg)
-                   (Unix.error_message e))
-          | `Interrupted ->
-              emit_record out
-                (Json.Obj
-                   [
-                     ("type", Json.String "interrupted");
-                     ("events", Json.Int !offered);
-                   ]);
-              write_artifacts ~out ~metrics ~trace ~trace_out ~profile_out
-                ~checkers:(Provenance.seen prov);
-              0
-          | `Done code -> code))
-
-(* ---- mode dispatch ------------------------------------------------------ *)
+                   ("type", Json.String "checkpoint");
+                   ("path", Json.String path);
+                   ("events", Json.Int (host.position ()));
+                   ("bytes", Json.Int bytes);
+                 ])
+        | Error msg ->
+            Tr.emit trace ckpt Tr.Span_end 0;
+            raise (Input_error msg))
+  in
+  let artifacts () =
+    write_artifacts ~out ~metrics ~trace ~trace_out ~profile_out
+      ~checkers:(Provenance.seen host.prov)
+  in
+  let offered = ref 0 in
+  let push e =
+    incr offered;
+    obs (fun o -> Obs.incr o.records);
+    if !offered > host.skip then begin
+      host.offer e;
+      let pos = host.position () in
+      if checkpoint_every > 0 && pos mod checkpoint_every = 0 then
+        save_checkpoint ();
+      if stats_interval > 0 && pos mod stats_interval = 0 then
+        emit_record out
+          (Json.Obj (("type", Json.String "stats") :: host.stats ()))
+    end
+  in
+  match
+    with_signals @@ fun () ->
+    with_http ~out ~metrics_addr @@ fun http ->
+    let fd, cleanup = open_input input in
+    Fun.protect ~finally:cleanup @@ fun () ->
+    obs (fun o -> Obs.set o.sessions 1);
+    emit_record out
+      (Json.Obj
+         ([
+            ("type", Json.String "start");
+            ("properties", Json.Int (List.length suite));
+          ]
+         @ host.start));
+    let state = ref (Sniffing (Buffer.create 8)) in
+    let consume chunk =
+      obs (fun o -> Obs.add o.bytes_in (String.length chunk));
+      Tr.emit trace admit Tr.Span_begin 0;
+      feed_chunk state chunk ~push;
+      Tr.emit trace admit Tr.Span_end (String.length chunk)
+    in
+    match stream_loop ~fd ~metrics ~consume http with
+    | `Interrupted ->
+        save_checkpoint ();
+        emit_record out
+          (Json.Obj
+             [
+               ("type", Json.String "interrupted");
+               ("events", Json.Int (host.position ()));
+             ]);
+        artifacts ();
+        0
+    | `Eof ->
+        finish_input state ~push;
+        let verdicts, rendered, final_time = host.finalize () in
+        List.iter2
+          (fun (name, verdict) rendered ->
+            let passed = Backend.passed verdict in
+            obs (fun o -> Obs.incr (if passed then o.pass else o.fail));
+            emit_record out
+              (Json.Obj
+                 ([
+                    ("type", Json.String "verdict");
+                    ("property", Json.String name);
+                    ("passed", Json.Bool passed);
+                    ("verdict", Json.String rendered);
+                  ]
+                 @ provenance_field ?backend ~prov:host.prov ~final_time ~suite
+                     name passed)))
+          verdicts rendered;
+        let passed = List.for_all (fun (_, v) -> Backend.passed v) verdicts in
+        obs (fun o -> Obs.set o.sessions 0);
+        emit_record out
+          (Json.Obj
+             ([ ("type", Json.String "summary"); ("passed", Json.Bool passed) ]
+             @ host.summary ()));
+        artifacts ();
+        linger ~metrics http;
+        if passed then 0 else 1
+  with
+  | code -> code
+  | exception Input_error msg -> error msg
+  | exception Unix.Unix_error (e, fn, arg) ->
+      error
+        (Printf.sprintf "%s%s: %s" fn
+           (if arg = "" then "" else " " ^ arg)
+           (Unix.error_message e))
 
 let serve ?metrics ?metrics_addr ?(stats_interval = 0) ?backend ?suite_backend
     ?(lateness = 0) ?(window = 1024) ?checkpoint ?(checkpoint_every = 0)
@@ -923,20 +769,26 @@ let serve ?metrics ?metrics_addr ?(stats_interval = 0) ?backend ?suite_backend
      noop ring keeps every instrumented hot path on its one-branch
      fast path. *)
   let trace = if trace_out <> None then Tr.create () else Tr.noop in
-  if ooo then
-    if checkpoint <> None || resume then
-      error_record out
-        "--ooo does not support --checkpoint/--resume: speculative state \
-         (journal, snapshots, unsettled verdicts) is not checkpointable"
-    else
-      serve_ooo ~metrics ~metrics_addr ~stats_interval ?backend ?suite_backend
-        ~lateness ~strict_reorder ?final_time ~trace ~trace_out ~profile_out
-        ~out ~input suite
+  if ooo && (checkpoint <> None || resume) then
+    error_record out
+      "--ooo does not support --checkpoint/--resume: speculative state \
+       (journal, snapshots, unsettled verdicts) is not checkpointable"
   else
-    serve_buffered ~metrics ~metrics_addr ~stats_interval ?backend
-      ?suite_backend ~lateness ~window ?checkpoint ~checkpoint_every ~resume
-      ~strict_reorder ?final_time ~trace ~trace_out ~profile_out
-      ?latency_sample_rate ~out ~input suite
+    match
+      setup ~strict_reorder ~out (fun () ->
+          if ooo then
+            speculative ~metrics ~trace ?backend ?suite_backend ~lateness
+              ?final_time ~out suite
+          else
+            buffered ~metrics ~trace ?backend ?suite_backend
+              ?latency_sample_rate ~lateness ~window ?checkpoint ~resume
+              ?final_time ~out suite)
+    with
+    | Error msg -> error_record out msg
+    | Ok host ->
+        host_loop ~metrics ~metrics_addr ~stats_interval ?backend
+          ~checkpoint_every ~trace ~trace_out ~profile_out ~out ~input suite
+          host
 
 (* ---- the producer side ------------------------------------------------- *)
 
@@ -963,13 +815,7 @@ let feed ?(timeout = 5.0) ~path ic =
         match input ic buf 0 (Bytes.length buf) with
         | 0 -> Ok total
         | n ->
-            let rec write off remaining =
-              if remaining > 0 then begin
-                let w = Unix.write sock buf off remaining in
-                write (off + w) (remaining - w)
-              end
-            in
-            write 0 n;
+            write_all sock buf 0 n;
             copy (total + n)
       in
       match copy 0 with

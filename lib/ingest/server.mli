@@ -2,46 +2,80 @@
 
     Reads a trace stream — LSQB binary or line-oriented CSV, sniffed
     from the first bytes — from stdin or a Unix-domain socket (one
-    connection), feeds it through a {!Session}, and emits NDJSON
-    records on [out] as things happen:
+    connection), and emits NDJSON records on [out] as things happen.
+    One serve loop hosts the suite in one of two modes:
 
-    - [{"type":"start", ...}] once, after the input is open;
+    - {b buffered} (the default): a {!Session} delivers events through
+      its reorder buffer ([lateness]/[window]), with checkpoint/resume;
+    - {b speculative} ([ooo]): a {!Loseq_ooo.Engine} applies events the
+      moment they arrive and repairs by rollback when a late one lands.
+
+    The loop — input sniffing, the reorder gate, signals, the metrics
+    endpoint, server instruments, verdict records with provenance,
+    artifacts, error mapping — is the same for both; a mode only
+    decides what one event does and what a few records carry.
+
+    Records, in order of appearance:
+
+    - [{"type":"reorder-certificate", "lateness":.., "certified":..,
+      "decided":.., "robust":..}] once at startup when the host
+      reorders ([lateness > 0]) or [strict_reorder] is set: the suite's
+      lateness-robustness bound against the configured window.
+      [robust:false] means some reordering the host absorbs could flip
+      a verdict; under [strict_reorder] the server then refuses to
+      start (exit [2]);
+    - [{"type":"start", "properties":.., ...}] once, after the input is
+      open;
     - [{"type":"violation", "property":.., "time":.., "index":..,
       "fragment":.., "message":..}] the moment any property first
       fails — the monitor is {e live}, a violation does not wait for
       end of stream;
+    - [{"type":"stats", ...}] every [stats_interval] accepted events
+      (event-count, not wall-clock: deterministic and testable);
     - [{"type":"checkpoint", "path":.., "events":.., "bytes":..}]
-      after each periodic {!Checkpoint.save} ([bytes] is the encoded
-      size written — the flat blob format keeps it from scaling with
-      checker count);
+      after each periodic {!Checkpoint.save} (buffered only; [bytes]
+      is the encoded size written);
     - on SIGTERM/SIGINT: a final checkpoint (when configured), then
       [{"type":"interrupted", "events":..}] — exit code 0, the stream
       is expected to resume;
     - on end of stream: one [{"type":"verdict", "property":..,
-      "passed":.., "verdict":..}] per property and a closing
-      [{"type":"summary", "passed":.., ...}] with the session
-      statistics;
-    - [{"type":"error", "message":..}] on malformed input;
-    - [{"type":"reorder-certificate", "lateness":.., "certified":..,
-      "decided":.., "robust":..}] once at startup when the session
-      reorders ([lateness > 0]) or [strict_reorder] is set: the suite's
-      lateness-robustness bound ({!Session.reorder_certificate})
-      against the configured window.  [robust:false] means some
-      reordering the buffer silently absorbs could flip a verdict;
-      under [strict_reorder] the server then refuses to start (exit
-      [2]).
+      "passed":.., "verdict":..}] per property, then a closing
+      [{"type":"summary", "passed":.., ...}];
+    - [{"type":"error", "message":..}] on malformed input, a setup
+      failure, or a checkpoint/artifact that cannot be written.
 
-    With [stats_interval n > 0] a [{"type":"stats", "events":..,
-    "delivered":.., "reordered":.., "dropped_late":.., "forced":..,
-    "occupancy":.., "watermark":..}] record is emitted every [n]
-    accepted events (event-count, not wall-clock: deterministic and
-    testable).  The closing [summary] record also carries the reorder
-    buffer's final [occupancy]/[watermark]/[max_seen].
+    Fields that differ by mode:
+
+    {v
+    record     buffered                         speculative (ooo)
+    ---------  -------------------------------  ----------------------------
+    start      resumed, skip                    mode:"speculative", lateness
+    violation  (common fields)                  + speculative
+    stats      events, delivered, reordered,    events, applied, late,
+               dropped_late, forced,            commute_hits, rollbacks,
+               occupancy, watermark             replayed, dropped_late,
+                                                journal_depth, watermark,
+                                                settled
+    summary    events, delivered, reordered,    events, applied, late,
+               dropped_late, forced,            commute_hits, rollbacks,
+               occupancy, watermark, max_seen   replayed, dropped_late,
+                                                snapshots, max_journal,
+                                                watermark
+    v}
+
+    The speculative mode adds two records: [{"type":"retracted",
+    "property":..}] withdraws a speculative violation a rollback
+    disproved, and [{"type":"settled", "property":.., "passed":..,
+    "verdict":..}] marks each verdict the watermark made definitive.
+    Its final [verdict] records are byte-identical to the buffered
+    mode's up to the ["provenance"] chains (capture is arrival-order,
+    so the 1-minimal witness may differ).  [checkpoint]/[resume] are
+    refused (exit [2]) — speculative state is not checkpointable.
 
     With [metrics_addr (host, port)] the server additionally binds a
     TCP endpoint answering [GET /metrics] (Prometheus text format
     0.0.4) and [GET /stats.json] (the same registry as compact JSON),
-    multiplexed into the serve loop with [select] — no threads.  A
+    multiplexed into the read loop's [select] — no threads.  A
     [{"type":"metrics-listening", "addr":.., "port":..}] record
     reports the bound address; with port [0] the kernel picks an
     ephemeral port and this record is how callers learn it.  SIGPIPE
@@ -50,23 +84,9 @@
     {e lingers} (the final counters stay scrapable) until
     SIGTERM/SIGINT; the exit code still reflects the verdicts.
 
-    With [ooo] the speculative {!Loseq_ooo.Engine} replaces the
-    session's reorder buffer: events are applied the moment they
-    arrive, violation records carry a ["speculative"] flag,
-    [{"type":"retracted", "property":..}] withdraws a speculative
-    violation a rollback disproved, and [{"type":"settled",
-    "property":.., "passed":.., "verdict":..}] marks each verdict the
-    watermark made definitive.  The [stats] and [summary] records carry
-    the engine counters instead ([applied], [late], [commute_hits],
-    [rollbacks], [replayed], [journal_depth]/[max_journal],
-    [watermark]); the final [verdict] records are byte-identical to the
-    buffered mode's up to the ["provenance"] chains (capture is
-    arrival-order, so the 1-minimal witness may differ).  [checkpoint]/[resume] are refused (exit [2]) —
-    speculative state is not checkpointable.
-
     Exit codes: [0] all properties passed (or interrupted), [1] some
-    property failed, [2] input/setup error (including a strict-reorder
-    refusal). *)
+    property failed, [2] input/setup/write error (including a
+    strict-reorder refusal). *)
 
 open Loseq_verif
 
@@ -131,7 +151,9 @@ val serve :
     alphabet-event counts and the dispatch-latency histogram — which
     [loseq analyze --shard-plan N --profile FILE] consumes as measured
     load; a [{"type":"profile", "path":.., "checkers":..}] record
-    reports it.  [latency_sample_rate] (default 64, buffered mode)
+    reports it.  Checkpoints and both artifacts are written atomically
+    ({!Atomic_file.write}); one that cannot be written ends the run
+    with an [error] record and exit [2].  [latency_sample_rate] (default 64, buffered mode)
     tunes the hub's dispatch-latency sampling. *)
 
 val feed : ?timeout:float -> path:string -> in_channel -> (int, string) result

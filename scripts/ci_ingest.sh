@@ -108,7 +108,10 @@ kill "$FEEDER" 2>/dev/null || true
 wait "$FEEDER" 2>/dev/null || true
 test -s "$CKPT"
 grep -q '"type": *"interrupted"' "$WORK/killed.ndjson"
-echo "checkpoint written at position $(grep -o '"position": *[0-9]*' "$WORK/killed.ndjson" | tail -1 | grep -o '[0-9]*')"
+ckpt_events=$(grep '"type": *"checkpoint"' "$WORK/killed.ndjson" | tail -1 \
+  | grep -o '"events": *[0-9]*' | grep -o '[0-9]*$')
+test "${ckpt_events:-0}" -gt 0
+echo "checkpoint written at event $ckpt_events"
 
 resume_status=0
 $LOSEQ serve --suite "$SUITE" --checkpoint "$CKPT" --resume \

@@ -1,0 +1,210 @@
+(* Golden NDJSON for [Server.serve], run in-process: each case points
+   stdin at a committed trace (dup2, restored afterwards), captures
+   every record written to [out], and pins the lines and the exit code
+   against test/golden/<case>.ndjson.  The goldens cover both hosting
+   modes — buffered and speculative ([ooo]) — on the compiled and
+   flat backends, the reorder gate, stats cadence, checkpoint records
+   and the setup-error path.  A second group checks that artifact
+   writes are atomic and that an unwritable artifact path ends the run
+   with a typed [error] record.
+
+   To regenerate after an intended wire change:
+     LOSEQ_GOLDEN_UPDATE=$PWD/test/golden dune exec test/test_server.exe
+   (from the repository root). *)
+
+open Loseq_core
+open Loseq_verif
+open Loseq_ingest
+
+let example dir nm =
+  let candidates =
+    [
+      Filename.concat ("examples/" ^ dir) nm;
+      Filename.concat ("../examples/" ^ dir) nm;
+      Filename.concat ("../../examples/" ^ dir) nm;
+    ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some path -> path
+  | None -> List.hd candidates
+
+let load_suite nm =
+  match Suite.load (example "specs" nm) with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "%a" Suite.pp_error e
+
+let read_lines path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+  let rec go acc =
+    match input_line ic with
+    | line -> go (line :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  go []
+
+let write_lines path lines =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
+  List.iter (fun l -> output_string oc l; output_char oc '\n') lines
+
+(* Run [f] with stdin reading [path]; the original stdin is restored
+   whatever [f] does. *)
+let with_stdin path f =
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  let saved = Unix.dup Unix.stdin in
+  Unix.dup2 fd Unix.stdin;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.dup2 saved Unix.stdin;
+      Unix.close saved)
+    f
+
+(* [serve] over [trace] on stdin; returns (exit code, NDJSON lines). *)
+let run_serve ~trace serve =
+  let out_path = Filename.temp_file "loseq_serve" ".ndjson" in
+  let oc = open_out_bin out_path in
+  let code =
+    Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
+    with_stdin trace (fun () -> serve ~out:oc)
+  in
+  let lines = read_lines out_path in
+  Sys.remove out_path;
+  (code, lines)
+
+let compiled = (Backend.compiled, None)
+let flat = (Backend.flat, Some Backend.flat_views)
+
+(* racy_ok.csv with its first two events (req@100, ack@200) arriving
+   swapped: a late req inside a lateness-200 window. *)
+let racy_head_swapped () =
+  let path = Filename.temp_file "racy_head_swapped" ".csv" in
+  (match read_lines (example "traces" "racy_ok.csv") with
+  | header :: a :: b :: rest -> write_lines path (header :: b :: a :: rest)
+  | _ -> Alcotest.fail "racy_ok.csv too short");
+  path
+
+let check_golden name ~exit:expected_exit (code, lines) =
+  (match Sys.getenv_opt "LOSEQ_GOLDEN_UPDATE" with
+  | Some dir -> write_lines (Filename.concat dir (name ^ ".ndjson")) lines
+  | None -> ());
+  let file = name ^ ".ndjson" in
+  let golden =
+    read_lines
+      (if Sys.file_exists (Filename.concat "golden" file) then
+         Filename.concat "golden" file
+       else Filename.concat "test/golden" file)
+  in
+  Alcotest.(check (list string)) (name ^ " records") golden lines;
+  Alcotest.(check int) (name ^ " exit code") expected_exit code
+
+let has_line lines needle =
+  List.exists
+    (fun l ->
+      let n = String.length needle and h = String.length l in
+      let rec at i = i + n <= h && (String.sub l i n = needle || at (i + 1)) in
+      at 0)
+    lines
+
+let case name ~exit ?(check = fun _ -> ()) ~suite ~trace ?(backend = compiled)
+    ?stats_interval ?lateness ?ooo ?checkpoint ?checkpoint_every () =
+  Alcotest.test_case name `Quick @@ fun () ->
+  let suite = load_suite suite in
+  let trace = trace () in
+  let factory, suite_backend = backend in
+  let result =
+    run_serve ~trace (fun ~out ->
+        Server.serve ?stats_interval ~backend:factory ?suite_backend ?lateness
+          ?checkpoint ?checkpoint_every ?ooo ~out ~input:`Stdin suite)
+  in
+  check_golden name ~exit result;
+  check (snd result)
+
+let ipu () = example "traces" "ipu.csv"
+let ipu_ooo () = example "traces" "ipu_ooo.csv"
+
+let golden_cases =
+  [
+    case "ipu_compiled" ~exit:1 ~suite:"ipu.suite" ~trace:ipu
+      ~stats_interval:100 ();
+    case "ipu_flat" ~exit:1 ~suite:"ipu.suite" ~trace:ipu ~backend:flat
+      ~stats_interval:100 ();
+    case "ipu_ooo_buffered" ~exit:1 ~suite:"ipu.suite" ~trace:ipu_ooo
+      ~stats_interval:100 ~lateness:75000 ();
+    case "ipu_ooo_speculative" ~exit:1 ~suite:"ipu.suite" ~trace:ipu_ooo
+      ~stats_interval:100 ~lateness:75000 ~ooo:true ();
+    case "racy_buffered" ~exit:0 ~suite:"racy.suite" ~trace:racy_head_swapped
+      ~lateness:200 ();
+    case "racy_speculative" ~exit:0 ~suite:"racy.suite"
+      ~trace:racy_head_swapped ~lateness:200 ~ooo:true
+      ~check:(fun lines ->
+        Alcotest.(check bool)
+          "a speculative violation is retracted" true
+          (has_line lines {|"type":"retracted"|});
+        Alcotest.(check bool)
+          "the late req forces one rollback" true
+          (has_line lines {|"rollbacks":1|}))
+      ();
+    case "catalog_bad_flat" ~exit:1 ~suite:"catalog.suite"
+      ~trace:(fun () -> example "traces" "catalog_bad.csv")
+      ~backend:flat ();
+    case "ipu_checkpoint" ~exit:1 ~suite:"ipu.suite" ~trace:ipu
+      ~checkpoint:"server_golden.ckpt" ~checkpoint_every:50
+      ~check:(fun _ -> Sys.remove "server_golden.ckpt")
+      ();
+    case "ooo_checkpoint_refused" ~exit:2 ~suite:"ipu.suite" ~trace:ipu
+      ~checkpoint:"server_golden_ooo.ckpt" ~ooo:true ();
+  ]
+
+(* ---- artifact writes ---------------------------------------------------- *)
+
+let last l = List.nth l (List.length l - 1)
+
+let test_atomic_write () =
+  let path = "atomic_file_test.txt" in
+  Alcotest.(check (result int string))
+    "bytes written" (Ok 5)
+    (Atomic_file.write ~path "hello");
+  Alcotest.(check (list string)) "content" [ "hello" ] (read_lines path);
+  Alcotest.(check bool) "no temporary left" false
+    (Sys.file_exists (path ^ ".tmp"));
+  Sys.remove path;
+  match Atomic_file.write ~path:"no-such-dir/f.txt" "x" with
+  | Ok _ -> Alcotest.fail "wrote into a missing directory"
+  | Error msg ->
+      Alcotest.(check bool) "error names the path" true
+        (has_line [ msg ] "no-such-dir/f.txt")
+
+(* An unwritable trace or profile path ends the run with a typed
+   [error] record and exit 2, after the summary, in both modes. *)
+let test_unwritable_artifact ~ooo ~trace_out ~profile_out () =
+  let suite = load_suite "ipu.suite" in
+  let code, lines =
+    run_serve ~trace:(ipu ()) (fun ~out ->
+        Server.serve ~ooo ?trace_out ?profile_out ~out ~input:`Stdin suite)
+  in
+  Alcotest.(check int) "exit code" 2 code;
+  Alcotest.(check bool) "summary still emitted" true
+    (has_line lines {|"type":"summary"|});
+  Alcotest.(check bool) "ends in an error record" true
+    (has_line [ last lines ] {|"type":"error"|}
+    && has_line [ last lines ] "no-such-dir/")
+
+let artifact_cases =
+  [
+    Alcotest.test_case "atomic write" `Quick test_atomic_write;
+    Alcotest.test_case "unwritable trace, buffered" `Quick
+      (test_unwritable_artifact ~ooo:false
+         ~trace_out:(Some "no-such-dir/t.json") ~profile_out:None);
+    Alcotest.test_case "unwritable trace, speculative" `Quick
+      (test_unwritable_artifact ~ooo:true
+         ~trace_out:(Some "no-such-dir/t.ndjson") ~profile_out:None);
+    Alcotest.test_case "unwritable profile" `Quick
+      (test_unwritable_artifact ~ooo:false ~trace_out:None
+         ~profile_out:(Some "no-such-dir/p.json"));
+  ]
+
+let () =
+  Alcotest.run "server"
+    [ ("golden", golden_cases); ("artifacts", artifact_cases) ]
