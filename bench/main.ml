@@ -486,8 +486,18 @@ let flat_table () =
         suite;
       hub
     in
+    (* the shared engine's views, hosted one checker at a time: the
+       generic path [Hub.host] gives views that share no engine *)
     let flat_views tap =
-      Suite.attach_hub ~suite_backend:Backend.flat_views tap suite
+      let hub = Hub.create tap in
+      let views = Backend.flat_views (Suite.entries_of suite) in
+      List.iteri
+        (fun i (e : Suite.entry) ->
+          Hub.host hub ~strict:false
+            (Checker.make ~name:e.label ~now:(fun () -> Tap.now_ps tap)
+               views.(i)))
+        suite;
+      hub
     in
     let flat_engine tap = fst (Suite.attach_hub_flat tap suite) in
     (* interleaved best-of so frequency drift cancels *)

@@ -24,22 +24,26 @@ let pattern_arg =
 
 (* ---- backend selection ------------------------------------------------ *)
 
+let backend_kinds =
+  [ ("direct", `Direct); ("compiled", `Compiled); ("flat", `Flat); ("psl", `Psl) ]
+
 let backend_kind_arg =
   (* The shared description lives in [Cli_doc] so check/suite/serve
      can't drift apart and the test suite can pin it. *)
   let doc = Cli_doc.backend_doc in
   Cmdliner.Arg.(
     value
-    & opt
-        (enum
-           [
-             ("direct", `Direct);
-             ("compiled", `Compiled);
-             ("flat", `Flat);
-             ("psl", `Psl);
-           ])
-        `Compiled
+    & opt (enum backend_kinds) `Compiled
     & info [ "backend" ] ~docv:"BACKEND" ~doc)
+
+(* serve leaves an absent --backend to [Server.serve], whose default
+   depends on the hosting mode. *)
+let serve_backend_kind_arg =
+  Cmdliner.Arg.(
+    value
+    & opt (some (enum backend_kinds)) None
+    & info [ "backend" ] ~docv:"BACKEND" ~doc:Cli_doc.backend_doc
+        ~absent:"flat, or compiled with $(b,--ooo)")
 
 let factory_of = function
   | `Direct -> fun p -> Backend.direct p
@@ -1142,8 +1146,8 @@ let serve_cmd =
           match socket with Some path -> `Socket path | None -> `Stdin
         in
         Loseq_ingest.Server.serve ?metrics_addr ~stats_interval
-          ~backend:(factory_of backend_kind)
-          ?suite_backend:(suite_factory_of backend_kind)
+          ?backend:(Option.map factory_of backend_kind)
+          ?suite_backend:(Option.bind backend_kind suite_factory_of)
           ~lateness ~window ?checkpoint ~checkpoint_every ~resume
           ~strict_reorder ~ooo ?final_time ?trace_out ?profile_out
           ?latency_sample_rate ~input suite
@@ -1297,7 +1301,7 @@ let serve_cmd =
     Term.(
       const run $ file $ socket $ lateness $ window $ checkpoint
       $ checkpoint_every $ resume $ strict_reorder $ ooo $ final_time
-      $ backend_kind_arg $ metrics_addr $ stats_interval $ trace_out
+      $ serve_backend_kind_arg $ metrics_addr $ stats_interval $ trace_out
       $ profile_out $ latency_sample_rate)
 
 let convert_cmd =

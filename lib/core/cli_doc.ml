@@ -3,18 +3,22 @@ let backend_names = [ "direct"; "compiled"; "flat"; "psl" ]
 let backend_doc =
   "Monitor backend: $(b,direct) (the paper's structural Drct \
    construction, richest diagnostics), $(b,compiled) (flat-table \
-   fast path, the default), $(b,flat) (whole-suite table engine: \
-   every checker's state packed into one array, one shared \
-   dispatch — the fastest hosted path), or $(b,psl) (formula \
-   progression over the Section-5 PSL translation; rejects wide \
-   ranges and checks timed patterns without their quantitative \
-   deadline)."
+   fast path, per checker; the default of $(b,check), $(b,suite) and \
+   $(b,soc)), $(b,flat) (whole-suite table engine: every checker's \
+   state packed into one array, one shared dispatch — the fastest \
+   hosted path), or $(b,psl) (formula progression over the Section-5 \
+   PSL translation; rejects wide ranges and checks timed patterns \
+   without their quantitative deadline). Without $(b,--backend), \
+   $(b,serve) hosts buffered sessions on $(b,flat) and $(b,--ooo) \
+   sessions on $(b,compiled)."
 
 let serve_modes_doc =
   "Two hosting modes. The default buffered mode parks events in a \
    watermark reorder buffer for up to $(b,--lateness) ticks and \
    delivers them in timestamp order — verdicts are exact but lag the \
-   stream by K. With $(b,--ooo) the speculative engine applies every \
+   stream by K; it runs on the $(b,flat) backend unless \
+   $(b,--backend) says otherwise. With $(b,--ooo) the speculative \
+   engine (on the $(b,compiled) backend by default) applies every \
    event the moment it arrives, reports three-valued in-flight \
    verdicts, and repairs by rollback-and-replay when a late event \
    lands; violation records carry $(b,speculative) markers, \

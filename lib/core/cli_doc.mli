@@ -12,13 +12,16 @@ val backend_names : string list
 
 val backend_doc : string
 (** The [--backend] option description shared by [check], [suite],
-    [soc] and [serve].  Mentions each of {!backend_names}. *)
+    [soc] and [serve].  Mentions each of {!backend_names} and the
+    defaults: [compiled] for the batch commands; for [serve], [flat]
+    when buffered and [compiled] under [--ooo]. *)
 
 val serve_modes_doc : string
 (** The serve man-page paragraph enumerating the hosting modes: the
     default buffered (watermark reorder) path and the [--ooo]
-    speculative path.  Mentions [--ooo], [--lateness] and the
-    [settled]/[speculative] NDJSON markers. *)
+    speculative path, with each mode's default backend.  Mentions
+    [--ooo], [--lateness] and the [settled]/[speculative] NDJSON
+    markers. *)
 
 val ooo_doc : string
 (** The [--ooo] flag description. *)

@@ -87,7 +87,6 @@ type t = {
   loc_owner : int array; (* fragment (checker-local), -1 = terminator-only *)
   loc_term : bool array;
   loc_gid : int array;
-  loc_of_gid : int array; (* ck * n_names + gid -> local id, -1 = absent *)
   (* per fragment (global ids) *)
   frag_first : int array; (* global recognizer index *)
   frag_count : int array;
@@ -108,7 +107,14 @@ type t = {
   st : ba;
   mutable fr : int; (* scratch: failing reason code *)
   mutable fr_rec : int; (* scratch: failing recognizer, -1 = none *)
-  mutable dl_gen : int;
+  (* deadline bookkeeping, beside the slab (never in a blob): the
+     timed checkers whose armed deadline may have changed since the
+     host last drained them, each listed once ([dl_mark]), or [dl_all]
+     after a whole-engine change *)
+  dl_mark : Bytes.t;
+  dl_dirty : int array;
+  mutable dl_ndirty : int;
+  mutable dl_all : bool;
   mutable notify : (int -> unit) option;
 }
 
@@ -145,9 +151,15 @@ let precompile (label, pattern) =
   let alpha = Pattern.alpha pattern in
   let locals = Array.of_list (Name.Set.elements alpha) in
   let n_loc = Array.length locals in
-  let ids = Hashtbl.create 16 in
-  Array.iteri (fun i nm -> Hashtbl.replace ids nm i) locals;
-  let id nm = Hashtbl.find ids nm in
+  (* [locals] is sorted: a local id is a binary search away *)
+  let id nm =
+    let rec search lo hi =
+      let mid = (lo + hi) / 2 in
+      let c = Name.compare nm locals.(mid) in
+      if c = 0 then mid else if c < 0 then search lo mid else search (mid + 1) hi
+    in
+    search 0 n_loc
+  in
   let owner = Array.make n_loc (-1) in
   List.iteri
     (fun f (frag : Pattern.fragment) ->
@@ -189,19 +201,30 @@ let precompile (label, pattern) =
 let compile entries =
   let pres = Array.of_list (List.map precompile entries) in
   let n_ck = Array.length pres in
-  (* Intern every name across the suite, first-appearance order. *)
-  let gids = Hashtbl.create 64 in
+  let total_locs = Array.fold_left (fun a p -> a + Array.length p.p_locals) 0 pres in
+  (* Intern every name across the suite, first-appearance order,
+     recording each (checker, local) pair's gid on the way. *)
+  let gids = Hashtbl.create (max 16 total_locs) in
+  let loc_gid = Array.make total_locs 0 in
   let names_rev = ref [] in
   let n_names = ref 0 in
+  let next = ref 0 in
   Array.iter
     (fun p ->
       Array.iter
         (fun nm ->
-          if not (Hashtbl.mem gids nm) then begin
-            Hashtbl.replace gids nm !n_names;
-            names_rev := nm :: !names_rev;
-            incr n_names
-          end)
+          let gid =
+            match Hashtbl.find_opt gids nm with
+            | Some gid -> gid
+            | None ->
+                let gid = !n_names in
+                Hashtbl.add gids nm gid;
+                names_rev := nm :: !names_rev;
+                incr n_names;
+                gid
+          in
+          loc_gid.(!next) <- gid;
+          incr next)
         p.p_locals)
     pres;
   let n_names = !n_names in
@@ -211,7 +234,6 @@ let compile entries =
     Array.fold_left (fun a p -> a + List.length p.p_contexts) 0 pres
   in
   let total_frags = Array.fold_left (fun a p -> a + Array.length p.p_frag_first) 0 pres in
-  let total_locs = Array.fold_left (fun a p -> a + Array.length p.p_locals) 0 pres in
   let cat_bytes =
     Array.fold_left
       (fun a p -> a + (List.length p.p_contexts * Array.length p.p_locals))
@@ -230,8 +252,6 @@ let compile entries =
   let ck_deadline = Array.make n_ck 0 in
   let loc_owner = Array.make total_locs (-1) in
   let loc_term = Array.make total_locs false in
-  let loc_gid = Array.make total_locs 0 in
-  let loc_of_gid = Array.make (max 1 (n_ck * n_names)) (-1) in
   let frag_first = Array.make total_frags 0 in
   let frag_count = Array.make total_frags 0 in
   let rec_lo = Array.make total_recs 1 in
@@ -265,13 +285,10 @@ let compile entries =
       ck_premise_last.(ck) <- p.p_premise_last;
       ck_deadline.(ck) <- p.p_deadline;
       Array.iteri
-        (fun l nm ->
-          let gid = Hashtbl.find gids nm in
-          loc_owner.(!next_loc + l) <- p.p_owner.(l);
-          loc_term.(!next_loc + l) <- p.p_term.(l);
-          loc_gid.(!next_loc + l) <- gid;
-          loc_of_gid.((ck * n_names) + gid) <- l)
-        p.p_locals;
+        (fun l owner ->
+          loc_owner.(!next_loc + l) <- owner;
+          loc_term.(!next_loc + l) <- p.p_term.(l))
+        p.p_owner;
       Array.iteri
         (fun f first ->
           frag_first.(!next_frag + f) <- ck_rec0.(ck) + first;
@@ -349,7 +366,6 @@ let compile entries =
       loc_owner;
       loc_term;
       loc_gid;
-      loc_of_gid;
       frag_first;
       frag_count;
       rec_lo;
@@ -366,11 +382,50 @@ let compile entries =
       st;
       fr = r_empty;
       fr_rec = -1;
-      dl_gen = 0;
+      dl_mark = Bytes.make n_ck '\000';
+      dl_dirty = Array.make (max 1 n_ck) 0;
+      dl_ndirty = 0;
+      dl_all = false;
       notify = None;
     }
   in
   t
+
+(* ---- deadline bookkeeping ---------------------------------------------- *)
+
+(* [ck]'s armed deadline may have changed: list it for the host's next
+   drain (untimed checkers never arm one). *)
+let touch t ck =
+  if
+    Array.unsafe_get t.ck_timed ck
+    && Bytes.unsafe_get t.dl_mark ck = '\000'
+  then begin
+    Bytes.unsafe_set t.dl_mark ck '\001';
+    Array.unsafe_set t.dl_dirty t.dl_ndirty ck;
+    t.dl_ndirty <- t.dl_ndirty + 1
+  end
+
+let deadlines_dirty t = t.dl_ndirty > 0 || t.dl_all
+
+(* Marks are cleared before [f] runs, so a checker [f] touches again is
+   listed afresh (and handed over in the same drain). *)
+let drain_deadlines t f =
+  if t.dl_all then begin
+    t.dl_all <- false;
+    for i = 0 to t.dl_ndirty - 1 do
+      Bytes.unsafe_set t.dl_mark (Array.unsafe_get t.dl_dirty i) '\000'
+    done;
+    t.dl_ndirty <- 0;
+    Array.iter f t.timed_cks
+  end;
+  let i = ref 0 in
+  while !i < t.dl_ndirty do
+    let ck = Array.unsafe_get t.dl_dirty !i in
+    Bytes.unsafe_set t.dl_mark ck '\000';
+    f ck;
+    incr i
+  done;
+  t.dl_ndirty <- 0
 
 (* ---- initial configuration -------------------------------------------- *)
 
@@ -389,13 +444,13 @@ let init_checker t ck =
 
 let reset_checker t ck =
   init_checker t ck;
-  t.dl_gen <- t.dl_gen + 1
+  touch t ck
 
 let reset t =
   for ck = 0 to Array.length t.labels - 1 do
     init_checker t ck
   done;
-  t.dl_gen <- t.dl_gen + 1
+  t.dl_all <- true
 
 let compile entries =
   let t = compile entries in
@@ -413,15 +468,19 @@ let alphabet t ck = t.alphas.(ck)
 let names t = t.names
 let gid_of_name t nm = Hashtbl.find_opt t.gids nm
 
+(* A scan of [ck]'s own locals: alphabets are small, and hosts resolve
+   a name once, not per event. *)
 let local_of_name t ck nm =
   match Hashtbl.find_opt t.gids nm with
   | None -> -1
   | Some gid ->
-      let l = t.loc_of_gid.((ck * Array.length t.names) + gid) in
-      l
+      let l0 = t.ck_loc0.(ck) and n = t.ck_nloc.(ck) in
+      let rec find l =
+        if l >= n then -1 else if t.loc_gid.(l0 + l) = gid then l else find (l + 1)
+      in
+      find 0
 
 let timed_checkers t = t.timed_cks
-let deadline_generation t = t.dl_gen
 let set_notify t f = t.notify <- f
 
 (* ---- verdict accessors ------------------------------------------------- *)
@@ -430,11 +489,6 @@ let verdict_code t ck = Ba.get t.st (t.ck_base.(ck) + o_verdict)
 let active_fragment t ck = Ba.get t.st (t.ck_base.(ck) + o_active)
 let index t ck = Ba.get t.st (t.ck_base.(ck) + o_index)
 let rounds_completed t ck = Ba.get t.st (t.ck_base.(ck) + o_rounds)
-
-let steps_total t =
-  let sum = ref 0 in
-  Array.iter (fun base -> sum := !sum + Ba.get t.st (base + o_index)) t.ck_base;
-  !sum
 
 let reason_of t ck : Diag.reason =
   let base = t.ck_base.(ck) in
@@ -485,7 +539,7 @@ let violate t ck ~reason ~vrec ~time ~idx ~a ~b ~c =
   Ba.unsafe_set st (base + o_va) a;
   Ba.unsafe_set st (base + o_vb) b;
   Ba.unsafe_set st (base + o_vc) c;
-  if Array.unsafe_get t.ck_timed ck then t.dl_gen <- t.dl_gen + 1;
+  touch t ck;
   match t.notify with Some f -> f ck | None -> ()
 
 (* One Fig. 5 recognizer step; on [o_err] the reason is in
@@ -629,7 +683,7 @@ let refresh_timed t ck ~time =
     if active = Array.unsafe_get t.ck_premise_last ck && min_complete t ck
     then begin
       Ba.unsafe_set st (base + o_started) time;
-      t.dl_gen <- t.dl_gen + 1
+      touch t ck
     end
     else if
       active = Array.unsafe_get t.ck_q ck - 1
@@ -638,7 +692,7 @@ let refresh_timed t ck ~time =
     then begin
       Ba.unsafe_set st (base + o_qdone) 1;
       Ba.unsafe_set st (base + o_rounds) (Ba.unsafe_get st (base + o_rounds) + 1);
-      t.dl_gen <- t.dl_gen + 1
+      touch t ck
     end
   end
 
@@ -718,7 +772,7 @@ let step_trusted t ck loc ~time =
             start_fragment_with t ck 0 loc;
             Ba.unsafe_set st (base + o_started) (-1);
             Ba.unsafe_set st (base + o_qdone) 0;
-            t.dl_gen <- t.dl_gen + 1;
+            touch t ck;
             refresh_timed t ck ~time
           end
       end
@@ -786,7 +840,7 @@ let check_time_checker t ck ~now =
       Ba.set st (base + o_va) started;
       Ba.set st (base + o_vb) dl;
       Ba.set st (base + o_vc) now;
-      t.dl_gen <- t.dl_gen + 1;
+      touch t ck;
       match t.notify with Some f -> f ck | None -> ()
     end
   end
@@ -908,7 +962,7 @@ let restore_checker t ck (p : Compiled.persisted) =
       Ba.set t.st (base + o_va) a;
       Ba.set t.st (base + o_vb) b;
       Ba.set t.st (base + o_vc) c);
-  t.dl_gen <- t.dl_gen + 1
+  touch t ck
 
 (* ---- blob -------------------------------------------------------------- *)
 
@@ -1004,7 +1058,7 @@ let load_blob t blob =
                 for i = 0 to n - 1 do
                   Ba.set t.st i slots.(i)
                 done;
-                t.dl_gen <- t.dl_gen + 1;
+                t.dl_all <- true;
                 Ok ()
           end
 

@@ -48,9 +48,12 @@ val names : t -> Name.t array
 val gid_of_name : t -> Name.t -> int option
 
 val local_of_name : t -> int -> Name.t -> int
-(** [local_of_name t ck nm] is the checker-local id of [nm] for [ck],
-    or [-1] when [nm] is not in that checker's alphabet — resolved
-    once by per-name-routed hosts ({!Backend.t.prepare}). *)
+(** [local_of_name t ck nm] is the checker-local id of [nm] for [ck]
+    (its position in the sorted alphabet), or [-1] when [nm] is not in
+    that checker's alphabet — resolved once by per-name-routed hosts
+    ({!Backend.t.prepare}).  A scan of [ck]'s own locals: compilation
+    keeps no checker-by-name table, so it stays linear in suite
+    size. *)
 
 (** {1 Stepping} *)
 
@@ -83,10 +86,6 @@ val active_fragment : t -> int -> int
 val index : t -> int -> int
 val rounds_completed : t -> int -> int
 
-val steps_total : t -> int
-(** Sum of all checkers' step indices — what an observability layer
-    mirrors into [loseq_backend_steps_total{backend=flat}]. *)
-
 val check_time_checker : t -> int -> now:int -> unit
 val check_time : t -> now:int -> unit
 (** Report deadline misses at [now] (one checker / every timed
@@ -102,11 +101,19 @@ val next_deadline : t -> int option
 
 val timed_checkers : t -> int array
 
-val deadline_generation : t -> int
-(** Bumped whenever any checker's armed-deadline state may have
-    changed (arming, completion, round reset, verdict, restore).  A
-    host re-settles its wheel only when this moves — the steady-state
-    step path leaves it untouched. *)
+val deadlines_dirty : t -> bool
+(** Some timed checker's armed-deadline state may have changed since
+    the last {!drain_deadlines} (arming, completion, round reset,
+    verdict, restore, or a whole-engine {!reset}/{!load_blob}).  The
+    steady-state step path leaves it false, so a host tests one flag
+    per event. *)
+
+val drain_deadlines : t -> (int -> unit) -> unit
+(** Hand each timed checker whose deadline state changed since the last
+    drain to [f], once (every timed checker after a whole-engine
+    change), and clear the record — how a host re-arms only the
+    checkers that moved.  The record lives beside the state array, so
+    it is never part of a blob. *)
 
 val set_notify : t -> (int -> unit) option -> unit
 (** [notify ck] fires on every verdict decision (satisfied or

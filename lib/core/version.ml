@@ -1,1 +1,1 @@
-let current = "1.10.0"
+let current = "1.11.0"

@@ -86,25 +86,6 @@ let json_of_event (e : Trace.event) =
   Json.Obj
     [ ("name", Json.String (Name.to_string e.name)); ("time", Json.Int e.time) ]
 
-(* All checkers hosted as views of one shared flat engine?  Then the
-   whole suite's run state is one blob. *)
-let shared_engine checkers =
-  match checkers with
-  | [] -> None
-  | first :: rest -> (
-      match (Checker.backend first).Backend.engine with
-      | None -> None
-      | Some eng ->
-          if
-            List.for_all
-              (fun c ->
-                match (Checker.backend c).Backend.engine with
-                | Some e -> e == eng
-                | None -> false)
-              rest
-          then Some eng
-          else None)
-
 let common_fields ~version session =
   let stats = Session.stats session in
   let reorder = Session.reorder session in
@@ -135,8 +116,9 @@ let common_fields ~version session =
   ]
 
 let capture session =
-  let checkers = Hub.checkers (Session.hub session) in
-  match shared_engine checkers with
+  let hub = Session.hub session in
+  let checkers = Hub.checkers hub in
+  match Hub.engine hub with
   | Some eng ->
       (* v2: the engine's packed state array, base64, plus the
          interning table that pins its layout.  [events_seen] is
@@ -354,8 +336,9 @@ let restore_checkers_v2 session json =
       | Some n -> n
       | None -> bad "checkpoint has no checker record for %S" name
   in
-  let checkers = Hub.checkers (Session.hub session) in
-  let shared = shared_engine checkers in
+  let hub = Session.hub session in
+  let checkers = Hub.checkers hub in
+  let shared = Hub.engine hub in
   let eng =
     match shared with
     | Some eng -> eng

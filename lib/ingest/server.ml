@@ -769,6 +769,15 @@ let serve ?metrics ?metrics_addr ?(stats_interval = 0) ?backend ?suite_backend
      noop ring keeps every instrumented hot path on its one-branch
      fast path. *)
   let trace = if trace_out <> None then Tr.create () else Tr.noop in
+  (* With no backend named, buffered hosting steps the flat suite
+     engine directly.  [--ooo] stays on compiled: it persists and
+     restores checkers on every rollback, and flat views measured no
+     faster there. *)
+  let suite_backend =
+    match (backend, suite_backend) with
+    | None, None when not ooo -> Some Backend.flat_views
+    | _ -> suite_backend
+  in
   if ooo && (checkpoint <> None || resume) then
     error_record out
       "--ooo does not support --checkpoint/--resume: speculative state \

@@ -120,6 +120,13 @@ val serve :
     on resume: the checkpoint's values win).  [out] defaults to
     stdout.
 
+    [backend]/[suite_backend] pick the monitor backend.  With neither,
+    the buffered mode hosts the whole suite as one {!Loseq_core.Flat}
+    engine stepped directly by the hub ({!Loseq_verif.Hub.host_flat};
+    its checkpoints are the one-blob v2 format) and the speculative
+    mode uses {!Loseq_core.Backend.compiled}.  Verdict records are the
+    same either way.
+
     [metrics] (default noop) is threaded through the session to the hub
     and reorder buffer, and additionally feeds the server-level
     instruments [loseq_bytes_in_total], [loseq_records_decoded_total],

@@ -7,6 +7,7 @@ type t = {
   now : unit -> int;  (** the host's clock, for {!finalize} *)
   coverage : Coverage.t;
   mutable events_seen : int;
+  seen : unit -> int;  (** deliveries a host made outside {!deliver} *)
   mutable timeout : Kernel.handle option;
   mutable violation_hooks : (Diag.violation -> unit) list;
   mutable violation_reported : bool;
@@ -14,7 +15,7 @@ type t = {
     (before:Backend.verdict -> after:Backend.verdict -> unit) option;
 }
 
-let make ?name ?(now = fun () -> 0) backend =
+let make ?name ?(now = fun () -> 0) ?(seen = fun () -> 0) backend =
   let name =
     match name with
     | Some n -> n
@@ -27,6 +28,7 @@ let make ?name ?(now = fun () -> 0) backend =
       now;
       coverage = Coverage.create backend.Backend.pattern;
       events_seen = 0;
+      seen;
       timeout = None;
       violation_hooks = [];
       violation_reported = false;
@@ -146,7 +148,7 @@ let finalize t = finalize_at t ~now:(t.now ())
    bookkeeping with the backend so an already-reported violation does
    not fire the hooks a second time. *)
 let restore_meta t ~events_seen =
-  t.events_seen <- events_seen;
+  t.events_seen <- events_seen - t.seen ();
   (match t.backend.Backend.verdict () with
   | Backend.Violated _ -> t.violation_reported <- true
   | Backend.Running | Backend.Satisfied -> t.violation_reported <- false);
@@ -162,6 +164,6 @@ let sync_external t = report_if_violated t
 let passed t = Backend.passed (t.backend.Backend.verdict ())
 let on_violation t hook = t.violation_hooks <- hook :: t.violation_hooks
 let on_transition t hook = t.transition_hook <- Some hook
-let events_seen t = t.events_seen
+let events_seen t = t.events_seen + t.seen ()
 let coverage t = t.coverage
 let pp_verdict = Backend.pp_verdict

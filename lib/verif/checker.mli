@@ -39,9 +39,13 @@ val attach :
     Used by {!Hub} (or any custom host); a checker built with {!make}
     is not subscribed anywhere. *)
 
-val make : ?name:string -> ?now:(unit -> int) -> Backend.t -> t
+val make :
+  ?name:string -> ?now:(unit -> int) -> ?seen:(unit -> int) -> Backend.t -> t
 (** A detached checker over an existing backend.  [now] is the host's
-    clock, consulted by {!finalize} (defaults to constant 0). *)
+    clock, consulted by {!finalize} (defaults to constant 0).  [seen]
+    is for hosts that step the backend outside the checker
+    ({!sync_external}): it counts the deliveries the host made on the
+    checker's behalf, and {!events_seen} adds it in. *)
 
 val deliver : t -> Trace.event -> unit
 (** Feed one event (coverage, verdict transitions, violation hooks). *)

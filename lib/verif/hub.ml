@@ -7,9 +7,16 @@ open Loseq_sim
    entry records the deadline it is currently armed for; stale heap
    items (the entry re-armed or disarmed since the push) are dropped
    when they surface.  One kernel timeout is kept scheduled at the heap
-   minimum — however many timed checkers the hub hosts. *)
+   minimum — however many timed checkers the hub hosts.  Equal deadlines
+   fire in hosting order ([seq]), so the order of same-instant misses
+   does not depend on the heap's history — which differs between
+   per-checker and engine-direct hosting. *)
 
-type entry = { checker : Checker.t; mutable armed : int (* -1 = unarmed *) }
+type entry = {
+  checker : Checker.t;
+  seq : int;  (** hosting order *)
+  mutable armed : int;  (** -1 = unarmed *)
+}
 
 module Wheel = struct
   type t = {
@@ -24,10 +31,12 @@ module Wheel = struct
     h.heap.(i) <- h.heap.(j);
     h.heap.(j) <- tmp
 
+  let less (d, a) (d', b) = d < d' || (d = d' && a.seq < b.seq)
+
   let rec sift_up h i =
     if i > 0 then begin
       let parent = (i - 1) / 2 in
-      if fst h.heap.(i) < fst h.heap.(parent) then begin
+      if less h.heap.(i) h.heap.(parent) then begin
         swap h i parent;
         sift_up h parent
       end
@@ -36,8 +45,8 @@ module Wheel = struct
   let rec sift_down h i =
     let l = (2 * i) + 1 and r = (2 * i) + 2 in
     let smallest = ref i in
-    if l < h.len && fst h.heap.(l) < fst h.heap.(!smallest) then smallest := l;
-    if r < h.len && fst h.heap.(r) < fst h.heap.(!smallest) then smallest := r;
+    if l < h.len && less h.heap.(l) h.heap.(!smallest) then smallest := l;
+    if r < h.len && less h.heap.(r) h.heap.(!smallest) then smallest := r;
     if !smallest <> i then begin
       swap h i !smallest;
       sift_down h !smallest
@@ -169,24 +178,33 @@ let make_obs metrics tap =
 type t = {
   tap : Tap.t;
   mutable entries_rev : entry list;
+  mutable hosted : int;  (** entries so far: the next [seq] *)
   wheel : Wheel.t;
   mutable scheduled : (int * Kernel.handle) option;
       (* deadline the kernel timeout is parked at *)
   obs : obs option;
   trc : trc option;
+  mutable engines : Loseq_core.Flat.t list;  (** hosted by [host_flat] *)
 }
 
 let create ?(metrics = Obs.noop) ?(trace = Tr.noop) tap =
   {
     tap;
     entries_rev = [];
+    hosted = 0;
     wheel = Wheel.create ();
     scheduled = None;
     obs = (if Obs.is_live metrics then Some (make_obs metrics tap) else None);
     trc = (if Tr.is_live trace then Some (make_trc trace) else None);
+    engines = [];
   }
 
 let tap t = t.tap
+
+let engine t =
+  match t.engines with
+  | [ eng ] when Loseq_core.Flat.size eng = List.length t.entries_rev -> Some eng
+  | _ -> None
 let checkers t = List.rev_map (fun e -> e.checker) t.entries_rev
 let size t = List.length t.entries_rev
 
@@ -269,6 +287,30 @@ let after_delivery t entry =
   rearm t entry;
   settle t
 
+(* One sampled dispatch: [work] between two monotonic-ns clock reads
+   (immune to NTP steps, fine enough for the sub-microsecond buckets)
+   that feed the latency histogram and the flight recorder's dispatch
+   span.  The span begin goes in before the work so records the work
+   emits (deadline firings) nest inside it in ring order — the ring
+   must stay time-sorted. *)
+let sampled_dispatch t work =
+  let t0 = Monotonic_clock.now () in
+  (match t.trc with
+  | Some c ->
+      Tr.emit_at c.tr ~ts_ns:(Int64.to_int t0) c.tr_dispatch Tr.Span_begin 0
+  | None -> ());
+  work ();
+  let t1 = Monotonic_clock.now () in
+  let ns = Int64.to_int (Int64.sub t1 t0) in
+  (match t.obs with
+  | Some o ->
+      Obs.set o.wheel_depth t.wheel.Wheel.len;
+      Obs.observe o.dispatch_ns ns
+  | None -> ());
+  match t.trc with
+  | Some c -> Tr.emit_at c.tr ~ts_ns:(Int64.to_int t1) c.tr_dispatch Tr.Span_end ns
+  | None -> ()
+
 (* With a live sink, every hosted checker contributes to the transition
    counters: satisfied rounds through the step-path transition hook,
    violations through the once-per-checker violation hook (which also
@@ -282,7 +324,8 @@ let observe_checker o checker =
 
 let host ?(latency_sample_rate = default_sample_rate) t checker ~strict =
   let mask = sample_mask latency_sample_rate in
-  let entry = { checker; armed = -1 } in
+  let entry = { checker; seq = t.hosted; armed = -1 } in
+  t.hosted <- t.hosted + 1;
   t.entries_rev <- entry :: t.entries_rev;
   let backend = Checker.backend checker in
   (match t.obs with
@@ -321,13 +364,10 @@ let host ?(latency_sample_rate = default_sample_rate) t checker ~strict =
             Tap.subscribe_name t.tap n (fun e ->
                 handler e;
                 after_delivery t entry)
-        | obs, trc ->
+        | obs, _ ->
             (* The just-bumped deliveries count doubles as the 1-in-N
                latency sampling phase — no separate phase cell (a local
-               cell stands in when only the flight recorder is live).
-               The clock is CLOCK_MONOTONIC in nanoseconds (immune to
-               NTP steps, fine enough for the sub-microsecond
-               buckets). *)
+               cell stands in when only the flight recorder is live). *)
             let sampled =
               match obs with
               | Some o ->
@@ -347,32 +387,10 @@ let host ?(latency_sample_rate = default_sample_rate) t checker ~strict =
                     !phase land mask = 0
             in
             Tap.subscribe_name t.tap n (fun e ->
-                if sampled () then begin
-                  let t0 = Monotonic_clock.now () in
-                  (* span begin goes in before the work so records the
-                     handler emits (deadline firings) nest inside it in
-                     ring order — the ring must stay time-sorted *)
-                  (match trc with
-                  | Some c ->
-                      Tr.emit_at c.tr ~ts_ns:(Int64.to_int t0) c.tr_dispatch
-                        Tr.Span_begin 0
-                  | None -> ());
-                  handler e;
-                  after_delivery t entry;
-                  let t1 = Monotonic_clock.now () in
-                  (match obs with
-                  | Some o ->
-                      Obs.set o.wheel_depth t.wheel.Wheel.len;
-                      Obs.observe o.dispatch_ns
-                        (Int64.to_int (Int64.sub t1 t0))
-                  | None -> ());
-                  match trc with
-                  | Some c ->
-                      Tr.emit_at c.tr ~ts_ns:(Int64.to_int t1) c.tr_dispatch
-                        Tr.Span_end
-                        (Int64.to_int (Int64.sub t1 t0))
-                  | None -> ()
-                end
+                if sampled () then
+                  sampled_dispatch t (fun () ->
+                      handler e;
+                      after_delivery t entry)
                 else begin
                   handler e;
                   after_delivery t entry
@@ -389,42 +407,74 @@ let host ?(latency_sample_rate = default_sample_rate) t checker ~strict =
    steps the engine's CSR dispatch row directly — no per-checker
    closure chain, no per-delivery checker bookkeeping.  Checker views
    exist only for reports, finalization and hooks; verdict decisions
-   reach them through the engine's notify callback.  The deadline
-   wheel is resettled only when the engine's deadline generation
-   moves, so the steady-state event path is step + one int compare. *)
+   reach them through the engine's notify callback.  A checker's
+   deliveries are the emissions of its alphabet names, so one count per
+   name (bumped once per event, whatever the row length) yields its
+   [events_seen] and the delivery/step counters as read-time sums.  The
+   deadline wheel re-arms only the checkers the engine marked, so the
+   steady-state event path is count + step + one flag test. *)
 let host_flat ?(latency_sample_rate = default_sample_rate) t eng views =
   let mask = sample_mask latency_sample_rate in
   let module Flat = Loseq_core.Flat in
+  let names = Flat.names eng in
+  let emitted = Array.make (Array.length names) 0 in
+  let row = Array.make (Array.length names) 0 in
   let checkers =
     Array.mapi
       (fun ck view ->
+        let gids =
+          Array.of_list
+            (List.map
+               (fun nm -> Option.get (Flat.gid_of_name eng nm))
+               (Name.Set.elements (Flat.alphabet eng ck)))
+        in
+        Array.iter (fun g -> row.(g) <- row.(g) + 1) gids;
         Checker.make ~name:(Flat.label eng ck)
           ~now:(fun () -> Tap.now_ps t.tap)
+          ~seen:(fun () -> Array.fold_left (fun n g -> n + emitted.(g)) 0 gids)
           view)
       views
   in
   let entries =
-    Array.map (fun checker -> { checker; armed = -1 }) checkers
+    Array.mapi
+      (fun ck checker -> { checker; seq = t.hosted + ck; armed = -1 })
+      checkers
   in
+  t.hosted <- t.hosted + Array.length entries;
   Array.iter (fun e -> t.entries_rev <- e :: t.entries_rev) entries;
+  t.engines <- eng :: t.engines;
   (match t.obs with
   | None -> ()
   | Some o ->
       Array.iter (observe_checker o) checkers;
-      (* The engine's own step index is the steps source — these
-         checkers never see deliveries. *)
+      (* Deltas of this process's emissions times the row length: the
+         same counts the routed path makes one delivery at a time, and
+         a checkpoint restore (which moves [events_seen], not
+         [emitted]) needs no re-baselining. *)
+      let deliveries =
+        Array.map
+          (fun nm ->
+            Obs.counter o.metrics ~name:"loseq_hub_deliveries_total"
+              ~help:"Routed checker deliveries, by event name"
+              ~labels:[ ("name", Name.to_string nm) ]
+              ())
+          names
+      in
       let steps =
         Obs.counter o.metrics ~name:"loseq_backend_steps_total"
           ~help:"Monitor steps executed, by backend flavor"
           ~labels:[ ("backend", "flat") ]
           ()
       in
-      let last = ref 0 in
+      let last = Array.make (Array.length names) 0 in
       Obs.on_collect o.metrics (fun () ->
-          let seen = Flat.steps_total eng in
-          Obs.add steps (seen - !last);
-          last := seen);
-      o.rebase <- (fun () -> last := Flat.steps_total eng) :: o.rebase);
+          Array.iteri
+            (fun g counter ->
+              let d = (emitted.(g) - last.(g)) * row.(g) in
+              last.(g) <- emitted.(g);
+              Obs.add counter d;
+              Obs.add steps d)
+            deliveries));
   Flat.set_notify eng
     (Some
        (fun ck ->
@@ -434,12 +484,9 @@ let host_flat ?(latency_sample_rate = default_sample_rate) t eng views =
          (* violations reach the hooks (and the violated counter set up
             by [observe_checker]) through the checker, exactly once *)
          Checker.sync_external checkers.(ck)));
-  let timed = Flat.timed_checkers eng in
-  let last_gen = ref (-1) in
   let resettle () =
-    Array.iter (fun ck -> rearm t entries.(ck)) timed;
+    Flat.drain_deadlines eng (fun ck -> rearm t entries.(ck));
     settle t;
-    last_gen := Flat.deadline_generation eng;
     (match t.trc with
     | Some c -> Tr.emit c.tr c.tr_wheel Tr.Count t.wheel.Wheel.len
     | None -> ());
@@ -447,66 +494,35 @@ let host_flat ?(latency_sample_rate = default_sample_rate) t eng views =
     | Some o -> Obs.set o.wheel_depth t.wheel.Wheel.len
     | None -> ()
   in
-  (* With no timed checker the generation counter can never move on an
-     event, so the untimed fast path is the bare engine step. *)
-  let untimed = Array.length timed = 0 in
+  let step gid (e : Trace.event) =
+    Flat.step_name eng ~gid ~time:e.Trace.time;
+    if Flat.deadlines_dirty eng then resettle ()
+  in
+  (* With no timed checker nothing is ever marked, so the untimed fast
+     path is the bare engine step. *)
+  let untimed = Array.length (Flat.timed_checkers eng) = 0 in
   Array.iteri
     (fun gid nm ->
-      match (t.obs, t.trc) with
-      | None, None when untimed ->
-          Tap.subscribe_name t.tap nm (fun e ->
-              Flat.step_name eng ~gid ~time:e.Trace.time)
-      | None, None ->
-          Tap.subscribe_name t.tap nm (fun e ->
-              Flat.step_name eng ~gid ~time:e.Trace.time;
-              if Flat.deadline_generation eng <> !last_gen then resettle ())
-      | obs, trc ->
-          let sampled =
-            match obs with
-            | Some o ->
-                let deliveries =
-                  Obs.counter o.metrics ~name:"loseq_hub_deliveries_total"
-                    ~help:"Routed checker deliveries, by event name"
-                    ~labels:[ ("name", Name.to_string nm) ]
-                    ()
-                in
-                fun () ->
-                  Obs.incr deliveries;
-                  Obs.counter_value deliveries land mask = 0
-            | None ->
-                let phase = ref 0 in
-                fun () ->
-                  incr phase;
-                  !phase land mask = 0
-          in
-          Tap.subscribe_name t.tap nm (fun e ->
-              if sampled () then begin
-                let t0 = Monotonic_clock.now () in
-                (match trc with
-                | Some c ->
-                    Tr.emit_at c.tr ~ts_ns:(Int64.to_int t0) c.tr_dispatch
-                      Tr.Span_begin 0
-                | None -> ());
-                Flat.step_name eng ~gid ~time:e.Trace.time;
-                if Flat.deadline_generation eng <> !last_gen then resettle ();
-                let t1 = Monotonic_clock.now () in
-                (match obs with
-                | Some o ->
-                    Obs.observe o.dispatch_ns
-                      (Int64.to_int (Int64.sub t1 t0))
-                | None -> ());
-                match trc with
-                | Some c ->
-                    Tr.emit_at c.tr ~ts_ns:(Int64.to_int t1) c.tr_dispatch
-                      Tr.Span_end
-                      (Int64.to_int (Int64.sub t1 t0))
-                | None -> ()
-              end
-              else begin
-                Flat.step_name eng ~gid ~time:e.Trace.time;
-                if Flat.deadline_generation eng <> !last_gen then resettle ()
-              end))
-    (Flat.names eng);
+      Tap.subscribe_name t.tap nm
+        (match (t.obs, t.trc) with
+        | None, None when untimed ->
+            fun e ->
+              emitted.(gid) <- emitted.(gid) + 1;
+              Flat.step_name eng ~gid ~time:e.Trace.time
+        | None, None ->
+            fun e ->
+              emitted.(gid) <- emitted.(gid) + 1;
+              step gid e
+        | _ ->
+            (* the per-name emission count doubles as the 1-in-N
+               sampling phase *)
+            fun e ->
+              let n = emitted.(gid) + 1 in
+              emitted.(gid) <- n;
+              if n land mask = 0 then sampled_dispatch t (fun () -> step gid e)
+              else step gid e))
+    names;
+  Array.iter (fun entry -> rearm t entry) entries;
   resettle ();
   Array.to_list checkers
 
@@ -543,6 +559,23 @@ let resync t =
   | Some o -> List.iter (fun f -> f ()) o.rebase
   | None -> ());
   settle t
+
+let wheel_consistent t =
+  let in_heap d entry =
+    let rec at i =
+      i < t.wheel.Wheel.len
+      &&
+      let d', e = t.wheel.Wheel.heap.(i) in
+      (d' = d && e == entry) || at (i + 1)
+    in
+    at 0
+  in
+  List.for_all
+    (fun entry ->
+      match Checker.next_deadline entry.checker with
+      | None -> entry.armed = -1
+      | Some d -> entry.armed = d && in_heap d entry)
+    t.entries_rev
 
 let finalize t = List.iter (fun c -> ignore (Checker.finalize c)) (checkers t)
 

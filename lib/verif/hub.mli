@@ -72,12 +72,21 @@ val host_flat :
     order, also appended to {!checkers}) carry reports, finalization
     and violation hooks — verdict decisions reach them through the
     engine's notify callback.  These checkers never see individual
-    deliveries, so their [events_seen]/coverage stay empty; the
-    [loseq_backend_steps_total{backend=flat}] counter mirrors the
-    engine's step index instead.  The deadline wheel re-settles only
-    when the engine's deadline generation moves. *)
+    deliveries, so their coverage stays empty; their [events_seen],
+    [loseq_hub_deliveries_total{name=..}] and
+    [loseq_backend_steps_total{backend=flat}] count one delivery per
+    listening checker per emission, as {!host} does.  The deadline
+    wheel re-arms only the checkers the engine marked
+    ({!Loseq_core.Flat.drain_deadlines}).  {!Suite.attach_hub} takes
+    this path for views of one shared engine. *)
 
 val tap : t -> Tap.t
+
+val engine : t -> Flat.t option
+(** The flat engine this hub hosts engine-direct ({!host_flat}), when
+    it hosts exactly one and no other checker — then the engine's
+    state is the whole hub's monitor state (one-blob checkpoints). *)
+
 val checkers : t -> Checker.t list
 (** In {!add} order. *)
 
@@ -94,6 +103,12 @@ val resync : t -> unit
     merged deadline wheel — required after the checkers' backend states
     were overwritten externally (checkpoint resume).  Deadlines already
     in the past expire immediately. *)
+
+val wheel_consistent : t -> bool
+(** The merged wheel's invariant: every hosted checker with a pending
+    deadline is armed at exactly that deadline and present in the heap,
+    and every other checker is unarmed.  Holds between deliveries; a
+    property tests assert it after every event. *)
 
 val finalize : t -> unit
 (** {!Checker.finalize} every checker at the current simulation time. *)

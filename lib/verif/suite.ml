@@ -89,23 +89,44 @@ let find suite label =
 
 let entries_of suite = List.map (fun e -> (e.label, e.pattern)) suite
 
+(* Views of one engine compiled over exactly this suite, in entry
+   order — what [Hub.host_flat] steps engine-direct. *)
+let shared_engine suite (views : Backend.t array) =
+  match views with
+  | [||] -> None
+  | _ -> (
+      match views.(0).Backend.engine with
+      | Some eng
+        when Array.for_all
+               (fun v ->
+                 match v.Backend.engine with Some e -> e == eng | None -> false)
+               views
+             && List.map (fun e -> e.label) suite
+                = List.init (Flat.size eng) (Flat.label eng) ->
+          Some eng
+      | Some _ | None -> None)
+
 let attach_hub ?metrics ?trace ?backend ?suite_backend ?mode
     ?latency_sample_rate tap suite =
   let hub = Hub.create ?metrics ?trace tap in
   (match (suite_backend, mode) with
-  | Some sf, None ->
-      (* Suite-level factory: one compilation over all entries, hosted
-         per checker through the ordinary routed path. *)
+  | Some sf, None -> (
+      (* Suite-level factory: one compilation over all entries.  Views
+         of one shared engine are hosted engine-direct; any other views
+         go through the per-checker path per-pattern factories use. *)
       let views = sf (entries_of suite) in
-      List.iteri
-        (fun i e ->
-          let checker =
-            Checker.make ~name:e.label
-              ~now:(fun () -> Tap.now_ps tap)
-              views.(i)
-          in
-          Hub.host ?latency_sample_rate hub checker ~strict:false)
-        suite
+      match shared_engine suite views with
+      | Some eng -> ignore (Hub.host_flat ?latency_sample_rate hub eng views)
+      | None ->
+          List.iteri
+            (fun i e ->
+              let checker =
+                Checker.make ~name:e.label
+                  ~now:(fun () -> Tap.now_ps tap)
+                  views.(i)
+              in
+              Hub.host ?latency_sample_rate hub checker ~strict:false)
+            suite)
   | _ ->
       List.iter
         (fun e ->

@@ -55,7 +55,10 @@ val attach_hub :
     {!Hub} with a shared deadline wheel.  [backend] defaults to
     {!Loseq_core.Backend.compiled}; [suite_backend], when given (and
     [mode] is not), compiles the whole suite in one call
-    (e.g. {!Loseq_core.Backend.flat_views}) so checkers share state;
+    (e.g. {!Loseq_core.Backend.flat_views}) so checkers share state.
+    When its views are the entries of one shared {!Loseq_core.Flat}
+    engine, that engine is hosted engine-direct ({!Hub.host_flat});
+    other views are hosted per checker like per-pattern backends.
     [metrics], [trace] and [latency_sample_rate] (defaults noop, noop,
     64) are handed to the hub — see {!Hub.create} and {!Hub.add}. *)
 

@@ -2,10 +2,12 @@
 # Live-ingestion end-to-end gate.  Each check is a named gate (grep the
 # name in the CI log to find it):
 #   convert-roundtrip     CSV -> LSQB binary -> CSV is byte-identical
-#   stream-batch-agreement  serve over stdin decides what `suite` decides
-#   crash-recovery        kill -TERM mid-stream writes a checkpoint;
-#                         --resume with a full replay yields verdicts
-#                         identical to the uninterrupted streaming run
+#   stream-batch-agreement  serve --backend compiled over stdin decides
+#                         what `suite` decides
+#   crash-recovery        kill -TERM mid-stream writes a compiled (v1)
+#                         checkpoint; --resume with a full replay yields
+#                         verdicts identical to the uninterrupted
+#                         streaming run
 #   ingest-throughput     bench ingest section writes BENCH_ingest.json
 #   strict-reorder        --strict-reorder refuses (exit 2) a lateness
 #                         window larger than the suite's certified
@@ -26,6 +28,11 @@
 #                         blob) encodes smaller than the per-checker
 #                         JSON v1; a compiled v1 checkpoint resumes
 #                         into flat hosting
+#   default-serve         serve with no --backend (buffered: the flat
+#                         engine) writes verdict records identical to
+#                         --backend compiled and a v2 checkpoint with
+#                         "engine":"flat", and kill-and-resume yields
+#                         the same verdicts
 #   speculative-serve     serve --ooo on the K-scrambled twin trace
 #                         settles verdict records byte-identical to
 #                         the buffered serve, with zero rollbacks (the
@@ -72,8 +79,8 @@ gate "stream-batch-agreement"
 batch_status=0
 $LOSEQ suite "$SUITE" -f "$TRACE" > "$WORK/batch.out" || batch_status=$?
 stream_status=0
-$LOSEQ serve --suite "$SUITE" < "$WORK/ipu.lsqb" > "$WORK/stream.ndjson" \
-  || stream_status=$?
+$LOSEQ serve --suite "$SUITE" --backend compiled < "$WORK/ipu.lsqb" \
+  > "$WORK/stream.ndjson" || stream_status=$?
 test "$batch_status" -eq "$stream_status"
 grep '"type": *"verdict"' "$WORK/stream.ndjson" > "$WORK/stream.verdicts"
 # each suite entry must reach the same PASS/FAIL in both runs
@@ -87,27 +94,35 @@ while read -r line; do
 done < "$WORK/stream.verdicts"
 echo "verdicts agree (exit $batch_status)"
 
+# Serve ipu with periodic checkpoints, feed roughly half the stream,
+# then SIGTERM the server mid-stream (not at EOF: the feeder holds the
+# connection open).  Usage: kill_mid_stream TAG CHECKPOINT [serve args]
+# — the records land in $WORK/TAG.ndjson.
+kill_mid_stream() {
+  local tag=$1 ckpt=$2
+  shift 2
+  local sock="$WORK/$tag.sock"
+  $LOSEQ serve --suite "$SUITE" --socket "$sock" \
+    --checkpoint "$ckpt" --checkpoint-every 50 "$@" > "$WORK/$tag.ndjson" &
+  local server=$!
+  ( head -c 1000 "$WORK/ipu.lsqb"; sleep 30 ) | $LOSEQ feed --socket "$sock" &
+  local feeder=$!
+  for _ in $(seq 50); do
+    grep -q '"type": *"checkpoint"' "$WORK/$tag.ndjson" 2>/dev/null && break
+    sleep 0.2
+  done
+  kill -TERM "$server"
+  wait "$server"
+  kill "$feeder" 2>/dev/null || true
+  wait "$feeder" 2>/dev/null || true
+  test -s "$ckpt"
+  grep -q '"type": *"interrupted"' "$WORK/$tag.ndjson"
+}
+
 gate "crash-recovery"
-SOCK="$WORK/loseq.sock"
 CKPT="$WORK/loseq.ckpt"
-$LOSEQ serve --suite "$SUITE" --socket "$SOCK" \
-  --checkpoint "$CKPT" --checkpoint-every 50 \
-  > "$WORK/killed.ndjson" &
-SERVER=$!
-# send roughly half the stream, then hold the connection open so the
-# server is mid-stream (not at EOF) when the signal lands
-( head -c 1000 "$WORK/ipu.lsqb"; sleep 30 ) | $LOSEQ feed --socket "$SOCK" &
-FEEDER=$!
-for _ in $(seq 50); do
-  grep -q '"type": *"checkpoint"' "$WORK/killed.ndjson" 2>/dev/null && break
-  sleep 0.2
-done
-kill -TERM "$SERVER"
-wait "$SERVER"
-kill "$FEEDER" 2>/dev/null || true
-wait "$FEEDER" 2>/dev/null || true
-test -s "$CKPT"
-grep -q '"type": *"interrupted"' "$WORK/killed.ndjson"
+kill_mid_stream killed "$CKPT" --backend compiled
+grep -q '"version": *1,' "$CKPT"  # per-checker JSON, for flat-agreement
 ckpt_events=$(grep '"type": *"checkpoint"' "$WORK/killed.ndjson" | tail -1 \
   | grep -o '"events": *[0-9]*' | grep -o '[0-9]*$')
 test "${ckpt_events:-0}" -gt 0
@@ -115,7 +130,8 @@ echo "checkpoint written at event $ckpt_events"
 
 resume_status=0
 $LOSEQ serve --suite "$SUITE" --checkpoint "$CKPT" --resume \
-  < "$WORK/ipu.lsqb" > "$WORK/resumed.ndjson" || resume_status=$?
+  --backend compiled < "$WORK/ipu.lsqb" > "$WORK/resumed.ndjson" \
+  || resume_status=$?
 test "$resume_status" -eq "$stream_status"
 grep '"type": *"verdict"' "$WORK/resumed.ndjson" > "$WORK/resumed.verdicts"
 cmp <(strip_prov "$WORK/stream.verdicts") <(strip_prov "$WORK/resumed.verdicts")
@@ -231,8 +247,9 @@ ckpt_bytes() {  # last "bytes" field in an NDJSON checkpoint record
   grep '"type": *"checkpoint"' "$1" | grep -o '"bytes": *[0-9]*' \
     | tail -1 | grep -o '[0-9]*$'
 }
-$LOSEQ serve --suite "$BIGSUITE" --checkpoint "$WORK/big_v1.ckpt" \
-  --checkpoint-every 64 < "$WORK/big.lsqb" > "$WORK/big_v1.ndjson"
+$LOSEQ serve --suite "$BIGSUITE" --backend compiled \
+  --checkpoint "$WORK/big_v1.ckpt" --checkpoint-every 64 \
+  < "$WORK/big.lsqb" > "$WORK/big_v1.ndjson"
 $LOSEQ serve --suite "$BIGSUITE" --backend flat \
   --checkpoint "$WORK/big_v2.ckpt" --checkpoint-every 64 \
   < "$WORK/big.lsqb" > "$WORK/big_v2.ndjson"
@@ -252,6 +269,30 @@ grep '"type": *"verdict"' "$WORK/flat_resumed.ndjson" \
   > "$WORK/flat_resumed.verdicts"
 cmp <(strip_prov "$WORK/stream.verdicts") <(strip_prov "$WORK/flat_resumed.verdicts")
 echo "compiled v1 checkpoint resumed into flat hosting, verdicts identical"
+
+gate "default-serve"
+# no --backend: buffered serve hosts the flat engine; its verdict
+# records (provenance included: same arrival order) are those of the
+# compiled run
+default_status=0
+$LOSEQ serve --suite "$SUITE" < "$WORK/ipu.lsqb" > "$WORK/default.ndjson" \
+  || default_status=$?
+test "$default_status" -eq "$stream_status"
+grep '"type": *"verdict"' "$WORK/default.ndjson" > "$WORK/default.verdicts"
+cmp "$WORK/stream.verdicts" "$WORK/default.verdicts"
+# its checkpoint is the one-blob v2 format, and survives kill-and-resume
+DCKPT="$WORK/default.ckpt"
+kill_mid_stream default_killed "$DCKPT"
+grep -q '"engine": *"flat"' "$DCKPT"
+dresume_status=0
+$LOSEQ serve --suite "$SUITE" --checkpoint "$DCKPT" --resume \
+  < "$WORK/ipu.lsqb" > "$WORK/default_resumed.ndjson" || dresume_status=$?
+test "$dresume_status" -eq "$stream_status"
+grep '"type": *"verdict"' "$WORK/default_resumed.ndjson" \
+  > "$WORK/default_resumed.verdicts"
+cmp <(strip_prov "$WORK/stream.verdicts") \
+  <(strip_prov "$WORK/default_resumed.verdicts")
+echo "default serve: compiled verdicts, flat v2 checkpoint, resume identical"
 
 gate "speculative-serve"
 # examples/traces/ipu_ooo.csv is a K-bounded scramble of ipu.csv whose

@@ -55,6 +55,76 @@ let test_dispatch_table () =
   Alcotest.(check bool) "c1 hears irq" true
     (Flat.local_of_name eng 1 (name "irq") >= 0)
 
+(* [copy k] of the example catalog, its names suffixed with [k mod 2]:
+   copies 0 and 2 (and 1 and 3) share every name, so the interning
+   spans several checkers per name. *)
+let catalog_copies n =
+  let source =
+    let path =
+      List.find Sys.file_exists
+        [ "../examples/specs/catalog.suite"; "examples/specs/catalog.suite" ]
+    in
+    match Suite.load path with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "%a" Suite.pp_error e
+  in
+  (* rename identifier tokens that are alphabet names *)
+  let rename suffix (e : Suite.entry) =
+    let alpha = Pattern.alpha e.pattern in
+    let text = Pattern.to_string e.pattern in
+    let buf = Buffer.create (String.length text) in
+    let tok = Buffer.create 16 in
+    let flush () =
+      let t = Buffer.contents tok in
+      Buffer.add_string buf
+        (if t <> "" && Name.Set.mem (name t) alpha then t ^ suffix else t);
+      Buffer.clear tok
+    in
+    String.iter
+      (fun c ->
+        match c with
+        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> Buffer.add_char tok c
+        | _ ->
+            flush ();
+            Buffer.add_char buf c)
+      text;
+    flush ();
+    pat (Buffer.contents buf)
+  in
+  List.concat
+    (List.init n (fun k ->
+         List.map
+           (fun (e : Suite.entry) ->
+             ( Printf.sprintf "%s_%d" e.label k,
+               rename (Printf.sprintf "_%d" (k mod 2)) e ))
+           source))
+
+(* The checker-local id of a name is its position in the checker's
+   sorted alphabet, and -1 for every name outside it — interned
+   elsewhere in the suite or foreign to it. *)
+let test_local_of_name_multi_copy () =
+  let eng = Flat.compile (catalog_copies 4) in
+  Alcotest.(check int) "checkers" 32 (Flat.size eng);
+  let foreign = [ name "nope"; name "grant_9"; name "grant" ] in
+  for ck = 0 to Flat.size eng - 1 do
+    let locals = Array.of_list (Name.Set.elements (Flat.alphabet eng ck)) in
+    let expected nm =
+      let rec find i =
+        if i = Array.length locals then -1
+        else if Name.equal locals.(i) nm then i
+        else find (i + 1)
+      in
+      find 0
+    in
+    List.iter
+      (fun nm ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s / %s" (Flat.label eng ck) (Name.to_string nm))
+          (expected nm)
+          (Flat.local_of_name eng ck nm))
+      (Array.to_list (Flat.names eng) @ foreign)
+  done
+
 (* step_name (CSR row), step_event (per-checker resolve) and
    step_checker must drive the same machine to the same verdicts. *)
 let test_dispatch_paths_agree () =
@@ -228,6 +298,8 @@ let () =
         [
           Alcotest.test_case "packing pins" `Quick test_layout_pins;
           Alcotest.test_case "dispatch table" `Quick test_dispatch_table;
+          Alcotest.test_case "local ids, multi-copy catalog" `Quick
+            test_local_of_name_multi_copy;
           Alcotest.test_case "dispatch paths agree" `Quick
             test_dispatch_paths_agree;
         ] );

@@ -141,6 +141,164 @@ let test_suite_attach_hub () =
   Alcotest.(check bool) "report agrees" true
     (Report.all_passed (Hub.report hub))
 
+(* ---- engine-direct hosting --------------------------------------------- *)
+
+let parse_suite src =
+  match Suite.parse src with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "suite: %a" Suite.pp_error e
+
+(* Views of one shared flat engine are stepped engine-direct; per-pattern
+   backends are hosted per checker. *)
+let test_flat_views_engine_direct () =
+  let suite = parse_suite "one: {a, b} << i\ntwo: c <<! j\n" in
+  let hub ?suite_backend () =
+    Suite.attach_hub ?suite_backend (Tap.create (Kernel.create ())) suite
+  in
+  Alcotest.(check bool) "flat views: one hosted engine" true
+    (Hub.engine (hub ~suite_backend:Backend.flat_views ()) <> None);
+  Alcotest.(check bool) "compiled: no engine" true (Hub.engine (hub ()) = None)
+
+(* Feed timestamped [events] through a fresh hub over [suite]; [after]
+   runs after every event.  Returns the hub and its violations as
+   (label, time, reason), in report order. *)
+let run_hosted ?metrics ?suite_backend ?(after = fun _ -> ()) suite events =
+  let kernel = Kernel.create () in
+  let tap = Tap.create ~record:false kernel in
+  let hub = Suite.attach_hub ?metrics ?suite_backend tap suite in
+  let log = ref [] in
+  Hub.on_violation hub (fun c v ->
+      log := (Checker.name c, v.Diag.time, v.Diag.reason) :: !log);
+  let advance t =
+    if Time.( < ) (Kernel.now kernel) (Time.ps t) then
+      Kernel.run ~until:(Time.ps t) kernel
+  in
+  List.iter
+    (fun (t, nm) ->
+      advance t;
+      Tap.emit_name tap (name nm);
+      after hub)
+    events;
+  advance (List.fold_left (fun m (t, _) -> max m t) 0 events + 100);
+  Hub.finalize hub;
+  (hub, List.rev !log)
+
+(* Shared names, a deadline, a violation and a foreign name: the
+   delivery, step and dispatch counters read the same whichever path
+   hosts the suite (the steps family differs only in its backend
+   label), and so does every checker's [events_seen]. *)
+let test_metrics_match_across_hosting () =
+  let suite =
+    parse_suite
+      "one: {a, b} <<! go\ntwo: {b, c} <<! go\nthree: a => c within 10\n\
+       four: c < a <<! go\n"
+  in
+  let events =
+    [ (0, "a"); (1, "b"); (2, "c"); (3, "go"); (5, "a"); (6, "zzz");
+      (20, "c"); (21, "go"); (22, "b") ]
+  in
+  let counters ?suite_backend () =
+    let metrics = Loseq_obs.Metrics.create () in
+    let hub, _ = run_hosted ~metrics ?suite_backend suite events in
+    let families =
+      [ "loseq_events_dispatched_total"; "loseq_hub_deliveries_total";
+        "loseq_backend_steps_total" ]
+    in
+    let lines =
+      Loseq_obs.Expo.prometheus metrics
+      |> String.split_on_char '\n'
+      |> List.filter (fun l ->
+             List.exists (fun prefix -> String.starts_with ~prefix l) families)
+      |> List.map (fun l ->
+             (* drop the backend label: compiled vs flat *)
+             if String.starts_with ~prefix:"loseq_backend_steps_total" l then
+               "loseq_backend_steps_total "
+               ^ List.nth (String.split_on_char ' ' l) 1
+             else l)
+      |> List.sort compare
+    in
+    (lines, List.map Checker.events_seen (Hub.checkers hub))
+  in
+  let compiled_lines, compiled_seen = counters () in
+  let flat_lines, flat_seen = counters ~suite_backend:Backend.flat_views () in
+  Alcotest.(check int) "families present" 6 (List.length compiled_lines);
+  Alcotest.(check (list string)) "exposition" compiled_lines flat_lines;
+  Alcotest.(check (list int)) "events_seen" compiled_seen flat_seen
+
+(* Two deadlines falling due at the same instant fire in suite order
+   under both hostings; the wheel's heap history (which differs between
+   them) must not decide it. *)
+let test_same_instant_misses_in_suite_order () =
+  let suite =
+    parse_suite
+      "t0: b => d within 3\nt1: e => b within 3\nt2: b => a within 3\n\
+       t3: b => d within 3\n"
+  in
+  let events = [ (0, "e"); (0, "a"); (0, "b") ] in
+  let labels log = List.map (fun (l, t, _) -> (l, t)) log in
+  let expected = [ ("t2", 0); ("t0", 3); ("t3", 3) ] in
+  Alcotest.(check (list (pair string int)))
+    "compiled" expected
+    (labels (snd (run_hosted suite events)));
+  Alcotest.(check (list (pair string int)))
+    "engine-direct" expected
+    (labels (snd (run_hosted ~suite_backend:Backend.flat_views suite events)))
+
+(* Timed suites over a small shared name pool, events spaced so they
+   land on, just before and just after deadlines: the engine path
+   re-arms only the checkers the engine marked, and must still report
+   exactly what per-checker compiled hosting reports, with every
+   pending deadline live in the wheel after every event. *)
+let gen_timed_case =
+  let open QCheck2.Gen in
+  let pool = [ "a"; "b"; "c"; "d"; "e" ] in
+  let entry i =
+    let* names = shuffle_l pool in
+    let n k = List.nth names k in
+    let* deadline = oneofl [ 3; 5; 10 ] in
+    let* shape = int_range 0 3 in
+    return
+      (Printf.sprintf "t%d: %s" i
+         (match shape with
+         | 0 -> Printf.sprintf "%s => %s within %d" (n 0) (n 1) deadline
+         | 1 ->
+             Printf.sprintf "%s => %s < %s within %d" (n 0) (n 1) (n 2)
+               deadline
+         | 2 ->
+             Printf.sprintf "%s < %s => %s[1,2] within %d" (n 0) (n 1) (n 2)
+               deadline
+         | _ -> Printf.sprintf "{%s, %s} <<! %s" (n 0) (n 1) (n 2)))
+  in
+  let* k = int_range 2 5 in
+  let* lines = flatten_l (List.init k entry) in
+  let* steps =
+    list_size (int_range 1 40)
+      (pair (oneofl pool) (oneofl [ 0; 1; 2; 3; 4; 5; 6; 9; 10; 11 ]))
+  in
+  let _, events_rev =
+    List.fold_left
+      (fun (t, acc) (nm, gap) -> (t + gap, (t + gap, nm) :: acc))
+      (0, []) steps
+  in
+  return (String.concat "\n" lines ^ "\n", List.rev events_rev)
+
+let print_timed_case (src, events) =
+  src
+  ^ String.concat " "
+      (List.map (fun (t, nm) -> Printf.sprintf "%s@%d" nm t) events)
+
+let test_dirty_resettle =
+  qtest ~count:300 "engine-direct = per-checker compiled, wheel live"
+    gen_timed_case print_timed_case (fun (src, events) ->
+      let suite = parse_suite src in
+      let consistent = ref true in
+      let after hub = if not (Hub.wheel_consistent hub) then consistent := false in
+      let _, compiled = run_hosted ~after suite events in
+      let _, flat =
+        run_hosted ~suite_backend:Backend.flat_views ~after suite events
+      in
+      !consistent && compiled = flat)
+
 let () =
   Alcotest.run "hub"
     [
@@ -167,4 +325,14 @@ let () =
         [ Alcotest.test_case "strict vs lenient" `Quick test_strict_sees_foreign ] );
       ( "suite",
         [ Alcotest.test_case "attach_hub" `Quick test_suite_attach_hub ] );
+      ( "engine",
+        [
+          Alcotest.test_case "flat views host engine-direct" `Quick
+            test_flat_views_engine_direct;
+          Alcotest.test_case "metrics match across hosting" `Quick
+            test_metrics_match_across_hosting;
+          Alcotest.test_case "same-instant misses in suite order" `Quick
+            test_same_instant_misses_in_suite_order;
+          test_dirty_resettle;
+        ] );
     ]

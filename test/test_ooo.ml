@@ -402,6 +402,28 @@ let test_serve_modes_doc_pins_ooo () =
         (contains Cli_doc.ooo_doc needle))
     [ "--checkpoint"; "--resume"; "rollback" ]
 
+(* The per-mode serve default (flat buffered, compiled under --ooo) is
+   stated in both the --backend description and the modes paragraph. *)
+let test_serve_backend_defaults_doc () =
+  List.iter
+    (fun (doc_name, doc, needles) ->
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s mentions %S" doc_name needle)
+            true (contains doc needle))
+        needles)
+    [
+      ( "--backend doc",
+        Cli_doc.backend_doc,
+        [ "$(b,serve) hosts buffered sessions on $(b,flat)";
+          "$(b,--ooo) sessions on $(b,compiled)" ] );
+      ( "serve modes doc",
+        Cli_doc.serve_modes_doc,
+        [ "runs on the $(b,flat) backend";
+          "(on the $(b,compiled) backend by default)" ] );
+    ]
+
 let () =
   Alcotest.run "ooo"
     [
@@ -440,5 +462,7 @@ let () =
             test_backend_doc_covers_every_backend;
           Alcotest.test_case "serve modes doc" `Quick
             test_serve_modes_doc_pins_ooo;
+          Alcotest.test_case "serve backend defaults" `Quick
+            test_serve_backend_defaults_doc;
         ] );
     ]

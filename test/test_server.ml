@@ -85,11 +85,12 @@ let racy_head_swapped () =
   | _ -> Alcotest.fail "racy_ok.csv too short");
   path
 
-let check_golden name ~exit:expected_exit (code, lines) =
+let check_golden ?(golden = "") name ~exit:expected_exit (code, lines) =
+  let golden = if golden = "" then name else golden in
   (match Sys.getenv_opt "LOSEQ_GOLDEN_UPDATE" with
-  | Some dir -> write_lines (Filename.concat dir (name ^ ".ndjson")) lines
+  | Some dir -> write_lines (Filename.concat dir (golden ^ ".ndjson")) lines
   | None -> ());
-  let file = name ^ ".ndjson" in
+  let file = golden ^ ".ndjson" in
   let golden =
     read_lines
       (if Sys.file_exists (Filename.concat "golden" file) then
@@ -107,18 +108,23 @@ let has_line lines needle =
       at 0)
     lines
 
-let case name ~exit ?(check = fun _ -> ()) ~suite ~trace ?(backend = compiled)
-    ?stats_interval ?lateness ?ooo ?checkpoint ?checkpoint_every () =
+(* [backend] [None] names no backend: [Server.serve]'s own default.
+   [golden] (default: the case name) is the file the output must
+   match. *)
+let case name ?golden ~exit ?(check = fun _ -> ()) ~suite ~trace
+    ?(backend = Some compiled) ?stats_interval ?lateness ?ooo ?checkpoint
+    ?checkpoint_every () =
   Alcotest.test_case name `Quick @@ fun () ->
   let suite = load_suite suite in
   let trace = trace () in
-  let factory, suite_backend = backend in
+  let factory = Option.map fst backend
+  and suite_backend = Option.bind backend snd in
   let result =
     run_serve ~trace (fun ~out ->
-        Server.serve ?stats_interval ~backend:factory ?suite_backend ?lateness
+        Server.serve ?stats_interval ?backend:factory ?suite_backend ?lateness
           ?checkpoint ?checkpoint_every ?ooo ~out ~input:`Stdin suite)
   in
-  check_golden name ~exit result;
+  check_golden ?golden name ~exit result;
   check (snd result)
 
 let ipu () = example "traces" "ipu.csv"
@@ -128,8 +134,12 @@ let golden_cases =
   [
     case "ipu_compiled" ~exit:1 ~suite:"ipu.suite" ~trace:ipu
       ~stats_interval:100 ();
-    case "ipu_flat" ~exit:1 ~suite:"ipu.suite" ~trace:ipu ~backend:flat
+    case "ipu_flat" ~exit:1 ~suite:"ipu.suite" ~trace:ipu ~backend:(Some flat)
       ~stats_interval:100 ();
+    (* no backend named: the buffered default (the flat engine) renders
+       exactly the compiled golden *)
+    case "ipu_default" ~golden:"ipu_compiled" ~exit:1 ~suite:"ipu.suite"
+      ~trace:ipu ~backend:None ~stats_interval:100 ();
     case "ipu_ooo_buffered" ~exit:1 ~suite:"ipu.suite" ~trace:ipu_ooo
       ~stats_interval:100 ~lateness:75000 ();
     case "ipu_ooo_speculative" ~exit:1 ~suite:"ipu.suite" ~trace:ipu_ooo
@@ -148,13 +158,76 @@ let golden_cases =
       ();
     case "catalog_bad_flat" ~exit:1 ~suite:"catalog.suite"
       ~trace:(fun () -> example "traces" "catalog_bad.csv")
-      ~backend:flat ();
+      ~backend:(Some flat) ();
     case "ipu_checkpoint" ~exit:1 ~suite:"ipu.suite" ~trace:ipu
       ~checkpoint:"server_golden.ckpt" ~checkpoint_every:50
       ~check:(fun _ -> Sys.remove "server_golden.ckpt")
       ();
     case "ooo_checkpoint_refused" ~exit:2 ~suite:"ipu.suite" ~trace:ipu
       ~checkpoint:"server_golden_ooo.ckpt" ~ooo:true ();
+  ]
+
+(* ---- checkpoint resume across default and compiled hosting -------------- *)
+
+let contains hay needle = has_line [ hay ] needle
+
+(* Verdict records up to the provenance chain: a resumed run captures
+   its witnesses from the replayed suffix only. *)
+let verdicts lines =
+  List.filter_map
+    (fun l ->
+      if not (contains l {|"type":"verdict"|}) then None
+      else
+        let key = {|,"provenance":|} in
+        let n = String.length key in
+        let rec cut i =
+          if i + n > String.length l then l
+          else if String.sub l i n = key then String.sub l 0 i ^ "}"
+          else cut (i + 1)
+        in
+        Some (cut 0))
+    lines
+
+(* The first 200 events of ipu.csv. *)
+let ipu_prefix () =
+  let path = Filename.temp_file "ipu_prefix" ".csv" in
+  write_lines path (List.filteri (fun i _ -> i <= 200) (read_lines (ipu ())));
+  path
+
+(* Serve a prefix under [src] with periodic checkpoints, then resume
+   the full stream under [dst]: the verdicts and exit code are those of
+   the uninterrupted compiled run.  [Some Backend.compiled] names the
+   compiled backend; [None] takes the default (flat engine, v2
+   blob). *)
+let test_resume ~src ~dst () =
+  let suite = load_suite "ipu.suite" in
+  let ckpt = Filename.temp_file "server_resume" ".ckpt" in
+  Sys.remove ckpt;
+  let serve ?backend ?checkpoint ?checkpoint_every ?resume trace =
+    run_serve ~trace (fun ~out ->
+        Server.serve ?backend ?checkpoint ?checkpoint_every ?resume ~out
+          ~input:`Stdin suite)
+  in
+  let full_code, full = serve ~backend:Backend.compiled (ipu ()) in
+  let _ = serve ?backend:src ~checkpoint:ckpt ~checkpoint_every:50 (ipu_prefix ()) in
+  let written = String.concat "\n" (read_lines ckpt) in
+  Alcotest.(check bool)
+    "checkpoint engine" (src = None)
+    (contains written {|"engine":"flat"|});
+  let code, resumed =
+    serve ?backend:dst ~checkpoint:ckpt ~resume:true (ipu ())
+  in
+  Sys.remove ckpt;
+  Alcotest.(check bool) "resumed" true (has_line resumed {|"resumed":true|});
+  Alcotest.(check (list string)) "verdicts" (verdicts full) (verdicts resumed);
+  Alcotest.(check int) "exit code" full_code code
+
+let resume_cases =
+  [
+    Alcotest.test_case "default -> compiled" `Quick
+      (test_resume ~src:None ~dst:(Some Backend.compiled));
+    Alcotest.test_case "compiled -> default" `Quick
+      (test_resume ~src:(Some Backend.compiled) ~dst:None);
   ]
 
 (* ---- artifact writes ---------------------------------------------------- *)
@@ -207,4 +280,8 @@ let artifact_cases =
 
 let () =
   Alcotest.run "server"
-    [ ("golden", golden_cases); ("artifacts", artifact_cases) ]
+    [
+      ("golden", golden_cases);
+      ("resume", resume_cases);
+      ("artifacts", artifact_cases);
+    ]
