@@ -499,7 +499,9 @@ let flat_table () =
         suite;
       hub
     in
-    let flat_engine tap = fst (Suite.attach_hub_flat tap suite) in
+    let flat_engine tap =
+      Suite.attach_hub ~backend:Backend.flat_views tap suite
+    in
     (* interleaved best-of so frequency drift cancels *)
     ignore (timed hub_compiled);
     let hub_s = ref infinity

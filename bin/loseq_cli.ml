@@ -51,12 +51,12 @@ let factory_of = function
   | `Flat -> Backend.flat
   | `Psl -> Loseq_psl.Progress.backend
 
-(* The flat backend is suite-level: given the whole suite it compiles
-   one engine and hands out per-entry views.  The other kinds host per
-   pattern. *)
+(* Suite commands: flat compiles the whole suite into one engine and
+   hands out per-entry views; the other kinds host per pattern. *)
 let suite_factory_of = function
-  | `Flat -> Some Backend.flat_views
-  | `Direct | `Compiled | `Psl -> None
+  | `Flat -> Backend.flat_views
+  | (`Direct | `Compiled | `Psl) as kind ->
+      Backend.per_pattern (factory_of kind)
 
 (* ---- telemetry (--stats) ---------------------------------------------- *)
 
@@ -536,8 +536,8 @@ let shard_divergences plan suite traces =
              suite trace
          in
          let unsharded =
-           Loseq_verif.Suite.check_trace ~suite_backend:Backend.flat_views
-             suite trace
+           Loseq_verif.Suite.check_trace ~backend:Backend.flat_views suite
+             trace
          in
          List.filter_map
            (fun ((label, sv), (label', uv)) ->
@@ -1060,8 +1060,7 @@ let suite_cmd =
             with_stats stats @@ fun metrics ->
             match
               Loseq_verif.Suite.check_trace ~metrics
-                ~backend:(factory_of backend_kind)
-                ?suite_backend:(suite_factory_of backend_kind)
+                ~backend:(suite_factory_of backend_kind)
                 ?final_time suite trace
             with
             | results ->
@@ -1146,8 +1145,7 @@ let serve_cmd =
           match socket with Some path -> `Socket path | None -> `Stdin
         in
         Loseq_ingest.Server.serve ?metrics_addr ~stats_interval
-          ?backend:(Option.map factory_of backend_kind)
-          ?suite_backend:(Option.bind backend_kind suite_factory_of)
+          ?backend:(Option.map suite_factory_of backend_kind)
           ~lateness ~window ?checkpoint ~checkpoint_every ~resume
           ~strict_reorder ~ooo ?final_time ?trace_out ?profile_out
           ?latency_sample_rate ~input suite
@@ -1651,8 +1649,7 @@ let trace_cmd =
         let tr = Tr.create () in
         match
           Loseq_ingest.Session.create ~metrics ~trace:tr
-            ~backend:(factory_of backend_kind)
-            ?suite_backend:(suite_factory_of backend_kind)
+            ~backend:(suite_factory_of backend_kind)
             ?latency_sample_rate ~lateness suite
         with
         | exception Wellformed.Ill_formed (p, errs) ->
@@ -1860,7 +1857,7 @@ let explain_verdict_cmd =
                   in
                   let flat_fails =
                     not
-                      (Prov.replay ~backend:Backend.flat ~final_time:ft
+                      (Prov.replay ~backend:Backend.flat_views ~final_time:ft
                          ~label:property entry.pattern chain)
                   in
                   let json =

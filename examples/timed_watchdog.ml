@@ -32,7 +32,7 @@ let dma_engine kernel tap ~beats ~beat_gap () =
 let run_scenario title ~beats ~beat_gap =
   let kernel = Kernel.create () in
   let tap = Tap.create kernel in
-  let checker = Checker.attach ~name:"DMA watchdog" tap property in
+  let checker = Hub.add ~name:"DMA watchdog" (Hub.create tap) property in
   Checker.on_violation checker (fun v ->
       Format.printf "  [%a] watchdog fired: %a@." Time.pp (Kernel.now kernel)
         Diag.pp_violation v);
@@ -48,5 +48,5 @@ let () =
      4, so `dma_done` arrives too early. *)
   run_scenario "short burst " ~beats:2 ~beat_gap:(Time.ns 100);
   (* Stalled engine: beats 400 ns apart * 16 = deadline miss, detected
-     by the scheduled timeout the moment the budget is exhausted. *)
+     by the hub's deadline wheel the moment the budget is exhausted. *)
   run_scenario "stalled DMA " ~beats:16 ~beat_gap:(Time.ns 400)

@@ -167,44 +167,14 @@ let flat_view eng ck =
     ~restore:(fun p -> Flat.restore_checker eng ck p)
     ~engine:eng ()
 
-let flat_suite entries =
-  let eng = Flat.compile entries in
-  (eng, Array.init (Flat.size eng) (flat_view eng))
-
-let flat_views entries = snd (flat_suite entries)
-
 let flat_engine_views eng = Array.init (Flat.size eng) (flat_view eng)
 
-let flat pattern =
-  let _, views = flat_suite [ ("pattern", pattern) ] in
-  views.(0)
+let flat_views entries = flat_engine_views (Flat.compile entries)
 
-(* ---- signature-style extension ---------------------------------------- *)
+let flat pattern = (flat_views [ ("pattern", pattern) ]).(0)
 
-module type MONITOR_BACKEND = sig
-  type state
-
-  val label : string
-  val create : Pattern.t -> state
-  val alphabet : state -> Name.Set.t
-  val step : state -> Trace.event -> verdict
-  val check_time : state -> now:int -> verdict
-  val next_deadline : state -> int option
-  val finalize : state -> now:int -> verdict
-  val verdict : state -> verdict
-  val reset : state -> unit
-end
-
-let pack (module B : MONITOR_BACKEND) pattern =
-  let s = B.create pattern in
-  make ~label:B.label ~pattern ~alphabet:(B.alphabet s)
-    ~step:(fun e -> B.step s e)
-    ~check_time:(fun ~now -> B.check_time s ~now)
-    ~next_deadline:(fun () -> B.next_deadline s)
-    ~finalize:(fun ~now -> B.finalize s ~now)
-    ~verdict:(fun () -> B.verdict s)
-    ~reset:(fun () -> B.reset s)
-    ()
+let per_pattern f entries =
+  Array.of_list (List.map (fun (_, pattern) -> f pattern) entries)
 
 (* ---- telemetry --------------------------------------------------------- *)
 

@@ -4,11 +4,13 @@
     {!Monitor} (the paper's Drct construction, literally — rich
     diagnostics, coverage-grade introspection), the flat-table
     {!Compiled} fast path (a step is a handful of array reads) and the
-    formula-progression ViaPSL monitor of [Loseq_psl.Progress].  Before
-    this module each hosting layer (checkers, suites, the CLI, the SoC
-    case study) was hard-wired to one of them; now every host targets
-    one value type, {!t}, and a backend is chosen per checker with a
-    [Pattern.t -> t] factory.
+    formula-progression ViaPSL monitor of [Loseq_psl.Progress], plus
+    the whole-suite {!Flat} engine.  Every host targets one value type,
+    {!t}: a single-property host chooses a backend with a
+    [Pattern.t -> t] {!factory}, a suite host with one
+    {!suite_factory} ({!per_pattern} lifts the former).  Strategies
+    implemented outside this library (the ViaPSL monitor) build a {!t}
+    with {!make}.
 
     A backend is a record of closures over hidden monitor state — the
     OCaml idiom for a first-class object with capabilities.  The
@@ -104,7 +106,8 @@ val make :
 (** {1 Factories} *)
 
 type factory = Pattern.t -> t
-(** What hosts take as a [?backend] argument.  Factories raise
+(** What single-property hosts ({!Loseq_verif.Hub.add}, the SoC
+    checkers) take as a [?backend] argument.  Factories raise
     {!Wellformed.Ill_formed} on ill-formed patterns (and the ViaPSL
     factory additionally [Invalid_argument] on ranges too wide to
     materialize a formula). *)
@@ -119,18 +122,23 @@ val compiled : factory
 (** The {!Compiled} flat-table fast path — the production default. *)
 
 type suite_factory = (string * Pattern.t) list -> t array
-(** Suite-level compilation: hosts that monitor a whole labelled suite
-    hand it over in one call so the factory can share state across
-    checkers.  The returned array is in entry order. *)
+(** What every suite host ({!Loseq_verif.Suite.attach_hub} and
+    everything built on it, the speculative engine, the server) takes
+    as its one [?backend] argument: the whole labelled suite in one
+    call, so the factory can share state across checkers.  The
+    returned array is in entry order. *)
 
-val flat_suite : (string * Pattern.t) list -> Flat.t * t array
-(** Compile the whole suite into one {!Flat} engine and return it with
-    one backend view per entry (label ["flat"]).  The views share the
-    engine's packed state array; each also carries it in {!t.engine}. *)
+val per_pattern : factory -> suite_factory
+(** One backend per entry, built independently — how the per-pattern
+    strategies ({!direct}, {!compiled}, the ViaPSL monitor) host a
+    suite.  [per_pattern compiled] is the default of every suite host
+    except buffered serving. *)
 
 val flat_views : suite_factory
-(** {!flat_suite} without the engine handle — what generic
-    [?suite_backend] host parameters take. *)
+(** Compile the whole suite into one {!Flat} engine and return one
+    backend view per entry (label ["flat"]).  The views share the
+    engine's packed state array and each carries it in {!t.engine}, so
+    a host that recognizes the sharing steps the engine directly. *)
 
 val flat_engine_views : Flat.t -> t array
 (** Backend views over an {e existing} engine — e.g. one produced by
@@ -139,31 +147,8 @@ val flat_engine_views : Flat.t -> t array
 
 val flat : factory
 (** A single-pattern flat engine (a one-entry suite) — [--backend flat]
-    on per-pattern hosts.  The suite-level entry points above are where
-    the flavor earns its keep. *)
-
-(** {1 Signature-style extension}
-
-    Strategies implemented outside this library (the ViaPSL progression
-    monitor, future remote/sharded monitors) implement
-    {!MONITOR_BACKEND} and {!pack} it, or build a {!t} directly with
-    {!make}. *)
-
-module type MONITOR_BACKEND = sig
-  type state
-
-  val label : string
-  val create : Pattern.t -> state
-  val alphabet : state -> Name.Set.t
-  val step : state -> Trace.event -> verdict
-  val check_time : state -> now:int -> verdict
-  val next_deadline : state -> int option
-  val finalize : state -> now:int -> verdict
-  val verdict : state -> verdict
-  val reset : state -> unit
-end
-
-val pack : (module MONITOR_BACKEND) -> factory
+    on per-pattern hosts.  {!flat_views} is where the flavor earns its
+    keep. *)
 
 (** {1 Telemetry} *)
 

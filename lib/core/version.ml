@@ -1,1 +1,1 @@
-let current = "1.11.0"
+let current = "1.12.0"

@@ -454,7 +454,7 @@ let position json =
   | n -> Ok n
   | exception Bad msg -> Error msg
 
-let resume ?metrics ?trace ?backend ?suite_backend ?latency_sample_rate ~path
+let resume ?metrics ?trace ?backend ?latency_sample_rate ~path
     suite =
   match load ~path with
   | Error _ as err -> err
@@ -462,8 +462,8 @@ let resume ?metrics ?trace ?backend ?suite_backend ?latency_sample_rate ~path
       match
         let lateness = int_exn "lateness" json
         and window = int_exn "window" json in
-        Session.create ?metrics ?trace ?backend ?suite_backend
-          ?latency_sample_rate ~lateness ~window suite
+        Session.create ?metrics ?trace ?backend ?latency_sample_rate ~lateness
+          ~window suite
       with
       | exception Bad msg -> Error msg
       | session -> (

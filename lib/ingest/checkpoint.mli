@@ -59,8 +59,7 @@ val position : Json.t -> (int, string) result
 val resume :
   ?metrics:Loseq_obs.Metrics.t ->
   ?trace:Loseq_obs.Trace.t ->
-  ?backend:Backend.factory ->
-  ?suite_backend:Backend.suite_factory ->
+  ?backend:Backend.suite_factory ->
   ?latency_sample_rate:int ->
   path:string ->
   Loseq_verif.Suite.t ->
@@ -69,5 +68,5 @@ val resume :
     (and, like {!Session.create}, an optional live [metrics] sink,
     [trace] flight recorder, sampling rate, and backend choice),
     [restore].  The checkpoint's version and the
-    session's hosting are independent: any persistable [backend] or
-    [suite_backend] resumes either version. *)
+    session's hosting are independent: any persistable [backend]
+    resumes either version. *)

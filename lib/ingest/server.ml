@@ -463,20 +463,20 @@ type host = {
   prov : Provenance.t;
 }
 
-let buffered ~metrics ~trace ?backend ?suite_backend ?latency_sample_rate
-    ~lateness ~window ?checkpoint ~resume ?final_time ~out suite =
+let buffered ~metrics ~trace ~backend ?latency_sample_rate ~lateness ~window
+    ?checkpoint ~resume ?final_time ~out suite =
   let resuming =
     resume
     && match checkpoint with Some p -> Sys.file_exists p | None -> false
   in
   let session =
     if resuming then
-      Checkpoint.resume ~metrics ~trace ?backend ?suite_backend
-        ?latency_sample_rate ~path:(Option.get checkpoint) suite
+      Checkpoint.resume ~metrics ~trace ~backend ?latency_sample_rate
+        ~path:(Option.get checkpoint) suite
     else
       Ok
-        (Session.create ~metrics ~trace ?backend ?suite_backend
-           ?latency_sample_rate ~lateness ~window suite)
+        (Session.create ~metrics ~trace ~backend ?latency_sample_rate ~lateness
+           ~window suite)
   in
   Result.map
     (fun session ->
@@ -531,8 +531,7 @@ module Engine = Loseq_ooo.Engine
    markers: violation records carry ["speculative"], [retracted]
    records withdraw them, [settled] records mark verdicts the
    watermark has made definitive. *)
-let speculative ~metrics ~trace ?backend ?suite_backend ~lateness ?final_time
-    ~out suite =
+let speculative ~metrics ~trace ~backend ~lateness ?final_time ~out suite =
   (* The engine routes no tap, so the provenance recorder is detached
      and fed from the arrival stream; retractions unfreeze the ring. *)
   let prov = Provenance.create_detached suite in
@@ -564,7 +563,7 @@ let speculative ~metrics ~trace ?backend ?suite_backend ~lateness ?final_time
   let engine =
     Engine.create
       ?metrics:(if Obs.is_live metrics then Some metrics else None)
-      ~trace ?backend ?suite_backend ~notice ~lateness
+      ~trace ~backend ~notice ~lateness
       (List.map (fun (e : Suite.entry) -> (e.label, e.pattern)) suite)
   in
   let offered = ref 0 in
@@ -758,7 +757,7 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
            (if arg = "" then "" else " " ^ arg)
            (Unix.error_message e))
 
-let serve ?metrics ?metrics_addr ?(stats_interval = 0) ?backend ?suite_backend
+let serve ?metrics ?metrics_addr ?(stats_interval = 0) ?backend
     ?(lateness = 0) ?(window = 1024) ?checkpoint ?(checkpoint_every = 0)
     ?(resume = false) ?(strict_reorder = false) ?(ooo = false) ?final_time
     ?trace_out ?profile_out ?latency_sample_rate ?(out = stdout) ~input suite =
@@ -772,11 +771,14 @@ let serve ?metrics ?metrics_addr ?(stats_interval = 0) ?backend ?suite_backend
   (* With no backend named, buffered hosting steps the flat suite
      engine directly.  [--ooo] stays on compiled: it persists and
      restores checkers on every rollback, and flat views measured no
-     faster there. *)
-  let suite_backend =
-    match (backend, suite_backend) with
-    | None, None when not ooo -> Some Backend.flat_views
-    | _ -> suite_backend
+     faster there.  Provenance replays ([host_loop ?backend]) keep the
+     caller's own choice, compiled when none was named, so failure
+     chains do not depend on the hosting mode's default. *)
+  let host_backend =
+    match backend with
+    | Some b -> b
+    | None when ooo -> Backend.per_pattern Backend.compiled
+    | None -> Backend.flat_views
   in
   if ooo && (checkpoint <> None || resume) then
     error_record out
@@ -786,10 +788,10 @@ let serve ?metrics ?metrics_addr ?(stats_interval = 0) ?backend ?suite_backend
     match
       setup ~strict_reorder ~out (fun () ->
           if ooo then
-            speculative ~metrics ~trace ?backend ?suite_backend ~lateness
+            speculative ~metrics ~trace ~backend:host_backend ~lateness
               ?final_time ~out suite
           else
-            buffered ~metrics ~trace ?backend ?suite_backend
+            buffered ~metrics ~trace ~backend:host_backend
               ?latency_sample_rate ~lateness ~window ?checkpoint ~resume
               ?final_time ~out suite)
     with

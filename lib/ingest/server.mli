@@ -94,8 +94,7 @@ val serve :
   ?metrics:Loseq_obs.Metrics.t ->
   ?metrics_addr:string * int ->
   ?stats_interval:int ->
-  ?backend:Loseq_core.Backend.factory ->
-  ?suite_backend:Loseq_core.Backend.suite_factory ->
+  ?backend:Loseq_core.Backend.suite_factory ->
   ?lateness:int ->
   ?window:int ->
   ?checkpoint:string ->
@@ -120,12 +119,15 @@ val serve :
     on resume: the checkpoint's values win).  [out] defaults to
     stdout.
 
-    [backend]/[suite_backend] pick the monitor backend.  With neither,
-    the buffered mode hosts the whole suite as one {!Loseq_core.Flat}
-    engine stepped directly by the hub ({!Loseq_verif.Hub.host_flat};
-    its checkpoints are the one-blob v2 format) and the speculative
-    mode uses {!Loseq_core.Backend.compiled}.  Verdict records are the
-    same either way.
+    [backend] picks the monitor backend for the whole suite.  Without
+    it, the buffered mode hosts the suite as one {!Loseq_core.Flat}
+    engine stepped directly by the hub
+    ({!Loseq_core.Backend.flat_views} through
+    {!Loseq_verif.Suite.attach_hub}; its checkpoints are the one-blob
+    v2 format) and the speculative mode uses
+    [Backend.per_pattern Backend.compiled].  Verdict records are the
+    same either way.  Provenance chains are minimized on [backend] as
+    given, compiled without it, so they do not depend on the mode.
 
     [metrics] (default noop) is threaded through the session to the hub
     and reorder buffer, and additionally feeds the server-level

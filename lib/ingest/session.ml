@@ -23,13 +23,12 @@ type t = {
   mutable forced : int;
 }
 
-let create ?metrics ?(trace = Tr.noop) ?backend ?suite_backend
-    ?latency_sample_rate ?(lateness = 0) ?(window = 1024) suite =
+let create ?metrics ?(trace = Tr.noop) ?backend ?latency_sample_rate
+    ?(lateness = 0) ?(window = 1024) suite =
   let kernel = Kernel.create () in
   let tap = Tap.create ~record:false kernel in
   let hub =
-    Suite.attach_hub ?metrics ~trace ?backend ?suite_backend
-      ?latency_sample_rate tap suite
+    Suite.attach_hub ?metrics ~trace ?backend ?latency_sample_rate tap suite
   in
   {
     suite;

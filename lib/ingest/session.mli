@@ -28,25 +28,24 @@ type t
 val create :
   ?metrics:Loseq_obs.Metrics.t ->
   ?trace:Loseq_obs.Trace.t ->
-  ?backend:Backend.factory ->
-  ?suite_backend:Backend.suite_factory ->
+  ?backend:Backend.suite_factory ->
   ?latency_sample_rate:int ->
   ?lateness:int ->
   ?window:int ->
   Suite.t ->
   t
-(** [backend] defaults to {!Backend.compiled}; [suite_backend]
-    (e.g. {!Backend.flat_views}) overrides it with a suite-level
-    compilation whose checkers share one engine — both support
-    checkpointing; [lateness] defaults to [0] (strictly chronological
-    input expected); [window] to [1024].  A live [metrics] sink (default
-    noop) is threaded to the {!Loseq_verif.Hub} and the {!Reorder}
-    buffer, so one session exports the full hub + reorder instrument
-    set; a live [trace] flight recorder (default noop) likewise — hub
-    dispatch spans and deadline instants, reorder admission instants,
-    plus a [stall] span on the ["ingest"] track around every
-    backpressure force-drain.  [latency_sample_rate] tunes the hub's
-    dispatch-latency sampling (default 64).  Raises
+(** [backend] is {!Suite.attach_hub}'s: per-checker
+    [Backend.per_pattern Backend.compiled] by default, or e.g.
+    {!Backend.flat_views} for one shared engine stepped engine-direct —
+    both support checkpointing; [lateness] defaults to [0] (strictly
+    chronological input expected); [window] to [1024].  A live
+    [metrics] sink (default noop) is threaded to the {!Loseq_verif.Hub}
+    and the {!Reorder} buffer, so one session exports the full hub +
+    reorder instrument set; a live [trace] flight recorder (default
+    noop) likewise — hub dispatch spans and deadline instants, reorder
+    admission instants, plus a [stall] span on the ["ingest"] track
+    around every backpressure force-drain.  [latency_sample_rate] tunes
+    the hub's dispatch-latency sampling (default 64).  Raises
     {!Loseq_core.Wellformed.Ill_formed} and whatever the factory
     raises. *)
 

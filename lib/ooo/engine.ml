@@ -196,19 +196,14 @@ let settle_scan t =
 
 let pair a b = if Name.compare a b <= 0 then (a, b) else (b, a)
 
-let create ?metrics ?(trace = Tr.noop) ?backend ?suite_backend
+let create ?metrics ?(trace = Tr.noop)
+    ?(backend = Backend.per_pattern Backend.compiled)
     ?(cert_budget = 20_000) ?(snapshot_every = 32) ?notice ~lateness entries =
   if lateness < 0 then invalid_arg "Loseq_ooo.Engine.create: negative lateness";
   if snapshot_every < 1 then
     invalid_arg "Loseq_ooo.Engine.create: snapshot_every < 1";
   let backends =
-    match suite_backend with
-    | Some f -> f entries
-    | None ->
-        let f = Option.value backend ~default:Backend.compiled in
-        Array.of_list (List.map (fun (_, p) -> f p) entries)
-  in
-  let backends =
+    let backends = backend entries in
     match metrics with
     | Some m -> Array.map (Backend.instrument m) backends
     | None -> backends

@@ -78,18 +78,18 @@ type notice =
 val create :
   ?metrics:Loseq_obs.Metrics.t ->
   ?trace:Loseq_obs.Trace.t ->
-  ?backend:Backend.factory ->
-  ?suite_backend:Backend.suite_factory ->
+  ?backend:Backend.suite_factory ->
   ?cert_budget:int ->
   ?snapshot_every:int ->
   ?notice:(notice -> unit) ->
   lateness:int ->
   (string * Pattern.t) list ->
   t
-(** Compile the suite (default backend {!Backend.compiled}, or the
-    suite-level [?suite_backend] — e.g. {!Backend.flat_views}), run the
-    lateness-robustness analysis ([cert_budget] defaults to [20_000]
-    elementary operations) and take the base snapshot.  A snapshot is
+(** Compile the suite with [backend] (default
+    [Backend.per_pattern Backend.compiled]; {!Backend.flat_views} also
+    rolls back), run the lateness-robustness analysis ([cert_budget]
+    defaults to [20_000] elementary operations) and take the base
+    snapshot.  A snapshot is
     recorded every [snapshot_every] (default [32]) journalled events.
     With [?metrics], backends are instrumented and the engine registers
     [loseq_ooo_*] counters and gauges on the registry.  A live [trace]

@@ -1,5 +1,4 @@
 open Loseq_core
-open Loseq_sim
 
 type t = {
   name : string;
@@ -8,7 +7,6 @@ type t = {
   coverage : Coverage.t;
   mutable events_seen : int;
   seen : unit -> int;  (** deliveries a host made outside {!deliver} *)
-  mutable timeout : Kernel.handle option;
   mutable violation_hooks : (Diag.violation -> unit) list;
   mutable violation_reported : bool;
   mutable transition_hook :
@@ -29,7 +27,6 @@ let make ?name ?(now = fun () -> 0) ?(seen = fun () -> 0) backend =
       coverage = Coverage.create backend.Backend.pattern;
       events_seen = 0;
       seen;
-      timeout = None;
       violation_hooks = [];
       violation_reported = false;
       transition_hook = None;
@@ -89,48 +86,6 @@ let poll t ~now =
   report_if_violated t
 
 let next_deadline t = t.backend.Backend.next_deadline ()
-
-(* Keep exactly one kernel timeout scheduled at the backend's next
-   deadline; fire a [check_time] just past it. *)
-let reschedule_timeout t tap =
-  (match t.timeout with
-  | Some handle ->
-      Kernel.cancel handle;
-      t.timeout <- None
-  | None -> ());
-  match next_deadline t with
-  | None -> ()
-  | Some deadline_ps ->
-      let kernel = Tap.kernel tap in
-      let at = Time.ps (deadline_ps + 1) in
-      if Time.( < ) (Kernel.now kernel) at then
-        t.timeout <-
-          Some
-            (Kernel.schedule_at kernel ~at (fun () ->
-                 poll t ~now:(Time.to_ps (Kernel.now kernel))))
-
-let attach ?(backend = Backend.compiled) ?mode ?name tap pattern =
-  let backend =
-    match mode with
-    | Some m -> Backend.direct ~mode:m pattern
-    | None -> backend pattern
-  in
-  let t = make ?name ~now:(fun () -> Tap.now_ps tap) backend in
-  (match mode with
-  | Some Monitor.Strict ->
-      (* Strict mode must see every event, not just the alphabet. *)
-      Tap.subscribe tap (fun e ->
-          deliver t e;
-          reschedule_timeout t tap)
-  | Some Monitor.Lenient | None ->
-      Name.Set.iter
-        (fun n ->
-          let handler = routed t n in
-          Tap.subscribe_name tap n (fun e ->
-              handler e;
-              reschedule_timeout t tap))
-        backend.Backend.alphabet);
-  t
 
 let name t = t.name
 let pattern t = t.backend.Backend.pattern

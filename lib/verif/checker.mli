@@ -1,38 +1,17 @@
 (** Assertion checkers: monitor backends hosted in a simulation.
 
-    A checker wraps one {!Loseq_core.Backend} (structural, compiled or
-    ViaPSL — chosen per checker with a factory, compiled by default),
-    drives it with observed events, collects coverage and reports
-    violations once.  For timed-implication patterns the hosting layer
-    keeps a timeout scheduled in the kernel so that a deadline miss is
-    reported at the moment the deadline elapses, even if no further
-    event arrives (the [sc_time]-based mechanism of the paper's
-    Section 6 monitors): {!attach} manages its own timeout, while
-    checkers hosted on a {!Hub} share the hub's merged timer wheel.
-
-    Events are routed by name: {!attach} subscribes one pre-resolved
-    handler per alphabet name ({!Tap.subscribe_name}), so a checker is
-    only invoked for events in its pattern's alphabet and
-    {!events_seen} counts exactly those.  Strict mode is the exception:
-    it must see (and reject) foreign events, so it subscribes to the
-    whole stream and forces the structural backend. *)
+    A checker wraps one {!Loseq_core.Backend} (structural, compiled,
+    flat or ViaPSL), drives it with observed events, collects coverage
+    and reports violations once.  A checker is passive: a host
+    subscribes it to a tap.  That host is the {!Hub}: its merged
+    deadline wheel keeps each timed checker's deadline scheduled in the
+    kernel, so a miss is reported the moment it elapses (the
+    [sc_time]-based mechanism of the paper's Section 6 monitors).  To
+    monitor one property, [Hub.add (Hub.create tap) pattern]. *)
 
 open Loseq_core
 
 type t
-
-val attach :
-  ?backend:Backend.factory ->
-  ?mode:Monitor.mode ->
-  ?name:string ->
-  Tap.t ->
-  Pattern.t ->
-  t
-(** Self-hosted: subscribe to the tap and keep a private deadline
-    timeout.  [backend] defaults to {!Backend.compiled}; [mode], when
-    given, overrides [backend] with the structural monitor in that
-    mode.  Raises {!Wellformed.Ill_formed} on an ill-formed pattern
-    (and whatever else the factory raises). *)
 
 (** {1 Hosting primitives}
 

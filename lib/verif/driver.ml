@@ -47,7 +47,7 @@ let drive ?(seed = 0xd21e) ?(rounds = 3) ?gap t p =
   let trace = Generate.valid ~rounds rng p in
   drive_sequence ?gap t (Trace.names trace)
 
-let drive_monitored ?backend ?mode ?seed ?rounds ?gap t tap p =
+let drive_monitored ?backend ?seed ?rounds ?gap t tap p =
   Wellformed.check_exn p;
   (* Alphabet names without an explicit binding default to emitting the
      abstract event on the tap, so the generated stimulus is observable
@@ -57,7 +57,7 @@ let drive_monitored ?backend ?mode ?seed ?rounds ?gap t tap p =
       if not (Hashtbl.mem t.bindings name) then
         Hashtbl.replace t.bindings name (fun () -> Tap.emit_name tap name))
     (Pattern.alpha p);
-  let checker = Checker.attach ?backend ?mode tap p in
+  let checker = Hub.add ?backend (Hub.create tap) p in
   drive ?seed ?rounds ?gap t p;
   checker
 

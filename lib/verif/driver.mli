@@ -47,7 +47,6 @@ val drive_sequence : ?gap:Time.t * Time.t -> t -> Name.t list -> unit
 
 val drive_monitored :
   ?backend:Backend.factory ->
-  ?mode:Monitor.mode ->
   ?seed:int ->
   ?rounds:int ->
   ?gap:Time.t * Time.t ->
@@ -55,9 +54,10 @@ val drive_monitored :
   Tap.t ->
   Pattern.t ->
   Checker.t
-(** {!drive}, closed-loop: attaches a checker for the pattern on [tap]
-    (backend defaults to {!Loseq_core.Backend.compiled}) before
-    spawning the driver process, and returns it.  Alphabet names
+(** {!drive}, closed-loop: hosts a checker for the pattern on a fresh
+    {!Hub} over [tap] ({!Hub.add}; backend defaults to
+    {!Loseq_core.Backend.compiled}) before spawning the driver process,
+    and returns it.  Alphabet names
     without a binding are bound to emit the abstract event on [tap],
     so the generated stimulus is observable out of the box; explicit
     bindings (real TLM actions) are left untouched and must emit on

@@ -526,17 +526,11 @@ let host_flat ?(latency_sample_rate = default_sample_rate) t eng views =
   resettle ();
   Array.to_list checkers
 
-let add ?(backend = Backend.compiled) ?mode ?name ?latency_sample_rate t
-    pattern =
-  let backend =
-    match mode with
-    | Some m -> Backend.direct ~mode:m pattern
-    | None -> backend pattern
-  in
+let add ?(backend = Backend.compiled) ?name ?latency_sample_rate t pattern =
   let checker =
-    Checker.make ?name ~now:(fun () -> Tap.now_ps t.tap) backend
+    Checker.make ?name ~now:(fun () -> Tap.now_ps t.tap) (backend pattern)
   in
-  host ?latency_sample_rate t checker ~strict:(mode = Some Monitor.Strict);
+  host ?latency_sample_rate t checker ~strict:false;
   checker
 
 let on_violation t hook =

@@ -1,7 +1,8 @@
 (** Event hubs: many checkers on one tap, alphabet-routed.
 
-    The hub is the production hosting layer for monitor backends.  Two
-    properties distinguish it from attaching checkers one by one:
+    The hub is the hosting layer for monitor backends: a single
+    property is [add (create tap) pattern], a whole suite
+    {!Suite.attach_hub}.  Two properties make it cheap:
 
     - {e alphabet routing}: each emitted event reaches only the
       checkers whose pattern alphabet contains its name (one interned
@@ -18,7 +19,8 @@
       they elapse.
 
     Strict-mode checkers are the exception to routing: they must see
-    foreign events, so they subscribe to the whole stream. *)
+    foreign events, so they subscribe to the whole stream
+    ({!host} with [~strict:true]). *)
 
 open Loseq_core
 
@@ -44,23 +46,24 @@ val create : ?metrics:Loseq_obs.Metrics.t -> ?trace:Loseq_obs.Trace.t -> Tap.t -
 
 val add :
   ?backend:Backend.factory ->
-  ?mode:Monitor.mode ->
   ?name:string ->
   ?latency_sample_rate:int ->
   t ->
   Pattern.t ->
   Checker.t
-(** Host one property.  [backend] defaults to {!Backend.compiled};
-    [mode], when given, overrides [backend] with the structural monitor
-    in that mode (strict mode disables routing for that checker).
-    [latency_sample_rate] (default 64, rounded up to a power of two)
-    samples one delivery in N into [loseq_hub_dispatch_ns] and the
-    dispatch spans; [Invalid_argument] when [< 1].  Raises
-    {!Wellformed.Ill_formed} (and whatever the factory raises). *)
+(** Host one property, alphabet-routed.  [backend] defaults to
+    {!Backend.compiled}.  [latency_sample_rate] (default 64, rounded up
+    to a power of two) samples one delivery in N into
+    [loseq_hub_dispatch_ns] and the dispatch spans; [Invalid_argument]
+    when [< 1].  Raises {!Wellformed.Ill_formed} (and whatever the
+    factory raises). *)
 
 val host : ?latency_sample_rate:int -> t -> Checker.t -> strict:bool -> unit
 (** Host a detached checker built with {!Checker.make} (advanced: a
-    custom backend already constructed). *)
+    custom backend already constructed).  [strict:true] subscribes it
+    to the whole stream instead of its alphabet — what a strict-mode
+    structural monitor ([Backend.direct ~mode:Monitor.Strict]) needs to
+    see, and reject, foreign events. *)
 
 val host_flat :
   ?latency_sample_rate:int -> t -> Flat.t -> Backend.t array -> Checker.t list
@@ -68,7 +71,8 @@ val host_flat :
     interned name walks the engine's dispatch row ({!Loseq_core.Flat.step_name})
     instead of one closure per (checker, alphabet-name).  [views] must
     be the per-checker backends of {e that} engine
-    ({!Loseq_core.Backend.flat_suite}); the returned checkers (entry
+    ({!Loseq_core.Backend.flat_views} or
+    {!Loseq_core.Backend.flat_engine_views}); the returned checkers (entry
     order, also appended to {!checkers}) carry reports, finalization
     and violation hooks — verdict decisions reach them through the
     engine's notify callback.  These checkers never see individual

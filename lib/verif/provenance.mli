@@ -73,17 +73,18 @@ val captured : t -> string -> link list
 (** {1 Minimization and replay} *)
 
 val replay :
-  ?backend:Backend.factory ->
+  ?backend:Backend.suite_factory ->
   final_time:int ->
   label:string ->
   Pattern.t ->
   link list ->
   bool
-(** Run the entry alone over the chain (chronologically sorted),
-    finalized at [final_time]; [true] when it passes. *)
+(** Run the entry alone, as a one-entry suite, over the chain
+    (chronologically sorted), finalized at [final_time] on [backend]
+    (default as {!Suite.check_trace}); [true] when it passes. *)
 
 val minimize :
-  ?backend:Backend.factory ->
+  ?backend:Backend.suite_factory ->
   final_time:int ->
   label:string ->
   Pattern.t ->

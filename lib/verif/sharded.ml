@@ -31,6 +31,10 @@ let run ?metrics ?final_time ~plan suite trace =
   let entries = Array.of_list (Suite.entries_of suite) in
   let n = Array.length entries in
   validate_plan plan n;
+  (* Hosted replay never moves a kernel back, so a time stamp earlier
+     than its predecessor would be judged at the later time. *)
+  if not (Trace.is_chronological trace) then
+    invalid_arg "Sharded.run: trace is not chronological";
   let eng = Flat.compile (Array.to_list entries) in
   let hosts =
     List.filter_map

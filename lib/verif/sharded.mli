@@ -26,10 +26,15 @@ val run :
   Trace.t ->
   (string * bool) list
 (** [run ~plan suite trace] hosts each shard ([plan] lists entry
-    indices per shard; it must partition [0 .. n-1], or
-    [Invalid_argument] is raised) as its own hub over the
-    name-filtered trace and returns the merged [(label, passed)]
+    indices per shard; it must partition [0 .. n-1]) as its own hub over
+    the name-filtered trace and returns the merged [(label, passed)]
     verdicts in suite order.  Every shard finalizes at [final_time]
     (default [Trace.end_time trace] — the {e full} trace's end, so
     deadline semantics match the unsharded run even for shards whose
-    filtered slice ends early). *)
+    filtered slice ends early).
+
+    Raises [Invalid_argument] when [plan] is not a partition, or when
+    [trace] is not {!Loseq_core.Trace.is_chronological}: each shard's
+    kernel time only moves forward, so a hosted replay cannot judge an
+    event stamped before its predecessor the way the offline
+    {!Suite.check_trace} does. *)

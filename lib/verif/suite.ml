@@ -106,55 +106,31 @@ let shared_engine suite (views : Backend.t array) =
           Some eng
       | Some _ | None -> None)
 
-let attach_hub ?metrics ?trace ?backend ?suite_backend ?mode
-    ?latency_sample_rate tap suite =
+let attach_hub ?metrics ?trace
+    ?(backend = Backend.per_pattern Backend.compiled) ?latency_sample_rate tap
+    suite =
   let hub = Hub.create ?metrics ?trace tap in
-  (match (suite_backend, mode) with
-  | Some sf, None -> (
-      (* Suite-level factory: one compilation over all entries.  Views
-         of one shared engine are hosted engine-direct; any other views
-         go through the per-checker path per-pattern factories use. *)
-      let views = sf (entries_of suite) in
-      match shared_engine suite views with
-      | Some eng -> ignore (Hub.host_flat ?latency_sample_rate hub eng views)
-      | None ->
-          List.iteri
-            (fun i e ->
-              let checker =
-                Checker.make ~name:e.label
-                  ~now:(fun () -> Tap.now_ps tap)
-                  views.(i)
-              in
-              Hub.host ?latency_sample_rate hub checker ~strict:false)
-            suite)
-  | _ ->
-      List.iter
-        (fun e ->
-          ignore
-            (Hub.add ?backend ?mode ?latency_sample_rate ~name:e.label hub
-               e.pattern))
+  let views = backend (entries_of suite) in
+  (* Views of one shared engine are hosted engine-direct; any other
+     views are hosted one checker each. *)
+  (match shared_engine suite views with
+  | Some eng -> ignore (Hub.host_flat ?latency_sample_rate hub eng views)
+  | None ->
+      List.iteri
+        (fun i e ->
+          Hub.host ?latency_sample_rate hub ~strict:false
+            (Checker.make ~name:e.label ~now:(fun () -> Tap.now_ps tap)
+               views.(i)))
         suite);
   hub
 
-let attach_hub_flat ?metrics ?trace ?latency_sample_rate tap suite =
-  let eng, views = Backend.flat_suite (entries_of suite) in
-  let hub = Hub.create ?metrics ?trace tap in
-  ignore (Hub.host_flat ?latency_sample_rate hub eng views);
-  (hub, eng)
+let attach_all ?backend tap suite = Hub.report (attach_hub ?backend tap suite)
 
-let attach_all ?backend ?mode tap suite =
-  Hub.report (attach_hub ?backend ?mode tap suite)
-
-let check_trace ?(metrics = Loseq_obs.Metrics.noop) ?(backend = Backend.compiled)
-    ?suite_backend ?final_time suite trace =
+let check_trace ?(metrics = Loseq_obs.Metrics.noop)
+    ?(backend = Backend.per_pattern Backend.compiled) ?final_time suite trace =
   let instrument =
     if Loseq_obs.Metrics.is_live metrics then Backend.instrument metrics
     else Fun.id
-  in
-  let backends =
-    match suite_backend with
-    | Some sf -> Array.to_list (sf (entries_of suite))
-    | None -> List.map (fun e -> backend e.pattern) suite
   in
   List.map2
     (fun e b ->
@@ -166,4 +142,5 @@ let check_trace ?(metrics = Loseq_obs.Metrics.noop) ?(backend = Backend.compiled
         | None -> Trace.end_time trace
       in
       (e.label, Backend.passed (b.Backend.finalize ~now)))
-    suite backends
+    suite
+    (Array.to_list (backend (entries_of suite)))

@@ -44,54 +44,38 @@ val entries_of : t -> (string * Pattern.t) list
 val attach_hub :
   ?metrics:Loseq_obs.Metrics.t ->
   ?trace:Loseq_obs.Trace.t ->
-  ?backend:Backend.factory ->
-  ?suite_backend:Backend.suite_factory ->
-  ?mode:Monitor.mode ->
+  ?backend:Backend.suite_factory ->
   ?latency_sample_rate:int ->
   Tap.t ->
   t ->
   Hub.t
 (** One {!Checker} per entry, hosted on a fresh alphabet-routed
-    {!Hub} with a shared deadline wheel.  [backend] defaults to
-    {!Loseq_core.Backend.compiled}; [suite_backend], when given (and
-    [mode] is not), compiles the whole suite in one call
-    (e.g. {!Loseq_core.Backend.flat_views}) so checkers share state.
-    When its views are the entries of one shared {!Loseq_core.Flat}
-    engine, that engine is hosted engine-direct ({!Hub.host_flat});
-    other views are hosted per checker like per-pattern backends.
-    [metrics], [trace] and [latency_sample_rate] (defaults noop, noop,
-    64) are handed to the hub — see {!Hub.create} and {!Hub.add}. *)
+    {!Hub} with a shared deadline wheel.  [backend] compiles the whole
+    suite in one call; it defaults to
+    [Backend.per_pattern Backend.compiled].  When its views are the
+    entries of one shared {!Loseq_core.Flat} engine
+    ({!Loseq_core.Backend.flat_views}), that engine is hosted
+    engine-direct ({!Hub.host_flat}, and {!Hub.engine} returns it for
+    blob checkpoints and direct stepping); any other views are hosted
+    one checker each ({!Hub.host}).  [metrics], [trace] and
+    [latency_sample_rate] (defaults noop, noop, 64) are handed to the
+    hub — see {!Hub.create} and {!Hub.add}. *)
 
-val attach_hub_flat :
-  ?metrics:Loseq_obs.Metrics.t ->
-  ?trace:Loseq_obs.Trace.t ->
-  ?latency_sample_rate:int ->
-  Tap.t ->
-  t ->
-  Hub.t * Flat.t
-(** The engine-direct flat hosting path: compile the suite into one
-    {!Loseq_core.Flat} engine and host it with {!Hub.host_flat} —
-    per-name dispatch is an index into the engine's table rather than
-    a per-checker closure chain.  Returns the hub (reports, hooks,
-    finalize as usual) and the engine (blob checkpoints, direct
-    stepping). *)
-
-val attach_all :
-  ?backend:Backend.factory -> ?mode:Monitor.mode -> Tap.t -> t -> Report.t
+val attach_all : ?backend:Backend.suite_factory -> Tap.t -> t -> Report.t
 (** {!attach_hub}, reported: one checker per entry, collected in a
     report. *)
 
 val check_trace :
   ?metrics:Loseq_obs.Metrics.t ->
-  ?backend:Backend.factory ->
-  ?suite_backend:Backend.suite_factory ->
+  ?backend:Backend.suite_factory ->
   ?final_time:int ->
   t ->
   Trace.t ->
   (string * bool) list
 (** Offline: run every property over a recorded trace on the chosen
-    backend (compiled by default); [(label, passed)] per entry.  With a
-    live [metrics] sink every backend is {!Loseq_core.Backend.instrument}ed,
-    so [loseq_backend_steps_total] ends at exactly
+    backend ([Backend.per_pattern Backend.compiled] by default);
+    [(label, passed)] per entry.  With a live [metrics] sink every
+    backend is {!Loseq_core.Backend.instrument}ed, so
+    [loseq_backend_steps_total] ends at exactly
     [length trace * length suite] (each entry steps the whole trace —
     no routing on the batch path). *)

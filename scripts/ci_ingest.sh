@@ -33,6 +33,12 @@
 #                         --backend compiled and a v2 checkpoint with
 #                         "engine":"flat", and kill-and-resume yields
 #                         the same verdicts
+#   backend-matrix        every --backend goes through the one suite
+#                         factory: suite and buffered serve decide
+#                         identically on direct, compiled and flat
+#                         (same exit code, same verdict records), and
+#                         psl is refused with a backend error (exit 2:
+#                         read_img[100,60000] exceeds its range bound)
 #   speculative-serve     serve --ooo on the K-scrambled twin trace
 #                         settles verdict records byte-identical to
 #                         the buffered serve, with zero rollbacks (the
@@ -293,6 +299,38 @@ grep '"type": *"verdict"' "$WORK/default_resumed.ndjson" \
 cmp <(strip_prov "$WORK/stream.verdicts") \
   <(strip_prov "$WORK/default_resumed.verdicts")
 echo "default serve: compiled verdicts, flat v2 checkpoint, resume identical"
+
+gate "backend-matrix"
+# one choice of backend drives every suite-hosting entry point: the
+# batch `suite` and buffered `serve` agree across the three backends
+# that can host ipu.suite
+for b in direct compiled flat; do
+  status=0
+  $LOSEQ suite "$SUITE" -f "$TRACE" --backend "$b" > "$WORK/matrix_$b.out" \
+    || status=$?
+  test "$status" -eq "$batch_status"
+  cmp "$WORK/batch.out" "$WORK/matrix_$b.out"
+  status=0
+  $LOSEQ serve --suite "$SUITE" --backend "$b" < "$WORK/ipu.lsqb" \
+    > "$WORK/matrix_$b.ndjson" || status=$?
+  test "$status" -eq "$stream_status"
+  grep '"type": *"verdict"' "$WORK/matrix_$b.ndjson" > "$WORK/matrix_$b.verdicts"
+  cmp <(strip_prov "$WORK/stream.verdicts") \
+    <(strip_prov "$WORK/matrix_$b.verdicts")
+done
+# the ViaPSL encoding of read_img[100,60000] is too large to build:
+# both entry points refuse it as a backend error
+psl_status=0
+$LOSEQ suite "$SUITE" -f "$TRACE" --backend psl > /dev/null \
+  2> "$WORK/psl_suite.err" || psl_status=$?
+test "$psl_status" -eq 2
+grep -q 'backend error' "$WORK/psl_suite.err"
+psl_status=0
+$LOSEQ serve --suite "$SUITE" --backend psl < "$WORK/ipu.lsqb" \
+  > "$WORK/psl_serve.ndjson" || psl_status=$?
+test "$psl_status" -eq 2
+grep '"type": *"error"' "$WORK/psl_serve.ndjson" | grep -q 'read_img\[100,60000\]'
+echo "direct, compiled and flat agree on suite and serve; psl refused (exit 2)"
 
 gate "speculative-serve"
 # examples/traces/ipu_ooo.csv is a K-bounded scramble of ipu.csv whose

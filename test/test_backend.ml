@@ -93,31 +93,6 @@ let test_reset () =
   Alcotest.(check string) "clean rerun" "running"
     (verdict_class (b.Backend.verdict ()))
 
-(* The signature-style extension point. *)
-module Direct_sig = struct
-  type state = Monitor.t
-
-  let label = "direct-sig"
-  let create p = Monitor.create p
-  let alphabet = Monitor.alphabet
-  let step = Monitor.step
-  let check_time = Monitor.check_time
-  let next_deadline = Monitor.next_deadline
-  let finalize = Monitor.finalize
-  let verdict = Monitor.verdict
-  let reset _ = ()
-end
-
-let test_pack () =
-  let p = pat "{a, b} << i" in
-  let b = Backend.pack (module Direct_sig) p in
-  Alcotest.(check string) "label" "direct-sig" b.Backend.label;
-  Alcotest.(check string) "accepts" "satisfied"
-    (verdict_class (run_offline b (tr [ "a"; "b"; "i" ])));
-  let b = Backend.pack (module Direct_sig) p in
-  Alcotest.(check string) "rejects" "violated"
-    (verdict_class (run_offline b (tr [ "a"; "i" ])))
-
 (* ---- property: offline agreement -------------------------------------- *)
 
 let prop_direct_compiled_agree (p, trace) =
@@ -189,7 +164,8 @@ let hosted_flat_engine p trace =
   let kernel = Kernel.create () in
   let tap = Tap.create kernel in
   let suite = [ { Suite.label = "p"; pattern = p; line = 1 } ] in
-  let hub, _eng = Suite.attach_hub_flat tap suite in
+  let hub = Suite.attach_hub ~backend:Backend.flat_views tap suite in
+  if Hub.engine hub = None then Alcotest.fail "expected engine-direct hosting";
   Stimuli.replay tap trace;
   Kernel.run ~until:(Time.ps (Trace.end_time trace + 500)) kernel;
   Hub.finalize hub;
@@ -235,7 +211,7 @@ let prop_suite_level_agree ((p1, t1), (p2, t2)) =
   in
   let per_entry = Suite.check_trace suite trace in
   let whole_suite =
-    Suite.check_trace ~suite_backend:Backend.flat_views suite trace
+    Suite.check_trace ~backend:Backend.flat_views suite trace
   in
   if per_entry <> whole_suite then
     QCheck2.Test.fail_reportf "per-entry compiled %s, flat suite %s"
@@ -302,7 +278,6 @@ let () =
           Alcotest.test_case "compiled next_deadline mirrors monitor" `Quick
             test_next_deadline_mirrors;
           Alcotest.test_case "reset" `Quick test_reset;
-          Alcotest.test_case "MONITOR_BACKEND pack" `Quick test_pack;
         ] );
       ( "equivalence",
         [

@@ -32,7 +32,7 @@ let summary_of session trace =
    must restore under the flat suite engine and a flat-written (v2)
    blob under per-checker compiled monitors. *)
 let resumed_summary ?lateness ?src ?dst suite trace cut =
-  let first = Session.create ?lateness ?suite_backend:src suite in
+  let first = Session.create ?lateness ?backend:src suite in
   let before, after =
     List.filteri (fun i _ -> i < cut) trace,
     List.filteri (fun i _ -> i >= cut) trace
@@ -45,7 +45,7 @@ let resumed_summary ?lateness ?src ?dst suite trace cut =
     | Ok j -> j
     | Error msg -> Alcotest.failf "checkpoint JSON invalid: %s" msg
   in
-  let second = Session.create ?lateness ?suite_backend:dst suite in
+  let second = Session.create ?lateness ?backend:dst suite in
   (match Checkpoint.restore second json with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "restore at cut %d: %s" cut msg);
@@ -105,7 +105,7 @@ let test_cross_backend_resume_with_pending_reorder () =
 
 (* A flat-hosted session writes version 2: blob + interning table. *)
 let test_flat_checkpoint_is_v2 () =
-  let session = Session.create ~suite_backend:flat demo_suite in
+  let session = Session.create ~backend:flat demo_suite in
   offer_all session (List.filteri (fun i _ -> i < 5) passing_trace);
   let json = Checkpoint.capture session in
   let int_field k =
@@ -124,7 +124,7 @@ let test_flat_checkpoint_is_v2 () =
 (* A tampered blob version must surface as a clear error, not a decode
    exception. *)
 let test_blob_version_mismatch_refused () =
-  let session = Session.create ~suite_backend:flat demo_suite in
+  let session = Session.create ~backend:flat demo_suite in
   offer_all session (List.filteri (fun i _ -> i < 5) passing_trace);
   let json = Checkpoint.capture session in
   let bump = function
@@ -136,7 +136,7 @@ let test_blob_version_mismatch_refused () =
     | Json.Obj fields -> Json.Obj (List.map bump fields)
     | _ -> Alcotest.fail "checkpoint is not an object"
   in
-  let fresh = Session.create ~suite_backend:flat demo_suite in
+  let fresh = Session.create ~backend:flat demo_suite in
   match Checkpoint.restore fresh tampered with
   | Ok () -> Alcotest.fail "restored a mismatched blob version"
   | Error msg ->
@@ -163,8 +163,8 @@ let test_v2_smaller_at_64 () =
       Session.offer_force session (ev (2 * i) (Printf.sprintf "a%d" i))
     done
   in
-  let size suite_backend =
-    let session = Session.create ?suite_backend big_suite in
+  let size backend =
+    let session = Session.create ?backend big_suite in
     feed session;
     String.length (Json.to_string (Checkpoint.capture session))
   in

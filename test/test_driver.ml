@@ -21,7 +21,7 @@ let test_drive_emits_satisfying_sequences () =
   List.iter
     (fun nm -> Driver.bind driver nm (fun () -> Tap.emit tap nm))
     [ "set_a"; "set_b"; "commit" ];
-  let checker = Checker.attach tap p in
+  let checker = Hub.add (Hub.create tap) p in
   Driver.drive ~rounds:5 driver p;
   Kernel.run kernel;
   Alcotest.(check bool) "checker green" true (Checker.passed checker);
@@ -39,7 +39,7 @@ let test_drive_sequence_violating () =
   List.iter
     (fun nm -> Driver.bind driver nm (fun () -> Tap.emit tap nm))
     [ "set_a"; "set_b"; "commit" ];
-  let checker = Checker.attach tap p in
+  let checker = Hub.add (Hub.create tap) p in
   Driver.drive_sequence driver (List.map name [ "set_a"; "commit" ]);
   Kernel.run kernel;
   Alcotest.(check bool) "violation caught" false (Checker.passed checker)
@@ -78,7 +78,7 @@ let test_drive_real_registers () =
   Driver.bind driver "set_glSize" (write 0x08 3);
   Driver.bind driver "start" (write 0x0C 1);
   let property = pat "{set_imgAddr, set_glAddr, set_glSize} << start" in
-  let checker = Checker.attach tap property in
+  let checker = Hub.add (Hub.create tap) property in
   Driver.drive ~rounds:1 driver property;
   Kernel.run kernel;
   Alcotest.(check bool) "monitor green on real traffic" true
@@ -102,7 +102,7 @@ let qcheck_driver_traffic_always_green =
           Driver.bind driver (Name.to_string nm) (fun () ->
               Tap.emit_name tap nm))
         (Pattern.alpha p);
-      let checker = Checker.attach tap p in
+      let checker = Hub.add (Hub.create tap) p in
       Driver.drive ~seed ~rounds:2 driver p;
       Kernel.run kernel;
       Checker.passed checker)

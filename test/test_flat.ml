@@ -195,7 +195,8 @@ let test_deadline_firing_order () =
   in
   let kernel = Kernel.create () in
   let tap = Tap.create kernel in
-  let hub, eng = Suite.attach_hub_flat tap suite in
+  let hub = Suite.attach_hub ~backend:Backend.flat_views tap suite in
+  let eng = Option.get (Hub.engine hub) in
   let fired = ref [] in
   List.iter
     (fun c ->

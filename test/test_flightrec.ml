@@ -286,7 +286,7 @@ let test_provenance_minimal_chain () =
     (Provenance.replay ~final_time:ft ~label:"p" (pat "{a, b} <<! go") chain);
   Alcotest.(check bool)
     "chain replays to Fail on the flat backend" false
-    (Provenance.replay ~backend:Backend.flat ~final_time:ft ~label:"p"
+    (Provenance.replay ~backend:Backend.flat_views ~final_time:ft ~label:"p"
        (pat "{a, b} <<! go") chain);
   (* the JSON rendering parses back to the same chain *)
   let json = Provenance.chain_json ?violation:(Provenance.violation_of prov "p") chain in

@@ -113,7 +113,10 @@ let test_strict_sees_foreign () =
   let kernel = Kernel.create () in
   let tap = Tap.create kernel in
   let hub = Hub.create tap in
-  let strict = Hub.add ~mode:Monitor.Strict hub (pat "a <<! i") in
+  let strict =
+    Checker.make (Backend.direct ~mode:Monitor.Strict (pat "a <<! i"))
+  in
+  Hub.host hub strict ~strict:true;
   let lenient = Hub.add hub (pat "a <<! i") in
   Tap.emit tap "zzz";
   Alcotest.(check bool) "strict rejects foreign" false (Checker.passed strict);
@@ -152,20 +155,20 @@ let parse_suite src =
    backends are hosted per checker. *)
 let test_flat_views_engine_direct () =
   let suite = parse_suite "one: {a, b} << i\ntwo: c <<! j\n" in
-  let hub ?suite_backend () =
-    Suite.attach_hub ?suite_backend (Tap.create (Kernel.create ())) suite
+  let hub ?backend () =
+    Suite.attach_hub ?backend (Tap.create (Kernel.create ())) suite
   in
   Alcotest.(check bool) "flat views: one hosted engine" true
-    (Hub.engine (hub ~suite_backend:Backend.flat_views ()) <> None);
+    (Hub.engine (hub ~backend:Backend.flat_views ()) <> None);
   Alcotest.(check bool) "compiled: no engine" true (Hub.engine (hub ()) = None)
 
 (* Feed timestamped [events] through a fresh hub over [suite]; [after]
    runs after every event.  Returns the hub and its violations as
    (label, time, reason), in report order. *)
-let run_hosted ?metrics ?suite_backend ?(after = fun _ -> ()) suite events =
+let run_hosted ?metrics ?backend ?(after = fun _ -> ()) suite events =
   let kernel = Kernel.create () in
   let tap = Tap.create ~record:false kernel in
-  let hub = Suite.attach_hub ?metrics ?suite_backend tap suite in
+  let hub = Suite.attach_hub ?metrics ?backend tap suite in
   let log = ref [] in
   Hub.on_violation hub (fun c v ->
       log := (Checker.name c, v.Diag.time, v.Diag.reason) :: !log);
@@ -197,9 +200,9 @@ let test_metrics_match_across_hosting () =
     [ (0, "a"); (1, "b"); (2, "c"); (3, "go"); (5, "a"); (6, "zzz");
       (20, "c"); (21, "go"); (22, "b") ]
   in
-  let counters ?suite_backend () =
+  let counters ?backend () =
     let metrics = Loseq_obs.Metrics.create () in
-    let hub, _ = run_hosted ~metrics ?suite_backend suite events in
+    let hub, _ = run_hosted ~metrics ?backend suite events in
     let families =
       [ "loseq_events_dispatched_total"; "loseq_hub_deliveries_total";
         "loseq_backend_steps_total" ]
@@ -220,7 +223,7 @@ let test_metrics_match_across_hosting () =
     (lines, List.map Checker.events_seen (Hub.checkers hub))
   in
   let compiled_lines, compiled_seen = counters () in
-  let flat_lines, flat_seen = counters ~suite_backend:Backend.flat_views () in
+  let flat_lines, flat_seen = counters ~backend:Backend.flat_views () in
   Alcotest.(check int) "families present" 6 (List.length compiled_lines);
   Alcotest.(check (list string)) "exposition" compiled_lines flat_lines;
   Alcotest.(check (list int)) "events_seen" compiled_seen flat_seen
@@ -242,13 +245,15 @@ let test_same_instant_misses_in_suite_order () =
     (labels (snd (run_hosted suite events)));
   Alcotest.(check (list (pair string int)))
     "engine-direct" expected
-    (labels (snd (run_hosted ~suite_backend:Backend.flat_views suite events)))
+    (labels (snd (run_hosted ~backend:Backend.flat_views suite events)))
 
 (* Timed suites over a small shared name pool, events spaced so they
    land on, just before and just after deadlines: the engine path
    re-arms only the checkers the engine marked, and must still report
    exactly what per-checker compiled hosting reports, with every
-   pending deadline live in the wheel after every event. *)
+   pending deadline live in the wheel after every event.  Flat views
+   that share no engine ([per_pattern flat]: one engine each) take
+   [attach_hub]'s per-view branch and must agree too. *)
 let gen_timed_case =
   let open QCheck2.Gen in
   let pool = [ "a"; "b"; "c"; "d"; "e" ] in
@@ -295,9 +300,15 @@ let test_dirty_resettle =
       let after hub = if not (Hub.wheel_consistent hub) then consistent := false in
       let _, compiled = run_hosted ~after suite events in
       let _, flat =
-        run_hosted ~suite_backend:Backend.flat_views ~after suite events
+        run_hosted ~backend:Backend.flat_views ~after suite events
       in
-      !consistent && compiled = flat)
+      let per_view_hub, per_view =
+        run_hosted ~backend:(Backend.per_pattern Backend.flat) ~after suite
+          events
+      in
+      !consistent
+      && Hub.engine per_view_hub = None
+      && compiled = flat && compiled = per_view)
 
 let () =
   Alcotest.run "hub"

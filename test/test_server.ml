@@ -73,8 +73,8 @@ let run_serve ~trace serve =
   Sys.remove out_path;
   (code, lines)
 
-let compiled = (Backend.compiled, None)
-let flat = (Backend.flat, Some Backend.flat_views)
+let compiled = Backend.per_pattern Backend.compiled
+let flat = Backend.flat_views
 
 (* racy_ok.csv with its first two events (req@100, ack@200) arriving
    swapped: a late req inside a lateness-200 window. *)
@@ -117,11 +117,9 @@ let case name ?golden ~exit ?(check = fun _ -> ()) ~suite ~trace
   Alcotest.test_case name `Quick @@ fun () ->
   let suite = load_suite suite in
   let trace = trace () in
-  let factory = Option.map fst backend
-  and suite_backend = Option.bind backend snd in
   let result =
     run_serve ~trace (fun ~out ->
-        Server.serve ?stats_interval ?backend:factory ?suite_backend ?lateness
+        Server.serve ?stats_interval ?backend ?lateness
           ?checkpoint ?checkpoint_every ?ooo ~out ~input:`Stdin suite)
   in
   check_golden ?golden name ~exit result;
@@ -196,7 +194,7 @@ let ipu_prefix () =
 
 (* Serve a prefix under [src] with periodic checkpoints, then resume
    the full stream under [dst]: the verdicts and exit code are those of
-   the uninterrupted compiled run.  [Some Backend.compiled] names the
+   the uninterrupted compiled run.  [Some compiled] names the
    compiled backend; [None] takes the default (flat engine, v2
    blob). *)
 let test_resume ~src ~dst () =
@@ -208,7 +206,7 @@ let test_resume ~src ~dst () =
         Server.serve ?backend ?checkpoint ?checkpoint_every ?resume ~out
           ~input:`Stdin suite)
   in
-  let full_code, full = serve ~backend:Backend.compiled (ipu ()) in
+  let full_code, full = serve ~backend:compiled (ipu ()) in
   let _ = serve ?backend:src ~checkpoint:ckpt ~checkpoint_every:50 (ipu_prefix ()) in
   let written = String.concat "\n" (read_lines ckpt) in
   Alcotest.(check bool)
@@ -225,9 +223,9 @@ let test_resume ~src ~dst () =
 let resume_cases =
   [
     Alcotest.test_case "default -> compiled" `Quick
-      (test_resume ~src:None ~dst:(Some Backend.compiled));
+      (test_resume ~src:None ~dst:(Some compiled));
     Alcotest.test_case "compiled -> default" `Quick
-      (test_resume ~src:(Some Backend.compiled) ~dst:None);
+      (test_resume ~src:(Some compiled) ~dst:None);
   ]
 
 (* ---- artifact writes ---------------------------------------------------- *)

@@ -198,6 +198,9 @@ let print_suite_trace_shards (entries, tr, shards) =
          Format.fprintf ppf "%s: %a" l Pattern.pp p))
     entries (Trace.to_string tr) shards
 
+(* Hosted replay never moves kernel time back, so [Sharded.run] takes
+   chronological traces only; the merged generator also emits the
+   others, which must be refused. *)
 let qcheck_sharded_agrees =
   qtest ~count:350 "sharded verdicts = unsharded on certified plans"
     gen_suite_trace_shards print_suite_trace_shards
@@ -206,8 +209,44 @@ let qcheck_sharded_agrees =
       if not plan.Shard.certified then
         QCheck2.Test.fail_report "planner emitted an uncertified plan";
       let suite = suite_of entries in
-      Loseq_verif.Suite.check_trace suite tr
-      = sharded_verdicts plan suite tr)
+      if Trace.is_chronological tr then
+        Loseq_verif.Suite.check_trace suite tr
+        = sharded_verdicts plan suite tr
+      else
+        match sharded_verdicts plan suite tr with
+        | exception Invalid_argument _ -> true
+        | _ -> false)
+
+(* What the gate shrinks to under QCHECK_SEED=374687777: refused as
+   given, and sharded = unsharded once sorted. *)
+let test_non_chronological_pinned () =
+  let entries =
+    List.mapi
+      (fun i src -> (Printf.sprintf "entry-%d" i, pat src))
+      [ "a << trig"; "a << trig"; "a < b => c within 0";
+        "a[1,2] => b within 37" ]
+  in
+  let suite = suite_of entries in
+  let tr =
+    List.map
+      (fun (nm, time) -> Trace.event ~time (Name.v nm))
+      [ ("a", 1); ("a", 1); ("b", 1); ("a", 1); ("a", 3); ("trig", 4);
+        ("trig", 5); ("b", 17); ("a", 22); ("b", 59); ("a", 23); ("b", 79) ]
+  in
+  let plan = Shard.analyze ~shards:1 entries in
+  Alcotest.(check bool) "not chronological" false (Trace.is_chronological tr);
+  Alcotest.(check bool) "refused" true
+    (match sharded_verdicts plan suite tr with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  let sorted =
+    List.stable_sort
+      (fun (a : Trace.event) (b : Trace.event) -> compare a.time b.time)
+      tr
+  in
+  Alcotest.check verdicts_testable "sorted: sharded = unsharded"
+    (Loseq_verif.Suite.check_trace suite sorted)
+    (sharded_verdicts plan suite sorted)
 
 (* ---- slab slicing ------------------------------------------------------ *)
 
@@ -399,7 +438,12 @@ let () =
           Alcotest.test_case "shared name, commuting: split certified" `Quick
             test_product_shared_commuting;
         ] );
-      ("gate", [ qcheck_sharded_agrees ]);
+      ( "gate",
+        [
+          qcheck_sharded_agrees;
+          Alcotest.test_case "non-chronological trace refused (pinned)"
+            `Quick test_non_chronological_pinned;
+        ] );
       ( "slab",
         [
           Alcotest.test_case "slice carries labels and run state" `Quick

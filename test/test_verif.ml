@@ -37,7 +37,7 @@ let test_tap_no_record_mode () =
 let test_checker_passes_good_trace () =
   let k = Kernel.create () in
   let tap = Tap.create k in
-  let checker = Checker.attach tap (pat "{a, b} << go") in
+  let checker = Hub.add (Hub.create tap) (pat "{a, b} << go") in
   List.iter (Tap.emit tap) [ "b"; "a"; "go" ];
   Alcotest.(check bool) "passed" true (Checker.passed checker);
   Alcotest.check verdict_testable "satisfied" Monitor.Satisfied
@@ -46,7 +46,7 @@ let test_checker_passes_good_trace () =
 let test_checker_reports_violation_once () =
   let k = Kernel.create () in
   let tap = Tap.create k in
-  let checker = Checker.attach tap (pat "a << go") in
+  let checker = Hub.add (Hub.create tap) (pat "a << go") in
   let hits = ref 0 in
   Checker.on_violation checker (fun _ -> incr hits);
   List.iter (Tap.emit tap) [ "go"; "go"; "a" ];
@@ -57,7 +57,7 @@ let test_checker_deadline_timeout_fires () =
   let k = Kernel.create () in
   let tap = Tap.create k in
   (* 1000 ps deadline. *)
-  let checker = Checker.attach tap (pat "req => ack within 1000") in
+  let checker = Hub.add (Hub.create tap) (pat "req => ack within 1000") in
   Kernel.spawn k (fun () ->
       Tap.emit tap "req";
       (* Never ack; just let time pass. *)
@@ -71,7 +71,7 @@ let test_checker_deadline_timeout_fires () =
 let test_checker_deadline_rescheduled_per_round () =
   let k = Kernel.create () in
   let tap = Tap.create k in
-  let checker = Checker.attach tap (pat "req => ack within 1000") in
+  let checker = Hub.add (Hub.create tap) (pat "req => ack within 1000") in
   Kernel.spawn k (fun () ->
       Tap.emit tap "req";
       Kernel.wait_for k (Time.ps 500);
@@ -86,7 +86,9 @@ let test_checker_deadline_rescheduled_per_round () =
 let test_checker_finalize_checks_pending_deadline () =
   let k = Kernel.create () in
   let tap = Tap.create k in
-  let checker = Checker.attach tap (pat "req => ack within 1000000000") in
+  let checker =
+    Hub.add (Hub.create tap) (pat "req => ack within 1000000000")
+  in
   Tap.emit tap "req";
   (* Deadline far away: finalize at current time must NOT fail... *)
   Alcotest.(check bool) "still pending" true
@@ -110,7 +112,7 @@ let test_stimuli_drive_valid_passes () =
   let p = pat "{a, b} <<! go" in
   let k = Kernel.create () in
   let tap = Tap.create k in
-  let checker = Checker.attach tap p in
+  let checker = Hub.add (Hub.create tap) p in
   Stimuli.drive_valid ~rounds:4 tap p;
   Kernel.run k;
   Alcotest.(check bool) "valid stimuli pass" true (Checker.passed checker);
@@ -120,7 +122,7 @@ let test_stimuli_drive_violating_fails () =
   let p = pat "{a, b} <<! go" in
   let k = Kernel.create () in
   let tap = Tap.create k in
-  let checker = Checker.attach tap p in
+  let checker = Hub.add (Hub.create tap) p in
   let found = Stimuli.drive_violating tap p in
   Kernel.run k;
   Alcotest.(check bool) "found" true found;
@@ -163,8 +165,8 @@ let test_report_aggregates () =
   let k = Kernel.create () in
   let tap = Tap.create k in
   let report = Report.create () in
-  Report.add report (Checker.attach ~name:"good" tap (pat "a << go"));
-  Report.add report (Checker.attach ~name:"bad" tap (pat "b << go"));
+  Report.add report (Hub.add ~name:"good" (Hub.create tap) (pat "a << go"));
+  Report.add report (Hub.add ~name:"bad" (Hub.create tap) (pat "b << go"));
   List.iter (Tap.emit tap) [ "a"; "go" ];
   Report.finalize report;
   Alcotest.(check bool) "not all passed" false (Report.all_passed report);
