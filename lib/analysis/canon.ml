@@ -1,0 +1,46 @@
+open Loseq_core
+
+type t = {
+  canonical : Pattern.t;
+  concrete : Pattern.t;
+  back : Name.t Name.Map.t;  (* canonical name -> concrete name *)
+}
+
+let make p =
+  Wellformed.check_exn p;
+  let alphabet = Name.Set.elements (Pattern.alpha p) in
+  (* one width for the whole alphabet keeps string order = rank order *)
+  let width = max 6 (String.length (string_of_int (List.length alphabet))) in
+  let ranked =
+    List.mapi
+      (fun i nm -> (nm, Name.v (Printf.sprintf "n%0*d" width i)))
+      alphabet
+  in
+  let fwd = Name.Map.of_list ranked in
+  let back = Name.Map.of_list (List.map (fun (nm, c) -> (c, nm)) ranked) in
+  let rename nm = Name.Map.find nm fwd in
+  let ordering =
+    List.map (fun (f : Pattern.fragment) ->
+        Pattern.fragment ~connective:f.connective
+          (List.map
+             (fun (r : Pattern.range) ->
+               Pattern.range ~lo:r.lo ~hi:r.hi (rename r.name))
+             f.ranges))
+  in
+  let canonical =
+    match p with
+    | Pattern.Antecedent a ->
+        Pattern.antecedent ~repeated:a.repeated (ordering a.body)
+          ~trigger:(rename a.trigger)
+    | Pattern.Timed g ->
+        Pattern.timed (ordering g.premise) (ordering g.conclusion)
+          ~deadline:g.deadline
+  in
+  { canonical; concrete = p; back }
+
+let pattern c = c.canonical
+let concrete c = c.concrete
+let name c nm = Name.Map.find nm c.back
+
+let trace c tr =
+  List.map (fun (e : Trace.event) -> { e with Trace.name = name c e.name }) tr

@@ -23,13 +23,18 @@ let fresh_trigger alpha =
    BFS shortest path on the automaton of [ordering << fresh]. *)
 let min_events_of_ordering ordering =
   let trigger = fresh_trigger (Pattern.alpha_ordering ordering) in
-  let m, ex = Memo.explore ~exact:false (Pattern.antecedent ordering ~trigger) in
+  let m, ex =
+    Memo.explore ~exact:false
+      (Canon.make (Pattern.antecedent ordering ~trigger))
+  in
   match Reach.find ex (Machine.completable m) with
   | Some i -> Some (List.length (Reach.path ex i))
   | None -> None (* unreachable with a sufficient budget *)
 
-let report ?budget pattern =
-  let m, ex = Memo.explore ?budget ~exact:false pattern in
+(* The report on one canonical form; [report] renames it back. *)
+let report_canonical ~budget c =
+  let pattern = Canon.pattern c in
+  let m, ex = Memo.explore ~budget ~exact:false c in
   let violating st = Machine.is_violated st || Machine.can_time_violate m st in
   let violation_witness, time_violation =
     match Reach.find ex Machine.is_violated with
@@ -90,6 +95,22 @@ let report ?budget pattern =
     safe_witness;
     dead_names;
     min_conclusion_events;
+  }
+
+let results = Memo.results ()
+
+let report ?(budget = Memo.default_budget) pattern =
+  let c, r =
+    Memo.result results ~budget ~rounds:0 (report_canonical ~budget) pattern
+  in
+  let trace = Canon.trace c in
+  {
+    r with
+    pattern;
+    violation_witness = Option.map trace r.violation_witness;
+    match_witness = Option.map trace r.match_witness;
+    safe_witness = Option.map trace r.safe_witness;
+    dead_names = List.map (Canon.name c) r.dead_names;
   }
 
 let findings ?budget pattern =

@@ -70,8 +70,11 @@ let refine ~rounds ~n_ids ~succ cls0 =
   done;
   (cls, !stable)
 
-let analyze ?(budget = 200_000) ?(refine_rounds = 64) p =
-  let m, ex = Memo.explore ~budget ~exact:true p in
+(* The analysis of one canonical form ([p]); a failure names the
+   concrete pattern. *)
+let analyze_canonical ~budget ~refine_rounds c =
+  let p = Canon.pattern c in
+  let m, ex = Memo.explore ~budget ~exact:true c in
   let n = Machine.n_ids m in
   let states = ex.Reach.states in
   let nstates = Array.length states in
@@ -138,7 +141,7 @@ let analyze ?(budget = 200_000) ?(refine_rounds = 64) p =
       failwith
         (Format.asprintf
            "Commute.analyze: twin traces agree on %a (abstraction bug)"
-           Pattern.pp p);
+           Pattern.pp (Canon.concrete c));
     let time_divergence =
       match ft with
       | None -> false
@@ -198,6 +201,32 @@ let analyze ?(budget = 200_000) ?(refine_rounds = 64) p =
     time_sensitive;
   }
 
+let results = Memo.results ()
+
+let analyze ?(budget = 200_000) ?(refine_rounds = 64) p =
+  let c, r =
+    Memo.result results ~budget ~rounds:refine_rounds
+      (analyze_canonical ~budget ~refine_rounds)
+      p
+  in
+  let name = Canon.name c and trace = Canon.trace c in
+  {
+    r with
+    pattern = p;
+    races =
+      List.map
+        (fun (x : race) ->
+          {
+            x with
+            a = name x.a;
+            b = name x.b;
+            trace_ab = trace x.trace_ab;
+            trace_ba = trace x.trace_ba;
+          })
+        r.races;
+    commuting = List.map (fun (a, b) -> (name a, name b)) r.commuting;
+  }
+
 (* ---- cross-checker commutation on the synchronous product ------------- *)
 
 type product_race = {
@@ -221,8 +250,7 @@ type product_result = {
 
 let analyze_product ?(budget = 200_000) ?(refine_rounds = 64) (la, pa) (lb, pb)
     =
-  let ma, _ = Memo.explore ~budget ~exact:true pa in
-  let mb, _ = Memo.explore ~budget ~exact:true pb in
+  let ma = Machine.make ~exact:true pa and mb = Machine.make ~exact:true pb in
   let alpha_a = Pattern.alpha pa and alpha_b = Pattern.alpha pb in
   let union =
     Array.of_list (Name.Set.elements (Name.Set.union alpha_a alpha_b))

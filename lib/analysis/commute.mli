@@ -65,7 +65,12 @@ val analyze : ?budget:int -> ?refine_rounds:int -> Pattern.t -> result
     length; hitting it clears [complete] but keeps every race found).
     Raises {!Loseq_core.Wellformed.Ill_formed}, and [Failure] if a
     witness fails to replay (an abstraction soundness bug, as in
-    {!Witness.concretize}). *)
+    {!Witness.concretize}).
+
+    The analysis runs on the pattern's {!Canon} form and is cached per
+    (canonical pattern, budget, refine_rounds) in a {!Memo} result
+    table: renamed copies of one pattern are analysed once, and each
+    gets the result with its own names back. *)
 
 val final_time_for : Pattern.t -> int option
 (** The finalization instant twin traces are decided at:
@@ -124,4 +129,5 @@ val analyze_product :
     {e cross-relevant} pairs: unordered union-alphabet pairs not
     wholly private to one checker (those belong to that checker's own
     {!analyze}).  Budget and failure behaviour as in {!analyze}.  The
-    component machines come from the shared {!Memo} table. *)
+    work is on the concrete names (shared names are what it is about),
+    so nothing here is cached in {!Memo}. *)

@@ -21,8 +21,9 @@ let system m =
     final = Machine.is_final;
   }
 
-let explore ?budget ~exact pattern =
+let explore ?budget ~exact c =
   let budget = Option.value budget ~default:default_budget in
+  let pattern = Canon.pattern c in
   let key = { pattern; exact; budget } in
   match Hashtbl.find_opt table key with
   | Some hit -> hit
@@ -33,8 +34,28 @@ let explore ?budget ~exact pattern =
       Hashtbl.replace table key (m, ex);
       (m, ex)
 
+type 'a results = (Pattern.t * int * int, 'a) Hashtbl.t
+
+let clear_results = ref []
+
+let results () =
+  let t = Hashtbl.create 64 in
+  clear_results := (fun () -> Hashtbl.reset t) :: !clear_results;
+  t
+
+let result results ~budget ~rounds compute p =
+  let c = Canon.make p in
+  let key = (Canon.pattern c, budget, rounds) in
+  match Hashtbl.find_opt results key with
+  | Some r -> (c, r)
+  | None ->
+      let r = compute c in
+      Hashtbl.replace results key r;
+      (c, r)
+
 let explorations_performed () = !misses
 
 let reset () =
   Hashtbl.reset table;
+  List.iter (fun clear -> clear ()) !clear_results;
   misses := 0

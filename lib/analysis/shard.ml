@@ -20,7 +20,7 @@ let bits n =
 
 let cost_of ?budget ~eng ~profile ~measured ck (label, p) =
   let slab_slots = Flat.checker_slots eng ck in
-  let _, ex = Memo.explore ?budget ~exact:false p in
+  let _, ex = Memo.explore ?budget ~exact:false (Canon.make p) in
   let reach_states = Array.length ex.Reach.states in
   let profile_steps =
     (* Measured per-checker step counts (a [loseq-profile/1] artifact

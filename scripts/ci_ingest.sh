@@ -48,6 +48,12 @@
 #                         chain, and explain-verdict replays the
 #                         minimized chain to the same Fail on the
 #                         compiled and flat backends
+#   cert-copies           16 renamed copies of ipu.suite certify like
+#                         one: serve --ooo emits the same
+#                         reorder-certificate record, and every copy's
+#                         per-entry bounds from analyze
+#                         --certify-lateness match copy 0's once the
+#                         _i suffix is stripped (wall times advisory)
 #   artifact-provenance   every BENCH_*.json carries the provenance
 #                         stamp (git revision + toolchain)
 #
@@ -384,6 +390,52 @@ $LOSEQ explain-verdict --suite "$SUITE" --property lock_protocol \
   "$TRACE" > /dev/null 2>&1 || explain_pass=$?
 test "$explain_pass" -eq 1
 echo "failed verdicts carry chains; chain replays to the same Fail on both backends"
+
+gate "cert-copies"
+# The per-entry analyses run on canonical patterns (names replaced by
+# their rank in the alphabet), so copies of a suite that differ only in
+# their names certify as one shape.  The copies are made the way the
+# servebench ipu workload makes them: every name and label suffixed _i.
+copies() {  # copies N OUT
+  : > "$2"
+  for i in $(seq 0 $(($1 - 1))); do
+    grep -v '^[[:space:]]*\(#\|$\)' "$SUITE" \
+      | sed -E "s/([A-Za-z_][A-Za-z0-9_]*)/\1_$i/g; s/within_$i/within/g" \
+      >> "$2"
+  done
+}
+now_ms() { echo $(( $(date +%s%N) / 1000000 )); }
+for n in 1 16; do
+  copies "$n" "$WORK/copies$n.suite"
+  t0=$(now_ms)
+  $LOSEQ serve --suite "$WORK/copies$n.suite" --ooo --lateness 75000 \
+    < /dev/null > "$WORK/copies$n.ndjson"
+  t1=$(now_ms)
+  status=0
+  $LOSEQ analyze --suite "$WORK/copies$n.suite" --certify-lateness 75000 \
+    --budget 20000 > "$WORK/copies$n.analyze" || status=$?
+  t2=$(now_ms)
+  echo "$status" > "$WORK/copies$n.status"
+  # "<copy>\t<label without _copy> lateness bound ..." per entry
+  awk '$2 == "lateness" && $3 == "bound" {
+         n = split($1, part, "_"); i = part[n]
+         print i "\t" substr($1, 1, length($1) - length(i) - 1) \
+           " " substr($0, index($0, "lateness bound"))
+       }' "$WORK/copies$n.analyze" > "$WORK/copies$n.bounds"
+  echo "$n copies: serve --ooo $((t1 - t0)) ms, analyze $((t2 - t1)) ms (advisory)"
+done
+cmp "$WORK/copies1.status" "$WORK/copies16.status"
+cmp <(grep '"type":"reorder-certificate"' "$WORK/copies1.ndjson") \
+  <(grep '"type":"reorder-certificate"' "$WORK/copies16.ndjson")
+grep -q '"type":"reorder-certificate"' "$WORK/copies1.ndjson"
+awk -F'\t' '$1 == 0 { print $2 }' "$WORK/copies16.bounds" > "$WORK/copy0.bounds"
+test "$(wc -l < "$WORK/copy0.bounds")" -eq 3
+cmp "$WORK/copy0.bounds" <(cut -f2 "$WORK/copies1.bounds")
+for i in $(seq 1 15); do
+  cmp "$WORK/copy0.bounds" \
+    <(awk -F'\t' -v i="$i" '$1 == i { print $2 }' "$WORK/copies16.bounds")
+done
+echo "16 renamed copies: same reorder-certificate record, same per-entry bounds"
 
 gate "artifact-provenance"
 # every BENCH_*.json this run produced must carry the provenance stamp

@@ -272,6 +272,253 @@ let test_random_witnesses =
       check_races_diverge "random" p;
       true)
 
+(* ---- canonical analysis keys ------------------------------------------ *)
+
+(* The per-entry analyses run on a pattern's canonical form and rename
+   the result back; these pin that a renamed pattern gets the renamed
+   analysis, that patterns of one shape but different name ranks never
+   share a result, and that renamed suite copies cost one exploration. *)
+
+let rename_pattern f p =
+  let ordering =
+    List.map (fun (fr : Pattern.fragment) ->
+        Pattern.fragment ~connective:fr.connective
+          (List.map
+             (fun (r : Pattern.range) ->
+               Pattern.range ~lo:r.lo ~hi:r.hi (f r.name))
+             fr.ranges))
+  in
+  match p with
+  | Pattern.Antecedent a ->
+      Pattern.antecedent ~repeated:a.repeated (ordering a.body)
+        ~trigger:(f a.trigger)
+  | Pattern.Timed g ->
+      Pattern.timed (ordering g.premise) (ordering g.conclusion)
+        ~deadline:g.deadline
+
+let rename_trace f =
+  List.map (fun (e : Trace.event) -> { e with Trace.name = f e.Trace.name })
+
+let rename_races f =
+  List.map (fun (x : Commute.race) ->
+      {
+        x with
+        a = f x.a;
+        b = f x.b;
+        trace_ab = rename_trace f x.trace_ab;
+        trace_ba = rename_trace f x.trace_ba;
+      })
+
+let rename_pairs f = List.map (fun (a, b) -> (f a, f b))
+
+let rename_commute f (r : Commute.result) =
+  {
+    r with
+    pattern = rename_pattern f r.pattern;
+    races = rename_races f r.races;
+    commuting = rename_pairs f r.commuting;
+  }
+
+let rename_report f (r : Checks.report) =
+  {
+    r with
+    pattern = rename_pattern f r.pattern;
+    violation_witness = Option.map (rename_trace f) r.violation_witness;
+    match_witness = Option.map (rename_trace f) r.match_witness;
+    safe_witness = Option.map (rename_trace f) r.safe_witness;
+    dead_names = List.map f r.dead_names;
+  }
+
+let rename_entry ~label f (e : Robust.entry) =
+  {
+    e with
+    label;
+    pattern = rename_pattern f e.pattern;
+    races = rename_races f e.races;
+    commuting = rename_pairs f e.commuting;
+  }
+
+let map_of pairs nm =
+  match List.assoc_opt nm pairs with Some nm' -> nm' | None -> nm
+
+(* An order-preserving renaming of [p]'s alphabet: rank [i] gets a
+   fixed-width increasing number between a shared random prefix and a
+   random suffix, so names change length and letters but never their
+   relative order. *)
+let gen_order_preserving p =
+  let alpha = Name.Set.elements (Pattern.alpha p) in
+  let k = List.length alpha in
+  QCheck2.Gen.(
+    let chars = oneofl [ 'A'; 'Q'; 'z'; 'a'; '_'; '7' ] in
+    let* prefix = string_size ~gen:chars (int_range 1 3) in
+    let* gaps = list_size (return k) (int_range 1 1000) in
+    let* suffixes =
+      list_size (return k) (string_size ~gen:chars (int_range 0 3))
+    in
+    let sum = ref 0 in
+    let ranks = List.map (fun g -> sum := !sum + g; !sum) gaps in
+    let renamed n s = Name.v (Printf.sprintf "%s%07d%s" prefix n s) in
+    return (List.combine alpha (List.map2 renamed ranks suffixes)))
+
+let print_renaming (p, pairs) =
+  Format.asprintf "@[<v>pattern: %a@,renaming: %s@]" Pattern.pp p
+    (String.concat ", "
+       (List.map
+          (fun (a, b) -> Name.to_string a ^ "->" ^ Name.to_string b)
+          pairs))
+
+let budget = 10_000
+
+let analyses p =
+  ( Commute.analyze ~budget p,
+    Checks.report ~budget p,
+    Robust.entry ~budget ("e", p) )
+
+let test_rename_equivariant =
+  qtest ~count:100 "renamed pattern, renamed analysis"
+    QCheck2.Gen.(
+      let* p = gen_pattern in
+      let* pairs = gen_order_preserving p in
+      return (p, pairs))
+    print_renaming
+    (fun (p, pairs) ->
+      let f = map_of pairs in
+      let q = rename_pattern f p in
+      let expected (c, r, e) =
+        (rename_commute f c, rename_report f r, rename_entry ~label:"e" f e)
+      in
+      Memo.reset ();
+      let from_p = analyses p in
+      (* warm: q is answered from p's cached canonical result *)
+      let warm = analyses q in
+      Memo.reset ();
+      let cold = analyses q in
+      warm = expected from_p && cold = expected from_p)
+
+(* Same shape, names permuted: the canonical forms differ unless the
+   permutation happens to preserve the name order, and a result
+   computed for one must never be served for the other. *)
+let test_no_false_sharing =
+  qtest ~count:100 "one shape, other name ranks: no shared result"
+    QCheck2.Gen.(
+      let* p = gen_pattern in
+      let alpha = Name.Set.elements (Pattern.alpha p) in
+      let* shuffled = shuffle_l alpha in
+      return (p, List.combine alpha shuffled))
+    print_renaming
+    (fun (p, pairs) ->
+      let q = rename_pattern (map_of pairs) p in
+      Memo.reset ();
+      ignore (analyses p);
+      let warm = analyses q in
+      Memo.reset ();
+      warm = analyses q)
+
+(* A suffix is not order-preserving: a < aA, but aA_1 < a_1 ('A' sorts
+   before '_').  The two patterns have one shape and different
+   canonical forms; each keeps its own races. *)
+let test_order_flip () =
+  let p = pat "a < aA <<! t" and q = pat "a_1 < aA_1 <<! t_1" in
+  Alcotest.(check bool)
+    "canonical forms differ" false
+    (Pattern.equal
+       (Canon.pattern (Canon.make p))
+       (Canon.pattern (Canon.make q)));
+  Memo.reset ();
+  ignore (Commute.analyze p);
+  let warm = Commute.analyze q in
+  Memo.reset ();
+  let cold = Commute.analyze q in
+  Alcotest.(check bool) "warm = cold" true (warm = cold);
+  Alcotest.check pattern_testable "concrete pattern kept" q warm.pattern;
+  List.iter
+    (fun (r : Commute.race) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "race %s/%s in name order" (Name.to_string r.a)
+           (Name.to_string r.b))
+        true
+        (Name.compare r.a r.b < 0))
+    warm.races;
+  Alcotest.(check bool)
+    "a_1/aA_1 race, aA_1 first" true
+    (List.exists
+       (fun (r : Commute.race) ->
+         Name.to_string r.a = "aA_1" && Name.to_string r.b = "a_1")
+       warm.races)
+
+(* The servebench ipu workload: copies of ipu.suite with every name
+   (and label) suffixed by _i, plus the end-of-stream sentinel. *)
+let suffixed i nm = Name.v (Printf.sprintf "%s_%d" (Name.to_string nm) i)
+
+let ipu_copies n =
+  List.concat
+    (List.init n (fun i ->
+         List.map
+           (fun (label, p) ->
+             (Printf.sprintf "%s_%d" label i, rename_pattern (suffixed i) p))
+           (labeled ipu)))
+  @ [ ("end_of_stream", pat "eos_ready <<! eos") ]
+
+let test_copies_explore_once () =
+  Memo.reset ();
+  ignore (Robust.certificate ~budget:20_000 (ipu_copies 1));
+  let one = Memo.explorations_performed () in
+  Memo.reset ();
+  let cert = Robust.certificate ~budget:20_000 (ipu_copies 16) in
+  Alcotest.(check int)
+    "16 copies explore as much as 1" one
+    (Memo.explorations_performed ());
+  let per_copy = List.length (labeled ipu) in
+  let copy0 = List.filteri (fun j _ -> j < per_copy) cert.entries in
+  List.iteri
+    (fun j (e : Robust.entry) ->
+      if j < 16 * per_copy then begin
+        let i = j / per_copy and e0 = List.nth copy0 (j mod per_copy) in
+        let unsuffix nm =
+          let s = Name.to_string nm in
+          Name.v (String.sub s 0 (String.length s - 2))
+        in
+        let f nm = suffixed i (unsuffix nm) in
+        Alcotest.(check bool)
+          (e.label ^ " = copy 0 renamed")
+          true
+          (e = rename_entry ~label:e.label f e0)
+      end)
+    cert.entries
+
+(* Errors name the user's pattern, not its canonical form. *)
+let test_ill_formed_concrete () =
+  let p =
+    Pattern.antecedent
+      [ Pattern.single (name "a"); Pattern.single (name "a") ]
+      ~trigger:(name "b")
+  in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected Ill_formed" what
+    | exception Wellformed.Ill_formed (p', _) ->
+        Alcotest.check pattern_testable (what ^ " names the pattern") p p'
+  in
+  raises "Commute.analyze" (fun () -> ignore (Commute.analyze p));
+  raises "Checks.report" (fun () -> ignore (Checks.report p));
+  raises "Robust.certificate" (fun () ->
+      ignore (Robust.certificate [ ("bad", p) ]));
+  let out = Filename.temp_file "loseq_ill_formed" ".ndjson" in
+  let oc = open_out_bin out in
+  let code =
+    Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
+    Loseq_ingest.Server.serve ~ooo:true ~lateness:5 ~out:oc ~input:`Stdin
+      [ { Loseq_verif.Suite.label = "bad"; pattern = p; line = 1 } ]
+  in
+  let records = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  Alcotest.(check int) "serve --ooo exit code" 2 code;
+  Alcotest.(check string)
+    "serve --ooo error record"
+    "{\"type\":\"error\",\"message\":\"ill-formed pattern a < a << \
+     b:\\nname a is used by two ranges of the pattern\"}\n"
+    records
+
 (* ---- Explain completeness -------------------------------------------- *)
 
 (* Every finding code any checker in the code base can emit.  Keep in
@@ -355,5 +602,15 @@ let () =
           test_random_witnesses;
         ] );
       ("commutation", [ test_commuting_swaps ]);
+      ( "canonical",
+        [
+          test_rename_equivariant;
+          test_no_false_sharing;
+          Alcotest.test_case "order-flipping suffix" `Quick test_order_flip;
+          Alcotest.test_case "16 ipu copies explore once" `Quick
+            test_copies_explore_once;
+          Alcotest.test_case "errors name the concrete pattern" `Quick
+            test_ill_formed_concrete;
+        ] );
       ("explain", [ Alcotest.test_case "completeness" `Quick test_explain_complete ]);
     ]
