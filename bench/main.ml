@@ -7,11 +7,17 @@
                 published Θ-shapes (range width, fragment width, chain
                 length).
    Section 3  — Case-study workload: the properties monitored on traces
-                from the Fig. 2 virtual platform.
+                from the Fig. 2 virtual platform; hosted dispatch of N
+                disjoint checkers (BENCH_dispatch.json); analysis,
+                mutation, speculation and shard-planning costs.
    Section 4  — Bechamel wall-clock micro-benchmarks of Monitor.step for
                 each Fig. 6 configuration.
 
-   Run with: dune exec bench/main.exe *)
+   Every timing goes through {!measure} (monotonic wall clock, one
+   warm-up round, interleaved rounds, median and quartiles) and every
+   BENCH_*.json through {!write_artifact}.
+
+   Run with: dune exec bench/main.exe [SECTION]... *)
 
 open Loseq_core
 
@@ -22,46 +28,139 @@ let line = String.make 78 '-'
 let section title =
   Format.printf "@.%s@.%s@.%s@." line title line
 
-(* ---- provenance --------------------------------------------------------- *)
+(* Example inputs, found from the project root or a dune sandbox. *)
+let example path =
+  List.find_opt Sys.file_exists [ path; Filename.concat ".." path ]
+  |> Option.value ~default:path
+
+(* ---- timing ------------------------------------------------------------ *)
+
+(* Wall-clock seconds of one variant: the samples in round order, and
+   quartiles by linear interpolation between order statistics. *)
+type timing = {
+  q1 : float;
+  median : float;
+  q3 : float;
+  samples : float array;
+}
+
+let timing_of samples =
+  let s = Array.copy samples in
+  Array.sort Float.compare s;
+  let last = Array.length s - 1 in
+  let at p =
+    let pos = p *. float_of_int last in
+    let lo = int_of_float pos in
+    let hi = min (lo + 1) last in
+    s.(lo) +. ((s.(hi) -. s.(lo)) *. (pos -. float_of_int lo))
+  in
+  { q1 = at 0.25; median = at 0.5; q3 = at 0.75; samples }
+
+(* [measure variants] times every [(key, prepare)] variant: [prepare ()]
+   runs untimed and returns the thunk that is timed on the monotonic
+   clock, from a fully collected heap so that no variant pays for the
+   garbage of the one before.  One discarded warm-up round, then
+   [rounds] interleaved rounds (each runs every variant once, in order)
+   so that frequency drift and background load spread evenly over the
+   variants. *)
+let measure ?(rounds = 9) variants =
+  let time prepare =
+    let run = prepare () in
+    Gc.full_major ();
+    let t0 = Monotonic_clock.now () in
+    run ();
+    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
+  in
+  List.iter (fun (_, prepare) -> ignore (time prepare)) variants;
+  let samples = List.map (fun _ -> Array.make rounds 0.) variants in
+  for r = 0 to rounds - 1 do
+    List.iter2 (fun (_, prepare) s -> s.(r) <- time prepare) variants samples
+  done;
+  List.map2 (fun (key, _) s -> (key, timing_of s)) variants samples
+
+(* "median [q1, q3]", in milliseconds *)
+let show_timing t =
+  Printf.sprintf "%.3f [%.3f, %.3f]" (t.median *. 1e3) (t.q1 *. 1e3)
+    (t.q3 *. 1e3)
+
+(* ---- artifacts --------------------------------------------------------- *)
 
 (* Every BENCH_*.json artifact records where it came from: the git
    revision of the tree that produced it, the backend it exercises,
    and the toolchain — so a number in CI can be traced to a commit. *)
 let read_first_line path =
-  match open_in path with
-  | ic ->
-      let l = try input_line ic with End_of_file -> "" in
-      close_in ic;
-      Some (String.trim l)
+  match In_channel.with_open_text path In_channel.input_line with
+  | l -> Option.map String.trim l
   | exception Sys_error _ -> None
 
 let git_rev () =
   (* benches may run from the project root or a dune sandbox: walk up a
-     few levels looking for .git/HEAD, then follow one "ref: " hop. *)
+     few levels looking for .git/HEAD, then follow one "ref: " hop,
+     to the loose ref file or else to its packed-refs line *)
   let rec find dir depth =
     if depth > 4 then None
-    else if Sys.file_exists (Filename.concat dir ".git/HEAD") then Some dir
+    else if Sys.file_exists (Filename.concat dir ".git/HEAD") then
+      Some (Filename.concat dir ".git")
     else find (Filename.concat dir Filename.parent_dir_name) (depth + 1)
   in
-  match find Filename.current_dir_name 0 with
-  | None -> "unknown"
-  | Some dir -> (
-      match read_first_line (Filename.concat dir ".git/HEAD") with
-      | None | Some "" -> "unknown"
-      | Some head ->
-          if String.length head > 5 && String.sub head 0 5 = "ref: " then
-            let ref_path =
+  let packed git ref_name =
+    match
+      In_channel.with_open_text (Filename.concat git "packed-refs")
+        In_channel.input_lines
+    with
+    | lines ->
+        List.find_map
+          (fun l ->
+            match String.split_on_char ' ' l with
+            | [ rev; r ] when r = ref_name -> Some rev
+            | _ -> None)
+          lines
+    | exception Sys_error _ -> None
+  in
+  let rev =
+    Option.bind (find Filename.current_dir_name 0) (fun git ->
+        match read_first_line (Filename.concat git "HEAD") with
+        | Some head when String.starts_with ~prefix:"ref: " head -> (
+            let ref_name =
               String.trim (String.sub head 5 (String.length head - 5))
             in
-            Option.value ~default:"unknown"
-              (read_first_line
-                 (Filename.concat (Filename.concat dir ".git") ref_path))
-          else head)
+            match read_first_line (Filename.concat git ref_name) with
+            | Some rev when rev <> "" -> Some rev
+            | _ -> packed git ref_name)
+        | Some "" | None -> None
+        | head -> head)
+  in
+  Option.value rev ~default:"unknown"
 
-let provenance_json ~backend =
-  Printf.sprintf
-    {|"provenance": { "git_rev": %S, "backend": %S, "ocaml": %S, "loseq_version": %S }|}
-    (git_rev ()) backend Sys.ocaml_version Version.current
+(* Write BENCH_<name>.json: the benchmark name and provenance stamp,
+   then [fields]. *)
+let write_artifact ~backend name fields =
+  let path = Printf.sprintf "BENCH_%s.json" name in
+  let provenance =
+    Json.Obj
+      [
+        ("git_rev", Json.String (git_rev ()));
+        ("backend", Json.String backend);
+        ("ocaml", Json.String Sys.ocaml_version);
+        ("loseq_version", Json.String Version.current);
+      ]
+  in
+  Out_channel.with_open_text path (fun oc ->
+      Format.fprintf
+        (Format.formatter_of_out_channel oc)
+        "%a@." Json.pp
+        (Json.Obj
+           (("benchmark", Json.String name)
+           :: ("provenance", provenance) :: fields)));
+  Format.printf "@.written: %s@." path
+
+let ns s = Json.Int (Float.to_int (Float.round (s *. 1e9)))
+
+let timing_json t =
+  [ ("median_ns", ns t.median); ("q1_ns", ns t.q1); ("q3_ns", ns t.q3) ]
+
+(* Ratios and percentages, rounded to three decimals. *)
+let fixed x = Json.Float (Float.round (x *. 1000.) /. 1000.)
 
 (* Mean measured ops/event and measured storage of the real monitor on a
    satisfying workload. *)
@@ -283,26 +382,41 @@ let ablation_oracle () =
     "Ablation: online Drct monitor vs per-event oracle re-checking";
   let p = pat "{a, b} < {c[2,8] | d} < e <<! i" in
   let rng = Random.State.make [| 77 |] in
-  Format.printf "%-10s | %14s | %14s@." "events" "monitor (s)" "oracle (s)";
-  List.iter
-    (fun rounds ->
-      let trace = Generate.valid ~rounds ~max_run:4 rng p in
-      let events = Trace.length trace in
-      let t0 = Sys.time () in
-      let monitor = Monitor.create p in
-      List.iter (fun e -> ignore (Monitor.step monitor e)) trace;
-      let monitor_time = Sys.time () -. t0 in
-      let t0 = Sys.time () in
-      let consumed = ref [] in
-      List.iter
-        (fun e ->
-          consumed := e :: !consumed;
-          ignore (Semantics.holds p (List.rev !consumed)))
-        trace;
-      let oracle_time = Sys.time () -. t0 in
-      Format.printf "%-10d | %14.4f | %14.4f@." events monitor_time
-        oracle_time)
-    [ 20; 100; 300 ]
+  let traces =
+    List.map
+      (fun rounds -> Generate.valid ~rounds ~max_run:4 rng p)
+      [ 20; 100; 300 ]
+  in
+  let monitor trace () =
+    let m = Monitor.create p in
+    List.iter (fun e -> ignore (Monitor.step m e)) trace
+  and oracle trace () =
+    let consumed = ref [] in
+    List.iter
+      (fun e ->
+        consumed := e :: !consumed;
+        ignore (Semantics.holds p (List.rev !consumed)))
+      trace
+  in
+  let timings =
+    measure
+      (List.concat
+         (List.mapi
+            (fun i trace ->
+              [
+                ((i, `Monitor), fun () -> monitor trace);
+                ((i, `Oracle), fun () -> oracle trace);
+              ])
+            traces))
+  in
+  Format.printf "%-10s | %27s | %27s@." "events" "monitor ms [q1, q3]"
+    "oracle ms [q1, q3]";
+  List.iteri
+    (fun i trace ->
+      Format.printf "%-10d | %27s | %27s@." (Trace.length trace)
+        (show_timing (List.assoc (i, `Monitor) timings))
+        (show_timing (List.assoc (i, `Oracle) timings)))
+    traces
 
 (* ---- Section 3: case-study workload ------------------------------------ *)
 
@@ -310,568 +424,330 @@ let case_study () =
   section "Case study (Section 3): properties on the Fig. 2 platform";
   let open Loseq_platform in
   let open Loseq_verif in
-  let run_one label config =
+  let runs =
+    [
+      ("correct firmware", Soc.default_config);
+      ( "bug: start-before-config",
+        { Soc.default_config with cpu_bug = Some Cpu.Start_before_config;
+          presses = 1 } );
+      ( "bug: skip gl_size",
+        { Soc.default_config with cpu_bug = Some Cpu.Skip_gl_size;
+          presses = 1 } );
+      ( "bug: double gl_addr",
+        { Soc.default_config with cpu_bug = Some Cpu.Double_gl_addr;
+          presses = 1 } );
+      ( "bug: slow IPU (deadline)",
+        { Soc.default_config with slow_ipu = true; presses = 1 } );
+    ]
+  in
+  let setup config =
     let soc = Soc.create ~config () in
     let report = Soc.attach_standard_checkers soc in
-    let t0 = Sys.time () in
-    Soc.run soc;
-    Report.finalize report;
-    let dt = Sys.time () -. t0 in
-    Format.printf
-      "%-28s | %6d events | %d recognitions | verdicts: %-9s | %5.2fs host@."
-      label
-      (Tap.count (Soc.tap soc))
-      (Ipu.recognitions (Soc.ipu soc))
-      (if Report.all_passed report then "all PASS"
-       else
-         Printf.sprintf "%d FAIL" (List.length (Report.failures report)))
-      dt
+    (soc, report, fun () -> Soc.run soc; Report.finalize report)
   in
-  run_one "correct firmware" Soc.default_config;
-  run_one "bug: start-before-config"
-    { Soc.default_config with cpu_bug = Some Cpu.Start_before_config;
-      presses = 1 };
-  run_one "bug: skip gl_size"
-    { Soc.default_config with cpu_bug = Some Cpu.Skip_gl_size; presses = 1 };
-  run_one "bug: double gl_addr"
-    { Soc.default_config with cpu_bug = Some Cpu.Double_gl_addr; presses = 1 };
-  run_one "bug: slow IPU (deadline)"
-    { Soc.default_config with slow_ipu = true; presses = 1 }
+  let timings =
+    measure
+      (List.map
+         (fun (label, config) ->
+           (label, fun () -> let _, _, run = setup config in run))
+         runs)
+  in
+  List.iter
+    (fun (label, config) ->
+      let soc, report, run = setup config in
+      run ();
+      Format.printf
+        "%-28s | %6d events | %d recognitions | verdicts: %-9s | %s ms host@."
+        label
+        (Tap.count (Soc.tap soc))
+        (Ipu.recognitions (Soc.ipu soc))
+        (if Report.all_passed report then "all PASS"
+         else
+           Printf.sprintf "%d FAIL" (List.length (Report.failures report)))
+        (show_timing (List.assoc label timings)))
+    runs
 
 (* ---- Section 3b: hosted dispatch --------------------------------------- *)
 
-(* N checkers with disjoint alphabets on one tap.  Broadcast hosting
-   steps every structural monitor on every event (N steps/event); the
-   hub routes each event to the one compiled backend whose alphabet
-   contains it (1 step/event) - the hosted realization of the paper's
-   THETA(max |alpha(F_i)|) per-event bound. *)
-let hosted_dispatch () =
-  section
-    "Hosted dispatch: N checkers on one tap - broadcast Drct vs routed hub";
-  let open Loseq_sim in
-  let open Loseq_verif in
-  let target_events = 120_000 in
-  let bench n =
-    let patterns =
-      List.init n (fun i -> pat (Printf.sprintf "{a%d, b%d} <<! go%d" i i i))
-    in
-    let names =
-      Array.init n (fun i ->
-          [|
-            Name.v (Printf.sprintf "a%d" i);
-            Name.v (Printf.sprintf "b%d" i);
-            Name.v (Printf.sprintf "go%d" i);
-          |])
-    in
-    (* Round-robin satisfying workload: a_i b_i go_i, cycling i. *)
-    let events = target_events / (3 * n) * 3 * n in
-    let emit_all tap =
-      for j = 0 to events - 1 do
-        Tap.emit_name tap names.((j / 3) mod n).(j mod 3)
-      done
-    in
-    let timed checkers_of_tap =
-      let kernel = Kernel.create () in
-      let tap = Tap.create ~record:false kernel in
-      let checkers = checkers_of_tap tap in
-      let t0 = Sys.time () in
-      emit_all tap;
-      let dt = Sys.time () -. t0 in
-      assert (List.for_all Checker.passed checkers);
-      Float.max dt 1e-6
-    in
-    let broadcast_s =
-      timed (fun tap ->
-          List.map
-            (fun p ->
-              let c = Checker.make (Backend.direct p) in
-              Tap.subscribe tap (fun e -> Checker.deliver c e);
-              c)
-            patterns)
-    in
-    let hub_s =
-      timed (fun tap ->
-          let hub = Hub.create tap in
-          List.map (fun p -> Hub.add hub p) patterns)
-    in
-    (n, events, broadcast_s, hub_s)
-  in
-  let rows = List.map bench [ 1; 4; 16; 64 ] in
-  Format.printf "%-10s | %8s | %26s | %26s | %8s@." "checkers" "events"
-    "broadcast direct" "hub compiled" "speedup";
-  Format.printf "%-10s | %8s | %12s %13s | %12s %13s |@." "" "" "events/s"
-    "steps/event" "events/s" "steps/event";
-  List.iter
-    (fun (n, events, broadcast_s, hub_s) ->
-      let eps dt = float_of_int events /. dt in
-      Format.printf "%-10d | %8d | %12.3e %13d | %12.3e %13d | %7.1fx@." n
-        events (eps broadcast_s) n (eps hub_s) 1
-        (eps hub_s /. eps broadcast_s))
-    rows;
-  (* Machine-readable artifact next to the other BENCH_* outputs. *)
-  let oc = open_out "BENCH_hosted_dispatch.json" in
-  let row_json (n, events, broadcast_s, hub_s) =
-    let eps dt = float_of_int events /. dt in
-    Printf.sprintf
-      {|    { "checkers": %d, "events": %d,
-      "broadcast_direct": { "seconds": %.6f, "events_per_sec": %.1f, "checker_steps_per_event": %d },
-      "hub_compiled": { "seconds": %.6f, "events_per_sec": %.1f, "checker_steps_per_event": 1 },
-      "speedup": %.2f }|}
-      n events broadcast_s (eps broadcast_s) n hub_s (eps hub_s)
-      (eps hub_s /. eps broadcast_s)
-  in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"hosted_dispatch\",\n  \"workload\": \"N disjoint \
-     {a_i, b_i} <<! go_i checkers, round-robin satisfying stream\",\n  %s,\n  \
-     \"rows\": [\n%s\n  ]\n}\n"
-    (provenance_json ~backend:"compiled")
-    (String.concat ",\n" (List.map row_json rows));
-  close_out oc;
-  Format.printf "@.written: BENCH_hosted_dispatch.json@."
+(* N checkers with disjoint alphabets, {a_i, b_i} <<! go_i, on one tap,
+   fed one round-robin satisfying stream a_i b_i go_i (cycling i; time
+   advances one tick per triple) for N in {1, 4, 16, 64}.  Each variant
+   hosts the same suite on the same stream; hosting is set up untimed,
+   and the timed part delivers every event by name, as a session
+   delivers decoded events, and checks that every checker passed.  At
+   every N:
+   - broadcast Drct: every structural monitor steps on every event
+     (N steps/event);
+   - hub compiled: the hub routes each event to the one compiled
+     backend whose alphabet holds it (1 step/event), the hosted form of
+     the paper's THETA(max |alpha(F_i)|) per-event bound;
+   - flat views: the shared suite engine, hosted one checker view at a
+     time through the generic hub path;
+   - flat engine: the hub stepping the engine's dispatch table directly.
+   At N = 16 the layers above and beside the hub:
+   - decode only: the LSQB encoding of the stream through Codec.Decoder;
+   - decode + session: bytes -> decoder -> Session -> verdicts;
+   - hub + metrics, hub + trace: the hub with a live Obs registry or a
+     live flight-recorder ring.
+   Five bounds are read off time ratios taken within each round (their
+   median over rounds): end to end within 2x of the hub, metrics and
+   trace each within 5% of it, the flat engine at least 2x the hub at
+   64 checkers, and the hub at least 5x broadcast at 16 and 64
+   checkers. *)
+let disjoint_suite n =
+  List.init n (fun i ->
+      {
+        Loseq_verif.Suite.label = Printf.sprintf "p%d" i;
+        pattern = pat (Printf.sprintf "{a%d, b%d} <<! go%d" i i i);
+        line = i + 1;
+      })
 
-(* ---- Section 3b': whole-suite flat engine ------------------------------- *)
-
-(* The tentpole acceptance gate: the suite-level flat engine hosted
-   engine-direct must beat per-checker compiled hub hosting by >= 2x
-   at 64 checkers on the dispatch workload above.  Three hostings of
-   the identical stream: the routed hub over per-pattern compiled
-   backends (baseline), the same hub over flat views (shared engine,
-   per-checker closures), and Hub.host_flat stepping the engine's
-   dispatch table directly. *)
-let flat_table () =
-  section
-    "Flat suite engine: hub compiled vs flat views vs engine-direct dispatch";
-  let open Loseq_sim in
-  let open Loseq_verif in
-  let target_events = 120_000 in
-  let bench n =
-    let suite =
-      List.init n (fun i ->
-          {
-            Suite.label = Printf.sprintf "p%d" i;
-            pattern = pat (Printf.sprintf "{a%d, b%d} <<! go%d" i i i);
-            line = i + 1;
-          })
-    in
-    let names =
-      Array.init n (fun i ->
-          [|
-            Name.v (Printf.sprintf "a%d" i);
-            Name.v (Printf.sprintf "b%d" i);
-            Name.v (Printf.sprintf "go%d" i);
-          |])
-    in
-    let events = target_events / (3 * n) * 3 * n in
-    let timed attach =
-      let kernel = Kernel.create () in
-      let tap = Tap.create ~record:false kernel in
-      let hub = attach tap in
-      (* pre-bound ports: the harness should measure dispatch + step
-         cost, not per-event name hashing *)
-      let ports = Array.map (Array.map (Tap.port tap)) names in
-      let t0 = Sys.time () in
-      for j = 0 to events - 1 do
-        ports.((j / 3) mod n).(j mod 3) ()
-      done;
-      let dt = Sys.time () -. t0 in
-      (* verdict agreement across hostings: this workload satisfies
-         every checker, whichever path delivered the events *)
-      assert (Hub.all_passed hub);
-      Float.max dt 1e-6
-    in
-    let hub_compiled tap =
-      let hub = Hub.create tap in
-      List.iter
-        (fun (e : Suite.entry) -> ignore (Hub.add ~name:e.label hub e.pattern))
-        suite;
-      hub
-    in
-    (* the shared engine's views, hosted one checker at a time: the
-       generic path [Hub.host] gives views that share no engine *)
-    let flat_views tap =
-      let hub = Hub.create tap in
-      let views = Backend.flat_views (Suite.entries_of suite) in
-      List.iteri
-        (fun i (e : Suite.entry) ->
-          Hub.host hub ~strict:false
-            (Checker.make ~name:e.label ~now:(fun () -> Tap.now_ps tap)
-               views.(i)))
-        suite;
-      hub
-    in
-    let flat_engine tap =
-      Suite.attach_hub ~backend:Backend.flat_views tap suite
-    in
-    (* interleaved best-of so frequency drift cancels *)
-    ignore (timed hub_compiled);
-    let hub_s = ref infinity
-    and views_s = ref infinity
-    and engine_s = ref infinity in
-    for _ = 1 to 5 do
-      hub_s := Float.min !hub_s (timed hub_compiled);
-      views_s := Float.min !views_s (timed flat_views);
-      engine_s := Float.min !engine_s (timed flat_engine)
-    done;
-    (n, events, !hub_s, !views_s, !engine_s)
-  in
-  let rows = List.map bench [ 1; 4; 16; 64 ] in
-  Format.printf "%-10s | %8s | %12s | %12s | %12s | %8s@." "checkers"
-    "events" "hub compiled" "flat views" "flat engine" "speedup";
-  List.iter
-    (fun (n, events, hub_s, views_s, engine_s) ->
-      let eps dt = float_of_int events /. dt in
-      Format.printf "%-10d | %8d | %12.3e | %12.3e | %12.3e | %7.2fx@." n
-        events (eps hub_s) (eps views_s) (eps engine_s)
-        (eps engine_s /. eps hub_s))
-    rows;
-  let at64 =
-    List.find_map
-      (fun (n, _, hub_s, _, engine_s) ->
-        if n = 64 then Some (hub_s /. engine_s) else None)
-      rows
-  in
-  (match at64 with
-  | Some s ->
-      Format.printf
-        "@.engine-direct speedup at 64 checkers: %.2fx (acceptance bound: \
-         2x)@."
-        s
-  | None -> ());
-  let oc = open_out "BENCH_flat_table.json" in
-  let row_json (n, events, hub_s, views_s, engine_s) =
-    let eps dt = float_of_int events /. dt in
-    Printf.sprintf
-      {|    { "checkers": %d, "events": %d,
-      "hub_compiled": { "seconds": %.6f, "events_per_sec": %.1f },
-      "flat_views": { "seconds": %.6f, "events_per_sec": %.1f },
-      "flat_engine": { "seconds": %.6f, "events_per_sec": %.1f },
-      "speedup_vs_compiled": %.2f }|}
-      n events hub_s (eps hub_s) views_s (eps views_s) engine_s
-      (eps engine_s)
-      (hub_s /. engine_s)
-  in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"flat_table\",\n  \"workload\": \"N disjoint {a_i, \
-     b_i} <<! go_i checkers, round-robin satisfying stream, three \
-     hostings\",\n  %s,\n  \"meets_2x_at_64\": %b,\n  \"hosted_dispatch\": \
-     [\n%s\n  ]\n}\n"
-    (provenance_json ~backend:"flat")
-    (match at64 with Some s -> s >= 2.0 | None -> false)
-    (String.concat ",\n" (List.map row_json rows));
-  close_out oc;
-  Format.printf "@.written: BENCH_flat_table.json@."
-
-(* ---- Section 3c: ingest throughput ------------------------------------- *)
-
-(* The live-ingestion acceptance bound: streaming bytes through
-   Codec.Decoder -> Session -> verdicts must stay within 2x of raw
-   in-memory hub dispatch on the 16-checker workload above.  Three
-   timings on the identical 120K-event stream: the hub alone (the
-   baseline), the binary decoder alone, and the full pipeline. *)
-let ingest_throughput () =
-  section
-    "Ingest throughput: bytes -> decoder -> session vs in-memory hub dispatch";
+let dispatch () =
+  section "Hosted dispatch: N disjoint checkers on one tap, every hosting";
   let open Loseq_sim in
   let open Loseq_verif in
   let open Loseq_ingest in
-  let n = 16 in
-  let target_events = 120_000 in
-  let patterns =
-    List.init n (fun i -> pat (Printf.sprintf "{a%d, b%d} <<! go%d" i i i))
-  in
-  let suite =
-    List.mapi
-      (fun i p ->
-        { Suite.label = Printf.sprintf "p%d" i; pattern = p; line = i + 1 })
-      patterns
-  in
-  let names =
-    Array.init n (fun i ->
-        [|
-          Name.v (Printf.sprintf "a%d" i);
-          Name.v (Printf.sprintf "b%d" i);
-          Name.v (Printf.sprintf "go%d" i);
-        |])
-  in
-  let events = target_events / (3 * n) * 3 * n in
-  (* Round-robin satisfying workload, time advancing one tick per
-     recognition triple — the shape a virtual platform emits. *)
-  let trace =
-    List.init events (fun j ->
-        { Trace.name = names.((j / 3) mod n).(j mod 3); time = j / 3 })
-  in
-  let trace_arr = Array.of_list trace in
-  let bytes = Codec.encode_exn trace in
-  let best f =
-    (* min of three runs: these are one-shot wall-clock measurements *)
-    let run () =
-      let t0 = Sys.time () in
-      f ();
-      Float.max (Sys.time () -. t0) 1e-6
+  let module Metrics = Loseq_obs.Metrics in
+  let module Ring = Loseq_obs.Trace in
+  let rounds = 15 and layered = 16 in
+  let workload n =
+    let suite = disjoint_suite n in
+    let names =
+      Array.init n (fun i ->
+          Array.map
+            (fun x -> Name.v (Printf.sprintf "%s%d" x i))
+            [| "a"; "b"; "go" |])
     in
-    List.fold_left (fun acc _ -> Float.min acc (run ())) (run ()) [ 1; 2 ]
+    let stream =
+      Array.init
+        (120_000 / (3 * n) * 3 * n)
+        (fun j ->
+          { Trace.name = names.((j / 3) mod n).(j mod 3); time = j / 3 })
+    in
+    (n, suite, stream)
   in
-  let hub_s =
-    best (fun () ->
-        let kernel = Kernel.create () in
-        let tap = Tap.create ~record:false kernel in
-        let hub = Hub.create tap in
-        let checkers = List.map (fun p -> Hub.add hub p) patterns in
-        Array.iter (fun (e : Trace.event) -> Tap.emit_name tap e.name)
-          trace_arr;
-        assert (List.for_all Checker.passed checkers))
+  let hub ?metrics ?trace tap suite =
+    let hub = Hub.create ?metrics ?trace tap in
+    List.iter
+      (fun (e : Suite.entry) -> ignore (Hub.add ~name:e.label hub e.pattern))
+      suite;
+    fun () -> Hub.all_passed hub
   in
-  let chunk = 65_536 in
-  let feed_chunks decoder ~emit =
-    let len = String.length bytes in
-    let off = ref 0 in
-    while !off < len do
-      let l = min chunk (len - !off) in
-      (match Codec.Decoder.feed decoder ~off:!off ~len:l bytes ~emit with
-      | Ok () -> ()
-      | Error msg -> failwith msg);
-      off := !off + l
-    done;
-    match Codec.Decoder.finish decoder with
-    | Ok () -> ()
-    | Error msg -> failwith msg
+  let broadcast tap suite =
+    let checkers =
+      List.map
+        (fun (e : Suite.entry) ->
+          let c = Checker.make (Backend.direct e.pattern) in
+          Tap.subscribe tap (Checker.deliver c);
+          c)
+        suite
+    in
+    fun () -> List.for_all Checker.passed checkers
   in
-  let decode_s =
-    best (fun () ->
-        let decoder = Codec.Decoder.create () in
-        feed_chunks decoder ~emit:ignore;
-        assert (Codec.Decoder.events decoder = events))
+  let flat_views tap suite =
+    let hub = Hub.create tap in
+    let views = Backend.flat_views (Suite.entries_of suite) in
+    List.iteri
+      (fun i (e : Suite.entry) ->
+        Hub.host hub ~strict:false
+          (Checker.make ~name:e.label ~now:(fun () -> Tap.now_ps tap)
+             views.(i)))
+      suite;
+    fun () -> Hub.all_passed hub
   in
-  let e2e_s =
-    best (fun () ->
-        let session = Session.create suite in
-        let decoder = Codec.Decoder.create () in
-        feed_chunks decoder ~emit:(Session.offer_force session);
-        ignore (Session.finalize session);
-        assert (Session.all_passed session))
+  let flat_engine tap suite =
+    let hub = Suite.attach_hub ~backend:Backend.flat_views tap suite in
+    fun () -> Hub.all_passed hub
   in
-  let eps dt = float_of_int events /. dt in
-  let ratio = eps hub_s /. eps e2e_s in
-  Format.printf "%-26s | %10s | %12s | %10s@." "stage" "seconds" "events/s"
-    "vs hub";
-  let row label dt =
-    Format.printf "%-26s | %10.4f | %12.3e | %9.2fx@." label dt (eps dt)
-      (eps hub_s /. eps dt)
+  (* [host tap suite] sets a hosting up and returns its all-passed check *)
+  let hosted host (_, suite, stream) () =
+    let tap = Tap.create ~record:false (Kernel.create ()) in
+    let passed = host tap suite in
+    fun () ->
+      Array.iter (fun (e : Trace.event) -> Tap.emit_name tap e.name) stream;
+      assert (passed ())
   in
-  row "hub dispatch (baseline)" hub_s;
-  row "binary decode alone" decode_s;
-  row "decode + session + hub" e2e_s;
-  Format.printf
-    "@.stream: %d events, %d bytes (%.2f bytes/event); end-to-end is %.2fx \
-     the@.baseline cost - the acceptance bound is 2x.@."
-    events (String.length bytes)
-    (float_of_int (String.length bytes) /. float_of_int events)
-    ratio;
-  let oc = open_out "BENCH_ingest.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "ingest_throughput",
-  "workload": "16 disjoint {a_i, b_i} <<! go_i checkers, round-robin satisfying LSQB stream",
-  %s,
-  "events": %d,
-  "stream_bytes": %d,
-  "hub_dispatch": { "seconds": %.6f, "events_per_sec": %.1f },
-  "decode_only": { "seconds": %.6f, "events_per_sec": %.1f },
-  "end_to_end": { "seconds": %.6f, "events_per_sec": %.1f },
-  "slowdown_vs_hub": %.3f,
-  "within_2x": %b
-}
-|}
-    (provenance_json ~backend:"compiled")
-    events (String.length bytes) hub_s (eps hub_s) decode_s (eps decode_s)
-    e2e_s (eps e2e_s) ratio (ratio <= 2.0);
-  close_out oc;
-  Format.printf "@.written: BENCH_ingest.json@."
-
-(* ---- Section 3d: telemetry overhead ------------------------------------ *)
-
-(* The acceptance bound for the obs layer: hosting the 16-checker
-   dispatch workload with a live metrics registry must stay within 5%
-   of the noop-sink baseline.  Counters are pre-registered bare int
-   bumps and the dispatch-latency histogram is 1-in-64 sampled, so the
-   per-event delta is a handful of increments. *)
-let telemetry_overhead () =
-  section
-    "Telemetry overhead: hosted dispatch with noop vs live metrics registry";
-  let open Loseq_sim in
-  let open Loseq_verif in
-  let module Obs = Loseq_obs.Metrics in
-  let n = 16 in
-  let target_events = 120_000 in
-  let patterns =
-    List.init n (fun i -> pat (Printf.sprintf "{a%d, b%d} <<! go%d" i i i))
+  let ((_, suite16, stream16) as w16) = workload layered in
+  let bytes = Codec.encode_exn (Array.to_list stream16) in
+  let decode ~emit =
+    let decoder = Codec.Decoder.create () in
+    let chunk = 65_536 and len = String.length bytes in
+    let rec go off =
+      if off < len then begin
+        let l = min chunk (len - off) in
+        Result.iter_error failwith
+          (Codec.Decoder.feed decoder ~off ~len:l bytes ~emit);
+        go (off + l)
+      end
+    in
+    go 0;
+    Result.iter_error failwith (Codec.Decoder.finish decoder);
+    assert (Codec.Decoder.events decoder = Array.length stream16)
   in
-  let names =
-    Array.init n (fun i ->
-        [|
-          Name.v (Printf.sprintf "a%d" i);
-          Name.v (Printf.sprintf "b%d" i);
-          Name.v (Printf.sprintf "go%d" i);
-        |])
+  let last_registry = ref Metrics.noop and last_ring = ref Ring.noop in
+  let layers =
+    [
+      ( "hub_metrics",
+        fun () ->
+          last_registry := Metrics.create ();
+          hosted (hub ~metrics:!last_registry) w16 () );
+      ( "hub_trace",
+        fun () ->
+          last_ring := Ring.create ();
+          hosted (hub ~trace:!last_ring) w16 () );
+      ( "decode_session",
+        fun () ->
+          let session = Session.create suite16 in
+          fun () ->
+            decode ~emit:(Session.offer_force session);
+            ignore (Session.finalize session);
+            assert (Session.all_passed session) );
+      ("decode_only", fun () () -> decode ~emit:ignore);
+    ]
   in
-  let events = target_events / (3 * n) * 3 * n in
-  let timed metrics =
-    let kernel = Kernel.create () in
-    let tap = Tap.create ~record:false kernel in
-    let hub = Hub.create ~metrics tap in
-    let checkers = List.map (fun p -> Hub.add hub p) patterns in
-    let t0 = Sys.time () in
-    for j = 0 to events - 1 do
-      Tap.emit_name tap names.((j / 3) mod n).(j mod 3)
-    done;
-    let dt = Sys.time () -. t0 in
-    assert (List.for_all Checker.passed checkers);
-    Float.max dt 1e-6
+  (* in-round order: the hub last among the hostings, then its layers
+     with the overhead variants first, so that the runs each bound
+     compares are close in time *)
+  let hostings =
+    [
+      ("broadcast_direct", broadcast);
+      ("flat_views", flat_views);
+      ("flat_engine", flat_engine);
+      ("hub_compiled", hub ?metrics:None ?trace:None);
+    ]
   in
-  (* Interleaved best-of: noop and live alternate within each round so
-     CPU-frequency drift between the two series cancels; min-of-rounds
-     discards scheduler noise.  One discarded warm-up round first. *)
-  let last_live = ref Obs.noop in
-  let run_live () =
-    let m = Obs.create () in
-    last_live := m;
-    timed m
+  let workloads =
+    List.map (fun n -> if n = layered then w16 else workload n) [ 1; 4; 16; 64 ]
   in
-  ignore (timed Obs.noop);
-  ignore (run_live ());
-  let rounds = 9 in
-  let noop_s = ref infinity and live_s = ref infinity in
-  for _ = 1 to rounds do
-    noop_s := Float.min !noop_s (timed Obs.noop);
-    live_s := Float.min !live_s (run_live ())
-  done;
-  let noop_s = !noop_s and live_s = !live_s in
-  (* conservation sanity on the last live run *)
+  let timings =
+    measure ~rounds
+      (List.concat_map
+         (fun ((n, _, _) as w) ->
+           List.map (fun (v, host) -> ((n, v), hosted host w)) hostings
+           @ if n = layered then List.map (fun (v, f) -> ((n, v), f)) layers
+             else [])
+         workloads)
+  in
+  (* conservation on the last live registry and ring *)
   let dispatched =
-    Option.value ~default:(-1)
-      (Obs.read_counter !last_live ~name:"loseq_events_dispatched_total" ())
+    Metrics.read_counter !last_registry ~name:"loseq_events_dispatched_total"
+      ()
   in
-  assert (dispatched = events);
-  let eps dt = float_of_int events /. dt in
-  let overhead_pct = (live_s -. noop_s) /. noop_s *. 100. in
-  Format.printf "%-26s | %10s | %12s@." "registry" "seconds" "events/s";
-  Format.printf "%-26s | %10.4f | %12.3e@." "noop sink" noop_s (eps noop_s);
-  Format.printf "%-26s | %10.4f | %12.3e@." "live registry" live_s
-    (eps live_s);
-  Format.printf
-    "@.live-vs-noop overhead: %+.2f%% on %d events (acceptance bound: 5%%)@."
-    overhead_pct events;
-  let oc = open_out "BENCH_obs.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "telemetry_overhead",
-  "workload": "16 disjoint {a_i, b_i} <<! go_i checkers, round-robin satisfying stream, hub-hosted",
-  %s,
-  "events": %d,
-  "noop": { "seconds": %.6f, "events_per_sec": %.1f },
-  "live": { "seconds": %.6f, "events_per_sec": %.1f },
-  "events_dispatched_total": %d,
-  "overhead_pct": %.3f,
-  "within_5pct": %b
-}
-|}
-    (provenance_json ~backend:"compiled")
-    events noop_s (eps noop_s) live_s (eps live_s) dispatched overhead_pct
-    (overhead_pct <= 5.0);
-  close_out oc;
-  Format.printf "@.written: BENCH_obs.json@."
-
-(* The acceptance bound for the flight recorder: hosting the same
-   16-checker dispatch workload with a live trace ring must stay
-   within 5% of the noop-recorder baseline.  Dispatch spans are
-   1-in-64 sampled and every record is four fixed-width stores into a
-   pre-allocated ring, so the per-event delta is branch-predictable. *)
-let trace_overhead () =
-  section
-    "Flight-recorder overhead: hosted dispatch with noop vs live trace ring";
-  let open Loseq_sim in
-  let open Loseq_verif in
-  let module Tr = Loseq_obs.Trace in
-  let n = 16 in
-  let target_events = 120_000 in
-  let patterns =
-    List.init n (fun i -> pat (Printf.sprintf "{a%d, b%d} <<! go%d" i i i))
+  assert (dispatched = Some (Array.length stream16));
+  assert (Ring.total !last_ring > 0);
+  (* [ratio (n, v) (n', v')]: the median over rounds of v's time over
+     v''s in the same round, which cancels drift common to a round *)
+  let samples n v = (List.assoc (n, v) timings).samples in
+  let ratio (n, v) (n', v') =
+    (timing_of (Array.map2 ( /. ) (samples n v) (samples n' v'))).median
   in
-  let names =
-    Array.init n (fun i ->
-        [|
-          Name.v (Printf.sprintf "a%d" i);
-          Name.v (Printf.sprintf "b%d" i);
-          Name.v (Printf.sprintf "go%d" i);
-        |])
+  let events_per_s (_, _, stream) t =
+    float_of_int (Array.length stream) /. t.median
   in
-  let events = target_events / (3 * n) * 3 * n in
-  let timed trace =
-    let kernel = Kernel.create () in
-    let tap = Tap.create ~record:false kernel in
-    let hub = Hub.create ~trace tap in
-    let checkers = List.map (fun p -> Hub.add hub p) patterns in
-    let t0 = Sys.time () in
-    for j = 0 to events - 1 do
-      Tap.emit_name tap names.((j / 3) mod n).(j mod 3)
-    done;
-    let dt = Sys.time () -. t0 in
-    assert (List.for_all Checker.passed checkers);
-    Float.max dt 1e-6
+  Format.printf "%-8s | %8s | %13s | %13s | %13s | %13s@." "checkers" "events"
+    "broadcast" "hub compiled" "flat views" "flat engine";
+  Format.printf "%-8s | %8s | %13s | %13s | %13s | %13s@." "" "" "events/s"
+    "events/s" "events/s" "events/s";
+  List.iter
+    (fun ((n, _, stream) as w) ->
+      Format.printf "%-8d | %8d" n (Array.length stream);
+      List.iter
+        (fun v ->
+          Format.printf " | %13.3e"
+            (events_per_s w (List.assoc (n, v) timings)))
+        [ "broadcast_direct"; "hub_compiled"; "flat_views"; "flat_engine" ];
+      Format.printf "@.")
+    workloads;
+  let hub16 = (layered, "hub_compiled") in
+  Format.printf "@.%d checkers, %d events, %d LSQB bytes:@." layered
+    (Array.length stream16) (String.length bytes);
+  Format.printf "%-16s | %27s | %8s@." "layer" "ms [q1, q3]" "vs hub";
+  List.iter
+    (fun v ->
+      Format.printf "%-16s | %27s | %7.3fx@." v
+        (show_timing (List.assoc (layered, v) timings))
+        (ratio (layered, v) hub16))
+    ("hub_compiled" :: List.map fst layers);
+  let e2e = ratio (layered, "decode_session") hub16 in
+  let overhead v = (ratio (layered, v) hub16 -. 1.) *. 100. in
+  let metrics_pct = overhead "hub_metrics"
+  and trace_pct = overhead "hub_trace" in
+  let flat64 = ratio (64, "hub_compiled") (64, "flat_engine") in
+  let speedup n = ratio (n, "broadcast_direct") (n, "hub_compiled") in
+  let bounds =
+    [
+      ("e2e_vs_hub", fixed e2e);
+      ("e2e_within_2x_hub", Json.Bool (e2e <= 2.0));
+      ("metrics_overhead_pct", fixed metrics_pct);
+      ("metrics_within_5pct", Json.Bool (metrics_pct <= 5.0));
+      ("trace_overhead_pct", fixed trace_pct);
+      ("trace_within_5pct", Json.Bool (trace_pct <= 5.0));
+      ("flat_engine_vs_hub_at_64", fixed flat64);
+      ("flat_engine_2x_hub_at_64", Json.Bool (flat64 >= 2.0));
+      ("hub_vs_broadcast_at_16", fixed (speedup 16));
+      ("hub_vs_broadcast_at_64", fixed (speedup 64));
+      ( "hub_5x_broadcast_at_16_plus",
+        Json.Bool (speedup 16 >= 5.0 && speedup 64 >= 5.0) );
+    ]
   in
-  (* Interleaved best-of, as in {!telemetry_overhead}: noop and live
-     alternate within each round so frequency drift cancels. *)
-  let last_live = ref Tr.noop in
-  let run_live () =
-    let tr = Tr.create () in
-    last_live := tr;
-    timed tr
+  Format.printf "@.bounds (median per-round ratios):@.";
+  List.iter
+    (fun (k, v) ->
+      match v with
+      | Json.Float x -> Format.printf "  %-28s %.3f@." k x
+      | v -> Format.printf "  %-28s %s@." k (Json.to_string v))
+    bounds;
+  let row ((n, _, stream) as w) =
+    Json.Obj
+      (("checkers", Json.Int n)
+      :: ("events", Json.Int (Array.length stream))
+      :: List.filter_map
+           (fun ((n', v), t) ->
+             if n' <> n then None
+             else
+               Some
+                 ( v,
+                   Json.Obj
+                     (timing_json t
+                     @ [
+                         ( "events_per_s",
+                           Json.Int (Float.to_int (events_per_s w t)) );
+                       ]) ))
+           timings)
   in
-  ignore (timed Tr.noop);
-  ignore (run_live ());
-  let rounds = 9 in
-  let noop_s = ref infinity and live_s = ref infinity in
-  for _ = 1 to rounds do
-    noop_s := Float.min !noop_s (timed Tr.noop);
-    live_s := Float.min !live_s (run_live ())
-  done;
-  let noop_s = !noop_s and live_s = !live_s in
-  (* the last live ring must have recorded the sampled spans *)
-  let recorded = Tr.total !last_live in
-  assert (recorded > 0);
-  let eps dt = float_of_int events /. dt in
-  let overhead_pct = (live_s -. noop_s) /. noop_s *. 100. in
-  Format.printf "%-26s | %10s | %12s@." "recorder" "seconds" "events/s";
-  Format.printf "%-26s | %10.4f | %12.3e@." "noop recorder" noop_s
-    (eps noop_s);
-  Format.printf "%-26s | %10.4f | %12.3e@." "live ring" live_s (eps live_s);
-  Format.printf
-    "@.live-vs-noop overhead: %+.2f%% on %d events (%d records, acceptance \
-     bound: 5%%)@."
-    overhead_pct events recorded;
-  let oc = open_out "BENCH_trace.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "trace_overhead",
-  "workload": "16 disjoint {a_i, b_i} <<! go_i checkers, round-robin satisfying stream, hub-hosted, flight recorder on the hub track",
-  %s,
-  "events": %d,
-  "noop": { "seconds": %.6f, "events_per_sec": %.1f },
-  "live": { "seconds": %.6f, "events_per_sec": %.1f },
-  "records_emitted": %d,
-  "records_dropped": %d,
-  "overhead_pct": %.3f,
-  "within_5pct": %b
-}
-|}
-    (provenance_json ~backend:"compiled")
-    events noop_s (eps noop_s) live_s (eps live_s) recorded
-    (Tr.dropped !last_live) overhead_pct
-    (overhead_pct <= 5.0);
-  close_out oc;
-  Format.printf "@.written: BENCH_trace.json@."
+  write_artifact ~backend:"compiled" "dispatch"
+    [
+      ( "workload",
+        Json.String
+          "N disjoint {a_i, b_i} <<! go_i checkers, round-robin satisfying \
+           stream, every hosting; decode, session, metrics and trace \
+           layers at 16 checkers" );
+      ( "clock",
+        Json.String
+          "monotonic wall clock; 1 warm-up round, then interleaved rounds; \
+           median and quartiles per variant, bounds on the median \
+           per-round ratio" );
+      ("rounds", Json.Int rounds);
+      ("stream_bytes_at_16", Json.Int (String.length bytes));
+      ("events_dispatched_total", Json.Int (Option.get dispatched));
+      ("trace_records_emitted", Json.Int (Ring.total !last_ring));
+      ("trace_records_dropped", Json.Int (Ring.dropped !last_ring));
+      ("rows", Json.List (List.map row workloads));
+      ("bounds", Json.Obj bounds);
+    ]
 
 (* ---- Section 3e: race analysis ----------------------------------------- *)
+
+(* Cold timings, for the analysis sections: the memo tables would
+   answer every round after the first for free. *)
+let cold f () =
+  Loseq_analysis.Memo.reset ();
+  f
+
+let load_suite path =
+  match Loseq_verif.Suite.load path with
+  | Ok s -> s
+  | Error e -> failwith (Format.asprintf "%a" Loseq_verif.Suite.pp_error e)
 
 (* Cost of the static commutation analysis and the suite lateness-
    robustness certificate on the case-study contract: per-entry
@@ -882,79 +758,55 @@ let race_analysis () =
     "Race analysis: pairwise commutation + lateness certificate (ipu.suite)";
   let open Loseq_verif in
   let open Loseq_analysis in
-  let suite_path =
-    List.find_opt Sys.file_exists
-      [ "examples/specs/ipu.suite"; "../examples/specs/ipu.suite" ]
-    |> Option.value ~default:"examples/specs/ipu.suite"
+  let suite_path = example "examples/specs/ipu.suite" in
+  let suite = load_suite suite_path in
+  let labeled = Suite.entries_of suite in
+  let rounds = 3 in
+  let timings =
+    measure ~rounds
+      (List.map
+         (fun (label, p) ->
+           (Some label, cold (fun () -> ignore (Commute.analyze p))))
+         labeled
+      @ [ (None, cold (fun () -> ignore (Robust.certificate labeled))) ])
   in
-  let suite =
-    match Suite.load suite_path with
-    | Ok s -> s
-    | Error e -> failwith (Format.asprintf "%a" Suite.pp_error e)
-  in
-  (* Cold timings: the memo tables would answer the second run free. *)
-  let best f =
-    let run () =
-      Memo.reset ();
-      let t0 = Sys.time () in
-      let r = f () in
-      (r, Float.max (Sys.time () -. t0) 1e-6)
-    in
-    let r, dt0 = run () in
-    let _, dt1 = run () in
-    (r, Float.min dt0 dt1)
-  in
-  Format.printf "%-26s | %8s | %6s | %10s | %8s@." "entry" "seconds" "races"
-    "commuting" "decided";
-  let rows =
+  Format.printf "%-22s | %27s | %5s | %9s | %7s@." "entry"
+    "ms [q1, q3]" "races" "commuting" "decided";
+  let entries =
     List.map
-      (fun (e : Suite.entry) ->
-        let r, dt = best (fun () -> Commute.analyze e.pattern) in
-        Format.printf "%-26s | %8.4f | %6d | %10d | %8b@." e.label dt
+      (fun (label, p) ->
+        let r = Commute.analyze p and t = List.assoc (Some label) timings in
+        Format.printf "%-22s | %27s | %5d | %9d | %7b@." label (show_timing t)
           (List.length r.Commute.races)
           (List.length r.Commute.commuting)
           r.Commute.complete;
-        (e.label, dt, r))
-      suite
+        Json.Obj
+          ([ ("label", Json.String label) ]
+          @ timing_json t
+          @ [
+              ("races", Json.Int (List.length r.Commute.races));
+              ("commuting", Json.Int (List.length r.Commute.commuting));
+              ("decided", Json.Bool r.Commute.complete);
+            ]))
+      labeled
   in
-  let labeled = List.map (fun (e : Suite.entry) -> (e.label, e.pattern)) suite in
-  let cert, cert_dt = best (fun () -> Robust.certificate labeled) in
-  Format.printf
-    "@.suite certificate: lateness bound %s, decided %b (%.4fs)@."
+  let cert = Robust.certificate labeled and cert_t = List.assoc None timings in
+  Format.printf "@.suite certificate: lateness bound %s, decided %b (%s ms)@."
     (Robust.bound_to_string cert.Robust.bound)
-    cert.Robust.decided cert_dt;
-  let oc = open_out "BENCH_races.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "race_analysis",
-  "suite": %S,
-  %s,
-  "entries": [
-%s  ],
-  "certificate": { "seconds": %.6f, "bound": %S, "decided": %b }
-}
-|}
-    suite_path
-    (provenance_json ~backend:"analysis")
-    (String.concat ""
-       (List.map
-          (fun (label, dt, (r : Commute.result)) ->
-            Printf.sprintf
-              "    { \"label\": %S, \"seconds\": %.6f, \"races\": %d, \
-               \"commuting\": %d, \"decided\": %b }%s\n"
-              label dt
-              (List.length r.Commute.races)
-              (List.length r.Commute.commuting)
-              r.Commute.complete
-              (if label = (match List.rev rows with (l, _, _) :: _ -> l | [] -> "")
-               then ""
-               else ","))
-          rows))
-    cert_dt
-    (Robust.bound_to_string cert.Robust.bound)
-    cert.Robust.decided;
-  close_out oc;
-  Format.printf "@.written: BENCH_races.json@."
+    cert.Robust.decided (show_timing cert_t);
+  write_artifact ~backend:"analysis" "races"
+    [
+      ("suite", Json.String suite_path);
+      ("rounds", Json.Int rounds);
+      ("entries", Json.List entries);
+      ( "certificate",
+        Json.Obj
+          (timing_json cert_t
+          @ [
+              ("bound", Json.String (Robust.bound_to_string cert.Robust.bound));
+              ("decided", Json.Bool cert.Robust.decided);
+            ]) );
+    ]
 
 (* ---- Section 3f: mutation gate ----------------------------------------- *)
 
@@ -965,30 +817,23 @@ let race_analysis () =
 let mutation_gate () =
   section "Mutation analysis: three-tier kill pipeline (ipu.suite)";
   let open Loseq_analysis in
-  let suite_path =
-    List.find_opt Sys.file_exists
-      [ "examples/specs/ipu.suite"; "../examples/specs/ipu.suite" ]
-    |> Option.value ~default:"examples/specs/ipu.suite"
+  let suite_path = example "examples/specs/ipu.suite" in
+  let suite = Loseq_verif.Suite.entries_of (load_suite suite_path) in
+  let rounds = 3 and last = ref None in
+  let t =
+    List.assoc ()
+      (measure ~rounds
+         [ ((), cold (fun () -> last := Some (Mutate.run suite))) ])
   in
-  let suite =
-    match Loseq_verif.Suite.load suite_path with
-    | Ok s ->
-        List.map
-          (fun (e : Loseq_verif.Suite.entry) -> (e.label, e.pattern))
-          s
-    | Error e -> failwith (Format.asprintf "%a" Loseq_verif.Suite.pp_error e)
-  in
-  let t0 = Sys.time () in
-  let s = Mutate.run suite in
-  let dt = Sys.time () -. t0 in
+  let s = Option.get !last in
   let killed =
     s.Mutate.killed_static + s.Mutate.killed_equivalence
     + s.Mutate.killed_differential
   in
   Format.printf
-    "%d mutants in %.2fs: %d killed (static %d, equivalence %d, \
+    "%d mutants in %s ms: %d killed (static %d, equivalence %d, \
      differential %d), %d stillborn, %d survived@."
-    s.Mutate.generated dt killed s.Mutate.killed_static
+    s.Mutate.generated (show_timing t) killed s.Mutate.killed_static
     s.Mutate.killed_equivalence s.Mutate.killed_differential
     s.Mutate.stillborn
     (List.length s.Mutate.survivors);
@@ -997,37 +842,29 @@ let mutation_gate () =
     (100. *. s.Mutate.kill_rate)
     s.Mutate.cross_checked
     (List.length s.Mutate.divergences);
-  let oc = open_out "BENCH_mutation.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "mutation_gate",
-  "suite": %S,
-  %s,
-  "seconds": %.6f,
-  "mutants": %d,
-  "stillborn": %d,
-  "killed": { "static": %d, "equivalence": %d, "differential": %d },
-  "survivors": [%s],
-  "kill_rate": %.4f,
-  "meets_90pct": %b,
-  "cross_checked": %d,
-  "divergences": %d
-}
-|}
-    suite_path
-    (provenance_json ~backend:"analysis")
-    dt s.Mutate.generated s.Mutate.stillborn s.Mutate.killed_static
-    s.Mutate.killed_equivalence s.Mutate.killed_differential
-    (String.concat ", "
-       (List.map
-          (fun (r : Mutate.result) -> Printf.sprintf "%S" r.mutant.id)
-          s.Mutate.survivors))
-    s.Mutate.kill_rate
-    (s.Mutate.kill_rate >= 0.9)
-    s.Mutate.cross_checked
-    (List.length s.Mutate.divergences);
-  close_out oc;
-  Format.printf "@.written: BENCH_mutation.json@."
+  write_artifact ~backend:"analysis" "mutation"
+    ([ ("suite", Json.String suite_path); ("rounds", Json.Int rounds) ]
+    @ timing_json t
+    @ [
+        ("mutants", Json.Int s.Mutate.generated);
+        ("stillborn", Json.Int s.Mutate.stillborn);
+        ( "killed",
+          Json.Obj
+            [
+              ("static", Json.Int s.Mutate.killed_static);
+              ("equivalence", Json.Int s.Mutate.killed_equivalence);
+              ("differential", Json.Int s.Mutate.killed_differential);
+            ] );
+        ( "survivors",
+          Json.List
+            (List.map
+               (fun (r : Mutate.result) -> Json.String r.mutant.id)
+               s.Mutate.survivors) );
+        ("kill_rate", fixed s.Mutate.kill_rate);
+        ("meets_90pct", Json.Bool (s.Mutate.kill_rate >= 0.9));
+        ("cross_checked", Json.Int s.Mutate.cross_checked);
+        ("divergences", Json.Int (List.length s.Mutate.divergences));
+      ])
 
 (* ---- Section 4: Bechamel micro-benchmarks ------------------------------ *)
 
@@ -1116,7 +953,7 @@ let bechamel_benches () =
    fast path keeps repair free on a fully certified workload.  We
    measure verdict latency in arrival indices — how many events after
    the deciding one arrives is the verdict first reported — for
-   K in {2, 8, 32}. *)
+   K in {2, 8, 32}, and the wall time of each hosting run. *)
 let ooo_latency () =
   section "Speculative vs buffered verdict latency (lateness sweep)";
   let open Loseq_ingest in
@@ -1124,14 +961,7 @@ let ooo_latency () =
   let module Engine = Loseq_ooo.Engine in
   let nchk = 16 and rounds = 60 in
   let half = nchk / 2 in
-  let suite =
-    List.init nchk (fun i ->
-        {
-          Suite.label = Printf.sprintf "chk%02d" i;
-          pattern = pat (Printf.sprintf "{a%d, b%d} <<! go%d" i i i);
-          line = i + 1;
-        })
-  in
+  let suite = disjoint_suite nchk in
   (* Checkers half..nchk-1 violate once each, staggered across the run:
      their b_i is omitted in round viol_round(i), so the deciding event
      is that round's go_i. *)
@@ -1194,16 +1024,16 @@ let ooo_latency () =
   let idx_of_checker i =
     Hashtbl.find arrival_idx_of_time (Hashtbl.find deciding_time i)
   in
-  let label_index lbl = Scanf.sscanf lbl "chk%d" Fun.id in
+  let label_index lbl = Scanf.sscanf lbl "p%d" Fun.id in
   let median xs =
     match List.sort compare xs with
     | [] -> 0
     | sorted -> List.nth sorted (List.length sorted / 2)
   in
   let expected = Suite.check_trace suite chronological in
-  let run_k k =
-    (* buffered: first report happens when the reorder buffer delivers
-       the deciding event — the watermark lag. *)
+  (* buffered: first report happens when the reorder buffer delivers
+     the deciding event — the watermark lag. *)
+  let buffered k =
     let report_idx = Hashtbl.create 8 in
     let session = Session.create ~lateness:k suite in
     let idx = ref 0 in
@@ -1218,10 +1048,13 @@ let ooo_latency () =
     idx := Array.length scrambled_arr;
     let report = Session.finalize session in
     assert (List.map (fun (l, v) -> (l, Backend.passed v)) (Report.summary report) = expected);
-    let buffered_lat =
-      List.map (fun i -> Hashtbl.find report_idx i - idx_of_checker i) violating
-    in
-    (* speculative: first (speculative) report and settlement. *)
+    median
+      (List.map
+         (fun i -> Hashtbl.find report_idx i - idx_of_checker i)
+         violating)
+  in
+  (* speculative: first (speculative) report and settlement. *)
+  let speculative k =
     let spec_idx = Hashtbl.create 8 and settle_idx = Hashtbl.create 8 in
     let idx = ref 0 in
     let eng =
@@ -1237,7 +1070,7 @@ let ooo_latency () =
                 Hashtbl.replace settle_idx i !idx
           | Engine.Retracted _ -> ())
         ~lateness:k
-        (List.map (fun (e : Suite.entry) -> (e.Suite.label, e.Suite.pattern)) suite)
+        (Suite.entries_of suite)
     in
     Array.iteri
       (fun j e ->
@@ -1260,69 +1093,78 @@ let ooo_latency () =
           | None -> Array.length scrambled_arr - idx_of_checker i)
         violating
     in
-    let stats = Engine.stats eng in
-    ( median buffered_lat,
-      median spec_lat,
-      median settle_lat,
-      stats )
+    (median spec_lat, median settle_lat, Engine.stats eng)
   in
   let ks = [ 2; 8; 32 ] in
-  let results = List.map (fun k -> (k, run_k k)) ks in
-  Format.printf "%-10s | %18s | %20s | %16s | %12s | %9s@." "lateness"
-    "buffered median" "speculative median" "settled median" "commute hits"
-    "rollbacks";
-  List.iter
-    (fun (k, (b, s, st, stats)) ->
-      Format.printf "%-10d | %18d | %20d | %16d | %12d | %9d@." k b s st
-        stats.Engine.commute_hits stats.Engine.rollbacks)
-    results;
-  let _, (b8, s8, _, stats8) =
-    List.find (fun (k, _) -> k = 8) results
+  let timings =
+    measure
+      (List.concat_map
+         (fun k ->
+           [
+             ((k, `Buffered), fun () () -> ignore (buffered k));
+             ((k, `Speculative), fun () () -> ignore (speculative k));
+           ])
+         ks)
   in
+  let results = List.map (fun k -> (k, buffered k, speculative k)) ks in
+  Format.printf "%-8s | %8s | %11s | %7s | %12s | %9s | %11s | %11s@."
+    "lateness" "buffered" "speculative" "settled" "commute hits" "rollbacks"
+    "buffered ms" "spec. ms";
+  Format.printf "%-8s | %8s | %11s | %7s |@." "" "median" "median" "median";
+  List.iter
+    (fun (k, b, (s, st, stats)) ->
+      Format.printf "%-8d | %8d | %11d | %7d | %12d | %9d | %11.3f | %11.3f@."
+        k b s st stats.Engine.commute_hits stats.Engine.rollbacks
+        ((List.assoc (k, `Buffered) timings).median *. 1e3)
+        ((List.assoc (k, `Speculative) timings).median *. 1e3))
+    results;
+  let _, b8, (s8, _, stats8) = List.find (fun (k, _, _) -> k = 8) results in
   Format.printf
     "@.%d checkers, %d violating, %d events; every premise pair swapped \
      (certified@.commuting): the speculative engine reports at arrival while \
      the buffered path@.waits out the watermark.@."
     nchk (List.length violating)
     (Array.length scrambled_arr);
-  let oc = open_out "BENCH_ooo.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "ooo_verdict_latency",
-  "workload": "%d disjoint {a_i, b_i} <<! go_i checkers, %d violating (staggered), every premise pair swapped in arrival order",
-  %s,
-  "events": %d,
-  "late_events_per_run": %d,
-  "sweep": [
-%s  ],
-  "acceptance": {
-    "median_latency_below_buffered_at_k8": %b,
-    "commute_hits_nonzero": %b,
-    "zero_rollbacks": %b
-  }
-}
-|}
-    nchk (List.length violating)
-    (provenance_json ~backend:"compiled")
-    (Array.length scrambled_arr)
-    stats8.Engine.late
-    (String.concat ""
-       (List.map
-          (fun (k, (b, s, st, stats)) ->
-            Printf.sprintf
-              "    { \"lateness\": %d, \"buffered_median\": %d, \
-               \"speculative_median\": %d, \"settled_median\": %d, \
-               \"commute_hits\": %d, \"rollbacks\": %d, \"replayed\": %d, \
-               \"dropped_late\": %d }%s\n"
-              k b s st stats.Engine.commute_hits stats.Engine.rollbacks
-              stats.Engine.replayed stats.Engine.dropped_late
-              (if k = List.nth ks (List.length ks - 1) then "" else ","))
-          results))
-    (s8 < b8)
-    (stats8.Engine.commute_hits > 0)
-    (stats8.Engine.rollbacks = 0);
-  close_out oc;
-  Format.printf "@.written: BENCH_ooo.json@."
+  write_artifact ~backend:"compiled" "ooo"
+    [
+      ( "workload",
+        Json.String
+          (Printf.sprintf
+             "%d disjoint {a_i, b_i} <<! go_i checkers, %d violating \
+              (staggered), every premise pair swapped in arrival order"
+             nchk (List.length violating)) );
+      ("events", Json.Int (Array.length scrambled_arr));
+      ("late_events_per_run", Json.Int stats8.Engine.late);
+      ( "sweep",
+        Json.List
+          (List.map
+             (fun (k, b, (s, st, stats)) ->
+               let timed v =
+                 Json.Obj (timing_json (List.assoc (k, v) timings))
+               in
+               Json.Obj
+                 [
+                   ("lateness", Json.Int k);
+                   ("buffered_median", Json.Int b);
+                   ("speculative_median", Json.Int s);
+                   ("settled_median", Json.Int st);
+                   ("commute_hits", Json.Int stats.Engine.commute_hits);
+                   ("rollbacks", Json.Int stats.Engine.rollbacks);
+                   ("replayed", Json.Int stats.Engine.replayed);
+                   ("dropped_late", Json.Int stats.Engine.dropped_late);
+                   ("buffered_run", timed `Buffered);
+                   ("speculative_run", timed `Speculative);
+                 ])
+             results) );
+      ( "acceptance",
+        Json.Obj
+          [
+            ("median_latency_below_buffered_at_k8", Json.Bool (s8 < b8));
+            ( "commute_hits_nonzero",
+              Json.Bool (stats8.Engine.commute_hits > 0) );
+            ("zero_rollbacks", Json.Bool (stats8.Engine.rollbacks = 0));
+          ] );
+    ]
 
 (* ---- Section 3h: shard planning ---------------------------------------- *)
 
@@ -1334,97 +1176,94 @@ let ooo_latency () =
 let shard_planning () =
   section "Shard planning: interference graph + balanced partition (ipu.suite)";
   let open Loseq_analysis in
-  let suite_path =
-    List.find_opt Sys.file_exists
-      [ "examples/specs/ipu.suite"; "../examples/specs/ipu.suite" ]
-    |> Option.value ~default:"examples/specs/ipu.suite"
-  in
-  let trace_path =
-    List.find_opt Sys.file_exists
-      [ "examples/traces/ipu.csv"; "../examples/traces/ipu.csv" ]
-    |> Option.value ~default:"examples/traces/ipu.csv"
-  in
-  let suite =
-    match Loseq_verif.Suite.load suite_path with
-    | Ok s -> s
-    | Error e -> failwith (Format.asprintf "%a" Loseq_verif.Suite.pp_error e)
-  in
+  let suite_path = example "examples/specs/ipu.suite"
+  and trace_path = example "examples/traces/ipu.csv" in
+  let suite = load_suite suite_path in
   let labeled = Loseq_verif.Suite.entries_of suite in
-  let n_shards = 4 in
-  Memo.reset ();
-  let t0 = Sys.time () in
-  let plan = Shard.analyze ~shards:n_shards labeled in
-  let plan_dt = Sys.time () -. t0 in
+  let n_shards = 4 and plan_rounds = 3 and last = ref None in
+  let plan_t =
+    List.assoc ()
+      (measure ~rounds:plan_rounds
+         [
+           ( (),
+             cold (fun () ->
+                 last := Some (Shard.analyze ~shards:n_shards labeled)) );
+         ])
+  in
+  let plan = Option.get !last in
+  (* the memo tables hold what the last cold round explored *)
+  let explorations = Memo.explorations_performed () in
   Format.printf "%a@." Shard.pp plan;
-  Format.printf "planned in %.4fs (%d explorations)@." plan_dt
-    (Memo.explorations_performed ());
+  Format.printf "planned in %s ms (%d explorations)@." (show_timing plan_t)
+    explorations;
   let tr =
     match Loseq_core.Trace_io.load_csv trace_path with
     | Ok t -> t
     | Error msg -> failwith msg
   in
-  let t1 = Sys.time () in
-  let unsharded = Loseq_verif.Suite.check_trace suite tr in
-  let unsharded_dt = Sys.time () -. t1 in
-  let t2 = Sys.time () in
-  let sharded =
-    Loseq_verif.Sharded.run
-      ~plan:(Array.to_list plan.Shard.shards)
-      suite tr
+  let shards = Array.to_list plan.Shard.shards in
+  let unsharded () = Loseq_verif.Suite.check_trace suite tr
+  and sharded () = Loseq_verif.Sharded.run ~plan:shards suite tr in
+  let replay =
+    measure
+      [
+        (`Unsharded, fun () () -> ignore (unsharded ()));
+        (`Sharded, fun () () -> ignore (sharded ()));
+      ]
   in
-  let sharded_dt = Sys.time () -. t2 in
-  let agrees = sharded = unsharded in
+  let agrees = sharded () = unsharded () in
   Format.printf
-    "replay on %s: unsharded %.4fs, sharded %.4fs, verdicts agree %b@."
-    trace_path unsharded_dt sharded_dt agrees;
-  let balanced = plan.Shard.balance <= 1.5 in
-  let oc = open_out "BENCH_shard.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "shard_planning",
-  "suite": %S,
-  "trace": %S,
-  %s,
-  "shards": %d,
-  "plan_seconds": %.6f,
-  "explorations": %d,
-  "shard_costs": [%s],
-  "per_shard": [
-%s  ],
-  "balance": %.4f,
-  "certified": %b,
-  "replay": { "unsharded_seconds": %.6f, "sharded_seconds": %.6f,
-              "verdicts_agree": %b },
-  "acceptance": { "balanced_1_5x": %b, "certified": %b,
-                  "verdicts_agree": %b }
-}
-|}
-    suite_path trace_path
-    (provenance_json ~backend:"analysis")
-    n_shards plan_dt
-    (Memo.explorations_performed ())
-    (String.concat ", "
-       (List.map string_of_int (Array.to_list plan.Shard.shard_costs)))
-    (String.concat ""
-       (List.mapi
-          (fun s members ->
-            Printf.sprintf
-              "    { \"shard\": %d, \"cost\": %d, \"checkers\": [%s] }%s\n" s
-              plan.Shard.shard_costs.(s)
-              (String.concat ", "
-                 (List.map
-                    (fun ck ->
-                      Printf.sprintf "%S" (fst plan.Shard.entries.(ck)))
-                    members))
-              (if s = Array.length plan.Shard.shards - 1 then "" else ","))
-          (Array.to_list plan.Shard.shards)))
-    plan.Shard.balance plan.Shard.certified unsharded_dt sharded_dt agrees
-    balanced plan.Shard.certified agrees;
-  close_out oc;
-  Format.printf "@.written: BENCH_shard.json@."
+    "replay on %s: unsharded %s ms, sharded %s ms, verdicts agree %b@."
+    trace_path
+    (show_timing (List.assoc `Unsharded replay))
+    (show_timing (List.assoc `Sharded replay))
+    agrees;
+  let balanced = plan.Shard.balance <= 1.5
+  and timed v = Json.Obj (timing_json (List.assoc v replay)) in
+  write_artifact ~backend:"analysis" "shard"
+    [
+      ("suite", Json.String suite_path);
+      ("trace", Json.String trace_path);
+      ("shards", Json.Int n_shards);
+      ( "plan",
+        Json.Obj (("rounds", Json.Int plan_rounds) :: timing_json plan_t) );
+      ("explorations", Json.Int explorations);
+      ( "per_shard",
+        Json.List
+          (List.mapi
+             (fun s members ->
+               Json.Obj
+                 [
+                   ("shard", Json.Int s);
+                   ("cost", Json.Int plan.Shard.shard_costs.(s));
+                   ( "checkers",
+                     Json.List
+                       (List.map
+                          (fun ck ->
+                            Json.String (fst plan.Shard.entries.(ck)))
+                          members) );
+                 ])
+             shards) );
+      ("balance", fixed plan.Shard.balance);
+      ("certified", Json.Bool plan.Shard.certified);
+      ( "replay",
+        Json.Obj
+          [
+            ("unsharded", timed `Unsharded);
+            ("sharded", timed `Sharded);
+            ("verdicts_agree", Json.Bool agrees);
+          ] );
+      ( "acceptance",
+        Json.Obj
+          [
+            ("balanced_1_5x", Json.Bool balanced);
+            ("certified", Json.Bool plan.Shard.certified);
+            ("verdicts_agree", Json.Bool agrees);
+          ] );
+    ]
 
 (* Sections are addressable from the command line so CI can run just
-   one: `bench/main.exe ingest`.  No arguments runs everything. *)
+   one: `bench/main.exe dispatch`.  No arguments runs everything. *)
 let sections_by_name =
   [
     ("fig6", figure6);
@@ -1435,17 +1274,14 @@ let sections_by_name =
     ("automata", automaton_sizes);
     ("ablation", ablation_oracle);
     ("case-study", case_study);
-    ("hosted-dispatch", hosted_dispatch);
-    ("flat-table", flat_table);
-    ("ingest", ingest_throughput);
-    ("obs", telemetry_overhead);
-    ("trace", trace_overhead);
+    ("dispatch", dispatch);
     ("races", race_analysis);
     ("mutation", mutation_gate);
     ("ooo", ooo_latency);
     ("shard", shard_planning);
     ("bechamel", bechamel_benches);
   ]
+
 
 let usage () =
   Printf.eprintf "usage: bench/main.exe [SECTION]...\n\n";

@@ -683,25 +683,34 @@ let analyze_cmd =
                           if format = Finding.Text then
                             Format.printf "@[<v>%a@]@."
                               Loseq_analysis.Shard.pp plan;
-                          (match plan_out with
-                          | None -> ()
-                          | Some path ->
-                              let oc = open_out path in
-                              output_string oc
-                                (Json.to_string
-                                   (Loseq_analysis.Shard.to_json plan));
-                              output_char oc '\n';
-                              close_out oc);
-                          let suite =
-                            List.map
-                              (fun (label, pattern) ->
-                                { Loseq_verif.Suite.label; pattern; line = 0 })
-                              labeled
+                          let written =
+                            match plan_out with
+                            | None -> Ok 0
+                            | Some path ->
+                                Loseq_ingest.Atomic_file.write ~path
+                                  (Json.to_string
+                                     (Loseq_analysis.Shard.to_json plan)
+                                  ^ "\n")
                           in
-                          render_findings format suppressed
-                            (attach_origins items
-                               (Loseq_analysis.Shard.findings plan
-                               @ shard_divergences plan suite traces)))
+                          match written with
+                          | Error msg ->
+                              Format.eprintf "--plan-out: %s@." msg;
+                              3
+                          | Ok _ ->
+                              let suite =
+                                List.map
+                                  (fun (label, pattern) ->
+                                    {
+                                      Loseq_verif.Suite.label;
+                                      pattern;
+                                      line = 0;
+                                    })
+                                  labeled
+                              in
+                              render_findings format suppressed
+                                (attach_origins items
+                                   (Loseq_analysis.Shard.findings plan
+                                   @ shard_divergences plan suite traces)))
                   | None ->
                   if coverage then begin
                     match
@@ -1671,18 +1680,14 @@ let trace_cmd =
               Loseq_ingest.Session.finalize ?final_time session
             in
             let ndjson = Filename.check_suffix out ".ndjson" in
-            let write path data =
-              let oc = open_out path in
-              output_string oc data;
-              close_out oc
-            in
+            let write path = Loseq_ingest.Atomic_file.write ~path in
             match
               write out (if ndjson then Tr.to_ndjson tr else Tr.to_chrome tr)
             with
-            | exception Sys_error msg ->
+            | Error msg ->
                 Format.eprintf "trace: %s@." msg;
                 2
-            | () -> (
+            | Ok _ -> (
                 Format.printf
                   "%s: %d records (%d dropped) over %d events, %s@." out
                   (Tr.length tr) (Tr.dropped tr) (List.length events)
@@ -1697,10 +1702,10 @@ let trace_cmd =
                            ~checkers:(Loseq_verif.Provenance.seen prov)
                            ())
                     with
-                    | exception Sys_error msg ->
+                    | Error msg ->
                         Format.eprintf "trace: %s@." msg;
                         2
-                    | () ->
+                    | Ok _ ->
                         Format.printf "%s: loseq-profile/1 (%d checkers)@."
                           path (List.length suite);
                         if Loseq_verif.Report.all_passed report then 0
@@ -1969,7 +1974,8 @@ let dfa_cmd =
         0
     | exception Automaton.Too_many_states n ->
         Format.eprintf
-          "state space exceeds %d states (wide ranges make the explicit            product explode; that is what the modular monitors avoid)@."
+          "state space exceeds %d states (wide ranges make the explicit \
+           product explode; that is what the modular monitors avoid)@."
           n;
         1
   in

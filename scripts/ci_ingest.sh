@@ -8,7 +8,15 @@
 #                         checkpoint; --resume with a full replay yields
 #                         verdicts identical to the uninterrupted
 #                         streaming run
-#   ingest-throughput     bench ingest section writes BENCH_ingest.json
+#   ingest-throughput     one release run of the bench dispatch
+#                         section writes BENCH_dispatch.json, which
+#                         feeds every bench check: end to end (bytes
+#                         -> decoder -> session) within 2x of
+#                         in-memory hub dispatch is enforced; the
+#                         flat engine at 2x the hub at 64 checkers and
+#                         the flight recorder's 5% overhead bound are
+#                         advisory (wall-clock micro-benchmarks are
+#                         noisy on shared CI runners)
 #   strict-reorder        --strict-reorder refuses (exit 2) a lateness
 #                         window larger than the suite's certified
 #                         lateness-robustness bound, and still serves
@@ -17,11 +25,9 @@
 #                         discovered from the metrics-listening record)
 #                         answers /metrics with
 #                         loseq_events_dispatched_total equal to the
-#                         number of events fed; the bench obs section
-#                         writes BENCH_obs.json, whose 5% live-vs-noop
-#                         overhead bound is advisory here (wall-clock
-#                         micro-benchmarks are noisy on shared CI
-#                         runners)
+#                         number of events fed; the live-registry
+#                         5% overhead bound in BENCH_dispatch.json is
+#                         advisory
 #   flat-agreement        serve --backend flat decides what the
 #                         compiled streaming run decides; at 64
 #                         checkers the flat v2 checkpoint (one varint
@@ -55,7 +61,8 @@
 #                         --certify-lateness match copy 0's once the
 #                         _i suffix is stripped (wall times advisory)
 #   artifact-provenance   every BENCH_*.json carries the provenance
-#                         stamp (git revision + toolchain)
+#                         stamp (git revision + toolchain), with a
+#                         resolved revision, not "unknown"
 #
 
 # Run from the repository root:  scripts/ci_ingest.sh
@@ -67,11 +74,22 @@ TRACE=examples/traces/ipu.csv
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"; jobs -p | xargs -r kill 2>/dev/null || true' EXIT
 
-dune build bin/loseq_cli.exe bench/main.exe
+dune build bin/loseq_cli.exe
 
 # Named gates: one banner per check so a red CI log reads as
 # "gate NAME failed", not a bare line number.
 gate() { echo; echo "== gate: $1 =="; }
+
+# Wall-clock bounds of BENCH_dispatch.json that are advisory in CI: a
+# miss on a noisy shared runner warns instead of failing the gate.
+advisory() {
+  if grep -q "\"$1\": *true" BENCH_dispatch.json; then
+    echo "BENCH_dispatch.json: $1"
+  else
+    echo "WARNING: BENCH_dispatch.json reports $1 false — likely CI" \
+         "timing noise; inspect the uploaded artifact" >&2
+  fi
+}
 
 # Verdict records carry a "provenance" chain since 1.9.0: a 1-minimal
 # failure witness whose events depend on capture order (arrival order,
@@ -150,10 +168,15 @@ cmp <(strip_prov "$WORK/stream.verdicts") <(strip_prov "$WORK/resumed.verdicts")
 echo "resumed verdicts identical to the uninterrupted run"
 
 gate "ingest-throughput"
-dune exec --no-build bench/main.exe -- ingest
-test -s BENCH_ingest.json
-grep -q '"within_2x": *true' BENCH_ingest.json
-echo "BENCH_ingest.json written, within the 2x bound"
+# release build: the bench measures inlined hot paths, not dev -opaque
+# calls
+dune build --profile release bench/main.exe
+dune exec --profile release --no-build bench/main.exe -- dispatch
+test -s BENCH_dispatch.json
+grep -q '"e2e_within_2x_hub": *true' BENCH_dispatch.json
+echo "BENCH_dispatch.json written, end to end within 2x of the hub"
+advisory flat_engine_2x_hub_at_64
+advisory trace_within_5pct
 
 gate "strict-reorder"
 # ipu.suite certifies lateness 0, so hosting it with --lateness 64
@@ -214,20 +237,8 @@ kill -TERM "$MSERVER"
 wait "$MSERVER" || metrics_status=$?
 test "$metrics_status" -eq "$stream_status"
 echo "scraped loseq_events_dispatched_total = $EVENTS (the fed count)"
-
-# overhead artifact: live registry vs the noop sink (release build —
-# the bench measures inlined hot paths, not dev -opaque calls).  The
-# 5% bound is advisory in CI: the artifact must exist, but a timing
-# miss on a noisy shared runner warns instead of failing the gate.
-dune build --profile release bench/main.exe
-dune exec --profile release --no-build bench/main.exe -- obs
-test -s BENCH_obs.json
-if grep -q '"within_5pct": *true' BENCH_obs.json; then
-  echo "BENCH_obs.json written, within the 5% bound"
-else
-  echo "WARNING: BENCH_obs.json reports live-sink overhead above the 5%" \
-       "target — likely CI timing noise; inspect the uploaded artifact" >&2
-fi
+# overhead of a live registry on the hub, from the dispatch run above
+advisory metrics_within_5pct
 
 gate "flat-agreement"
 # the suite-level flat engine decides exactly what the compiled
@@ -438,12 +449,13 @@ done
 echo "16 renamed copies: same reorder-certificate record, same per-entry bounds"
 
 gate "artifact-provenance"
-# every BENCH_*.json this run produced must carry the provenance stamp
-# (git revision + toolchain) so uploaded artifacts are traceable
+# every BENCH_*.json must carry the provenance stamp (git revision +
+# toolchain) so uploaded artifacts are traceable; the revision must
+# have resolved to a hash ("unknown" means the bench could not read it)
 for artifact in BENCH_*.json; do
   test -s "$artifact"
   grep -q '"provenance"' "$artifact"
-  grep -q '"git_rev"' "$artifact"
+  grep -q '"git_rev": *"[0-9a-f]\{7,\}"' "$artifact"
   echo "$artifact: provenance stamp present"
 done
 
