@@ -16,9 +16,16 @@
    root for each suite and format, and put @VERSION@ back into the
    SARIF "version" member of tool.driver.
 
-   The "cli" group pins two error paths of the same binary: an
-   unwritable [analyze --plan-out] path (exit 3, the path on stderr)
-   and the stderr of [dfa] past its state limit (exit 1). *)
+   The "cli" group pins the rest of the binary's surface:
+   - the --help=plain page of the top level and of every subcommand,
+     byte for byte against test/golden/help_<cmd>.txt (help_loseq_cli.txt
+     for the top level); regenerate one with
+     [loseq_cli <cmd> --help=plain > test/golden/help_<cmd>.txt];
+   - the exit code and stderr of the input-error paths: an ill-formed
+     suite entry, a missing trace file, an unknown --property and a bad
+     endpoint address;
+   - an unwritable [analyze --plan-out] path (exit 3, the path on
+     stderr) and the stderr of [dfa] past its state limit (exit 1). *)
 
 open Loseq_core
 
@@ -30,6 +37,14 @@ let root =
     [ ".."; "_build/default" ]
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* test/golden under [dune runtest] runs from test/, so the golden
+   directory is either ./golden or ./test/golden. *)
+let golden file =
+  read_file
+    (if Sys.file_exists (Filename.concat "golden" file) then
+       Filename.concat "golden" file
+     else Filename.concat "test/golden" file)
 
 let replace_all ~sub ~by s =
   let n = String.length sub in
@@ -60,8 +75,8 @@ let run root args =
   let code =
     Fun.protect ~finally:(fun () -> Sys.chdir cwd) @@ fun () ->
     Sys.command
-      (Filename.quote_command ~stdout:out ~stderr:err "bin/loseq_cli.exe"
-         args)
+      (Filename.quote_command ~stdin:Filename.null ~stdout:out ~stderr:err
+         "bin/loseq_cli.exe" args)
   in
   (code, read_file out, read_file err)
 
@@ -84,11 +99,7 @@ let case suite (format, ext) =
       let code, got = analyze root ~suite ~format in
       let file = Printf.sprintf "analyze_%s.%s" suite ext in
       let golden =
-        read_file
-          (if Sys.file_exists (Filename.concat "golden" file) then
-             Filename.concat "golden" file
-           else Filename.concat "test/golden" file)
-        |> replace_all ~sub:"@VERSION@" ~by:Version.current
+        golden file |> replace_all ~sub:"@VERSION@" ~by:Version.current
       in
       Alcotest.(check string) "output" golden got;
       Alcotest.(check int) "exit code" 2 code
@@ -139,6 +150,106 @@ let dfa_state_limit root =
      explode; that is what the modular monitors avoid)\n"
     err
 
+let subcommands =
+  [
+    "analyze"; "check"; "convert"; "cost"; "dfa"; "explain-verdict"; "feed";
+    "gen"; "lint"; "mutate"; "psl"; "serve"; "soc"; "stats"; "suite"; "trace";
+  ]
+
+let help_case cmd =
+  cli_case ("help " ^ Option.value cmd ~default:"loseq_cli") @@ fun root ->
+  let code, out, _ =
+    run root (Option.to_list cmd @ [ "--help=plain" ])
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check string) "help page"
+    (golden
+       (Printf.sprintf "help_%s.txt" (Option.value cmd ~default:"loseq_cli")))
+    out
+
+(* [args] must fail with exactly [stderr] and exit [code]. *)
+let input_error name ~code ~stderr args =
+  cli_case name @@ fun root ->
+  let got, _, err = run root args in
+  Alcotest.(check int) "exit code" code got;
+  Alcotest.(check string) "stderr" stderr err
+
+let bad_suite =
+  lazy
+    (let path = Filename.temp_file "loseq_bad" ".suite" in
+     at_exit (fun () -> Sys.remove path);
+     Out_channel.with_open_bin path (fun oc ->
+         output_string oc "ok: {a, b} << start\nbroken: {a, b << start\n");
+     path)
+
+(* Suite-loading commands name the ill-formed line; lint and analyze,
+   which take several suites, also name the file.  [args path] builds
+   the command line around the suite path. *)
+let ill_formed_suite cmd ~code ?(named = false) args =
+  cli_case ("ill-formed suite, " ^ cmd) @@ fun root ->
+  let path = Lazy.force bad_suite in
+  let got, _, err = run root (args path) in
+  Alcotest.(check int) "exit code" code got;
+  Alcotest.(check string) "stderr"
+    ((if named then path ^ ": " else "")
+    ^ "suite error at line 2: parse error at offset 6: expected ',', '|' \
+       or '}' in fragment\n")
+    err
+
+let missing_trace =
+  Filename.concat (Filename.get_temp_dir_name ()) "loseq-missing-dir/t.csv"
+
+let missing_trace_case cmd ~code ?(prefix = "trace error") args =
+  input_error ("missing trace, " ^ cmd) ~code
+    ~stderr:
+      (Printf.sprintf "%s: %s: No such file or directory\n" prefix
+         missing_trace)
+    args
+
+let input_errors =
+  let racy = "examples/specs/racy.suite"
+  and racy_ok = "examples/traces/racy_ok.csv" in
+  [
+    ill_formed_suite "suite" ~code:2 (fun s -> [ "suite"; s; "-f"; racy_ok ]);
+    ill_formed_suite "serve" ~code:2 (fun s -> [ "serve"; "--suite"; s ]);
+    ill_formed_suite "trace" ~code:2 (fun s ->
+        [ "trace"; "--suite"; s; racy_ok ]);
+    ill_formed_suite "explain-verdict" ~code:2 (fun s ->
+        [ "explain-verdict"; "--suite"; s; "--property"; "ok"; racy_ok ]);
+    ill_formed_suite "lint" ~code:3 ~named:true (fun s ->
+        [ "lint"; "--suite"; s ]);
+    ill_formed_suite "analyze" ~code:3 ~named:true (fun s ->
+        [ "analyze"; "--suite"; s ]);
+    ill_formed_suite "analyze positional" ~code:3 ~named:true (fun s ->
+        [ "analyze"; s ]);
+    ill_formed_suite "mutate" ~code:3 (fun s -> [ "mutate"; s ]);
+    missing_trace_case "check" ~code:1
+      [ "check"; "{a} << b"; "-f"; missing_trace ];
+    missing_trace_case "suite" ~code:2 [ "suite"; racy; "-f"; missing_trace ];
+    missing_trace_case "trace" ~code:2
+      [ "trace"; "--suite"; racy; missing_trace ];
+    missing_trace_case "explain-verdict" ~code:2
+      [
+        "explain-verdict"; "--suite"; racy; "--property"; "handshake";
+        missing_trace;
+      ];
+    missing_trace_case "convert" ~code:2 ~prefix:"convert"
+      [ "convert"; missing_trace ];
+    input_error "unknown property" ~code:2
+      ~stderr:
+        "explain-verdict: no property \"nope\" in examples/specs/racy.suite\n"
+      [ "explain-verdict"; "--suite"; racy; "--property"; "nope"; racy_ok ];
+    input_error "bad metrics-addr" ~code:2
+      ~stderr:"--metrics-addr \"nope\": expected HOST:PORT\n"
+      [ "serve"; "--suite"; racy; "--metrics-addr"; "nope" ];
+    input_error "bad metrics-addr port" ~code:2
+      ~stderr:"--metrics-addr \":99999\": invalid port\n"
+      [ "serve"; "--suite"; racy; "--metrics-addr"; ":99999" ];
+    input_error "bad stats addr" ~code:2
+      ~stderr:"stats: --addr \"nope\": expected HOST:PORT\n"
+      [ "stats"; "--addr"; "nope" ];
+  ]
+
 let () =
   Alcotest.run "analyze_golden"
     (List.map
@@ -149,5 +260,8 @@ let () =
           [
             cli_case "plan-out unwritable" plan_out_unwritable;
             cli_case "dfa state limit" dfa_state_limit;
-          ] );
+          ]
+          @ List.map help_case
+              (None :: List.map Option.some subcommands)
+          @ input_errors );
       ])
