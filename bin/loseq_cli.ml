@@ -737,7 +737,7 @@ let analyze_cmd =
                   end
                   else
                   match certify with
-                  | Some k when k < -1 ->
+                  | Some (Some k) when k < 0 ->
                       Format.eprintf "--certify-lateness: K must be >= 0@.";
                       3
                   | Some k ->
@@ -746,11 +746,12 @@ let analyze_cmd =
                       in
                       if format = Finding.Text then
                         Format.printf "%a" pp_certificate cert;
-                      if k < 0 then 0
-                      else
-                        render_findings format suppressed
-                          (attach_origins items
-                             (Loseq_analysis.Robust.findings ~lateness:k cert))
+                      (match k with
+                      | None -> 0
+                      | Some k ->
+                          render_findings format suppressed
+                            (attach_origins items
+                               (Loseq_analysis.Robust.findings ~lateness:k cert)))
                   | None ->
                       if races then
                         render_findings format suppressed
@@ -820,7 +821,7 @@ let analyze_cmd =
   let certify =
     Arg.(
       value
-      & opt ~vopt:(Some (-1)) (some int) None
+      & opt ~vopt:(Some None) (some (some int)) None
       & info [ "certify-lateness" ] ~docv:"K"
           ~doc:
             "Print the suite's certified lateness-robustness bound (the \

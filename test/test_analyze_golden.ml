@@ -22,8 +22,8 @@
      for the top level); regenerate one with
      [loseq_cli <cmd> --help=plain > test/golden/help_<cmd>.txt];
    - the exit code and stderr of the input-error paths: an ill-formed
-     suite entry, a missing trace file, an unknown --property and a bad
-     endpoint address;
+     suite entry, a missing trace file, an unknown --property, a bad
+     endpoint address and a negative --certify-lateness;
    - an unwritable [analyze --plan-out] path (exit 3, the path on
      stderr) and the stderr of [dfa] past its state limit (exit 1). *)
 
@@ -245,6 +245,9 @@ let input_errors =
     input_error "bad metrics-addr port" ~code:2
       ~stderr:"--metrics-addr \":99999\": invalid port\n"
       [ "serve"; "--suite"; racy; "--metrics-addr"; ":99999" ];
+    input_error "certify-lateness=-1" ~code:3
+      ~stderr:"--certify-lateness: K must be >= 0\n"
+      [ "analyze"; "--suite"; racy; "--certify-lateness=-1" ];
     input_error "bad stats addr" ~code:2
       ~stderr:"stats: --addr \"nope\": expected HOST:PORT\n"
       [ "stats"; "--addr"; "nope" ];
