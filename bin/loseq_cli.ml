@@ -5,6 +5,194 @@
    Run `loseq_cli --help`. *)
 
 open Loseq_core
+module Suite = Loseq_verif.Suite
+module Session = Loseq_ingest.Session
+module Prov = Loseq_verif.Provenance
+
+(* ---- exit policy ------------------------------------------------------ *)
+
+(* A run body chains its steps with [let*] over [(_, int) result]: a
+   failed step has printed its message to stderr and carries the exit
+   code, a finished run carries its own.  [cmd] turns either into the
+   process exit code. *)
+let ( let* ) = Result.bind
+
+let fail code fmt =
+  Format.kfprintf
+    (fun ppf ->
+      Format.pp_print_newline ppf ();
+      Error code)
+    Format.err_formatter fmt
+
+(* [r], or its error printed as "[what]: message". *)
+let or_fail code what = function
+  | Ok v -> Ok v
+  | Error msg -> fail code "%s: %s" what msg
+
+let on_some f = function None -> Ok () | Some x -> f x
+
+let cmd info term =
+  Cmdliner.Cmd.v info
+    Cmdliner.Term.(const (function Ok code | Error code -> code) $ term)
+
+(* ---- inputs ----------------------------------------------------------- *)
+
+(* The whole of a file, or of stdin in binary mode when the path is
+   absent or "-". *)
+let read_input path =
+  try
+    match path with
+    | None | Some "-" ->
+        set_binary_mode_in stdin true;
+        Ok (In_channel.input_all stdin)
+    | Some path -> Ok (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error msg -> Error msg
+
+(* Any of the three trace formats, by content: the LSQB magic wins,
+   then a comma in the first payload line means CSV, otherwise the
+   whitespace name@time format. *)
+let parse_sniffed data =
+  match Loseq_ingest.Codec.sniff data with
+  | `Binary -> Loseq_ingest.Codec.decode data
+  | `Csv -> Trace_io.of_csv data
+  | `Tokens -> Trace.parse data
+
+let read_trace path = Result.bind (read_input path) parse_sniffed
+
+(* The trace arguments yield a reader that the run body calls once it
+   needs the trace, after its suite has loaded. *)
+
+(* -f/--file and -t/--trace of check and suite: an inline trace wins,
+   and "-t -" reads stdin like an absent -f. *)
+let trace_opts_arg ~file_doc =
+  let open Cmdliner in
+  let file =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "f"; "file" ] ~docv:"FILE" ~doc:file_doc)
+  in
+  let inline =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "t"; "trace" ] ~docv:"TRACE"
+          ~doc:"Inline trace; $(b,-) reads stdin (sniffed).")
+  in
+  let reader file inline () =
+    match inline with
+    | Some "-" -> read_trace None
+    | Some s -> Trace.parse s
+    | None -> read_trace file
+  in
+  Term.(const reader $ file $ inline)
+
+(* The positional [TRACE] of trace and explain-verdict. *)
+let trace_pos_arg =
+  let open Cmdliner in
+  let path =
+    Arg.(
+      value
+      & pos 0 (some string) None
+      & info [] ~docv:"TRACE"
+          ~doc:
+            "Recorded trace (tokens, CSV or LSQB, sniffed); $(b,-) or \
+             absent reads stdin.")
+  in
+  Term.(const (fun path () -> read_trace path) $ path)
+
+(* Every readable file of a directory, parsed as a trace (tokens, CSV
+   or LSQB binary, sniffed).  Sorted by name so runs are stable.  A
+   workload directory may hold files the batch analyses cannot use —
+   e.g. arrival-order captures for the speculative path, which are
+   deliberately non-chronological, or a dangling symlink.  Skip those
+   with a warning rather than refusing the whole directory. *)
+let read_traces_dir dir =
+  match Sys.readdir dir with
+  | exception Sys_error msg -> Error msg
+  | files ->
+      Array.sort compare files;
+      Array.fold_left
+        (fun ts f ->
+          let path = Filename.concat dir f in
+          if try Sys.is_directory path with Sys_error _ -> false then ts
+          else
+            match read_trace (Some path) with
+            | Ok t -> t :: ts
+            | Error msg ->
+                Format.eprintf "warning: skipping %s: %s@." path msg;
+                ts)
+        [] files
+      |> List.rev |> Result.ok
+
+(* --traces DIR of analyze and mutate; the reader runs only in the
+   modes that replay a workload. *)
+let traces_arg =
+  let open Cmdliner in
+  let dir =
+    Arg.(
+      value
+      & opt (some dir) None
+      & info [ "traces" ] ~docv:"DIR"
+          ~doc:
+            "Read every file of $(docv) as a trace (tokens, CSV or LSQB \
+             binary, sniffed by content) and add them to the workload.")
+  in
+  let reader dir () =
+    match dir with
+    | None -> Ok []
+    | Some dir -> or_fail 3 "--traces" (read_traces_dir dir)
+  in
+  Term.(const reader $ dir)
+
+let final_time_arg
+    ?(doc = "Observation end time for the final deadline check.") () =
+  Cmdliner.Arg.(
+    value & opt (some int) None & info [ "final-time" ] ~docv:"T" ~doc)
+
+(* ---- suites ----------------------------------------------------------- *)
+
+(* The positional SUITE of suite and mutate. *)
+let suite_pos_arg =
+  Cmdliner.Arg.(
+    required
+    & pos 0 (some file) None
+    & info [] ~docv:"SUITE"
+        ~doc:"Property suite file ('name: pattern' per line).")
+
+(* --suite FILE of serve, trace and explain-verdict. *)
+let suite_opt_arg ~doc =
+  Cmdliner.Arg.(
+    required & opt (some file) None & info [ "suite" ] ~docv:"FILE" ~doc)
+
+(* [code] is the caller's exit status for a bad suite; lint and
+   analyze, which take several suites, also name the file. *)
+let load_suite ?(named = false) code file =
+  match Suite.load file with
+  | Ok suite -> Ok suite
+  | Error e when named -> fail code "%s: %a" file Suite.pp_error e
+  | Error e -> fail code "%a" Suite.pp_error e
+
+(* Hosting a suite refuses an ill-formed entry, and a backend that
+   cannot encode one. *)
+let hosted what create =
+  match create () with
+  | session -> Ok session
+  | exception Wellformed.Ill_formed (p, errs) ->
+      fail 2 "ill-formed pattern %a:@ %a" Pattern.pp p
+        (Format.pp_print_list Wellformed.pp_error)
+        errs
+  | exception Invalid_argument msg -> fail 2 "%s: %s" what msg
+
+(* ---- output files ----------------------------------------------------- *)
+
+(* Every file the CLI leaves on disk: written crash-safe, and a failure
+   (the message names the path) exits with [code]. *)
+let write_file code what ~path contents =
+  Result.map ignore
+    (or_fail code what (Loseq_ingest.Atomic_file.write ~path contents))
+
+(* ---- patterns --------------------------------------------------------- *)
 
 let pattern_conv =
   let parse s =
@@ -21,6 +209,9 @@ let pattern_arg =
   in
   Cmdliner.Arg.(
     required & pos 0 (some pattern_conv) None & info [] ~docv:"PATTERN" ~doc)
+
+let patterns_arg =
+  Cmdliner.Arg.(value & pos_all pattern_conv [] & info [] ~docv:"PATTERN")
 
 (* ---- backend selection ------------------------------------------------ *)
 
@@ -58,6 +249,13 @@ let suite_factory_of = function
   | (`Direct | `Compiled | `Psl) as kind ->
       Backend.per_pattern (factory_of kind)
 
+(* A backend refuses a pattern it cannot encode (e.g. a range beyond
+   the PSL encoding bound) with [Invalid_argument]. *)
+let with_backend f =
+  match f () with
+  | v -> Ok v
+  | exception Invalid_argument msg -> fail 2 "backend error: %s" msg
+
 (* ---- telemetry (--stats) ---------------------------------------------- *)
 
 module Obs = Loseq_obs.Metrics
@@ -73,12 +271,12 @@ let stats_arg =
 
 (* The batch commands share one policy: a live registry when --stats
    was given, the noop sink otherwise, a human-readable dump at the
-   end.  [f] gets the registry and returns the exit code. *)
+   end whatever the outcome. *)
 let with_stats enabled f =
   let metrics = if enabled then Obs.create () else Obs.noop in
-  let code = f metrics in
+  let result = f metrics in
   if enabled then Format.eprintf "%a" Loseq_obs.Expo.pp_human metrics;
-  code
+  result
 
 (* Instrument every backend the factory builds (hosted paths thread the
    registry themselves; the batch paths wrap here). *)
@@ -88,138 +286,67 @@ let instrumented metrics factory =
 
 (* ---- check ----------------------------------------------------------- *)
 
-let read_all ic =
-  let buf = Buffer.create 65536 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 4096
-     done
-   with End_of_file -> ());
-  Buffer.contents buf
-
-(* Any of the three trace formats, by content: the LSQB magic wins,
-   then a comma in the first payload line means CSV, otherwise the
-   whitespace name@time format. *)
-let parse_sniffed data =
-  match Loseq_ingest.Codec.sniff data with
-  | `Binary -> Loseq_ingest.Codec.decode data
-  | `Csv -> Trace_io.of_csv data
-  | `Tokens -> Trace.parse data
-
-let read_stdin_sniffed () =
-  set_binary_mode_in stdin true;
-  parse_sniffed (read_all stdin)
-
-let read_trace = function
-  | Some "-" | None -> read_stdin_sniffed ()
-  | Some file -> (
-      match open_in_bin file with
-      | ic ->
-          let s = read_all ic in
-          close_in ic;
-          parse_sniffed s
-      | exception Sys_error msg -> Error msg)
-
 let check_cmd =
-  let run pattern trace_file trace_inline strict final_time backend_kind stats =
-    let trace_result =
-      match trace_inline with
-      | Some "-" -> read_stdin_sniffed ()
-      | Some s -> Trace.parse s
-      | None -> read_trace trace_file
+  let run pattern trace strict final_time backend_kind stats =
+    let* trace = or_fail 1 "trace error" (trace ()) in
+    with_stats stats @@ fun metrics ->
+    (* Strict mode must see foreign events; only the structural
+       monitor supports it, whatever backend was asked for. *)
+    let factory =
+      if strict then Backend.direct ~mode:Monitor.Strict
+      else factory_of backend_kind
     in
-    match trace_result with
-    | Error msg ->
-        Format.eprintf "trace error: %s@." msg;
-        1
-    | Ok trace -> (
-        (* Strict mode must see foreign events; only the structural
-           monitor supports it, whatever backend was asked for. *)
-        let backend_result =
-          if strict then Ok (Backend.direct ~mode:Monitor.Strict pattern)
-          else
-            match (factory_of backend_kind) pattern with
-            | b -> Ok b
-            | exception Invalid_argument msg -> Error msg
-        in
-        match backend_result with
-        | Error msg ->
-            Format.eprintf "backend error: %s@." msg;
-            2
-        | Ok b -> (
-            with_stats stats @@ fun metrics ->
-            let b =
-              if Obs.is_live metrics then Backend.instrument metrics b else b
-            in
-            let expected = ref Name.Set.empty in
-            let update () =
-              match b.Backend.acceptable with
-              | Some acceptable -> expected := acceptable ()
-              | None -> ()
-            in
-            update ();
-            let rec feed = function
-              | [] -> ()
-              | e :: rest -> (
-                  match b.Backend.step e with
-                  | Backend.Running | Backend.Satisfied ->
-                      update ();
-                      feed rest
-                  | Backend.Violated _ -> ())
-            in
-            feed trace;
-            let final_time =
-              match final_time with
-              | Some ft -> ft
-              | None -> Trace.end_time trace
-            in
-            match b.Backend.finalize ~now:final_time with
-            | Backend.Running ->
-                Format.printf "PASS (recognition in progress, no violation)@.";
-                0
-            | Backend.Satisfied ->
-                Format.printf "PASS (property satisfied)@.";
-                0
-            | Backend.Violated v ->
-                Format.printf "FAIL: %a@." Diag.pp_violation v;
-                if not (Name.Set.is_empty !expected) then
-                  Format.printf "the monitor would have accepted: %a@."
-                    Name.pp_set !expected;
-                1))
+    let* b = with_backend (fun () -> instrumented metrics factory pattern) in
+    let expected = ref Name.Set.empty in
+    let update () =
+      Option.iter (fun acceptable -> expected := acceptable ())
+        b.Backend.acceptable
+    in
+    update ();
+    let rec feed = function
+      | [] -> ()
+      | e :: rest -> (
+          match b.Backend.step e with
+          | Backend.Running | Backend.Satisfied ->
+              update ();
+              feed rest
+          | Backend.Violated _ -> ())
+    in
+    feed trace;
+    let final_time =
+      match final_time with Some ft -> ft | None -> Trace.end_time trace
+    in
+    match b.Backend.finalize ~now:final_time with
+    | Backend.Running ->
+        Format.printf "PASS (recognition in progress, no violation)@.";
+        Ok 0
+    | Backend.Satisfied ->
+        Format.printf "PASS (property satisfied)@.";
+        Ok 0
+    | Backend.Violated v ->
+        Format.printf "FAIL: %a@." Diag.pp_violation v;
+        if not (Name.Set.is_empty !expected) then
+          Format.printf "the monitor would have accepted: %a@." Name.pp_set
+            !expected;
+        Ok 1
   in
   let open Cmdliner in
-  let trace_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "f"; "file" ] ~docv:"FILE"
-          ~doc:
-            "Trace file — tokens ('name' or 'name@time', whitespace \
-             separated), CSV, or LSQB binary, sniffed by content; \
-             $(b,-) or absent reads stdin the same way.")
-  in
-  let trace_inline =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "t"; "trace" ] ~docv:"TRACE"
-          ~doc:"Inline trace; $(b,-) reads stdin (sniffed).")
+  let trace =
+    trace_opts_arg
+      ~file_doc:
+        "Trace file — tokens ('name' or 'name@time', whitespace \
+         separated), CSV, or LSQB binary, sniffed by content; $(b,-) or \
+         absent reads stdin the same way."
   in
   let strict =
     Arg.(value & flag & info [ "strict" ] ~doc:"Reject non-alphabet events.")
   in
-  let final_time =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "final-time" ] ~docv:"T"
-          ~doc:"Observation end time for deadline checks.")
-  in
-  Cmd.v
+  cmd
     (Cmd.info "check" ~doc:"Run a monitor backend on a trace")
     Term.(
-      const run $ pattern_arg $ trace_file $ trace_inline $ strict
-      $ final_time $ backend_kind_arg $ stats_arg)
+      const run $ pattern_arg $ trace $ strict
+      $ final_time_arg ~doc:"Observation end time for deadline checks." ()
+      $ backend_kind_arg $ stats_arg)
 
 (* ---- psl ------------------------------------------------------------- *)
 
@@ -237,7 +364,7 @@ let psl_cmd =
               (Loseq_psl.Buchi.of_ltl f)
       | exception Invalid_argument msg -> Format.printf "(not materialized: %s)@." msg
     end;
-    0
+    Ok 0
   in
   let open Cmdliner in
   let size_only =
@@ -248,7 +375,7 @@ let psl_cmd =
       value & flag
       & info [ "buchi" ] ~doc:"Also translate to a Buchi automaton.")
   in
-  Cmd.v
+  cmd
     (Cmd.info "psl" ~doc:"Translate a pattern into PSL (Section 5)")
     Term.(const run $ pattern_arg $ size_only $ buchi)
 
@@ -300,34 +427,29 @@ let cost_cmd =
             Format.printf "%a@." Pattern.pp p;
             print_cost_line p)
           ps);
-    0
+    Ok 0
   in
   let open Cmdliner in
-  let patterns =
-    Arg.(value & pos_all pattern_conv [] & info [] ~docv:"PATTERN")
-  in
-  Cmd.v
+  cmd
     (Cmd.info "cost"
        ~doc:"Print Drct/ViaPSL monitor costs (Fig. 6 by default)")
-    Term.(const run $ patterns)
+    Term.(const run $ patterns_arg)
 
 (* ---- gen ------------------------------------------------------------- *)
 
 let gen_cmd =
   let run pattern rounds seed violating =
     let rng = Random.State.make [| seed |] in
-    if violating then (
+    if violating then
       match Generate.violating rng pattern with
       | Some tr ->
           Format.printf "%s@." (Trace.to_string tr);
-          0
-      | None ->
-          Format.eprintf "no violating mutation found@.";
-          1)
+          Ok 0
+      | None -> fail 1 "no violating mutation found"
     else begin
       Format.printf "%s@."
         (Trace.to_string (Generate.valid ~rounds rng pattern));
-      0
+      Ok 0
     end
   in
   let open Cmdliner in
@@ -342,7 +464,7 @@ let gen_cmd =
       value & flag
       & info [ "violating" ] ~doc:"Generate a violating trace instead.")
   in
-  Cmd.v
+  cmd
     (Cmd.info "gen"
        ~doc:"Generate random traces from a pattern (stimuli generation)")
     Term.(const run $ pattern_arg $ rounds $ seed $ violating)
@@ -383,40 +505,32 @@ let suites_arg =
     & info [ "suite" ] ~docv:"FILE"
         ~doc:"Analyze every entry of a property suite file (repeatable).")
 
-let patterns_arg =
-  Cmdliner.Arg.(value & pos_all pattern_conv [] & info [] ~docv:"PATTERN")
+module Analysis = Loseq_analysis.Analysis
 
-(* Inline patterns and suite entries, unified as analyzer items. *)
-let gather_items suites patterns =
-  let rec load acc = function
-    | [] -> Ok (List.rev acc)
-    | file :: rest -> (
-        match Loseq_verif.Suite.load file with
-        | Error e ->
-            Error
-              (Format.asprintf "%s: %a" file Loseq_verif.Suite.pp_error e)
-        | Ok entries ->
-            let items =
-              List.map
-                (fun (e : Loseq_verif.Suite.entry) ->
-                  Loseq_analysis.Analysis.item ~file ~line:e.line e.label
-                    e.pattern)
-                entries
-            in
-            load (List.rev_append items acc) rest)
+(* Inline patterns and suite entries, unified as analyzer items; [verb]
+   names the command when there are none. *)
+let gather_items verb suites patterns =
+  let rec load = function
+    | [] -> Ok []
+    | file :: rest ->
+        let* entries = load_suite ~named:true 3 file in
+        let* items = load rest in
+        Ok
+          (List.map
+             (fun (e : Suite.entry) ->
+               Analysis.item ~file ~line:e.line e.label e.pattern)
+             entries
+          @ items)
   in
-  match load [] suites with
-  | Error _ as e -> e
-  | Ok suite_items ->
-      let pattern_items =
-        List.mapi
-          (fun i p ->
-            Loseq_analysis.Analysis.item
-              (Printf.sprintf "pattern-%d" (i + 1))
-              p)
-          patterns
-      in
-      Ok (suite_items @ pattern_items)
+  if patterns = [] && suites = [] then
+    fail 3 "nothing to %s: give PATTERN arguments or --suite FILE" verb
+  else
+    let* suite_items = load suites in
+    Ok
+      (suite_items
+      @ List.mapi
+          (fun i p -> Analysis.item (Printf.sprintf "pattern-%d" (i + 1)) p)
+          patterns)
 
 (* Render + exit-code policy: 0 clean, 1 warnings, 2 errors (3 is
    reserved for usage and I/O failures). *)
@@ -426,34 +540,22 @@ let render_findings format suppressed fs =
   | Finding.Text, [] -> Format.printf "no findings@."
   | _ ->
       Finding.render ~tool_name:"loseq" ~tool_version:Version.current
-        ~rules:Loseq_analysis.Analysis.rules format Format.std_formatter fs);
-  Finding.exit_code fs
+        ~rules:Analysis.rules format Format.std_formatter fs);
+  Ok (Finding.exit_code fs)
 
 let lint_cmd =
   let run patterns suites format suppressed =
-    if patterns = [] && suites = [] then begin
-      Format.eprintf "nothing to lint: give PATTERN arguments or --suite FILE@.";
-      3
-    end
-    else
-      match gather_items suites patterns with
-      | Error msg ->
-          Format.eprintf "%s@." msg;
-          3
-      | Ok items ->
-          let fs =
-            List.concat_map
-              (fun (it : Loseq_analysis.Analysis.item) ->
-                List.map
-                  (Finding.with_origin ~subject:it.label ?file:it.file
-                     ?line:it.line)
-                  (Lint.lint it.pattern))
-              items
-          in
-          render_findings format suppressed fs
+    let* items = gather_items "lint" suites patterns in
+    render_findings format suppressed
+      (List.concat_map
+         (fun (it : Analysis.item) ->
+           List.map
+             (Finding.with_origin ~subject:it.label ?file:it.file ?line:it.line)
+             (Lint.lint it.pattern))
+         items)
   in
   let open Cmdliner in
-  Cmd.v
+  cmd
     (Cmd.info "lint"
        ~doc:
          "Flag suspicious (but legal) patterns - fast syntactic checks; \
@@ -462,12 +564,16 @@ let lint_cmd =
 
 (* ---- analyze --------------------------------------------------------- *)
 
+module Robust = Loseq_analysis.Robust
+module Shard = Loseq_analysis.Shard
+module Explain = Loseq_analysis.Explain
+
 (* Robustness findings carry the entry label as subject; give them the
    suite file/line the analyzer items know about. *)
-let attach_origins (items : Loseq_analysis.Analysis.item list) fs =
+let attach_origins (items : Analysis.item list) fs =
   let origin label =
     List.find_opt
-      (fun (it : Loseq_analysis.Analysis.item) -> String.equal it.label label)
+      (fun (it : Analysis.item) -> String.equal it.label label)
       items
   in
   List.map
@@ -477,67 +583,90 @@ let attach_origins (items : Loseq_analysis.Analysis.item list) fs =
       | None -> f)
     fs
 
-let pp_certificate ppf (cert : Loseq_analysis.Robust.certificate) =
+let pp_certificate ppf (cert : Robust.certificate) =
   List.iter
-    (fun (e : Loseq_analysis.Robust.entry) ->
+    (fun (e : Robust.entry) ->
       Format.fprintf ppf "%-24s lateness bound %-4s%s@." e.label
-        (Loseq_analysis.Robust.bound_to_string e.bound)
+        (Robust.bound_to_string e.bound)
         (if e.decided then ""
          else " (undecided within budget: conservative)"))
     cert.entries;
   Format.fprintf ppf "suite certified lateness bound: %s@."
-    (Loseq_analysis.Robust.bound_to_string cert.bound)
+    (Robust.bound_to_string cert.bound)
 
-(* Every readable file of a directory, parsed as a trace (tokens, CSV
-   or LSQB binary, sniffed).  Sorted by name so runs are stable. *)
-(* A workload directory may hold files the batch analyses cannot use —
-   e.g. arrival-order captures for the speculative path, which are
-   deliberately non-chronological.  Skip those with a warning rather
-   than refusing the whole directory. *)
-let read_traces_dir dir =
-  match Sys.readdir dir with
-  | exception Sys_error msg -> Error msg
-  | files ->
-      Array.sort compare files;
-      Array.fold_left
-        (fun ts f ->
-          let path = Filename.concat dir f in
-          if Sys.is_directory path then ts
-          else
-            match read_trace (Some path) with
-            | Ok t -> t :: ts
-            | Error msg ->
-                Format.eprintf "warning: skipping %s: %s@." path msg;
-                ts)
-        [] files
-      |> List.rev |> Result.ok
+(* --explain: one code's rationale, or every registered code. *)
+let explain_mode = function
+  | "" ->
+      List.iter
+        (fun (e : Explain.entry) ->
+          Format.printf "%-22s %-8s %s@." e.code
+            (Format.asprintf "%a" Finding.pp_severity e.severity)
+            e.title)
+        Explain.all;
+      Ok 0
+  | code -> (
+      match Explain.find code with
+      | Some entry ->
+          Format.printf "%a@." Explain.pp entry;
+          Ok 0
+      | None ->
+          fail 3 "unknown finding code %S; known codes:%a" code
+            (fun ppf ->
+              List.iter (fun (e : Explain.entry) ->
+                  Format.fprintf ppf "@\n  %s" e.code))
+            Explain.all)
 
-let traces_dir_arg =
-  Cmdliner.Arg.(
-    value
-    & opt (some dir) None
-    & info [ "traces" ] ~docv:"DIR"
-        ~doc:
-          "Read every file of $(docv) as a trace (tokens, CSV or LSQB \
-           binary, sniffed by content) and add them to the workload.")
+(* A positional naming an existing file is a suite file, anything else
+   must parse as an inline pattern; --suppress-file adds to --suppress. *)
+let analysis_inputs positionals suites suppressed suppress_file =
+  let* suppressed =
+    match suppress_file with
+    | None -> Ok suppressed
+    | Some path ->
+        or_fail 3 "--suppress-file"
+          (Result.map (( @ ) suppressed) (Finding.load_suppress_file path))
+  in
+  let files, inline = List.partition Sys.file_exists positionals in
+  let rec parse = function
+    | [] -> Ok []
+    | s :: rest -> (
+        match Parser.pattern s with
+        | Error e -> fail 3 "%s: %a" s Parser.pp_error e
+        | Ok p ->
+            let* ps = parse rest in
+            Ok (p :: ps))
+  in
+  let* patterns = parse inline in
+  let* items = gather_items "analyze" (suites @ files) patterns in
+  Ok (suppressed, items)
 
-(* --shard-plan: plan, render, optionally verify sharded-vs-unsharded
-   verdicts over the --traces workload.  Verification replays every
-   trace through [Verif.Sharded] (one hub per shard over the sliced
-   slab) and the unsharded [Suite.check_trace]; a mismatch on a
-   certified plan is a [shard-divergence] error finding. *)
+(* --profile accepts either a loseq-profile/1 artifact (measured
+   per-checker load from a live run) or a raw trace to re-derive the
+   alphabet frequencies from. *)
+let read_profile path =
+  or_fail 3 "--profile"
+    (let* data = read_input (Some path) in
+     match Json.of_string data with
+     | Ok json ->
+         Result.map
+           (fun measured -> (None, measured))
+           (Shard.profile_of_json json)
+     | Error _ -> Result.map (fun tr -> (Some tr, [])) (parse_sniffed data))
+
+(* Verification of a shard plan replays every trace through
+   [Verif.Sharded] (one hub per shard over the sliced slab) and the
+   unsharded [Suite.check_trace]; a mismatch on a certified plan is a
+   [shard-divergence] error finding. *)
 let shard_divergences plan suite traces =
   List.concat
     (List.mapi
        (fun k trace ->
          let sharded =
-           Loseq_verif.Sharded.run
-             ~plan:(Array.to_list plan.Loseq_analysis.Shard.shards)
+           Loseq_verif.Sharded.run ~plan:(Array.to_list plan.Shard.shards)
              suite trace
          in
          let unsharded =
-           Loseq_verif.Suite.check_trace ~backend:Backend.flat_views suite
-             trace
+           Suite.check_trace ~backend:Backend.flat_views suite trace
          in
          List.filter_map
            (fun ((label, sv), (label', uv)) ->
@@ -554,213 +683,81 @@ let shard_divergences plan suite traces =
            (List.combine sharded unsharded))
        traces)
 
+(* The analysis modes.  [report] attaches the items' origins to the
+   findings and renders them; under --format text a mode also prints
+   its own report first. *)
+
+(* --shard-plan: plan, render, optionally verify sharded-vs-unsharded
+   verdicts over the --traces workload. *)
+let shard_plan_mode ~budget ~text ~report ~profile ~plan_out ~traces labeled
+    n =
+  if n < 1 then fail 3 "--shard-plan: N must be >= 1"
+  else
+    let* profile, measured =
+      match profile with None -> Ok (None, []) | Some path -> read_profile path
+    in
+    let* traces = traces () in
+    let plan = Shard.analyze ~budget ?profile ~measured ~shards:n labeled in
+    if text then Format.printf "@[<v>%a@]@." Shard.pp plan;
+    let* () =
+      on_some
+        (fun path ->
+          write_file 3 "--plan-out" ~path
+            (Json.to_string (Shard.to_json plan) ^ "\n"))
+        plan_out
+    in
+    let suite =
+      List.map
+        (fun (label, pattern) -> { Suite.label; pattern; line = 0 })
+        labeled
+    in
+    report (Shard.findings plan @ shard_divergences plan suite traces)
+
+let coverage_mode ~budget ~text ~report ~traces labeled =
+  let* traces = traces () in
+  let reports = Loseq_analysis.Cover.suite_report ~budget labeled traces in
+  if text then
+    List.iter (Format.printf "%a@." Loseq_analysis.Cover.pp) reports;
+  report (Loseq_analysis.Cover.findings reports)
+
+(* --certify-lateness: the bare flag prints the certificate, a K also
+   checks every entry against it. *)
+let certify_mode ~budget ~text ~report labeled = function
+  | Some k when k < 0 -> fail 3 "--certify-lateness: K must be >= 0"
+  | k -> (
+      let cert = Robust.certificate ~budget labeled in
+      if text then Format.printf "%a" pp_certificate cert;
+      match k with
+      | None -> Ok 0
+      | Some lateness -> report (Robust.findings ~lateness cert))
+
 let analyze_cmd =
   let run positionals suites format suppressed suppress_file explain races
-      certify coverage shard_plan profile plan_out traces_dir budget =
+      certify coverage shard_plan profile plan_out traces budget =
     match explain with
-    | Some "" ->
-        (* no code: list every registered finding code *)
-        List.iter
-          (fun (e : Loseq_analysis.Explain.entry) ->
-            Format.printf "%-22s %-8s %s@." e.code
-              (Format.asprintf "%a" Finding.pp_severity e.severity)
-              e.title)
-          Loseq_analysis.Explain.all;
-        0
-    | Some code -> (
-        match Loseq_analysis.Explain.find code with
-        | Some entry ->
-            Format.printf "%a@." Loseq_analysis.Explain.pp entry;
-            0
-        | None ->
-            Format.eprintf "unknown finding code %S; known codes:@." code;
-            List.iter
-              (fun (e : Loseq_analysis.Explain.entry) ->
-                Format.eprintf "  %s@." e.code)
-              Loseq_analysis.Explain.all;
-            3)
+    | Some code -> explain_mode code
     | None -> (
-        let suppressed =
-          match suppress_file with
-          | None -> Ok suppressed
-          | Some path -> (
-              match Finding.load_suppress_file path with
-              | Ok codes -> Ok (suppressed @ codes)
-              | Error e -> Error (Printf.sprintf "--suppress-file: %s" e))
+        let* suppressed, items =
+          analysis_inputs positionals suites suppressed suppress_file
         in
-        (* a positional naming an existing file is a suite file, anything
-           else must parse as an inline pattern *)
-        let files, inline = List.partition Sys.file_exists positionals in
-        let patterns =
-          List.fold_left
-            (fun acc s ->
-              match acc with
-              | Error _ -> acc
-              | Ok ps -> (
-                  match Parser.pattern s with
-                  | Ok p -> Ok (p :: ps)
-                  | Error e ->
-                      Error
-                        (Format.asprintf "%s: %a" s Parser.pp_error e)))
-            (Ok []) inline
+        let labeled =
+          List.map (fun (it : Analysis.item) -> (it.label, it.pattern)) items
         in
-        match (suppressed, patterns) with
-        | Error msg, _ | _, Error msg ->
-            Format.eprintf "%s@." msg;
-            3
-        | Ok suppressed, Ok patterns -> (
-            let patterns = List.rev patterns in
-            let suites = suites @ files in
-            if patterns = [] && suites = [] then begin
-              Format.eprintf
-                "nothing to analyze: give PATTERN arguments or --suite \
-                 FILE@.";
-              3
-            end
-            else
-              match gather_items suites patterns with
-              | Error msg ->
-                  Format.eprintf "%s@." msg;
-                  3
-              | Ok items -> (
-                  let labeled =
-                    List.map
-                      (fun (it : Loseq_analysis.Analysis.item) ->
-                        (it.label, it.pattern))
-                      items
-                  in
-                  match shard_plan with
-                  | Some n when n < 1 ->
-                      Format.eprintf "--shard-plan: N must be >= 1@.";
-                      3
-                  | Some n -> (
-                      let inputs =
-                        (* --profile accepts either a loseq-profile/1
-                           artifact (measured per-checker load from a
-                           live run) or a raw trace to re-derive the
-                           alphabet frequencies from. *)
-                        let profile =
-                          match profile with
-                          | None -> Ok (None, [])
-                          | Some path -> (
-                              match open_in_bin path with
-                              | exception Sys_error msg -> Error msg
-                              | ic -> (
-                                  let data = read_all ic in
-                                  close_in ic;
-                                  match Json.of_string data with
-                                  | Ok json ->
-                                      Result.map
-                                        (fun measured -> (None, measured))
-                                        (Loseq_analysis.Shard.profile_of_json
-                                           json)
-                                  | Error _ ->
-                                      Result.map
-                                        (fun tr -> (Some tr, []))
-                                        (parse_sniffed data)))
-                        in
-                        let traces =
-                          match traces_dir with
-                          | None -> Ok []
-                          | Some dir -> read_traces_dir dir
-                        in
-                        match (profile, traces) with
-                        | Error msg, _ ->
-                            Error (Printf.sprintf "--profile: %s" msg)
-                        | _, Error msg ->
-                            Error (Printf.sprintf "--traces: %s" msg)
-                        | Ok p, Ok ts -> Ok (p, ts)
-                      in
-                      match inputs with
-                      | Error msg ->
-                          Format.eprintf "%s@." msg;
-                          3
-                      | Ok ((profile, measured), traces) ->
-                          let plan =
-                            Loseq_analysis.Shard.analyze ~budget ?profile
-                              ~measured ~shards:n labeled
-                          in
-                          if format = Finding.Text then
-                            Format.printf "@[<v>%a@]@."
-                              Loseq_analysis.Shard.pp plan;
-                          let written =
-                            match plan_out with
-                            | None -> Ok 0
-                            | Some path ->
-                                Loseq_ingest.Atomic_file.write ~path
-                                  (Json.to_string
-                                     (Loseq_analysis.Shard.to_json plan)
-                                  ^ "\n")
-                          in
-                          match written with
-                          | Error msg ->
-                              Format.eprintf "--plan-out: %s@." msg;
-                              3
-                          | Ok _ ->
-                              let suite =
-                                List.map
-                                  (fun (label, pattern) ->
-                                    {
-                                      Loseq_verif.Suite.label;
-                                      pattern;
-                                      line = 0;
-                                    })
-                                  labeled
-                              in
-                              render_findings format suppressed
-                                (attach_origins items
-                                   (Loseq_analysis.Shard.findings plan
-                                   @ shard_divergences plan suite traces)))
-                  | None ->
-                  if coverage then begin
-                    match
-                      match traces_dir with
-                      | None -> Ok []
-                      | Some dir -> read_traces_dir dir
-                    with
-                    | Error msg ->
-                        Format.eprintf "--traces: %s@." msg;
-                        3
-                    | Ok traces ->
-                        let reports =
-                          Loseq_analysis.Cover.suite_report ~budget labeled
-                            traces
-                        in
-                        if format = Finding.Text then
-                          List.iter
-                            (fun r ->
-                              Format.printf "%a@." Loseq_analysis.Cover.pp r)
-                            reports;
-                        render_findings format suppressed
-                          (attach_origins items
-                             (Loseq_analysis.Cover.findings reports))
-                  end
-                  else
-                  match certify with
-                  | Some (Some k) when k < 0 ->
-                      Format.eprintf "--certify-lateness: K must be >= 0@.";
-                      3
-                  | Some k ->
-                      let cert =
-                        Loseq_analysis.Robust.certificate ~budget labeled
-                      in
-                      if format = Finding.Text then
-                        Format.printf "%a" pp_certificate cert;
-                      (match k with
-                      | None -> 0
-                      | Some k ->
-                          render_findings format suppressed
-                            (attach_origins items
-                               (Loseq_analysis.Robust.findings ~lateness:k cert)))
-                  | None ->
-                      if races then
-                        render_findings format suppressed
-                          (attach_origins items
-                             (Loseq_analysis.Robust.race_findings ~budget
-                                labeled))
-                      else
-                        render_findings format suppressed
-                          (Loseq_analysis.Analysis.analyze ~budget items))))
+        let text = format = Finding.Text in
+        let report fs =
+          render_findings format suppressed (attach_origins items fs)
+        in
+        match (shard_plan, certify) with
+        | Some n, _ ->
+            shard_plan_mode ~budget ~text ~report ~profile ~plan_out ~traces
+              labeled n
+        | None, _ when coverage ->
+            coverage_mode ~budget ~text ~report ~traces labeled
+        | None, Some k -> certify_mode ~budget ~text ~report labeled k
+        | None, None when races ->
+            report (Robust.race_findings ~budget labeled)
+        | None, None ->
+            render_findings format suppressed (Analysis.analyze ~budget items))
   in
   let open Cmdliner in
   let explain =
@@ -866,7 +863,7 @@ let analyze_cmd =
       & info [ "plan-out" ] ~docv:"FILE"
           ~doc:"Write the shard plan's JSON artifact to $(docv).")
   in
-  Cmd.v
+  cmd
     (Cmd.info "analyze"
        ~doc:
          "Semantic analysis of patterns and suites: satisfiability, \
@@ -884,98 +881,68 @@ let analyze_cmd =
     Term.(
       const run $ positionals $ suites_arg $ format_arg $ suppress_arg
       $ suppress_file $ explain $ races $ certify $ coverage $ shard_plan
-      $ profile $ plan_out $ traces_dir_arg $ budget)
+      $ profile $ plan_out $ traces_arg $ budget)
 
 (* ---- mutate ----------------------------------------------------------- *)
 
+module Mutate = Loseq_analysis.Mutate
+
+let pp_mutation_summary ppf (s : Mutate.summary) =
+  List.iter
+    (fun (r : Mutate.result) ->
+      let outcome, detail =
+        match r.outcome with
+        | Mutate.Stillborn -> ("stillborn", "")
+        | Mutate.Killed k -> ("killed:" ^ Mutate.tier_name k.tier, "")
+        | Mutate.Survived { undecided } ->
+            ( "SURVIVED",
+              if undecided then " (product budget exhausted)" else "" )
+      in
+      Format.fprintf ppf "%-46s %s%s@." r.mutant.id outcome detail)
+    s.results;
+  let killed = s.killed_static + s.killed_equivalence + s.killed_differential in
+  Format.fprintf ppf
+    "%d mutants: %d killed (static %d, equivalence %d, differential %d), \
+     %d stillborn (pruned), %d survived@."
+    s.generated killed s.killed_static s.killed_equivalence
+    s.killed_differential s.stillborn
+    (List.length s.survivors);
+  Format.fprintf ppf
+    "kill rate %.1f%% of %d non-stillborn; %d flat/compiled lockstep \
+     replays, %d divergences@."
+    (100. *. s.kill_rate)
+    (s.generated - s.stillborn)
+    s.cross_checked
+    (List.length s.divergences)
+
 let mutate_cmd =
-  let module Mutate = Loseq_analysis.Mutate in
-  let run file traces_dir budget seed kill_floor mutant list_only weak format
+  let run file traces budget seed kill_floor mutant list_only weak format
       suppressed =
-    match Loseq_verif.Suite.load file with
-    | Error e ->
-        Format.eprintf "%a@." Loseq_verif.Suite.pp_error e;
-        3
-    | Ok suite -> (
-        let entries =
-          List.map
-            (fun (e : Loseq_verif.Suite.entry) -> (e.label, e.pattern))
-            suite
-        in
-        if list_only then begin
-          List.iter
-            (fun (m : Mutate.mutant) ->
-              Format.printf "%-46s %s@." m.id m.description)
-            (List.concat_map (Mutate.mutants_of ~seed) entries);
-          0
-        end
-        else
-          match
-            match traces_dir with
-            | None -> Ok []
-            | Some dir -> read_traces_dir dir
-          with
-          | Error msg ->
-              Format.eprintf "--traces: %s@." msg;
-              3
-          | Ok traces ->
-              let s =
-                Mutate.run ~budget ~seed ~traces ~weak ?only:mutant entries
-              in
-              if s.results = [] && mutant <> None then begin
-                Format.eprintf "unknown mutant id %S (try --list)@."
-                  (Option.get mutant);
-                3
-              end
-              else begin
-                if format = Finding.Text then begin
-                  List.iter
-                    (fun (r : Mutate.result) ->
-                      let outcome, detail =
-                        match r.outcome with
-                        | Mutate.Stillborn -> ("stillborn", "")
-                        | Mutate.Killed k ->
-                            ("killed:" ^ Mutate.tier_name k.tier, "")
-                        | Mutate.Survived { undecided } ->
-                            ( "SURVIVED",
-                              if undecided then " (product budget exhausted)"
-                              else "" )
-                      in
-                      Format.printf "%-46s %s%s@." r.mutant.id outcome detail)
-                    s.results;
-                  let killed =
-                    s.killed_static + s.killed_equivalence
-                    + s.killed_differential
-                  in
-                  Format.printf
-                    "%d mutants: %d killed (static %d, equivalence %d, \
-                     differential %d), %d stillborn (pruned), %d survived@."
-                    s.generated killed s.killed_static s.killed_equivalence
-                    s.killed_differential s.stillborn
-                    (List.length s.survivors);
-                  Format.printf
-                    "kill rate %.1f%% of %d non-stillborn; %d \
-                     flat/compiled lockstep replays, %d divergences@."
-                    (100. *. s.kill_rate)
-                    (s.generated - s.stillborn)
-                    s.cross_checked
-                    (List.length s.divergences)
-                end;
-                let fs =
-                  Mutate.findings ?floor:kill_floor ~suite:file s
-                in
-                if format = Finding.Text && fs = [] then 0
-                else render_findings format suppressed fs
-              end)
+    let* suite = load_suite 3 file in
+    let entries =
+      List.map (fun (e : Suite.entry) -> (e.label, e.pattern)) suite
+    in
+    if list_only then begin
+      List.iter
+        (fun (m : Mutate.mutant) ->
+          Format.printf "%-46s %s@." m.id m.description)
+        (List.concat_map (Mutate.mutants_of ~seed) entries);
+      Ok 0
+    end
+    else
+      let* traces = traces () in
+      let s = Mutate.run ~budget ~seed ~traces ~weak ?only:mutant entries in
+      match mutant with
+      | Some id when s.results = [] ->
+          fail 3 "unknown mutant id %S (try --list)" id
+      | _ ->
+          let text = format = Finding.Text in
+          if text then Format.printf "%a" pp_mutation_summary s;
+          let fs = Mutate.findings ?floor:kill_floor ~suite:file s in
+          if text && fs = [] then Ok 0
+          else render_findings format suppressed fs
   in
   let open Cmdliner in
-  let file =
-    Arg.(
-      required
-      & pos 0 (some Arg.file) None
-      & info [] ~docv:"SUITE"
-          ~doc:"Property suite file ('name: pattern' per line).")
-  in
   let budget =
     Arg.(
       value & opt int 200_000
@@ -1027,7 +994,7 @@ let mutate_cmd =
              single generated trace — demonstrates how trace quality \
              moves the kill rate.")
   in
-  Cmd.v
+  cmd
     (Cmd.info "mutate"
        ~doc:
          "Mutation analysis of a property suite: seed first-order \
@@ -1044,80 +1011,39 @@ let mutate_cmd =
               on usage or I/O errors.";
          ])
     Term.(
-      const run $ file $ traces_dir_arg $ budget $ seed $ kill_floor
+      const run $ suite_pos_arg $ traces_arg $ budget $ seed $ kill_floor
       $ mutant $ list_only $ weak $ format_arg $ suppress_arg)
 
 (* ---- suite ----------------------------------------------------------- *)
 
 let suite_cmd =
-  let run file trace_file trace_inline final_time backend_kind stats =
-    match Loseq_verif.Suite.load file with
-    | Error e ->
-        Format.eprintf "%a@." Loseq_verif.Suite.pp_error e;
-        2
-    | Ok suite -> (
-        let trace_result =
-          match trace_inline with
-          | Some "-" -> read_stdin_sniffed ()
-          | Some s -> Trace.parse s
-          | None -> read_trace trace_file
-        in
-        match trace_result with
-        | Error msg ->
-            Format.eprintf "trace error: %s@." msg;
-            2
-        | Ok trace -> (
-            with_stats stats @@ fun metrics ->
-            match
-              Loseq_verif.Suite.check_trace ~metrics
-                ~backend:(suite_factory_of backend_kind)
-                ?final_time suite trace
-            with
-            | results ->
-                List.iter
-                  (fun (label, passed) ->
-                    Format.printf "%-40s %s@." label
-                      (if passed then "PASS" else "FAIL"))
-                  results;
-                if List.for_all snd results then 0 else 1
-            | exception Invalid_argument msg ->
-                Format.eprintf "backend error: %s@." msg;
-                2))
+  let run file trace final_time backend_kind stats =
+    let* suite = load_suite 2 file in
+    let* trace = or_fail 2 "trace error" (trace ()) in
+    with_stats stats @@ fun metrics ->
+    let* results =
+      with_backend (fun () ->
+          Suite.check_trace ~metrics
+            ~backend:(suite_factory_of backend_kind)
+            ?final_time suite trace)
+    in
+    List.iter
+      (fun (label, passed) ->
+        Format.printf "%-40s %s@." label (if passed then "PASS" else "FAIL"))
+      results;
+    Ok (if List.for_all snd results then 0 else 1)
   in
   let open Cmdliner in
-  let file =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"SUITE"
-          ~doc:"Property suite file ('name: pattern' per line).")
+  let trace =
+    trace_opts_arg
+      ~file_doc:
+        "Trace file (tokens, CSV or LSQB binary, sniffed); $(b,-) or \
+         absent reads stdin."
   in
-  let trace_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "f"; "file" ] ~docv:"FILE"
-          ~doc:
-            "Trace file (tokens, CSV or LSQB binary, sniffed); $(b,-) \
-             or absent reads stdin.")
-  in
-  let trace_inline =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "t"; "trace" ] ~docv:"TRACE"
-          ~doc:"Inline trace; $(b,-) reads stdin (sniffed).")
-  in
-  let final_time =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "final-time" ] ~docv:"T")
-  in
-  Cmd.v
+  cmd
     (Cmd.info "suite" ~doc:"Check a property-suite file against a trace")
     Term.(
-      const run $ file $ trace_file $ trace_inline $ final_time
+      const run $ suite_pos_arg $ trace $ final_time_arg ~doc:"" ()
       $ backend_kind_arg $ stats_arg)
 
 (* ---- serve / convert / feed / stats (live ingestion) ------------------ *)
@@ -1138,36 +1064,24 @@ let serve_cmd =
   let run file socket lateness window checkpoint checkpoint_every resume
       strict_reorder ooo final_time backend_kind metrics_addr stats_interval
       trace_out profile_out latency_sample_rate =
-    let addr_result =
-      match metrics_addr with
+    let* suite = load_suite 2 file in
+    let* metrics_addr =
+      match Option.map (parse_addr "--metrics-addr") metrics_addr with
       | None -> Ok None
-      | Some s -> Result.map Option.some (parse_addr "--metrics-addr" s)
+      | Some (Ok addr) -> Ok (Some addr)
+      | Some (Error msg) -> fail 2 "%s" msg
     in
-    match (Loseq_verif.Suite.load file, addr_result) with
-    | Error e, _ ->
-        Format.eprintf "%a@." Loseq_verif.Suite.pp_error e;
-        2
-    | _, Error msg ->
-        Format.eprintf "%s@." msg;
-        2
-    | Ok suite, Ok metrics_addr ->
-        let input =
-          match socket with Some path -> `Socket path | None -> `Stdin
-        in
-        Loseq_ingest.Server.serve ?metrics_addr ~stats_interval
-          ?backend:(Option.map suite_factory_of backend_kind)
-          ~lateness ~window ?checkpoint ~checkpoint_every ~resume
-          ~strict_reorder ~ooo ?final_time ?trace_out ?profile_out
-          ?latency_sample_rate ~input suite
+    let input =
+      match socket with Some path -> `Socket path | None -> `Stdin
+    in
+    Ok
+      (Loseq_ingest.Server.serve ?metrics_addr ~stats_interval
+         ?backend:(Option.map suite_factory_of backend_kind)
+         ~lateness ~window ?checkpoint ~checkpoint_every ~resume
+         ~strict_reorder ~ooo ?final_time ?trace_out ?profile_out
+         ?latency_sample_rate ~input suite)
   in
   let open Cmdliner in
-  let file =
-    Arg.(
-      required
-      & opt (some Arg.file) None
-      & info [ "suite" ] ~docv:"FILE"
-          ~doc:"Property suite file to host ('name: pattern' per line).")
-  in
   let socket =
     Arg.(
       value
@@ -1230,13 +1144,6 @@ let serve_cmd =
   let ooo =
     Arg.(value & flag & info [ "ooo" ] ~doc:Cli_doc.ooo_doc)
   in
-  let final_time =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "final-time" ] ~docv:"T"
-          ~doc:"Observation end time for the final deadline check.")
-  in
   let metrics_addr =
     Arg.(
       value
@@ -1291,7 +1198,7 @@ let serve_cmd =
              and trace spans (default 64; rounded up to a power of \
              two).  1 samples every dispatch.")
   in
-  Cmd.v
+  cmd
     (Cmd.info "serve"
        ~doc:
          "Host a property suite as a live monitor: stream events in \
@@ -1307,71 +1214,43 @@ let serve_cmd =
               when some property failed, 2 on input or setup errors.";
          ])
     Term.(
-      const run $ file $ socket $ lateness $ window $ checkpoint
-      $ checkpoint_every $ resume $ strict_reorder $ ooo $ final_time
-      $ serve_backend_kind_arg $ metrics_addr $ stats_interval $ trace_out
-      $ profile_out $ latency_sample_rate)
+      const run
+      $ suite_opt_arg
+          ~doc:"Property suite file to host ('name: pattern' per line)."
+      $ socket $ lateness $ window $ checkpoint $ checkpoint_every $ resume
+      $ strict_reorder $ ooo $ final_time_arg () $ serve_backend_kind_arg
+      $ metrics_addr $ stats_interval $ trace_out $ profile_out
+      $ latency_sample_rate)
 
 let convert_cmd =
   let run input output to_format =
-    let data_result =
-      match input with
-      | Some "-" | None ->
-          set_binary_mode_in stdin true;
-          Ok (read_all stdin)
-      | Some file -> (
-          match open_in_bin file with
-          | ic ->
-              let s = read_all ic in
-              close_in ic;
-              Ok s
-          | exception Sys_error msg -> Error msg)
+    let* data = or_fail 2 "convert" (read_input input) in
+    let* trace = or_fail 2 "convert" (parse_sniffed data) in
+    let to_format =
+      match to_format with
+      | Some f -> f
+      | None -> (
+          (* No explicit target: flip between the two wire-able
+             formats (binary in -> CSV out, text in -> binary). *)
+          match Loseq_ingest.Codec.sniff data with
+          | `Binary -> `Csv
+          | `Csv | `Tokens -> `Binary)
     in
-    match data_result with
-    | Error msg ->
-        Format.eprintf "convert: %s@." msg;
-        2
-    | Ok data -> (
-        match parse_sniffed data with
-        | Error msg ->
-            Format.eprintf "convert: %s@." msg;
-            2
-        | Ok trace -> (
-            let to_format =
-              match to_format with
-              | Some f -> f
-              | None -> (
-                  (* No explicit target: flip between the two wire-able
-                     formats (binary in -> CSV out, text in -> binary). *)
-                  match Loseq_ingest.Codec.sniff data with
-                  | `Binary -> `Csv
-                  | `Csv | `Tokens -> `Binary)
-            in
-            let rendered =
-              match to_format with
-              | `Csv -> Ok (Trace_io.to_csv trace)
-              | `Tokens -> Ok (Trace.to_string trace ^ "\n")
-              | `Binary -> Loseq_ingest.Codec.encode trace
-            in
-            match rendered with
-            | Error msg ->
-                Format.eprintf "convert: %s@." msg;
-                2
-            | Ok rendered -> (
-                match output with
-                | Some path when path <> "-" -> (
-                    match open_out_bin path with
-                    | oc ->
-                        output_string oc rendered;
-                        close_out oc;
-                        0
-                    | exception Sys_error msg ->
-                        Format.eprintf "convert: %s@." msg;
-                        2)
-                | _ ->
-                    set_binary_mode_out stdout true;
-                    print_string rendered;
-                    0)))
+    let* rendered =
+      or_fail 2 "convert"
+        (match to_format with
+        | `Csv -> Ok (Trace_io.to_csv trace)
+        | `Tokens -> Ok (Trace.to_string trace ^ "\n")
+        | `Binary -> Loseq_ingest.Codec.encode trace)
+    in
+    match output with
+    | Some path when path <> "-" ->
+        let* () = write_file 2 "convert" ~path rendered in
+        Ok 0
+    | _ ->
+        set_binary_mode_out stdout true;
+        print_string rendered;
+        Ok 0
   in
   let open Cmdliner in
   let input =
@@ -1401,35 +1280,26 @@ let convert_cmd =
              Default: binary input becomes CSV, text input becomes \
              binary.")
   in
-  Cmd.v
+  cmd
     (Cmd.info "convert"
        ~doc:"Convert traces between CSV, token text and LSQB binary")
     Term.(const run $ input $ output $ to_format)
 
 let feed_cmd =
   let run socket input =
-    let ic_result =
-      match input with
-      | Some "-" | None ->
-          set_binary_mode_in stdin true;
-          Ok (stdin, false)
-      | Some file -> (
-          match open_in_bin file with
-          | ic -> Ok (ic, true)
-          | exception Sys_error msg -> Error msg)
+    (* Streamed, not read whole: the producer may never close. *)
+    let feed ic =
+      let* _ = or_fail 2 "feed" (Loseq_ingest.Server.feed ~path:socket ic) in
+      Ok 0
     in
-    match ic_result with
-    | Error msg ->
-        Format.eprintf "feed: %s@." msg;
-        2
-    | Ok (ic, close) -> (
-        let result = Loseq_ingest.Server.feed ~path:socket ic in
-        if close then close_in ic;
-        match result with
-        | Ok _ -> 0
-        | Error msg ->
-            Format.eprintf "feed: %s@." msg;
-            2)
+    match input with
+    | Some "-" | None ->
+        set_binary_mode_in stdin true;
+        feed stdin
+    | Some file -> (
+        match In_channel.with_open_bin file feed with
+        | result -> result
+        | exception Sys_error msg -> fail 2 "feed: %s" msg)
   in
   let open Cmdliner in
   let socket =
@@ -1445,7 +1315,7 @@ let feed_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"FILE" ~doc:"Bytes to send; $(b,-) or absent is stdin.")
   in
-  Cmd.v
+  cmd
     (Cmd.info "feed"
        ~doc:
          "Copy a trace byte stream into a serve socket (a socat-free \
@@ -1582,31 +1452,21 @@ let pp_stats_body ppf json =
 
 let stats_cmd =
   let run addr prometheus raw =
-    match parse_addr "--addr" addr with
-    | Error msg ->
-        Format.eprintf "stats: %s@." msg;
-        2
-    | Ok (host, port) -> (
-        let path = if prometheus then "/metrics" else "/stats.json" in
-        match http_get ~host ~port ~path with
-        | Error msg ->
-            Format.eprintf "stats: %s@." msg;
-            2
-        | Ok body -> (
-            if prometheus || raw then begin
-              print_string body;
-              if body = "" || body.[String.length body - 1] <> '\n' then
-                print_newline ();
-              0
-            end
-            else
-              match Json.of_string body with
-              | Error msg ->
-                  Format.eprintf "stats: bad /stats.json payload: %s@." msg;
-                  2
-              | Ok json ->
-                  Format.printf "%a" pp_stats_body json;
-                  0))
+    let* host, port = or_fail 2 "stats" (parse_addr "--addr" addr) in
+    let path = if prometheus then "/metrics" else "/stats.json" in
+    let* body = or_fail 2 "stats" (http_get ~host ~port ~path) in
+    if prometheus || raw then begin
+      print_string body;
+      if body = "" || body.[String.length body - 1] <> '\n' then
+        print_newline ();
+      Ok 0
+    end
+    else
+      let* json =
+        or_fail 2 "stats: bad /stats.json payload" (Json.of_string body)
+      in
+      Format.printf "%a" pp_stats_body json;
+      Ok 0
   in
   let open Cmdliner in
   let addr =
@@ -1630,7 +1490,7 @@ let stats_cmd =
       & info [ "json" ]
           ~doc:"Print the raw /stats.json payload instead of a table.")
   in
-  Cmd.v
+  cmd
     (Cmd.info "stats"
        ~doc:
          "Query a live serve's metrics endpoint and print the counters \
@@ -1645,90 +1505,46 @@ let stats_cmd =
 
 let trace_cmd =
   let module Tr = Loseq_obs.Trace in
-  let run file trace_file out profile_out lateness backend_kind
-      latency_sample_rate final_time =
-    match (Loseq_verif.Suite.load file, read_trace trace_file) with
-    | Error e, _ ->
-        Format.eprintf "%a@." Loseq_verif.Suite.pp_error e;
-        2
-    | _, Error msg ->
-        Format.eprintf "trace error: %s@." msg;
-        2
-    | Ok suite, Ok events -> (
-        let metrics = Obs.create () in
-        let tr = Tr.create () in
-        match
-          Loseq_ingest.Session.create ~metrics ~trace:tr
+  let run file trace out profile_out lateness backend_kind latency_sample_rate
+      final_time =
+    let* suite = load_suite 2 file in
+    let* events = or_fail 2 "trace error" (trace ()) in
+    let metrics = Obs.create () in
+    let tr = Tr.create () in
+    let* session =
+      hosted "trace" (fun () ->
+          Session.create ~metrics ~trace:tr
             ~backend:(suite_factory_of backend_kind)
-            ?latency_sample_rate ~lateness suite
-        with
-        | exception Wellformed.Ill_formed (p, errs) ->
-            Format.eprintf "ill-formed pattern %a:@ %a@." Pattern.pp p
-              (Format.pp_print_list Wellformed.pp_error)
-              errs;
-            2
-        | exception Invalid_argument msg ->
-            Format.eprintf "trace: %s@." msg;
-            2
-        | session -> (
-            let prov =
-              Loseq_verif.Provenance.create
-                (Loseq_verif.Hub.tap (Loseq_ingest.Session.hub session))
-                suite
-            in
-            List.iter (Loseq_ingest.Session.offer_force session) events;
-            let report =
-              Loseq_ingest.Session.finalize ?final_time session
-            in
-            let ndjson = Filename.check_suffix out ".ndjson" in
-            let write path = Loseq_ingest.Atomic_file.write ~path in
-            match
-              write out (if ndjson then Tr.to_ndjson tr else Tr.to_chrome tr)
-            with
-            | Error msg ->
-                Format.eprintf "trace: %s@." msg;
-                2
-            | Ok _ -> (
-                Format.printf
-                  "%s: %d records (%d dropped) over %d events, %s@." out
-                  (Tr.length tr) (Tr.dropped tr) (List.length events)
-                  (if ndjson then "NDJSON" else "Chrome trace-event JSON");
-                match profile_out with
-                | None ->
-                    if Loseq_verif.Report.all_passed report then 0 else 1
-                | Some path -> (
-                    match
-                      write path
-                        (Loseq_obs.Profile.render ~metrics
-                           ~checkers:(Loseq_verif.Provenance.seen prov)
-                           ())
-                    with
-                    | Error msg ->
-                        Format.eprintf "trace: %s@." msg;
-                        2
-                    | Ok _ ->
-                        Format.printf "%s: loseq-profile/1 (%d checkers)@."
-                          path (List.length suite);
-                        if Loseq_verif.Report.all_passed report then 0
-                        else 1))))
+            ?latency_sample_rate ~lateness suite)
+    in
+    let prov = Prov.create (Loseq_verif.Hub.tap (Session.hub session)) suite in
+    List.iter (Session.offer_force session) events;
+    let report = Session.finalize ?final_time session in
+    let ndjson = Filename.check_suffix out ".ndjson" in
+    let* () =
+      write_file 2 "trace" ~path:out
+        (if ndjson then Tr.to_ndjson tr else Tr.to_chrome tr)
+    in
+    Format.printf "%s: %d records (%d dropped) over %d events, %s@." out
+      (Tr.length tr) (Tr.dropped tr) (List.length events)
+      (if ndjson then "NDJSON" else "Chrome trace-event JSON");
+    let* () =
+      on_some
+        (fun path ->
+          let* () =
+            write_file 2 "trace" ~path
+              (Loseq_obs.Profile.render ~metrics
+                 ~checkers:(Prov.seen prov)
+                 ())
+          in
+          Format.printf "%s: loseq-profile/1 (%d checkers)@." path
+            (List.length suite);
+          Ok ())
+        profile_out
+    in
+    Ok (if Loseq_verif.Report.all_passed report then 0 else 1)
   in
   let open Cmdliner in
-  let file =
-    Arg.(
-      required
-      & opt (some Arg.file) None
-      & info [ "suite" ] ~docv:"FILE"
-          ~doc:"Property suite to host during the replay.")
-  in
-  let trace_file =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"TRACE"
-          ~doc:
-            "Recorded trace (tokens, CSV or LSQB, sniffed); $(b,-) or \
-             absent reads stdin.")
-  in
   let out =
     Arg.(
       value
@@ -1763,14 +1579,7 @@ let trace_cmd =
             "Sample one dispatch in $(docv) (default 64; 1 samples \
              every dispatch).")
   in
-  let final_time =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "final-time" ] ~docv:"T"
-          ~doc:"Observation end time for the final deadline check.")
-  in
-  Cmd.v
+  cmd
     (Cmd.info "trace"
        ~doc:
          "Replay a recorded trace through a hosted suite with the \
@@ -1784,8 +1593,10 @@ let trace_cmd =
               input or setup errors.";
          ])
     Term.(
-      const run $ file $ trace_file $ out $ profile_out $ lateness
-      $ backend_kind_arg $ latency_sample_rate $ final_time)
+      const run
+      $ suite_opt_arg ~doc:"Property suite to host during the replay."
+      $ trace_pos_arg $ out $ profile_out $ lateness $ backend_kind_arg
+      $ latency_sample_rate $ final_time_arg ())
 
 (* ---- explain-verdict --------------------------------------------------- *)
 
@@ -1793,148 +1604,88 @@ let trace_cmd =
    trace, minimize its causal chain, and prove the chain self-contained
    by replaying it on both the compiled and the flat backend. *)
 
+(* The minimal chain behind [property]'s Fail at [ft], printed; exit 0
+   when replaying the chain alone reproduces the Fail on both hosting
+   kinds, 2 otherwise. *)
+let explain_fail ~format ~property ~ft (entry : Suite.entry) prov =
+  let chain =
+    Prov.minimize ~final_time:ft ~label:property entry.pattern
+      (Prov.captured prov property)
+  in
+  let compiled_fails =
+    not (Prov.replay ~final_time:ft ~label:property entry.pattern chain)
+  in
+  let flat_fails =
+    not
+      (Prov.replay ~backend:Backend.flat_views ~final_time:ft ~label:property
+         entry.pattern chain)
+  in
+  (match format with
+  | `Json ->
+      Format.printf "%a@." Json.pp
+        (Json.Obj
+           [
+             ("property", Json.String property);
+             ("final_time", Json.Int ft);
+             ( "provenance",
+               Prov.chain_json ?violation:(Prov.violation_of prov property)
+                 chain );
+             ( "replays",
+               Json.Obj
+                 [
+                   ("compiled_fails", Json.Bool compiled_fails);
+                   ("flat_fails", Json.Bool flat_fails);
+                 ] );
+           ])
+  | `Text ->
+      Format.printf "%s: Fail at %d — %d-event causal chain@." property ft
+        (List.length chain);
+      List.iter
+        (fun (l : Prov.link) ->
+          Format.printf "  %6d  %s@." l.time (Name.to_string l.name))
+        chain;
+      Option.iter
+        (fun v -> Format.printf "  %s@." (Diag.violation_to_string v))
+        (Prov.violation_of prov property);
+      Format.printf "replay: compiled %s, flat %s@."
+        (if compiled_fails then "Fail" else "PASS")
+        (if flat_fails then "Fail" else "PASS"));
+  Ok (if compiled_fails && flat_fails then 0 else 2)
+
 let explain_verdict_cmd =
-  let module Prov = Loseq_verif.Provenance in
-  let run file property trace_file final_time format =
-    match (Loseq_verif.Suite.load file, read_trace trace_file) with
-    | Error e, _ ->
-        Format.eprintf "%a@." Loseq_verif.Suite.pp_error e;
-        2
-    | _, Error msg ->
-        Format.eprintf "trace error: %s@." msg;
-        2
-    | Ok suite, Ok events -> (
-        match
-          List.find_opt
-            (fun (e : Loseq_verif.Suite.entry) -> e.label = property)
-            suite
-        with
-        | None ->
-            Format.eprintf "explain-verdict: no property %S in %s@."
-              property file;
-            2
-        | Some entry -> (
-            match Loseq_ingest.Session.create suite with
-            | exception Wellformed.Ill_formed (p, errs) ->
-                Format.eprintf "ill-formed pattern %a:@ %a@." Pattern.pp p
-                  (Format.pp_print_list Wellformed.pp_error)
-                  errs;
-                2
-            | session ->
-                let prov =
-                  Prov.create
-                    (Loseq_verif.Hub.tap (Loseq_ingest.Session.hub session))
-                    suite
-                in
-                Loseq_ingest.Session.on_violation session (fun ~name v ->
-                    Prov.note_violation prov ~label:name v);
-                List.iter (Loseq_ingest.Session.offer_force session) events;
-                let report =
-                  Loseq_ingest.Session.finalize ?final_time session
-                in
-                let passed =
-                  match
-                    List.assoc_opt property
-                      (Loseq_verif.Report.summary report)
-                  with
-                  | Some v -> Backend.passed v
-                  | None -> true
-                in
-                if passed then begin
-                  Format.eprintf
-                    "explain-verdict: %S passed on this trace — nothing \
-                     to explain@."
-                    property;
-                  1
-                end
-                else begin
-                  let ft = Loseq_ingest.Session.now session in
-                  let chain =
-                    Prov.minimize ~final_time:ft ~label:property
-                      entry.pattern
-                      (Prov.captured prov property)
-                  in
-                  (* the chain must be self-contained: replaying it
-                     alone reproduces the Fail on both hosting kinds *)
-                  let compiled_fails =
-                    not
-                      (Prov.replay ~final_time:ft ~label:property
-                         entry.pattern chain)
-                  in
-                  let flat_fails =
-                    not
-                      (Prov.replay ~backend:Backend.flat_views ~final_time:ft
-                         ~label:property entry.pattern chain)
-                  in
-                  let json =
-                    Json.Obj
-                      [
-                        ("property", Json.String property);
-                        ("final_time", Json.Int ft);
-                        ( "provenance",
-                          Prov.chain_json
-                            ?violation:(Prov.violation_of prov property)
-                            chain );
-                        ( "replays",
-                          Json.Obj
-                            [
-                              ("compiled_fails", Json.Bool compiled_fails);
-                              ("flat_fails", Json.Bool flat_fails);
-                            ] );
-                      ]
-                  in
-                  (match format with
-                  | `Json -> Format.printf "%a@." Json.pp json
-                  | `Text ->
-                      Format.printf "%s: Fail at %d — %d-event causal \
-                                     chain@."
-                        property ft (List.length chain);
-                      List.iter
-                        (fun (l : Prov.link) ->
-                          Format.printf "  %6d  %s@." l.time
-                            (Name.to_string l.name))
-                        chain;
-                      (match Prov.violation_of prov property with
-                      | Some v ->
-                          Format.printf "  %s@."
-                            (Diag.violation_to_string v)
-                      | None -> ());
-                      Format.printf
-                        "replay: compiled %s, flat %s@."
-                        (if compiled_fails then "Fail" else "PASS")
-                        (if flat_fails then "Fail" else "PASS"));
-                  if compiled_fails && flat_fails then 0 else 2
-                end))
+  let run file property trace final_time format =
+    let* suite = load_suite 2 file in
+    let* events = or_fail 2 "trace error" (trace ()) in
+    let* entry =
+      match
+        List.find_opt (fun (e : Suite.entry) -> e.label = property) suite
+      with
+      | Some entry -> Ok entry
+      | None ->
+          fail 2 "explain-verdict: no property %S in %s" property file
+    in
+    let* session =
+      hosted "explain-verdict" (fun () -> Session.create suite)
+    in
+    let prov = Prov.create (Loseq_verif.Hub.tap (Session.hub session)) suite in
+    Session.on_violation session (fun ~name v ->
+        Prov.note_violation prov ~label:name v);
+    List.iter (Session.offer_force session) events;
+    let report = Session.finalize ?final_time session in
+    match List.assoc_opt property (Loseq_verif.Report.summary report) with
+    | Some v when not (Backend.passed v) ->
+        explain_fail ~format ~property ~ft:(Session.now session) entry prov
+    | _ ->
+        fail 1 "explain-verdict: %S passed on this trace — nothing to explain"
+          property
   in
   let open Cmdliner in
-  let file =
-    Arg.(
-      required
-      & opt (some Arg.file) None
-      & info [ "suite" ] ~docv:"FILE" ~doc:"Property suite file.")
-  in
   let property =
     Arg.(
       required
       & opt (some string) None
       & info [ "property" ] ~docv:"LABEL"
           ~doc:"The suite entry whose Fail to explain.")
-  in
-  let trace_file =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"TRACE"
-          ~doc:
-            "Recorded trace (tokens, CSV or LSQB, sniffed); $(b,-) or \
-             absent reads stdin.")
-  in
-  let final_time =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "final-time" ] ~docv:"T"
-          ~doc:"Observation end time for the final deadline check.")
   in
   let format =
     Arg.(
@@ -1943,7 +1694,7 @@ let explain_verdict_cmd =
       & info [ "format" ] ~docv:"FMT"
           ~doc:"Output format: $(b,text) or $(b,json).")
   in
-  Cmd.v
+  cmd
     (Cmd.info "explain-verdict"
        ~doc:
          "Reproduce a property's Fail from a recorded trace and print \
@@ -1959,7 +1710,9 @@ let explain_verdict_cmd =
               replay disagreement.";
          ])
     Term.(
-      const run $ file $ property $ trace_file $ final_time $ format)
+      const run
+      $ suite_opt_arg ~doc:"Property suite file."
+      $ property $ trace_pos_arg $ final_time_arg () $ format)
 
 (* ---- dfa ------------------------------------------------------------- *)
 
@@ -1972,13 +1725,12 @@ let dfa_cmd =
         in
         Format.printf "%a@." Automaton.pp_stats automaton;
         if dot then print_string (Automaton.to_dot automaton);
-        0
+        Ok 0
     | exception Automaton.Too_many_states n ->
-        Format.eprintf
+        fail 1
           "state space exceeds %d states (wide ranges make the explicit \
-           product explode; that is what the modular monitors avoid)@."
-          n;
-        1
+           product explode; that is what the modular monitors avoid)"
+          n
   in
   let open Cmdliner in
   let dot =
@@ -1990,7 +1742,7 @@ let dfa_cmd =
   let max_states =
     Arg.(value & opt int 4096 & info [ "max-states" ] ~docv:"N")
   in
-  Cmd.v
+  cmd
     (Cmd.info "dfa"
        ~doc:"Materialize the monitor's explicit state machine")
     Term.(const run $ pattern_arg $ dot $ minimize_flag $ max_states)
@@ -2000,56 +1752,58 @@ let dfa_cmd =
 let soc_cmd =
   let run presses bug slow_ipu seed verbose vcd csv backend_kind stats =
     let open Loseq_platform in
-    let cpu_bug =
+    let* cpu_bug =
       match bug with
-      | Some "start-first" -> Some Cpu.Start_before_config
-      | Some "skip-size" -> Some Cpu.Skip_gl_size
-      | Some "double-addr" -> Some Cpu.Double_gl_addr
-      | Some other ->
-          Format.eprintf "unknown bug %S@." other;
-          exit 2
-      | None -> None
+      | Some "start-first" -> Ok (Some Cpu.Start_before_config)
+      | Some "skip-size" -> Ok (Some Cpu.Skip_gl_size)
+      | Some "double-addr" -> Ok (Some Cpu.Double_gl_addr)
+      | Some other -> fail 2 "unknown bug %S" other
+      | None -> Ok None
     in
     let config =
       { Soc.default_config with presses; cpu_bug; slow_ipu; seed }
     in
     with_stats stats @@ fun metrics ->
     let soc = Soc.create ~config () in
-    let report =
-      match
-        Soc.attach_standard_checkers
-          ~backend:(instrumented metrics (factory_of backend_kind))
-          soc
-      with
-      | report -> report
-      | exception Invalid_argument msg ->
-          (* e.g. the PSL backend rejecting read_img[100,60000]. *)
-          Format.eprintf "backend error: %s@." msg;
-          exit 2
+    (* e.g. the PSL backend rejecting read_img[100,60000]. *)
+    let* report =
+      with_backend (fun () ->
+          Soc.attach_standard_checkers
+            ~backend:(instrumented metrics (factory_of backend_kind))
+            soc)
     in
     Soc.run soc;
     Loseq_verif.Report.finalize report;
+    let trace = Loseq_verif.Tap.trace (Soc.tap soc) in
     if verbose then
       Format.printf "trace (%d events):@.%s@.@."
         (Loseq_verif.Tap.count (Soc.tap soc))
-        (Trace.to_string (Loseq_verif.Tap.trace (Soc.tap soc)));
-    (match vcd with
-    | Some path ->
-        Loseq_verif.Vcd.write ~path (Loseq_verif.Tap.trace (Soc.tap soc));
-        Format.printf "waveform dumped to %s@." path
-    | None -> ());
-    (match csv with
-    | Some path ->
-        Trace_io.save_csv ~path (Loseq_verif.Tap.trace (Soc.tap soc));
-        Format.printf "trace dumped to %s@." path
-    | None -> ());
+        (Trace.to_string trace);
+    let* () =
+      on_some
+        (fun path ->
+          let* () =
+            write_file 2 "--vcd" ~path (Loseq_verif.Vcd.of_trace trace)
+          in
+          Format.printf "waveform dumped to %s@." path;
+          Ok ())
+        vcd
+    in
+    let* () =
+      on_some
+        (fun path ->
+          let* () = write_file 2 "--csv" ~path (Trace_io.to_csv trace) in
+          Format.printf "trace dumped to %s@." path;
+          Ok ())
+        csv
+    in
     Loseq_verif.Report.print report;
     Format.printf
       "recognitions: %d, matches: %d, lock opened %d time(s)@."
       (Ipu.recognitions (Soc.ipu soc))
       (Cpu.matches_seen (Soc.cpu soc))
       (Lock.open_count (Soc.lock soc));
-    if Loseq_verif.Report.all_passed report then 0 else 1
+    Ok (if Loseq_verif.Report.all_passed report then 0 else 1)
   in
   let open Cmdliner in
   let presses =
@@ -2084,7 +1838,7 @@ let soc_cmd =
             "Write the observed trace as CSV (replayable through \
              $(b,loseq serve) or $(b,loseq convert)).")
   in
-  Cmd.v
+  cmd
     (Cmd.info "soc"
        ~doc:"Simulate the access-control platform with monitors attached")
     Term.(

@@ -25,7 +25,9 @@
      suite entry, a missing trace file, an unknown --property, a bad
      endpoint address and a negative --certify-lateness;
    - an unwritable [analyze --plan-out] path (exit 3, the path on
-     stderr) and the stderr of [dfa] past its state limit (exit 1). *)
+     stderr), an unwritable [soc --csv] path (exit 2), a dangling
+     symlink in a --traces directory (skipped with a warning) and the
+     stderr of [dfa] past its state limit (exit 1). *)
 
 open Loseq_core
 
@@ -138,6 +140,53 @@ let plan_out_unwritable root =
   Alcotest.(check bool) "stderr names the path" true (contains ~sub:path err);
   Alcotest.(check bool) "no uncaught exception" false
     (contains ~sub:"uncaught exception" err)
+
+(* soc writes its --csv/--vcd dumps like every other artifact: an
+   unwritable path is exit 2 naming the path. *)
+let soc_csv_unwritable root =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ()) "loseq-missing-dir/x.csv"
+  in
+  let code, _, err = run root [ "soc"; "--presses"; "1"; "--csv"; path ] in
+  Alcotest.(check int) "exit code" 2 code;
+  Alcotest.(check bool) "stderr names the path" true (contains ~sub:path err);
+  Alcotest.(check bool) "no uncaught exception" false
+    (contains ~sub:"uncaught exception" err)
+
+(* A dangling symlink in a --traces directory is skipped with a warning,
+   as an unreadable file is: every workload mode exits as it does
+   without the link. *)
+let traces_dangling_symlink root =
+  let dir = Filename.temp_dir "loseq_traces" "" in
+  let link = Filename.concat dir "dangling" in
+  Fun.protect ~finally:(fun () ->
+      List.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Array.to_list (Sys.readdir dir));
+      Sys.rmdir dir)
+  @@ fun () ->
+  Out_channel.with_open_bin (Filename.concat dir "racy_ok.csv") (fun oc ->
+      output_string oc (read_file (Filename.concat root "examples/traces/racy_ok.csv")));
+  let racy = "examples/specs/racy.suite" in
+  let modes =
+    [
+      [ "analyze"; "--suite"; racy; "--coverage"; "--budget"; "20000" ];
+      [ "analyze"; "--suite"; racy; "--shard-plan"; "2"; "--budget"; "20000" ];
+      [ "mutate"; racy; "--budget"; "2000" ];
+    ]
+  in
+  let without =
+    List.map (fun args -> (fun (c, _, _) -> c) (run root (args @ [ "--traces"; dir ]))) modes
+  in
+  Unix.symlink (Filename.concat dir "nowhere") link;
+  List.iter2
+    (fun args code ->
+      let got, _, err = run root (args @ [ "--traces"; dir ]) in
+      let name = String.concat " " (List.filteri (fun i _ -> i < 4) args) in
+      Alcotest.(check int) (name ^ ": exit code") code got;
+      Alcotest.(check bool) (name ^ ": warning") true
+        (contains ~sub:("warning: skipping " ^ link) err))
+    modes without
 
 let dfa_state_limit root =
   let code, out, err =
@@ -263,6 +312,8 @@ let () =
           [
             cli_case "plan-out unwritable" plan_out_unwritable;
             cli_case "dfa state limit" dfa_state_limit;
+            cli_case "soc csv unwritable" soc_csv_unwritable;
+            cli_case "traces dangling symlink" traces_dangling_symlink;
           ]
           @ List.map help_case
               (None :: List.map Option.some subcommands)
