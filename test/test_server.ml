@@ -85,18 +85,17 @@ let racy_head_swapped () =
   | _ -> Alcotest.fail "racy_ok.csv too short");
   path
 
+let golden_path file =
+  if Sys.file_exists (Filename.concat "golden" file) then
+    Filename.concat "golden" file
+  else Filename.concat "test/golden" file
+
 let check_golden ?(golden = "") name ~exit:expected_exit (code, lines) =
   let golden = if golden = "" then name else golden in
   (match Sys.getenv_opt "LOSEQ_GOLDEN_UPDATE" with
   | Some dir -> write_lines (Filename.concat dir (golden ^ ".ndjson")) lines
   | None -> ());
-  let file = golden ^ ".ndjson" in
-  let golden =
-    read_lines
-      (if Sys.file_exists (Filename.concat "golden" file) then
-         Filename.concat "golden" file
-       else Filename.concat "test/golden" file)
-  in
+  let golden = read_lines (golden_path (golden ^ ".ndjson")) in
   Alcotest.(check (list string)) (name ^ " records") golden lines;
   Alcotest.(check int) (name ^ " exit code") expected_exit code
 
@@ -220,12 +219,36 @@ let test_resume ~src ~dst () =
   Alcotest.(check (list string)) "verdicts" (verdicts full) (verdicts resumed);
   Alcotest.(check int) "exit code" full_code code
 
+(* test/golden/ipu_v1.ckpt is a version-1 (per-checker JSON) checkpoint
+   written by [serve --backend compiled --checkpoint-every 50] on the
+   first 200 events of ipu.csv.  Resuming it under [dst] and replaying
+   the whole stream gives the verdicts and exit code of the
+   uninterrupted compiled run. *)
+let test_resume_v1_fixture ~dst () =
+  let suite = load_suite "ipu.suite" in
+  let ckpt = Filename.temp_file "server_v1" ".ckpt" in
+  write_lines ckpt (read_lines (golden_path "ipu_v1.ckpt"));
+  let serve ?backend ?checkpoint ?resume () =
+    run_serve ~trace:(ipu ()) (fun ~out ->
+        Server.serve ?backend ?checkpoint ?resume ~out ~input:`Stdin suite)
+  in
+  let full_code, full = serve ~backend:compiled () in
+  let code, resumed = serve ?backend:dst ~checkpoint:ckpt ~resume:true () in
+  Sys.remove ckpt;
+  Alcotest.(check bool) "resumed" true (has_line resumed {|"skip":200|});
+  Alcotest.(check (list string)) "verdicts" (verdicts full) (verdicts resumed);
+  Alcotest.(check int) "exit code" full_code code
+
 let resume_cases =
   [
     Alcotest.test_case "default -> compiled" `Quick
       (test_resume ~src:None ~dst:(Some compiled));
     Alcotest.test_case "compiled -> default" `Quick
       (test_resume ~src:(Some compiled) ~dst:None);
+    Alcotest.test_case "v1 fixture -> compiled" `Quick
+      (test_resume_v1_fixture ~dst:(Some compiled));
+    Alcotest.test_case "v1 fixture -> default" `Quick
+      (test_resume_v1_fixture ~dst:None);
   ]
 
 (* ---- artifact writes ---------------------------------------------------- *)
