@@ -3,181 +3,121 @@ open Loseq_verif
 
 let format_name = "loseq-checkpoint"
 
-(* Version 1: per-checker JSON states (any persistable backend).
-   Version 2: one base64 engine blob + interning table (flat suite
-   engine) — resume cost no longer scales with checker count.  Both
-   are written and read: the session's hosting decides which. *)
-let format_version = 1
-let blob_format_version = 2
+(* Version 2, the only one written: the whole suite's run state as one
+   base64 flat-engine blob plus the interning table that pins its
+   layout, so capture/restore cost stops scaling with checker count.
+   Version 1 (one persisted JSON state per checker) is still read,
+   until 1.15.0. *)
+let v1_format_version = 1
+let format_version = 2
+
+exception Bad of string
+
+let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt
+
+(* ---- the state engine -------------------------------------------------- *)
+
+(* Every checkpoint goes through a flat engine holding the session's
+   run state: the hub's own when the session is hosted engine-direct,
+   otherwise a scratch engine compiled from the same suite and bridged
+   per checker through the persisted form. *)
+let scratch_engine session =
+  Flat.compile
+    (List.map
+       (fun (e : Suite.entry) -> (e.label, e.pattern))
+       (Session.suite session))
+
+(* The engine slot of the checker labelled [name]. *)
+let slot eng name =
+  let rec go ck =
+    if ck >= Flat.size eng then
+      bad "checkpoint names checker %S, not in this suite" name
+    else if Flat.label eng ck = name then ck
+    else go (ck + 1)
+  in
+  go 0
 
 (* ---- capture ----------------------------------------------------------- *)
-
-let json_of_range (r : Pattern.range) =
-  Json.Obj
-    [
-      ("name", Json.String (Name.to_string r.name));
-      ("lo", Json.Int r.lo);
-      ("hi", Json.Int r.hi);
-    ]
-
-let json_of_reason (r : Diag.reason) =
-  let tag t = [ ("tag", Json.String t) ] in
-  let with_range t range = Json.Obj (tag t @ [ ("range", json_of_range range) ]) in
-  match r with
-  | Diag.Before_name -> Json.Obj (tag "before_name")
-  | After_name -> Json.Obj (tag "after_name")
-  | Overflow range -> with_range "overflow" range
-  | Underflow range -> with_range "underflow" range
-  | Reentered range -> with_range "reentered" range
-  | Missing range -> with_range "missing" range
-  | Empty_fragment -> Json.Obj (tag "empty_fragment")
-  | Trigger_early -> Json.Obj (tag "trigger_early")
-  | Deadline_miss { started; deadline; now } ->
-      Json.Obj
-        (tag "deadline_miss"
-        @ [
-            ("started", Json.Int started);
-            ("deadline", Json.Int deadline);
-            ("now", Json.Int now);
-          ])
-  | Late_conclusion { deadline; at } ->
-      Json.Obj
-        (tag "late_conclusion"
-        @ [ ("deadline", Json.Int deadline); ("at", Json.Int at) ])
-  | Foreign name ->
-      Json.Obj (tag "foreign" @ [ ("name", Json.String (Name.to_string name)) ])
-  | Formula_falsified -> Json.Obj (tag "formula_falsified")
-
-let json_of_verdict (v : Compiled.verdict) =
-  match v with
-  | Compiled.Running -> Json.Obj [ ("status", Json.String "running") ]
-  | Satisfied -> Json.Obj [ ("status", Json.String "satisfied") ]
-  | Violated { reason; time; index } ->
-      Json.Obj
-        [
-          ("status", Json.String "violated");
-          ("reason", json_of_reason reason);
-          ("time", Json.Int time);
-          ("index", Json.Int index);
-        ]
-
-let json_of_rec_state (s : Compiled.rec_state) =
-  match s with
-  | Compiled.Idle -> Json.String "idle"
-  | Waiting -> Json.String "waiting"
-  | Started -> Json.String "started"
-  | Done -> Json.String "done"
-  | Counting n -> Json.Obj [ ("counting", Json.Int n) ]
-
-let json_of_persisted (p : Compiled.persisted) =
-  Json.Obj
-    [
-      ( "recs",
-        Json.List (Array.to_list (Array.map json_of_rec_state p.p_recs)) );
-      ("active", Json.Int p.p_active);
-      ("index", Json.Int p.p_index);
-      ("started", Json.Int p.p_started);
-      ("q_done", Json.Bool p.p_q_done);
-      ("rounds", Json.Int p.p_rounds);
-      ("verdict", json_of_verdict p.p_verdict);
-    ]
 
 let json_of_event (e : Trace.event) =
   Json.Obj
     [ ("name", Json.String (Name.to_string e.name)); ("time", Json.Int e.time) ]
 
-let common_fields ~version session =
-  let stats = Session.stats session in
-  let reorder = Session.reorder session in
-  [
-    ("format", Json.String format_name);
-    ("version", Json.Int version);
-    ("suite", Json.String (Suite.to_string (Session.suite session)));
-    ("lateness", Json.Int (Session.lateness session));
-    ("window", Json.Int (Session.window session));
-    ( "position",
-      Json.Obj
-        [
-          ("accepted", Json.Int stats.accepted);
-          ("delivered", Json.Int stats.delivered);
-          ("forced", Json.Int stats.forced);
-          ("now", Json.Int (Session.now session));
-        ] );
-    ( "reorder",
-      Json.Obj
-        [
-          ("max_seen", Json.Int (Reorder.max_seen reorder));
-          ("released", Json.Int (Reorder.released reorder));
-          ("dropped_late", Json.Int (Reorder.dropped_late reorder));
-          ("reordered", Json.Int (Reorder.reordered reorder));
-          ( "pending",
-            Json.List (List.map json_of_event (Reorder.pending reorder)) );
-        ] );
-  ]
-
 let capture session =
   let hub = Session.hub session in
   let checkers = Hub.checkers hub in
-  match Hub.engine hub with
-  | Some eng ->
-      (* v2: the engine's packed state array, base64, plus the
-         interning table that pins its layout.  [events_seen] is
-         checker bookkeeping, not engine state, so it rides alongside. *)
-      Json.Obj
-        (common_fields ~version:blob_format_version session
-        @ [
-            ("engine", Json.String "flat");
-            ("blob_version", Json.Int Flat.blob_version);
-            ( "names",
-              Json.List
-                (Array.to_list
-                   (Array.map
-                      (fun n -> Json.String (Name.to_string n))
-                      (Flat.names eng))) );
-            ("blob", Json.String (B64.encode (Flat.save_blob eng)));
-            ( "checkers",
-              Json.List
-                (List.map
-                   (fun c ->
-                     Json.Obj
-                       [
-                         ("name", Json.String (Checker.name c));
-                         ("events_seen", Json.Int (Checker.events_seen c));
-                       ])
-                   checkers) );
-          ])
-  | None ->
-      let checker_states =
-        List.map
+  let eng =
+    match Hub.engine hub with
+    | Some eng -> eng
+    | None ->
+        let eng = scratch_engine session in
+        List.iter
           (fun c ->
             let backend = Checker.backend c in
-            let persisted =
-              match backend.Backend.persist with
-              | Some persist -> persist ()
-              | None ->
-                  failwith
-                    (Printf.sprintf
-                       "checker %S: backend %S has no persistence capability \
-                        (checkpointing requires the compiled or flat backend)"
-                       (Checker.name c) backend.Backend.label)
-            in
-            Json.Obj
-              [
-                ("name", Json.String (Checker.name c));
-                ("events_seen", Json.Int (Checker.events_seen c));
-                ("state", json_of_persisted persisted);
-              ])
-          checkers
-      in
-      Json.Obj
-        (common_fields ~version:format_version session
-        @ [ ("checkers", Json.List checker_states) ])
+            match backend.Backend.persist with
+            | Some persist ->
+                let ck = slot eng (Checker.name c) in
+                Flat.restore_checker eng ck (persist ())
+            | None ->
+                failwith
+                  (Printf.sprintf
+                     "checker %S: backend %S has no persistence capability \
+                      (checkpointing requires the compiled or flat backend)"
+                     (Checker.name c) backend.Backend.label))
+          checkers;
+        eng
+  in
+  let stats = Session.stats session in
+  let reorder = Session.reorder session in
+  Json.Obj
+    [
+      ("format", Json.String format_name);
+      ("version", Json.Int format_version);
+      ("suite", Json.String (Suite.to_string (Session.suite session)));
+      ("lateness", Json.Int (Session.lateness session));
+      ("window", Json.Int (Session.window session));
+      ( "position",
+        Json.Obj
+          [
+            ("accepted", Json.Int stats.accepted);
+            ("delivered", Json.Int stats.delivered);
+            ("forced", Json.Int stats.forced);
+            ("now", Json.Int (Session.now session));
+          ] );
+      ( "reorder",
+        Json.Obj
+          [
+            ("max_seen", Json.Int (Reorder.max_seen reorder));
+            ("released", Json.Int (Reorder.released reorder));
+            ("dropped_late", Json.Int (Reorder.dropped_late reorder));
+            ("reordered", Json.Int (Reorder.reordered reorder));
+            ( "pending",
+              Json.List (List.map json_of_event (Reorder.pending reorder)) );
+          ] );
+      ("engine", Json.String "flat");
+      ("blob_version", Json.Int Flat.blob_version);
+      ( "names",
+        Json.List
+          (Array.to_list
+             (Array.map
+                (fun n -> Json.String (Name.to_string n))
+                (Flat.names eng))) );
+      ("blob", Json.String (B64.encode (Flat.save_blob eng)));
+      (* [events_seen] is checker bookkeeping, not engine state, so it
+         rides alongside the blob. *)
+      ( "checkers",
+        Json.List
+          (List.map
+             (fun c ->
+               Json.Obj
+                 [
+                   ("name", Json.String (Checker.name c));
+                   ("events_seen", Json.Int (Checker.events_seen c));
+                 ])
+             checkers) );
+    ]
 
 (* ---- restore ----------------------------------------------------------- *)
-
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt
 
 let member_exn key json =
   match Json.member key json with
@@ -203,6 +143,12 @@ let list_exn key json =
   match member_exn key json with
   | Json.List l -> l
   | _ -> bad "checkpoint: field %S is not a list" key
+
+let event_of_json json : Trace.event =
+  { name = Name.v (string_exn "name" json); time = int_exn "time" json }
+
+(* The v1 reader: one persisted JSON state per checker, in the
+   {!Compiled.persisted} shape.  Read until 1.15.0. *)
 
 let range_of_json json =
   let name = Name.v (string_exn "name" json) in
@@ -269,43 +215,8 @@ let persisted_of_json json : Compiled.persisted =
     p_verdict = verdict_of_json (member_exn "verdict" json);
   }
 
-let event_of_json json : Trace.event =
-  { name = Name.v (string_exn "name" json); time = int_exn "time" json }
-
-(* v1 body: one persisted JSON state per checker, restored through the
-   backend's restore capability. *)
-let restore_checkers_v1 session json =
-  let checkers = Hub.checkers (Session.hub session) in
-  List.iter
-    (fun cj ->
-      let name = string_exn "name" cj in
-      let checker =
-        match List.find_opt (fun c -> Checker.name c = name) checkers with
-        | Some c -> c
-        | None -> bad "checkpoint names checker %S, not in this suite" name
-      in
-      let backend = Checker.backend checker in
-      let restore =
-        match backend.Backend.restore with
-        | Some f -> f
-        | None ->
-            bad "checker %S: backend %S has no restore capability" name
-              backend.Backend.label
-      in
-      let persisted = persisted_of_json (member_exn "state" cj) in
-      (match restore persisted with
-      | () -> ()
-      | exception Invalid_argument msg ->
-          bad "checker %S: state does not fit its monitor: %s" name msg);
-      Checker.restore_meta checker ~events_seen:(int_exn "events_seen" cj))
-    (list_exn "checkers" json)
-
-(* v2 body: one engine blob.  A flat-hosted session loads it straight
-   into its shared engine; any other hosting decodes into a scratch
-   engine compiled from the same suite and bridges each checker through
-   the persisted form — so compiled-written checkpoints resume under
-   flat and vice versa. *)
-let restore_checkers_v2 session json =
+(* v2: the blob, checked against this suite's interning table. *)
+let load_blob eng json =
   (match string_exn "engine" json with
   | "flat" -> ()
   | e -> bad "checkpoint engine %S is not supported (expected \"flat\")" e);
@@ -325,71 +236,71 @@ let restore_checkers_v2 session json =
         | _ -> bad "checkpoint: field \"names\" must hold strings")
       (list_exn "names" json)
   in
-  let events_seen_of =
-    let table =
-      List.map
-        (fun cj -> (string_exn "name" cj, int_exn "events_seen" cj))
-        (list_exn "checkers" json)
-    in
-    fun name ->
-      match List.assoc_opt name table with
-      | Some n -> n
-      | None -> bad "checkpoint has no checker record for %S" name
-  in
-  let hub = Session.hub session in
-  let checkers = Hub.checkers hub in
-  let shared = Hub.engine hub in
-  let eng =
-    match shared with
-    | Some eng -> eng
-    | None ->
-        Flat.compile
-          (List.map
-             (fun (e : Suite.entry) -> (e.label, e.pattern))
-             (Session.suite session))
-  in
   let engine_names =
     Array.to_list (Array.map Name.to_string (Flat.names eng))
   in
   if stored_names <> engine_names then
     bad "checkpoint interning table does not match this suite's alphabet";
-  (match Flat.load_blob eng blob with
-  | Ok () -> ()
-  | Error msg -> bad "%s" msg);
-  let checker_named name =
-    match List.find_opt (fun c -> Checker.name c = name) checkers with
-    | Some c -> c
-    | None -> bad "checkpoint names checker %S, not in this suite" name
+  match Flat.load_blob eng blob with Ok () -> () | Error msg -> bad "%s" msg
+
+(* Run a state overwrite, turning a state that does not fit its
+   monitor into a checkpoint error. *)
+let fits name overwrite =
+  match overwrite () with
+  | () -> ()
+  | exception Invalid_argument msg ->
+      bad "checker %S: state does not fit its monitor: %s" name msg
+
+(* Both versions share one tail: load the stored state into the state
+   engine (the v2 blob whole, or each v1 per-checker state), bridge it
+   into every checker when the session is not hosted on that engine,
+   then restore each checker's bookkeeping. *)
+let restore_checkers session ~version json =
+  let hub = Session.hub session in
+  let shared = Hub.engine hub in
+  let eng =
+    match shared with Some eng -> eng | None -> scratch_engine session
   in
-  for ck = 0 to Flat.size eng - 1 do
-    let name = Flat.label eng ck in
-    let checker = checker_named name in
-    (match shared with
-    | Some _ -> () (* the blob load above already is this checker's state *)
-    | None -> (
-        let backend = Checker.backend checker in
-        let restore =
-          match backend.Backend.restore with
-          | Some f -> f
-          | None ->
-              bad "checker %S: backend %S has no restore capability" name
-                backend.Backend.label
-        in
-        match restore (Flat.persist_checker eng ck) with
-        | () -> ()
-        | exception Invalid_argument msg ->
-            bad "checker %S: state does not fit its monitor: %s" name msg));
-    Checker.restore_meta checker ~events_seen:(events_seen_of name)
-  done
+  let records = list_exn "checkers" json in
+  if version = format_version then load_blob eng json
+  else
+    List.iter
+      (fun cj ->
+        let name = string_exn "name" cj in
+        let persisted = persisted_of_json (member_exn "state" cj) in
+        let ck = slot eng name in
+        fits name (fun () -> Flat.restore_checker eng ck persisted))
+      records;
+  let events_seen =
+    List.map
+      (fun cj -> (string_exn "name" cj, int_exn "events_seen" cj))
+      records
+  in
+  List.iter
+    (fun checker ->
+      let name = Checker.name checker in
+      (if Option.is_none shared then
+         let backend = Checker.backend checker in
+         match backend.Backend.restore with
+         | Some restore ->
+             let persisted = Flat.persist_checker eng (slot eng name) in
+             fits name (fun () -> restore persisted)
+         | None ->
+             bad "checker %S: backend %S has no restore capability" name
+               backend.Backend.label);
+      match List.assoc_opt name events_seen with
+      | Some n -> Checker.restore_meta checker ~events_seen:n
+      | None -> bad "checkpoint has no checker record for %S" name)
+    (Hub.checkers hub)
 
 let restore_exn session json =
   (match string_exn "format" json with
   | s when s = format_name -> ()
   | s -> bad "not a loseq checkpoint (format %S)" s);
   let version = int_exn "version" json in
-  if version <> format_version && version <> blob_format_version then
+  if version <> v1_format_version && version <> format_version then
     bad "unsupported checkpoint version %d (expected %d or %d)" version
-      format_version blob_format_version;
+      v1_format_version format_version;
   let stored_suite = string_exn "suite" json in
   let this_suite = Suite.to_string (Session.suite session) in
   if stored_suite <> this_suite then
@@ -402,8 +313,7 @@ let restore_exn session json =
   (* Monitor states first, then time: the hub's wheel is re-armed from
      the restored states, and advancing a fresh session's kernel fires
      nothing (no deadline is armed in an initial state). *)
-  if version = blob_format_version then restore_checkers_v2 session json
-  else restore_checkers_v1 session json;
+  restore_checkers session ~version json;
   (match
      Reorder.restore (Session.reorder session)
        ~max_seen:(int_exn "max_seen" reorder_json)
@@ -442,20 +352,23 @@ let load ~path =
   match open_in_bin path with
   | exception Sys_error msg -> Error msg
   | ic -> (
-      let n = in_channel_length ic in
-      let data = really_input_string ic n in
-      close_in ic;
-      match Json.of_string data with
-      | Ok _ as ok -> ok
-      | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
+      match
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> In_channel.input_all ic)
+      with
+      | exception Sys_error msg -> Error (Printf.sprintf "%s: %s" path msg)
+      | data -> (
+          match Json.of_string data with
+          | Ok _ as ok -> ok
+          | Error msg -> Error (Printf.sprintf "%s: %s" path msg)))
 
 let position json =
   match int_exn "accepted" (member_exn "position" json) with
   | n -> Ok n
   | exception Bad msg -> Error msg
 
-let resume ?metrics ?trace ?backend ?latency_sample_rate ~path
-    suite =
+let resume ?metrics ?trace ?backend ?latency_sample_rate ~path suite =
   match load ~path with
   | Error _ as err -> err
   | Ok json -> (
@@ -466,7 +379,6 @@ let resume ?metrics ?trace ?backend ?latency_sample_rate ~path
           ~window suite
       with
       | exception Bad msg -> Error msg
-      | session -> (
-          match restore session json with
-          | Ok () -> Ok session
-          | Error _ as err -> err))
+      | exception Invalid_argument msg ->
+          Error (Printf.sprintf "%s: %s" path msg)
+      | session -> Result.map (fun () -> session) (restore session json))

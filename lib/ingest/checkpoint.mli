@@ -8,17 +8,18 @@
     them earlier than the uninterrupted run would have), and the exact
     run state of every hosted monitor.
 
-    Two on-disk versions coexist.  Version 1 carries one persisted
-    JSON state per checker (via the backend persistence capability,
-    {!Loseq_core.Backend.t.persist}).  Version 2 is written when every
-    hosted checker is a view of one shared {!Loseq_core.Flat} suite
-    engine: the entire suite's run state is a single base64 blob plus
-    the interning table that pins its layout, so capture/restore cost
-    stops scaling with checker count.  Restore accepts either version
-    under either hosting — a compiled-written checkpoint resumes under
-    the flat backend and vice versa (the blob is decoded into a
-    scratch engine and bridged per checker when the session is not
-    flat-hosted).
+    One version is written: version 2, the entire suite's run state
+    as a single base64 {!Loseq_core.Flat} engine blob plus the
+    interning table that pins its layout, so capture/restore cost
+    stops scaling with checker count.  A session hosted engine-direct
+    on one shared flat engine writes that engine's blob; any other
+    persistable hosting fills a scratch engine of the same suite from
+    each checker's persisted state
+    ({!Loseq_core.Backend.t.persist}).  Version 1 (one persisted JSON
+    state per checker) is still read, until 1.15.0.  Restore loads
+    either version into that same engine and, when the session is not
+    hosted on it, bridges every checker from it — so a checkpoint
+    resumes under any persistable hosting.
 
     The resume contract is replay-based: the producer re-sends the
     stream from the start and the consumer skips the first
@@ -32,9 +33,9 @@
 open Loseq_core
 
 val capture : Session.t -> Json.t
-(** Version 2 (one engine blob) when the session is flat-hosted,
-    version 1 (per-checker states) otherwise.  Raises [Failure] if a
-    hosted checker's backend lacks the persistence capability. *)
+(** Version 2 (one engine blob), under every hosting.  Raises
+    [Failure] if a hosted checker's backend lacks the persistence
+    capability. *)
 
 val restore : Session.t -> Json.t -> (unit, string) result
 (** Overwrite a {e fresh} session (no events offered) with a captured
@@ -51,6 +52,8 @@ val save : path:string -> Session.t -> (int, string) result
     surfaced in the server's [checkpoint] NDJSON record. *)
 
 val load : path:string -> (Json.t, string) result
+(** Read and parse a checkpoint file; an unreadable path (missing, a
+    directory, ...) or malformed JSON is an [Error] naming [path]. *)
 
 val position : Json.t -> (int, string) result
 (** The number of leading stream events a resumed producer (or a
@@ -69,4 +72,6 @@ val resume :
     [trace] flight recorder, sampling rate, and backend choice),
     [restore].  The checkpoint's version and the
     session's hosting are independent: any persistable [backend]
-    resumes either version. *)
+    resumes either version.  Stored session parameters that
+    {!Session.create} refuses (e.g. a zero [window]) are an [Error]
+    naming [path]. *)

@@ -153,6 +153,29 @@ let soc_csv_unwritable root =
   Alcotest.(check bool) "no uncaught exception" false
     (contains ~sub:"uncaught exception" err)
 
+(* A --checkpoint that names a directory is an input error: exit 2 and
+   one [error] record naming the path, not an escaping exception. *)
+let checkpoint_directory root =
+  let dir = Filename.temp_dir "loseq_ckpt" "" in
+  let code, out, err =
+    Fun.protect ~finally:(fun () -> Sys.rmdir dir) @@ fun () ->
+    run root
+      [
+        "serve"; "--suite"; "examples/specs/ipu.suite"; "--checkpoint"; dir;
+        "--resume";
+      ]
+  in
+  Alcotest.(check int) "exit code" 2 code;
+  (match String.split_on_char '\n' (String.trim out) with
+  | [ record ] ->
+      Alcotest.(check bool) "an error record" true
+        (contains ~sub:{|"type":"error"|} record);
+      Alcotest.(check bool) "naming the path" true (contains ~sub:dir record)
+  | records ->
+      Alcotest.failf "expected one record, got %d" (List.length records));
+  Alcotest.(check bool) "no uncaught exception" false
+    (contains ~sub:"uncaught exception" err)
+
 (* A dangling symlink in a --traces directory is skipped with a warning,
    as an unreadable file is: every workload mode exits as it does
    without the link. *)
@@ -314,6 +337,7 @@ let () =
             cli_case "dfa state limit" dfa_state_limit;
             cli_case "soc csv unwritable" soc_csv_unwritable;
             cli_case "traces dangling symlink" traces_dangling_symlink;
+            cli_case "checkpoint directory" checkpoint_directory;
           ]
           @ List.map help_case
               (None :: List.map Option.some subcommands)

@@ -143,6 +143,29 @@ let prop_compiled_flat_diagnostics_agree (p, trace) =
     QCheck2.Test.fail_reportf "compiled %S, flat %S" vc vf
   else true
 
+(* The compiled persisted form survives a trip through a flat engine
+   exactly, after every prefix and after finalization: checkpoints are
+   written from a flat engine filled by [Flat.restore_checker] and read
+   back into compiled checkers by [Flat.persist_checker]. *)
+let prop_persist_through_flat (p, trace) =
+  let c = Compiled.compile p in
+  let eng = Flat.compile [ ("p", p) ] in
+  let check what =
+    let persisted = Compiled.persist c in
+    Flat.restore_checker eng 0 persisted;
+    if Flat.persist_checker eng 0 <> persisted then
+      QCheck2.Test.fail_reportf "persisted state differs after %s" what
+  in
+  check "the empty prefix";
+  List.iter
+    (fun e ->
+      ignore (Compiled.step c e);
+      check (Format.asprintf "%a@%d" Name.pp e.Trace.name e.Trace.time))
+    trace;
+  ignore (Compiled.finalize c ~now:(Trace.end_time trace));
+  check "finalize";
+  true
+
 (* ---- property: hosted agreement (SoC-style tap) ------------------------ *)
 
 (* Replay the trace on a simulated tap with the checker hosted on a hub,
@@ -287,6 +310,9 @@ let () =
           qtest ~count:300 "compiled and flat render equal diagnostics"
             gen_pattern_and_trace print_pattern_and_trace
             prop_compiled_flat_diagnostics_agree;
+          qtest ~count:300 "compiled state round-trips through flat"
+            gen_pattern_and_trace print_pattern_and_trace
+            prop_persist_through_flat;
           qtest ~count:200 "all backends agree hosted"
             gen_pattern_and_trace print_pattern_and_trace prop_hosted_agree;
           qtest ~count:200 "flat suite agrees with per-entry compiled"

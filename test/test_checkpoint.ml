@@ -28,9 +28,9 @@ let summary_of session trace =
 
 (* Run to [cut] under [src] hosting, checkpoint through the JSON
    codec, resume a fresh [dst]-hosted session from it, feed the rest.
-   The hostings are independent: a compiled-written (v1) checkpoint
-   must restore under the flat suite engine and a flat-written (v2)
-   blob under per-checker compiled monitors. *)
+   The hostings are independent: a compiled-written checkpoint must
+   restore under the flat suite engine and a flat-written one under
+   per-checker compiled monitors. *)
 let resumed_summary ?lateness ?src ?dst suite trace cut =
   let first = Session.create ?lateness ?backend:src suite in
   let before, after =
@@ -103,9 +103,9 @@ let test_cross_backend_resume_with_pending_reorder () =
   check_every_prefix ~lateness:5 ~src:flat demo_suite disordered;
   check_every_prefix ~lateness:5 ~dst:flat demo_suite disordered
 
-(* A flat-hosted session writes version 2: blob + interning table. *)
-let test_flat_checkpoint_is_v2 () =
-  let session = Session.create ~backend:flat demo_suite in
+(* Every hosting writes version 2: blob + interning table. *)
+let test_checkpoint_is_v2 ?backend () =
+  let session = Session.create ?backend demo_suite in
   offer_all session (List.filteri (fun i _ -> i < 5) passing_trace);
   let json = Checkpoint.capture session in
   let int_field k =
@@ -114,12 +114,19 @@ let test_flat_checkpoint_is_v2 () =
   Alcotest.(check int) "version" 2 (int_field "version");
   Alcotest.(check int) "blob_version" Flat.blob_version
     (int_field "blob_version");
+  Alcotest.(check bool) "engine" true
+    (Json.member "engine" json = Some (Json.String "flat"));
   (match Json.member "blob" json with
   | Some (Json.String _) -> ()
   | _ -> Alcotest.fail "no blob field");
   match Json.member "names" json with
   | Some (Json.List (_ :: _)) -> ()
   | _ -> Alcotest.fail "no interning table"
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  at 0
 
 (* A tampered blob version must surface as a clear error, not a decode
    exception. *)
@@ -140,38 +147,9 @@ let test_blob_version_mismatch_refused () =
   match Checkpoint.restore fresh tampered with
   | Ok () -> Alcotest.fail "restored a mismatched blob version"
   | Error msg ->
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-        at 0
-      in
       Alcotest.(check bool)
         (Printf.sprintf "error names the version: %s" msg)
         true (contains msg "version")
-
-(* At 64 checkers the single-blob checkpoint must be smaller than 64
-   per-checker JSON states. *)
-let test_v2_smaller_at_64 () =
-  let big_suite =
-    List.init 64 (fun i ->
-        entry
-          (Printf.sprintf "p%d" i)
-          (Printf.sprintf "{a%d, b%d} <<! go%d" i i i))
-  in
-  let feed session =
-    for i = 0 to 63 do
-      Session.offer_force session (ev (2 * i) (Printf.sprintf "a%d" i))
-    done
-  in
-  let size backend =
-    let session = Session.create ?backend big_suite in
-    feed session;
-    String.length (Json.to_string (Checkpoint.capture session))
-  in
-  let v1 = size None and v2 = size (Some flat) in
-  Alcotest.(check bool)
-    (Printf.sprintf "flat blob (%d B) < per-checker JSON (%d B)" v2 v1)
-    true (v2 < v1)
 
 let test_every_prefix_with_pending_reorder () =
   (* lateness > 0 keeps events parked in the reorder buffer: a
@@ -255,6 +233,46 @@ let test_resume_rebases_step_counters () =
   Alcotest.(check int) "post-resume steps = full run minus prefix"
     (steps full - steps prefix) (steps live)
 
+(* A checkpoint path that cannot be read (here: a directory) is an
+   [Error] naming the path, from [load] and [resume] alike. *)
+let test_unreadable_path () =
+  let dir = Filename.temp_dir "loseq_ckpt" "" in
+  let named what = function
+    | Ok _ -> Alcotest.failf "%s accepted a directory" what
+    | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s error names the path: %s" what msg)
+          true (contains msg dir)
+  in
+  named "load" (Checkpoint.load ~path:dir);
+  named "resume" (Checkpoint.resume ~path:dir demo_suite);
+  Sys.rmdir dir
+
+(* Session parameters the session refuses (a zero reorder window) are
+   an [Error] naming the file, not an escaping exception. *)
+let test_refused_window () =
+  let session = Session.create demo_suite in
+  let window = function
+    | ("window", _) -> ("window", Json.Int 0)
+    | kv -> kv
+  in
+  let json =
+    match Checkpoint.capture session with
+    | Json.Obj fields -> Json.Obj (List.map window fields)
+    | _ -> Alcotest.fail "checkpoint is not an object"
+  in
+  let path = Filename.temp_file "loseq" ".ckpt" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Json.to_string json));
+  let resumed = Checkpoint.resume ~path demo_suite in
+  Sys.remove path;
+  match resumed with
+  | Ok _ -> Alcotest.fail "resumed with a zero window"
+  | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "error names the file: %s" msg)
+        true (contains msg path)
+
 let test_restore_refuses_mismatches () =
   let session = Session.create demo_suite in
   offer_all session passing_trace;
@@ -323,11 +341,11 @@ let () =
       ( "blob format",
         [
           Alcotest.test_case "flat hosting writes v2" `Quick
-            test_flat_checkpoint_is_v2;
+            (test_checkpoint_is_v2 ~backend:flat);
+          Alcotest.test_case "compiled hosting writes v2" `Quick
+            test_checkpoint_is_v2;
           Alcotest.test_case "blob version mismatch refused" `Quick
             test_blob_version_mismatch_refused;
-          Alcotest.test_case "v2 smaller at 64 checkers" `Quick
-            test_v2_smaller_at_64;
         ] );
       ( "files",
         [
@@ -336,6 +354,9 @@ let () =
             test_resume_rebases_step_counters;
           Alcotest.test_case "mismatches refused" `Quick
             test_restore_refuses_mismatches;
+          Alcotest.test_case "unreadable path refused" `Quick
+            test_unreadable_path;
+          Alcotest.test_case "refused window" `Quick test_refused_window;
         ] );
       ("properties", [ prop_resume_equivalence ]);
     ]

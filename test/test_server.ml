@@ -162,6 +162,11 @@ let golden_cases =
       ();
     case "ooo_checkpoint_refused" ~exit:2 ~suite:"ipu.suite" ~trace:ipu
       ~checkpoint:"server_golden_ooo.ckpt" ~ooo:true ();
+    (* direct monitors have no persistence: the first checkpoint ends
+       the run with a typed error record *)
+    case "direct_checkpoint_refused" ~exit:2 ~suite:"ipu.suite" ~trace:ipu
+      ~backend:(Some (Backend.per_pattern (fun p -> Backend.direct p)))
+      ~checkpoint:"server_golden_direct.ckpt" ~checkpoint_every:20 ();
   ]
 
 (* ---- checkpoint resume across default and compiled hosting -------------- *)
@@ -194,8 +199,8 @@ let ipu_prefix () =
 (* Serve a prefix under [src] with periodic checkpoints, then resume
    the full stream under [dst]: the verdicts and exit code are those of
    the uninterrupted compiled run.  [Some compiled] names the
-   compiled backend; [None] takes the default (flat engine, v2
-   blob). *)
+   compiled backend; [None] takes the default (flat engine).  Either
+   hosting writes the one flat-engine blob. *)
 let test_resume ~src ~dst () =
   let suite = load_suite "ipu.suite" in
   let ckpt = Filename.temp_file "server_resume" ".ckpt" in
@@ -209,7 +214,7 @@ let test_resume ~src ~dst () =
   let _ = serve ?backend:src ~checkpoint:ckpt ~checkpoint_every:50 (ipu_prefix ()) in
   let written = String.concat "\n" (read_lines ckpt) in
   Alcotest.(check bool)
-    "checkpoint engine" (src = None)
+    "checkpoint engine" true
     (contains written {|"engine":"flat"|});
   let code, resumed =
     serve ?backend:dst ~checkpoint:ckpt ~resume:true (ipu ())
