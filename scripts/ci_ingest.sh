@@ -4,10 +4,11 @@
 #   convert-roundtrip     CSV -> LSQB binary -> CSV is byte-identical
 #   stream-batch-agreement  serve --backend compiled over stdin decides
 #                         what `suite` decides
-#   crash-recovery        kill -TERM mid-stream writes a compiled (v1)
-#                         checkpoint; --resume with a full replay yields
-#                         verdicts identical to the uninterrupted
-#                         streaming run
+#   crash-recovery        kill -TERM mid-stream under --backend compiled
+#                         writes the one checkpoint format ("version":2,
+#                         "engine":"flat"); --resume under compiled with
+#                         a full replay yields verdicts identical to the
+#                         uninterrupted streaming run
 #   ingest-throughput     one release run of the bench dispatch
 #                         section writes BENCH_dispatch.json, which
 #                         feeds every bench check: end to end (bytes
@@ -29,11 +30,10 @@
 #                         5% overhead bound in BENCH_dispatch.json is
 #                         advisory
 #   flat-agreement        serve --backend flat decides what the
-#                         compiled streaming run decides; at 64
-#                         checkers the flat v2 checkpoint (one varint
-#                         blob) encodes smaller than the per-checker
-#                         JSON v1; a compiled v1 checkpoint resumes
-#                         into flat hosting
+#                         compiled streaming run decides; the committed
+#                         version-1 checkpoint test/golden/ipu_v1.ckpt
+#                         (still read, no longer written) resumes into
+#                         flat hosting with identical verdicts
 #   default-serve         serve with no --backend (buffered: the flat
 #                         engine) writes verdict records identical to
 #                         --backend compiled and a v2 checkpoint with
@@ -152,7 +152,9 @@ kill_mid_stream() {
 gate "crash-recovery"
 CKPT="$WORK/loseq.ckpt"
 kill_mid_stream killed "$CKPT" --backend compiled
-grep -q '"version": *1,' "$CKPT"  # per-checker JSON, for flat-agreement
+# compiled hosting writes the flat-engine blob like every hosting
+grep -q '"version": *2,' "$CKPT"
+grep -q '"engine": *"flat"' "$CKPT"
 ckpt_events=$(grep '"type": *"checkpoint"' "$WORK/killed.ndjson" | tail -1 \
   | grep -o '"events": *[0-9]*' | grep -o '[0-9]*$')
 test "${ckpt_events:-0}" -gt 0
@@ -251,47 +253,21 @@ grep '"type": *"verdict"' "$WORK/flat.ndjson" > "$WORK/flat.verdicts"
 cmp "$WORK/stream.verdicts" "$WORK/flat.verdicts"
 echo "flat streaming verdicts identical to compiled (exit $flat_status)"
 
-# 64 disjoint checkers: the flat v2 checkpoint (one varint blob) must
-# encode smaller than the per-checker JSON v1 the compiled path writes
-BIGSUITE="$WORK/big.suite"
-BIGCSV="$WORK/big.csv"
-: > "$BIGSUITE"
-printf 'time,name\n' > "$BIGCSV"
-t=0
-for i in $(seq 0 63); do
-  printf 'p%d: {a%d, b%d} <<! go%d\n' "$i" "$i" "$i" "$i" >> "$BIGSUITE"
-  for nm in a b go; do
-    printf '%d,%s%d\n' "$t" "$nm" "$i" >> "$BIGCSV"
-    t=$((t + 1))
-  done
-done
-$LOSEQ convert "$BIGCSV" -o "$WORK/big.lsqb"
-ckpt_bytes() {  # last "bytes" field in an NDJSON checkpoint record
-  grep '"type": *"checkpoint"' "$1" | grep -o '"bytes": *[0-9]*' \
-    | tail -1 | grep -o '[0-9]*$'
-}
-$LOSEQ serve --suite "$BIGSUITE" --backend compiled \
-  --checkpoint "$WORK/big_v1.ckpt" --checkpoint-every 64 \
-  < "$WORK/big.lsqb" > "$WORK/big_v1.ndjson"
-$LOSEQ serve --suite "$BIGSUITE" --backend flat \
-  --checkpoint "$WORK/big_v2.ckpt" --checkpoint-every 64 \
-  < "$WORK/big.lsqb" > "$WORK/big_v2.ndjson"
-V1=$(ckpt_bytes "$WORK/big_v1.ndjson")
-V2=$(ckpt_bytes "$WORK/big_v2.ndjson")
-test -n "$V1" && test -n "$V2"
-test "$V2" -lt "$V1"
-echo "flat v2 checkpoint $V2 B < per-checker v1 $V1 B at 64 checkers"
-
-# cross-backend resume: the compiled v1 checkpoint from step 3
-# restores into flat hosting and replays to the same verdicts
+# cross-backend resume: the committed version-1 checkpoint (per-checker
+# JSON, written by serve --backend compiled --checkpoint-every 50 on
+# the first 200 events of ipu.csv) restores into flat hosting and
+# replays to the same verdicts
+cp test/golden/ipu_v1.ckpt "$WORK/ipu_v1.ckpt"
 xresume_status=0
-$LOSEQ serve --suite "$SUITE" --checkpoint "$CKPT" --resume --backend flat \
-  < "$WORK/ipu.lsqb" > "$WORK/flat_resumed.ndjson" || xresume_status=$?
+$LOSEQ serve --suite "$SUITE" --checkpoint "$WORK/ipu_v1.ckpt" --resume \
+  --backend flat < "$WORK/ipu.lsqb" > "$WORK/flat_resumed.ndjson" \
+  || xresume_status=$?
 test "$xresume_status" -eq "$stream_status"
+grep -q '"skip": *200' "$WORK/flat_resumed.ndjson"
 grep '"type": *"verdict"' "$WORK/flat_resumed.ndjson" \
   > "$WORK/flat_resumed.verdicts"
 cmp <(strip_prov "$WORK/stream.verdicts") <(strip_prov "$WORK/flat_resumed.verdicts")
-echo "compiled v1 checkpoint resumed into flat hosting, verdicts identical"
+echo "version-1 checkpoint resumed into flat hosting, verdicts identical"
 
 gate "default-serve"
 # no --backend: buffered serve hosts the flat engine; its verdict
