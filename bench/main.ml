@@ -1125,7 +1125,7 @@ let ooo_latency () =
      the buffered path@.waits out the watermark.@."
     nchk (List.length violating)
     (Array.length scrambled_arr);
-  write_artifact ~backend:"compiled" "ooo"
+  write_artifact ~backend:"flat" "ooo"
     [
       ( "workload",
         Json.String

@@ -227,14 +227,14 @@ let backend_kind_arg =
     & opt (enum backend_kinds) `Compiled
     & info [ "backend" ] ~docv:"BACKEND" ~doc)
 
-(* serve leaves an absent --backend to [Server.serve], whose default
-   depends on the hosting mode. *)
+(* serve leaves an absent --backend to [Server.serve]: flat for
+   buffered hosting; --ooo refuses any --backend. *)
 let serve_backend_kind_arg =
   Cmdliner.Arg.(
     value
     & opt (some (enum backend_kinds)) None
     & info [ "backend" ] ~docv:"BACKEND" ~doc:Cli_doc.backend_doc
-        ~absent:"flat, or compiled with $(b,--ooo)")
+        ~absent:"flat; $(b,--ooo) always runs on flat and refuses $(b,--backend)")
 
 let factory_of = function
   | `Direct -> fun p -> Backend.direct p

@@ -220,8 +220,6 @@ let tri_to_string = function
 
 let pp_tri ppf t = Format.pp_print_string ppf (tri_to_string t)
 
-let supports_rollback t = t.persist <> None && t.restore <> None
-
 let pp_verdict ppf = function
   | Running -> Format.pp_print_string ppf "pass (running)"
   | Satisfied -> Format.pp_print_string ppf "pass (satisfied)"

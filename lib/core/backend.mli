@@ -183,10 +183,6 @@ val tri_to_string : tri -> string
 
 val pp_tri : Format.formatter -> tri -> unit
 
-val supports_rollback : t -> bool
-(** Both {!t.persist} and {!t.restore} present — the capability a
-    snapshot/rollback host requires (compiled and flat backends). *)
-
 val pp_verdict : Format.formatter -> verdict -> unit
 (** ["pass (running)"], ["pass (satisfied)"] or ["FAIL: ..."] — the
     rendering hosts print in reports. *)

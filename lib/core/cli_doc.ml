@@ -9,8 +9,8 @@ let backend_doc =
    hosted path), or $(b,psl) (formula progression over the Section-5 \
    PSL translation; rejects wide ranges and checks timed patterns \
    without their quantitative deadline). Without $(b,--backend), \
-   $(b,serve) hosts buffered sessions on $(b,flat) and $(b,--ooo) \
-   sessions on $(b,compiled)."
+   $(b,serve) hosts buffered sessions on $(b,flat); $(b,--ooo) \
+   sessions always run on $(b,flat) and refuse $(b,--backend)."
 
 let serve_modes_doc =
   "Two hosting modes. The default buffered mode parks events in a \
@@ -18,7 +18,7 @@ let serve_modes_doc =
    delivers them in timestamp order — verdicts are exact but lag the \
    stream by K; it runs on the $(b,flat) backend unless \
    $(b,--backend) says otherwise. With $(b,--ooo) the speculative \
-   engine (on the $(b,compiled) backend by default) applies every \
+   engine (always on the $(b,flat) backend) applies every \
    event the moment it arrives, reports three-valued in-flight \
    verdicts, and repairs by rollback-and-replay when a late event \
    lands; violation records carry $(b,speculative) markers, \

@@ -14,12 +14,13 @@ val backend_doc : string
 (** The [--backend] option description shared by [check], [suite],
     [soc] and [serve].  Mentions each of {!backend_names} and the
     defaults: [compiled] for the batch commands; for [serve], [flat]
-    when buffered and [compiled] under [--ooo]. *)
+    when buffered, and always [flat] under [--ooo], which refuses
+    [--backend]. *)
 
 val serve_modes_doc : string
 (** The serve man-page paragraph enumerating the hosting modes: the
     default buffered (watermark reorder) path and the [--ooo]
-    speculative path, with each mode's default backend.  Mentions
+    speculative path, with each mode's backend.  Mentions
     [--ooo], [--lateness] and the [settled]/[speculative] NDJSON
     markers. *)
 

@@ -964,15 +964,32 @@ let restore_checker t ck (p : Compiled.persisted) =
       Ba.set t.st (base + o_vc) c);
   touch t ck
 
-(* ---- blob -------------------------------------------------------------- *)
+(* ---- slab copies ------------------------------------------------------- *)
 
-let blob_version = 1
-let magic = "LSQF"
+type slab = ba
 
 let used_slots t =
   match Array.length t.ck_base with
   | 0 -> 0
   | n -> t.ck_base.(n - 1) + ctrl_slots + (2 * t.ck_nrecs.(n - 1))
+
+let copy_slab t =
+  let n = used_slots t in
+  let s = Ba.create Bigarray.int Bigarray.c_layout n in
+  Ba.blit (Ba.sub t.st 0 n) s;
+  s
+
+let restore_checker_slab t ck s =
+  let base = t.ck_base.(ck) in
+  for i = base to base + ctrl_slots + (2 * t.ck_nrecs.(ck)) - 1 do
+    Ba.set t.st i (Ba.get s i)
+  done;
+  touch t ck
+
+(* ---- blob -------------------------------------------------------------- *)
+
+let blob_version = 1
+let magic = "LSQF"
 
 (* Slots are zigzag varints (LEB128): a fresh 64-checker suite is
    mostly zeros and small codes, so almost every slot is one byte —

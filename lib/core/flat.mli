@@ -16,15 +16,16 @@
       array ({!layout}): one contiguous slab per checker, control
       words first, then recognizer states, then counters.  The engine
       owns no other mutable state, so a checkpoint of the whole suite
-      is one [memcpy]-shaped blob ({!save_blob}) and a future
+      is one [memcpy]-shaped blob ({!save_blob}), a speculative
+      snapshot is one array copy ({!copy_slab}), and a future
       multicore shard is a slice of the array;
     - {!step_local} is a branch-minimized mirror of
       [Compiled.step_id] (same Fig. 5 recognizer semantics, verified
       against it property-by-property in [test_backend]).
 
     Verdicts and persisted states are {e shared} with {!Compiled}
-    (same types), so backend lifting and the JSON checkpoint codec
-    host both engines unchanged. *)
+    (same types), so backend lifting and the checkpoint bridge host
+    both engines unchanged. *)
 
 type t
 
@@ -126,13 +127,25 @@ val reset_checker : t -> int -> unit
 val reset : t -> unit
 
 val persist_checker : t -> int -> Compiled.persisted
-(** Per-checker state in the {!Compiled} persisted format — the JSON
-    checkpoint fallback, and the bridge when a flat blob is restored
-    into compiled-backend checkers. *)
+(** Per-checker state in the {!Compiled} persisted format — the bridge
+    between a checkpoint's flat blob and checkers hosted on another
+    backend, and how {!slice} carries state over. *)
 
 val restore_checker : t -> int -> Compiled.persisted -> unit
 (** Raises [Invalid_argument] when the state does not fit (wrong
     recognizer count, a diagnostic range not in the pattern). *)
+
+type slab
+(** A copy of the used state slab: every checker's run state at one
+    instant. *)
+
+val copy_slab : t -> slab
+(** One array copy — the speculative engine's snapshot. *)
+
+val restore_checker_slab : t -> int -> slab -> unit
+(** [restore_checker_slab t ck s] copies checker [ck]'s slot range back
+    from [s], a {!copy_slab} of this engine, and lists [ck] for the
+    next {!drain_deadlines}. *)
 
 val blob_version : int
 

@@ -531,7 +531,7 @@ module Engine = Loseq_ooo.Engine
    markers: violation records carry ["speculative"], [retracted]
    records withdraw them, [settled] records mark verdicts the
    watermark has made definitive. *)
-let speculative ~metrics ~trace ~backend ~lateness ?final_time ~out suite =
+let speculative ~metrics ~trace ~lateness ?final_time ~out suite =
   (* The engine routes no tap, so the provenance recorder is detached
      and fed from the arrival stream; retractions unfreeze the ring. *)
   let prov = Provenance.create_detached suite in
@@ -563,7 +563,7 @@ let speculative ~metrics ~trace ~backend ~lateness ?final_time ~out suite =
   let engine =
     Engine.create
       ?metrics:(if Obs.is_live metrics then Some metrics else None)
-      ~trace ~backend ~notice ~lateness
+      ~trace ~notice ~lateness
       (List.map (fun (e : Suite.entry) -> (e.label, e.pattern)) suite)
   in
   let offered = ref 0 in
@@ -768,35 +768,31 @@ let serve ?metrics ?metrics_addr ?(stats_interval = 0) ?backend
      noop ring keeps every instrumented hot path on its one-branch
      fast path. *)
   let trace = if trace_out <> None then Tr.create () else Tr.noop in
-  (* With no backend named, buffered hosting steps the flat suite
-     engine directly.  [--ooo] stays on compiled: it persists and
-     restores checkers on every rollback, and flat views measured no
-     faster there.  Provenance replays ([host_loop ?backend]) keep the
-     caller's own choice, compiled when none was named, so failure
-     chains do not depend on the hosting mode's default. *)
-  let host_backend =
-    match backend with
-    | Some b -> b
-    | None when ooo -> Backend.per_pattern Backend.compiled
-    | None -> Backend.flat_views
-  in
   if ooo && (checkpoint <> None || resume) then
     error_record out
       "--ooo does not support --checkpoint/--resume: speculative state \
        (journal, snapshots, unsettled verdicts) is not checkpointable"
+  else if ooo && backend <> None then
+    error_record out
+      "--ooo does not support --backend: speculative hosting always steps \
+       the flat engine"
   else
     match
       setup ~strict_reorder ~out (fun () ->
-          if ooo then
-            speculative ~metrics ~trace ~backend:host_backend ~lateness
-              ?final_time ~out suite
+          if ooo then speculative ~metrics ~trace ~lateness ?final_time ~out suite
           else
-            buffered ~metrics ~trace ~backend:host_backend
+            (* With no backend named, buffered hosting steps the flat
+               suite engine directly. *)
+            buffered ~metrics ~trace
+              ~backend:(Option.value backend ~default:Backend.flat_views)
               ?latency_sample_rate ~lateness ~window ?checkpoint ~resume
               ?final_time ~out suite)
     with
     | Error msg -> error_record out msg
     | Ok host ->
+        (* Provenance replays keep the caller's own choice, compiled when
+           none was named, so failure chains do not depend on the
+           hosting mode. *)
         host_loop ~metrics ~metrics_addr ~stats_interval ?backend
           ~checkpoint_every ~trace ~trace_out ~profile_out ~out ~input suite
           host

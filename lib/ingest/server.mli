@@ -70,7 +70,8 @@
     Its final [verdict] records are byte-identical to the buffered
     mode's up to the ["provenance"] chains (capture is arrival-order,
     so the 1-minimal witness may differ).  [checkpoint]/[resume] are
-    refused (exit [2]) — speculative state is not checkpointable.
+    refused (exit [2]) — speculative state is not checkpointable — and
+    so is [backend].
 
     With [metrics_addr (host, port)] the server additionally binds a
     TCP endpoint answering [GET /metrics] (Prometheus text format
@@ -119,15 +120,14 @@ val serve :
     on resume: the checkpoint's values win).  [out] defaults to
     stdout.
 
-    [backend] picks the monitor backend for the whole suite.  Without
-    it, the buffered mode hosts the suite as one {!Loseq_core.Flat}
-    engine stepped directly by the hub
-    ({!Loseq_core.Backend.flat_views} through
-    {!Loseq_verif.Suite.attach_hub}; its checkpoints are the one-blob
-    v2 format) and the speculative mode uses
-    [Backend.per_pattern Backend.compiled].  Verdict records are the
-    same either way.  Provenance chains are minimized on [backend] as
-    given, compiled without it, so they do not depend on the mode.
+    [backend] picks the monitor backend of the buffered mode.  Without
+    it, the suite is hosted as one {!Loseq_core.Flat} engine stepped
+    directly by the hub ({!Loseq_core.Backend.flat_views} through
+    {!Loseq_verif.Suite.attach_hub}).  Verdict records are the same
+    either way.  The speculative mode always steps one flat engine and
+    refuses a [backend] (exit [2]).  Provenance chains are minimized
+    on [backend] as given, compiled without it, so they do not depend
+    on the mode.
 
     [metrics] (default noop) is threaded through the session to the hub
     and reorder buffer, and additionally feeds the server-level

@@ -25,32 +25,29 @@ type stats = {
   max_journal : int;
 }
 
-(* Per-checker speculation state around a rollback-capable backend.
+(* Per-checker speculation state beside the engine's slab.
    [decided_at] is meaningful only while the verdict is decided: the
    timestamp of the deciding step (or the missed deadline), i.e. the
-   point the watermark must pass for the verdict to settle.  [dirty]
-   tracks divergence from [cache] (below), not from the last recorded
-   snapshot — snapshots can be dropped, the cache cannot. *)
+   point the watermark must pass for the verdict to settle.  [touched]
+   and [pending] mark membership of the engine lists of the same
+   names. *)
 type chk = {
   label : string;
-  b : Backend.t;
-  persist : unit -> Compiled.persisted;
-  restore_st : Compiled.persisted -> unit;
   alpha : Name.Set.t;
   timed : bool;
   cert_bound : Robust.bound;
   cert_decided : bool;
   commuting : (Name.t * Name.t, unit) Hashtbl.t;
   mutable decided_at : int;
-  mutable dirty : bool;
   mutable notified : Backend.verdict;
   mutable settled : bool;
+  mutable touched : bool;
+  mutable pending : bool;
 }
 
-(* Snapshot payload: one persisted blob and one decision point per
-   checker.  Blobs are immutable once produced, so clean checkers share
-   them across snapshots (the delta encoding). *)
-type snap = { states : Compiled.persisted array; decided : int array }
+(* Snapshot payload: a copy of the used slab and one decision point per
+   checker. *)
+type snap = { slab : Flat.slab; decided : int array }
 
 (* Flight-recorder categories on the ooo track: the rollback-and-replay
    span (end argument: journalled events re-stepped), plus instants for
@@ -67,17 +64,21 @@ type trc = {
 
 type t = {
   k : int;
+  eng : Flat.t;
+  views : Backend.t array;  (** verdict rendering *)
   chks : chk array;
-  suite_alpha : Name.Set.t;
-  route : (Name.t, int list) Hashtbl.t;
+  row : int array;  (** gid -> checkers subscribed to it *)
   journal : snap Journal.t;
   snapshot_every : int;
   cert : Robust.certificate;
   trc : trc option;
   notice : notice -> unit;
-  cache : Compiled.persisted array;
-      (* freshest persisted blob per checker; [chk.dirty] says the live
-         state has moved past it *)
+  mutable clock : int;  (** time of the event being stepped *)
+  mutable touched : int list;
+      (** checkers whose verdict may have moved since the notice scan:
+          decided by a step or deadline, or restored by a rollback *)
+  mutable pending : int list;  (** decided, not yet settled *)
+  mutable steps : int;
   mutable max_seen : int;
   mutable epoch : int;
   mutable finalized : bool;
@@ -96,48 +97,59 @@ let watermark t = t.max_seen - t.k
 let max_seen t = t.max_seen
 let journal_depth t = Journal.length t.journal
 let certificate t = t.cert
+let verdict t i = t.views.(i).Backend.verdict ()
+let is_decided t i = Flat.verdict_code t.eng i <> 0
 
-let is_decided c =
-  match c.b.Backend.verdict () with Backend.Running -> false | _ -> true
-
-(* Step [e] into [c], tracking the decision point.  Decided monitors
-   are sticky; skipping them keeps [dirty] honest. *)
-let step_chk c (e : Trace.event) =
-  if not (is_decided c) then begin
-    c.dirty <- true;
-    match c.b.Backend.step e with
-    | Backend.Running -> ()
-    | Backend.Satisfied -> c.decided_at <- e.Trace.time
-    | Backend.Violated d -> c.decided_at <- d.Diag.time
+let touch t i =
+  let c = t.chks.(i) in
+  if not c.touched then begin
+    c.touched <- true;
+    t.touched <- i :: t.touched
   end
 
-(* Fire every armed deadline [dl] with [dl + 1 <= upto], each at its
-   exact expiry instant — the same schedule the buffered kernel's
-   timeout wheel produces, which is what makes replayed diagnostics
-   identical to the in-order ones. *)
-let rec fire_chk c ~upto =
-  match c.b.Backend.next_deadline () with
-  | Some dl when dl + 1 <= upto ->
-      c.dirty <- true;
-      (match c.b.Backend.check_time ~now:(dl + 1) with
-      | Backend.Violated d -> c.decided_at <- d.Diag.time
-      | Backend.Running | Backend.Satisfied -> ());
-      fire_chk c ~upto
+(* The engine's decision hook: every satisfied or violated verdict,
+   from a step or a deadline check, passes through here. *)
+let on_decision t i =
+  t.chks.(i).decided_at <-
+    (match verdict t i with
+    | Backend.Violated d -> d.Diag.time
+    | Backend.Running | Backend.Satisfied -> t.clock);
+  touch t i
+
+let step_name t gid (e : Trace.event) =
+  t.clock <- e.Trace.time;
+  Flat.step_name t.eng ~gid ~time:e.Trace.time;
+  t.steps <- t.steps + t.row.(gid)
+
+(* One checker, on the late-event and replay paths. *)
+let step_checker t i (e : Trace.event) =
+  if Name.Set.mem e.Trace.name t.chks.(i).alpha then begin
+    t.clock <- e.Trace.time;
+    Flat.step_checker t.eng i e;
+    t.steps <- t.steps + 1
+  end
+
+(* Fire [i]'s armed deadline [dl] if [dl + 1 <= upto], at its exact
+   expiry instant — the same schedule the buffered kernel's timeout
+   wheel produces, which is what makes replayed diagnostics identical
+   to the in-order ones.  A fired deadline decides the checker, so
+   there is at most one. *)
+let fire t i ~upto =
+  match Flat.next_deadline_checker t.eng i with
+  | Some dl when dl + 1 <= upto -> Flat.check_time_checker t.eng i ~now:(dl + 1)
   | _ -> ()
 
+let fire_all t ~upto =
+  Array.iter (fun i -> fire t i ~upto) (Flat.timed_checkers t.eng)
+
+let snap t =
+  {
+    slab = Flat.copy_slab t.eng;
+    decided = Array.map (fun c -> c.decided_at) t.chks;
+  }
+
 let take_snapshot t =
-  Array.iteri
-    (fun i c ->
-      if c.dirty then begin
-        t.cache.(i) <- c.persist ();
-        c.dirty <- false
-      end)
-    t.chks;
-  Journal.record t.journal ~epoch:t.epoch ~fired_upto:t.max_seen
-    {
-      states = Array.copy t.cache;
-      decided = Array.map (fun c -> c.decided_at) t.chks;
-    };
+  Journal.record t.journal ~epoch:t.epoch ~fired_upto:t.max_seen (snap t);
   t.snapshots <- t.snapshots + 1;
   match t.trc with
   | Some c -> Tr.emit c.tr c.tr_snapshot Tr.Instant (Journal.length t.journal)
@@ -149,119 +161,116 @@ let maybe_snapshot t =
 let note_journal_depth t =
   t.max_journal <- max t.max_journal (Journal.length t.journal)
 
-(* Diff each checker's live verdict against the last one pushed to the
-   notice callback.  Rollbacks surface here as retractions. *)
-let notify_scan t =
-  let wm = watermark t in
-  Array.iteri
-    (fun i c ->
-      let v = c.b.Backend.verdict () in
-      if v <> c.notified then begin
-        (match c.notified with
-        | Backend.Violated _ ->
-            (match t.trc with
-            | Some tc -> Tr.emit tc.tr tc.tr_retract Tr.Instant i
-            | None -> ());
-            t.notice (Retracted { index = i; label = c.label })
-        | Backend.Running | Backend.Satisfied -> ());
-        (match v with
-        | Backend.Violated d ->
-            t.notice
-              (Violation
-                 {
-                   index = i;
-                   label = c.label;
-                   violation = d;
-                   settled = t.finalized || c.decided_at < wm;
-                 })
-        | Backend.Running | Backend.Satisfied -> ());
-        c.notified <- v
-      end)
-    t.chks
+(* Diff each touched checker's live verdict against the last one pushed
+   to the notice callback, in suite order.  Rollbacks surface here as
+   retractions.  A decided, unsettled checker joins [pending]. *)
+let notice_scan t =
+  match t.touched with
+  | [] -> ()
+  | touched ->
+      t.touched <- [];
+      let wm = watermark t in
+      List.iter
+        (fun i ->
+          let c = t.chks.(i) in
+          c.touched <- false;
+          let v = verdict t i in
+          if v <> c.notified then begin
+            (match c.notified with
+            | Backend.Violated _ ->
+                (match t.trc with
+                | Some tc -> Tr.emit tc.tr tc.tr_retract Tr.Instant i
+                | None -> ());
+                t.notice (Retracted { index = i; label = c.label })
+            | Backend.Running | Backend.Satisfied -> ());
+            (match v with
+            | Backend.Violated d ->
+                t.notice
+                  (Violation
+                     {
+                       index = i;
+                       label = c.label;
+                       violation = d;
+                       settled = t.finalized || c.decided_at < wm;
+                     })
+            | Backend.Running | Backend.Satisfied -> ());
+            c.notified <- v
+          end;
+          if v <> Backend.Running && (not c.settled) && not c.pending then begin
+            c.pending <- true;
+            t.pending <- i :: t.pending
+          end)
+        (List.sort compare touched)
+
+let settle t i =
+  let c = t.chks.(i) in
+  c.settled <- true;
+  t.settled_events <- t.settled_events + 1;
+  t.notice (Settled { index = i; label = c.label; verdict = verdict t i })
 
 (* A decided verdict settles once the watermark strictly passes its
    decision point: every event that could still arrive is stamped at or
-   after the watermark, hence after the decision. *)
+   after the watermark, hence after the decision.  Checkers a rollback
+   made undecided leave [pending] too. *)
 let settle_scan t =
   let wm = watermark t in
-  Array.iteri
-    (fun i c ->
-      if (not c.settled) && is_decided c && c.decided_at < wm then begin
-        c.settled <- true;
-        t.settled_events <- t.settled_events + 1;
-        t.notice
-          (Settled { index = i; label = c.label; verdict = c.b.Backend.verdict () })
-      end)
-    t.chks
+  let leaves i = t.chks.(i).decided_at < wm || not (is_decided t i) in
+  if List.exists leaves t.pending then begin
+    let ripe, stay = List.partition leaves t.pending in
+    t.pending <- stay;
+    List.iter (fun i -> t.chks.(i).pending <- false) ripe;
+    List.iter (settle t) (List.sort compare (List.filter (is_decided t) ripe))
+  end
 
 let pair a b = if Name.compare a b <= 0 then (a, b) else (b, a)
 
-let create ?metrics ?(trace = Tr.noop)
-    ?(backend = Backend.per_pattern Backend.compiled)
-    ?(cert_budget = 20_000) ?(snapshot_every = 32) ?notice ~lateness entries =
+let create ?metrics ?(trace = Tr.noop) ?(cert_budget = 20_000)
+    ?(snapshot_every = 32) ?notice ~lateness entries =
   if lateness < 0 then invalid_arg "Loseq_ooo.Engine.create: negative lateness";
   if snapshot_every < 1 then
     invalid_arg "Loseq_ooo.Engine.create: snapshot_every < 1";
-  let backends =
-    let backends = backend entries in
-    match metrics with
-    | Some m -> Array.map (Backend.instrument m) backends
-    | None -> backends
-  in
-  Array.iter
-    (fun b ->
-      if not (Backend.supports_rollback b) then
-        invalid_arg
-          (Printf.sprintf
-             "Loseq_ooo.Engine.create: backend %S cannot snapshot/rollback"
-             b.Backend.label))
-    backends;
+  let eng = Flat.compile entries in
   let cert = Robust.certificate ~budget:cert_budget entries in
-  let cert_entries = Array.of_list cert.Robust.entries in
   let chks =
-    Array.mapi
-      (fun i b ->
-        let label, p = List.nth entries i in
-        let ce = cert_entries.(i) in
-        let commuting = Hashtbl.create 16 in
-        List.iter
-          (fun (a, b') -> Hashtbl.replace commuting (pair a b') ())
-          ce.Robust.commuting;
-        {
-          label;
-          b;
-          persist = Option.get b.Backend.persist;
-          restore_st = Option.get b.Backend.restore;
-          alpha = b.Backend.alphabet;
-          timed = (match p with Pattern.Timed _ -> true | Pattern.Antecedent _ -> false);
-          cert_bound = ce.Robust.bound;
-          cert_decided = ce.Robust.decided;
-          commuting;
-          decided_at = -1;
-          dirty = false;
-          notified = Backend.Running;
-          settled = false;
-        })
-      backends
+    Array.of_list
+      (List.map2
+         (fun (label, p) (ce : Robust.entry) ->
+           let commuting = Hashtbl.create 16 in
+           List.iter
+             (fun (a, b) -> Hashtbl.replace commuting (pair a b) ())
+             ce.Robust.commuting;
+           {
+             label;
+             alpha = Pattern.alpha p;
+             timed =
+               (match p with Pattern.Timed _ -> true | Pattern.Antecedent _ -> false);
+             cert_bound = ce.Robust.bound;
+             cert_decided = ce.Robust.decided;
+             commuting;
+             decided_at = -1;
+             notified = Backend.Running;
+             settled = false;
+             touched = false;
+             pending = false;
+           })
+         entries cert.Robust.entries)
   in
-  let route = Hashtbl.create 64 in
-  Array.iteri
-    (fun i c ->
+  let row = Array.make (Array.length (Flat.names eng)) 0 in
+  Array.iter
+    (fun c ->
       Name.Set.iter
         (fun n ->
-          let prev = Option.value (Hashtbl.find_opt route n) ~default:[] in
-          Hashtbl.replace route n (prev @ [ i ]))
+          let g = Option.get (Flat.gid_of_name eng n) in
+          row.(g) <- row.(g) + 1)
         c.alpha)
     chks;
-  let suite_alpha =
-    Array.fold_left (fun acc c -> Name.Set.union acc c.alpha) Name.Set.empty chks
-  in
   let t =
     {
       k = lateness;
+      eng;
+      views = Backend.flat_engine_views eng;
       chks;
-      suite_alpha;
-      route;
+      row;
       journal = Journal.create ();
       snapshot_every;
       cert;
@@ -277,7 +286,10 @@ let create ?metrics ?(trace = Tr.noop)
              }
          else None);
       notice = Option.value notice ~default:(fun _ -> ());
-      cache = Array.map (fun c -> c.persist ()) chks;
+      clock = 0;
+      touched = [];
+      pending = [];
+      steps = 0;
       max_seen = -1;
       epoch = 0;
       finalized = false;
@@ -292,19 +304,16 @@ let create ?metrics ?(trace = Tr.noop)
       max_journal = 0;
     }
   in
+  Flat.set_notify eng (Some (on_decision t));
   (* Base snapshot: position 0, nothing fired — qualifies as a restore
      point for any admissible insertion, so rollback never falls off
      the bottom of the snapshot stack. *)
-  Journal.record t.journal ~epoch:0 ~fired_upto:(-1)
-    {
-      states = Array.copy t.cache;
-      decided = Array.map (fun c -> c.decided_at) t.chks;
-    };
+  Journal.record t.journal ~epoch:0 ~fired_upto:(-1) (snap t);
   t.snapshots <- 1;
   (match metrics with
   | None -> ()
   | Some m ->
-      let counter name help = Obs.counter m ~name ~help () in
+      let counter ?labels name help = Obs.counter m ~name ~help ?labels () in
       let gauge name help = Obs.gauge m ~name ~help () in
       let c_roll = counter "loseq_ooo_rollbacks_total" "Speculation rollbacks" in
       let c_repl =
@@ -322,6 +331,12 @@ let create ?metrics ?(trace = Tr.noop)
           "Events beyond the lateness bound, dropped"
       in
       let c_snaps = counter "loseq_ooo_snapshots_total" "Snapshots recorded" in
+      (* [Hub.host_flat]'s convention: an engine-stepped event counts
+         its dispatch row length. *)
+      let c_steps =
+        counter ~labels:[ ("backend", "flat") ] "loseq_backend_steps_total"
+          "Monitor steps executed, by backend flavor"
+      in
       let g_depth = gauge "loseq_ooo_journal_depth" "Live rollback-journal events" in
       let g_wm = gauge "loseq_ooo_watermark" "Settlement watermark (max_seen - K)" in
       Obs.on_collect m (fun () ->
@@ -332,14 +347,10 @@ let create ?metrics ?(trace = Tr.noop)
           Obs.set_counter c_settled t.settled_events;
           Obs.set_counter c_dropped t.dropped_late;
           Obs.set_counter c_snaps t.snapshots;
+          Obs.set_counter c_steps t.steps;
           Obs.set g_depth (Journal.length t.journal);
           Obs.set g_wm (watermark t)));
   t
-
-let route_step t e =
-  match Hashtbl.find_opt t.route e.Trace.name with
-  | Some idxs -> List.iter (fun i -> step_chk t.chks.(i) e) idxs
-  | None -> ()
 
 (* The certificate fast path: may late event [e] commit in place for
    checker [c], given the distinct names [suffix] of the journal events
@@ -359,14 +370,15 @@ let commits_in_place t c (e : Trace.event) suffix =
           suffix
 
 let offer_in_order t (e : Trace.event) =
-  let journalled = Name.Set.mem e.Trace.name t.suite_alpha in
-  if journalled then maybe_snapshot t;
-  Array.iter (fun c -> fire_chk c ~upto:e.Trace.time) t.chks;
-  route_step t e;
-  if journalled then begin
-    Journal.append t.journal e;
-    note_journal_depth t
-  end;
+  let gid = Flat.gid_of_name t.eng e.Trace.name in
+  if gid <> None then maybe_snapshot t;
+  fire_all t ~upto:e.Trace.time;
+  (match gid with
+  | Some gid ->
+      step_name t gid e;
+      Journal.append t.journal e;
+      note_journal_depth t
+  | None -> ());
   if e.Trace.time > t.max_seen then begin
     t.max_seen <- e.Trace.time;
     t.epoch <- t.epoch + 1;
@@ -375,90 +387,86 @@ let offer_in_order t (e : Trace.event) =
   t.applied <- t.applied + 1;
   `Applied
 
+let commute_hit t (e : Trace.event) =
+  t.commute_hits <- t.commute_hits + 1;
+  match t.trc with
+  | Some c -> Tr.emit c.tr c.tr_commute Tr.Instant e.Trace.time
+  | None -> ()
+
 let offer_late t (e : Trace.event) =
   t.late <- t.late + 1;
-  if not (Name.Set.mem e.Trace.name t.suite_alpha) then begin
-    (* Foreign to every checker: nothing to step, nothing to replay
-       (deadline firing is driven by timestamps already covered by
-       max_seen, not by the event itself). *)
-    t.commute_hits <- t.commute_hits + 1;
-    (match t.trc with
-    | Some c -> Tr.emit c.tr c.tr_commute Tr.Instant e.Trace.time
-    | None -> ());
-    `Applied
-  end
-  else begin
-    let q = Journal.insertion_point t.journal ~time:e.Trace.time in
-    let suffix = ref Name.Set.empty in
-    for i = q to Journal.length t.journal - 1 do
-      suffix := Name.Set.add (Journal.get t.journal i).Trace.name !suffix
-    done;
-    let affected = ref [] in
-    Array.iteri
-      (fun i c -> if not (commits_in_place t c e !suffix) then affected := i :: !affected)
-      t.chks;
-    match !affected with
-    | [] ->
-        route_step t e;
-        Journal.insert t.journal ~at:q e;
-        note_journal_depth t;
-        t.commute_hits <- t.commute_hits + 1;
-        (match t.trc with
-        | Some c -> Tr.emit c.tr c.tr_commute Tr.Instant e.Trace.time
-        | None -> ());
-        `Commuted
-    | affected -> (
-        match Journal.restore_point t.journal ~at:q ~time:e.Trace.time with
-        | None ->
-            (* The base snapshot always qualifies — see [create]. *)
-            assert false
-        | Some r ->
-            (* The whole repair is one span on the ooo track: restore,
-               re-step, catch-up.  Opened before the restore so the
-               nested snapshot instants stay time-ordered. *)
-            (match t.trc with
-            | Some c -> Tr.emit c.tr c.tr_replay Tr.Span_begin (List.length affected)
-            | None -> ());
-            let rpos = r.Journal.pos in
-            List.iter
-              (fun i ->
-                let c = t.chks.(i) in
-                c.restore_st r.Journal.snap.states.(i);
-                c.decided_at <- r.Journal.snap.decided.(i);
-                t.cache.(i) <- r.Journal.snap.states.(i);
-                c.dirty <- false)
-              affected;
-            Journal.drop_after t.journal ~pos:rpos;
-            (match Hashtbl.find_opt t.route e.Trace.name with
-            | Some idxs ->
+  match Flat.gid_of_name t.eng e.Trace.name with
+  | None ->
+      (* Foreign to every checker: nothing to step, nothing to replay
+         (deadline firing is driven by timestamps already covered by
+         max_seen, not by the event itself). *)
+      commute_hit t e;
+      `Applied
+  | Some gid -> (
+      let q = Journal.insertion_point t.journal ~time:e.Trace.time in
+      let suffix = ref Name.Set.empty in
+      for i = q to Journal.length t.journal - 1 do
+        suffix := Name.Set.add (Journal.get t.journal i).Trace.name !suffix
+      done;
+      (* Checkers that must roll back, and those that take the late
+         event in place, both in suite order. *)
+      let affected = ref [] and in_place = ref [] in
+      for i = Array.length t.chks - 1 downto 0 do
+        let c = t.chks.(i) in
+        if not (commits_in_place t c e !suffix) then affected := i :: !affected
+        else if Name.Set.mem e.Trace.name c.alpha then in_place := i :: !in_place
+      done;
+      match !affected with
+      | [] ->
+          step_name t gid e;
+          Journal.insert t.journal ~at:q e;
+          note_journal_depth t;
+          commute_hit t e;
+          `Commuted
+      | affected -> (
+          match Journal.restore_point t.journal ~at:q ~time:e.Trace.time with
+          | None ->
+              (* The base snapshot always qualifies — see [create]. *)
+              assert false
+          | Some r ->
+              (* The whole repair is one span on the ooo track: restore,
+                 re-step, catch-up.  Opened before the restore so the
+                 nested snapshot instants stay time-ordered. *)
+              (match t.trc with
+              | Some c ->
+                  Tr.emit c.tr c.tr_replay Tr.Span_begin (List.length affected)
+              | None -> ());
+              let rpos = r.Journal.pos and snap = r.Journal.snap in
+              List.iter
+                (fun i ->
+                  Flat.restore_checker_slab t.eng i snap.slab;
+                  t.chks.(i).decided_at <- snap.decided.(i);
+                  touch t i)
+                affected;
+              Journal.drop_after t.journal ~pos:rpos;
+              List.iter (fun i -> step_checker t i e) !in_place;
+              Journal.insert t.journal ~at:q e;
+              note_journal_depth t;
+              let len = Journal.length t.journal in
+              let count = len - rpos in
+              for p = rpos to len - 1 do
+                let ev = Journal.get t.journal p in
                 List.iter
                   (fun i ->
-                    if not (List.mem i affected) then step_chk t.chks.(i) e)
-                  idxs
-            | None -> ());
-            Journal.insert t.journal ~at:q e;
-            note_journal_depth t;
-            let len = Journal.length t.journal in
-            let count = len - rpos in
-            for i = rpos to len - 1 do
-              let ev = Journal.get t.journal i in
-              List.iter
-                (fun ci ->
-                  let c = t.chks.(ci) in
-                  fire_chk c ~upto:ev.Trace.time;
-                  if Name.Set.mem ev.Trace.name c.alpha then step_chk c ev)
-                affected
-            done;
-            (* Catch the replayed checkers back up to the present: the
-               in-order path had fired their deadlines up to max_seen. *)
-            List.iter (fun ci -> fire_chk t.chks.(ci) ~upto:t.max_seen) affected;
-            t.rollbacks <- t.rollbacks + 1;
-            t.replayed <- t.replayed + count;
-            (match t.trc with
-            | Some c -> Tr.emit c.tr c.tr_replay Tr.Span_end count
-            | None -> ());
-            `Replayed count)
-  end
+                    fire t i ~upto:ev.Trace.time;
+                    step_checker t i ev)
+                  affected
+              done;
+              (* Catch the replayed checkers back up to the present: the
+                 in-order path had fired their deadlines up to
+                 max_seen. *)
+              List.iter (fun i -> fire t i ~upto:t.max_seen) affected;
+              t.rollbacks <- t.rollbacks + 1;
+              t.replayed <- t.replayed + count;
+              (match t.trc with
+              | Some c -> Tr.emit c.tr c.tr_replay Tr.Span_end count
+              | None -> ());
+              `Replayed count))
 
 let offer t (e : Trace.event) =
   if t.finalized then invalid_arg "Loseq_ooo.Engine.offer: already finalized";
@@ -473,41 +481,22 @@ let offer t (e : Trace.event) =
   (match res with
   | `Dropped_late -> ()
   | `Applied | `Commuted | `Replayed _ ->
-      notify_scan t;
+      notice_scan t;
       settle_scan t);
   res
 
 let finalize ?final_time t =
   if not t.finalized then begin
     let ft = max 0 (max t.max_seen (Option.value final_time ~default:0)) in
-    Array.iter (fun c -> fire_chk c ~upto:ft) t.chks;
-    Array.iter
-      (fun c ->
-        if not (is_decided c) then begin
-          c.dirty <- true;
-          match c.b.Backend.finalize ~now:ft with
-          | Backend.Running -> ()
-          | Backend.Satisfied -> c.decided_at <- ft
-          | Backend.Violated d -> c.decided_at <- d.Diag.time
-        end
-        else ignore (c.b.Backend.finalize ~now:ft))
-      t.chks;
+    fire_all t ~upto:ft;
+    t.clock <- ft;
+    Flat.finalize t.eng ~now:ft;
     t.finalized <- true;
-    notify_scan t;
-    Array.iteri
-      (fun i c ->
-        if not c.settled then begin
-          c.settled <- true;
-          t.settled_events <- t.settled_events + 1;
-          t.notice
-            (Settled
-               { index = i; label = c.label; verdict = c.b.Backend.verdict () })
-        end)
-      t.chks
+    notice_scan t;
+    Array.iteri (fun i c -> if not c.settled then settle t i) t.chks
   end
 
-let report t =
-  Array.to_list (Array.map (fun c -> (c.label, c.b.Backend.verdict ())) t.chks)
+let report t = Array.to_list (Array.mapi (fun i c -> (c.label, verdict t i)) t.chks)
 
 let report_strings t =
   List.map
@@ -515,8 +504,8 @@ let report_strings t =
     (report t)
 
 let tri t =
-  Array.map
-    (fun c -> Backend.tri_of_verdict ~settled:c.settled (c.b.Backend.verdict ()))
+  Array.mapi
+    (fun i c -> Backend.tri_of_verdict ~settled:c.settled (verdict t i))
     t.chks
 
 let settled t = Array.map (fun c -> c.settled) t.chks

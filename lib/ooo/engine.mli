@@ -3,12 +3,14 @@
     The buffered ingestion path ({!Loseq_ingest.Session}) parks every
     event in a watermark reorder buffer for up to [lateness] ticks and
     delivers in timestamp order: verdicts are exact but lag the stream.
-    This engine is the POLIMON-style alternative: it applies each event
-    to the compiled suite {e the moment it arrives}, reports
-    three-valued in-flight verdicts ({!Loseq_core.Backend.tri}), and
-    repairs by rollback-and-replay when a late event lands inside the
-    lateness bound — a bounded {!Journal} of suite-alphabet events and
-    delta-encoded checker-state snapshots makes the repair local.  A
+    This engine is the POLIMON-style alternative: it compiles the suite
+    into one {!Loseq_core.Flat} engine, steps each event into it {e the
+    moment it arrives}, reports three-valued in-flight verdicts
+    ({!Loseq_core.Backend.tri}), and repairs by rollback-and-replay when
+    a late event lands inside the lateness bound — a bounded {!Journal}
+    of suite-alphabet events and snapshots that are plain copies of the
+    engine's state slab makes the repair local: a rollback copies back
+    only the affected checkers' slot ranges.  A
     verdict {e settles} (becomes definitive) once the watermark
     [max_seen - lateness] passes its decision point: no admissible late
     arrival can change it, and settled verdicts are bit-for-bit those
@@ -78,30 +80,28 @@ type notice =
 val create :
   ?metrics:Loseq_obs.Metrics.t ->
   ?trace:Loseq_obs.Trace.t ->
-  ?backend:Backend.suite_factory ->
   ?cert_budget:int ->
   ?snapshot_every:int ->
   ?notice:(notice -> unit) ->
   lateness:int ->
   (string * Pattern.t) list ->
   t
-(** Compile the suite with [backend] (default
-    [Backend.per_pattern Backend.compiled]; {!Backend.flat_views} also
-    rolls back), run the lateness-robustness analysis ([cert_budget]
-    defaults to [20_000] elementary operations) and take the base
-    snapshot.  A snapshot is
+(** Compile the suite into one {!Flat} engine, run the
+    lateness-robustness analysis ([cert_budget] defaults to [20_000]
+    elementary operations) and take the base snapshot.  A snapshot is
     recorded every [snapshot_every] (default [32]) journalled events.
-    With [?metrics], backends are instrumented and the engine registers
-    [loseq_ooo_*] counters and gauges on the registry.  A live [trace]
+    With [?metrics], the engine registers [loseq_ooo_*] counters and
+    gauges and [loseq_backend_steps_total{backend="flat"}] (an event
+    stepped through the engine's dispatch row counts the row's length,
+    as under {!Loseq_verif.Hub.host_flat}; a checker re-stepped by a
+    rollback counts one) on the registry.  A live [trace]
     flight recorder (default noop) records the engine's speculation
     traffic on the ["ooo"] track: a [rollback_replay] span per repair
     (begin argument: checkers restored; end argument: journalled events
     re-stepped), plus [commute_hit], [retraction] and [snapshot]
     instants.
 
-    Raises [Invalid_argument] if [lateness < 0] or a chosen backend
-    does not {!Backend.supports_rollback} (the [direct] and [psl]
-    strategies cannot host speculation);
+    Raises [Invalid_argument] if [lateness < 0] or [snapshot_every < 1];
     {!Loseq_core.Wellformed.Ill_formed} on an ill-formed pattern. *)
 
 val offer : t -> Trace.event -> [ `Applied | `Commuted | `Replayed of int | `Dropped_late ]
@@ -116,8 +116,8 @@ val offer : t -> Trace.event -> [ `Applied | `Commuted | `Replayed of int | `Dro
 
 val finalize : ?final_time:int -> t -> unit
 (** End of observation at [max (max_seen, final_time, 0)]: fire
-    remaining deadlines, run every backend's [finalize], and settle all
-    verdicts.  Idempotent. *)
+    remaining deadlines, finalize the engine, and settle all verdicts.
+    Idempotent. *)
 
 (** {1 Verdicts} *)
 

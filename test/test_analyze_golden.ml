@@ -25,7 +25,8 @@
      suite entry, a missing trace file, an unknown --property, a bad
      endpoint address and a negative --certify-lateness;
    - an unwritable [analyze --plan-out] path (exit 3, the path on
-     stderr), an unwritable [soc --csv] path (exit 2), a dangling
+     stderr), an unwritable [soc --csv] path (exit 2), [serve --ooo]
+     with a [--backend] (exit 2, one [error] record), a dangling
      symlink in a --traces directory (skipped with a warning) and the
      stderr of [dfa] past its state limit (exit 1). *)
 
@@ -171,6 +172,29 @@ let checkpoint_directory root =
       Alcotest.(check bool) "an error record" true
         (contains ~sub:{|"type":"error"|} record);
       Alcotest.(check bool) "naming the path" true (contains ~sub:dir record)
+  | records ->
+      Alcotest.failf "expected one record, got %d" (List.length records));
+  Alcotest.(check bool) "no uncaught exception" false
+    (contains ~sub:"uncaught exception" err)
+
+(* The speculative engine always steps the flat engine: naming a
+   backend under --ooo is refused up front, exit 2 and one [error]
+   record. *)
+let ooo_backend_refused root =
+  let code, out, err =
+    run root
+      [
+        "serve"; "--suite"; "examples/specs/ipu.suite"; "--ooo"; "--backend";
+        "compiled";
+      ]
+  in
+  Alcotest.(check int) "exit code" 2 code;
+  (match String.split_on_char '\n' (String.trim out) with
+  | [ record ] ->
+      Alcotest.(check bool) "an error record" true
+        (contains ~sub:{|"type":"error"|} record);
+      Alcotest.(check bool) "naming --backend" true
+        (contains ~sub:"--backend" record)
   | records ->
       Alcotest.failf "expected one record, got %d" (List.length records));
   Alcotest.(check bool) "no uncaught exception" false
@@ -338,6 +362,7 @@ let () =
             cli_case "soc csv unwritable" soc_csv_unwritable;
             cli_case "traces dangling symlink" traces_dangling_symlink;
             cli_case "checkpoint directory" checkpoint_directory;
+            cli_case "ooo backend refused" ooo_backend_refused;
           ]
           @ List.map help_case
               (None :: List.map Option.some subcommands)

@@ -1,8 +1,10 @@
 (* The whole-suite flat engine: deterministic pins for the packed
    memory layout, counter-slot overflow, deadline firing order through
    the engine-direct hosted path, and the state-blob codec (roundtrip,
-   version rejection, wrong-suite rejection, truncation).  Cross-backend
-   verdict agreement on random inputs lives in test_backend. *)
+   version rejection, wrong-suite rejection, truncation), plus a
+   property for slab copies (the speculative engine's snapshots).
+   Cross-backend verdict agreement on random inputs lives in
+   test_backend. *)
 
 open Loseq_core
 open Loseq_sim
@@ -292,6 +294,68 @@ let test_reset () =
   Alcotest.(check int) "clean rerun still running" 0 (Flat.verdict_code eng 0);
   Alcotest.(check int) "round counted" 1 (Flat.rounds_completed eng 0)
 
+(* ---- slab copies ------------------------------------------------------- *)
+
+(* A suite of one to three random entries, their traces merged in time
+   order, and a cut point. *)
+let gen_slab_case =
+  QCheck2.Gen.(
+    let* cases = list_size (int_range 1 3) gen_pattern_and_trace in
+    let trace =
+      List.stable_sort
+        (fun (a : Trace.event) (b : Trace.event) -> compare a.time b.time)
+        (List.concat_map snd cases)
+    in
+    let* cut = int_range 0 (List.length trace) in
+    return (List.map fst cases, trace, cut))
+
+let print_slab_case (ps, trace, cut) =
+  Format.asprintf "@[<v>%a@,trace: %s@,cut: %d@]"
+    (Format.pp_print_list Pattern.pp)
+    ps (Trace.to_string trace) cut
+
+(* Copy the slab after any prefix, step the rest of the trace and
+   finalize, then restore every checker from the copy: each checker's
+   persisted state is the one taken at copy time, every timed checker
+   is handed to the next deadline drain, and stepping the rest again
+   reaches the same states. *)
+let prop_slab_restore_exact (ps, trace, cut) =
+  let eng = Flat.compile (List.mapi (fun i p -> (Printf.sprintf "p%d" i, p)) ps) in
+  let n = Flat.size eng in
+  let run events =
+    List.iter
+      (fun (e : Trace.event) ->
+        Flat.check_time eng ~now:e.time;
+        Flat.step_event eng e)
+      events;
+    Flat.finalize eng ~now:(Trace.end_time trace + 200);
+    Array.init n (Flat.persist_checker eng)
+  in
+  let prefix = List.filteri (fun i _ -> i < cut) trace
+  and rest = List.filteri (fun i _ -> i >= cut) trace in
+  List.iter (Flat.step_event eng) prefix;
+  let at_copy = Array.init n (Flat.persist_checker eng) in
+  let slab = Flat.copy_slab eng in
+  let finished = run rest in
+  Flat.drain_deadlines eng ignore;
+  for ck = 0 to n - 1 do
+    Flat.restore_checker_slab eng ck slab
+  done;
+  let handed = ref [] in
+  Flat.drain_deadlines eng (fun ck -> handed := ck :: !handed);
+  let restored = Array.init n (Flat.persist_checker eng) in
+  if restored <> at_copy then
+    QCheck2.Test.fail_report "restored state differs from the copy"
+  else if
+    not
+      (Array.for_all
+         (fun ck -> List.mem ck !handed)
+         (Flat.timed_checkers eng))
+  then QCheck2.Test.fail_report "a restored timed checker was not drained"
+  else if run rest <> finished then
+    QCheck2.Test.fail_report "replaying the rest diverged"
+  else true
+
 let () =
   Alcotest.run "flat"
     [
@@ -319,5 +383,10 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_blob_roundtrip;
           Alcotest.test_case "rejections" `Quick test_blob_rejections;
           Alcotest.test_case "reset" `Quick test_reset;
+        ] );
+      ( "slab",
+        [
+          qtest ~count:300 "restore from a slab copy is exact" gen_slab_case
+            print_slab_case prop_slab_restore_exact;
         ] );
     ]

@@ -339,7 +339,8 @@ let test_metrics_reconcile_with_stats () =
   let eng =
     Engine.create ~metrics ~lateness:ipu_lateness (to_engine_suite ipu_suite)
   in
-  List.iter (fun e -> ignore (Engine.offer eng e)) (ipu_ooo_trace ());
+  let trace = ipu_ooo_trace () in
+  List.iter (fun e -> ignore (Engine.offer eng e)) trace;
   Engine.finalize eng;
   let stats = Engine.stats eng in
   let counter n = Metrics.read_counter metrics ~name:n () in
@@ -370,7 +371,22 @@ let test_metrics_reconcile_with_stats () =
     (gauge "loseq_ooo_journal_depth");
   Alcotest.(check (option int))
     "watermark gauge" (Some (Engine.watermark eng))
-    (gauge "loseq_ooo_watermark")
+    (gauge "loseq_ooo_watermark");
+  (* No rollback on the twin trace, so every event is stepped once
+     through its dispatch row: one step per subscribed checker. *)
+  Alcotest.(check int) "no rollback" 0 stats.Engine.rollbacks;
+  let subscribed (e : Trace.event) =
+    List.length
+      (List.filter
+         (fun (en : Suite.entry) ->
+           Name.Set.mem e.Trace.name (Pattern.alpha en.Suite.pattern))
+         ipu_suite)
+  in
+  Alcotest.(check (option int))
+    "flat steps, row length per event"
+    (Some (List.fold_left (fun n e -> n + subscribed e) 0 trace))
+    (Metrics.read_counter metrics ~name:"loseq_backend_steps_total"
+       ~labels:[ ("backend", "flat") ] ())
 
 (* ---- usage text pins (serve/check/suite --help) ----------------------- *)
 
@@ -402,8 +418,9 @@ let test_serve_modes_doc_pins_ooo () =
         (contains Cli_doc.ooo_doc needle))
     [ "--checkpoint"; "--resume"; "rollback" ]
 
-(* The per-mode serve default (flat buffered, compiled under --ooo) is
-   stated in both the --backend description and the modes paragraph. *)
+(* The serve backends (flat buffered by default, always flat under
+   --ooo, which refuses --backend) are stated in both the --backend
+   description and the modes paragraph. *)
 let test_serve_backend_defaults_doc () =
   List.iter
     (fun (doc_name, doc, needles) ->
@@ -417,11 +434,12 @@ let test_serve_backend_defaults_doc () =
       ( "--backend doc",
         Cli_doc.backend_doc,
         [ "$(b,serve) hosts buffered sessions on $(b,flat)";
-          "$(b,--ooo) sessions on $(b,compiled)" ] );
+          "$(b,--ooo) sessions always run on $(b,flat) and refuse \
+           $(b,--backend)" ] );
       ( "serve modes doc",
         Cli_doc.serve_modes_doc,
         [ "runs on the $(b,flat) backend";
-          "(on the $(b,compiled) backend by default)" ] );
+          "(always on the $(b,flat) backend)" ] );
     ]
 
 let () =

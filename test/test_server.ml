@@ -140,11 +140,11 @@ let golden_cases =
     case "ipu_ooo_buffered" ~exit:1 ~suite:"ipu.suite" ~trace:ipu_ooo
       ~stats_interval:100 ~lateness:75000 ();
     case "ipu_ooo_speculative" ~exit:1 ~suite:"ipu.suite" ~trace:ipu_ooo
-      ~stats_interval:100 ~lateness:75000 ~ooo:true ();
+      ~backend:None ~stats_interval:100 ~lateness:75000 ~ooo:true ();
     case "racy_buffered" ~exit:0 ~suite:"racy.suite" ~trace:racy_head_swapped
       ~lateness:200 ();
     case "racy_speculative" ~exit:0 ~suite:"racy.suite"
-      ~trace:racy_head_swapped ~lateness:200 ~ooo:true
+      ~trace:racy_head_swapped ~backend:None ~lateness:200 ~ooo:true
       ~check:(fun lines ->
         Alcotest.(check bool)
           "a speculative violation is retracted" true
@@ -161,7 +161,7 @@ let golden_cases =
       ~check:(fun _ -> Sys.remove "server_golden.ckpt")
       ();
     case "ooo_checkpoint_refused" ~exit:2 ~suite:"ipu.suite" ~trace:ipu
-      ~checkpoint:"server_golden_ooo.ckpt" ~ooo:true ();
+      ~backend:None ~checkpoint:"server_golden_ooo.ckpt" ~ooo:true ();
     (* direct monitors have no persistence: the first checkpoint ends
        the run with a typed error record *)
     case "direct_checkpoint_refused" ~exit:2 ~suite:"ipu.suite" ~trace:ipu
