@@ -3,12 +3,9 @@ open Loseq_verif
 
 let format_name = "loseq-checkpoint"
 
-(* Version 2, the only one written: the whole suite's run state as one
-   base64 flat-engine blob plus the interning table that pins its
-   layout, so capture/restore cost stops scaling with checker count.
-   Version 1 (one persisted JSON state per checker) is still read,
-   until 1.15.0. *)
-let v1_format_version = 1
+(* Version 2, the only one: the whole suite's run state as one base64
+   flat-engine blob plus the interning table that pins its layout, so
+   capture/restore cost stops scaling with checker count. *)
 let format_version = 2
 
 exception Bad of string
@@ -129,11 +126,6 @@ let int_exn key json =
   | Json.Int n -> n
   | _ -> bad "checkpoint: field %S is not an integer" key
 
-let bool_exn key json =
-  match member_exn key json with
-  | Json.Bool b -> b
-  | _ -> bad "checkpoint: field %S is not a boolean" key
-
 let string_exn key json =
   match member_exn key json with
   | Json.String s -> s
@@ -147,75 +139,7 @@ let list_exn key json =
 let event_of_json json : Trace.event =
   { name = Name.v (string_exn "name" json); time = int_exn "time" json }
 
-(* The v1 reader: one persisted JSON state per checker, in the
-   {!Compiled.persisted} shape.  Read until 1.15.0. *)
-
-let range_of_json json =
-  let name = Name.v (string_exn "name" json) in
-  let lo = int_exn "lo" json and hi = int_exn "hi" json in
-  match Pattern.range ~lo ~hi name with
-  | r -> r
-  | exception Invalid_argument msg -> bad "checkpoint: bad range: %s" msg
-
-let reason_of_json json : Diag.reason =
-  match string_exn "tag" json with
-  | "before_name" -> Diag.Before_name
-  | "after_name" -> After_name
-  | "overflow" -> Overflow (range_of_json (member_exn "range" json))
-  | "underflow" -> Underflow (range_of_json (member_exn "range" json))
-  | "reentered" -> Reentered (range_of_json (member_exn "range" json))
-  | "missing" -> Missing (range_of_json (member_exn "range" json))
-  | "empty_fragment" -> Empty_fragment
-  | "trigger_early" -> Trigger_early
-  | "deadline_miss" ->
-      Deadline_miss
-        {
-          started = int_exn "started" json;
-          deadline = int_exn "deadline" json;
-          now = int_exn "now" json;
-        }
-  | "late_conclusion" ->
-      Late_conclusion
-        { deadline = int_exn "deadline" json; at = int_exn "at" json }
-  | "foreign" -> Foreign (Name.v (string_exn "name" json))
-  | "formula_falsified" -> Formula_falsified
-  | tag -> bad "checkpoint: unknown violation reason tag %S" tag
-
-let verdict_of_json json : Compiled.verdict =
-  match string_exn "status" json with
-  | "running" -> Compiled.Running
-  | "satisfied" -> Satisfied
-  | "violated" ->
-      Violated
-        {
-          reason = reason_of_json (member_exn "reason" json);
-          time = int_exn "time" json;
-          index = int_exn "index" json;
-        }
-  | status -> bad "checkpoint: unknown verdict status %S" status
-
-let rec_state_of_json json : Compiled.rec_state =
-  match json with
-  | Json.String "idle" -> Compiled.Idle
-  | Json.String "waiting" -> Waiting
-  | Json.String "started" -> Started
-  | Json.String "done" -> Done
-  | Json.Obj _ -> Counting (int_exn "counting" json)
-  | _ -> bad "checkpoint: malformed recognizer state"
-
-let persisted_of_json json : Compiled.persisted =
-  {
-    p_recs =
-      Array.of_list (List.map rec_state_of_json (list_exn "recs" json));
-    p_active = int_exn "active" json;
-    p_index = int_exn "index" json;
-    p_started = int_exn "started" json;
-    p_q_done = bool_exn "q_done" json;
-    p_rounds = int_exn "rounds" json;
-    p_verdict = verdict_of_json (member_exn "verdict" json);
-  }
-
-(* v2: the blob, checked against this suite's interning table. *)
+(* The blob, checked against this suite's interning table. *)
 let load_blob eng json =
   (match string_exn "engine" json with
   | "flat" -> ()
@@ -251,30 +175,20 @@ let fits name overwrite =
   | exception Invalid_argument msg ->
       bad "checker %S: state does not fit its monitor: %s" name msg
 
-(* Both versions share one tail: load the stored state into the state
-   engine (the v2 blob whole, or each v1 per-checker state), bridge it
-   into every checker when the session is not hosted on that engine,
-   then restore each checker's bookkeeping. *)
-let restore_checkers session ~version json =
+(* Load the blob into the state engine, bridge it into every checker
+   when the session is not hosted on that engine, then restore each
+   checker's bookkeeping. *)
+let restore_checkers session json =
   let hub = Session.hub session in
   let shared = Hub.engine hub in
   let eng =
     match shared with Some eng -> eng | None -> scratch_engine session
   in
-  let records = list_exn "checkers" json in
-  if version = format_version then load_blob eng json
-  else
-    List.iter
-      (fun cj ->
-        let name = string_exn "name" cj in
-        let persisted = persisted_of_json (member_exn "state" cj) in
-        let ck = slot eng name in
-        fits name (fun () -> Flat.restore_checker eng ck persisted))
-      records;
+  load_blob eng json;
   let events_seen =
     List.map
       (fun cj -> (string_exn "name" cj, int_exn "events_seen" cj))
-      records
+      (list_exn "checkers" json)
   in
   List.iter
     (fun checker ->
@@ -297,10 +211,9 @@ let restore_exn session json =
   (match string_exn "format" json with
   | s when s = format_name -> ()
   | s -> bad "not a loseq checkpoint (format %S)" s);
-  let version = int_exn "version" json in
-  if version <> v1_format_version && version <> format_version then
-    bad "unsupported checkpoint version %d (expected %d or %d)" version
-      v1_format_version format_version;
+  (match int_exn "version" json with
+  | v when v = format_version -> ()
+  | v -> bad "unsupported checkpoint version %d (expected %d)" v format_version);
   let stored_suite = string_exn "suite" json in
   let this_suite = Suite.to_string (Session.suite session) in
   if stored_suite <> this_suite then
@@ -313,7 +226,7 @@ let restore_exn session json =
   (* Monitor states first, then time: the hub's wheel is re-armed from
      the restored states, and advancing a fresh session's kernel fires
      nothing (no deadline is armed in an initial state). *)
-  restore_checkers session ~version json;
+  restore_checkers session json;
   (match
      Reorder.restore (Session.reorder session)
        ~max_seen:(int_exn "max_seen" reorder_json)

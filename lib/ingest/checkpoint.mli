@@ -8,18 +8,18 @@
     them earlier than the uninterrupted run would have), and the exact
     run state of every hosted monitor.
 
-    One version is written: version 2, the entire suite's run state
+    One version exists: version 2, the entire suite's run state
     as a single base64 {!Loseq_core.Flat} engine blob plus the
     interning table that pins its layout, so capture/restore cost
     stops scaling with checker count.  A session hosted engine-direct
     on one shared flat engine writes that engine's blob; any other
     persistable hosting fills a scratch engine of the same suite from
     each checker's persisted state
-    ({!Loseq_core.Backend.t.persist}).  Version 1 (one persisted JSON
-    state per checker) is still read, until 1.15.0.  Restore loads
-    either version into that same engine and, when the session is not
-    hosted on it, bridges every checker from it — so a checkpoint
-    resumes under any persistable hosting.
+    ({!Loseq_core.Backend.t.persist}).  Restore loads the blob into
+    that same engine and, when the session is not hosted on it, bridges
+    every checker from it — so a checkpoint resumes under any
+    persistable hosting.  Version 1 (one persisted JSON state per
+    checker, last written by 1.13.0) is refused with a typed error.
 
     The resume contract is replay-based: the producer re-sends the
     stream from the start and the consumer skips the first
@@ -39,7 +39,7 @@ val capture : Session.t -> Json.t
 
 val restore : Session.t -> Json.t -> (unit, string) result
 (** Overwrite a {e fresh} session (no events offered) with a captured
-    state, either version.  Fails on schema/version mismatch
+    state.  Fails on schema/version mismatch
     (including a flat blob of an unsupported [blob_version], reported
     as a clear error, not a decode exception), a different suite, a
     non-fresh session, or a backend without the restore capability.
@@ -70,8 +70,7 @@ val resume :
 (** [load], create a session with the checkpoint's lateness/window
     (and, like {!Session.create}, an optional live [metrics] sink,
     [trace] flight recorder, sampling rate, and backend choice),
-    [restore].  The checkpoint's version and the
-    session's hosting are independent: any persistable [backend]
-    resumes either version.  Stored session parameters that
+    [restore].  The checkpoint and the session's hosting are
+    independent: any persistable [backend] resumes it.  Stored session parameters that
     {!Session.create} refuses (e.g. a zero [window]) are an [Error]
     naming [path]. *)

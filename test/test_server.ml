@@ -226,23 +226,26 @@ let test_resume ~src ~dst () =
 
 (* test/golden/ipu_v1.ckpt is a version-1 (per-checker JSON) checkpoint
    written by [serve --backend compiled --checkpoint-every 50] on the
-   first 200 events of ipu.csv.  Resuming it under [dst] and replaying
-   the whole stream gives the verdicts and exit code of the
-   uninterrupted compiled run. *)
-let test_resume_v1_fixture ~dst () =
+   first 200 events of ipu.csv.  Version 1 is no longer read: resuming
+   it ends the run before the start record with one typed [error]
+   record and exit 2. *)
+let test_resume_v1_refused () =
   let suite = load_suite "ipu.suite" in
   let ckpt = Filename.temp_file "server_v1" ".ckpt" in
   write_lines ckpt (read_lines (golden_path "ipu_v1.ckpt"));
-  let serve ?backend ?checkpoint ?resume () =
+  let code, lines =
     run_serve ~trace:(ipu ()) (fun ~out ->
-        Server.serve ?backend ?checkpoint ?resume ~out ~input:`Stdin suite)
+        Server.serve ~checkpoint:ckpt ~resume:true ~out ~input:`Stdin suite)
   in
-  let full_code, full = serve ~backend:compiled () in
-  let code, resumed = serve ?backend:dst ~checkpoint:ckpt ~resume:true () in
   Sys.remove ckpt;
-  Alcotest.(check bool) "resumed" true (has_line resumed {|"skip":200|});
-  Alcotest.(check (list string)) "verdicts" (verdicts full) (verdicts resumed);
-  Alcotest.(check int) "exit code" full_code code
+  Alcotest.(check int) "exit code" 2 code;
+  match lines with
+  | [ record ] ->
+      Alcotest.(check bool) "an error record" true
+        (contains record {|"type":"error"|});
+      Alcotest.(check bool) "naming the version" true
+        (contains record "unsupported checkpoint version 1 (expected 2)")
+  | _ -> Alcotest.failf "expected one record, got %d" (List.length lines)
 
 let resume_cases =
   [
@@ -250,10 +253,7 @@ let resume_cases =
       (test_resume ~src:None ~dst:(Some compiled));
     Alcotest.test_case "compiled -> default" `Quick
       (test_resume ~src:(Some compiled) ~dst:None);
-    Alcotest.test_case "v1 fixture -> compiled" `Quick
-      (test_resume_v1_fixture ~dst:(Some compiled));
-    Alcotest.test_case "v1 fixture -> default" `Quick
-      (test_resume_v1_fixture ~dst:None);
+    Alcotest.test_case "v1 fixture refused" `Quick test_resume_v1_refused;
   ]
 
 (* ---- artifact writes ---------------------------------------------------- *)
