@@ -30,10 +30,7 @@
 #                         5% overhead bound in BENCH_dispatch.json is
 #                         advisory
 #   flat-agreement        serve --backend flat decides what the
-#                         compiled streaming run decides; the committed
-#                         version-1 checkpoint test/golden/ipu_v1.ckpt
-#                         (still read, no longer written) resumes into
-#                         flat hosting with identical verdicts
+#                         compiled streaming run decides
 #   default-serve         serve with no --backend (buffered: the flat
 #                         engine) writes verdict records identical to
 #                         --backend compiled and a v2 checkpoint with
@@ -49,7 +46,8 @@
 #                         settles verdict records byte-identical to
 #                         the buffered serve, with zero rollbacks (the
 #                         ipu suite certificate commutes every late
-#                         event) and no checkpoint support
+#                         event), no checkpoint support, and no
+#                         --backend (the engine always steps flat)
 #   verdict-provenance    failed serve verdicts carry a provenance
 #                         chain, and explain-verdict replays the
 #                         minimized chain to the same Fail on the
@@ -253,22 +251,6 @@ grep '"type": *"verdict"' "$WORK/flat.ndjson" > "$WORK/flat.verdicts"
 cmp "$WORK/stream.verdicts" "$WORK/flat.verdicts"
 echo "flat streaming verdicts identical to compiled (exit $flat_status)"
 
-# cross-backend resume: the committed version-1 checkpoint (per-checker
-# JSON, written by serve --backend compiled --checkpoint-every 50 on
-# the first 200 events of ipu.csv) restores into flat hosting and
-# replays to the same verdicts
-cp test/golden/ipu_v1.ckpt "$WORK/ipu_v1.ckpt"
-xresume_status=0
-$LOSEQ serve --suite "$SUITE" --checkpoint "$WORK/ipu_v1.ckpt" --resume \
-  --backend flat < "$WORK/ipu.lsqb" > "$WORK/flat_resumed.ndjson" \
-  || xresume_status=$?
-test "$xresume_status" -eq "$stream_status"
-grep -q '"skip": *200' "$WORK/flat_resumed.ndjson"
-grep '"type": *"verdict"' "$WORK/flat_resumed.ndjson" \
-  > "$WORK/flat_resumed.verdicts"
-cmp <(strip_prov "$WORK/stream.verdicts") <(strip_prov "$WORK/flat_resumed.verdicts")
-echo "version-1 checkpoint resumed into flat hosting, verdicts identical"
-
 gate "default-serve"
 # no --backend: buffered serve hosts the flat engine; its verdict
 # records (provenance included: same arrival order) are those of the
@@ -357,6 +339,12 @@ $LOSEQ serve --suite "$SUITE" --ooo --checkpoint "$WORK/ooo.ckpt" \
   < "$OOOTRACE" > "$WORK/ooock.ndjson" || ooock_status=$?
 test "$ooock_status" -eq 2
 grep -q 'does not support' "$WORK/ooock.ndjson"
+# it always steps the flat engine: naming a backend refuses too
+ooobk_status=0
+$LOSEQ serve --suite "$SUITE" --ooo --backend compiled \
+  < "$OOOTRACE" > "$WORK/ooobk.ndjson" || ooobk_status=$?
+test "$ooobk_status" -eq 2
+grep -q '"type": *"error".*--backend' "$WORK/ooobk.ndjson"
 echo "speculative settled verdicts byte-identical to buffered (exit $spec_status)"
 
 gate "verdict-provenance"
