@@ -9,9 +9,10 @@
     positions [p..] reproduces the live state.
 
     The journal is polymorphic in the snapshot payload ['snap] — the
-    engine stores its own per-checker persisted-state arrays; the
-    journal only manages positions, admissibility ([fired_upto]) and
-    trimming.  Events before the watermark frontier are dropped by
+    engine stores a copy of its flat engine's state slab
+    ({!Loseq_core.Flat.copy_slab}) and one decision point per checker;
+    the journal only manages positions, admissibility ([fired_upto])
+    and trimming.  Events before the watermark frontier are dropped by
     {!trim} once a qualifying snapshot covers them, which is what keeps
     the window bounded. *)
 
