@@ -850,6 +850,24 @@ let check_time t ~now =
 
 let finalize t ~now = check_time t ~now
 
+(* Each armed deadline [dl] (the test [next_deadline_checker] makes,
+   without its option) fires at its exact expiry instant [dl + 1]. *)
+let fire_due t ~upto =
+  let st = t.st in
+  for k = 0 to Array.length t.timed_cks - 1 do
+    let ck = Array.unsafe_get t.timed_cks k in
+    let base = t.ck_base.(ck) in
+    let started = Ba.get st (base + o_started) in
+    if
+      started >= 0
+      && Ba.get st (base + o_verdict) = v_running
+      && Ba.get st (base + o_qdone) = 0
+    then begin
+      let now = started + t.ck_deadline.(ck) + 1 in
+      if now <= upto then check_time_checker t ck ~now
+    end
+  done
+
 let next_deadline_checker t ck =
   let st = t.st in
   let base = t.ck_base.(ck) in
@@ -964,29 +982,27 @@ let restore_checker t ck (p : Compiled.persisted) =
       Ba.set t.st (base + o_vc) c);
   touch t ck
 
-(* ---- slab copies ------------------------------------------------------- *)
+(* ---- engine-to-engine copies ------------------------------------------ *)
 
-type slab = ba
+let copy_checker ~src t ck =
+  let base = t.ck_base.(ck) in
+  let width = ctrl_slots + (2 * t.ck_nrecs.(ck)) in
+  if
+    Ba.dim src.st <> Ba.dim t.st
+    || src.ck_base.(ck) <> base
+    || src.ck_nrecs.(ck) <> t.ck_nrecs.(ck)
+  then invalid_arg "Flat.copy_checker: engines of different suites";
+  for i = base to base + width - 1 do
+    Ba.set t.st i (Ba.get src.st i)
+  done;
+  touch t ck
+
+(* ---- blob -------------------------------------------------------------- *)
 
 let used_slots t =
   match Array.length t.ck_base with
   | 0 -> 0
   | n -> t.ck_base.(n - 1) + ctrl_slots + (2 * t.ck_nrecs.(n - 1))
-
-let copy_slab t =
-  let n = used_slots t in
-  let s = Ba.create Bigarray.int Bigarray.c_layout n in
-  Ba.blit (Ba.sub t.st 0 n) s;
-  s
-
-let restore_checker_slab t ck s =
-  let base = t.ck_base.(ck) in
-  for i = base to base + ctrl_slots + (2 * t.ck_nrecs.(ck)) - 1 do
-    Ba.set t.st i (Ba.get s i)
-  done;
-  touch t ck
-
-(* ---- blob -------------------------------------------------------------- *)
 
 let blob_version = 1
 let magic = "LSQF"

@@ -16,9 +16,10 @@
       array ({!layout}): one contiguous slab per checker, control
       words first, then recognizer states, then counters.  The engine
       owns no other mutable state, so a checkpoint of the whole suite
-      is one [memcpy]-shaped blob ({!save_blob}), a speculative
-      snapshot is one array copy ({!copy_slab}), and a future
-      multicore shard is a slice of the array;
+      is one [memcpy]-shaped blob ({!save_blob}), restoring a
+      checker from a second engine of the same suite is one slot-range
+      copy ({!copy_checker}), and a future multicore shard is a slice
+      of the array;
     - {!step_local} is a branch-minimized mirror of
       [Compiled.step_id] (same Fig. 5 recognizer semantics, verified
       against it property-by-property in [test_backend]).
@@ -94,6 +95,11 @@ val check_time : t -> now:int -> unit
 
 val finalize : t -> now:int -> unit
 
+val fire_due : t -> upto:int -> unit
+(** Fire every armed deadline [dl] with [dl + 1 <= upto], each through
+    {!check_time_checker} at its exact expiry instant [dl + 1] — the
+    schedule of a timeout wheel.  Allocation-free. *)
+
 val next_deadline_checker : t -> int -> int option
 
 val next_deadline : t -> int option
@@ -135,17 +141,11 @@ val restore_checker : t -> int -> Compiled.persisted -> unit
 (** Raises [Invalid_argument] when the state does not fit (wrong
     recognizer count, a diagnostic range not in the pattern). *)
 
-type slab
-(** A copy of the used state slab: every checker's run state at one
-    instant. *)
-
-val copy_slab : t -> slab
-(** One array copy — the speculative engine's snapshot. *)
-
-val restore_checker_slab : t -> int -> slab -> unit
-(** [restore_checker_slab t ck s] copies checker [ck]'s slot range back
-    from [s], a {!copy_slab} of this engine, and lists [ck] for the
-    next {!drain_deadlines}. *)
+val copy_checker : src:t -> t -> int -> unit
+(** [copy_checker ~src t ck] overwrites checker [ck]'s slot range in
+    [t] with [src]'s and lists [ck] for the next {!drain_deadlines}.
+    [src] and [t] must be compiled from the same suite; raises
+    [Invalid_argument] when their layouts differ at [ck]. *)
 
 val blob_version : int
 

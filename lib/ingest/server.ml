@@ -615,7 +615,6 @@ let speculative ~metrics ~trace ~lateness ?final_time ~out suite =
           let s = Engine.stats engine in
           counters ()
           @ [
-              ("snapshots", Json.Int s.snapshots);
               ("max_journal", Json.Int s.max_journal);
               ("watermark", Json.Int (Engine.watermark engine));
             ]);

@@ -59,8 +59,7 @@
     summary    events, delivered, reordered,    events, applied, late,
                dropped_late, forced,            commute_hits, rollbacks,
                occupancy, watermark, max_seen   replayed, dropped_late,
-                                                snapshots, max_journal,
-                                                watermark
+                                                max_journal, watermark
     v}
 
     The speculative mode adds two records: [{"type":"retracted",

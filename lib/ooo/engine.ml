@@ -19,7 +19,6 @@ type stats = {
   commute_hits : int;
   rollbacks : int;
   replayed : int;
-  snapshots : int;
   settled_events : int;
   dropped_late : int;
   max_journal : int;
@@ -45,21 +44,15 @@ type chk = {
   mutable pending : bool;
 }
 
-(* Snapshot payload: a copy of the used slab and one decision point per
-   checker. *)
-type snap = { slab : Flat.slab; decided : int array }
-
 (* Flight-recorder categories on the ooo track: the rollback-and-replay
    span (end argument: journalled events re-stepped), plus instants for
-   certificate commute hits (arg: event time), speculative-violation
-   retractions (arg: checker index) and snapshots (arg: journal
-   depth). *)
+   certificate commute hits (arg: event time) and speculative-violation
+   retractions (arg: checker index). *)
 type trc = {
   tr : Tr.t;
   tr_replay : Tr.cat;
   tr_commute : Tr.cat;
   tr_retract : Tr.cat;
-  tr_snapshot : Tr.cat;
 }
 
 type t = {
@@ -68,8 +61,13 @@ type t = {
   views : Backend.t array;  (** verdict rendering *)
   chks : chk array;
   row : int array;  (** gid -> checkers subscribed to it *)
-  journal : snap Journal.t;
-  snapshot_every : int;
+  journal : Journal.t;  (** events stamped at or after the watermark *)
+  frontier : Flat.t;
+      (** the same suite, stepped with every journalled event once the
+          watermark passes it, deadlines fired up to the watermark: the
+          state a rollback restores from *)
+  frontier_decided : int array;  (** the frontier's [decided_at] *)
+  mutable frontier_clock : int;  (** time of the event the frontier steps *)
   cert : Robust.certificate;
   trc : trc option;
   notice : notice -> unit;
@@ -80,14 +78,12 @@ type t = {
   mutable pending : int list;  (** decided, not yet settled *)
   mutable steps : int;
   mutable max_seen : int;
-  mutable epoch : int;
   mutable finalized : bool;
   mutable applied : int;
   mutable late : int;
   mutable commute_hits : int;
   mutable rollbacks : int;
   mutable replayed : int;
-  mutable snapshots : int;
   mutable settled_events : int;
   mutable dropped_late : int;
   mutable max_journal : int;
@@ -121,6 +117,13 @@ let step_name t gid (e : Trace.event) =
   Flat.step_name t.eng ~gid ~time:e.Trace.time;
   t.steps <- t.steps + t.row.(gid)
 
+(* The frontier's decision hook, [on_decision]'s twin. *)
+let on_frontier_decision t i =
+  t.frontier_decided.(i) <-
+    (match Flat.verdict t.frontier i with
+    | Compiled.Violated { time; _ } -> time
+    | Compiled.Running | Compiled.Satisfied -> t.frontier_clock)
+
 (* One checker, on the late-event and replay paths. *)
 let step_checker t i (e : Trace.event) =
   if Name.Set.mem e.Trace.name t.chks.(i).alpha then begin
@@ -139,24 +142,18 @@ let fire t i ~upto =
   | Some dl when dl + 1 <= upto -> Flat.check_time_checker t.eng i ~now:(dl + 1)
   | _ -> ()
 
-let fire_all t ~upto =
-  Array.iter (fun i -> fire t i ~upto) (Flat.timed_checkers t.eng)
-
-let snap t =
-  {
-    slab = Flat.copy_slab t.eng;
-    decided = Array.map (fun c -> c.decided_at) t.chks;
-  }
-
-let take_snapshot t =
-  Journal.record t.journal ~epoch:t.epoch ~fired_upto:t.max_seen (snap t);
-  t.snapshots <- t.snapshots + 1;
-  match t.trc with
-  | Some c -> Tr.emit c.tr c.tr_snapshot Tr.Instant (Journal.length t.journal)
-  | None -> ()
-
-let maybe_snapshot t =
-  if Journal.since_snapshot t.journal >= t.snapshot_every then take_snapshot t
+(* Hand every journalled event the watermark has passed to the
+   frontier, under the same deadline schedule the live engine ran, then
+   fire the frontier's deadlines up to the watermark: no admissible late
+   event (stamped at or after it) can refute those.  The journal keeps
+   only what a late event could still land among. *)
+let advance_frontier t =
+  let wm = watermark t in
+  Journal.pop_before t.journal ~time:wm (fun gid e ->
+      Flat.fire_due t.frontier ~upto:e.Trace.time;
+      t.frontier_clock <- e.Trace.time;
+      Flat.step_name t.frontier ~gid ~time:e.Trace.time);
+  Flat.fire_due t.frontier ~upto:wm
 
 let note_journal_depth t =
   t.max_journal <- max t.max_journal (Journal.length t.journal)
@@ -224,11 +221,9 @@ let settle_scan t =
 
 let pair a b = if Name.compare a b <= 0 then (a, b) else (b, a)
 
-let create ?metrics ?(trace = Tr.noop) ?(cert_budget = 20_000)
-    ?(snapshot_every = 32) ?notice ~lateness entries =
+let create ?metrics ?(trace = Tr.noop) ?(cert_budget = 20_000) ?notice
+    ~lateness entries =
   if lateness < 0 then invalid_arg "Loseq_ooo.Engine.create: negative lateness";
-  if snapshot_every < 1 then
-    invalid_arg "Loseq_ooo.Engine.create: snapshot_every < 1";
   let eng = Flat.compile entries in
   let cert = Robust.certificate ~budget:cert_budget entries in
   let chks =
@@ -272,7 +267,9 @@ let create ?metrics ?(trace = Tr.noop) ?(cert_budget = 20_000)
       chks;
       row;
       journal = Journal.create ();
-      snapshot_every;
+      frontier = Flat.compile entries;
+      frontier_decided = Array.make (Array.length chks) (-1);
+      frontier_clock = 0;
       cert;
       trc =
         (if Tr.is_live trace then
@@ -282,7 +279,6 @@ let create ?metrics ?(trace = Tr.noop) ?(cert_budget = 20_000)
                tr_replay = Tr.intern trace ~track:"ooo" "rollback_replay";
                tr_commute = Tr.intern trace ~track:"ooo" "commute_hit";
                tr_retract = Tr.intern trace ~track:"ooo" "retraction";
-               tr_snapshot = Tr.intern trace ~track:"ooo" "snapshot";
              }
          else None);
       notice = Option.value notice ~default:(fun _ -> ());
@@ -291,25 +287,19 @@ let create ?metrics ?(trace = Tr.noop) ?(cert_budget = 20_000)
       pending = [];
       steps = 0;
       max_seen = -1;
-      epoch = 0;
       finalized = false;
       applied = 0;
       late = 0;
       commute_hits = 0;
       rollbacks = 0;
       replayed = 0;
-      snapshots = 0;
       settled_events = 0;
       dropped_late = 0;
       max_journal = 0;
     }
   in
   Flat.set_notify eng (Some (on_decision t));
-  (* Base snapshot: position 0, nothing fired — qualifies as a restore
-     point for any admissible insertion, so rollback never falls off
-     the bottom of the snapshot stack. *)
-  Journal.record t.journal ~epoch:0 ~fired_upto:(-1) (snap t);
-  t.snapshots <- 1;
+  Flat.set_notify t.frontier (Some (on_frontier_decision t));
   (match metrics with
   | None -> ()
   | Some m ->
@@ -330,7 +320,6 @@ let create ?metrics ?(trace = Tr.noop) ?(cert_budget = 20_000)
         counter "loseq_ooo_dropped_late_total"
           "Events beyond the lateness bound, dropped"
       in
-      let c_snaps = counter "loseq_ooo_snapshots_total" "Snapshots recorded" in
       (* [Hub.host_flat]'s convention: an engine-stepped event counts
          its dispatch row length. *)
       let c_steps =
@@ -346,7 +335,6 @@ let create ?metrics ?(trace = Tr.noop) ?(cert_budget = 20_000)
           Obs.set_counter c_late t.late;
           Obs.set_counter c_settled t.settled_events;
           Obs.set_counter c_dropped t.dropped_late;
-          Obs.set_counter c_snaps t.snapshots;
           Obs.set_counter c_steps t.steps;
           Obs.set g_depth (Journal.length t.journal);
           Obs.set g_wm (watermark t)));
@@ -370,19 +358,16 @@ let commits_in_place t c (e : Trace.event) suffix =
           suffix
 
 let offer_in_order t (e : Trace.event) =
-  let gid = Flat.gid_of_name t.eng e.Trace.name in
-  if gid <> None then maybe_snapshot t;
-  fire_all t ~upto:e.Trace.time;
-  (match gid with
+  Flat.fire_due t.eng ~upto:e.Trace.time;
+  (match Flat.gid_of_name t.eng e.Trace.name with
   | Some gid ->
       step_name t gid e;
-      Journal.append t.journal e;
+      Journal.append t.journal ~gid e;
       note_journal_depth t
   | None -> ());
   if e.Trace.time > t.max_seen then begin
     t.max_seen <- e.Trace.time;
-    t.epoch <- t.epoch + 1;
-    Journal.trim t.journal ~watermark:(watermark t)
+    advance_frontier t
   end;
   t.applied <- t.applied + 1;
   `Applied
@@ -419,54 +404,44 @@ let offer_late t (e : Trace.event) =
       match !affected with
       | [] ->
           step_name t gid e;
-          Journal.insert t.journal ~at:q e;
+          Journal.insert t.journal ~at:q ~gid e;
           note_journal_depth t;
           commute_hit t e;
           `Commuted
-      | affected -> (
-          match Journal.restore_point t.journal ~at:q ~time:e.Trace.time with
-          | None ->
-              (* The base snapshot always qualifies — see [create]. *)
-              assert false
-          | Some r ->
-              (* The whole repair is one span on the ooo track: restore,
-                 re-step, catch-up.  Opened before the restore so the
-                 nested snapshot instants stay time-ordered. *)
-              (match t.trc with
-              | Some c ->
-                  Tr.emit c.tr c.tr_replay Tr.Span_begin (List.length affected)
-              | None -> ());
-              let rpos = r.Journal.pos and snap = r.Journal.snap in
-              List.iter
-                (fun i ->
-                  Flat.restore_checker_slab t.eng i snap.slab;
-                  t.chks.(i).decided_at <- snap.decided.(i);
-                  touch t i)
-                affected;
-              Journal.drop_after t.journal ~pos:rpos;
-              List.iter (fun i -> step_checker t i e) !in_place;
-              Journal.insert t.journal ~at:q e;
-              note_journal_depth t;
-              let len = Journal.length t.journal in
-              let count = len - rpos in
-              for p = rpos to len - 1 do
-                let ev = Journal.get t.journal p in
-                List.iter
-                  (fun i ->
-                    fire t i ~upto:ev.Trace.time;
-                    step_checker t i ev)
-                  affected
-              done;
-              (* Catch the replayed checkers back up to the present: the
-                 in-order path had fired their deadlines up to
-                 max_seen. *)
-              List.iter (fun i -> fire t i ~upto:t.max_seen) affected;
-              t.rollbacks <- t.rollbacks + 1;
-              t.replayed <- t.replayed + count;
-              (match t.trc with
-              | Some c -> Tr.emit c.tr c.tr_replay Tr.Span_end count
-              | None -> ());
-              `Replayed count))
+      | affected ->
+          (* The whole repair is one span on the ooo track: restore from
+             the frontier, re-step the journal, catch up. *)
+          (match t.trc with
+          | Some c ->
+              Tr.emit c.tr c.tr_replay Tr.Span_begin (List.length affected)
+          | None -> ());
+          List.iter
+            (fun i ->
+              Flat.copy_checker ~src:t.frontier t.eng i;
+              t.chks.(i).decided_at <- t.frontier_decided.(i);
+              touch t i)
+            affected;
+          List.iter (fun i -> step_checker t i e) !in_place;
+          Journal.insert t.journal ~at:q ~gid e;
+          note_journal_depth t;
+          let count = Journal.length t.journal in
+          for p = 0 to count - 1 do
+            let ev = Journal.get t.journal p in
+            List.iter
+              (fun i ->
+                fire t i ~upto:ev.Trace.time;
+                step_checker t i ev)
+              affected
+          done;
+          (* Catch the replayed checkers back up to the present: the
+             in-order path had fired their deadlines up to max_seen. *)
+          List.iter (fun i -> fire t i ~upto:t.max_seen) affected;
+          t.rollbacks <- t.rollbacks + 1;
+          t.replayed <- t.replayed + count;
+          (match t.trc with
+          | Some c -> Tr.emit c.tr c.tr_replay Tr.Span_end count
+          | None -> ());
+          `Replayed count)
 
 let offer t (e : Trace.event) =
   if t.finalized then invalid_arg "Loseq_ooo.Engine.offer: already finalized";
@@ -488,7 +463,7 @@ let offer t (e : Trace.event) =
 let finalize ?final_time t =
   if not t.finalized then begin
     let ft = max 0 (max t.max_seen (Option.value final_time ~default:0)) in
-    fire_all t ~upto:ft;
+    Flat.fire_due t.eng ~upto:ft;
     t.clock <- ft;
     Flat.finalize t.eng ~now:ft;
     t.finalized <- true;
@@ -517,7 +492,6 @@ let stats t =
     commute_hits = t.commute_hits;
     rollbacks = t.rollbacks;
     replayed = t.replayed;
-    snapshots = t.snapshots;
     settled_events = t.settled_events;
     dropped_late = t.dropped_late;
     max_journal = t.max_journal;

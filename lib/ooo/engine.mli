@@ -7,14 +7,16 @@
     into one {!Loseq_core.Flat} engine, steps each event into it {e the
     moment it arrives}, reports three-valued in-flight verdicts
     ({!Loseq_core.Backend.tri}), and repairs by rollback-and-replay when
-    a late event lands inside the lateness bound — a bounded {!Journal}
-    of suite-alphabet events and snapshots that are plain copies of the
-    engine's state slab makes the repair local: a rollback copies back
-    only the affected checkers' slot ranges.  A
-    verdict {e settles} (becomes definitive) once the watermark
-    [max_seen - lateness] passes its decision point: no admissible late
-    arrival can change it, and settled verdicts are bit-for-bit those
-    of the buffered path.
+    a late event lands inside the lateness bound.  The repair is local
+    and its memory bounded: a second flat engine of the same suite, the
+    {e frontier}, is stepped with every event once the watermark
+    [max_seen - lateness] passes it, and the {!Journal} keeps only the
+    suite-alphabet events stamped at or after the watermark.  A rollback
+    copies the affected checkers' slot ranges from the frontier and
+    replays the journal on them.  A verdict {e settles} (becomes
+    definitive) once the watermark passes its decision point: no
+    admissible late arrival can change it, and settled verdicts are
+    bit-for-bit those of the buffered path.
 
     The headline optimization is certificate-guided: at session start
     the engine runs the {!Loseq_analysis.Robust} lateness analysis and
@@ -22,7 +24,7 @@
     event whose name provably commutes with every name in its replay
     window — or that lands on a checker certified robust at this
     lateness, or that is foreign to the suite alphabet — commits {e in
-    place}: no snapshot restore, no rollback, no replay.  On fully
+    place}: no restore, no rollback, no replay.  On fully
     certified suites the engine never rolls back at all; static
     analysis becomes a runtime fast path.
 
@@ -81,16 +83,13 @@ val create :
   ?metrics:Loseq_obs.Metrics.t ->
   ?trace:Loseq_obs.Trace.t ->
   ?cert_budget:int ->
-  ?snapshot_every:int ->
   ?notice:(notice -> unit) ->
   lateness:int ->
   (string * Pattern.t) list ->
   t
-(** Compile the suite into one {!Flat} engine, run the
-    lateness-robustness analysis ([cert_budget] defaults to [20_000]
-    elementary operations) and take the base snapshot.  A snapshot is
-    recorded every [snapshot_every] (default [32]) journalled events.
-    With [?metrics], the engine registers [loseq_ooo_*] counters and
+(** Compile the suite into the live {!Flat} engine and its frontier,
+    and run the lateness-robustness analysis ([cert_budget] defaults to
+    [20_000] elementary operations).  With [?metrics], the engine registers [loseq_ooo_*] counters and
     gauges and [loseq_backend_steps_total{backend="flat"}] (an event
     stepped through the engine's dispatch row counts the row's length,
     as under {!Loseq_verif.Hub.host_flat}; a checker re-stepped by a
@@ -98,18 +97,17 @@ val create :
     flight recorder (default noop) records the engine's speculation
     traffic on the ["ooo"] track: a [rollback_replay] span per repair
     (begin argument: checkers restored; end argument: journalled events
-    re-stepped), plus [commute_hit], [retraction] and [snapshot]
-    instants.
+    re-stepped), plus [commute_hit] and [retraction] instants.
 
-    Raises [Invalid_argument] if [lateness < 0] or [snapshot_every < 1];
+    Raises [Invalid_argument] if [lateness < 0];
     {!Loseq_core.Wellformed.Ill_formed} on an ill-formed pattern. *)
 
 val offer : t -> Trace.event -> [ `Applied | `Commuted | `Replayed of int | `Dropped_late ]
 (** Feed one event in arrival order.  [`Applied]: in-order (or foreign
     to every checker) and stepped immediately.  [`Commuted]: late but
     committed in place by the certificate fast path.  [`Replayed n]:
-    late; the engine rolled affected checkers back to a snapshot and
-    replayed [n] journalled events.  [`Dropped_late]: beyond the
+    late; the engine restored the affected checkers from the frontier
+    and replayed the [n] journalled events.  [`Dropped_late]: beyond the
     lateness bound — same admissibility rule as
     {!Loseq_ingest.Reorder} (an event exactly at the watermark is
     admitted).  Raises [Invalid_argument] after {!finalize}. *)
@@ -145,7 +143,6 @@ type stats = {
           (including suite-foreign ones) — no rollback, no replay. *)
   rollbacks : int;
   replayed : int;  (** Journalled events re-stepped across all rollbacks. *)
-  snapshots : int;  (** Snapshots recorded (lifetime, not live). *)
   settled_events : int;  (** Settlement notices emitted. *)
   dropped_late : int;
   max_journal : int;  (** High-water journal depth. *)
@@ -160,6 +157,9 @@ val max_seen : t -> int
 (** Latest timestamp seen; [-1] initially. *)
 
 val journal_depth : t -> int
+(** Live journal length — at most the suite-alphabet events offered,
+    not dropped, and stamped at or after {!watermark}. *)
+
 val certificate : t -> Loseq_analysis.Robust.certificate
 (** The certificate consulted by the fast path — what `serve --ooo`
     reports in its reorder-certificate record. *)

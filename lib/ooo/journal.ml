@@ -1,44 +1,43 @@
 open Loseq_core
 
-type 'snap entry = {
-  mutable pos : int;
-  epoch : int;
-  fired_upto : int;
-  snap : 'snap;
-}
-
-(* The window lives in [buf.(off) .. buf.(off + len - 1)]; [trim]
-   advances [off] instead of shifting, and the grow path compacts.
-   Snapshots are a newest-first list; anchors only ever decrease along
-   it, so the first entry passing a filter is the highest-anchored. *)
-type 'snap t = {
+(* The window lives in [buf.(off) .. buf.(off + len - 1)], its gids at
+   the same indices of [gids]; [pop_before] advances [off] instead of
+   shifting, and the grow path compacts. *)
+type t = {
   mutable buf : Trace.event array;
+  mutable gids : int array;
   mutable off : int;
   mutable len : int;
-  mutable snaps : 'snap entry list;
 }
 
-let create () = { buf = [||]; off = 0; len = 0; snaps = [] }
+let create () = { buf = [||]; gids = [||]; off = 0; len = 0 }
 let length t = t.len
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Journal.get: out of window";
   t.buf.(t.off + i)
 
+let gid t i =
+  if i < 0 || i >= t.len then invalid_arg "Journal.gid: out of window";
+  t.gids.(t.off + i)
+
 (* Make room for one more event at the physical end, compacting the
    dead prefix and doubling as needed.  [fill] seeds fresh cells. *)
 let grow t (fill : Trace.event) =
   if t.off + t.len >= Array.length t.buf then begin
     let cap = max 16 (max (2 * Array.length t.buf) (t.len + 1)) in
-    let buf = Array.make cap fill in
+    let buf = Array.make cap fill and gids = Array.make cap 0 in
     Array.blit t.buf t.off buf 0 t.len;
+    Array.blit t.gids t.off gids 0 t.len;
     t.buf <- buf;
+    t.gids <- gids;
     t.off <- 0
   end
 
-let append t e =
+let append t ~gid e =
   grow t e;
   t.buf.(t.off + t.len) <- e;
+  t.gids.(t.off + t.len) <- gid;
   t.len <- t.len + 1
 
 let insertion_point t ~time =
@@ -49,48 +48,22 @@ let insertion_point t ~time =
   done;
   !lo
 
-let insert t ~at e =
+let insert t ~at ~gid e =
   if at < 0 || at > t.len then invalid_arg "Journal.insert: out of window";
   grow t e;
-  Array.blit t.buf (t.off + at) t.buf (t.off + at + 1) (t.len - at);
-  t.buf.(t.off + at) <- e;
-  t.len <- t.len + 1;
-  t.snaps <- List.filter (fun s -> s.pos <= at) t.snaps
+  let p = t.off + at in
+  Array.blit t.buf p t.buf (p + 1) (t.len - at);
+  Array.blit t.gids p t.gids (p + 1) (t.len - at);
+  t.buf.(p) <- e;
+  t.gids.(p) <- gid;
+  t.len <- t.len + 1
+
+let pop_before t ~time f =
+  while t.len > 0 && t.buf.(t.off).Trace.time < time do
+    let e = t.buf.(t.off) and g = t.gids.(t.off) in
+    t.off <- t.off + 1;
+    t.len <- t.len - 1;
+    f g e
+  done
 
 let events t = List.init t.len (get t)
-let record t ~epoch ~fired_upto snap =
-  t.snaps <- { pos = t.len; epoch; fired_upto; snap } :: t.snaps
-
-let snapshots t = List.length t.snaps
-
-let since_snapshot t =
-  match t.snaps with [] -> max_int | s :: _ -> t.len - s.pos
-
-let restore_point t ~at ~time =
-  List.find_opt (fun s -> s.pos <= at && s.fired_upto <= time) t.snaps
-
-let drop_after t ~pos = t.snaps <- List.filter (fun s -> s.pos <= pos) t.snaps
-
-let trim t ~watermark =
-  let keep_from = insertion_point t ~time:watermark in
-  match
-    List.find_opt
-      (fun s -> s.pos <= keep_from && s.fired_upto <= watermark)
-      t.snaps
-  with
-  | None -> ()
-  | Some frontier ->
-      let p = frontier.pos in
-      if p > 0 then begin
-        t.off <- t.off + p;
-        t.len <- t.len - p;
-        t.snaps <-
-          List.filter
-            (fun s ->
-              if s.pos < p then false
-              else begin
-                s.pos <- s.pos - p;
-                true
-              end)
-            t.snaps
-      end

@@ -2,7 +2,8 @@
    memory layout, counter-slot overflow, deadline firing order through
    the engine-direct hosted path, and the state-blob codec (roundtrip,
    version rejection, wrong-suite rejection, truncation), plus a
-   property for slab copies (the speculative engine's snapshots).
+   property for checker copies between two engines of one suite (the
+   speculative engine's rollback from its frontier).
    Cross-backend verdict agreement on random inputs lives in
    test_backend. *)
 
@@ -294,11 +295,11 @@ let test_reset () =
   Alcotest.(check int) "clean rerun still running" 0 (Flat.verdict_code eng 0);
   Alcotest.(check int) "round counted" 1 (Flat.rounds_completed eng 0)
 
-(* ---- slab copies ------------------------------------------------------- *)
+(* ---- checker copies between engines ------------------------------------ *)
 
 (* A suite of one to three random entries, their traces merged in time
    order, and a cut point. *)
-let gen_slab_case =
+let gen_copy_case =
   QCheck2.Gen.(
     let* cases = list_size (int_range 1 3) gen_pattern_and_trace in
     let trace =
@@ -309,52 +310,60 @@ let gen_slab_case =
     let* cut = int_range 0 (List.length trace) in
     return (List.map fst cases, trace, cut))
 
-let print_slab_case (ps, trace, cut) =
+let print_copy_case (ps, trace, cut) =
   Format.asprintf "@[<v>%a@,trace: %s@,cut: %d@]"
     (Format.pp_print_list Pattern.pp)
     ps (Trace.to_string trace) cut
 
-(* Copy the slab after any prefix, step the rest of the trace and
-   finalize, then restore every checker from the copy: each checker's
-   persisted state is the one taken at copy time, every timed checker
-   is handed to the next deadline drain, and stepping the rest again
-   reaches the same states. *)
-let prop_slab_restore_exact (ps, trace, cut) =
-  let eng = Flat.compile (List.mapi (fun i p -> (Printf.sprintf "p%d" i, p)) ps) in
+(* Two engines of one suite: [src] steps a prefix, [eng] the whole
+   trace.  Copying every checker from [src] into [eng] gives each the
+   persisted state [src] holds, leaves [src] alone, hands every timed
+   checker to the next deadline drain, and stepping the rest in both
+   engines reaches the same states. *)
+let prop_copy_exact (ps, trace, cut) =
+  let entries = List.mapi (fun i p -> (Printf.sprintf "p%d" i, p)) ps in
+  let src = Flat.compile entries and eng = Flat.compile entries in
   let n = Flat.size eng in
-  let run events =
+  let run e events =
     List.iter
-      (fun (e : Trace.event) ->
-        Flat.check_time eng ~now:e.time;
-        Flat.step_event eng e)
+      (fun (ev : Trace.event) ->
+        Flat.check_time e ~now:ev.time;
+        Flat.step_event e ev)
       events;
-    Flat.finalize eng ~now:(Trace.end_time trace + 200);
-    Array.init n (Flat.persist_checker eng)
+    Flat.finalize e ~now:(Trace.end_time trace + 200);
+    Array.init n (Flat.persist_checker e)
   in
   let prefix = List.filteri (fun i _ -> i < cut) trace
   and rest = List.filteri (fun i _ -> i >= cut) trace in
-  List.iter (Flat.step_event eng) prefix;
-  let at_copy = Array.init n (Flat.persist_checker eng) in
-  let slab = Flat.copy_slab eng in
-  let finished = run rest in
+  List.iter (Flat.step_event src) prefix;
+  let at_copy = Array.init n (Flat.persist_checker src) in
+  ignore (run eng trace);
   Flat.drain_deadlines eng ignore;
   for ck = 0 to n - 1 do
-    Flat.restore_checker_slab eng ck slab
+    Flat.copy_checker ~src eng ck
   done;
   let handed = ref [] in
   Flat.drain_deadlines eng (fun ck -> handed := ck :: !handed);
-  let restored = Array.init n (Flat.persist_checker eng) in
-  if restored <> at_copy then
-    QCheck2.Test.fail_report "restored state differs from the copy"
+  if Array.init n (Flat.persist_checker eng) <> at_copy then
+    QCheck2.Test.fail_report "copied state differs from the source"
+  else if Array.init n (Flat.persist_checker src) <> at_copy then
+    QCheck2.Test.fail_report "the copy changed the source"
   else if
     not
       (Array.for_all
          (fun ck -> List.mem ck !handed)
          (Flat.timed_checkers eng))
-  then QCheck2.Test.fail_report "a restored timed checker was not drained"
-  else if run rest <> finished then
-    QCheck2.Test.fail_report "replaying the rest diverged"
+  then QCheck2.Test.fail_report "a copied timed checker was not drained"
+  else if run eng rest <> run src rest then
+    QCheck2.Test.fail_report "stepping the rest diverged"
   else true
+
+let test_copy_refuses_other_suite () =
+  let src = Flat.compile [ ("p", pat "{a, b} <<! go") ]
+  and eng = Flat.compile [ ("p", pat "a < b < c <<! go") ] in
+  Alcotest.check_raises "layouts differ"
+    (Invalid_argument "Flat.copy_checker: engines of different suites")
+    (fun () -> Flat.copy_checker ~src eng 0)
 
 let () =
   Alcotest.run "flat"
@@ -386,7 +395,9 @@ let () =
         ] );
       ( "slab",
         [
-          qtest ~count:300 "restore from a slab copy is exact" gen_slab_case
-            print_slab_case prop_slab_restore_exact;
+          qtest ~count:300 "copy from a twin engine is exact" gen_copy_case
+            print_copy_case prop_copy_exact;
+          Alcotest.test_case "copy refuses another suite" `Quick
+            test_copy_refuses_other_suite;
         ] );
     ]

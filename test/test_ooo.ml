@@ -2,7 +2,8 @@
    exactly the buffered session's (and the batch checker's) on any
    K-bounded permutation; the certificate fast path must commit
    commuting late events in place; rollback must retract speculative
-   violations a late arrival disproves; and the twin trace
+   violations a late arrival disproves; the journal must stay within
+   its stated bound however long the stream; and the twin trace
    examples/traces/ipu_ooo.csv must stay a faithful K-scramble of
    ipu.csv. *)
 
@@ -332,6 +333,101 @@ let test_permutation_equivalence =
       in
       !dropped = 0 && batch = buffered && buffered = ooo && settlement_stable)
 
+(* The bound journal.mli states, after every offer: the journal holds
+   at most the suite-alphabet events offered, not dropped, and stamped
+   at or after the watermark. *)
+let test_journal_bound =
+  qtest ~count:300 "journal within its stated bound" gen_equivalence_case
+    print_equivalence_case (fun (p1, p2, k, _, scrambled) ->
+      let alpha = Name.Set.union (Pattern.alpha p1) (Pattern.alpha p2) in
+      let eng = Engine.create ~lateness:k [ ("p1", p1); ("p2", p2) ] in
+      let kept = ref [] in
+      List.for_all
+        (fun (e : Trace.event) ->
+          (match Engine.offer eng e with
+          | `Dropped_late -> ()
+          | `Applied | `Commuted | `Replayed _ ->
+              if Name.Set.mem e.Trace.name alpha then
+                kept := e.Trace.time :: !kept);
+          let wm = Engine.watermark eng in
+          Engine.journal_depth eng
+          <= List.length (List.filter (fun t -> t >= wm) !kept))
+        scrambled)
+
+(* ---- a bounded journal on a long racy stream ------------------------- *)
+
+(* servebench's racy workload, rebuilt: [copies] renamed instances of
+   racy.suite, each replaying racy_ok.csv once per 600-tick period with
+   its first two events swapped (every req arrives 100 ticks late,
+   after the ack it must precede, and does not commute with it).  The
+   instances are phase-shifted evenly over the period and merged by
+   send time: an event goes out once its instance has sent its
+   furthest time so far. *)
+let racy_stream ~copies ~episodes =
+  let suite = load_suite (example "specs" "racy.suite") in
+  let play =
+    match load_csv (example "traces" "racy_ok.csv") with
+    | a :: b :: rest -> b :: a :: rest
+    | _ -> Alcotest.fail "racy_ok.csv has fewer than two events"
+  in
+  let period = 600 in
+  let suffixed c s = Printf.sprintf "%s_%d" s c in
+  let renamed c n = name (suffixed c (Name.to_string n)) in
+  let entries =
+    List.concat
+      (List.init copies (fun c ->
+           List.map
+             (fun (e : Suite.entry) ->
+               ( suffixed c e.Suite.label,
+                 rename_pattern (renamed c) e.Suite.pattern ))
+             suite))
+  in
+  let keyed = ref [] and seq = ref 0 in
+  for c = 0 to copies - 1 do
+    let offset = c * period / copies and reach = ref 0 in
+    for ep = 0 to episodes - 1 do
+      List.iter
+        (fun (e : Trace.event) ->
+          let time = e.Trace.time + offset + (ep * period) in
+          reach := max !reach time;
+          keyed :=
+            ((!reach, c, !seq), Trace.event ~time (renamed c e.Trace.name))
+            :: !keyed;
+          incr seq)
+        play
+    done
+  done;
+  (entries, List.map snd (List.sort compare !keyed))
+
+let racy_stats ~copies ~episodes =
+  let entries, stream = racy_stream ~copies ~episodes in
+  let eng = Engine.create ~lateness:(required_lateness stream) entries in
+  List.iter
+    (fun e ->
+      if Engine.offer eng e = `Dropped_late then
+        Alcotest.failf "dropped: %s" (Trace.to_string [ e ]))
+    stream;
+  Engine.finalize eng;
+  List.iter
+    (fun (label, v) ->
+      Alcotest.(check bool) (label ^ " passes") true (Backend.passed v))
+    (Engine.report eng);
+  Engine.stats eng
+
+(* Doubling the stream must not grow the journal or the replay a
+   rollback costs, although the late reqs come closer together than
+   the lateness bound, so some late event is always due inside the
+   window. *)
+let test_racy_journal_bounded () =
+  let at250 = racy_stats ~copies:32 ~episodes:250
+  and at500 = racy_stats ~copies:32 ~episodes:500 in
+  Alcotest.(check bool) "rollbacks happen" true (at250.Engine.rollbacks > 0);
+  Alcotest.(check int) "max_journal, 250 vs 500 episodes"
+    at250.Engine.max_journal at500.Engine.max_journal;
+  Alcotest.(check int) "replayed per rollback, 250 vs 500 episodes"
+    (at250.Engine.replayed / at250.Engine.rollbacks)
+    (at500.Engine.replayed / at500.Engine.rollbacks)
+
 (* ---- observability ---------------------------------------------------- *)
 
 let test_metrics_reconcile_with_stats () =
@@ -363,9 +459,6 @@ let test_metrics_reconcile_with_stats () =
   Alcotest.(check (option int))
     "settlements" (Some stats.Engine.settled_events)
     (counter "loseq_ooo_settled_total");
-  Alcotest.(check (option int))
-    "snapshots" (Some stats.Engine.snapshots)
-    (counter "loseq_ooo_snapshots_total");
   Alcotest.(check (option int))
     "journal depth gauge" (Some (Engine.journal_depth eng))
     (gauge "loseq_ooo_journal_depth");
@@ -469,6 +562,12 @@ let () =
             test_settlement_follows_watermark;
         ] );
       ("equivalence", [ test_permutation_equivalence ]);
+      ( "journal",
+        [
+          test_journal_bound;
+          Alcotest.test_case "racy x32 journal bounded" `Quick
+            test_racy_journal_bounded;
+        ] );
       ( "observability",
         [
           Alcotest.test_case "metrics reconcile" `Quick

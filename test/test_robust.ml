@@ -279,23 +279,6 @@ let test_random_witnesses =
    analysis, that patterns of one shape but different name ranks never
    share a result, and that renamed suite copies cost one exploration. *)
 
-let rename_pattern f p =
-  let ordering =
-    List.map (fun (fr : Pattern.fragment) ->
-        Pattern.fragment ~connective:fr.connective
-          (List.map
-             (fun (r : Pattern.range) ->
-               Pattern.range ~lo:r.lo ~hi:r.hi (f r.name))
-             fr.ranges))
-  in
-  match p with
-  | Pattern.Antecedent a ->
-      Pattern.antecedent ~repeated:a.repeated (ordering a.body)
-        ~trigger:(f a.trigger)
-  | Pattern.Timed g ->
-      Pattern.timed (ordering g.premise) (ordering g.conclusion)
-        ~deadline:g.deadline
-
 let rename_trace f =
   List.map (fun (e : Trace.event) -> { e with Trace.name = f e.Trace.name })
 

@@ -25,6 +25,24 @@ let verdict_testable =
   in
   Alcotest.testable pp eq
 
+(* [p] with every event name [n] replaced by [f n]. *)
+let rename_pattern f p =
+  let ordering =
+    List.map (fun (fr : Pattern.fragment) ->
+        Pattern.fragment ~connective:fr.connective
+          (List.map
+             (fun (r : Pattern.range) ->
+               Pattern.range ~lo:r.lo ~hi:r.hi (f r.name))
+             fr.ranges))
+  in
+  match p with
+  | Pattern.Antecedent a ->
+      Pattern.antecedent ~repeated:a.repeated (ordering a.body)
+        ~trigger:(f a.trigger)
+  | Pattern.Timed g ->
+      Pattern.timed (ordering g.premise) (ordering g.conclusion)
+        ~deadline:g.deadline
+
 let accepts p trace = Monitor.accepts p trace
 let rejects p trace = not (Monitor.accepts p trace)
 
