@@ -48,6 +48,12 @@
 #                         ipu suite certificate commutes every late
 #                         event), no checkpoint support, and no
 #                         --backend (the engine always steps flat)
+#   journal-bound         serve --ooo on servebench's racy workload at 8
+#                         instances reports the same max_journal for
+#                         250 and 500 episodes (the journal is bounded
+#                         by the lateness window, not the stream), and
+#                         its settled verdict records equal the
+#                         buffered serve's
 #   verdict-provenance    failed serve verdicts carry a provenance
 #                         chain, and explain-verdict replays the
 #                         minimized chain to the same Fail on the
@@ -346,6 +352,48 @@ $LOSEQ serve --suite "$SUITE" --ooo --backend compiled \
 test "$ooobk_status" -eq 2
 grep -q '"type": *"error".*--backend' "$WORK/ooobk.ndjson"
 echo "speculative settled verdicts byte-identical to buffered (exit $spec_status)"
+
+gate "journal-bound"
+# servebench/workloads.py is imported read-only (no bytecode written
+# next to it): its racy workload sends each req 100 ticks late, after
+# the ack it must precede, so every episode forces a rollback
+racy_workload() {  # racy_workload EPISODES OUT
+  python3 - "$1" "$2" <<'PY'
+import sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, "servebench")
+import workloads
+episodes, out = int(sys.argv[1]), sys.argv[2]
+wl = workloads.racy(1, copies=8, episodes=episodes)
+open(out + ".suite", "w").write(wl.suite)
+open(out + ".csv", "w").write(workloads.to_csv(wl.arrival))
+open(out + ".args", "w").write(" ".join(wl.serve_args) + "\n")
+PY
+}
+max_journal() { grep '"type": *"summary"' "$1" | sed 's/.*"max_journal": *\([0-9]*\).*/\1/'; }
+for episodes in 250 500; do
+  racy_workload "$episodes" "$WORK/racy$episodes"
+  read -r -a racy_args < "$WORK/racy$episodes.args"
+  lateness="${racy_args[2]}"
+  test "${racy_args[0]} ${racy_args[1]}" = "--ooo --lateness"
+  spec_status=0
+  $LOSEQ serve --suite "$WORK/racy$episodes.suite" "${racy_args[@]}" \
+    < "$WORK/racy$episodes.csv" > "$WORK/racy$episodes.spec.ndjson" \
+    || spec_status=$?
+  buf_status=0
+  $LOSEQ serve --suite "$WORK/racy$episodes.suite" --lateness "$lateness" \
+    < "$WORK/racy$episodes.csv" > "$WORK/racy$episodes.buf.ndjson" \
+    || buf_status=$?
+  test "$spec_status" -eq "$buf_status"
+  grep -q '"rollbacks": *[1-9]' "$WORK/racy$episodes.spec.ndjson"
+  cmp <(grep '"type": *"verdict"' "$WORK/racy$episodes.buf.ndjson" | strip_prov /dev/stdin) \
+    <(grep '"type": *"verdict"' "$WORK/racy$episodes.spec.ndjson" | strip_prov /dev/stdin)
+  echo "racy x8, $episodes episodes: max_journal $(max_journal "$WORK/racy$episodes.spec.ndjson")"
+done
+test -n "$(max_journal "$WORK/racy250.spec.ndjson")"
+test "$(max_journal "$WORK/racy250.spec.ndjson")" = \
+  "$(max_journal "$WORK/racy500.spec.ndjson")"
+echo "max_journal does not grow with the stream; settled verdicts = buffered"
 
 gate "verdict-provenance"
 # every failed verdict must carry a provenance chain that replays to
