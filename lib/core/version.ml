@@ -1,1 +1,1 @@
-let current = "1.15.0"
+let current = "1.16.0"
