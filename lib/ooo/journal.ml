@@ -17,10 +17,6 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Journal.get: out of window";
   t.buf.(t.off + i)
 
-let gid t i =
-  if i < 0 || i >= t.len then invalid_arg "Journal.gid: out of window";
-  t.gids.(t.off + i)
-
 (* Make room for one more event at the physical end, compacting the
    dead prefix and doubling as needed.  [fill] seeds fresh cells. *)
 let grow t (fill : Trace.event) =
@@ -65,5 +61,3 @@ let pop_before t ~time f =
     t.len <- t.len - 1;
     f g e
   done
-
-let events t = List.init t.len (get t)

@@ -24,9 +24,6 @@ val length : t -> int
 val get : t -> int -> Trace.event
 (** [get t i] is the [i]-th live event, [0 <= i < length t]. *)
 
-val gid : t -> int -> int
-(** [gid t i] is the engine name id journalled with [get t i]. *)
-
 val append : t -> gid:int -> Trace.event -> unit
 (** Add an in-order event at the head. *)
 
@@ -41,6 +38,3 @@ val insert : t -> at:int -> gid:int -> Trace.event -> unit
 val pop_before : t -> time:int -> (int -> Trace.event -> unit) -> unit
 (** [pop_before t ~time f] removes every event stamped strictly before
     [time], oldest first, handing each to [f gid event]. *)
-
-val events : t -> Trace.event list
-(** The live window, oldest first (tests and debugging). *)
