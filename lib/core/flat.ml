@@ -107,6 +107,7 @@ type t = {
   st : ba;
   mutable fr : int; (* scratch: failing reason code *)
   mutable fr_rec : int; (* scratch: failing recognizer, -1 = none *)
+  mutable rsteps : int; (* [rec_step] calls since compile *)
   (* deadline bookkeeping, beside the slab (never in a blob): the
      timed checkers whose armed deadline may have changed since the
      host last drained them, each listed once ([dl_mark]), or [dl_all]
@@ -382,6 +383,7 @@ let compile entries =
       st;
       fr = r_empty;
       fr_rec = -1;
+      rsteps = 0;
       dl_mark = Bytes.make n_ck '\000';
       dl_dirty = Array.make (max 1 n_ck) 0;
       dl_ndirty = 0;
@@ -545,6 +547,7 @@ let violate t ck ~reason ~vrec ~time ~idx ~a ~b ~c =
 (* One Fig. 5 recognizer step; on [o_err] the reason is in
    [t.fr]/[t.fr_rec] (single-threaded monitors, allocation-free). *)
 let rec_step t r c =
+  t.rsteps <- t.rsteps + 1;
   let st = t.st in
   let ss = Array.unsafe_get t.rec_sslot r in
   let s = Ba.unsafe_get st ss in
@@ -793,6 +796,8 @@ let step_trusted t ck loc ~time =
           ~a:0 ~b:0 ~c:0
     end
   end
+
+let recognizer_steps t = t.rsteps
 
 let step_local t ck loc ~time =
   if ck < 0 || ck >= Array.length t.labels then

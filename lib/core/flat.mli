@@ -75,6 +75,12 @@ val step_checker : t -> int -> Trace.event -> unit
 (** Step one checker only (the per-checker backend view's [step]);
     names outside its alphabet are ignored. *)
 
+val recognizer_steps : t -> int
+(** Fig. 5 recognizer transitions the engine has stepped since
+    {!compile}: the work counter behind
+    [loseq_flat_recognizer_steps_total].  Never reset, not part of a
+    blob. *)
+
 (** {1 Verdicts and time} *)
 
 val verdict_code : t -> int -> int

@@ -466,7 +466,14 @@ let host_flat ?(latency_sample_rate = default_sample_rate) t eng views =
           ~labels:[ ("backend", "flat") ]
           ()
       in
+      (* Recognizer touches, also as a delta: one hub may host several
+         engines into the one counter. *)
+      let touches =
+        Obs.counter o.metrics ~name:"loseq_flat_recognizer_steps_total"
+          ~help:"Flat-engine recognizer transitions stepped" ()
+      in
       let last = Array.make (Array.length names) 0 in
+      let last_touches = ref (Flat.recognizer_steps eng) in
       Obs.on_collect o.metrics (fun () ->
           Array.iteri
             (fun g counter ->
@@ -474,7 +481,10 @@ let host_flat ?(latency_sample_rate = default_sample_rate) t eng views =
               last.(g) <- emitted.(g);
               Obs.add counter d;
               Obs.add steps d)
-            deliveries));
+            deliveries;
+          let n = Flat.recognizer_steps eng in
+          Obs.add touches (n - !last_touches);
+          last_touches := n));
   Flat.set_notify eng
     (Some
        (fun ck ->

@@ -34,7 +34,10 @@ val create : ?metrics:Loseq_obs.Metrics.t -> ?trace:Loseq_obs.Trace.t -> Tap.t -
     [loseq_hub_wheel_depth] (refreshed on deadline activity and sampled
     dispatches), [loseq_hub_deadline_firings_total] and the
     sampled [loseq_hub_dispatch_ns] latency histogram; hosted backends
-    additionally count [loseq_backend_steps_total{backend=..}].  With
+    additionally count [loseq_backend_steps_total{backend=..}], and an
+    engine-direct flat host ({!host_flat}) its recognizer touches in
+    [loseq_flat_recognizer_steps_total]
+    ({!Loseq_core.Flat.recognizer_steps}).  With
     the noop default none of this is registered or subscribed — the
     dispatch path is unchanged.
 

@@ -295,6 +295,72 @@ let test_reset () =
   Alcotest.(check int) "clean rerun still running" 0 (Flat.verdict_code eng 0);
   Alcotest.(check int) "round counted" 1 (Flat.rounds_completed eng 0)
 
+(* ---- recognizer touches ------------------------------------------------ *)
+
+(* servebench's fanout shape, one group: checker j is
+   {s<j> .. s<j+k-1>} <<! go over a sliding window of [width] names. *)
+let fanout_entries ~width ~k =
+  List.init width (fun j ->
+      let names =
+        List.init k (fun i -> Printf.sprintf "s%d" ((j + i) mod width))
+      in
+      ( Printf.sprintf "fan%d" j,
+        pat ("{" ^ String.concat ", " names ^ "} <<! go") ))
+
+(* [rounds] rounds, each sending every name once in a seeded order and
+   closing with go: every property passes. *)
+let fanout_trace ~width ~rounds ~seed =
+  let rng = Random.State.make [| seed |] in
+  let names = Array.init width (Printf.sprintf "s%d") in
+  let round () =
+    for i = width - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let x = names.(i) in
+      names.(i) <- names.(j);
+      names.(j) <- x
+    done;
+    Array.to_list names @ [ "go" ]
+  in
+  List.mapi ev (List.concat (List.init rounds (fun _ -> round ())))
+
+(* A checker-round is 9 deliveries (8 names, then go) to a fragment of
+   8 recognizers.  Stepping the whole fragment on every delivery
+   touches 8 recognizers each time: 72 per checker-round.  The
+   engine-direct hub exports the same count. *)
+let test_fanout_touches () =
+  let width = 16 and k = 8 and rounds = 10 in
+  let entries = fanout_entries ~width ~k in
+  let trace = fanout_trace ~width ~rounds ~seed:5 in
+  let eng = Flat.compile entries in
+  List.iter (Flat.step_event eng) trace;
+  for ck = 0 to width - 1 do
+    Alcotest.(check int) "running" 0 (Flat.verdict_code eng ck);
+    Alcotest.(check int) "rounds" rounds (Flat.rounds_completed eng ck);
+    Alcotest.(check int) "deliveries" (rounds * (k + 1)) (Flat.index eng ck)
+  done;
+  let touches = width * rounds * 72 in
+  Alcotest.(check int) "recognizer touches" touches
+    (Flat.recognizer_steps eng);
+  let metrics = Loseq_obs.Metrics.create () in
+  let suite =
+    match
+      Suite.parse
+        (String.concat ""
+           (List.map
+              (fun (l, p) -> Printf.sprintf "%s: %s\n" l (Pattern.to_string p))
+              entries))
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "suite: %a" Suite.pp_error e
+  in
+  let tap = Tap.create (Kernel.create ()) in
+  ignore (Suite.attach_hub ~metrics ~backend:Backend.flat_views tap suite);
+  List.iter (fun (e : Trace.event) -> Tap.emit_name tap e.name) trace;
+  Alcotest.(check (option int)) "loseq_flat_recognizer_steps_total"
+    (Some touches)
+    (Loseq_obs.Metrics.read_counter metrics
+       ~name:"loseq_flat_recognizer_steps_total" ())
+
 (* ---- checker copies between engines ------------------------------------ *)
 
 (* A suite of one to three random entries, their traces merged in time
@@ -392,6 +458,11 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_blob_roundtrip;
           Alcotest.test_case "rejections" `Quick test_blob_rejections;
           Alcotest.test_case "reset" `Quick test_reset;
+        ] );
+      ( "touches",
+        [
+          Alcotest.test_case "fanout shape, one group" `Quick
+            test_fanout_touches;
         ] );
       ( "slab",
         [
