@@ -1,9 +1,12 @@
 (* The whole-suite flat-table engine.  One Bigarray int slab per
    checker carries every mutable word; all static tables are plain
-   read-only int arrays built at compile time.  The step function is a
-   literal mirror of [Compiled.step_id] (same recognizer codes, same
-   branch structure) over slab slots instead of record fields — the
-   agreement is property-tested in test_backend. *)
+   read-only int arrays built at compile time.  The step function
+   follows [Compiled.step_id] (same recognizer codes, same branch
+   structure) over slab slots instead of record fields, with one
+   shortcut: once the active fragment is opened, a name of it steps
+   only its owner and the counting recognizer, not the whole fragment
+   ([step_opened]).  The slab states and verdicts stay those of
+   [Compiled] — the agreement is property-tested in test_backend. *)
 
 module Ba = Bigarray.Array1
 
@@ -87,6 +90,7 @@ type t = {
   loc_owner : int array; (* fragment (checker-local), -1 = terminator-only *)
   loc_term : bool array;
   loc_gid : int array;
+  loc_rec : int array; (* the recognizer it is [c_self] of, -1 = none *)
   (* per fragment (global ids) *)
   frag_first : int array; (* global recognizer index *)
   frag_count : int array;
@@ -116,6 +120,11 @@ type t = {
   dl_dirty : int array;
   mutable dl_ndirty : int;
   mutable dl_all : bool;
+  (* opened-fragment cache, beside the slab (never in a blob): the
+     checker's active fragment has no waiting recognizer ([op_open]),
+     and [op_count] is its one counting recognizer, -1 = none *)
+  op_open : Bytes.t;
+  op_count : int array;
   mutable notify : (int -> unit) option;
 }
 
@@ -253,6 +262,7 @@ let compile entries =
   let ck_deadline = Array.make n_ck 0 in
   let loc_owner = Array.make total_locs (-1) in
   let loc_term = Array.make total_locs false in
+  let loc_rec = Array.make total_locs (-1) in
   let frag_first = Array.make total_frags 0 in
   let frag_count = Array.make total_frags 0 in
   let rec_lo = Array.make total_recs 1 in
@@ -307,9 +317,9 @@ let compile entries =
           rec_cslot.(r) <- !slot + ctrl_slots + n_recs + j;
           Array.iteri
             (fun l nm ->
-              Bytes.set cat
-                (rec_cat0.(r) + l)
-                (Char.chr (category_code (Context.classify ctx nm))))
+              let c = category_code (Context.classify ctx nm) in
+              Bytes.set cat (rec_cat0.(r) + l) (Char.chr c);
+              if c = c_self then loc_rec.(!next_loc + l) <- r)
             p.p_locals)
         p.p_contexts;
       slot := !slot + ctrl_slots + (2 * n_recs);
@@ -367,6 +377,7 @@ let compile entries =
       loc_owner;
       loc_term;
       loc_gid;
+      loc_rec;
       frag_first;
       frag_count;
       rec_lo;
@@ -388,6 +399,8 @@ let compile entries =
       dl_dirty = Array.make (max 1 n_ck) 0;
       dl_ndirty = 0;
       dl_all = false;
+      op_open = Bytes.make n_ck '\000';
+      op_count = Array.make n_ck (-1);
       notify = None;
     }
   in
@@ -439,6 +452,7 @@ let init_checker t ck =
   done;
   Ba.set t.st (base + o_started) (-1);
   Ba.set t.st (base + o_vrec) (-1);
+  Bytes.set t.op_open ck '\000';
   let g0 = t.ck_frag0.(ck) in
   for r = t.frag_first.(g0) to t.frag_first.(g0) + t.frag_count.(g0) - 1 do
     Ba.set t.st t.rec_sslot.(r) s_waiting
@@ -609,6 +623,10 @@ let rec_step t r c =
     else fail r_after
   else o_quiet (* idle: not stepped in practice *)
 
+(* [r]'s category of the checker-local name [loc]. *)
+let cat_of t r loc =
+  Char.code (Bytes.unsafe_get t.cat (Array.unsafe_get t.rec_cat0 r + loc))
+
 (* Would the active fragment complete on an Accept right now? *)
 let min_complete t ck =
   let st = t.st in
@@ -665,18 +683,40 @@ let start_fragment_with t ck f loc =
   let st = t.st in
   let base = Array.unsafe_get t.ck_base ck in
   Ba.unsafe_set st (base + o_active) f;
+  Bytes.unsafe_set t.op_open ck '\000';
   let gf = Array.unsafe_get t.ck_frag0 ck + f in
   let first = Array.unsafe_get t.frag_first gf in
   for r = first to first + Array.unsafe_get t.frag_count gf - 1 do
-    let c =
-      Char.code (Bytes.unsafe_get t.cat (Array.unsafe_get t.rec_cat0 r + loc))
-    in
-    if c = c_self then begin
+    if cat_of t r loc = c_self then begin
       Ba.unsafe_set st (Array.unsafe_get t.rec_sslot r) s_counting;
       Ba.unsafe_set st (Array.unsafe_get t.rec_cslot r) 1
     end
     else Ba.unsafe_set st (Array.unsafe_get t.rec_sslot r) s_started
   done
+
+(* Step every recognizer of [ck]'s fragment [f] on [loc], in
+   recognizer order up to the first error; true on error. *)
+let step_fragment t ck f loc =
+  let gf = Array.unsafe_get t.ck_frag0 ck + f in
+  let first = Array.unsafe_get t.frag_first gf in
+  let failed = ref false in
+  for r = first to first + Array.unsafe_get t.frag_count gf - 1 do
+    if not !failed then
+      if rec_step t r (cat_of t r loc) = o_err then failed := true
+  done;
+  !failed
+
+(* The same step once the fragment is opened.  No recognizer waits and
+   [c_current] leaves a started, done or idle one as it is, so only
+   the counting recognizer and the owner [own] of [loc] can move:
+   stepping those two in recognizer order, up to the first error,
+   leaves the slab and [t.fr]/[t.fr_rec] as [step_fragment] does. *)
+let step_opened t ck own loc =
+  let cnt = Array.unsafe_get t.op_count ck in
+  if cnt < 0 || cnt = own then rec_step t own c_self = o_err
+  else if cnt < own then
+    rec_step t cnt (cat_of t cnt loc) = o_err || rec_step t own c_self = o_err
+  else rec_step t own c_self = o_err || rec_step t cnt (cat_of t cnt loc) = o_err
 
 let refresh_timed t ck ~time =
   if Array.unsafe_get t.ck_timed ck then begin
@@ -729,25 +769,30 @@ let step_trusted t ck loc ~time =
       let active = Ba.unsafe_get st (base + o_active) in
       let last = Array.unsafe_get t.ck_q ck - 1 in
       if f = active then begin
-        (* Step every recognizer of the active fragment. *)
-        let gf = Array.unsafe_get t.ck_frag0 ck + f in
-        let first = Array.unsafe_get t.frag_first gf in
+        let own =
+          Array.unsafe_get t.loc_rec (Array.unsafe_get t.ck_loc0 ck + loc)
+        in
         t.fr <- r_empty;
         t.fr_rec <- -1;
-        let failed = ref false in
-        for r = first to first + Array.unsafe_get t.frag_count gf - 1 do
-          if not !failed then begin
-            let c =
-              Char.code
-                (Bytes.unsafe_get t.cat (Array.unsafe_get t.rec_cat0 r + loc))
-            in
-            if rec_step t r c = o_err then failed := true
-          end
-        done;
-        if !failed then
+        let failed =
+          if Bytes.unsafe_get t.op_open ck = '\000' then
+            step_fragment t ck f loc
+          else step_opened t ck own loc
+        in
+        if failed then
           violate t ck ~reason:t.fr ~vrec:t.fr_rec ~time ~idx:(idx - 1) ~a:0
             ~b:0 ~c:0
-        else refresh_timed t ck ~time
+        else begin
+          (* Every recognizer took [c_self] or [c_current]: none waits,
+             and the owner is the only one left counting. *)
+          Bytes.unsafe_set t.op_open ck '\001';
+          Array.unsafe_set t.op_count ck
+            (if
+               Ba.unsafe_get st (Array.unsafe_get t.rec_sslot own) = s_counting
+             then own
+             else -1);
+          refresh_timed t ck ~time
+        end
       end
       else if
         active = last && Array.unsafe_get t.loc_term (t.ck_loc0.(ck) + loc)
@@ -763,7 +808,8 @@ let step_trusted t ck loc ~time =
               for r = first to first + Array.unsafe_get t.frag_count g0 - 1 do
                 Ba.unsafe_set st (Array.unsafe_get t.rec_sslot r) s_waiting
               done;
-              Ba.unsafe_set st (base + o_active) 0
+              Ba.unsafe_set st (base + o_active) 0;
+              Bytes.unsafe_set t.op_open ck '\000'
             end
             else begin
               Ba.unsafe_set st (base + o_verdict) v_satisfied;
@@ -985,6 +1031,7 @@ let restore_checker t ck (p : Compiled.persisted) =
       Ba.set t.st (base + o_va) a;
       Ba.set t.st (base + o_vb) b;
       Ba.set t.st (base + o_vc) c);
+  Bytes.set t.op_open ck '\000';
   touch t ck
 
 (* ---- engine-to-engine copies ------------------------------------------ *)
@@ -1000,6 +1047,7 @@ let copy_checker ~src t ck =
   for i = base to base + width - 1 do
     Ba.set t.st i (Ba.get src.st i)
   done;
+  Bytes.set t.op_open ck '\000';
   touch t ck
 
 (* ---- blob -------------------------------------------------------------- *)
@@ -1096,6 +1144,7 @@ let load_blob t blob =
                 for i = 0 to n - 1 do
                   Ba.set t.st i slots.(i)
                 done;
+                Bytes.fill t.op_open 0 (Bytes.length t.op_open) '\000';
                 t.dl_all <- true;
                 Ok ()
           end

@@ -61,16 +61,17 @@ let test_dispatch_table () =
 (* [copy k] of the example catalog, its names suffixed with [k mod 2]:
    copies 0 and 2 (and 1 and 3) share every name, so the interning
    spans several checkers per name. *)
-let catalog_copies n =
-  let source =
-    let path =
-      List.find Sys.file_exists
-        [ "../examples/specs/catalog.suite"; "examples/specs/catalog.suite" ]
-    in
-    match Suite.load path with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "%a" Suite.pp_error e
+let catalog_source () =
+  let path =
+    List.find Sys.file_exists
+      [ "../examples/specs/catalog.suite"; "examples/specs/catalog.suite" ]
   in
+  match Suite.load path with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "%a" Suite.pp_error e
+
+let catalog_copies n =
+  let source = catalog_source () in
   (* rename identifier tokens that are alphabet names *)
   let rename suffix (e : Suite.entry) =
     let alpha = Pattern.alpha e.pattern in
@@ -324,9 +325,12 @@ let fanout_trace ~width ~rounds ~seed =
   List.mapi ev (List.concat (List.init rounds (fun _ -> round ())))
 
 (* A checker-round is 9 deliveries (8 names, then go) to a fragment of
-   8 recognizers.  Stepping the whole fragment on every delivery
-   touches 8 recognizers each time: 72 per checker-round.  The
-   engine-direct hub exports the same count. *)
+   8 recognizers.  The first name opens the fragment and steps all 8;
+   each of the other 7 steps only the counting recognizer and its own
+   owner; go completes the fragment through all 8: 8 + 7 * 2 + 8 = 30
+   touches per checker-round, where stepping the whole fragment on
+   every delivery takes 72.  The engine-direct hub exports the same
+   count. *)
 let test_fanout_touches () =
   let width = 16 and k = 8 and rounds = 10 in
   let entries = fanout_entries ~width ~k in
@@ -338,7 +342,7 @@ let test_fanout_touches () =
     Alcotest.(check int) "rounds" rounds (Flat.rounds_completed eng ck);
     Alcotest.(check int) "deliveries" (rounds * (k + 1)) (Flat.index eng ck)
   done;
-  let touches = width * rounds * 72 in
+  let touches = width * rounds * 30 in
   Alcotest.(check int) "recognizer touches" touches
     (Flat.recognizer_steps eng);
   let metrics = Loseq_obs.Metrics.create () in
@@ -431,6 +435,170 @@ let test_copy_refuses_other_suite () =
     (Invalid_argument "Flat.copy_checker: engines of different suites")
     (fun () -> Flat.copy_checker ~src eng 0)
 
+(* ---- allocation ---------------------------------------------------------- *)
+
+(* The example catalog beside the fanout group: every name is
+   interned in one engine, timed and untimed checkers alike. *)
+let mixed_entries () =
+  let catalog =
+    List.map (fun (e : Suite.entry) -> (e.label, e.pattern)) (catalog_source ())
+  in
+  catalog @ fanout_entries ~width:16 ~k:8
+
+(* [episodes] of catalog_ok.csv, one per 400 ticks, each with a fanout
+   round on the odd ticks between: (gid, time) pairs in time order. *)
+let mixed_stream eng ~episodes =
+  let ok =
+    let path =
+      List.find Sys.file_exists
+        [ "../examples/traces/catalog_ok.csv"; "examples/traces/catalog_ok.csv" ]
+    in
+    match Trace_io.load_csv path with
+    | Ok tr -> tr
+    | Error e -> Alcotest.failf "%s: %s" path e
+  in
+  let fan = fanout_trace ~width:16 ~rounds:episodes ~seed:9 in
+  let events =
+    List.concat
+      (List.init episodes (fun ep ->
+           List.map
+             (fun (e : Trace.event) -> ev ((ep * 400) + e.time) (Name.to_string e.name))
+             ok))
+    @ List.mapi
+        (fun i (e : Trace.event) ->
+          ev (((i / 17) * 400) + (2 * (i mod 17)) + 1) (Name.to_string e.name))
+        fan
+  in
+  let events =
+    List.stable_sort
+      (fun (a : Trace.event) (b : Trace.event) -> compare a.time b.time)
+      events
+  in
+  ( Array.of_list
+      (List.map (fun (e : Trace.event) -> Option.get (Flat.gid_of_name eng e.name)) events),
+    Array.of_list (List.map (fun (e : Trace.event) -> e.time) events) )
+
+(* Minor-heap words [f] allocates. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_step_allocates_nothing () =
+  Alcotest.(check (float 0.)) "measuring alone" 0. (minor_words ignore);
+  let eng = Flat.compile (mixed_entries ()) in
+  let gids, times = mixed_stream eng ~episodes:40 in
+  let steps () =
+    for i = 0 to Array.length gids - 1 do
+      Flat.step_name eng ~gid:gids.(i) ~time:times.(i)
+    done
+  in
+  Alcotest.(check (float 0.)) "step_name" 0. (minor_words steps);
+  Alcotest.(check bool) "every property still passes" true
+    (List.for_all
+       (fun ck -> Flat.verdict_code eng ck = 0)
+       (List.init (Flat.size eng) Fun.id));
+  (* Firing each timed deadline early (25 ticks after the event that
+     precedes it) makes fire_due decide misses as it goes. *)
+  let eng = Flat.compile (mixed_entries ()) in
+  let fire () =
+    for i = 0 to Array.length gids - 1 do
+      Flat.step_name eng ~gid:gids.(i) ~time:times.(i);
+      Flat.fire_due eng ~upto:(times.(i) + 25)
+    done
+  in
+  Alcotest.(check (float 0.)) "step_name and fire_due" 0. (minor_words fire);
+  Alcotest.(check bool) "fire_due decided a miss" true
+    (Array.exists
+       (fun ck ->
+         match Flat.verdict eng ck with
+         | Compiled.Violated { reason = Diag.Deadline_miss _; _ } -> true
+         | _ -> false)
+       (Flat.timed_checkers eng))
+
+(* ---- opened-fragment cache --------------------------------------------- *)
+
+(* Beside the slab, the engine caches per checker whether its active
+   fragment is opened and which recognizer counts.  Every way of moving
+   a checker's state in from elsewhere must drop that cache.  Each move
+   lands in a twin that has stepped the whole trace first, so that the
+   twin's caches describe some other state.  After every later event
+   the moved engines must agree with the uninterrupted one, and that
+   one with a per-pattern [Compiled] reference (which catches a cache
+   kept across a fragment change in the uninterrupted run as well). *)
+let prop_cache_moves (ps, trace, cut) =
+  let entries = List.mapi (fun i p -> (Printf.sprintf "p%d" i, p)) ps in
+  let n = List.length ps in
+  let step e (ev : Trace.event) =
+    Flat.check_time e ~now:ev.time;
+    Flat.step_event e ev
+  in
+  let state e = Array.init n (fun ck -> (Flat.persist_checker e ck, Flat.verdict e ck)) in
+  let prefix = List.filteri (fun i _ -> i < cut) trace
+  and rest = List.filteri (fun i _ -> i >= cut) trace in
+  let whole = Flat.compile entries in
+  List.iter (step whole) prefix;
+  let refs = Array.of_list (List.map Compiled.compile ps) in
+  let ref_step (ev : Trace.event) =
+    Array.iter
+      (fun c ->
+        ignore (Compiled.check_time c ~now:ev.time);
+        ignore (Compiled.step c ev))
+      refs
+  in
+  List.iter ref_step prefix;
+  let ref_state () =
+    Array.map (fun c -> (Compiled.persist c, Compiled.verdict c)) refs
+  in
+  let twin move =
+    let e = Flat.compile entries in
+    List.iter (step e) trace;
+    move e;
+    e
+  in
+  let each f e =
+    for ck = 0 to n - 1 do
+      f e ck
+    done
+  in
+  let moved =
+    [
+      ( "restore_checker",
+        twin
+          (each (fun e ck ->
+               Flat.restore_checker e ck (Flat.persist_checker whole ck))) );
+      ("copy_checker", twin (each (fun e ck -> Flat.copy_checker ~src:whole e ck)));
+      ( "load_blob",
+        twin (fun e ->
+            match Flat.load_blob e (Flat.save_blob whole) with
+            | Ok () -> ()
+            | Error msg -> failwith msg) );
+      ( "reset_checker",
+        twin (fun e ->
+            each Flat.reset_checker e;
+            List.iter (step e) prefix) );
+    ]
+  in
+  let check at =
+    let expected = state whole in
+    if ref_state () <> expected then
+      QCheck2.Test.fail_reportf "%s: the engine left the Compiled reference" at;
+    List.iter
+      (fun (how, e) ->
+        if state e <> expected then
+          QCheck2.Test.fail_reportf "%s: the %s twin diverged" at how)
+      moved
+  in
+  check "at the cut";
+  List.iteri
+    (fun i ev ->
+      step whole ev;
+      ref_step ev;
+      List.iter (fun (_, e) -> step e ev) moved;
+      check (Printf.sprintf "after event %d" (cut + i)))
+    rest;
+  true
+
 let () =
   Alcotest.run "flat"
     [
@@ -464,11 +632,18 @@ let () =
           Alcotest.test_case "fanout shape, one group" `Quick
             test_fanout_touches;
         ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "step_name and fire_due allocate nothing" `Quick
+            test_step_allocates_nothing;
+        ] );
       ( "slab",
         [
           qtest ~count:300 "copy from a twin engine is exact" gen_copy_case
             print_copy_case prop_copy_exact;
           Alcotest.test_case "copy refuses another suite" `Quick
             test_copy_refuses_other_suite;
+          qtest ~count:500 "state moves drop the opened-fragment cache"
+            gen_copy_case print_copy_case prop_cache_moves;
         ] );
     ]
