@@ -770,7 +770,7 @@ let serve ?metrics ?metrics_addr ?(stats_interval = 0) ?backend
   if ooo && (checkpoint <> None || resume) then
     error_record out
       "--ooo does not support --checkpoint/--resume: speculative state \
-       (journal, snapshots, unsettled verdicts) is not checkpointable"
+       (journal, frontier, unsettled verdicts) is not checkpointable"
   else if ooo && backend <> None then
     error_record out
       "--ooo does not support --backend: speculative hosting always steps \
