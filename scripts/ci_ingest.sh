@@ -54,6 +54,13 @@
 #                         by the lateness window, not the stream), and
 #                         its settled verdict records equal the
 #                         buffered serve's
+#   fanout-agreement      servebench's fanout workload (8-range
+#                         fragments, each name heard by 8 checkers),
+#                         perturbed so that overflow, re-entry and
+#                         missing-range violations occur inside wide
+#                         fragments: default serve (the flat engine),
+#                         --backend compiled and --backend direct exit
+#                         alike and write the same verdict records
 #   verdict-provenance    failed serve verdicts carry a provenance
 #                         chain, and explain-verdict replays the
 #                         minimized chain to the same Fail on the
@@ -394,6 +401,60 @@ test -n "$(max_journal "$WORK/racy250.spec.ndjson")"
 test "$(max_journal "$WORK/racy250.spec.ndjson")" = \
   "$(max_journal "$WORK/racy500.spec.ndjson")"
 echo "max_journal does not grow with the stream; settled verdicts = buffered"
+
+gate "fanout-agreement"
+# The flat engine steps only the owner and the counting recognizer of an
+# opened fragment; this stream makes wide fragments fail every way a
+# range can.  Counting the s* events of fanout(1, n_events=20000) from
+# 1: the 1009th, 2018th, ... are dropped (missing range at go), and the
+# 997th, 1994th, ... are sent again right after the event that follows
+# them, at that event's time (re-entry where the checker heard that
+# event, overflow where it did not).  servebench/workloads.py is
+# imported read-only, with no bytecode written next to it.
+python3 - "$WORK/fanout" <<'PY'
+import sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, "servebench")
+import workloads
+out = sys.argv[1]
+wl = workloads.fanout(1, n_events=20000)
+stream, pending, k = [], None, 0
+for t, n in wl.arrival:
+    resend, pending = pending, None
+    if n.startswith("s"):
+        k += 1
+        if k % 1009 == 0:
+            n = None
+        elif k % 997 == 0:
+            pending = n
+    if n is not None:
+        stream.append((t, n))
+    if resend is not None:
+        stream.append((t, resend))
+open(out + ".suite", "w").write(wl.suite)
+open(out + ".csv", "w").write(workloads.to_csv(stream))
+PY
+fan_status=0
+$LOSEQ serve --suite "$WORK/fanout.suite" < "$WORK/fanout.csv" \
+  > "$WORK/fanout_flat.ndjson" || fan_status=$?
+test "$fan_status" -eq 1
+grep '"type": *"verdict"' "$WORK/fanout_flat.ndjson" > "$WORK/fanout_flat.verdicts"
+for kind in 'never occurred' 'second block for range' 'more than 1 occurrence'; do
+  grep -q "$kind" "$WORK/fanout_flat.verdicts"
+done
+# the structural monitor also names the event a range violation
+# happened on (" on s0_3 (event #41)"): compared without it
+locator() { sed -E 's/ on [A-Za-z0-9_]+ \(event #[0-9]+\)//'; }
+for b in compiled direct; do
+  status=0
+  $LOSEQ serve --suite "$WORK/fanout.suite" --backend "$b" \
+    < "$WORK/fanout.csv" > "$WORK/fanout_$b.ndjson" || status=$?
+  test "$status" -eq "$fan_status"
+  grep '"type": *"verdict"' "$WORK/fanout_$b.ndjson" > "$WORK/fanout_$b.verdicts"
+  cmp <(strip_prov "$WORK/fanout_flat.verdicts") \
+    <(strip_prov "$WORK/fanout_$b.verdicts" | locator)
+done
+echo "perturbed fanout: flat, compiled and direct agree on $(wc -l < "$WORK/fanout_flat.verdicts") verdicts (exit $fan_status)"
 
 gate "verdict-provenance"
 # every failed verdict must carry a provenance chain that replays to
