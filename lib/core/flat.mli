@@ -14,15 +14,21 @@
     - all automaton states, range counters, deadline slots and verdict
       descriptors of every checker live in a single [Bigarray] int
       array ({!layout}): one contiguous slab per checker, control
-      words first, then recognizer states, then counters.  The engine
-      owns no other mutable state, so a checkpoint of the whole suite
-      is one [memcpy]-shaped blob ({!save_blob}), restoring a
-      checker from a second engine of the same suite is one slot-range
-      copy ({!copy_checker}), and a future multicore shard is a slice
-      of the array;
-    - {!step_local} is a branch-minimized mirror of
-      [Compiled.step_id] (same Fig. 5 recognizer semantics, verified
-      against it property-by-property in [test_backend]).
+      words first, then recognizer states, then counters.  Beside the
+      slab the engine keeps only derived bookkeeping, never part of a
+      blob: the deadline marks ({!drain_deadlines}), the
+      {!recognizer_steps} counter and, per checker, whether its active
+      fragment is opened and which recognizer counts.  So a checkpoint of the whole suite is one
+      [memcpy]-shaped blob ({!save_blob}), restoring a checker from a
+      second engine of the same suite is one slot-range copy
+      ({!copy_checker}), and a future multicore shard is a slice of
+      the array;
+    - {!step_local} is a branch-minimized form of [Compiled.step_id]
+      (same Fig. 5 recognizer semantics, verified against it
+      property-by-property in [test_backend]).  Once the active
+      fragment is opened (no recognizer waits), a name of it steps
+      only two recognizers, its owner and the counting one, not the
+      whole fragment: O(1) per delivery.
 
     Verdicts and persisted states are {e shared} with {!Compiled}
     (same types), so backend lifting and the checkpoint bridge host
