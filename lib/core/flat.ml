@@ -715,8 +715,11 @@ let step_opened t ck own loc =
   let cnt = Array.unsafe_get t.op_count ck in
   if cnt < 0 || cnt = own then rec_step t own c_self = o_err
   else if cnt < own then
-    rec_step t cnt (cat_of t cnt loc) = o_err || rec_step t own c_self = o_err
-  else rec_step t own c_self = o_err || rec_step t cnt (cat_of t cnt loc) = o_err
+    rec_step t cnt (cat_of t cnt loc) = o_err
+    || rec_step t own c_self = o_err
+  else
+    rec_step t own c_self = o_err
+    || rec_step t cnt (cat_of t cnt loc) = o_err
 
 let refresh_timed t ck ~time =
   if Array.unsafe_get t.ck_timed ck then begin

@@ -18,11 +18,11 @@
       slab the engine keeps only derived bookkeeping, never part of a
       blob: the deadline marks ({!drain_deadlines}), the
       {!recognizer_steps} counter and, per checker, whether its active
-      fragment is opened and which recognizer counts.  So a checkpoint of the whole suite is one
-      [memcpy]-shaped blob ({!save_blob}), restoring a checker from a
-      second engine of the same suite is one slot-range copy
-      ({!copy_checker}), and a future multicore shard is a slice of
-      the array;
+      fragment is opened and which recognizer counts.  So a
+      checkpoint of the whole suite is one [memcpy]-shaped blob
+      ({!save_blob}), restoring a checker from a second engine of the
+      same suite is one slot-range copy ({!copy_checker}), and a
+      future multicore shard is a slice of the array;
     - {!step_local} is a branch-minimized form of [Compiled.step_id]
       (same Fig. 5 recognizer semantics, verified against it
       property-by-property in [test_backend]).  Once the active

@@ -347,15 +347,9 @@ let test_fanout_touches () =
     (Flat.recognizer_steps eng);
   let metrics = Loseq_obs.Metrics.create () in
   let suite =
-    match
-      Suite.parse
-        (String.concat ""
-           (List.map
-              (fun (l, p) -> Printf.sprintf "%s: %s\n" l (Pattern.to_string p))
-              entries))
-    with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "suite: %a" Suite.pp_error e
+    List.mapi
+      (fun i (label, pattern) -> { Suite.label; pattern; line = i + 1 })
+      entries
   in
   let tap = Tap.create (Kernel.create ()) in
   ignore (Suite.attach_hub ~metrics ~backend:Backend.flat_views tap suite);
@@ -446,12 +440,14 @@ let mixed_entries () =
   catalog @ fanout_entries ~width:16 ~k:8
 
 (* [episodes] of catalog_ok.csv, one per 400 ticks, each with a fanout
-   round on the odd ticks between: (gid, time) pairs in time order. *)
+   round on its odd ticks 1 to 33: (gid, time) pairs in time order. *)
 let mixed_stream eng ~episodes =
   let ok =
     let path =
       List.find Sys.file_exists
-        [ "../examples/traces/catalog_ok.csv"; "examples/traces/catalog_ok.csv" ]
+        [
+          "../examples/traces/catalog_ok.csv"; "examples/traces/catalog_ok.csv";
+        ]
     in
     match Trace_io.load_csv path with
     | Ok tr -> tr
@@ -462,7 +458,8 @@ let mixed_stream eng ~episodes =
     List.concat
       (List.init episodes (fun ep ->
            List.map
-             (fun (e : Trace.event) -> ev ((ep * 400) + e.time) (Name.to_string e.name))
+             (fun (e : Trace.event) ->
+               ev ((ep * 400) + e.time) (Name.to_string e.name))
              ok))
     @ List.mapi
         (fun i (e : Trace.event) ->
@@ -475,7 +472,9 @@ let mixed_stream eng ~episodes =
       events
   in
   ( Array.of_list
-      (List.map (fun (e : Trace.event) -> Option.get (Flat.gid_of_name eng e.name)) events),
+      (List.map
+         (fun (e : Trace.event) -> Option.get (Flat.gid_of_name eng e.name))
+         events),
     Array.of_list (List.map (fun (e : Trace.event) -> e.time) events) )
 
 (* Minor-heap words [f] allocates. *)
@@ -533,7 +532,9 @@ let prop_cache_moves (ps, trace, cut) =
     Flat.check_time e ~now:ev.time;
     Flat.step_event e ev
   in
-  let state e = Array.init n (fun ck -> (Flat.persist_checker e ck, Flat.verdict e ck)) in
+  let state e =
+    Array.init n (fun ck -> (Flat.persist_checker e ck, Flat.verdict e ck))
+  in
   let prefix = List.filteri (fun i _ -> i < cut) trace
   and rest = List.filteri (fun i _ -> i >= cut) trace in
   let whole = Flat.compile entries in
@@ -567,7 +568,8 @@ let prop_cache_moves (ps, trace, cut) =
         twin
           (each (fun e ck ->
                Flat.restore_checker e ck (Flat.persist_checker whole ck))) );
-      ("copy_checker", twin (each (fun e ck -> Flat.copy_checker ~src:whole e ck)));
+      ( "copy_checker",
+        twin (each (fun e ck -> Flat.copy_checker ~src:whole e ck)) );
       ( "load_blob",
         twin (fun e ->
             match Flat.load_blob e (Flat.save_blob whole) with
