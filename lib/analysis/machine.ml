@@ -82,7 +82,7 @@ let start_class t r = class_of_count t r 1
 
 type outcome = Quiet | Ok_acc | Nok | Err of Diag.reason
 
-(* Abstract mirror of [Compiled.rec_step]: successors of one recognizer
+(* Abstract mirror of [Flat.rec_step]: successors of one recognizer
    on one category.  Deterministic except [Self] from a counting
    interval wide enough to both stay and cross. *)
 let rec_succ t r cls (cat : Context.category) =
@@ -119,7 +119,7 @@ let rec_succ t r cls (cat : Context.category) =
   | _, Context.After -> [ (cls, Err Diag.After_name) ]
   | _, Context.Outside -> [ (cls, Quiet) ]
 
-(* Abstract mirror of [Compiled.min_complete]. *)
+(* Abstract mirror of [Flat.min_complete]. *)
 let frag_min_complete t recs f =
   let first = t.s.frag_first.(f) in
   let oks = ref 0 in
@@ -134,7 +134,7 @@ let frag_min_complete t recs f =
   done;
   !viable && !oks > 0
 
-(* Abstract mirror of [Compiled.try_complete]: deliver Accept to the
+(* Abstract mirror of [Flat.try_complete]: deliver Accept to the
    active fragment.  Fully deterministic. *)
 exception Failed of Diag.reason
 
@@ -156,14 +156,14 @@ let try_complete t cfg =
     if !oks = 0 then Error Diag.Empty_fragment else Ok recs
   with Failed reason -> Error reason
 
-(* Abstract mirror of [Compiled.start_fragment_with] (in place). *)
+(* Abstract mirror of [Flat.start_fragment_with] (in place). *)
 let start_fragment t recs f id =
   for r = t.s.frag_first.(f) to t.s.frag_first.(f) + t.s.frag_count.(f) - 1 do
     recs.(r) <-
       (if t.s.category.(r).(id) = Context.Self then start_class t r else Started)
   done
 
-(* Abstract mirror of [Compiled.refresh_timed]; also reports whether a
+(* Abstract mirror of [Flat.refresh_timed]; also reports whether a
    timed round just completed (q_done flipping). *)
 let refresh t cfg =
   if not t.s.timed then (cfg, false)
@@ -213,7 +213,7 @@ let step_active t state cfg id =
       !alts
   with Failed reason -> [ { state with status = Violated reason } ]
 
-(* Abstract mirror of [Compiled.step_id] — same branch order. *)
+(* Abstract mirror of [Flat.step_trusted] — same branch order. *)
 let step t state id =
   match state.status with
   | Satisfied | Violated _ -> [ state ]

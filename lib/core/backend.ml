@@ -17,8 +17,8 @@ type t = {
   states : (unit -> Recognizer.state list list) option;
   acceptable : (unit -> Name.Set.t) option;
   ops : (unit -> int) option;
-  persist : (unit -> Compiled.persisted) option;
-  restore : (Compiled.persisted -> unit) option;
+  persist : (unit -> Flat.persisted) option;
+  restore : (Flat.persisted -> unit) option;
   engine : Flat.t option;
 }
 
@@ -82,66 +82,28 @@ let direct ?mode pattern =
     ~ops:(fun () -> Monitor.ops !m)
     ()
 
-(* ---- compiled (flat-table fast path) ---------------------------------- *)
-
-let violation_of_compiled c ~(reason : Diag.reason) ~time ~index =
-  {
-    Diag.name = None;
-    time;
-    index;
-    fragment = max (Compiled.active_fragment c) 0;
-    reason;
-  }
-
-let lift_compiled c = function
-  | Compiled.Running -> Running
-  | Compiled.Satisfied -> Satisfied
-  | Compiled.Violated { reason; time; index } ->
-      Violated (violation_of_compiled c ~reason ~time ~index)
-
-let compiled pattern =
-  let c = Compiled.compile pattern in
-  make ~label:"compiled"
-    ~pattern:(Compiled.pattern c)
-    ~alphabet:(Compiled.alphabet c)
-    ~step:(fun e -> lift_compiled c (Compiled.step c e))
-    ~prepare:(fun name ->
-      match Compiled.id_of_name c name with
-      | Some id -> fun time -> lift_compiled c (Compiled.step_id c ~id ~time)
-      | None -> fun _time -> lift_compiled c (Compiled.verdict c))
-    ~check_time:(fun ~now -> lift_compiled c (Compiled.check_time c ~now))
-    ~next_deadline:(fun () -> Compiled.next_deadline c)
-    ~finalize:(fun ~now -> lift_compiled c (Compiled.finalize c ~now))
-    ~verdict:(fun () -> lift_compiled c (Compiled.verdict c))
-    ~reset:(fun () -> Compiled.reset c)
-    ~persist:(fun () -> Compiled.persist c)
-    ~restore:(fun p -> Compiled.restore c p)
-    ()
-
-(* ---- flat (whole-suite table engine) ----------------------------------- *)
-
-let violation_of_flat eng ck ~(reason : Diag.reason) ~time ~index =
-  {
-    Diag.name = None;
-    time;
-    index;
-    fragment = max (Flat.active_fragment eng ck) 0;
-    reason;
-  }
+(* ---- flat (the table engine) ------------------------------------------- *)
 
 let lift_flat eng ck = function
-  | Compiled.Running -> Running
-  | Compiled.Satisfied -> Satisfied
-  | Compiled.Violated { reason; time; index } ->
-      Violated (violation_of_flat eng ck ~reason ~time ~index)
+  | Flat.Running -> Running
+  | Flat.Satisfied -> Satisfied
+  | Flat.Violated { reason; time; index } ->
+      Violated
+        {
+          Diag.name = None;
+          time;
+          index;
+          fragment = max (Flat.active_fragment eng ck) 0;
+          reason;
+        }
 
-(* One checker of a shared engine, behind the per-checker contract:
-   every closure indexes the engine's packed table.  Hosts that know
-   about engines ([Hub.host_flat], checkpoint blobs) recognize the
-   sharing through the [engine] capability. *)
-let flat_view eng ck =
+(* One checker of an engine, behind the per-checker contract: every
+   closure indexes the engine's packed table.  Hosts that know about
+   engines ([Hub.host_flat], checkpoint blobs) recognize a shared one
+   through the [engine] capability. *)
+let view ~label ?engine eng ck =
   let verdict () = lift_flat eng ck (Flat.verdict eng ck) in
-  make ~label:"flat"
+  make ~label
     ~pattern:(Flat.pattern eng ck)
     ~alphabet:(Flat.alphabet eng ck)
     ~step:(fun e ->
@@ -165,7 +127,14 @@ let flat_view eng ck =
     ~reset:(fun () -> Flat.reset_checker eng ck)
     ~persist:(fun () -> Flat.persist_checker eng ck)
     ~restore:(fun p -> Flat.restore_checker eng ck p)
-    ~engine:eng ()
+    ?engine ()
+
+(* A compiled monitor is a one-checker engine of its own, hosted per
+   checker: it carries no [engine], so no host shares it. *)
+let compiled pattern =
+  view ~label:"compiled" (Flat.compile [ ("pattern", pattern) ]) 0
+
+let flat_view eng ck = view ~label:"flat" ~engine:eng eng ck
 
 let flat_engine_views eng = Array.init (Flat.size eng) (flat_view eng)
 

@@ -65,10 +65,10 @@ type t = {
   ops : (unit -> int) option;
       (** Elementary operations executed so far, when the strategy
           meters them. *)
-  persist : (unit -> Compiled.persisted) option;
+  persist : (unit -> Flat.persisted) option;
       (** Exact serializable run state, for checkpoint/resume of
           streaming monitors (compiled and flat backends). *)
-  restore : (Compiled.persisted -> unit) option;
+  restore : (Flat.persisted -> unit) option;
       (** Overwrite the run state with a {!t.persist}ed one (compiled
           and flat backends; same-pattern monitors). *)
   engine : Flat.t option;
@@ -93,8 +93,8 @@ val make :
   ?states:(unit -> Recognizer.state list list) ->
   ?acceptable:(unit -> Name.Set.t) ->
   ?ops:(unit -> int) ->
-  ?persist:(unit -> Compiled.persisted) ->
-  ?restore:(Compiled.persisted -> unit) ->
+  ?persist:(unit -> Flat.persisted) ->
+  ?restore:(Flat.persisted -> unit) ->
   ?engine:Flat.t ->
   unit ->
   t
@@ -119,7 +119,9 @@ val direct : ?mode:Monitor.mode -> factory
     the alphabet-routed ones. *)
 
 val compiled : factory
-(** The {!Compiled} flat-table fast path — the production default. *)
+(** The {!Compiled} fast path — the production default: a one-checker
+    {!Flat} engine per pattern, hosted per checker (it carries no
+    {!t.engine}). *)
 
 type suite_factory = (string * Pattern.t) list -> t array
 (** What every suite host ({!Loseq_verif.Suite.attach_hub} and

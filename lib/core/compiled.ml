@@ -1,389 +1,57 @@
-type verdict =
+(* One pattern on a one-checker flat engine.  In such an engine the
+   suite-wide interning is the sorted alphabet, so a gid is also the
+   checker-local id the step takes. *)
+
+type verdict = Flat.verdict =
   | Running
   | Satisfied
   | Violated of { reason : Diag.reason; time : int; index : int }
 
-(* Recognizer states, flattened. *)
-let s_idle = 0
-let s_waiting = 1
-let s_started = 2
-let s_counting = 3
-let s_done = 4
+type t = Flat.t
 
-(* Categories, flattened (cf. Context.category). *)
-let c_self = 0
-let c_current = 1
-let c_before = 2
-let c_accept = 3
-let c_after = 4
-
-type t = {
-  pattern : Pattern.t;
-  alpha : Name.Set.t;
-  (* alphabet interning *)
-  ids : (Name.t, int) Hashtbl.t;
-  (* per name id *)
-  owner : int array;  (* fragment index, -1 = terminator-only *)
-  terminator : bool array;
-  (* per recognizer *)
-  category : int array array;  (* category.(r).(id) *)
-  lo : int array;
-  hi : int array;
-  disjunctive : bool array;
-  ranges : Pattern.range array;  (* for diagnostics *)
-  state : int array;
-  counter : int array;
-  (* per fragment *)
-  frag_first : int array;
-  frag_count : int array;
-  (* shape *)
-  q : int;  (* fragment count *)
-  repeated : bool;  (* true also for timed patterns *)
-  timed : bool;
-  premise_last : int;
-  deadline : int;
-  (* run state *)
-  mutable active : int;
-  mutable verdict : verdict;
-  mutable index : int;
-  mutable started : int;  (* -1 = unarmed *)
-  mutable q_done : bool;
-  mutable rounds : int;
-}
-
-let category_code = function
-  | Context.Self -> c_self
-  | Context.Current -> c_current
-  | Context.Before -> c_before
-  | Context.Accept -> c_accept
-  | Context.After -> c_after
-  | Context.Outside -> assert false
-
-let compile pattern =
-  Wellformed.check_exn pattern;
-  let ordering = Pattern.body_ordering pattern in
-  let contexts = List.concat (Context.of_pattern pattern) in
-  let alphabet = Name.Set.elements (Pattern.alpha pattern) in
-  let n_names = List.length alphabet in
-  let ids = Hashtbl.create 16 in
-  List.iteri (fun i nm -> Hashtbl.replace ids nm i) alphabet;
-  let id nm = Hashtbl.find ids nm in
-  let owner = Array.make n_names (-1) in
-  List.iteri
-    (fun f (frag : Pattern.fragment) ->
-      List.iter (fun (r : Pattern.range) -> owner.(id r.name) <- f) frag.ranges)
-    ordering;
-  let terminator = Array.make n_names false in
-  Name.Set.iter
-    (fun nm -> terminator.(id nm) <- true)
-    (Context.terminators pattern);
-  let n_recs = List.length contexts in
-  let category = Array.make n_recs [||] in
-  let lo = Array.make n_recs 1 in
-  let hi = Array.make n_recs 1 in
-  let disjunctive = Array.make n_recs false in
-  let ranges =
-    Array.of_list (List.map (fun ctx -> ctx.Context.range) contexts)
-  in
-  List.iteri
-    (fun r ctx ->
-      lo.(r) <- ctx.Context.range.Pattern.lo;
-      hi.(r) <- ctx.Context.range.Pattern.hi;
-      disjunctive.(r) <- ctx.Context.connective = Pattern.Any;
-      let row = Array.make n_names c_after in
-      List.iter
-        (fun nm -> row.(id nm) <- category_code (Context.classify ctx nm))
-        alphabet;
-      category.(r) <- row)
-    contexts;
-  let q = List.length ordering in
-  let frag_first = Array.make q 0 in
-  let frag_count = Array.make q 0 in
-  let offset = ref 0 in
-  List.iteri
-    (fun f (frag : Pattern.fragment) ->
-      frag_first.(f) <- !offset;
-      frag_count.(f) <- List.length frag.ranges;
-      offset := !offset + List.length frag.ranges)
-    ordering;
-  let repeated, timed, premise_last, deadline =
-    match pattern with
-    | Pattern.Antecedent a -> (a.repeated, false, -2, 0)
-    | Pattern.Timed g -> (true, true, List.length g.premise - 1, g.deadline)
-  in
-  let t =
-    {
-      pattern;
-      alpha = Pattern.alpha pattern;
-      ids;
-      owner;
-      terminator;
-      category;
-      lo;
-      hi;
-      disjunctive;
-      ranges;
-      state = Array.make n_recs s_idle;
-      counter = Array.make n_recs 0;
-      frag_first;
-      frag_count;
-      q;
-      repeated;
-      timed;
-      premise_last;
-      deadline;
-      active = 0;
-      verdict = Running;
-      index = 0;
-      started = -1;
-      q_done = false;
-      rounds = 0;
-    }
-  in
-  for r = frag_first.(0) to frag_first.(0) + frag_count.(0) - 1 do
-    t.state.(r) <- s_waiting
-  done;
-  t
-
-let pattern t = t.pattern
-let alphabet t = t.alpha
-let id_of_name t nm = Hashtbl.find_opt t.ids nm
-let verdict t = t.verdict
-let active_fragment t = t.active
-
-let next_deadline t =
-  match t.verdict with
-  | Satisfied | Violated _ -> None
-  | Running ->
-      if t.timed && t.started >= 0 && not t.q_done then
-        Some (t.started + t.deadline)
-      else None
-
-let reset t =
-  Array.fill t.state 0 (Array.length t.state) s_idle;
-  Array.fill t.counter 0 (Array.length t.counter) 0;
-  for r = t.frag_first.(0) to t.frag_first.(0) + t.frag_count.(0) - 1 do
-    t.state.(r) <- s_waiting
-  done;
-  t.active <- 0;
-  t.verdict <- Running;
-  t.index <- 0;
-  t.started <- -1;
-  t.q_done <- false;
-  t.rounds <- 0
-
-(* Recognizer outcomes. *)
-let o_quiet = 0
-let o_ok = 1
-let o_nok = 2
-let o_err = 3
-
-(* One Fig. 5 step; on [o_err] the specific reason is in [!last_reason]
-   (single-threaded monitors make this safe and keeps the hot path
-   allocation-free). *)
-let rec_step t r c last_reason =
-  let fail reason =
-    last_reason := reason;
-    o_err
-  in
-  let s = t.state.(r) in
-  if s = s_waiting || s = s_started then
-    if c = c_self then begin
-      t.state.(r) <- s_counting;
-      t.counter.(r) <- 1;
-      o_quiet
-    end
-    else if c = c_current then begin
-      if s = s_waiting then t.state.(r) <- s_started;
-      o_quiet
-    end
-    else if c = c_accept then
-      if t.disjunctive.(r) then begin
-        t.state.(r) <- s_idle;
-        o_nok
-      end
-      else fail (Diag.Missing t.ranges.(r))
-    else if c = c_before then fail Diag.Before_name
-    else fail Diag.After_name
-  else if s = s_counting then
-    if c = c_self then
-      if t.counter.(r) >= t.hi.(r) then fail (Diag.Overflow t.ranges.(r))
-      else begin
-        t.counter.(r) <- t.counter.(r) + 1;
-        o_quiet
-      end
-    else if c = c_current then
-      if t.counter.(r) >= t.lo.(r) then begin
-        t.state.(r) <- s_done;
-        o_quiet
-      end
-      else fail (Diag.Underflow t.ranges.(r))
-    else if c = c_accept then
-      if t.counter.(r) >= t.lo.(r) then begin
-        t.state.(r) <- s_idle;
-        o_ok
-      end
-      else fail (Diag.Underflow t.ranges.(r))
-    else if c = c_before then fail Diag.Before_name
-    else fail Diag.After_name
-  else if s = s_done then
-    if c = c_self then fail (Diag.Reentered t.ranges.(r))
-    else if c = c_current then o_quiet
-    else if c = c_accept then begin
-      t.state.(r) <- s_idle;
-      o_ok
-    end
-    else if c = c_before then fail Diag.Before_name
-    else fail Diag.After_name
-  else o_quiet (* idle: not stepped in practice *)
-
-let violate t ~time reason =
-  t.verdict <- Violated { reason; time; index = t.index - 1 };
-  t.verdict
-
-(* Would the active fragment complete on an Accept right now? *)
-let min_complete t =
-  let f = t.active in
-  if f < 0 then false
-  else begin
-    let first = t.frag_first.(f) in
-    let oks = ref 0 in
-    let viable = ref true in
-    for r = first to first + t.frag_count.(f) - 1 do
-      let s = t.state.(r) in
-      if s = s_counting then
-        if t.counter.(r) >= t.lo.(r) then incr oks else viable := false
-      else if s = s_done then incr oks
-      else if not t.disjunctive.(r) then viable := false
-    done;
-    !viable && !oks > 0
-  end
-
-(* Deliver Accept to the active fragment; true on success. *)
-let try_complete t ~time =
-  let f = t.active in
-  let first = t.frag_first.(f) in
-  let oks = ref 0 in
-  let failed = ref false in
-  let last_reason = ref Diag.Empty_fragment in
-  for r = first to first + t.frag_count.(f) - 1 do
-    if not !failed then
-      match rec_step t r c_accept last_reason with
-      | o when o = o_ok -> incr oks
-      | o when o = o_nok -> ()
-      | o when o = o_err -> failed := true
-      | _ -> ()
-  done;
-  if !failed then begin
-    ignore (violate t ~time !last_reason);
-    false
-  end
-  else if !oks = 0 then begin
-    ignore (violate t ~time Diag.Empty_fragment);
-    false
-  end
-  else true
-
-let start_fragment_with t f id =
-  t.active <- f;
-  let first = t.frag_first.(f) in
-  for r = first to first + t.frag_count.(f) - 1 do
-    let c = t.category.(r).(id) in
-    if c = c_self then begin
-      t.state.(r) <- s_counting;
-      t.counter.(r) <- 1
-    end
-    else t.state.(r) <- s_started
-  done
-
-let refresh_timed t ~time =
-  if t.timed then
-    if t.active = t.premise_last && min_complete t then t.started <- time
-    else if t.active = t.q - 1 && (not t.q_done) && min_complete t then begin
-      t.q_done <- true;
-      t.rounds <- t.rounds + 1
-    end
+let compile pattern = Flat.compile [ ("pattern", pattern) ]
+let pattern t = Flat.pattern t 0
+let alphabet t = Flat.alphabet t 0
+let id_of_name = Flat.gid_of_name
+let verdict t = Flat.verdict t 0
+let active_fragment t = Flat.active_fragment t 0
+let next_deadline t = Flat.next_deadline_checker t 0
+let reset t = Flat.reset_checker t 0
+let rounds_completed t = Flat.rounds_completed t 0
 
 let step_id t ~id ~time =
-  if id < 0 || id >= Array.length t.owner then
-    invalid_arg "Compiled.step_id: id out of range";
-  match t.verdict with
-  | (Satisfied | Violated _) as v -> v
-  | Running ->
-      t.index <- t.index + 1;
-      let armed = t.timed && t.started >= 0 in
-      let dl = t.started + t.deadline in
-      if armed && (not t.q_done) && time > dl then
-        violate t ~time
-          (Diag.Deadline_miss { started = t.started; deadline = dl; now = time })
-      else if
-        armed && t.q_done && time > dl && t.owner.(id) > t.premise_last
-      then violate t ~time (Diag.Late_conclusion { deadline = dl; at = time })
-      else begin
-        let f = t.owner.(id) in
-        let last = t.q - 1 in
-        if f = t.active then begin
-          (* Step every recognizer of the active fragment. *)
-          let first = t.frag_first.(f) in
-          let last_reason = ref Diag.Empty_fragment in
-          let failed = ref false in
-          for r = first to first + t.frag_count.(f) - 1 do
-            if not !failed then
-              if rec_step t r t.category.(r).(id) last_reason = o_err then
-                failed := true
-          done;
-          if !failed then violate t ~time !last_reason
-          else begin
-            refresh_timed t ~time;
-            t.verdict
-          end
-        end
-        else if t.active = last && t.terminator.(id) then begin
-          if try_complete t ~time then
-            if not t.timed then begin
-              t.rounds <- t.rounds + 1;
-              if t.repeated then begin
-                (* fresh round, bare start *)
-                let first = t.frag_first.(0) in
-                for r = first to first + t.frag_count.(0) - 1 do
-                  t.state.(r) <- s_waiting
-                done;
-                t.active <- 0;
-                t.verdict
-              end
-              else begin
-                t.verdict <- Satisfied;
-                t.verdict
-              end
-            end
-            else begin
-              (* timed: the terminator opens the next round *)
-              start_fragment_with t 0 id;
-              t.started <- -1;
-              t.q_done <- false;
-              refresh_timed t ~time;
-              t.verdict
-            end
-          else t.verdict
-        end
-        else if f = t.active + 1 then begin
-          if try_complete t ~time then begin
-            start_fragment_with t f id;
-            refresh_timed t ~time;
-            t.verdict
-          end
-          else t.verdict
-        end
-        else if f >= 0 && f <= t.active then violate t ~time Diag.Before_name
-        else if f >= 0 then violate t ~time Diag.After_name
-        else violate t ~time Diag.Trigger_early
-      end
+  Flat.step_local t 0 id ~time;
+  verdict t
 
-let rounds_completed t = t.rounds
+let step t (e : Trace.event) =
+  match Flat.gid_of_name t e.name with
+  | Some id -> step_id t ~id ~time:e.time
+  | None -> verdict t
+
+let check_time t ~now =
+  Flat.check_time_checker t 0 ~now;
+  verdict t
+
+let finalize = check_time
+
+let run pattern trace =
+  let t = compile pattern in
+  List.iter (fun e -> ignore (step t e)) trace;
+  finalize t ~now:(Trace.end_time trace)
+
+let accepts ?final_time pattern trace =
+  let t = compile pattern in
+  List.iter (fun e -> ignore (step t e)) trace;
+  let now =
+    match final_time with Some n -> n | None -> Trace.end_time trace
+  in
+  match finalize t ~now with
+  | Running | Satisfied -> true
+  | Violated _ -> false
 
 (* ---- reachability accessors ------------------------------------------- *)
 
-type static = {
+type static = Flat.static = {
   names : Name.t array;
   owner : int array;
   terminator : bool array;
@@ -399,33 +67,14 @@ type static = {
   deadline : int;
 }
 
-let category_decode c =
-  if c = c_self then Context.Self
-  else if c = c_current then Context.Current
-  else if c = c_before then Context.Before
-  else if c = c_accept then Context.Accept
-  else Context.After
+let static t = Flat.static t 0
 
-let static (t : t) =
-  let names = Array.make (Array.length t.owner) (Name.v "_") in
-  Hashtbl.iter (fun nm id -> names.(id) <- nm) t.ids;
-  {
-    names;
-    owner = Array.copy t.owner;
-    terminator = Array.copy t.terminator;
-    category = Array.map (Array.map category_decode) t.category;
-    rec_range = Array.copy t.ranges;
-    rec_disjunctive = Array.copy t.disjunctive;
-    frag_first = Array.copy t.frag_first;
-    frag_count = Array.copy t.frag_count;
-    fragments = t.q;
-    repeated = t.repeated;
-    timed = t.timed;
-    premise_last = t.premise_last;
-    deadline = t.deadline;
-  }
-
-type rec_state = Idle | Waiting | Started | Counting of int | Done
+type rec_state = Flat.rec_state =
+  | Idle
+  | Waiting
+  | Started
+  | Counting of int
+  | Done
 
 type snapshot = {
   active : int;
@@ -435,23 +84,7 @@ type snapshot = {
   rounds : int;
 }
 
-let snapshot (t : t) =
-  {
-    active = t.active;
-    recs =
-      Array.init (Array.length t.state) (fun r ->
-          let s = t.state.(r) in
-          if s = s_idle then Idle
-          else if s = s_waiting then Waiting
-          else if s = s_started then Started
-          else if s = s_counting then Counting t.counter.(r)
-          else Done);
-    armed = t.timed && t.started >= 0;
-    q_done = t.q_done;
-    rounds = t.rounds;
-  }
-
-type persisted = {
+type persisted = Flat.persisted = {
   p_recs : rec_state array;
   p_active : int;
   p_index : int;
@@ -461,56 +94,24 @@ type persisted = {
   p_verdict : verdict;
 }
 
-let persist (t : t) =
-  {
-    p_recs =
-      Array.init (Array.length t.state) (fun r ->
-          let s = t.state.(r) in
-          if s = s_idle then Idle
-          else if s = s_waiting then Waiting
-          else if s = s_started then Started
-          else if s = s_counting then Counting t.counter.(r)
-          else Done);
-    p_active = t.active;
-    p_index = t.index;
-    p_started = t.started;
-    p_q_done = t.q_done;
-    p_rounds = t.rounds;
-    p_verdict = t.verdict;
-  }
+let persist t = Flat.persist_checker t 0
+let restore t p = Flat.restore_checker t 0 p
 
-let restore (t : t) p =
-  if Array.length p.p_recs <> Array.length t.state then
-    invalid_arg "Compiled.restore: recognizer count mismatch";
-  Array.iteri
-    (fun r s ->
-      match s with
-      | Idle ->
-          t.state.(r) <- s_idle;
-          t.counter.(r) <- 0
-      | Waiting ->
-          t.state.(r) <- s_waiting;
-          t.counter.(r) <- 0
-      | Started ->
-          t.state.(r) <- s_started;
-          t.counter.(r) <- 0
-      | Counting n ->
-          t.state.(r) <- s_counting;
-          t.counter.(r) <- n
-      | Done ->
-          t.state.(r) <- s_done;
-          t.counter.(r) <- 0)
-    p.p_recs;
-  t.active <- p.p_active;
-  t.index <- p.p_index;
-  t.started <- p.p_started;
-  t.q_done <- p.p_q_done;
-  t.rounds <- p.p_rounds;
-  t.verdict <- p.p_verdict
+let snapshot t =
+  let p = persist t in
+  {
+    active = p.p_active;
+    recs = p.p_recs;
+    armed =
+      (match pattern t with Pattern.Timed _ -> true | Antecedent _ -> false)
+      && p.p_started >= 0;
+    q_done = p.p_q_done;
+    rounds = p.p_rounds;
+  }
 
 (* ---- table patches ----------------------------------------------------- *)
 
-type patch = {
+type patch = Flat.patch = {
   set_category : (int * int * Context.category) list;
   set_owner : (int * int) list;
   set_terminator : (int * bool) list;
@@ -529,133 +130,4 @@ let no_patch =
     set_deadline = None;
   }
 
-let patched (t : t) (p : patch) =
-  let n_names = Array.length t.owner in
-  let n_recs = Array.length t.lo in
-  let check_id id =
-    if id < 0 || id >= n_names then
-      invalid_arg "Compiled.patched: name id out of range"
-  in
-  let check_rec r =
-    if r < 0 || r >= n_recs then
-      invalid_arg "Compiled.patched: recognizer index out of range"
-  in
-  let owner = Array.copy t.owner in
-  let terminator = Array.copy t.terminator in
-  let category = Array.map Array.copy t.category in
-  let lo = Array.copy t.lo in
-  let hi = Array.copy t.hi in
-  let ranges = Array.copy t.ranges in
-  List.iter
-    (fun (r, id, c) ->
-      check_rec r;
-      check_id id;
-      category.(r).(id) <- category_code c)
-    p.set_category;
-  List.iter
-    (fun (id, f) ->
-      check_id id;
-      if f < -1 || f >= t.q then
-        invalid_arg "Compiled.patched: fragment index out of range";
-      owner.(id) <- f)
-    p.set_owner;
-  List.iter
-    (fun (id, b) ->
-      check_id id;
-      terminator.(id) <- b)
-    p.set_terminator;
-  List.iter
-    (fun (r, v) ->
-      check_rec r;
-      lo.(r) <- v)
-    p.set_lo;
-  List.iter
-    (fun (r, v) ->
-      check_rec r;
-      hi.(r) <- v)
-    p.set_hi;
-  (* Keep the diagnostic ranges (and hence [static]) consistent with the
-     patched bounds; [Pattern.range] re-validates 1 <= lo <= hi. *)
-  for r = 0 to n_recs - 1 do
-    if lo.(r) <> t.lo.(r) || hi.(r) <> t.hi.(r) then
-      ranges.(r) <-
-        Pattern.range ~lo:lo.(r) ~hi:hi.(r) t.ranges.(r).Pattern.name
-  done;
-  let deadline =
-    match p.set_deadline with
-    | None -> t.deadline
-    | Some d ->
-        if d < 0 then invalid_arg "Compiled.patched: negative deadline" else d
-  in
-  let m =
-    {
-      t with
-      ids = Hashtbl.copy t.ids;
-      owner;
-      terminator;
-      category;
-      lo;
-      hi;
-      disjunctive = Array.copy t.disjunctive;
-      ranges;
-      state = Array.make n_recs s_idle;
-      counter = Array.make n_recs 0;
-      frag_first = Array.copy t.frag_first;
-      frag_count = Array.copy t.frag_count;
-      deadline;
-      active = 0;
-      verdict = Running;
-      index = 0;
-      started = -1;
-      q_done = false;
-      rounds = 0;
-    }
-  in
-  for r = m.frag_first.(0) to m.frag_first.(0) + m.frag_count.(0) - 1 do
-    m.state.(r) <- s_waiting
-  done;
-  m
-
-let step t (e : Trace.event) =
-  match Hashtbl.find_opt t.ids e.name with
-  | Some id -> step_id t ~id ~time:e.time
-  | None -> t.verdict
-
-let check_time t ~now =
-  match t.verdict with
-  | (Satisfied | Violated _) as v -> v
-  | Running ->
-      if t.timed && t.started >= 0 && not t.q_done then begin
-        let dl = t.started + t.deadline in
-        if now > dl then begin
-          t.verdict <-
-            Violated
-              {
-                reason =
-                  Diag.Deadline_miss
-                    { started = t.started; deadline = dl; now };
-                time = dl;
-                index = -1;
-              };
-          t.verdict
-        end
-        else t.verdict
-      end
-      else t.verdict
-
-let finalize t ~now = check_time t ~now
-
-let run pattern trace =
-  let t = compile pattern in
-  List.iter (fun e -> ignore (step t e)) trace;
-  finalize t ~now:(Trace.end_time trace)
-
-let accepts ?final_time pattern trace =
-  let t = compile pattern in
-  List.iter (fun e -> ignore (step t e)) trace;
-  let now =
-    match final_time with Some n -> n | None -> Trace.end_time trace
-  in
-  match finalize t ~now with
-  | Running | Satisfied -> true
-  | Violated _ -> false
+let patched = Flat.patched

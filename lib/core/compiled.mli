@@ -1,17 +1,20 @@
-(** Compiled monitors: the production fast path.
+(** Compiled monitors: one pattern on the flat-table engine.
 
     {!Monitor} keeps the paper's structure literally — one recognizer
-    object per range, name sets, classification by set membership.  This
-    module compiles a pattern once into flat integer tables (interned
-    names, per-name category rows, counter and state arrays) so that a
-    step is a handful of array reads: the form a deployment inside a
-    simulation kernel would actually use.
+    object per range, name sets, classification by set membership.  A
+    compiled monitor is a one-checker {!Flat} engine: the pattern is
+    compiled once into integer tables (interned names, per-name
+    category rows, counter and state slots) so that a step is a
+    handful of array reads — the form a deployment inside a simulation
+    kernel would actually use.  This module is the single-pattern view
+    of that engine (ids are the sorted-alphabet ranks, every call goes
+    to checker 0); it has no step code of its own.
 
     Verdict-level behaviour is identical to {!Monitor} (property-tested
     by the suite); only diagnostics are coarser (reason and position,
     no per-range detail). *)
 
-type verdict =
+type verdict = Flat.verdict =
   | Running
   | Satisfied
   | Violated of { reason : Diag.reason; time : int; index : int }
@@ -72,7 +75,7 @@ val accepts : ?final_time:int -> Pattern.t -> Trace.t -> bool
     function on a counter-interval abstraction of exactly these
     tables, and cross-validates its witnesses by replaying them here. *)
 
-type static = {
+type static = Flat.static = {
   names : Name.t array;  (** interned id → name *)
   owner : int array;  (** id → fragment index, [-1] = terminator-only *)
   terminator : bool array;  (** id → closes the whole ordering *)
@@ -92,7 +95,12 @@ val static : t -> static
 (** The compile-time tables (arrays are fresh copies: mutating them
     cannot corrupt the monitor). *)
 
-type rec_state = Idle | Waiting | Started | Counting of int | Done
+type rec_state = Flat.rec_state =
+  | Idle
+  | Waiting
+  | Started
+  | Counting of int
+  | Done
 
 type snapshot = {
   active : int;
@@ -114,7 +122,7 @@ val snapshot : t -> snapshot
     {!restore} followed by any event sequence behaves identically to
     the uninterrupted monitor (property-tested by the suite). *)
 
-type persisted = {
+type persisted = Flat.persisted = {
   p_recs : rec_state array;  (** per recognizer, in table order *)
   p_active : int;
   p_index : int;  (** events consumed so far *)
@@ -142,7 +150,7 @@ val restore : t -> persisted -> unit
     counter bound or the deadline — without needing a pattern that
     denotes the perturbed automaton.  The original is never modified. *)
 
-type patch = {
+type patch = Flat.patch = {
   set_category : (int * int * Context.category) list;
       (** [(recognizer, id, category)] overrides *)
   set_owner : (int * int) list;

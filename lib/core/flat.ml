@@ -1,16 +1,58 @@
-(* The whole-suite flat-table engine.  One Bigarray int slab per
-   checker carries every mutable word; all static tables are plain
-   read-only int arrays built at compile time.  The step function
-   follows [Compiled.step_id] (same recognizer codes, same branch
-   structure) over slab slots instead of record fields, with one
-   shortcut: once the active fragment is opened, a name of it steps
+(* The flat-table engine: the one implementation of the paper's Fig. 5
+   recognizer automaton.  One Bigarray int slab per checker carries
+   every mutable word; all static tables are plain read-only int arrays
+   built at compile time.  [Compiled] is this engine hosting one
+   checker.  Once the active fragment is opened, a name of it steps
    only its owner and the counting recognizer, not the whole fragment
-   ([step_opened]).  The slab states and verdicts stay those of
-   [Compiled] — the agreement is property-tested in test_backend. *)
+   ([step_opened]); [ck_short] says per checker whether its tables keep
+   the invariant that shortcut needs.  Independent references are the
+   structural [Monitor], the exact [Machine] and [Semantics]. *)
 
 module Ba = Bigarray.Array1
 
 type ba = (int, Bigarray.int_elt, Bigarray.c_layout) Ba.t
+
+type verdict =
+  | Running
+  | Satisfied
+  | Violated of { reason : Diag.reason; time : int; index : int }
+
+type rec_state = Idle | Waiting | Started | Counting of int | Done
+
+type persisted = {
+  p_recs : rec_state array;
+  p_active : int;
+  p_index : int;
+  p_started : int;
+  p_q_done : bool;
+  p_rounds : int;
+  p_verdict : verdict;
+}
+
+type static = {
+  names : Name.t array;
+  owner : int array;
+  terminator : bool array;
+  category : Context.category array array;
+  rec_range : Pattern.range array;
+  rec_disjunctive : bool array;
+  frag_first : int array;
+  frag_count : int array;
+  fragments : int;
+  repeated : bool;
+  timed : bool;
+  premise_last : int;
+  deadline : int;
+}
+
+type patch = {
+  set_category : (int * int * Context.category) list;
+  set_owner : (int * int) list;
+  set_terminator : (int * bool) list;
+  set_lo : (int * int) list;
+  set_hi : (int * int) list;
+  set_deadline : int option;
+}
 
 (* Control words per checker slab, at [checker_base + offset]. *)
 let ctrl_slots = 13
@@ -34,7 +76,7 @@ let v_running = 0
 let v_satisfied = 1
 let v_violated = 2
 
-(* Recognizer states and categories: the [Compiled] codes. *)
+(* Recognizer states and categories. *)
 let s_idle = 0
 let s_waiting = 1
 let s_started = 2
@@ -44,8 +86,7 @@ let c_self = 0
 let c_current = 1
 let c_before = 2
 let c_accept = 3
-
-(* c_after = 4 is the fall-through branch *)
+let c_after = 4 (* the fall-through branch of every test *)
 
 (* Recognizer outcomes. *)
 let o_quiet = 0
@@ -85,6 +126,7 @@ type t = {
   ck_timed : bool array;
   ck_premise_last : int array;
   ck_deadline : int array;
+  ck_short : bool array; (* [step_opened] is valid for the checker *)
   timed_cks : int array;
   (* per (checker, local name), flattened at ck_loc0 *)
   loc_owner : int array; (* fragment (checker-local), -1 = terminator-only *)
@@ -133,8 +175,15 @@ let category_code = function
   | Context.Current -> c_current
   | Context.Before -> c_before
   | Context.Accept -> c_accept
-  | Context.After -> 4
+  | Context.After -> c_after
   | Context.Outside -> assert false
+
+let category_decode c =
+  if c = c_self then Context.Self
+  else if c = c_current then Context.Current
+  else if c = c_before then Context.Before
+  else if c = c_accept then Context.Accept
+  else Context.After
 
 (* ---- compilation ------------------------------------------------------- *)
 
@@ -318,8 +367,7 @@ let compile entries =
           Array.iteri
             (fun l nm ->
               let c = category_code (Context.classify ctx nm) in
-              Bytes.set cat (rec_cat0.(r) + l) (Char.chr c);
-              if c = c_self then loc_rec.(!next_loc + l) <- r)
+              Bytes.set cat (rec_cat0.(r) + l) (Char.chr c))
             p.p_locals)
         p.p_contexts;
       slot := !slot + ctrl_slots + (2 * n_recs);
@@ -369,6 +417,7 @@ let compile entries =
       ck_timed;
       ck_premise_last;
       ck_deadline;
+      ck_short = Array.make n_ck false;
       timed_cks =
         Array.of_list
           (List.filter
@@ -468,12 +517,114 @@ let reset t =
   done;
   t.dl_all <- true
 
+(* [r]'s category of the checker-local name [loc]. *)
+let cat_of t r loc =
+  Char.code (Bytes.unsafe_get t.cat (Array.unsafe_get t.rec_cat0 r + loc))
+
+(* Index [ck]'s names by the recognizer they are [c_self] of, and decide
+   whether [step_opened] may step [ck]: every owned name must be
+   [c_self] in exactly its [loc_rec] recognizer, inside its owner
+   fragment, and [c_current] in that recognizer's siblings.  Tables
+   compiled from a pattern always are; a table patch (a category swap, an owner move)
+   can break it, and then the checker steps whole fragments. *)
+let index_self t ck =
+  let l0 = t.ck_loc0.(ck) and r0 = t.ck_rec0.(ck) in
+  let fits l =
+    let own = t.loc_rec.(l0 + l) in
+    let f = t.loc_owner.(l0 + l) in
+    f < 0
+    ||
+    let gf = t.ck_frag0.(ck) + f in
+    let first = t.frag_first.(gf) in
+    let last = first + t.frag_count.(gf) - 1 in
+    own >= first && own <= last
+    && List.for_all
+         (fun r -> cat_of t r l = if r = own then c_self else c_current)
+         (List.init (last - first + 1) (fun i -> first + i))
+  in
+  for l = 0 to t.ck_nloc.(ck) - 1 do
+    t.loc_rec.(l0 + l) <- -1;
+    for r = r0 to r0 + t.ck_nrecs.(ck) - 1 do
+      if cat_of t r l = c_self then t.loc_rec.(l0 + l) <- r
+    done
+  done;
+  t.ck_short.(ck) <- List.for_all fits (List.init t.ck_nloc.(ck) Fun.id)
+
 let compile entries =
   let t = compile entries in
   for ck = 0 to Array.length t.labels - 1 do
+    index_self t ck;
     init_checker t ck
   done;
   t
+
+(* ---- table patches ----------------------------------------------------- *)
+
+let patched t p =
+  if Array.length t.labels <> 1 then
+    invalid_arg "Flat.patched: not a one-checker engine";
+  let n_names = t.ck_nloc.(0) and n_recs = t.ck_nrecs.(0) in
+  let check_id id =
+    if id < 0 || id >= n_names then
+      invalid_arg "Flat.patched: name id out of range"
+  in
+  let check_rec r =
+    if r < 0 || r >= n_recs then
+      invalid_arg "Flat.patched: recognizer index out of range"
+  in
+  (* A fresh engine of the same pattern, carrying [t]'s tables (which
+     may be patched already). *)
+  let m = compile [ (t.labels.(0), t.patterns.(0)) ] in
+  Array.blit t.loc_owner 0 m.loc_owner 0 n_names;
+  Array.blit t.loc_term 0 m.loc_term 0 n_names;
+  Array.blit t.rec_lo 0 m.rec_lo 0 n_recs;
+  Array.blit t.rec_hi 0 m.rec_hi 0 n_recs;
+  Array.blit t.rec_range 0 m.rec_range 0 n_recs;
+  Bytes.blit t.cat 0 m.cat 0 (Bytes.length t.cat);
+  m.ck_deadline.(0) <- t.ck_deadline.(0);
+  List.iter
+    (fun (r, id, c) ->
+      check_rec r;
+      check_id id;
+      Bytes.set m.cat (m.rec_cat0.(r) + id) (Char.chr (category_code c)))
+    p.set_category;
+  List.iter
+    (fun (id, f) ->
+      check_id id;
+      if f < -1 || f >= m.ck_q.(0) then
+        invalid_arg "Flat.patched: fragment index out of range";
+      m.loc_owner.(id) <- f)
+    p.set_owner;
+  List.iter
+    (fun (id, b) ->
+      check_id id;
+      m.loc_term.(id) <- b)
+    p.set_terminator;
+  List.iter
+    (fun (r, v) ->
+      check_rec r;
+      m.rec_lo.(r) <- v)
+    p.set_lo;
+  List.iter
+    (fun (r, v) ->
+      check_rec r;
+      m.rec_hi.(r) <- v)
+    p.set_hi;
+  (* Keep the diagnostic ranges (and hence [static]) consistent with the
+     patched bounds; [Pattern.range] re-validates 1 <= lo <= hi. *)
+  for r = 0 to n_recs - 1 do
+    if m.rec_lo.(r) <> t.rec_lo.(r) || m.rec_hi.(r) <> t.rec_hi.(r) then
+      m.rec_range.(r) <-
+        Pattern.range ~lo:m.rec_lo.(r) ~hi:m.rec_hi.(r)
+          t.rec_range.(r).Pattern.name
+  done;
+  (match p.set_deadline with
+  | None -> ()
+  | Some d ->
+      if d < 0 then invalid_arg "Flat.patched: negative deadline";
+      m.ck_deadline.(0) <- d);
+  index_self m 0;
+  m
 
 (* ---- identity ---------------------------------------------------------- *)
 
@@ -529,13 +680,13 @@ let reason_of t ck : Diag.reason =
     Diag.Late_conclusion
       { deadline = Ba.get t.st (base + o_va); at = Ba.get t.st (base + o_vb) }
 
-let verdict t ck : Compiled.verdict =
+let verdict t ck =
   let base = t.ck_base.(ck) in
   let v = Ba.get t.st (base + o_verdict) in
-  if v = v_running then Compiled.Running
-  else if v = v_satisfied then Compiled.Satisfied
+  if v = v_running then Running
+  else if v = v_satisfied then Satisfied
   else
-    Compiled.Violated
+    Violated
       {
         reason = reason_of t ck;
         time = Ba.get t.st (base + o_vtime);
@@ -622,10 +773,6 @@ let rec_step t r c =
     else if c = c_before then fail r_before
     else fail r_after
   else o_quiet (* idle: not stepped in practice *)
-
-(* [r]'s category of the checker-local name [loc]. *)
-let cat_of t r loc =
-  Char.code (Bytes.unsafe_get t.cat (Array.unsafe_get t.rec_cat0 r + loc))
 
 (* Would the active fragment complete on an Accept right now? *)
 let min_complete t ck =
@@ -788,12 +935,15 @@ let step_trusted t ck loc ~time =
         else begin
           (* Every recognizer took [c_self] or [c_current]: none waits,
              and the owner is the only one left counting. *)
-          Bytes.unsafe_set t.op_open ck '\001';
-          Array.unsafe_set t.op_count ck
-            (if
-               Ba.unsafe_get st (Array.unsafe_get t.rec_sslot own) = s_counting
-             then own
-             else -1);
+          if Array.unsafe_get t.ck_short ck then begin
+            Bytes.unsafe_set t.op_open ck '\001';
+            Array.unsafe_set t.op_count ck
+              (if
+                 Ba.unsafe_get st (Array.unsafe_get t.rec_sslot own)
+                 = s_counting
+               then own
+               else -1)
+          end;
           refresh_timed t ck ~time
         end
       end
@@ -944,19 +1094,19 @@ let next_deadline t =
 
 (* ---- persistence ------------------------------------------------------- *)
 
-let persist_checker t ck : Compiled.persisted =
+let persist_checker t ck =
   let base = t.ck_base.(ck) in
   let n = t.ck_nrecs.(ck) in
   {
     p_recs =
       Array.init n (fun j ->
           let s = Ba.get t.st (base + ctrl_slots + j) in
-          if s = s_idle then Compiled.Idle
-          else if s = s_waiting then Compiled.Waiting
-          else if s = s_started then Compiled.Started
+          if s = s_idle then Idle
+          else if s = s_waiting then Waiting
+          else if s = s_started then Started
           else if s = s_counting then
-            Compiled.Counting (Ba.get t.st (base + ctrl_slots + n + j))
-          else Compiled.Done);
+            Counting (Ba.get t.st (base + ctrl_slots + n + j))
+          else Done);
     p_active = Ba.get t.st (base + o_active);
     p_index = Ba.get t.st (base + o_index);
     p_started = Ba.get t.st (base + o_started);
@@ -976,20 +1126,51 @@ let rec_of_range t ck (range : Pattern.range) =
   in
   find 0
 
-let restore_checker t ck (p : Compiled.persisted) =
+let restore_checker t ck p =
   let base = t.ck_base.(ck) in
   let n = t.ck_nrecs.(ck) in
   if Array.length p.p_recs <> n then
     invalid_arg "Flat.restore_checker: recognizer count mismatch";
+  if p.p_active < 0 || p.p_active >= t.ck_q.(ck) then
+    invalid_arg "Flat.restore_checker: active fragment out of range";
+  (* The verdict words first: a state that does not fit must leave the
+     checker as it was. *)
+  let verdict, code, vrec, time, index, a, b, c =
+    match p.p_verdict with
+    | Running -> (v_running, r_before, -1, 0, 0, 0, 0, 0)
+    | Satisfied -> (v_satisfied, r_before, -1, 0, 0, 0, 0, 0)
+    | Violated { reason; time; index } ->
+        let code, vrec, a, b, c =
+          match reason with
+          | Diag.Before_name -> (r_before, -1, 0, 0, 0)
+          | Diag.After_name -> (r_after, -1, 0, 0, 0)
+          | Diag.Overflow range -> (r_overflow, rec_of_range t ck range, 0, 0, 0)
+          | Diag.Underflow range ->
+              (r_underflow, rec_of_range t ck range, 0, 0, 0)
+          | Diag.Reentered range ->
+              (r_reentered, rec_of_range t ck range, 0, 0, 0)
+          | Diag.Missing range -> (r_missing, rec_of_range t ck range, 0, 0, 0)
+          | Diag.Empty_fragment -> (r_empty, -1, 0, 0, 0)
+          | Diag.Trigger_early -> (r_trigger_early, -1, 0, 0, 0)
+          | Diag.Deadline_miss { started; deadline; now } ->
+              (r_deadline, -1, started, deadline, now)
+          | Diag.Late_conclusion { deadline; at } ->
+              (r_late, -1, deadline, at, 0)
+          | Diag.Foreign _ | Diag.Formula_falsified ->
+              invalid_arg
+                "Flat.restore_checker: reason is not a flat-engine diagnostic"
+        in
+        (v_violated, code, vrec, time, index, a, b, c)
+  in
   Array.iteri
     (fun j s ->
       let code, counter =
         match s with
-        | Compiled.Idle -> (s_idle, 0)
-        | Compiled.Waiting -> (s_waiting, 0)
-        | Compiled.Started -> (s_started, 0)
-        | Compiled.Counting c -> (s_counting, c)
-        | Compiled.Done -> (s_done, 0)
+        | Idle -> (s_idle, 0)
+        | Waiting -> (s_waiting, 0)
+        | Started -> (s_started, 0)
+        | Counting c -> (s_counting, c)
+        | Done -> (s_done, 0)
       in
       Ba.set t.st (base + ctrl_slots + j) code;
       Ba.set t.st (base + ctrl_slots + n + j) counter)
@@ -999,41 +1180,16 @@ let restore_checker t ck (p : Compiled.persisted) =
   Ba.set t.st (base + o_started) p.p_started;
   Ba.set t.st (base + o_qdone) (if p.p_q_done then 1 else 0);
   Ba.set t.st (base + o_rounds) p.p_rounds;
-  (match p.p_verdict with
-  | Compiled.Running ->
-      Ba.set t.st (base + o_verdict) v_running;
-      Ba.set t.st (base + o_vrec) (-1)
-  | Compiled.Satisfied ->
-      Ba.set t.st (base + o_verdict) v_satisfied;
-      Ba.set t.st (base + o_vrec) (-1)
-  | Compiled.Violated { reason; time; index } ->
-      let code, vrec, a, b, c =
-        match reason with
-        | Diag.Before_name -> (r_before, -1, 0, 0, 0)
-        | Diag.After_name -> (r_after, -1, 0, 0, 0)
-        | Diag.Overflow range -> (r_overflow, rec_of_range t ck range, 0, 0, 0)
-        | Diag.Underflow range ->
-            (r_underflow, rec_of_range t ck range, 0, 0, 0)
-        | Diag.Reentered range ->
-            (r_reentered, rec_of_range t ck range, 0, 0, 0)
-        | Diag.Missing range -> (r_missing, rec_of_range t ck range, 0, 0, 0)
-        | Diag.Empty_fragment -> (r_empty, -1, 0, 0, 0)
-        | Diag.Trigger_early -> (r_trigger_early, -1, 0, 0, 0)
-        | Diag.Deadline_miss { started; deadline; now } ->
-            (r_deadline, -1, started, deadline, now)
-        | Diag.Late_conclusion { deadline; at } -> (r_late, -1, deadline, at, 0)
-        | Diag.Foreign _ | Diag.Formula_falsified ->
-            invalid_arg
-              "Flat.restore_checker: reason is not a flat-engine diagnostic"
-      in
-      Ba.set t.st (base + o_verdict) v_violated;
-      Ba.set t.st (base + o_vreason) code;
-      Ba.set t.st (base + o_vrec) vrec;
-      Ba.set t.st (base + o_vtime) time;
-      Ba.set t.st (base + o_vindex) index;
-      Ba.set t.st (base + o_va) a;
-      Ba.set t.st (base + o_vb) b;
-      Ba.set t.st (base + o_vc) c);
+  Ba.set t.st (base + o_verdict) verdict;
+  Ba.set t.st (base + o_vrec) vrec;
+  if verdict = v_violated then begin
+    Ba.set t.st (base + o_vreason) code;
+    Ba.set t.st (base + o_vtime) time;
+    Ba.set t.st (base + o_vindex) index;
+    Ba.set t.st (base + o_va) a;
+    Ba.set t.st (base + o_vb) b;
+    Ba.set t.st (base + o_vc) c
+  end;
   Bytes.set t.op_open ck '\000';
   touch t ck
 
@@ -1104,6 +1260,42 @@ let save_blob t =
   done;
   Buffer.contents buf
 
+(* The first word of checker [ck] in [slots] that no step, deadline or
+   restore of this suite can write, described; [None] when every word
+   fits. *)
+let unfit_word t (slots : int array) ck =
+  let base = t.ck_base.(ck) and n = t.ck_nrecs.(ck) and r0 = t.ck_rec0.(ck) in
+  let word o = slots.(base + o) in
+  let verdict = word o_verdict and reason = word o_vreason in
+  let vrec = word o_vrec and active = word o_active in
+  let bad_state =
+    List.find_opt
+      (fun j ->
+        let s = slots.(base + ctrl_slots + j) in
+        s < s_idle || s > s_done)
+      (List.init n Fun.id)
+  in
+  if verdict < v_running || verdict > v_violated then
+    Some (Printf.sprintf "verdict code %d" verdict)
+  else if reason < r_before || reason > r_late then
+    Some (Printf.sprintf "violation reason code %d" reason)
+  else if vrec <> -1 && (vrec < r0 || vrec >= r0 + n) then
+    Some (Printf.sprintf "diagnostic recognizer %d, not one of its own" vrec)
+  else if
+    verdict = v_violated && reason >= r_overflow && reason <= r_missing
+    && vrec = -1
+  then Some "a range diagnostic without its recognizer"
+  else if active < 0 || active >= t.ck_q.(ck) then
+    Some (Printf.sprintf "active fragment %d" active)
+  else if word o_qdone <> 0 && word o_qdone <> 1 then
+    Some (Printf.sprintf "conclusion flag %d" (word o_qdone))
+  else
+    Option.map
+      (fun j ->
+        Printf.sprintf "recognizer %d in state code %d" j
+          slots.(base + ctrl_slots + j))
+      bad_state
+
 let load_blob t blob =
   let len = String.length blob in
   if len < 8 || String.sub blob 0 4 <> magic then
@@ -1141,16 +1333,54 @@ let load_blob t blob =
                     slots.(i) <- v;
                     fill (i + 1) off
             in
+            let unfit () =
+              List.find_map
+                (fun ck ->
+                  Option.map (fun what -> (ck, what)) (unfit_word t slots ck))
+                (List.init (size t) Fun.id)
+            in
             match fill 0 off0 with
             | Error _ as e -> e
-            | Ok () ->
-                for i = 0 to n - 1 do
-                  Ba.set t.st i slots.(i)
-                done;
-                Bytes.fill t.op_open 0 (Bytes.length t.op_open) '\000';
-                t.dl_all <- true;
-                Ok ()
+            | Ok () -> (
+                match unfit () with
+                | Some (ck, what) ->
+                    Error
+                      (Printf.sprintf
+                         "flat blob: checker %d (%S) holds %s, which no \
+                          engine of this suite can reach"
+                         ck (label t ck) what)
+                | None ->
+                    for i = 0 to n - 1 do
+                      Ba.set t.st i slots.(i)
+                    done;
+                    Bytes.fill t.op_open 0 (Bytes.length t.op_open) '\000';
+                    t.dl_all <- true;
+                    Ok ())
           end
+
+(* ---- static tables ----------------------------------------------------- *)
+
+let static t ck =
+  let l0 = t.ck_loc0.(ck) and n_loc = t.ck_nloc.(ck) in
+  let r0 = t.ck_rec0.(ck) and n_recs = t.ck_nrecs.(ck) in
+  let g0 = t.ck_frag0.(ck) and q = t.ck_q.(ck) in
+  {
+    names = Array.init n_loc (fun l -> t.names.(t.loc_gid.(l0 + l)));
+    owner = Array.sub t.loc_owner l0 n_loc;
+    terminator = Array.sub t.loc_term l0 n_loc;
+    category =
+      Array.init n_recs (fun j ->
+          Array.init n_loc (fun l -> category_decode (cat_of t (r0 + j) l)));
+    rec_range = Array.sub t.rec_range r0 n_recs;
+    rec_disjunctive = Array.sub t.rec_disj r0 n_recs;
+    frag_first = Array.init q (fun f -> t.frag_first.(g0 + f) - r0);
+    frag_count = Array.sub t.frag_count g0 q;
+    fragments = q;
+    repeated = t.ck_repeated.(ck);
+    timed = t.ck_timed.(ck);
+    premise_last = t.ck_premise_last.(ck);
+    deadline = t.ck_deadline.(ck);
+  }
 
 (* ---- layout ------------------------------------------------------------ *)
 

@@ -1,10 +1,7 @@
 (** The flat-table {e suite} engine: a whole pattern suite compiled
-    ahead of time into one table-driven step machine.
-
-    {!Compiled} already turns a single pattern into flat arrays, but a
-    hosted suite still steps one OCaml-heap monitor object per event
-    through a chain of per-checker closures.  This module compiles all
-    checkers of a suite together:
+    ahead of time into one table-driven step machine — the one
+    implementation of the paper's Fig. 5 recognizer automaton.
+    {!Compiled} is this engine hosting a single checker.
 
     - every event name across the suite is interned into one dense
       [gid] space, with a CSR (offsets + parallel arrays) dispatch
@@ -23,16 +20,71 @@
       ({!save_blob}), restoring a checker from a second engine of the
       same suite is one slot-range copy ({!copy_checker}), and a
       future multicore shard is a slice of the array;
-    - {!step_local} is a branch-minimized form of [Compiled.step_id]
-      (same Fig. 5 recognizer semantics, verified against it
-      property-by-property in [test_backend]).  Once the active
-      fragment is opened (no recognizer waits), a name of it steps
-      only two recognizers, its owner and the counting one, not the
-      whole fragment: O(1) per delivery.
+    - {!step_local} runs the Fig. 5 step.  Once the active fragment is
+      opened (no recognizer waits), a name of it steps only two
+      recognizers, its owner and the counting one, not the whole
+      fragment: O(1) per delivery.  That shortcut needs every owned
+      name to be its own recognizer's [Self] and its siblings'
+      [Current]; compilation checks this per checker from the category
+      table, and a checker whose (patched, {!patched}) tables break it
+      steps whole fragments.
 
-    Verdicts and persisted states are {e shared} with {!Compiled}
-    (same types), so backend lifting and the checkpoint bridge host
-    both engines unchanged. *)
+    The references the engine is tested against are built
+    independently of it: the structural {!Monitor}, the exact
+    [Loseq_analysis.Machine] and {!Semantics}. *)
+
+(** {1 Verdicts and states}
+
+    Shared with {!Compiled}, which re-exports them. *)
+
+type verdict =
+  | Running
+  | Satisfied
+  | Violated of { reason : Diag.reason; time : int; index : int }
+
+type rec_state = Idle | Waiting | Started | Counting of int | Done
+
+type persisted = {
+  p_recs : rec_state array;  (** per recognizer, in table order *)
+  p_active : int;
+  p_index : int;  (** events consumed so far *)
+  p_started : int;  (** timed: premise-recognition time, [-1] unarmed *)
+  p_q_done : bool;
+  p_rounds : int;
+  p_verdict : verdict;
+}
+(** One checker's complete run state ({!persist_checker}). *)
+
+type static = {
+  names : Name.t array;  (** local id → name *)
+  owner : int array;  (** local id → fragment index, [-1] = terminator-only *)
+  terminator : bool array;  (** local id → closes the whole ordering *)
+  category : Context.category array array;
+      (** recognizer → local id → class *)
+  rec_range : Pattern.range array;  (** recognizer → its range *)
+  rec_disjunctive : bool array;
+  frag_first : int array;  (** fragment → first recognizer index *)
+  frag_count : int array;
+  fragments : int;  (** [q] *)
+  repeated : bool;  (** true also for timed patterns *)
+  timed : bool;
+  premise_last : int;  (** last premise fragment; [-2] for antecedents *)
+  deadline : int;
+}
+(** One checker's compile-time tables, in checker-local indices
+    ({!static}). *)
+
+type patch = {
+  set_category : (int * int * Context.category) list;
+      (** [(recognizer, id, category)] overrides *)
+  set_owner : (int * int) list;
+      (** [(id, fragment)]; [-1] = terminator-only *)
+  set_terminator : (int * bool) list;
+  set_lo : (int * int) list;  (** [(recognizer, lo)] *)
+  set_hi : (int * int) list;  (** [(recognizer, hi)] *)
+  set_deadline : int option;
+}
+(** Table overrides for {!patched}, in checker-local indices. *)
 
 type t
 
@@ -93,7 +145,7 @@ val verdict_code : t -> int -> int
 (** [0] running, [1] satisfied, [2] violated — the raw control word,
     for allocation-free polling. *)
 
-val verdict : t -> int -> Compiled.verdict
+val verdict : t -> int -> verdict
 (** The full verdict, diagnostics reconstructed from the tables. *)
 
 val active_fragment : t -> int -> int
@@ -144,14 +196,15 @@ val set_notify : t -> (int -> unit) option -> unit
 val reset_checker : t -> int -> unit
 val reset : t -> unit
 
-val persist_checker : t -> int -> Compiled.persisted
-(** Per-checker state in the {!Compiled} persisted format — the bridge
-    between a checkpoint's flat blob and checkers hosted on another
-    backend, and how {!slice} carries state over. *)
+val persist_checker : t -> int -> persisted
+(** One checker's state, self-contained — the bridge between a
+    checkpoint's flat blob and checkers hosted one engine each, and
+    how {!slice} carries state over. *)
 
-val restore_checker : t -> int -> Compiled.persisted -> unit
-(** Raises [Invalid_argument] when the state does not fit (wrong
-    recognizer count, a diagnostic range not in the pattern). *)
+val restore_checker : t -> int -> persisted -> unit
+(** Raises [Invalid_argument], leaving the checker as it was, when the
+    state does not fit (wrong recognizer count, an active fragment out
+    of range, a diagnostic range not in the pattern). *)
 
 val copy_checker : src:t -> t -> int -> unit
 (** [copy_checker ~src t ck] overwrites checker [ck]'s slot range in
@@ -168,8 +221,27 @@ val save_blob : t -> string
 
 val load_blob : t -> string -> (unit, string) result
 (** Overwrite the run state from a blob.  Rejects (with a message,
-    never an exception) foreign data, an unsupported blob version, or
-    a slot count that does not match this engine's layout. *)
+    never an exception, leaving the engine as it was) foreign data, an
+    unsupported blob version, a slot count that does not match this
+    engine's layout, or a word no engine of this suite can hold — a
+    verdict, reason or recognizer-state code out of range, a
+    diagnostic recognizer outside its checker, an active fragment out
+    of range, a conclusion flag other than 0 or 1; the message names
+    the checker. *)
+
+(** {1 Tables} *)
+
+val static : t -> int -> static
+(** Checker [ck]'s compile-time tables (fresh copies: mutating them
+    cannot corrupt the engine). *)
+
+val patched : t -> patch -> t
+(** [patched t p] is a fresh one-checker engine whose tables are [t]'s
+    with [p] applied and whose run state is initial; [t] is never
+    modified and its pattern stays the advisory {!pattern}.  Raises
+    [Invalid_argument] on an engine of more than one checker,
+    out-of-range indices, [lo/hi] updates that break
+    [1 <= lo <= hi], or a negative deadline. *)
 
 (** {1 Introspection} *)
 
