@@ -183,12 +183,13 @@ let all =
       None;
     e "backend-divergence" Finding.Error
       "flat and per-monitor engines disagree on a replay"
-      "Replaying the same trace through the compiled per-monitor \
-       engine and the flat suite engine produced different verdicts.  \
-       The two engines implement one semantics; a divergence is an \
-       engine bug (or memory corruption), never a property of the \
-       trace.  Mutation runs double as this cross-validation: every \
-       pattern-level mutant is replayed on both engines in lockstep."
+      "Replaying the same trace through the flat table engine (the \
+       compiled monitor) and the structural per-monitor Drct \
+       construction produced different verdicts.  The two are built \
+       independently to one semantics; a divergence is an engine bug \
+       (or memory corruption), never a property of the trace.  \
+       Mutation runs double as this cross-validation: every \
+       pattern-level mutant is replayed on both in lockstep."
       None;
     (* ---- syntactic linter -------------------------------------------- *)
     e "singleton-disjunction" Finding.Warning

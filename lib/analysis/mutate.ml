@@ -494,16 +494,21 @@ let preview it =
 
 (* ---- tier (c): differential -------------------------------------------- *)
 
+(* A pattern-level mutant is also replayed on the structural monitor,
+   built independently of the table engine the mutant runs on; the
+   two must agree on every item. *)
 let differential ~items ~orig_make mutant ~divergences ~cross_checked =
-  let flat =
-    match mutant.pattern with Some p' -> Some (Backend.flat p') | None -> None
+  let direct =
+    match mutant.pattern with
+    | Some p' -> Some (Backend.direct p')
+    | None -> None
   in
   let rec go = function
     | [] -> None
     | it :: rest ->
         let po = passed_item (orig_make ()) false it in
         let pm = passed_item (mutant.make ()) mutant.inverted it in
-        (match flat with
+        (match direct with
         | Some b ->
             b.Backend.reset ();
             List.iter (fun e -> ignore (b.Backend.step e)) it.trace;
@@ -512,12 +517,12 @@ let differential ~items ~orig_make mutant ~divergences ~cross_checked =
               | Some n -> n
               | None -> Trace.end_time it.trace
             in
-            let pf = Backend.passed (b.Backend.finalize ~now) in
+            let pd = Backend.passed (b.Backend.finalize ~now) in
             incr cross_checked;
-            if pf <> pm then
+            if pd <> pm then
               divergences :=
                 ( mutant.id,
-                  Printf.sprintf "flat=%b compiled=%b on trace '%s'" pf pm
+                  Printf.sprintf "direct=%b compiled=%b on trace '%s'" pd pm
                     it.tag )
                 :: !divergences
         | None -> ());
@@ -792,8 +797,8 @@ let findings ?floor ?(suite = "SUITE") s =
     (fun (id, detail) ->
       add
         (Finding.v ~subject:id Finding.Error "backend-divergence"
-           "flat and compiled engines disagree while replaying mutant '%s' \
-            (%s): the two backends implement different automata"
+           "the structural and compiled monitors disagree while replaying \
+            mutant '%s' (%s): the two backends implement different automata"
            id detail))
     s.divergences;
   (match floor with

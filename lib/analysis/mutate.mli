@@ -11,8 +11,9 @@
       repetition flip — produce a mutated {!Loseq_core.Pattern.t},
       which flows through {!Loseq_core.Compiled}, {!Loseq_core.Flat},
       {!Checks} and {!Suite_checks} exactly like a hand-written
-      pattern (so replaying a pattern mutant doubles as
-      flat-vs-compiled cross-validation);
+      pattern (so replaying a pattern mutant on the structural
+      {!Loseq_core.Monitor} too doubles as cross-validation of the
+      table engine against an independent construction);
     - {e table-level} operators — recognizer-category swaps
       (Self↔Current), terminator-bit flips, owner retargets — use
       {!Loseq_core.Compiled.patched} to perturb the compiled tables
@@ -75,10 +76,12 @@ type summary = {
   survivors : result list;
   kill_rate : float;
       (** kills / (generated - stillborn); [1.0] when nothing remains *)
-  cross_checked : int;  (** flat-vs-compiled lockstep replays performed *)
+  cross_checked : int;
+      (** structural-vs-compiled lockstep replays performed *)
   divergences : (string * string) list;
-      (** (mutant id, detail) — flat and compiled disagreed; must be
-          empty unless one of the engines is broken *)
+      (** (mutant id, detail) — the structural monitor and the
+          compiled one disagreed; must be empty unless one of them is
+          broken *)
 }
 
 val mutants_of : ?seed:int -> string * Pattern.t -> mutant list
@@ -123,6 +126,6 @@ val run :
 val findings : ?floor:float -> ?suite:string -> summary -> Finding.t list
 (** [mutant-survived] (warning) per survivor with a replayable
     [loseq mutate --mutant] command as witness; [backend-divergence]
-    (error) per flat-vs-compiled disagreement; [mutation-kill-floor]
+    (error) per structural-vs-compiled disagreement; [mutation-kill-floor]
     (error) when [floor] (a percentage) is given and the kill rate
     falls below it. *)

@@ -125,45 +125,64 @@ let prop_direct_compiled_agree (p, trace) =
   && verdict_class (c.Backend.verdict ())
      = verdict_class (f.Backend.finalize ~now)
 
-(* Compiled and flat must agree not just on the verdict class but on
-   the full rendered diagnostic. *)
-let prop_compiled_flat_diagnostics_agree (p, trace) =
-  let c = Backend.compiled p in
+(* The flat engine and the structural monitor are built independently;
+   they must agree not just on the verdict class but on the whole
+   diagnostic — time, event ordinal, active fragment and reason — all
+   but the offending name, which only the structural monitor keeps. *)
+let prop_flat_direct_diagnostics_agree (p, trace) =
+  let d = Backend.direct p in
   let f = Backend.flat p in
   List.iter
     (fun e ->
-      ignore (c.Backend.step e);
+      ignore (d.Backend.step e);
       ignore (f.Backend.step e))
     trace;
   let now = Trace.end_time trace in
-  let render v = Format.asprintf "%a" Backend.pp_verdict v in
-  let vc = render (c.Backend.finalize ~now)
+  let render = function
+    | Backend.Violated v ->
+        Format.asprintf "%a" Backend.pp_verdict
+          (Backend.Violated { v with Diag.name = None })
+    | v -> Format.asprintf "%a" Backend.pp_verdict v
+  in
+  let vd = render (d.Backend.finalize ~now)
   and vf = render (f.Backend.finalize ~now) in
-  if vc <> vf then
-    QCheck2.Test.fail_reportf "compiled %S, flat %S" vc vf
+  if vd <> vf then QCheck2.Test.fail_reportf "direct %S, flat %S" vd vf
   else true
 
-(* The compiled persisted form survives a trip through a flat engine
-   exactly, after every prefix and after finalization: checkpoints are
-   written from a flat engine filled by [Flat.restore_checker] and read
-   back into compiled checkers by [Flat.persist_checker]. *)
-let prop_persist_through_flat (p, trace) =
-  let c = Compiled.compile p in
+(* A flat checker's persisted state is exact: after every prefix it
+   survives a trip through a second engine unchanged, and the second
+   engine, stepping the rest of the trace, ends like the structural
+   monitor that saw the whole trace.  Checkpoints rely on both: they
+   are written from one engine and resumed into another. *)
+let prop_state_moves_between_engines (p, trace) =
   let eng = Flat.compile [ ("p", p) ] in
-  let check what =
-    let persisted = Compiled.persist c in
-    Flat.restore_checker eng 0 persisted;
-    if Flat.persist_checker eng 0 <> persisted then
-      QCheck2.Test.fail_reportf "persisted state differs after %s" what
+  let d = Backend.direct p in
+  let now = Trace.end_time trace in
+  let expected = verdict_class (run_offline d trace) in
+  let check k rest =
+    let persisted = Flat.persist_checker eng 0 in
+    let resumed = Backend.flat p in
+    (match resumed.Backend.restore with
+    | Some restore -> restore persisted
+    | None -> Alcotest.fail "flat backend without restore");
+    (match resumed.Backend.persist with
+    | Some persist when persist () = persisted -> ()
+    | _ -> QCheck2.Test.fail_reportf "state changed in transit after %d events" k);
+    List.iter (fun e -> ignore (resumed.Backend.step e)) rest;
+    let got = verdict_class (resumed.Backend.finalize ~now) in
+    if got <> expected then
+      QCheck2.Test.fail_reportf
+        "resumed after %d events: flat %s, structural monitor %s" k got
+        expected
   in
-  check "the empty prefix";
-  List.iter
-    (fun e ->
-      ignore (Compiled.step c e);
-      check (Format.asprintf "%a@%d" Name.pp e.Trace.name e.Trace.time))
-    trace;
-  ignore (Compiled.finalize c ~now:(Trace.end_time trace));
-  check "finalize";
+  let rec go k = function
+    | [] -> check k []
+    | e :: rest as suffix ->
+        check k suffix;
+        Flat.step_event eng e;
+        go (k + 1) rest
+  in
+  go 0 trace;
   true
 
 (* ---- property: hosted agreement (SoC-style tap) ------------------------ *)
@@ -212,7 +231,7 @@ let prop_hosted_agree (p, trace) =
       (verdict_class ve)
   else true
 
-(* Suite-level: whole-suite flat compilation vs per-entry compiled
+(* Suite-level: whole-suite flat compilation vs per-entry structural
    monitors over a merged trace. *)
 let gen_suite_case =
   QCheck2.Gen.(
@@ -232,12 +251,16 @@ let prop_suite_level_agree ((p1, t1), (p2, t2)) =
       (fun (a : Trace.event) (b : Trace.event) -> compare a.time b.time)
       (t1 @ t2)
   in
-  let per_entry = Suite.check_trace suite trace in
+  let per_entry =
+    Suite.check_trace
+      ~backend:(Backend.per_pattern (fun p -> Backend.direct p))
+      suite trace
+  in
   let whole_suite =
     Suite.check_trace ~backend:Backend.flat_views suite trace
   in
   if per_entry <> whole_suite then
-    QCheck2.Test.fail_reportf "per-entry compiled %s, flat suite %s"
+    QCheck2.Test.fail_reportf "per-entry direct %s, flat suite %s"
       (String.concat ","
          (List.map (fun (l, ok) -> Printf.sprintf "%s=%b" l ok) per_entry))
       (String.concat ","
@@ -307,15 +330,15 @@ let () =
           qtest "direct, compiled and flat agree offline"
             gen_pattern_and_trace print_pattern_and_trace
             prop_direct_compiled_agree;
-          qtest ~count:300 "compiled and flat render equal diagnostics"
+          qtest ~count:300 "flat and direct render equal diagnostics"
             gen_pattern_and_trace print_pattern_and_trace
-            prop_compiled_flat_diagnostics_agree;
-          qtest ~count:300 "compiled state round-trips through flat"
+            prop_flat_direct_diagnostics_agree;
+          qtest ~count:300 "flat state moves between engines exactly"
             gen_pattern_and_trace print_pattern_and_trace
-            prop_persist_through_flat;
+            prop_state_moves_between_engines;
           qtest ~count:200 "all backends agree hosted"
             gen_pattern_and_trace print_pattern_and_trace prop_hosted_agree;
-          qtest ~count:200 "flat suite agrees with per-entry compiled"
+          qtest ~count:200 "flat suite agrees with per-entry direct"
             gen_suite_case
             (fun (c1, c2) ->
               print_pattern_and_trace c1 ^ " | " ^ print_pattern_and_trace c2)

@@ -8,6 +8,7 @@
    test_backend. *)
 
 open Loseq_core
+open Loseq_analysis
 open Loseq_sim
 open Loseq_verif
 open Loseq_testutil
@@ -285,6 +286,90 @@ let test_blob_rejections () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "pristine blob after failures: %s" msg
 
+(* The slots of a blob, and a blob of slots (the zigzag LEB128 codec
+   of [Flat.save_blob]). *)
+let blob_slots blob =
+  let pos = ref 8 in
+  let varint () =
+    let rec go u shift =
+      let b = Char.code blob.[!pos] in
+      incr pos;
+      let u = u lor ((b land 0x7f) lsl shift) in
+      if b land 0x80 = 0 then (u lsr 1) lxor -(u land 1) else go u (shift + 7)
+    in
+    go 0 0
+  in
+  let n = varint () in
+  Array.init n (fun _ -> varint ())
+
+let slots_blob blob slots =
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf (String.sub blob 0 8);
+  let put v =
+    let rec go u =
+      if u land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr u)
+      else begin
+        Buffer.add_char buf (Char.chr (0x80 lor (u land 0x7f)));
+        go (u lsr 7)
+      end
+    in
+    go ((v lsl 1) lxor (v asr 62))
+  in
+  put (Array.length slots);
+  Array.iter put slots;
+  Buffer.contents buf
+
+(* A blob of the right shape whose words no engine of the suite can
+   hold is refused, naming the checker, and the engine is left as it
+   was.  c1 starts at slot 17; its control words are at fixed offsets
+   (verdict 1, reason 6, diagnostic recognizer 7, active 0, conclusion
+   flag 4), its recognizer states at 13-15, and its recognizers are
+   global 2-4. *)
+let test_blob_unreachable_words () =
+  let eng = Flat.compile (demo_entries ()) in
+  Flat.step_event eng (ev 0 "start");
+  let blob = Flat.save_blob eng in
+  let slots = blob_slots blob in
+  Alcotest.(check string) "codec roundtrip" blob (slots_blob blob slots);
+  let tampered label writes needle =
+    let s = Array.copy slots in
+    List.iter (fun (off, v) -> s.(17 + off) <- v) writes;
+    expect_error label (Flat.load_blob eng (slots_blob blob s)) needle;
+    expect_error (label ^ ", checker named")
+      (Flat.load_blob eng (slots_blob blob s))
+      "checker 1 (\"c1\")"
+  in
+  tampered "recognizer 9999" [ (1, 2); (6, 2); (7, 9999) ] "recognizer 9999";
+  tampered "another checker's recognizer" [ (1, 2); (6, 2); (7, 0) ]
+    "recognizer 0";
+  tampered "range reason, no recognizer" [ (1, 2); (6, 3); (7, -1) ]
+    "range diagnostic";
+  tampered "verdict code" [ (1, 3) ] "verdict code 3";
+  tampered "reason code" [ (6, 10) ] "reason code 10";
+  tampered "active fragment" [ (0, 3) ] "active fragment 3";
+  tampered "conclusion flag" [ (4, 2) ] "conclusion flag 2";
+  tampered "state code" [ (14, 5) ] "state code 5";
+  (* own recognizers with their own reasons are fine *)
+  let s = Array.copy slots in
+  List.iter (fun (off, v) -> s.(17 + off) <- v) [ (1, 2); (6, 2); (7, 3) ];
+  (match Flat.load_blob eng (slots_blob blob s) with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "own recognizer refused: %s" msg);
+  Alcotest.(check string) "decoded as its own range" "FAIL"
+    (match Flat.verdict eng 1 with Flat.Violated _ -> "FAIL" | _ -> "ok")
+
+let test_restore_checks_active () =
+  let eng = Flat.compile (demo_entries ()) in
+  Flat.step_event eng (ev 0 "start");
+  let before = Flat.persist_checker eng 1 in
+  (match
+     Flat.restore_checker eng 1 { before with p_active = 3; p_index = 42 }
+   with
+  | () -> Alcotest.fail "active fragment 3 of 3 accepted"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "checker left as it was" true
+    (Flat.persist_checker eng 1 = before)
+
 let test_reset () =
   let eng = Flat.compile [ ("p", pat "a <<! i") ] in
   Flat.step_event eng (ev 0 "i");
@@ -517,14 +602,75 @@ let test_step_allocates_nothing () =
 
 (* ---- opened-fragment cache --------------------------------------------- *)
 
+(* The exact [Machine] of one checker, stepped beside the engine: its
+   configurations are in bijection with the engine's, so recognizer
+   states, counters, the active fragment and the timed flags must all
+   match.  The machine does not model time, so a checker the engine
+   decides on a deadline leaves the comparison. *)
+type machine_ref = {
+  machine : Machine.t;
+  ids : (Name.t, int) Hashtbl.t;
+  mutable mstate : Machine.state;
+}
+
+let machine_ref machine =
+  let ids = Hashtbl.create 8 in
+  for i = 0 to Machine.n_ids machine - 1 do
+    Hashtbl.replace ids (Machine.name machine i) i
+  done;
+  { machine; ids; mstate = Machine.init machine }
+
+let machine_step m (ev : Trace.event) =
+  match Hashtbl.find_opt m.ids ev.name with
+  | None -> ()
+  | Some id -> (
+      match Machine.step m.machine m.mstate id with
+      | [ s ] -> m.mstate <- s
+      | _ -> Alcotest.fail "an exact machine stepped to several states")
+
+let decided_on_time = function
+  | Flat.Violated
+      { reason = Diag.Deadline_miss _ | Diag.Late_conclusion _; _ } ->
+      true
+  | _ -> false
+
+let machine_agrees (s : Machine.state) (p : Flat.persisted) =
+  let same_rec (c : Machine.rclass) (r : Flat.rec_state) =
+    match (c, r) with
+    | Machine.Idle, Flat.Idle
+    | Machine.Waiting, Flat.Waiting
+    | Machine.Started, Flat.Started
+    | Machine.Done, Flat.Done ->
+        true
+    | Machine.Counting n, Flat.Counting k -> n = k
+    | _ -> false
+  in
+  match (s.status, p.p_verdict) with
+  | Machine.Running cfg, Flat.Running ->
+      cfg.active = p.p_active
+      && cfg.armed = (p.p_started >= 0)
+      && cfg.q_done = p.p_q_done
+      && s.matched = (p.p_rounds > 0)
+      && Array.length cfg.recs = Array.length p.p_recs
+      && Array.for_all2 same_rec cfg.recs p.p_recs
+  | Machine.Satisfied, Flat.Satisfied -> true
+  | Machine.Violated r, Flat.Violated v -> Diag.equal_reason r v.reason
+  | _ -> false
+
+let verdict_class = function
+  | Flat.Running | Flat.Satisfied -> "pass"
+  | Flat.Violated _ -> "fail"
+
 (* Beside the slab, the engine caches per checker whether its active
    fragment is opened and which recognizer counts.  Every way of moving
    a checker's state in from elsewhere must drop that cache.  Each move
    lands in a twin that has stepped the whole trace first, so that the
    twin's caches describe some other state.  After every later event
    the moved engines must agree with the uninterrupted one, and that
-   one with a per-pattern [Compiled] reference (which catches a cache
-   kept across a fragment change in the uninterrupted run as well). *)
+   one with references built independently of the engine (which catch
+   a cache kept across a fragment change in the uninterrupted run as
+   well): per pattern the exact [Machine], stepped in lock-step, and
+   the structural monitor's verdict class. *)
 let prop_cache_moves (ps, trace, cut) =
   let entries = List.mapi (fun i p -> (Printf.sprintf "p%d" i, p)) ps in
   let n = List.length ps in
@@ -539,18 +685,21 @@ let prop_cache_moves (ps, trace, cut) =
   and rest = List.filteri (fun i _ -> i >= cut) trace in
   let whole = Flat.compile entries in
   List.iter (step whole) prefix;
-  let refs = Array.of_list (List.map Compiled.compile ps) in
+  let machines =
+    Array.of_list
+      (List.map (fun p -> machine_ref (Machine.make ~exact:true p)) ps)
+  in
+  let directs = Array.of_list (List.map (fun p -> Backend.direct p) ps) in
+  let timed_out = Array.make n false in
   let ref_step (ev : Trace.event) =
+    Array.iter (fun m -> machine_step m ev) machines;
     Array.iter
-      (fun c ->
-        ignore (Compiled.check_time c ~now:ev.time);
-        ignore (Compiled.step c ev))
-      refs
+      (fun d ->
+        ignore (d.Backend.check_time ~now:ev.time);
+        ignore (d.Backend.step ev))
+      directs
   in
   List.iter ref_step prefix;
-  let ref_state () =
-    Array.map (fun c -> (Compiled.persist c, Compiled.verdict c)) refs
-  in
   let twin move =
     let e = Flat.compile entries in
     List.iter (step e) trace;
@@ -583,8 +732,25 @@ let prop_cache_moves (ps, trace, cut) =
   in
   let check at =
     let expected = state whole in
-    if ref_state () <> expected then
-      QCheck2.Test.fail_reportf "%s: the engine left the Compiled reference" at;
+    Array.iteri
+      (fun ck (persisted, v) ->
+        if decided_on_time v then timed_out.(ck) <- true;
+        if
+          (not timed_out.(ck))
+          && not (machine_agrees machines.(ck).mstate persisted)
+        then
+          QCheck2.Test.fail_reportf "%s: checker %d left the exact machine" at
+            ck;
+        let direct =
+          match directs.(ck).Backend.verdict () with
+          | Backend.Violated _ -> "fail"
+          | Backend.Running | Backend.Satisfied -> "pass"
+        in
+        if direct <> verdict_class v then
+          QCheck2.Test.fail_reportf
+            "%s: checker %d is %s, the structural monitor %s" at ck
+            (verdict_class v) direct)
+      expected;
     List.iter
       (fun (how, e) ->
         if state e <> expected then
@@ -600,6 +766,128 @@ let prop_cache_moves (ps, trace, cut) =
       check (Printf.sprintf "after event %d" (cut + i)))
     rest;
   true
+
+(* ---- patched tables ---------------------------------------------------- *)
+
+(* One table patch of each kind the mutation engine perturbs a monitor
+   with — a Self/Current category swap, a terminator flip, an owner
+   move, new counter bounds, a new deadline — drawn over [p]'s tables. *)
+let gen_patch p =
+  let st = Compiled.static (Compiled.compile p) in
+  let n_names = Array.length st.names and n_recs = Array.length st.rec_range in
+  let swaps =
+    List.concat
+      (List.init n_recs (fun r ->
+           List.filter_map
+             (fun id ->
+               match st.category.(r).(id) with
+               | Context.Self -> Some (r, id, Context.Current)
+               | Context.Current -> Some (r, id, Context.Self)
+               | _ -> None)
+             (List.init n_names Fun.id)))
+  in
+  QCheck2.Gen.(
+    let* id = int_bound (n_names - 1) in
+    let* r = int_bound (n_recs - 1) in
+    let* kind = int_bound 4 in
+    match kind with
+    | 0 ->
+        let* swap = oneofl swaps in
+        return { Compiled.no_patch with set_category = [ swap ] }
+    | 1 ->
+        return
+          {
+            Compiled.no_patch with
+            set_terminator = [ (id, not st.terminator.(id)) ];
+          }
+    | 2 ->
+        let* f = int_range (-1) (st.fragments - 1) in
+        return { Compiled.no_patch with set_owner = [ (id, f) ] }
+    | 3 ->
+        let* lo = int_range 1 3 in
+        let* extra = int_range 0 2 in
+        return
+          { Compiled.no_patch with set_lo = [ (r, lo) ]; set_hi = [ (r, lo + extra) ] }
+    | _ ->
+        let* d = int_range 0 50 in
+        return { Compiled.no_patch with set_deadline = Some d })
+
+let gen_patch_case =
+  QCheck2.Gen.(
+    let* p = gen_pattern in
+    let* patch = gen_patch p in
+    let* ids =
+      list_size (int_range 0 14)
+        (int_bound (Name.Set.cardinal (Pattern.alpha p) - 1))
+    in
+    return (p, patch, ids))
+
+let print_patch (p : Compiled.patch) =
+  let pairs f l = String.concat ";" (List.map f l) in
+  Printf.sprintf "cat [%s] owner [%s] term [%s] lo [%s] hi [%s] deadline %s"
+    (pairs (fun (r, id, _) -> Printf.sprintf "%d.%d" r id) p.set_category)
+    (pairs (fun (id, f) -> Printf.sprintf "%d->%d" id f) p.set_owner)
+    (pairs (fun (id, b) -> Printf.sprintf "%d:%b" id b) p.set_terminator)
+    (pairs (fun (r, v) -> Printf.sprintf "%d:%d" r v) p.set_lo)
+    (pairs (fun (r, v) -> Printf.sprintf "%d:%d" r v) p.set_hi)
+    (match p.set_deadline with Some d -> string_of_int d | None -> "-")
+
+let print_patch_case (p, patch, ids) =
+  Format.asprintf "@[<v>pattern: %a@,patch: %s@,ids: %s@]" Pattern.pp p
+    (print_patch patch)
+    (String.concat " " (List.map string_of_int ids))
+
+(* A patched monitor steps, event by event, like the exact machine over
+   the same patched tables.  Every event is at time 0, so no deadline
+   can expire and the machine's time abstraction is exact.  A patch can
+   break the invariant the opened-fragment shortcut needs (an owned
+   name [Self] in its recognizer, [Current] in the siblings); such a
+   monitor must step whole fragments, as the machine does. *)
+let prop_patched_machine (p, patch, ids) =
+  let c = Compiled.patched (Compiled.compile p) patch in
+  let machine = Machine.of_compiled ~exact:true c in
+  let state = ref (Machine.init machine) in
+  List.iteri
+    (fun i id ->
+      ignore (Compiled.step_id c ~id ~time:0);
+      (match Machine.step machine !state id with
+      | [ s ] -> state := s
+      | _ -> QCheck2.Test.fail_report "an exact machine branched");
+      if Machine.project machine c <> !state then
+        QCheck2.Test.fail_reportf "event %d (id %d): the monitor left the machine"
+          i id)
+    ids;
+  true
+
+(* Pinned swaps in {a[2,2], b} <<! go, each stepped after the fragment
+   opens.  Self to Current: a is [Self] nowhere, so once b opens the
+   fragment, a has no owner recognizer for the shortcut to step.
+   Current to Self: b's recognizer counts a too, so a opens the
+   fragment with two recognizers counting, and on b a's recognizer
+   underflows before b's overflows. *)
+let test_patched_swap_after_open () =
+  let p = pat "{a[2,2], b} <<! go" in
+  let st = Compiled.static (Compiled.compile p) in
+  let id nm =
+    let rec find i =
+      if Name.equal st.names.(i) (name nm) then i else find (i + 1)
+    in
+    find 0
+  in
+  let self_of nm =
+    List.find
+      (fun r -> st.category.(r).(id nm) = Context.Self)
+      (List.init (Array.length st.rec_range) Fun.id)
+  in
+  let swap r nm c = { Compiled.no_patch with set_category = [ (r, id nm, c) ] } in
+  Alcotest.(check bool) "self to current steps like the exact machine" true
+    (prop_patched_machine
+       ( p,
+         swap (self_of "a") "a" Context.Current,
+         List.map id [ "b"; "a"; "a"; "b"; "go" ] ));
+  Alcotest.(check bool) "current to self steps like the exact machine" true
+    (prop_patched_machine
+       (p, swap (self_of "b") "a" Context.Self, List.map id [ "a"; "b" ]))
 
 let () =
   Alcotest.run "flat"
@@ -627,6 +915,10 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_blob_roundtrip;
           Alcotest.test_case "rejections" `Quick test_blob_rejections;
+          Alcotest.test_case "unreachable words" `Quick
+            test_blob_unreachable_words;
+          Alcotest.test_case "restore checks the active fragment" `Quick
+            test_restore_checks_active;
           Alcotest.test_case "reset" `Quick test_reset;
         ] );
       ( "touches",
@@ -647,5 +939,12 @@ let () =
             test_copy_refuses_other_suite;
           qtest ~count:500 "state moves drop the opened-fragment cache"
             gen_copy_case print_copy_case prop_cache_moves;
+        ] );
+      ( "patched",
+        [
+          qtest ~count:500 "patched tables step like the exact machine"
+            gen_patch_case print_patch_case prop_patched_machine;
+          Alcotest.test_case "self/current swaps after the fragment opens"
+            `Quick test_patched_swap_after_open;
         ] );
     ]
