@@ -30,11 +30,17 @@
 #                         5% overhead bound in BENCH_dispatch.json is
 #                         advisory
 #   flat-agreement        serve --backend flat decides what the
-#                         compiled streaming run decides
+#                         compiled streaming run decides, and both
+#                         decide what --backend direct (the structural
+#                         monitor, built independently of the flat
+#                         engine that compiled also runs on) decides,
+#                         verdict records compared without the
+#                         " on NAME (event #N)" locator
 #   default-serve         serve with no --backend (buffered: the flat
 #                         engine) writes verdict records identical to
-#                         --backend compiled and a v2 checkpoint with
-#                         "engine":"flat", and kill-and-resume yields
+#                         --backend compiled and, modulo the locator,
+#                         to --backend direct, and a v2 checkpoint
+#                         with "engine":"flat"; kill-and-resume yields
 #                         the same verdicts
 #   backend-matrix        every --backend goes through the one suite
 #                         factory: suite and buffered serve decide
@@ -108,6 +114,9 @@ advisory() {
 # different witnesses.  Agreement checks compare modulo the member; it
 # is appended last, so stripping it restores the closing brace.
 strip_prov() { sed 's/,"provenance":.*$/}/' "$1"; }
+# the structural monitor also names the event a range violation
+# happened on (" on s0_3 (event #41)"): compared without it
+locator() { sed -E 's/ on [A-Za-z0-9_]+ \(event #[0-9]+\)//'; }
 
 gate "convert-roundtrip"
 $LOSEQ convert "$TRACE" -o "$WORK/ipu.lsqb"
@@ -262,7 +271,16 @@ $LOSEQ serve --suite "$SUITE" --backend flat < "$WORK/ipu.lsqb" \
 test "$flat_status" -eq "$stream_status"
 grep '"type": *"verdict"' "$WORK/flat.ndjson" > "$WORK/flat.verdicts"
 cmp "$WORK/stream.verdicts" "$WORK/flat.verdicts"
-echo "flat streaming verdicts identical to compiled (exit $flat_status)"
+# compiled monitors run on one-checker flat engines, so the independent
+# side is the structural monitor
+direct_status=0
+$LOSEQ serve --suite "$SUITE" --backend direct < "$WORK/ipu.lsqb" \
+  > "$WORK/direct.ndjson" || direct_status=$?
+test "$direct_status" -eq "$flat_status"
+grep '"type": *"verdict"' "$WORK/direct.ndjson" > "$WORK/direct.verdicts"
+cmp <(strip_prov "$WORK/flat.verdicts") \
+  <(strip_prov "$WORK/direct.verdicts" | locator)
+echo "flat streaming verdicts identical to compiled and direct (exit $flat_status)"
 
 gate "default-serve"
 # no --backend: buffered serve hosts the flat engine; its verdict
@@ -274,6 +292,8 @@ $LOSEQ serve --suite "$SUITE" < "$WORK/ipu.lsqb" > "$WORK/default.ndjson" \
 test "$default_status" -eq "$stream_status"
 grep '"type": *"verdict"' "$WORK/default.ndjson" > "$WORK/default.verdicts"
 cmp "$WORK/stream.verdicts" "$WORK/default.verdicts"
+cmp <(strip_prov "$WORK/default.verdicts") \
+  <(strip_prov "$WORK/direct.verdicts" | locator)
 # its checkpoint is the one-blob v2 format, and survives kill-and-resume
 DCKPT="$WORK/default.ckpt"
 kill_mid_stream default_killed "$DCKPT"
@@ -286,7 +306,7 @@ grep '"type": *"verdict"' "$WORK/default_resumed.ndjson" \
   > "$WORK/default_resumed.verdicts"
 cmp <(strip_prov "$WORK/stream.verdicts") \
   <(strip_prov "$WORK/default_resumed.verdicts")
-echo "default serve: compiled verdicts, flat v2 checkpoint, resume identical"
+echo "default serve: compiled and direct verdicts, flat v2 checkpoint, resume identical"
 
 gate "backend-matrix"
 # one choice of backend drives every suite-hosting entry point: the
@@ -442,9 +462,6 @@ grep '"type": *"verdict"' "$WORK/fanout_flat.ndjson" > "$WORK/fanout_flat.verdic
 for kind in 'never occurred' 'second block for range' 'more than 1 occurrence'; do
   grep -q "$kind" "$WORK/fanout_flat.verdicts"
 done
-# the structural monitor also names the event a range violation
-# happened on (" on s0_3 (event #41)"): compared without it
-locator() { sed -E 's/ on [A-Za-z0-9_]+ \(event #[0-9]+\)//'; }
 for b in compiled direct; do
   status=0
   $LOSEQ serve --suite "$WORK/fanout.suite" --backend "$b" \
