@@ -1276,23 +1276,23 @@ let unfit_word t (slots : int array) ck =
       (List.init n Fun.id)
   in
   if verdict < v_running || verdict > v_violated then
-    Some (Printf.sprintf "verdict code %d" verdict)
+    Some (Printf.sprintf "verdict code %d is out of range" verdict)
   else if reason < r_before || reason > r_late then
-    Some (Printf.sprintf "violation reason code %d" reason)
+    Some (Printf.sprintf "violation reason code %d is out of range" reason)
   else if vrec <> -1 && (vrec < r0 || vrec >= r0 + n) then
-    Some (Printf.sprintf "diagnostic recognizer %d, not one of its own" vrec)
+    Some (Printf.sprintf "diagnostic recognizer %d is not one of its own" vrec)
   else if
     verdict = v_violated && reason >= r_overflow && reason <= r_missing
     && vrec = -1
-  then Some "a range diagnostic without its recognizer"
+  then Some "a range diagnostic has no recognizer"
   else if active < 0 || active >= t.ck_q.(ck) then
-    Some (Printf.sprintf "active fragment %d" active)
+    Some (Printf.sprintf "active fragment %d is out of range" active)
   else if word o_qdone <> 0 && word o_qdone <> 1 then
-    Some (Printf.sprintf "conclusion flag %d" (word o_qdone))
+    Some (Printf.sprintf "conclusion flag %d is not 0 or 1" (word o_qdone))
   else
     Option.map
       (fun j ->
-        Printf.sprintf "recognizer %d in state code %d" j
+        Printf.sprintf "recognizer %d has state code %d" j
           slots.(base + ctrl_slots + j))
       bad_state
 
@@ -1346,8 +1346,8 @@ let load_blob t blob =
                 | Some (ck, what) ->
                     Error
                       (Printf.sprintf
-                         "flat blob: checker %d (%S) holds %s, which no \
-                          engine of this suite can reach"
+                         "flat blob: checker %d (%S): %s; no engine of \
+                          this suite writes that"
                          ck (label t ck) what)
                 | None ->
                     for i = 0 to n - 1 do

@@ -1,1 +1,1 @@
-let current = "1.17.0"
+let current = "1.18.0"
