@@ -139,7 +139,8 @@ val persist : t -> persisted
 val restore : t -> persisted -> unit
 (** Overwrite the run state with a previously {!persist}ed one.  The
     monitor must have been compiled from the same pattern; raises
-    [Invalid_argument] on a recognizer-count mismatch. *)
+    [Invalid_argument], leaving the monitor as it was, when the state
+    does not fit ({!Flat.restore_checker}). *)
 
 (** {1 Table patches}
 

@@ -525,30 +525,31 @@ let cat_of t r loc =
    whether [step_opened] may step [ck]: every owned name must be
    [c_self] in exactly its [loc_rec] recognizer, inside its owner
    fragment, and [c_current] in that recognizer's siblings.  Tables
-   compiled from a pattern always are; a table patch (a category swap, an owner move)
-   can break it, and then the checker steps whole fragments. *)
+   compiled from a pattern always are; a table patch (a category swap,
+   an owner move) can break it, and then the checker steps whole
+   fragments. *)
 let index_self t ck =
   let l0 = t.ck_loc0.(ck) and r0 = t.ck_rec0.(ck) in
-  let fits l =
-    let own = t.loc_rec.(l0 + l) in
-    let f = t.loc_owner.(l0 + l) in
-    f < 0
-    ||
-    let gf = t.ck_frag0.(ck) + f in
-    let first = t.frag_first.(gf) in
-    let last = first + t.frag_count.(gf) - 1 in
-    own >= first && own <= last
-    && List.for_all
-         (fun r -> cat_of t r l = if r = own then c_self else c_current)
-         (List.init (last - first + 1) (fun i -> first + i))
-  in
+  let short = ref true in
   for l = 0 to t.ck_nloc.(ck) - 1 do
-    t.loc_rec.(l0 + l) <- -1;
+    let own = ref (-1) in
     for r = r0 to r0 + t.ck_nrecs.(ck) - 1 do
-      if cat_of t r l = c_self then t.loc_rec.(l0 + l) <- r
-    done
+      if cat_of t r l = c_self then own := r
+    done;
+    t.loc_rec.(l0 + l) <- !own;
+    let f = t.loc_owner.(l0 + l) in
+    if f >= 0 then begin
+      let gf = t.ck_frag0.(ck) + f in
+      let first = t.frag_first.(gf) in
+      let last = first + t.frag_count.(gf) - 1 in
+      if !own < first || !own > last then short := false;
+      for r = first to last do
+        if cat_of t r l <> (if r = !own then c_self else c_current) then
+          short := false
+      done
+    end
   done;
-  t.ck_short.(ck) <- List.for_all fits (List.init t.ck_nloc.(ck) Fun.id)
+  t.ck_short.(ck) <- !short
 
 let compile entries =
   let t = compile entries in
@@ -1144,12 +1145,14 @@ let restore_checker t ck p =
           match reason with
           | Diag.Before_name -> (r_before, -1, 0, 0, 0)
           | Diag.After_name -> (r_after, -1, 0, 0, 0)
-          | Diag.Overflow range -> (r_overflow, rec_of_range t ck range, 0, 0, 0)
+          | Diag.Overflow range ->
+              (r_overflow, rec_of_range t ck range, 0, 0, 0)
           | Diag.Underflow range ->
               (r_underflow, rec_of_range t ck range, 0, 0, 0)
           | Diag.Reentered range ->
               (r_reentered, rec_of_range t ck range, 0, 0, 0)
-          | Diag.Missing range -> (r_missing, rec_of_range t ck range, 0, 0, 0)
+          | Diag.Missing range ->
+              (r_missing, rec_of_range t ck range, 0, 0, 0)
           | Diag.Empty_fragment -> (r_empty, -1, 0, 0, 0)
           | Diag.Trigger_early -> (r_trigger_early, -1, 0, 0, 0)
           | Diag.Deadline_miss { started; deadline; now } ->

@@ -167,7 +167,8 @@ let prop_state_moves_between_engines (p, trace) =
     | None -> Alcotest.fail "flat backend without restore");
     (match resumed.Backend.persist with
     | Some persist when persist () = persisted -> ()
-    | _ -> QCheck2.Test.fail_reportf "state changed in transit after %d events" k);
+    | _ ->
+        QCheck2.Test.fail_reportf "state changed in transit after %d events" k);
     List.iter (fun e -> ignore (resumed.Backend.step e)) rest;
     let got = verdict_class (resumed.Backend.finalize ~now) in
     if got <> expected then

@@ -1,9 +1,11 @@
 (* The whole-suite flat engine: deterministic pins for the packed
    memory layout, counter-slot overflow, deadline firing order through
    the engine-direct hosted path, and the state-blob codec (roundtrip,
-   version rejection, wrong-suite rejection, truncation), plus a
-   property for checker copies between two engines of one suite (the
-   speculative engine's rollback from its frontier).
+   version rejection, wrong-suite rejection, truncation, words no
+   engine writes), plus properties for checker copies between two
+   engines of one suite (the speculative engine's rollback from its
+   frontier), for the opened-fragment cache and for table-patched
+   monitors, the last two against the exact [Machine].
    Cross-backend verdict agreement on random inputs lives in
    test_backend. *)
 
@@ -807,7 +809,11 @@ let gen_patch p =
         let* lo = int_range 1 3 in
         let* extra = int_range 0 2 in
         return
-          { Compiled.no_patch with set_lo = [ (r, lo) ]; set_hi = [ (r, lo + extra) ] }
+          {
+            Compiled.no_patch with
+            set_lo = [ (r, lo) ];
+            set_hi = [ (r, lo + extra) ];
+          }
     | _ ->
         let* d = int_range 0 50 in
         return { Compiled.no_patch with set_deadline = Some d })
@@ -854,8 +860,8 @@ let prop_patched_machine (p, patch, ids) =
       | [ s ] -> state := s
       | _ -> QCheck2.Test.fail_report "an exact machine branched");
       if Machine.project machine c <> !state then
-        QCheck2.Test.fail_reportf "event %d (id %d): the monitor left the machine"
-          i id)
+        QCheck2.Test.fail_reportf
+          "event %d (id %d): the monitor left the machine" i id)
     ids;
   true
 
@@ -879,7 +885,9 @@ let test_patched_swap_after_open () =
       (fun r -> st.category.(r).(id nm) = Context.Self)
       (List.init (Array.length st.rec_range) Fun.id)
   in
-  let swap r nm c = { Compiled.no_patch with set_category = [ (r, id nm, c) ] } in
+  let swap r nm c =
+    { Compiled.no_patch with set_category = [ (r, id nm, c) ] }
+  in
   Alcotest.(check bool) "self to current steps like the exact machine" true
     (prop_patched_machine
        ( p,
