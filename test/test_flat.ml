@@ -351,6 +351,8 @@ let test_blob_unreachable_words () =
   tampered "active fragment" [ (0, 3) ] "active fragment 3";
   tampered "conclusion flag" [ (4, 2) ] "conclusion flag 2";
   tampered "state code" [ (14, 5) ] "state code 5";
+  Alcotest.(check string) "refusals leave the engine as it was" blob
+    (Flat.save_blob eng);
   (* own recognizers with their own reasons are fine *)
   let s = Array.copy slots in
   List.iter (fun (off, v) -> s.(17 + off) <- v) [ (1, 2); (6, 2); (7, 3) ];
