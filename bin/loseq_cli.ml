@@ -242,12 +242,12 @@ let factory_of = function
   | `Flat -> Backend.flat
   | `Psl -> Loseq_psl.Progress.backend
 
-(* Suite commands: flat compiles the whole suite into one engine and
-   hands out per-entry views; the other kinds host per pattern. *)
+(* Suite commands: compiled and flat name the one suite engine (the
+   whole suite compiled into one flat engine, stepped engine-direct);
+   direct and psl host per pattern. *)
 let suite_factory_of = function
-  | `Flat -> Backend.flat_views
-  | (`Direct | `Compiled | `Psl) as kind ->
-      Backend.per_pattern (factory_of kind)
+  | `Compiled | `Flat -> Backend.flat_views
+  | (`Direct | `Psl) as kind -> Backend.per_pattern (factory_of kind)
 
 (* A backend refuses a pattern it cannot encode (e.g. a range beyond
    the PSL encoding bound) with [Invalid_argument]. *)

@@ -17,14 +17,11 @@ type t = {
   states : (unit -> Recognizer.state list list) option;
   acceptable : (unit -> Name.Set.t) option;
   ops : (unit -> int) option;
-  persist : (unit -> Flat.persisted) option;
-  restore : (Flat.persisted -> unit) option;
   engine : Flat.t option;
 }
 
 let make ~label ~pattern ?alphabet ~step ?prepare ?check_time ?next_deadline
-    ?finalize ~verdict ~reset ?states ?acceptable ?ops ?persist ?restore
-    ?engine () =
+    ?finalize ~verdict ~reset ?states ?acceptable ?ops ?engine () =
   let alphabet =
     match alphabet with Some a -> a | None -> Pattern.alpha pattern
   in
@@ -56,8 +53,6 @@ let make ~label ~pattern ?alphabet ~step ?prepare ?check_time ?next_deadline
     states;
     acceptable;
     ops;
-    persist;
-    restore;
     engine;
   }
 
@@ -125,8 +120,6 @@ let view ~label ?engine eng ck =
       verdict ())
     ~verdict
     ~reset:(fun () -> Flat.reset_checker eng ck)
-    ~persist:(fun () -> Flat.persist_checker eng ck)
-    ~restore:(fun p -> Flat.restore_checker eng ck p)
     ?engine ()
 
 (* A compiled monitor is a one-checker engine of its own, hosted per

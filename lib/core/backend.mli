@@ -65,12 +65,6 @@ type t = {
   ops : (unit -> int) option;
       (** Elementary operations executed so far, when the strategy
           meters them. *)
-  persist : (unit -> Flat.persisted) option;
-      (** Exact serializable run state, for checkpoint/resume of
-          streaming monitors (compiled and flat backends). *)
-  restore : (Flat.persisted -> unit) option;
-      (** Overwrite the run state with a {!t.persist}ed one (compiled
-          and flat backends; same-pattern monitors). *)
   engine : Flat.t option;
       (** The shared suite engine this backend is a view of (flat
           backend only).  Hosts that can exploit suite-level sharing —
@@ -93,8 +87,6 @@ val make :
   ?states:(unit -> Recognizer.state list list) ->
   ?acceptable:(unit -> Name.Set.t) ->
   ?ops:(unit -> int) ->
-  ?persist:(unit -> Flat.persisted) ->
-  ?restore:(Flat.persisted -> unit) ->
   ?engine:Flat.t ->
   unit ->
   t
@@ -119,13 +111,13 @@ val direct : ?mode:Monitor.mode -> factory
     the alphabet-routed ones. *)
 
 val compiled : factory
-(** The {!Compiled} fast path — the production default: a one-checker
-    {!Flat} engine per pattern, hosted per checker (it carries no
-    {!t.engine}). *)
+(** The {!Compiled} fast path — the default of single-property hosts: a
+    one-checker {!Flat} engine per pattern, hosted per checker (it
+    carries no {!t.engine}).  Suite hosts use {!flat_views} instead. *)
 
 type suite_factory = (string * Pattern.t) list -> t array
 (** What every suite host ({!Loseq_verif.Suite.attach_hub} and
-    everything built on it, the speculative engine, the server) takes
+    everything built on it, the server) takes
     as its one [?backend] argument: the whole labelled suite in one
     call, so the factory can share state across checkers.  The
     returned array is in entry order. *)
@@ -133,14 +125,15 @@ type suite_factory = (string * Pattern.t) list -> t array
 val per_pattern : factory -> suite_factory
 (** One backend per entry, built independently — how the per-pattern
     strategies ({!direct}, {!compiled}, the ViaPSL monitor) host a
-    suite.  [per_pattern compiled] is the default of every suite host
-    except buffered serving. *)
+    suite.  Such a hosting has no single engine, so it cannot be
+    checkpointed. *)
 
 val flat_views : suite_factory
 (** Compile the whole suite into one {!Flat} engine and return one
     backend view per entry (label ["flat"]).  The views share the
     engine's packed state array and each carries it in {!t.engine}, so
-    a host that recognizes the sharing steps the engine directly. *)
+    a host that recognizes the sharing steps the engine directly.  The
+    default of every suite host. *)
 
 val flat_engine_views : Flat.t -> t array
 (** Backend views over an {e existing} engine — e.g. one produced by

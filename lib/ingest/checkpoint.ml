@@ -14,25 +14,21 @@ let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt
 
 (* ---- the state engine -------------------------------------------------- *)
 
-(* Every checkpoint goes through a flat engine holding the session's
-   run state: the hub's own when the session is hosted engine-direct,
-   otherwise a scratch engine compiled from the same suite and bridged
-   per checker through the persisted form. *)
-let scratch_engine session =
-  Flat.compile
-    (List.map
-       (fun (e : Suite.entry) -> (e.label, e.pattern))
-       (Session.suite session))
-
-(* The engine slot of the checker labelled [name]. *)
-let slot eng name =
-  let rec go ck =
-    if ck >= Flat.size eng then
-      bad "checkpoint names checker %S, not in this suite" name
-    else if Flat.label eng ck = name then ck
-    else go (ck + 1)
-  in
-  go 0
+(* Every checkpoint reads and writes the one flat engine the session's
+   hub steps engine-direct; a hub without one is refused, on capture
+   and on resume alike.  An empty suite hosts no engine and has no
+   state: an empty engine stands in. *)
+let engine session =
+  let hub = Session.hub session in
+  match (Hub.engine hub, Hub.checkers hub) with
+  | Some eng, _ -> Ok eng
+  | None, [] -> Ok (Flat.compile [])
+  | None, c :: _ ->
+      Error
+        (Printf.sprintf
+           "checker %S: backend %S has no persistence capability \
+            (checkpointing requires the compiled or flat backend)"
+           (Checker.name c) (Checker.backend c).Backend.label)
 
 (* ---- capture ----------------------------------------------------------- *)
 
@@ -41,29 +37,10 @@ let json_of_event (e : Trace.event) =
     [ ("name", Json.String (Name.to_string e.name)); ("time", Json.Int e.time) ]
 
 let capture session =
-  let hub = Session.hub session in
-  let checkers = Hub.checkers hub in
   let eng =
-    match Hub.engine hub with
-    | Some eng -> eng
-    | None ->
-        let eng = scratch_engine session in
-        List.iter
-          (fun c ->
-            let backend = Checker.backend c in
-            match backend.Backend.persist with
-            | Some persist ->
-                let ck = slot eng (Checker.name c) in
-                Flat.restore_checker eng ck (persist ())
-            | None ->
-                failwith
-                  (Printf.sprintf
-                     "checker %S: backend %S has no persistence capability \
-                      (checkpointing requires the compiled or flat backend)"
-                     (Checker.name c) backend.Backend.label))
-          checkers;
-        eng
+    match engine session with Ok eng -> eng | Error msg -> failwith msg
   in
+  let checkers = Hub.checkers (Session.hub session) in
   let stats = Session.stats session in
   let reorder = Session.reorder session in
   Json.Obj
@@ -167,24 +144,12 @@ let load_blob eng json =
     bad "checkpoint interning table does not match this suite's alphabet";
   match Flat.load_blob eng blob with Ok () -> () | Error msg -> bad "%s" msg
 
-(* Run a state overwrite, turning a state that does not fit its
-   monitor into a checkpoint error. *)
-let fits name overwrite =
-  match overwrite () with
-  | () -> ()
-  | exception Invalid_argument msg ->
-      bad "checker %S: state does not fit its monitor: %s" name msg
-
-(* Load the blob into the state engine, bridge it into every checker
-   when the session is not hosted on that engine, then restore each
-   checker's bookkeeping. *)
+(* Load the blob into the hosted engine, then restore each checker's
+   bookkeeping. *)
 let restore_checkers session json =
-  let hub = Session.hub session in
-  let shared = Hub.engine hub in
-  let eng =
-    match shared with Some eng -> eng | None -> scratch_engine session
-  in
-  load_blob eng json;
+  (match engine session with
+  | Ok eng -> load_blob eng json
+  | Error msg -> bad "%s" msg);
   let events_seen =
     List.map
       (fun cj -> (string_exn "name" cj, int_exn "events_seen" cj))
@@ -193,19 +158,10 @@ let restore_checkers session json =
   List.iter
     (fun checker ->
       let name = Checker.name checker in
-      (if Option.is_none shared then
-         let backend = Checker.backend checker in
-         match backend.Backend.restore with
-         | Some restore ->
-             let persisted = Flat.persist_checker eng (slot eng name) in
-             fits name (fun () -> restore persisted)
-         | None ->
-             bad "checker %S: backend %S has no restore capability" name
-               backend.Backend.label);
       match List.assoc_opt name events_seen with
       | Some n -> Checker.restore_meta checker ~events_seen:n
       | None -> bad "checkpoint has no checker record for %S" name)
-    (Hub.checkers hub)
+    (Hub.checkers (Session.hub session))
 
 let restore_exn session json =
   (match string_exn "format" json with

@@ -11,15 +11,15 @@
     One version exists: version 2, the entire suite's run state
     as a single base64 {!Loseq_core.Flat} engine blob plus the
     interning table that pins its layout, so capture/restore cost
-    stops scaling with checker count.  A session hosted engine-direct
-    on one shared flat engine writes that engine's blob; any other
-    persistable hosting fills a scratch engine of the same suite from
-    each checker's persisted state
-    ({!Loseq_core.Backend.t.persist}).  Restore loads the blob into
-    that same engine and, when the session is not hosted on it, bridges
-    every checker from it — so a checkpoint resumes under any
-    persistable hosting.  Version 1 (one persisted JSON state per
-    checker, last written by 1.13.0) is refused with a typed error.
+    stops scaling with checker count.  Capture writes the blob of the
+    one flat engine the session's hub steps engine-direct
+    ({!Loseq_verif.Hub.engine}, the default
+    {!Loseq_core.Backend.flat_views} hosting) and restore loads it back
+    into that engine; a session hosted any other way (one checker per
+    pattern, e.g. the structural or ViaPSL monitors) is refused on
+    both sides with the same message.  Version 1 (one persisted JSON
+    state per checker, last written by 1.13.0) is refused with a typed
+    error.
 
     The resume contract is replay-based: the producer re-sends the
     stream from the start and the consumer skips the first
@@ -33,16 +33,15 @@
 open Loseq_core
 
 val capture : Session.t -> Json.t
-(** Version 2 (one engine blob), under every hosting.  Raises
-    [Failure] if a hosted checker's backend lacks the persistence
-    capability. *)
+(** Version 2 (one engine blob).  Raises [Failure] if the session's
+    hub hosts no single flat engine. *)
 
 val restore : Session.t -> Json.t -> (unit, string) result
 (** Overwrite a {e fresh} session (no events offered) with a captured
     state.  Fails on schema/version mismatch
     (including a flat blob of an unsupported [blob_version], reported
     as a clear error, not a decode exception), a different suite, a
-    non-fresh session, or a backend without the restore capability.
+    non-fresh session, or a hub that hosts no single flat engine.
     On success the session's kernel is advanced to the checkpointed
     time and the hub's deadline wheel is re-armed. *)
 
@@ -70,7 +69,6 @@ val resume :
 (** [load], create a session with the checkpoint's lateness/window
     (and, like {!Session.create}, an optional live [metrics] sink,
     [trace] flight recorder, sampling rate, and backend choice),
-    [restore].  The checkpoint and the session's hosting are
-    independent: any persistable [backend] resumes it.  Stored session parameters that
-    {!Session.create} refuses (e.g. a zero [window]) are an [Error]
-    naming [path]. *)
+    [restore].  Only an engine-direct [backend] (the default) resumes
+    it.  Stored session parameters that {!Session.create} refuses
+    (e.g. a zero [window]) are an [Error] naming [path]. *)

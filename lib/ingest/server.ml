@@ -463,7 +463,7 @@ type host = {
   prov : Provenance.t;
 }
 
-let buffered ~metrics ~trace ~backend ?latency_sample_rate ~lateness ~window
+let buffered ~metrics ~trace ?backend ?latency_sample_rate ~lateness ~window
     ?checkpoint ~resume ?final_time ~out suite =
   let resuming =
     resume
@@ -471,11 +471,11 @@ let buffered ~metrics ~trace ~backend ?latency_sample_rate ~lateness ~window
   in
   let session =
     if resuming then
-      Checkpoint.resume ~metrics ~trace ~backend ?latency_sample_rate
+      Checkpoint.resume ~metrics ~trace ?backend ?latency_sample_rate
         ~path:(Option.get checkpoint) suite
     else
       Ok
-        (Session.create ~metrics ~trace ~backend ?latency_sample_rate ~lateness
+        (Session.create ~metrics ~trace ?backend ?latency_sample_rate ~lateness
            ~window suite)
   in
   Result.map
@@ -781,17 +781,15 @@ let serve ?metrics ?metrics_addr ?(stats_interval = 0) ?backend
           if ooo then speculative ~metrics ~trace ~lateness ?final_time ~out suite
           else
             (* With no backend named, buffered hosting steps the flat
-               suite engine directly. *)
-            buffered ~metrics ~trace
-              ~backend:(Option.value backend ~default:Backend.flat_views)
-              ?latency_sample_rate ~lateness ~window ?checkpoint ~resume
-              ?final_time ~out suite)
+               suite engine directly (the session's default). *)
+            buffered ~metrics ~trace ?backend ?latency_sample_rate ~lateness
+              ~window ?checkpoint ~resume ?final_time ~out suite)
     with
     | Error msg -> error_record out msg
     | Ok host ->
-        (* Provenance replays keep the caller's own choice, compiled when
-           none was named, so failure chains do not depend on the
-           hosting mode. *)
+        (* Provenance replays keep the caller's own choice, the flat
+           engine when none was named, so failure chains do not depend
+           on the hosting mode. *)
         host_loop ~metrics ~metrics_addr ~stats_interval ?backend
           ~checkpoint_every ~trace ~trace_out ~profile_out ~out ~input suite
           host

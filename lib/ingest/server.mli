@@ -125,8 +125,10 @@ val serve :
     {!Loseq_verif.Suite.attach_hub}).  Verdict records are the same
     either way.  The speculative mode always steps one flat engine and
     refuses a [backend] (exit [2]).  Provenance chains are minimized
-    on [backend] as given, compiled without it, so they do not depend
-    on the mode.
+    on [backend] as given, the flat engine without it, so they do not
+    depend on the mode.  Checkpoints need the engine-direct hosting:
+    any other [backend] ends the run with a typed [error] record at the
+    first checkpoint, or at [resume].
 
     [metrics] (default noop) is threaded through the session to the hub
     and reorder buffer, and additionally feeds the server-level

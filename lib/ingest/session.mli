@@ -34,10 +34,9 @@ val create :
   ?window:int ->
   Suite.t ->
   t
-(** [backend] is {!Suite.attach_hub}'s: per-checker
-    [Backend.per_pattern Backend.compiled] by default, or e.g.
-    {!Backend.flat_views} for one shared engine stepped engine-direct —
-    both support checkpointing; [lateness] defaults to [0] (strictly
+(** [backend] is {!Suite.attach_hub}'s: {!Backend.flat_views} by
+    default, one shared engine stepped engine-direct — the only hosting
+    {!Checkpoint} supports; [lateness] defaults to [0] (strictly
     chronological input expected); [window] to [1024].  A live
     [metrics] sink (default noop) is threaded to the {!Loseq_verif.Hub}
     and the {!Reorder} buffer, so one session exports the full hub +

@@ -99,17 +99,14 @@ let finalize_at t ~now =
 
 let finalize t = finalize_at t ~now:(t.now ())
 
-(* After an external state restore (checkpoint resume): align the
-   bookkeeping with the backend so an already-reported violation does
-   not fire the hooks a second time. *)
+(* After an external state restore (checkpoint resume, engine-direct
+   hosts only): align the bookkeeping with the backend so an
+   already-reported violation does not fire the hooks a second time. *)
 let restore_meta t ~events_seen =
   t.events_seen <- events_seen - t.seen ();
-  (match t.backend.Backend.verdict () with
+  match t.backend.Backend.verdict () with
   | Backend.Violated _ -> t.violation_reported <- true
-  | Backend.Running | Backend.Satisfied -> t.violation_reported <- false);
-  match t.backend.Backend.states with
-  | Some states -> Coverage.observe_states t.coverage (states ())
-  | None -> ()
+  | Backend.Running | Backend.Satisfied -> t.violation_reported <- false
 
 (* The backend was stepped outside this checker (engine-level suite
    dispatch): re-read the verdict and report a new violation through

@@ -74,8 +74,8 @@ val on_transition : t -> (before:Backend.verdict -> after:Backend.verdict -> uni
     through {!on_violation} instead. *)
 
 val restore_meta : t -> events_seen:int -> unit
-(** After the backend's state was overwritten externally
-    ({!Loseq_core.Backend.t.restore}, checkpoint resume): restore the
+(** After the hosted engine's state was overwritten externally
+    (checkpoint resume, {!Loseq_core.Flat.load_blob}): restore the
     delivery count and re-align the reported-violation flag with the
     backend's verdict, so a violation that was already reported before
     the checkpoint does not fire the hooks again. *)

@@ -132,9 +132,6 @@ type obs = {
   wheel_depth : Obs.gauge;
   firings : Obs.counter;
   dispatch_ns : Obs.histogram;
-  mutable rebase : (unit -> unit) list;
-      (* re-baseline hooks for read-time delta counters, run by
-         [resync] after an external state restore *)
 }
 
 let latency_buckets =
@@ -172,7 +169,6 @@ let make_obs metrics tap =
       Obs.histogram metrics ~name:"loseq_hub_dispatch_ns"
         ~help:"Per-dispatch latency in nanoseconds (sampled 1 in 64)"
         ~buckets:latency_buckets ();
-    rebase = [];
   }
 
 type t = {
@@ -346,11 +342,7 @@ let host ?(latency_sample_rate = default_sample_rate) t checker ~strict =
       Obs.on_collect o.metrics (fun () ->
           let seen = Checker.events_seen checker in
           Obs.add steps (seen - !last);
-          last := seen);
-      (* A checkpoint restore sets [events_seen] to the historical
-         total; re-baselining keeps that jump out of the step counter
-         (no steps ran in this process for those events). *)
-      o.rebase <- (fun () -> last := Checker.events_seen checker) :: o.rebase);
+          last := seen));
   if strict then
     Tap.subscribe t.tap (fun e ->
         Checker.deliver checker e;
@@ -550,18 +542,13 @@ let on_violation t hook =
 
 (* After an external state restore: every entry's armed deadline is
    stale — re-read next_deadline, re-park the wheel and the kernel
-   timeout.  [settle] expires deadlines already in the past.  Delta
-   counters mirroring checker state are re-baselined for the same
-   reason: the restore moved their source without executing steps. *)
+   timeout.  [settle] expires deadlines already in the past. *)
 let resync t =
   List.iter
     (fun entry ->
       entry.armed <- -1;
       rearm t entry)
     (List.rev t.entries_rev);
-  (match t.obs with
-  | Some o -> List.iter (fun f -> f ()) o.rebase
-  | None -> ());
   settle t
 
 let wheel_consistent t =

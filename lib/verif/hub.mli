@@ -92,7 +92,9 @@ val tap : t -> Tap.t
 val engine : t -> Flat.t option
 (** The flat engine this hub hosts engine-direct ({!host_flat}), when
     it hosts exactly one and no other checker — then the engine's
-    state is the whole hub's monitor state (one-blob checkpoints). *)
+    state is the whole hub's monitor state.  Checkpoints read and
+    write only this engine: a hub without one ({!add}, {!host}) cannot
+    be checkpointed. *)
 
 val checkers : t -> Checker.t list
 (** In {!add} order. *)
@@ -107,9 +109,11 @@ val on_violation : t -> (Checker.t -> Loseq_core.Diag.violation -> unit) -> unit
 
 val resync : t -> unit
 (** Re-read every hosted checker's [next_deadline] and re-park the
-    merged deadline wheel — required after the checkers' backend states
-    were overwritten externally (checkpoint resume).  Deadlines already
-    in the past expire immediately. *)
+    merged deadline wheel — required after the hosted engine's state
+    was overwritten externally (checkpoint resume).  Deadlines already
+    in the past expire immediately.  Counters need no re-baselining:
+    {!host_flat} counts this process's emissions, which a restore does
+    not move. *)
 
 val wheel_consistent : t -> bool
 (** The merged wheel's invariant: every hosted checker with a pending

@@ -107,7 +107,7 @@ let shared_engine suite (views : Backend.t array) =
       | Some _ | None -> None)
 
 let attach_hub ?metrics ?trace
-    ?(backend = Backend.per_pattern Backend.compiled) ?latency_sample_rate tap
+    ?(backend = Backend.flat_views) ?latency_sample_rate tap
     suite =
   let hub = Hub.create ?metrics ?trace tap in
   let views = backend (entries_of suite) in
@@ -127,7 +127,7 @@ let attach_hub ?metrics ?trace
 let attach_all ?backend tap suite = Hub.report (attach_hub ?backend tap suite)
 
 let check_trace ?(metrics = Loseq_obs.Metrics.noop)
-    ?(backend = Backend.per_pattern Backend.compiled) ?final_time suite trace =
+    ?(backend = Backend.flat_views) ?final_time suite trace =
   let instrument =
     if Loseq_obs.Metrics.is_live metrics then Backend.instrument metrics
     else Fun.id

@@ -51,13 +51,13 @@ val attach_hub :
   Hub.t
 (** One {!Checker} per entry, hosted on a fresh alphabet-routed
     {!Hub} with a shared deadline wheel.  [backend] compiles the whole
-    suite in one call; it defaults to
-    [Backend.per_pattern Backend.compiled].  When its views are the
-    entries of one shared {!Loseq_core.Flat} engine
-    ({!Loseq_core.Backend.flat_views}), that engine is hosted
-    engine-direct ({!Hub.host_flat}, and {!Hub.engine} returns it for
-    blob checkpoints and direct stepping); any other views are hosted
-    one checker each ({!Hub.host}).  [metrics], [trace] and
+    suite in one call; it defaults to {!Loseq_core.Backend.flat_views}.
+    When its views are the entries of one shared {!Loseq_core.Flat}
+    engine, as the default's are, that engine is hosted engine-direct
+    ({!Hub.host_flat}, and {!Hub.engine} returns it for blob
+    checkpoints and direct stepping); any other views (e.g. the
+    structural monitor's, [Backend.per_pattern (fun p -> Backend.direct
+    p)]) are hosted one checker each ({!Hub.host}).  [metrics], [trace] and
     [latency_sample_rate] (defaults noop, noop, 64) are handed to the
     hub — see {!Hub.create} and {!Hub.add}. *)
 
@@ -73,7 +73,7 @@ val check_trace :
   Trace.t ->
   (string * bool) list
 (** Offline: run every property over a recorded trace on the chosen
-    backend ([Backend.per_pattern Backend.compiled] by default);
+    backend ({!Loseq_core.Backend.flat_views} by default);
     [(label, passed)] per entry.  With a live [metrics] sink every
     backend is {!Loseq_core.Backend.instrument}ed, so
     [loseq_backend_steps_total] ends at exactly

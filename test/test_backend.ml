@@ -52,10 +52,18 @@ let test_capabilities () =
   Alcotest.(check bool) "compiled has no states" true
     (compiled.Backend.states = None);
   Alcotest.(check bool) "flat has no states" true (flat.Backend.states = None);
-  Alcotest.(check bool) "flat persists" true (flat.Backend.persist <> None);
-  Alcotest.(check bool) "flat restores" true (flat.Backend.restore <> None);
   Alcotest.(check bool) "flat carries its engine" true
     (flat.Backend.engine <> None);
+  (* persistence is the engine's: checkpoints reach it through the view *)
+  let eng = Option.get flat.Backend.engine in
+  ignore (flat.Backend.step { Trace.name = Name.v "a"; time = 1 });
+  let persisted = Flat.persist_checker eng 0 in
+  Flat.reset_checker eng 0;
+  Flat.restore_checker eng 0 persisted;
+  Alcotest.(check bool) "flat persists and restores through its engine" true
+    (Flat.persist_checker eng 0 = persisted);
+  Alcotest.(check bool) "a stepped state, not the initial one" true
+    (persisted <> Flat.persist_checker (Flat.compile [ ("p", p) ]) 0);
   Alcotest.(check bool) "compiled carries no engine" true
     (compiled.Backend.engine = None);
   Alcotest.(check string) "labels" "direct/compiled/flat"
@@ -162,13 +170,10 @@ let prop_state_moves_between_engines (p, trace) =
   let check k rest =
     let persisted = Flat.persist_checker eng 0 in
     let resumed = Backend.flat p in
-    (match resumed.Backend.restore with
-    | Some restore -> restore persisted
-    | None -> Alcotest.fail "flat backend without restore");
-    (match resumed.Backend.persist with
-    | Some persist when persist () = persisted -> ()
-    | _ ->
-        QCheck2.Test.fail_reportf "state changed in transit after %d events" k);
+    let resumed_eng = Option.get resumed.Backend.engine in
+    Flat.restore_checker resumed_eng 0 persisted;
+    if Flat.persist_checker resumed_eng 0 <> persisted then
+      QCheck2.Test.fail_reportf "state changed in transit after %d events" k;
     List.iter (fun e -> ignore (resumed.Backend.step e)) rest;
     let got = verdict_class (resumed.Backend.finalize ~now) in
     if got <> expected then

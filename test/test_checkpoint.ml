@@ -22,15 +22,37 @@ let demo_suite =
 
 let offer_all session trace = List.iter (Session.offer_force session) trace
 
+(* Rendered verdicts without the " on NAME (event #N)" locator, which
+   only the structural monitor prints. *)
+let unlocated (label, verdict) =
+  let find needle from =
+    let n = String.length needle in
+    let rec at i =
+      if i + n > String.length verdict then None
+      else if String.sub verdict i n = needle then Some i
+      else at (i + 1)
+    in
+    at from
+  in
+  match (find " on " 0, find " (event #" 0) with
+  | Some on, Some event when on < event ->
+      let close = String.index_from verdict event ')' in
+      ( label,
+        String.sub verdict 0 on
+        ^ String.sub verdict (close + 1) (String.length verdict - close - 1) )
+  | _ -> (label, verdict)
+
 let summary_of session trace =
   offer_all session trace;
-  Report.summary_strings (Session.finalize session)
+  List.map unlocated (Report.summary_strings (Session.finalize session))
+
+(* The uninterrupted reference: the structural monitor, one per
+   checker, built independently of the flat engine that checkpoints
+   read and write. *)
+let direct = Backend.per_pattern (fun p -> Backend.direct p)
 
 (* Run to [cut] under [src] hosting, checkpoint through the JSON
-   codec, resume a fresh [dst]-hosted session from it, feed the rest.
-   The hostings are independent: a compiled-written checkpoint must
-   restore under the flat suite engine and a flat-written one under
-   per-checker compiled monitors. *)
+   codec, resume a fresh [dst]-hosted session from it, feed the rest. *)
 let resumed_summary ?lateness ?src ?dst suite trace cut =
   let first = Session.create ?lateness ?backend:src suite in
   let before, after =
@@ -49,12 +71,11 @@ let resumed_summary ?lateness ?src ?dst suite trace cut =
   (match Checkpoint.restore second json with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "restore at cut %d: %s" cut msg);
-  offer_all second after;
-  Report.summary_strings (Session.finalize second)
+  summary_of second after
 
 let check_every_prefix ?lateness ?src ?dst suite trace =
   let baseline =
-    summary_of (Session.create ?lateness suite) trace
+    summary_of (Session.create ?lateness ~backend:direct suite) trace
   in
   for cut = 0 to List.length trace do
     let resumed = resumed_summary ?lateness ?src ?dst suite trace cut in
@@ -82,15 +103,34 @@ let test_every_prefix_failing () = check_every_prefix demo_suite failing_trace
 
 let flat = Backend.flat_views
 
-(* Cross-backend resume, both directions and flat-to-flat, every cut,
-   passing and failing traces. *)
+(* Checkpoints cross hostings only through the one engine: every cut
+   resumes flat-to-flat, and a hosting with one monitor per pattern
+   (the structural monitor, or compiled monitors built one each)
+   refuses both to write one and to resume one, with one message. *)
 let test_cross_backend_resume () =
   List.iter
-    (fun trace ->
-      check_every_prefix ~src:flat ~dst:flat demo_suite trace;
-      check_every_prefix ~src:flat demo_suite trace;
-      check_every_prefix ~dst:flat demo_suite trace)
-    [ passing_trace; failing_trace ]
+    (fun trace -> check_every_prefix ~src:flat ~dst:flat demo_suite trace)
+    [ passing_trace; failing_trace ];
+  let refusal label =
+    Printf.sprintf
+      "checker \"config\": backend %S has no persistence capability \
+       (checkpointing requires the compiled or flat backend)"
+      label
+  in
+  let json = Checkpoint.capture (Session.create demo_suite) in
+  List.iter
+    (fun (label, backend) ->
+      (match Checkpoint.capture (Session.create ~backend demo_suite) with
+      | _ -> Alcotest.failf "%s hosting wrote a checkpoint" label
+      | exception Failure msg ->
+          Alcotest.(check string) (label ^ " capture refused") (refusal label)
+            msg);
+      match Checkpoint.restore (Session.create ~backend demo_suite) json with
+      | Ok () -> Alcotest.failf "%s hosting resumed a checkpoint" label
+      | Error msg ->
+          Alcotest.(check string) (label ^ " resume refused") (refusal label)
+            msg)
+    [ ("direct", direct); ("compiled", Backend.per_pattern Backend.compiled) ]
 
 let test_cross_backend_resume_with_pending_reorder () =
   let disordered =
@@ -100,10 +140,11 @@ let test_cross_backend_resume_with_pending_reorder () =
       ev 50 "release_lock"; ev 60 "bus_idle";
     ]
   in
-  check_every_prefix ~lateness:5 ~src:flat demo_suite disordered;
-  check_every_prefix ~lateness:5 ~dst:flat demo_suite disordered
+  check_every_prefix ~lateness:5 ~src:flat ~dst:flat demo_suite disordered
 
-(* Every hosting writes version 2: blob + interning table. *)
+(* Every checkpointable hosting (the default, which [--backend
+   compiled] and [--backend flat] both name, or explicit flat views)
+   writes version 2: blob + interning table. *)
 let test_checkpoint_is_v2 ?backend () =
   let session = Session.create ?backend demo_suite in
   offer_all session (List.filteri (fun i _ -> i < 5) passing_trace);
@@ -195,21 +236,23 @@ let test_file_roundtrip () =
       Alcotest.(check int) "position preserved" (Session.position session)
         (Session.position second);
       offer_all second (List.filteri (fun i _ -> i >= 5) passing_trace);
-      let baseline = summary_of (Session.create demo_suite) passing_trace in
+      let baseline =
+        summary_of (Session.create ~backend:direct demo_suite) passing_trace
+      in
       Alcotest.(check (list (pair string string)))
         "verdicts equal" baseline
-        (Report.summary_strings (Session.finalize second))
+        (summary_of second [])
 
 (* A restore moves [events_seen] to the checkpoint's historical total
-   without executing any monitor step in this process; the hub's
-   read-time delta into [loseq_backend_steps_total] must re-baseline
-   (Hub.resync) so the counter reflects only post-resume steps. *)
+   without executing any monitor step in this process;
+   [loseq_backend_steps_total] counts this process's emissions, so it
+   reflects only post-resume steps. *)
 let test_resume_rebases_step_counters () =
   let module Obs = Loseq_obs.Metrics in
   let steps m =
     match
       Obs.read_counter m ~name:"loseq_backend_steps_total"
-        ~labels:[ ("backend", "compiled") ] ()
+        ~labels:[ ("backend", "flat") ] ()
     with
     | Some n -> n
     | None -> Alcotest.fail "loseq_backend_steps_total not registered"
@@ -317,7 +360,7 @@ let prop_resume_equivalence =
       in
       let suite = [ { Suite.label = "p"; pattern = p; line = 1 } ] in
       let cut = List.length trace * cut_frac / 100 in
-      let baseline = summary_of (Session.create suite) trace in
+      let baseline = summary_of (Session.create ~backend:direct suite) trace in
       resumed_summary suite trace cut = baseline)
 
 let () =

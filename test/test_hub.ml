@@ -151,8 +151,11 @@ let parse_suite src =
   | Ok s -> s
   | Error e -> Alcotest.failf "suite: %a" Suite.pp_error e
 
-(* Views of one shared flat engine are stepped engine-direct; per-pattern
-   backends are hosted per checker. *)
+(* The independent reference: the structural monitor, one per checker. *)
+let direct = Backend.per_pattern (fun p -> Backend.direct p)
+
+(* Views of one shared flat engine, the default, are stepped
+   engine-direct; per-pattern backends are hosted per checker. *)
 let test_flat_views_engine_direct () =
   let suite = parse_suite "one: {a, b} << i\ntwo: c <<! j\n" in
   let hub ?backend () =
@@ -160,7 +163,10 @@ let test_flat_views_engine_direct () =
   in
   Alcotest.(check bool) "flat views: one hosted engine" true
     (Hub.engine (hub ~backend:Backend.flat_views ()) <> None);
-  Alcotest.(check bool) "compiled: no engine" true (Hub.engine (hub ()) = None)
+  Alcotest.(check bool) "default: one hosted engine" true
+    (Hub.engine (hub ()) <> None);
+  Alcotest.(check bool) "per-pattern direct: no engine" true
+    (Hub.engine (hub ~backend:direct ()) = None)
 
 (* Feed timestamped [events] through a fresh hub over [suite]; [after]
    runs after every event.  Returns the hub and its violations as
@@ -188,8 +194,9 @@ let run_hosted ?metrics ?backend ?(after = fun _ -> ()) suite events =
 
 (* Shared names, a deadline, a violation and a foreign name: the
    delivery, step and dispatch counters read the same whichever path
-   hosts the suite (the steps family differs only in its backend
-   label), and so does every checker's [events_seen]. *)
+   hosts the suite, per checker on the structural monitor or
+   engine-direct (the steps family differs only in its backend label),
+   and so does every checker's [events_seen]. *)
 let test_metrics_match_across_hosting () =
   let suite =
     parse_suite
@@ -213,7 +220,7 @@ let test_metrics_match_across_hosting () =
       |> List.filter (fun l ->
              List.exists (fun prefix -> String.starts_with ~prefix l) families)
       |> List.map (fun l ->
-             (* drop the backend label: compiled vs flat *)
+             (* drop the backend label: direct vs flat *)
              if String.starts_with ~prefix:"loseq_backend_steps_total" l then
                "loseq_backend_steps_total "
                ^ List.nth (String.split_on_char ' ' l) 1
@@ -222,11 +229,11 @@ let test_metrics_match_across_hosting () =
     in
     (lines, List.map Checker.events_seen (Hub.checkers hub))
   in
-  let compiled_lines, compiled_seen = counters () in
+  let direct_lines, direct_seen = counters ~backend:direct () in
   let flat_lines, flat_seen = counters ~backend:Backend.flat_views () in
-  Alcotest.(check int) "families present" 6 (List.length compiled_lines);
-  Alcotest.(check (list string)) "exposition" compiled_lines flat_lines;
-  Alcotest.(check (list int)) "events_seen" compiled_seen flat_seen
+  Alcotest.(check int) "families present" 6 (List.length direct_lines);
+  Alcotest.(check (list string)) "exposition" direct_lines flat_lines;
+  Alcotest.(check (list int)) "events_seen" direct_seen flat_seen
 
 (* Two deadlines falling due at the same instant fire in suite order
    under both hostings; the wheel's heap history (which differs between
@@ -241,8 +248,8 @@ let test_same_instant_misses_in_suite_order () =
   let labels log = List.map (fun (l, t, _) -> (l, t)) log in
   let expected = [ ("t2", 0); ("t0", 3); ("t3", 3) ] in
   Alcotest.(check (list (pair string int)))
-    "compiled" expected
-    (labels (snd (run_hosted suite events)));
+    "per-checker direct" expected
+    (labels (snd (run_hosted ~backend:direct suite events)));
   Alcotest.(check (list (pair string int)))
     "engine-direct" expected
     (labels (snd (run_hosted ~backend:Backend.flat_views suite events)))
@@ -250,10 +257,10 @@ let test_same_instant_misses_in_suite_order () =
 (* Timed suites over a small shared name pool, events spaced so they
    land on, just before and just after deadlines: the engine path
    re-arms only the checkers the engine marked, and must still report
-   exactly what per-checker compiled hosting reports, with every
-   pending deadline live in the wheel after every event.  Flat views
-   that share no engine ([per_pattern flat]: one engine each) take
-   [attach_hub]'s per-view branch and must agree too. *)
+   exactly what the structural monitor hosted per checker reports,
+   with every pending deadline live in the wheel after every event.
+   Flat views that share no engine ([per_pattern flat]: one engine
+   each) take [attach_hub]'s per-view branch and must agree too. *)
 let gen_timed_case =
   let open QCheck2.Gen in
   let pool = [ "a"; "b"; "c"; "d"; "e" ] in
@@ -293,12 +300,12 @@ let print_timed_case (src, events) =
       (List.map (fun (t, nm) -> Printf.sprintf "%s@%d" nm t) events)
 
 let test_dirty_resettle =
-  qtest ~count:300 "engine-direct = per-checker compiled, wheel live"
+  qtest ~count:300 "engine-direct = per-checker direct, wheel live"
     gen_timed_case print_timed_case (fun (src, events) ->
       let suite = parse_suite src in
       let consistent = ref true in
       let after hub = if not (Hub.wheel_consistent hub) then consistent := false in
-      let _, compiled = run_hosted ~after suite events in
+      let _, reference = run_hosted ~backend:direct ~after suite events in
       let _, flat =
         run_hosted ~backend:Backend.flat_views ~after suite events
       in
@@ -308,7 +315,7 @@ let test_dirty_resettle =
       in
       !consistent
       && Hub.engine per_view_hub = None
-      && compiled = flat && compiled = per_view)
+      && reference = flat && reference = per_view)
 
 let () =
   Alcotest.run "hub"

@@ -214,7 +214,7 @@ let test_live_noop_agree =
       let live = Loseq_verif.Suite.check_trace ~metrics:m suite trace in
       plain = live
       && Obs.read_counter m ~name:"loseq_backend_steps_total"
-           ~labels:[ ("backend", "compiled") ]
+           ~labels:[ ("backend", "flat") ]
            ()
          = Some (List.length trace * List.length suite))
 

@@ -73,8 +73,13 @@ let run_serve ~trace serve =
   Sys.remove out_path;
   (code, lines)
 
-let compiled = Backend.per_pattern Backend.compiled
+(* What [serve --backend compiled] and [--backend flat] name: the one
+   suite engine, stepped engine-direct. *)
+let compiled = Backend.flat_views
 let flat = Backend.flat_views
+
+(* The structural monitor, one per checker: independent of that engine. *)
+let direct = Backend.per_pattern (fun p -> Backend.direct p)
 
 (* racy_ok.csv with its first two events (req@100, ack@200) arriving
    swapped: a late req inside a lateness-200 window. *)
@@ -165,11 +170,11 @@ let golden_cases =
     (* direct monitors have no persistence: the first checkpoint ends
        the run with a typed error record *)
     case "direct_checkpoint_refused" ~exit:2 ~suite:"ipu.suite" ~trace:ipu
-      ~backend:(Some (Backend.per_pattern (fun p -> Backend.direct p)))
-      ~checkpoint:"server_golden_direct.ckpt" ~checkpoint_every:20 ();
+      ~backend:(Some direct) ~checkpoint:"server_golden_direct.ckpt"
+      ~checkpoint_every:20 ();
   ]
 
-(* ---- checkpoint resume across default and compiled hosting -------------- *)
+(* ---- checkpoint resume ----------------------------------------------- *)
 
 let contains hay needle = has_line [ hay ] needle
 
@@ -198,9 +203,10 @@ let ipu_prefix () =
 
 (* Serve a prefix under [src] with periodic checkpoints, then resume
    the full stream under [dst]: the verdicts and exit code are those of
-   the uninterrupted compiled run.  [Some compiled] names the
-   compiled backend; [None] takes the default (flat engine).  Either
-   hosting writes the one flat-engine blob. *)
+   the uninterrupted run on the structural monitor (ipu's one Fail is
+   a deadline miss, which carries no event locator).  [Some compiled]
+   names the backend explicitly; [None] takes the default.  Both write
+   the one flat-engine blob. *)
 let test_resume ~src ~dst () =
   let suite = load_suite "ipu.suite" in
   let ckpt = Filename.temp_file "server_resume" ".ckpt" in
@@ -210,7 +216,7 @@ let test_resume ~src ~dst () =
         Server.serve ?backend ?checkpoint ?checkpoint_every ?resume ~out
           ~input:`Stdin suite)
   in
-  let full_code, full = serve ~backend:compiled (ipu ()) in
+  let full_code, full = serve ~backend:direct (ipu ()) in
   let _ = serve ?backend:src ~checkpoint:ckpt ~checkpoint_every:50 (ipu_prefix ()) in
   let written = String.concat "\n" (read_lines ckpt) in
   Alcotest.(check bool)
@@ -247,6 +253,34 @@ let test_resume_v1_refused () =
         (contains record "unsupported checkpoint version 1 (expected 2)")
   | _ -> Alcotest.failf "expected one record, got %d" (List.length lines)
 
+(* Resume reads only the hub's engine: a hosting without one refuses a
+   valid checkpoint, before the start record, with one typed [error]
+   record (the capture-side refusal's text) and exit 2. *)
+let test_resume_direct_refused () =
+  let suite = load_suite "ipu.suite" in
+  let ckpt = Filename.temp_file "server_direct_resume" ".ckpt" in
+  Sys.remove ckpt;
+  let _ =
+    run_serve ~trace:(ipu_prefix ()) (fun ~out ->
+        Server.serve ~checkpoint:ckpt ~checkpoint_every:50 ~out ~input:`Stdin
+          suite)
+  in
+  let code, lines =
+    run_serve ~trace:(ipu ()) (fun ~out ->
+        Server.serve ~backend:direct ~checkpoint:ckpt ~resume:true ~out
+          ~input:`Stdin suite)
+  in
+  Sys.remove ckpt;
+  Alcotest.(check int) "exit code" 2 code;
+  match lines with
+  | [ record ] ->
+      Alcotest.(check bool) "an error record" true
+        (contains record {|"type":"error"|});
+      Alcotest.(check bool) "naming the missing capability" true
+        (contains record
+           {|backend \"direct\" has no persistence capability (checkpointing requires the compiled or flat backend)|})
+  | _ -> Alcotest.failf "expected one record, got %d" (List.length lines)
+
 let resume_cases =
   [
     Alcotest.test_case "default -> compiled" `Quick
@@ -254,6 +288,8 @@ let resume_cases =
     Alcotest.test_case "compiled -> default" `Quick
       (test_resume ~src:(Some compiled) ~dst:None);
     Alcotest.test_case "v1 fixture refused" `Quick test_resume_v1_refused;
+    Alcotest.test_case "direct hosting refused" `Quick
+      test_resume_direct_refused;
   ]
 
 (* ---- artifact writes ---------------------------------------------------- *)
