@@ -154,25 +154,32 @@ let replay ?backend ~final_time ~label pattern chain =
   | [ (_, passed) ] -> passed
   | _ -> true
 
-let minimize ?backend ~final_time ~label pattern chain =
-  let fails c = not (replay ?backend ~final_time ~label pattern c) in
-  if not (fails chain) then chain
-  else begin
-    (* Greedy delta-debugging, one event at a time.  Walking from the
-       front drops prefix noise (events of completed rounds) first. *)
-    let keep = ref [] in
+let minimize ?(backend = Backend.flat_views) ~final_time ~label pattern chain =
+  (* One monitor for the whole minimization, reset before each
+     candidate. *)
+  let b = (backend [ (label, pattern) ]).(0) in
+  let fails c =
+    b.Backend.reset ();
+    List.iter (fun e -> ignore (b.Backend.step e)) (to_trace c);
+    not (Backend.passed (b.Backend.finalize ~now:final_time))
+  in
+  (* Greedy delta-debugging, one event at a time.  Walking from the
+     front drops prefix noise (events of completed rounds) first.  A
+     drop can make an event kept earlier droppable, so passes repeat
+     until one drops nothing: then the chain is 1-minimal. *)
+  let rec pass chain =
+    let keep = ref [] and dropped = ref false in
     let rec go = function
       | [] -> ()
       | e :: rest ->
-          if fails (List.rev_append !keep rest) then go rest
-          else begin
-            keep := e :: !keep;
-            go rest
-          end
+          if fails (List.rev_append !keep rest) then dropped := true
+          else keep := e :: !keep;
+          go rest
     in
     go chain;
-    List.rev !keep
-  end
+    if !dropped then pass (List.rev !keep) else chain
+  in
+  if fails chain then pass chain else chain
 
 (* ---- rendering ---------------------------------------------------------- *)
 

@@ -9,14 +9,15 @@
     ring is frozen at that instant together with the diagnostic.  The
     chain is then
     {e minimized} by greedy delta-debugging — drop one event at a
-    time, replay the candidate with {!Suite.check_trace}, keep the
-    drop when the entry still fails — so the reported chain is
-    1-minimal: removing any single event makes the failure disappear.
+    time, replay the candidate on one monitor reset between
+    candidates, keep the drop when the entry still fails, repeat until
+    nothing drops — so the reported chain is 1-minimal: removing any
+    single event makes the failure disappear.
 
     Minimized chains are attached to failed verdict NDJSON records by
     [serve] and replayed standalone by [loseq explain-verdict] (the
-    CI gate replays each chain on the compiled {e and} flat backends
-    and requires the same Fail). *)
+    CI gate replays each chain on the compiled backend {e and} on the
+    structural monitor, and requires the same Fail). *)
 
 open Loseq_core
 
@@ -92,8 +93,10 @@ val minimize :
   link list
 (** Greedy 1-minimal reduction of a failing chain: each event is
     dropped in turn and the drop kept when the entry still fails at
-    [final_time].  A chain that does not fail to begin with is
-    returned unchanged.  At most [O(n^2)] replays of at most [n]
+    [final_time], in passes until one drops nothing.  [backend]
+    (default {!Loseq_core.Backend.flat_views}) is built once and reset
+    before each candidate.  A chain that does not fail to begin with
+    is returned unchanged.  At most [O(n^2)] replays of at most [n]
     events, with [n] bounded by the recorder depth. *)
 
 (** {1 Rendering} *)

@@ -248,6 +248,9 @@ let test_prometheus_label_escaping () =
 let entry label src : Suite.entry = { Suite.label; pattern = pat src; line = 1 }
 let ev t nm = Trace.event ~time:t (name nm)
 
+(* The independent reference: the structural monitor. *)
+let direct = Backend.per_pattern (fun p -> Backend.direct p)
+
 let test_provenance_minimal_chain () =
   let suite = [ entry "p" "{a, b} <<! go" ] in
   let session = Session.create suite in
@@ -282,11 +285,11 @@ let test_provenance_minimal_chain () =
        (fun (l : Provenance.link) -> (l.time, Name.to_string l.name))
        chain);
   Alcotest.(check bool)
-    "chain replays to Fail on the compiled backend" false
+    "chain replays to Fail on the default engine" false
     (Provenance.replay ~final_time:ft ~label:"p" (pat "{a, b} <<! go") chain);
   Alcotest.(check bool)
-    "chain replays to Fail on the flat backend" false
-    (Provenance.replay ~backend:Backend.flat_views ~final_time:ft ~label:"p"
+    "chain replays to Fail on the structural monitor" false
+    (Provenance.replay ~backend:direct ~final_time:ft ~label:"p"
        (pat "{a, b} <<! go") chain);
   (* the JSON rendering parses back to the same chain *)
   let json = Provenance.chain_json ?violation:(Provenance.violation_of prov "p") chain in
@@ -324,6 +327,30 @@ let test_provenance_retraction () =
     [ ("p", 1) ]
     (Provenance.seen prov)
 
+(* Random failing (pattern, trace): the chain minimized on the default
+   engine fails under a fresh replay on the structural monitor, built
+   independently of that engine, and is 1-minimal there: dropping any
+   one event makes it pass.  Passing cases hold vacuously. *)
+let prop_minimized_chain =
+  qtest ~count:1000 "minimized chain fails and is 1-minimal"
+    gen_pattern_and_trace print_pattern_and_trace (fun (p, trace) ->
+      let final_time = Trace.end_time trace in
+      let replay chain =
+        Provenance.replay ~backend:direct ~final_time ~label:"p" p chain
+      in
+      let chain =
+        List.map
+          (fun (e : Trace.event) -> { Provenance.time = e.time; name = e.name })
+          trace
+      in
+      replay chain
+      ||
+      let minimized = Provenance.minimize ~final_time ~label:"p" p chain in
+      (not (replay minimized))
+      && List.for_all
+           (fun i -> replay (List.filteri (fun j _ -> j <> i) minimized))
+           (List.init (List.length minimized) Fun.id))
+
 (* ------------------------------------------------------------------------ *)
 
 let () =
@@ -355,5 +382,6 @@ let () =
             test_provenance_minimal_chain;
           Alcotest.test_case "retraction + seen counts" `Quick
             test_provenance_retraction;
+          prop_minimized_chain;
         ] );
     ]
