@@ -1602,11 +1602,12 @@ let trace_cmd =
 
 (* Standalone verdict provenance: reproduce a Fail from a recorded
    trace, minimize its causal chain, and prove the chain self-contained
-   by replaying it on both the compiled and the flat backend. *)
+   by replaying it on the compiled engine and on the structural
+   monitor, built independently of it. *)
 
 (* The minimal chain behind [property]'s Fail at [ft], printed; exit 0
-   when replaying the chain alone reproduces the Fail on both hosting
-   kinds, 2 otherwise. *)
+   when replaying the chain alone reproduces the Fail on both monitors,
+   2 otherwise. *)
 let explain_fail ~format ~property ~ft (entry : Suite.entry) prov =
   let chain =
     Prov.minimize ~final_time:ft ~label:property entry.pattern
@@ -1615,10 +1616,11 @@ let explain_fail ~format ~property ~ft (entry : Suite.entry) prov =
   let compiled_fails =
     not (Prov.replay ~final_time:ft ~label:property entry.pattern chain)
   in
-  let flat_fails =
+  let direct_fails =
     not
-      (Prov.replay ~backend:Backend.flat_views ~final_time:ft ~label:property
-         entry.pattern chain)
+      (Prov.replay
+         ~backend:(Backend.per_pattern (fun p -> Backend.direct p))
+         ~final_time:ft ~label:property entry.pattern chain)
   in
   (match format with
   | `Json ->
@@ -1634,7 +1636,7 @@ let explain_fail ~format ~property ~ft (entry : Suite.entry) prov =
                Json.Obj
                  [
                    ("compiled_fails", Json.Bool compiled_fails);
-                   ("flat_fails", Json.Bool flat_fails);
+                   ("direct_fails", Json.Bool direct_fails);
                  ] );
            ])
   | `Text ->
@@ -1647,10 +1649,10 @@ let explain_fail ~format ~property ~ft (entry : Suite.entry) prov =
       Option.iter
         (fun v -> Format.printf "  %s@." (Diag.violation_to_string v))
         (Prov.violation_of prov property);
-      Format.printf "replay: compiled %s, flat %s@."
+      Format.printf "replay: compiled %s, direct %s@."
         (if compiled_fails then "Fail" else "PASS")
-        (if flat_fails then "Fail" else "PASS"));
-  Ok (if compiled_fails && flat_fails then 0 else 2)
+        (if direct_fails then "Fail" else "PASS"));
+  Ok (if compiled_fails && direct_fails then 0 else 2)
 
 let explain_verdict_cmd =
   let run file property trace final_time format =
@@ -1699,7 +1701,7 @@ let explain_verdict_cmd =
        ~doc:
          "Reproduce a property's Fail from a recorded trace and print \
           the minimal causal chain behind it (delta-debugged verdict \
-          provenance, replay-checked on the compiled and flat backends)"
+          provenance, replay-checked on the compiled and direct backends)"
        ~man:
          [
            `S Cmdliner.Manpage.s_exit_status;

@@ -70,7 +70,7 @@
 #   verdict-provenance    failed serve verdicts carry a provenance
 #                         chain, and explain-verdict replays the
 #                         minimized chain to the same Fail on the
-#                         compiled and flat backends
+#                         compiled and direct backends
 #   cert-copies           16 renamed copies of ipu.suite certify like
 #                         one: serve --ooo emits the same
 #                         reorder-certificate record, and every copy's
@@ -476,15 +476,16 @@ echo "perturbed fanout: flat, compiled and direct agree on $(wc -l < "$WORK/fano
 gate "verdict-provenance"
 # every failed verdict must carry a provenance chain that replays to
 # the same Fail standalone — checked by explain-verdict, which
-# minimizes and replays on the compiled AND flat backends (exit 0
-# exactly when both reproduce the Fail).  The served chain above and
+# minimizes and replays on the compiled engine AND the structural
+# monitor, built independently of it (exit 0 exactly when both
+# reproduce the Fail).  The served chain above and
 # the explain-verdict chain come from the same recorder, so the gate
 # holds the NDJSON member and the replay tool together.
 grep '"passed":false' "$WORK/stream.verdicts" | grep -q '"provenance"'
 $LOSEQ explain-verdict --suite "$SUITE" --property recognition_bounded \
   --format json "$TRACE" > "$WORK/explain.json"
 grep -q '"compiled_fails": *true' "$WORK/explain.json"
-grep -q '"flat_fails": *true' "$WORK/explain.json"
+grep -q '"direct_fails": *true' "$WORK/explain.json"
 # a passing property has nothing to explain (exit 1, no chain)
 explain_pass=0
 $LOSEQ explain-verdict --suite "$SUITE" --property lock_protocol \

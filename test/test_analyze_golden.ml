@@ -246,6 +246,28 @@ let dfa_state_limit root =
      explode; that is what the modular monitors avoid)\n"
     err
 
+(* explain-verdict replays the minimized chain on the compiled engine
+   and on the structural monitor, built independently of it, and exits
+   0 when both reproduce the Fail. *)
+let explain_verdict_replays root =
+  let args format =
+    [
+      "explain-verdict"; "--suite"; "examples/specs/ipu.suite"; "--property";
+      "recognition_bounded"; "--format"; format; "examples/traces/ipu.csv";
+    ]
+  in
+  let code, out, _ = run root (args "text") in
+  Alcotest.(check int) "text: exit code" 0 code;
+  Alcotest.(check bool) "text: both replays fail" true
+    (contains ~sub:"replay: compiled Fail, direct Fail\n" out);
+  let code, out, _ = run root (args "json") in
+  Alcotest.(check int) "json: exit code" 0 code;
+  List.iter
+    (fun field ->
+      Alcotest.(check bool) field true
+        (contains ~sub:(Printf.sprintf "%S: true" field) out))
+    [ "compiled_fails"; "direct_fails" ]
+
 let subcommands =
   [
     "analyze"; "check"; "convert"; "cost"; "dfa"; "explain-verdict"; "feed";
@@ -363,6 +385,7 @@ let () =
             cli_case "traces dangling symlink" traces_dangling_symlink;
             cli_case "checkpoint directory" checkpoint_directory;
             cli_case "ooo backend refused" ooo_backend_refused;
+            cli_case "explain-verdict replays" explain_verdict_replays;
           ]
           @ List.map help_case
               (None :: List.map Option.some subcommands)
