@@ -908,7 +908,7 @@ let pp_mutation_summary ppf (s : Mutate.summary) =
     s.killed_differential s.stillborn
     (List.length s.survivors);
   Format.fprintf ppf
-    "kill rate %.1f%% of %d non-stillborn; %d flat/compiled lockstep \
+    "kill rate %.1f%% of %d non-stillborn; %d structural/compiled lockstep \
      replays, %d divergences@."
     (100. *. s.kill_rate)
     (s.generated - s.stillborn)
@@ -1000,7 +1000,7 @@ let mutate_cmd =
          "Mutation analysis of a property suite: seed first-order \
           faults into every compiled monitor and kill each mutant \
           statically, by exact product equivalence, or by differential \
-          replay (which doubles as flat-vs-compiled cross-validation)"
+          replay (which doubles as structural-vs-compiled cross-validation)"
        ~man:
          [
            `S Cmdliner.Manpage.s_exit_status;

@@ -182,7 +182,7 @@ let all =
        the suite with it (and its neighbourhood) closes the gap."
       None;
     e "backend-divergence" Finding.Error
-      "flat and per-monitor engines disagree on a replay"
+      "structural and compiled monitors disagree on a replay"
       "Replaying the same trace through the flat table engine (the \
        compiled monitor) and the structural per-monitor Drct \
        construction produced different verdicts.  The two are built \
