@@ -2,11 +2,15 @@ let backend_names = [ "direct"; "compiled"; "flat"; "psl" ]
 
 let backend_doc =
   "Monitor backend: $(b,direct) (the paper's structural Drct \
-   construction, richest diagnostics), $(b,compiled) (flat-table \
-   fast path, per checker; the default of $(b,check), $(b,suite) and \
-   $(b,soc)), $(b,flat) (whole-suite table engine: every checker's \
-   state packed into one array, one shared dispatch — the fastest \
-   hosted path), or $(b,psl) (formula progression over the Section-5 \
+   construction, one monitor per pattern, richest diagnostics), \
+   $(b,compiled) (the table-driven fast path and the default of \
+   $(b,check), $(b,suite), $(b,soc) and $(b,trace): one table per \
+   pattern on $(b,check) and $(b,soc), the suite engine on \
+   $(b,suite), $(b,serve) and $(b,trace)), $(b,flat) (the suite \
+   engine: the whole suite compiled into one table engine, every \
+   checker's state packed into one array, one shared dispatch — the \
+   fastest hosted path and the only hosting $(b,serve) can \
+   checkpoint), or $(b,psl) (formula progression over the Section-5 \
    PSL translation; rejects wide ranges and checks timed patterns \
    without their quantitative deadline). Without $(b,--backend), \
    $(b,serve) hosts buffered sessions on $(b,flat); $(b,--ooo) \

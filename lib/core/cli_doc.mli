@@ -1,10 +1,10 @@
 (** Shared command-line documentation fragments.
 
-    The [check]/[suite]/[serve] subcommands all take [--backend] and
-    the serve command additionally documents its hosting modes; the
-    strings live here — in one place the test suite can pin — so a new
-    backend or serve mode cannot be documented on one command and
-    silently missed on another. *)
+    The [check]/[suite]/[soc]/[trace]/[serve] subcommands all take
+    [--backend] and the serve command additionally documents its
+    hosting modes; the strings live here — in one place the test suite
+    can pin — so a new backend or serve mode cannot be documented on
+    one command and silently missed on another. *)
 
 val backend_names : string list
 (** Every selectable backend, in the order the CLI lists them:
@@ -12,7 +12,9 @@ val backend_names : string list
 
 val backend_doc : string
 (** The [--backend] option description shared by [check], [suite],
-    [soc] and [serve].  Mentions each of {!backend_names} and the
+    [soc], [trace] and [serve].  Mentions each of {!backend_names},
+    what [compiled] means where (one table per pattern on [check] and
+    [soc], the suite engine on [suite], [serve] and [trace]) and the
     defaults: [compiled] for the batch commands; for [serve], [flat]
     when buffered, and always [flat] under [--ooo], which refuses
     [--backend]. *)
