@@ -2,12 +2,14 @@
 # Live-ingestion end-to-end gate.  Each check is a named gate (grep the
 # name in the CI log to find it):
 #   convert-roundtrip     CSV -> LSQB binary -> CSV is byte-identical
-#   stream-batch-agreement  serve --backend compiled over stdin decides
+#   stream-batch-agreement  serve --backend compiled (on serve and
+#                         suite: the suite engine) over stdin decides
 #                         what `suite` decides
 #   crash-recovery        kill -TERM mid-stream under --backend compiled
 #                         writes the one checkpoint format ("version":2,
-#                         "engine":"flat"); --resume under compiled with
-#                         a full replay yields verdicts identical to the
+#                         "engine":"flat", the suite engine's blob);
+#                         --resume under compiled with a full replay
+#                         yields verdicts identical to the
 #                         uninterrupted streaming run
 #   ingest-throughput     one release run of the bench dispatch
 #                         section writes BENCH_dispatch.json, which
@@ -30,13 +32,13 @@
 #                         5% overhead bound in BENCH_dispatch.json is
 #                         advisory
 #   flat-agreement        serve --backend flat decides what the
-#                         compiled streaming run decides, and both
-#                         decide what --backend direct (the structural
-#                         monitor, built independently of the flat
-#                         engine that compiled also runs on) decides,
+#                         compiled streaming run (the same suite
+#                         engine) decides, and both decide what
+#                         --backend direct (the structural monitor,
+#                         built independently of that engine) decides,
 #                         verdict records compared without the
 #                         " on NAME (event #N)" locator
-#   default-serve         serve with no --backend (buffered: the flat
+#   default-serve         serve with no --backend (buffered: the suite
 #                         engine) writes verdict records identical to
 #                         --backend compiled and, modulo the locator,
 #                         to --backend direct, and a v2 checkpoint
@@ -172,7 +174,7 @@ kill_mid_stream() {
 gate "crash-recovery"
 CKPT="$WORK/loseq.ckpt"
 kill_mid_stream killed "$CKPT" --backend compiled
-# compiled hosting writes the flat-engine blob like every hosting
+# --backend compiled names the suite engine: its blob is the checkpoint
 grep -q '"version": *2,' "$CKPT"
 grep -q '"engine": *"flat"' "$CKPT"
 ckpt_events=$(grep '"type": *"checkpoint"' "$WORK/killed.ndjson" | tail -1 \
@@ -263,16 +265,16 @@ echo "scraped loseq_events_dispatched_total = $EVENTS (the fed count)"
 advisory metrics_within_5pct
 
 gate "flat-agreement"
-# the suite-level flat engine decides exactly what the compiled
-# streaming run decided, record for record
+# --backend flat names the suite engine that the compiled streaming
+# run stepped: the same verdict records, record for record
 flat_status=0
 $LOSEQ serve --suite "$SUITE" --backend flat < "$WORK/ipu.lsqb" \
   > "$WORK/flat.ndjson" || flat_status=$?
 test "$flat_status" -eq "$stream_status"
 grep '"type": *"verdict"' "$WORK/flat.ndjson" > "$WORK/flat.verdicts"
 cmp "$WORK/stream.verdicts" "$WORK/flat.verdicts"
-# compiled monitors run on one-checker flat engines, so the independent
-# side is the structural monitor
+# both run on the flat engine, so the independent side is the
+# structural monitor
 direct_status=0
 $LOSEQ serve --suite "$SUITE" --backend direct < "$WORK/ipu.lsqb" \
   > "$WORK/direct.ndjson" || direct_status=$?
@@ -283,7 +285,7 @@ cmp <(strip_prov "$WORK/flat.verdicts") \
 echo "flat streaming verdicts identical to compiled and direct (exit $flat_status)"
 
 gate "default-serve"
-# no --backend: buffered serve hosts the flat engine; its verdict
+# no --backend: buffered serve hosts the suite engine; its verdict
 # records (provenance included: same arrival order) are those of the
 # compiled run
 default_status=0

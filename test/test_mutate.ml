@@ -1,6 +1,6 @@
 (* Mutation analysis and reachable coverage: the quality gate turned on
    itself.  Pins the ipu.suite kill rate the CI mutation job gates on,
-   the stillborn pruning, the flat-vs-compiled cross-validation, the
+   the stillborn pruning, the structural-vs-compiled cross-validation, the
    kill-rate drop under a deliberately weakened trace set, the
    committed event-pattern catalog, the coverage scorer, and the
    Explain registry entries for every new finding code. *)
