@@ -117,10 +117,10 @@ val compiled : factory
 
 type suite_factory = (string * Pattern.t) list -> t array
 (** What every suite host ({!Loseq_verif.Suite.attach_hub} and
-    everything built on it, the server) takes
-    as its one [?backend] argument: the whole labelled suite in one
-    call, so the factory can share state across checkers.  The
-    returned array is in entry order. *)
+    everything built on it, the server) takes as its one [?backend]
+    argument: the whole labelled suite in one call, so the factory can
+    share state across checkers.  The returned array is in entry
+    order. *)
 
 val per_pattern : factory -> suite_factory
 (** One backend per entry, built independently — how the per-pattern

@@ -106,9 +106,8 @@ let shared_engine suite (views : Backend.t array) =
           Some eng
       | Some _ | None -> None)
 
-let attach_hub ?metrics ?trace
-    ?(backend = Backend.flat_views) ?latency_sample_rate tap
-    suite =
+let attach_hub ?metrics ?trace ?(backend = Backend.flat_views)
+    ?latency_sample_rate tap suite =
   let hub = Hub.create ?metrics ?trace tap in
   let views = backend (entries_of suite) in
   (* Views of one shared engine are hosted engine-direct; any other

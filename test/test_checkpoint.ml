@@ -98,7 +98,10 @@ let failing_trace =
     ev 110 "release_lock"; ev 120 "bus_idle" (* lock order broken *);
   ]
 
-let test_every_prefix_passing () = check_every_prefix demo_suite passing_trace
+let test_every_prefix_passing () =
+  check_every_prefix demo_suite passing_trace;
+  (* an empty suite hosts no engine, and still checkpoints *)
+  check_every_prefix [] passing_trace
 let test_every_prefix_failing () = check_every_prefix demo_suite failing_trace
 
 let flat = Backend.flat_views

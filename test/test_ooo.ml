@@ -24,6 +24,11 @@ let to_engine_suite suite =
 
 let passed_of summary = List.map (fun (l, v) -> (l, Backend.passed v)) summary
 
+(* The batch reference runs the structural monitor, built independently
+   of the flat engine the speculative and buffered hosts step. *)
+let batch =
+  Suite.check_trace ~backend:(Backend.per_pattern (fun p -> Backend.direct p))
+
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
@@ -120,7 +125,7 @@ let test_twin_engine_matches_batch () =
   Engine.finalize eng;
   Alcotest.(check (list (pair string bool)))
     "settled verdicts = batch on the chronological trace"
-    (Suite.check_trace ipu_suite (ipu_trace ()))
+    (batch ipu_suite (ipu_trace ()))
     (passed_of (Engine.report eng));
   let stats = Engine.stats eng in
   Alcotest.(check int) "late arrivals absorbed" 9 stats.Engine.late;
@@ -193,7 +198,7 @@ let test_commute_fast_path_in_place () =
   Engine.finalize eng;
   Alcotest.(check (list (pair string bool)))
     "agrees with batch on the chronological trace"
-    (Suite.check_trace suite [ ev 0 "a"; ev 10 "b"; ev 30 "go" ])
+    (batch suite [ ev 0 "a"; ev 10 "b"; ev 30 "go" ])
     (passed_of (Engine.report eng))
 
 let test_foreign_late_bypasses () =
@@ -300,7 +305,7 @@ let test_permutation_equivalence =
           { Suite.label = "p2"; pattern = p2; line = 2 };
         ]
       in
-      let batch = Suite.check_trace suite merged in
+      let batch = batch suite merged in
       let session = Session.create ~lateness:k suite in
       List.iter (Session.offer_force session) scrambled;
       let buffered = passed_of (Report.summary (Session.finalize session)) in

@@ -28,6 +28,11 @@ let run_streaming ?lateness ?window suite trace =
 
 let passed_of summary = List.map (fun (l, v) -> (l, Backend.passed v)) summary
 
+(* The batch reference runs the structural monitor, built independently
+   of the flat engine sessions host by default. *)
+let batch =
+  Suite.check_trace ~backend:(Backend.per_pattern (fun p -> Backend.direct p))
+
 (* ---- agreement with the batch checker --------------------------------- *)
 
 let test_agrees_with_batch_pass () =
@@ -39,7 +44,7 @@ let test_agrees_with_batch_pass () =
   in
   let _, summary = run_streaming ipu_suite trace in
   Alcotest.(check (list (pair string bool)))
-    "same verdicts" (Suite.check_trace ipu_suite trace) (passed_of summary)
+    "same verdicts" (batch ipu_suite trace) (passed_of summary)
 
 let test_agrees_with_batch_fail () =
   let trace =
@@ -47,7 +52,7 @@ let test_agrees_with_batch_fail () =
   in
   let _, summary = run_streaming ipu_suite trace in
   Alcotest.(check (list (pair string bool)))
-    "same verdicts" (Suite.check_trace ipu_suite trace) (passed_of summary)
+    "same verdicts" (batch ipu_suite trace) (passed_of summary)
 
 let test_deadline_fires_between_events () =
   (* The deadline miss must be reported when simulated time passes it —
@@ -89,7 +94,7 @@ let test_absorbs_disorder () =
   Alcotest.(check bool) "disorder absorbed" true (stats.reordered > 0);
   Alcotest.(check (list (pair string bool)))
     "verdicts = batch on the sorted trace"
-    (Suite.check_trace ipu_suite chronological)
+    (batch ipu_suite chronological)
     (passed_of (Report.summary report))
 
 let test_drops_late_events () =
