@@ -35,13 +35,16 @@ module Validator = struct
     end
 end
 
+(* Positions are formatted on the error path only: a good line never
+   pays for the ["line N"] string. *)
+let line_error lineno msg = Error (Printf.sprintf "line %d: %s" lineno msg)
+
 let parse_csv_line ~lineno ?validator line =
   let trimmed = String.trim line in
   if trimmed = "" || trimmed.[0] = '#' || trimmed = "time,name" then Ok None
   else
-    let pos = Printf.sprintf "line %d" lineno in
     match String.index_opt trimmed ',' with
-    | None -> Error (Printf.sprintf "%s: expected 'time,name'" pos)
+    | None -> line_error lineno "expected 'time,name'"
     | Some comma -> (
         let time_str = String.trim (String.sub trimmed 0 comma) in
         let name_str =
@@ -51,21 +54,19 @@ let parse_csv_line ~lineno ?validator line =
         in
         match (int_of_string_opt time_str, Name.v name_str) with
         | Some time, name -> (
-            let checked =
-              match validator with
-              | Some v -> Validator.check v ~pos ~time
-              | None ->
-                  if time < 0 then
-                    Error (Printf.sprintf "%s: negative timestamp %d" pos time)
-                  else Ok ()
-            in
-            match checked with
-            | Ok () -> Ok (Some { Trace.name; time })
-            | Error _ as e -> e)
+            match validator with
+            | Some v when not (Validator.accept v ~time) -> (
+                match
+                  Validator.check v ~pos:(Printf.sprintf "line %d" lineno) ~time
+                with
+                | Error msg -> Error msg
+                | Ok () -> assert false (* accept and check agree *))
+            | None when time < 0 ->
+                line_error lineno (Printf.sprintf "negative timestamp %d" time)
+            | Some _ | None -> Ok (Some { Trace.name; time }))
         | None, _ ->
-            Error (Printf.sprintf "%s: bad timestamp %S" pos time_str)
-        | exception Invalid_argument msg ->
-            Error (Printf.sprintf "%s: %s" pos msg))
+            line_error lineno (Printf.sprintf "bad timestamp %S" time_str)
+        | exception Invalid_argument msg -> line_error lineno msg)
 
 let of_csv source =
   let lines = String.split_on_char '\n' source in

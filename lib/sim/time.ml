@@ -28,14 +28,18 @@ let sec n =
 let to_ps t = t
 let to_ns_float t = float_of_int t /. 1_000.
 let add = ( + )
-let sub a b = Stdlib.max 0 (a - b)
+let sub a b =
+  let d = a - b in
+  if d > 0 then d else 0
 let mul t k = t * k
-let compare = Stdlib.compare
+(* Annotated at [int] so each compiles to an inline integer test, not a
+   call into the polymorphic comparison primitives. *)
+let compare = Int.compare
 let equal = Int.equal
-let ( <= ) = Stdlib.( <= )
-let ( < ) = Stdlib.( < )
-let min = Stdlib.min
-let max = Stdlib.max
+let ( <= ) (a : int) b = a <= b
+let ( < ) (a : int) b = a < b
+let min (a : int) b = if a <= b then a else b
+let max (a : int) b = if a >= b then a else b
 
 let pp ppf t =
   let units = [ (1_000_000_000_000, "s"); (1_000_000_000, "ms");
