@@ -485,8 +485,10 @@ let case_study () =
      time through the generic hub path;
    - flat engine: the hub stepping the engine's dispatch table directly.
    At N = 16 the layers above and beside the hub:
-   - decode only: the LSQB encoding of the stream through Codec.Decoder;
-   - decode + session: bytes -> decoder -> Session -> verdicts;
+   - decode only: the LSQB encoding of the stream through
+     Codec.Decoder.feed_ids;
+   - decode + session: bytes -> decoder -> Session.wire (the admission
+     serve feeds LSQB through) -> verdicts;
    - hub + metrics, hub + trace: the hub with a live Obs registry or a
      live flight-recorder ring.
    Five bounds are read off time ratios taken within each round (their
@@ -569,14 +571,16 @@ let dispatch () =
   in
   let ((_, suite16, stream16) as w16) = workload layered in
   let bytes = Codec.encode_exn (Array.to_list stream16) in
+  (* [emit decoder] admits the decoder's (stream id, time) pairs *)
   let decode ~emit =
     let decoder = Codec.Decoder.create () in
+    let emit = emit decoder in
     let chunk = 65_536 and len = String.length bytes in
     let rec go off =
       if off < len then begin
         let l = min chunk (len - off) in
         Result.iter_error failwith
-          (Codec.Decoder.feed decoder ~off ~len:l bytes ~emit);
+          (Codec.Decoder.feed_ids decoder ~off ~len:l bytes ~emit);
         go (off + l)
       end
     in
@@ -599,10 +603,10 @@ let dispatch () =
         fun () ->
           let session = Session.create suite16 in
           fun () ->
-            decode ~emit:(Session.offer_force session);
+            decode ~emit:(Session.wire session);
             ignore (Session.finalize session);
             assert (Session.all_passed session) );
-      ("decode_only", fun () () -> decode ~emit:ignore);
+      ("decode_only", fun () () -> decode ~emit:(fun _ _ _ -> ()));
     ]
   in
   (* in-round order: the hub last among the hostings, then its layers

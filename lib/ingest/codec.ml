@@ -143,6 +143,7 @@ module Decoder = struct
     mutable events : int;
     mutable records : int;
     mutable consumed : int;  (* absolute offset of [pending]'s start *)
+    mutable next : int;  (* position after the last varint read *)
   }
 
   let create () =
@@ -156,10 +157,16 @@ module Decoder = struct
       events = 0;
       records = 0;
       consumed = 0;
+      next = 0;
     }
 
   let events t = t.events
   let bytes_consumed t = t.consumed
+  let defined t = t.defined
+
+  let name t id =
+    if id < 0 || id >= t.defined then invalid_arg "Codec.Decoder.name"
+    else t.names.(id)
 
   let fail t msg =
     t.state <- Failed msg;
@@ -178,86 +185,98 @@ module Decoder = struct
     t.names.(t.defined) <- name;
     t.defined <- t.defined + 1
 
-  exception Overlong
+  (* Parse errors thrown out of the record loop: [Malformed] gets the
+     record ordinal and byte offset prefixed by {!feed_ids};
+     [Rejected] carries its own position. *)
+  exception Malformed of string
+  exception Rejected of string
 
-  (* Varint at [pos]; [None] when [s] ends mid-varint.  Raises
-     {!Overlong} past 63 bits (a malformed stream must not spin the
-     reader or wrap the accumulator). *)
-  let read_varint s pos limit =
-    let rec loop pos shift acc =
-      if pos >= limit then None
-      else if shift > 63 then raise Overlong
+  (* Varint at [pos]: returns its value and leaves the position after
+     it in [t.next], or sets [t.next] to -1 when [s] ends mid-varint.
+     Raises past 63 bits (a malformed stream must not spin the reader
+     or wrap the accumulator).  Allocation-free: no option, no pair. *)
+  let rec varint t s limit pos shift acc =
+    if pos >= limit then begin
+      t.next <- -1;
+      0
+    end
+    else if shift > 63 then
+      raise (Malformed "overlong varint (more than 63 bits)")
+    else
+      let b = Char.code (String.unsafe_get s pos) in
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b land 0x80 = 0 then begin
+        t.next <- pos + 1;
+        acc
+      end
+      else varint t s limit (pos + 1) (shift + 7) acc
+
+  (* One record from [s] at [pos]: the position after it, or -1 when
+     [s] ends inside it (the suffix stays buffered for the next feed).
+     An event record calls [emit stream_id time]; an end record moves
+     the decoder to [Ended]. *)
+  let record t s pos limit emit =
+    let tag = Char.code (String.unsafe_get s pos) in
+    if tag = tag_event then begin
+      let id = varint t s limit (pos + 1) 0 0 in
+      if t.next < 0 then -1
       else
-        let b = Char.code s.[pos] in
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b land 0x80 = 0 then Some (acc, pos + 1)
-        else loop (pos + 1) (shift + 7) acc
-    in
-    loop pos 0 0
+        let delta = varint t s limit t.next 0 0 in
+        let next = t.next in
+        if next < 0 then -1
+        else if id < 0 || id >= t.defined then
+          raise
+            (Malformed
+               (Printf.sprintf "event references undefined name id %d" id))
+        else
+          let time = t.prev_time + delta in
+          if Trace_io.Validator.accept t.validator ~time then begin
+            t.prev_time <- time;
+            t.events <- t.events + 1;
+            emit id time;
+            next
+          end
+          else
+            (* deltas are unsigned, so only a negative absolute first
+               timestamp can land here *)
+            let pos =
+              Printf.sprintf "record %d (byte %d)" (t.records + 1) t.consumed
+            in
+            match Trace_io.Validator.check t.validator ~pos ~time with
+            | Error msg -> raise (Rejected msg)
+            | Ok () -> assert false (* accept and check agree *)
+    end
+    else if tag = tag_define then begin
+      let len = varint t s limit (pos + 1) 0 0 in
+      let p = t.next in
+      if p < 0 then -1
+      else if len > max_name_len then
+        raise (Malformed (Printf.sprintf "name of %d bytes exceeds limit" len))
+      else if p + len > limit then -1
+      else
+        match Name.v (String.sub s p len) with
+        | name ->
+            define t name;
+            p + len
+        | exception Invalid_argument msg -> raise (Malformed msg)
+    end
+    else if tag = tag_end then begin
+      let count = varint t s limit (pos + 1) 0 0 in
+      let p = t.next in
+      if p < 0 then -1
+      else if count <> t.events then
+        raise
+          (Malformed
+             (Printf.sprintf "end record claims %d events, decoded %d" count
+                t.events))
+      else begin
+        t.state <- Ended;
+        p
+      end
+    end
+    else raise (Malformed (Printf.sprintf "unknown record tag 0x%02x" tag))
 
-  (* One record from [s] starting at [pos]; [`Incomplete] leaves the
-     suffix buffered for the next feed. *)
-  let rec parse_record t s pos limit emit =
-    try parse_record_exn t s pos limit emit
-    with Overlong -> `Error "overlong varint (more than 63 bits)"
-
-  and parse_record_exn t s pos limit emit =
-    let tag = Char.code s.[pos] in
-    if tag = tag_define then
-      match read_varint s (pos + 1) limit with
-      | None -> `Incomplete
-      | Some (len, p) ->
-          if len > max_name_len then
-            `Error (Printf.sprintf "name of %d bytes exceeds limit" len)
-          else if p + len > limit then `Incomplete
-          else (
-            match Name.v (String.sub s p len) with
-            | name ->
-                define t name;
-                `Record (p + len)
-            | exception Invalid_argument msg -> `Error msg)
-    else if tag = tag_event then
-      match read_varint s (pos + 1) limit with
-      | None -> `Incomplete
-      | Some (id, p) -> (
-          match read_varint s p limit with
-          | None -> `Incomplete
-          | Some (delta, p) ->
-              if id >= t.defined then
-                `Error
-                  (Printf.sprintf "event references undefined name id %d" id)
-              else
-                let time = t.prev_time + delta in
-                if Trace_io.Validator.accept t.validator ~time then begin
-                  t.prev_time <- time;
-                  t.events <- t.events + 1;
-                  emit { Trace.name = t.names.(id); time };
-                  `Record p
-                end
-                else
-                  (* deltas are unsigned, so only a negative absolute
-                     first timestamp can land here *)
-                  let pos_label =
-                    Printf.sprintf "record %d (byte %d)" (t.records + 1)
-                      t.consumed
-                  in
-                  (match
-                     Trace_io.Validator.check t.validator ~pos:pos_label ~time
-                   with
-                  | Error msg -> `Error_plain msg
-                  | Ok () -> assert false (* accept and check agree *)))
-    else if tag = tag_end then
-      match read_varint s (pos + 1) limit with
-      | None -> `Incomplete
-      | Some (count, p) ->
-          if count <> t.events then
-            `Error
-              (Printf.sprintf "end record claims %d events, decoded %d" count
-                 t.events)
-          else `End p
-    else `Error (Printf.sprintf "unknown record tag 0x%02x" tag)
-
-  let feed t ?(off = 0) ?len s ~emit =
+  let feed_ids t ?(off = 0) ?len s ~emit =
     let len = match len with Some l -> l | None -> String.length s - off in
     match t.state with
     | Failed msg -> Error msg
@@ -295,35 +314,30 @@ module Decoder = struct
         | `Incomplete ->
             t.pending <- String.sub s !pos (limit - !pos);
             Ok ()
-        | `Ok ->
-            let result = ref (Ok ()) in
-            let continue_ = ref true in
-            while !continue_ && !pos < limit do
-              match parse_record t s !pos limit emit with
-              | `Record p ->
+        | `Ok -> (
+            let rec records pos =
+              if pos >= limit then Ok ()
+              else
+                let p = record t s pos limit emit in
+                if p < 0 then begin
+                  t.pending <- String.sub s pos (limit - pos);
+                  Ok ()
+                end
+                else begin
                   t.records <- t.records + 1;
-                  t.consumed <- t.consumed + (p - !pos);
-                  pos := p
-              | `End p ->
-                  t.records <- t.records + 1;
-                  t.consumed <- t.consumed + (p - !pos);
-                  pos := p;
-                  t.state <- Ended;
-                  if !pos < limit then begin
-                    result := fail t "data after the end record";
-                    continue_ := false
-                  end
-              | `Incomplete ->
-                  t.pending <- String.sub s !pos (limit - !pos);
-                  continue_ := false
-              | `Error msg ->
-                  result := fail_at t msg;
-                  continue_ := false
-              | `Error_plain msg ->
-                  result := fail t msg;
-                  continue_ := false
-            done;
-            !result)
+                  t.consumed <- t.consumed + (p - pos);
+                  match t.state with
+                  | Ended when p < limit -> fail t "data after the end record"
+                  | _ -> records p
+                end
+            in
+            try records !pos with
+            | Malformed msg -> fail_at t msg
+            | Rejected msg -> fail t msg))
+
+  let feed t ?off ?len s ~emit =
+    feed_ids t ?off ?len s ~emit:(fun id time ->
+        emit { Trace.name = t.names.(id); time })
 
   let finish t =
     match t.state with

@@ -85,15 +85,35 @@ module Decoder : sig
 
   val create : unit -> t
 
+  val feed_ids :
+    t -> ?off:int -> ?len:int -> string ->
+    emit:(int -> int -> unit) ->
+    (unit, string) result
+  (** The parser: consume one chunk, calling [emit id time] for every
+      event completed by it, with [id] the stream's own name id (the
+      ordinal of its define record; {!name} maps it back) and [time]
+      absolute.  Partial records are buffered across calls; chunk
+      boundaries are arbitrary.  An event record costs no allocation:
+      no {!Loseq_core.Trace.event} is built and no name is hashed, so a
+      host can resolve each id once and admit [(id, time)] pairs
+      (see {!Session.wire}).  Errors (bad magic, unknown tag, invalid
+      name, id out of range, count mismatch, data after the end
+      record) are sticky: every later call fails with the same
+      message. *)
+
   val feed :
     t -> ?off:int -> ?len:int -> string ->
     emit:(Trace.event -> unit) ->
     (unit, string) result
-  (** Consume one chunk, invoking [emit] for every event completed by
-      it.  Partial records are buffered across calls; chunk boundaries
-      are arbitrary.  Errors (bad magic, unknown tag, invalid name, id
-      out of range, count mismatch, data after the end record) are
-      sticky: every later call fails with the same message. *)
+  (** {!feed_ids} with each event built from the name table: same
+      parser, same errors. *)
+
+  val name : t -> int -> Name.t
+  (** The name stream id [id] was defined as.  Raises
+      [Invalid_argument] unless [0 <= id < defined t]. *)
+
+  val defined : t -> int
+  (** Names defined so far: every id {!feed_ids} emits is below it. *)
 
   val finish : t -> (unit, string) result
   (** Signal end of input; fails if the stream stops mid-record. *)

@@ -43,9 +43,11 @@ exception Input_error of string
 
 type csv_state = { mutable partial : string; mutable lineno : int }
 
+(* A binary stream carries its decoder and the [emit] that admits its
+   [(stream id, time)] pairs. *)
 type parser_state =
   | Sniffing of Buffer.t
-  | Binary of Codec.Decoder.t
+  | Binary of Codec.Decoder.t * (int -> int -> unit)
   | Csv of csv_state
 
 let feed_csv st chunk ~push =
@@ -64,16 +66,18 @@ let feed_csv st chunk ~push =
   in
   split 0
 
-let feed_binary dec chunk ~push =
-  match Codec.Decoder.feed dec chunk ~emit:push with
+let feed_binary dec chunk ~emit =
+  match Codec.Decoder.feed_ids dec chunk ~emit with
   | Ok () -> ()
   | Error msg -> raise (Input_error msg)
 
 (* Route one chunk; the first chunk(s) resolve the format (binary iff
-   the stream starts with the LSQB magic). *)
-let rec feed_chunk state chunk ~push =
+   the stream starts with the LSQB magic).  CSV lines reach [push] as
+   events; a binary stream's events reach the emitter [wire] builds for
+   its decoder as [(stream id, time)]. *)
+let rec feed_chunk state chunk ~push ~wire =
   match !state with
-  | Binary dec -> feed_binary dec chunk ~push
+  | Binary (dec, emit) -> feed_binary dec chunk ~emit
   | Csv st -> feed_csv st chunk ~push
   | Sniffing buf ->
       Buffer.add_string buf chunk;
@@ -83,14 +87,16 @@ let rec feed_chunk state chunk ~push =
          ambiguous: keep sniffing *)
       if not (binary && String.length data < String.length Codec.magic) then begin
         state :=
-          if binary then Binary (Codec.Decoder.create ())
+          if binary then
+            let dec = Codec.Decoder.create () in
+            Binary (dec, wire dec)
           else Csv { partial = ""; lineno = 0 };
-        feed_chunk state data ~push
+        feed_chunk state data ~push ~wire
       end
 
 let finish_input state ~push =
   match !state with
-  | Binary dec -> (
+  | Binary (dec, _) -> (
       match Codec.Decoder.finish dec with
       | Ok () -> ()
       | Error msg -> raise (Input_error msg))
@@ -453,6 +459,8 @@ type host = {
   certificate : unit -> Loseq_analysis.Robust.certificate;
   skip : int;  (** leading events a resumed host already accounts for *)
   offer : Trace.event -> unit;
+  wire : Codec.Decoder.t -> int -> int -> unit;
+      (** the emitter of a binary stream's [(stream id, time)] pairs *)
   position : unit -> int;  (** events accepted so far *)
   stats : unit -> (string * Json.t) list;
   finalize : unit -> (string * Backend.verdict) list * string list * int;
@@ -508,6 +516,7 @@ let buffered ~metrics ~trace ?backend ?latency_sample_rate ~lateness ~window
         certificate = (fun () -> Session.reorder_certificate session);
         skip;
         offer = Session.offer_force session;
+        wire = Session.wire session;
         position = (fun () -> Session.position session);
         stats = counters ~max_seen:false;
         finalize =
@@ -567,6 +576,13 @@ let speculative ~metrics ~trace ~lateness ?final_time ~out suite =
       (List.map (fun (e : Suite.entry) -> (e.label, e.pattern)) suite)
   in
   let offered = ref 0 in
+  let offer (e : Trace.event) =
+    incr offered;
+    (* Ring first, offer second: a violation the offer raises
+       synchronously must find its deciding event captured. *)
+    Provenance.record prov ~time:e.time e.name;
+    ignore (Engine.offer engine e)
+  in
   let counters () =
     let s = Engine.stats engine in
     [
@@ -586,13 +602,9 @@ let speculative ~metrics ~trace ~lateness ?final_time ~out suite =
       lateness;
       certificate = (fun () -> Engine.certificate engine);
       skip = 0;
-      offer =
-        (fun e ->
-          incr offered;
-          (* Ring first, offer second: a violation the offer raises
-             synchronously must find its deciding event captured. *)
-          Provenance.record prov ~time:e.time e.name;
-          ignore (Engine.offer engine e));
+      offer;
+      wire =
+        (fun dec sid time -> offer { Trace.name = Codec.Decoder.name dec sid; time });
       position = (fun () -> !offered);
       stats =
         (fun () ->
@@ -676,18 +688,34 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
       ~checkers:(Provenance.seen host.prov)
   in
   let offered = ref 0 in
-  let push e =
+  (* Count one input event; [false] while a resumed host skips what it
+     already accounts for. *)
+  let fresh () =
     incr offered;
     obs (fun o -> Obs.incr o.records);
-    if !offered > host.skip then begin
+    !offered > host.skip
+  in
+  let admitted () =
+    let pos = host.position () in
+    if checkpoint_every > 0 && pos mod checkpoint_every = 0 then
+      save_checkpoint ();
+    if stats_interval > 0 && pos mod stats_interval = 0 then
+      emit_record out
+        (Json.Obj (("type", Json.String "stats") :: host.stats ()))
+  in
+  let push e =
+    if fresh () then begin
       host.offer e;
-      let pos = host.position () in
-      if checkpoint_every > 0 && pos mod checkpoint_every = 0 then
-        save_checkpoint ();
-      if stats_interval > 0 && pos mod stats_interval = 0 then
-        emit_record out
-          (Json.Obj (("type", Json.String "stats") :: host.stats ()))
+      admitted ()
     end
+  in
+  let wire dec =
+    let offer = host.wire dec in
+    fun sid time ->
+      if fresh () then begin
+        offer sid time;
+        admitted ()
+      end
   in
   match
     with_signals @@ fun () ->
@@ -706,7 +734,7 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
     let consume chunk =
       obs (fun o -> Obs.add o.bytes_in (String.length chunk));
       Tr.emit trace admit Tr.Span_begin 0;
-      feed_chunk state chunk ~push;
+      feed_chunk state chunk ~push ~wire;
       Tr.emit trace admit Tr.Span_end (String.length chunk)
     in
     match stream_loop ~fd ~metrics ~consume http with

@@ -50,31 +50,38 @@ let create ?metrics ?(trace = Tr.noop) ?backend ?latency_sample_rate
 (* Advance the private kernel to the event's timestamp first: the hub's
    merged deadline wheel fires any deadline that elapses on the way, so
    a deadline-only violation is reported between stream events exactly
-   as it would be mid-simulation. *)
-let deliver t (e : Trace.event) =
-  let until = Time.ps e.time in
-  if Time.( < ) (Kernel.now t.kernel) until then Kernel.run ~until t.kernel;
-  Tap.emit_name t.tap e.name;
+   as it would be mid-simulation.  [id] is the name's tap id, or -1 for
+   a name no checker hears, which then travels as [name]. *)
+let deliver t id name ~time =
+  let until = Time.ps time in
+  if Time.( < ) (Kernel.now t.kernel) until then Kernel.advance t.kernel ~until;
+  if id >= 0 then Tap.emit_id t.tap id else Tap.emit_name t.tap name;
   t.delivered <- t.delivered + 1
 
-let offer t (e : Trace.event) =
+let deliver_event t (e : Trace.event) =
+  deliver t (Tap.lookup t.tap e.name) e.name ~time:e.time
+
+(* The one admission.  [name] is the tap's own name for [id] >= 0 and
+   is read only when the event must be queued. *)
+let admit t id name ~time =
   (* In-order fast path: with no reorder margin and nothing buffered an
-     admissible event cannot be overtaken, so it skips the heap. *)
+     admissible event cannot be overtaken, so it skips the heap and
+     carries ints only. *)
   if
     t.lateness = 0
     && Reorder.is_empty t.reorder
-    && e.time >= Reorder.floor t.reorder
+    && time >= Reorder.floor t.reorder
   then begin
-    Reorder.note_delivered t.reorder e.time;
-    deliver t e;
+    Reorder.note_delivered t.reorder time;
+    deliver t id name ~time;
     t.accepted <- t.accepted + 1;
     `Accepted
   end
   else
-    match Reorder.push t.reorder e with
+    match Reorder.push t.reorder { Trace.name; time } with
     | `Queued ->
         t.accepted <- t.accepted + 1;
-        ignore (Reorder.drain t.reorder ~emit:(deliver t));
+        ignore (Reorder.drain t.reorder ~emit:(deliver_event t));
         `Accepted
     | `Dropped_late ->
         t.accepted <- t.accepted + 1;
@@ -84,13 +91,14 @@ let offer t (e : Trace.event) =
 let force_drain t =
   match Reorder.pop_oldest t.reorder with
   | Some e ->
-      deliver t e;
+      deliver_event t e;
       t.forced <- t.forced + 1;
       true
   | None -> false
 
-let offer_force t e =
-  match offer t e with
+(* [admit], force-draining until accepted. *)
+let admit_force t id name ~time =
+  match admit t id name ~time with
   | `Accepted -> ()
   | `Blocked ->
       (* Backpressure stall: drain by force until the event fits.  The
@@ -105,14 +113,54 @@ let offer_force t e =
       let rec force () =
         ignore (force_drain t);
         incr drained;
-        match offer t e with `Accepted -> () | `Blocked -> force ()
+        match admit t id name ~time with `Accepted -> () | `Blocked -> force ()
       in
       force ();
       (match t.trc with
       | Some c -> Tr.emit c.tr c.tr_stall Tr.Span_end !drained
       | None -> ())
 
-let flush t = ignore (Reorder.flush t.reorder ~emit:(deliver t))
+let resolve t name = Tap.lookup t.tap name
+
+let known t id =
+  if id < 0 then invalid_arg "Session.offer_id: not a tap id";
+  Tap.name t.tap id
+
+let offer_id t id ~time = admit t id (known t id) ~time
+let offer_id_force t id ~time = admit_force t id (known t id) ~time
+let offer t (e : Trace.event) = admit t (resolve t e.name) e.name ~time:e.time
+
+let offer_force t (e : Trace.event) =
+  admit_force t (resolve t e.name) e.name ~time:e.time
+
+(* Stream ids resolve to tap ids once, at first use: -2 marks an id not
+   resolved yet, -1 a name no checker hears.  The table grows with the
+   ids actually used, never past the decoder's own name table. *)
+type wire = { mutable ids : int array }
+
+let wire t dec =
+  let w = { ids = [||] } in
+  fun sid time ->
+    let len = Array.length w.ids in
+    if sid >= len then begin
+      let grown =
+        Array.make
+          (max (sid + 1) (min (Codec.Decoder.defined dec) (max 16 (2 * len))))
+          (-2)
+      in
+      Array.blit w.ids 0 grown 0 len;
+      w.ids <- grown
+    end;
+    let id = w.ids.(sid) in
+    if id >= 0 then admit_force t id (Tap.name t.tap id) ~time
+    else begin
+      let name = Codec.Decoder.name dec sid in
+      let id = if id = -2 then resolve t name else id in
+      w.ids.(sid) <- id;
+      admit_force t id (if id >= 0 then Tap.name t.tap id else name) ~time
+    end
+
+let flush t = ignore (Reorder.flush t.reorder ~emit:(deliver_event t))
 
 let now t = Time.to_ps (Kernel.now t.kernel)
 

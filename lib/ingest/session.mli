@@ -49,9 +49,10 @@ val create :
     raises. *)
 
 val offer : t -> Trace.event -> [ `Accepted | `Blocked ]
-(** Feed one event.  [`Accepted]: consumed — delivered now, buffered,
-    or counted dropped-late.  [`Blocked]: {e not} consumed, the pending
-    window is full. *)
+(** Feed one event: {!resolve} its name, then admit it as {!offer_id}
+    does.  [`Accepted]: consumed — delivered now, buffered, or counted
+    dropped-late.  [`Blocked]: {e not} consumed, the pending window is
+    full. *)
 
 val force_drain : t -> bool
 (** Deliver the oldest pending event even though its watermark has not
@@ -61,6 +62,38 @@ val force_drain : t -> bool
 val offer_force : t -> Trace.event -> unit
 (** [offer], force-draining until accepted — the standard server
     policy under backpressure. *)
+
+(** {1 Admission by id}
+
+    A host that knows its names up front resolves each one once to the
+    session tap's dense id ({!Loseq_verif.Tap.lookup}) and admits
+    [(id, time)] pairs.  Every admission — these, {!offer} and
+    {!offer_force} — goes through one core: in order with lateness 0,
+    the event reaches the engine as ints (no name hashing, no event
+    record built before the tap); on the reorder path the event is
+    built from the tap's name table only to be queued.  Backpressure,
+    forced drains and every counter behave the same on both entry
+    points. *)
+
+val resolve : t -> Loseq_core.Name.t -> int
+(** The tap id of a name some checker hears, or [-1]: such a name is
+    still counted and advances time, so admit it through {!offer}.
+    Stable once the session is created and its observers (such as a
+    {!Loseq_verif.Provenance} recorder) are attached. *)
+
+val offer_id : t -> int -> time:int -> [ `Accepted | `Blocked ]
+(** {!offer} of the name with tap id [id].  Raises [Invalid_argument]
+    on a negative [id]. *)
+
+val offer_id_force : t -> int -> time:int -> unit
+(** {!offer_id}, force-draining until accepted. *)
+
+val wire : t -> Codec.Decoder.t -> int -> int -> unit
+(** [wire t dec] is the [emit] callback for {!Codec.Decoder.feed_ids}
+    that [serve] uses: [wire t dec sid time] admits one event as
+    {!offer_force} would, mapping the LSQB stream id [sid] to its tap
+    id once, at first use, in a growable int table that never outgrows
+    [dec]'s own name table. *)
 
 val flush : t -> unit
 (** Deliver everything pending, in timestamp order. *)

@@ -67,6 +67,10 @@ val run : ?until:Time.t -> t -> unit
     until {!stop} is requested.  Exceptions raised by processes
     propagate. *)
 
+val advance : t -> until:Time.t -> unit
+(** [run ~until], without allocating when no activity is due by
+    [until] (then only [now] moves). *)
+
 val stop : t -> unit
 (** Request termination ([sc_stop] analogue): {!run} returns once the
     currently running process suspends; pending activity is left in

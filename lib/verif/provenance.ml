@@ -4,13 +4,15 @@ type link = { time : int; name : Name.t }
 
 (* Per-entry bounded ring of recent alphabet events.  Like the
    flight-recorder ring, the write index is [total land mask] so the
-   oldest slot is overwritten and nothing is shifted. *)
+   oldest slot is overwritten and nothing is shifted.  A slot holds a
+   time and the name's index in the ring's own alphabet array: a push
+   writes two ints and no pointer. *)
 type ring = {
   label : string;
   pattern : Pattern.t;
-  alpha : Name.Set.t;
+  alpha : Name.t array;  (* the entry's alphabet, sorted *)
   times : int array;
-  names : Name.t array;
+  slots : int array;  (* index into [alpha] *)
   mask : int;
   mutable total : int;
   mutable freeze_time : int option;
@@ -18,10 +20,14 @@ type ring = {
   mutable violation : Diag.violation option;
 }
 
+(* Everything one name feeds: the rings listening to it, and the name's
+   index in each ring's alphabet. *)
+type route = { ring_ids : int array; ring_slots : int array }
+
 type t = {
   rings : ring array;
   by_label : (string, int) Hashtbl.t;
-  route : int list Name.Map.t;  (* name -> rings listening, for {!record} *)
+  routes : route Name.Map.t;
 }
 
 let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
@@ -32,7 +38,8 @@ let snapshot r =
     if k < r.total - len then acc
     else
       let i = k land r.mask in
-      collect (k - 1) ({ time = r.times.(i); name = r.names.(i) } :: acc)
+      collect (k - 1)
+        ({ time = r.times.(i); name = r.alpha.(r.slots.(i)) } :: acc)
   in
   (* arrival order; sort makes the chain chronological even when fed
      out of order (the speculative engine's arrival stream) *)
@@ -46,18 +53,22 @@ let snapshot r =
    ring only after {!note_violation}.  So freezing is by time, not by
    snapshot: pushes at or before the violation instant still land, and
    the chain is cut at read time. *)
-let push r ~time name =
+let push r ~time slot =
   match r.freeze_time with
   | Some ft when time > ft -> ()
   | _ ->
       let i = r.total land r.mask in
       r.times.(i) <- time;
-      r.names.(i) <- name;
+      r.slots.(i) <- slot;
       r.total <- r.total + 1
+
+let push_route t route ~time =
+  for k = 0 to Array.length route.ring_ids - 1 do
+    push t.rings.(route.ring_ids.(k)) ~time route.ring_slots.(k)
+  done
 
 let make_rings depth suite =
   let depth = pow2 (max depth 1) 1 in
-  let dummy = Name.v "_" in
   let rings =
     Array.of_list
       (List.map
@@ -65,9 +76,9 @@ let make_rings depth suite =
            {
              label = e.label;
              pattern = e.pattern;
-             alpha = Pattern.alpha e.pattern;
+             alpha = Array.of_list (Name.Set.elements (Pattern.alpha e.pattern));
              times = Array.make depth 0;
-             names = Array.make depth dummy;
+             slots = Array.make depth 0;
              mask = depth - 1;
              total = 0;
              freeze_time = None;
@@ -77,38 +88,41 @@ let make_rings depth suite =
   in
   let by_label = Hashtbl.create (Array.length rings) in
   Array.iteri (fun i r -> Hashtbl.replace by_label r.label i) rings;
-  let route = ref Name.Map.empty in
+  let listeners = ref Name.Map.empty in
   Array.iteri
     (fun i r ->
-      Name.Set.iter
-        (fun n ->
-          route :=
+      Array.iteri
+        (fun slot n ->
+          listeners :=
             Name.Map.update n
-              (fun l -> Some (i :: Option.value ~default:[] l))
-              !route)
+              (fun l -> Some ((i, slot) :: Option.value ~default:[] l))
+              !listeners)
         r.alpha)
     rings;
-  { rings; by_label; route = !route }
+  let routes =
+    Name.Map.map
+      (fun l ->
+        let l = Array.of_list (List.rev l) in
+        { ring_ids = Array.map fst l; ring_slots = Array.map snd l })
+      !listeners
+  in
+  { rings; by_label; routes }
 
 let create_detached ?(depth = 64) suite = make_rings depth suite
 
 let create ?(depth = 64) tap suite =
   let t = make_rings depth suite in
-  Array.iter
-    (fun r ->
-      Name.Set.iter
-        (fun n ->
-          Tap.subscribe_name tap n (fun (e : Trace.event) ->
-              push r ~time:e.time e.name))
-        r.alpha)
-    t.rings;
+  Name.Map.iter
+    (fun n route ->
+      Tap.subscribe_name tap n (fun (e : Trace.event) ->
+          push_route t route ~time:e.time))
+    t.routes;
   t
 
 let record t ~time name =
-  match Name.Map.find_opt name t.route with
+  match Name.Map.find_opt name t.routes with
   | None -> ()
-  | Some ring_ids ->
-      List.iter (fun i -> push t.rings.(i) ~time name) ring_ids
+  | Some route -> push_route t route ~time
 
 let seen t =
   Array.to_list (Array.map (fun r -> (r.label, r.total)) t.rings)

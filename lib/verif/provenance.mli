@@ -29,11 +29,13 @@ type link = { time : int; name : Name.t }
 type t
 
 val create : ?depth:int -> Tap.t -> Suite.t -> t
-(** Attach a recorder to [tap]: one per-name subscription over each
-    entry's alphabet feeds that entry's ring (default [depth] 64,
-    rounded up to a power of two).  Works under any hosting backend —
-    capture is tap-level, so flat hosting (where checkers never see
-    individual deliveries) records identically. *)
+(** Attach a recorder to [tap]: one per-name subscription for each
+    name of the suite's alphabets pushes the event into every entry
+    ring listening to it (default [depth] 64, rounded up to a power of
+    two).  A ring slot is two ints, the time and the name's index in
+    the entry's alphabet, so a push stores no pointer.  Works under any
+    hosting backend — capture is tap-level, so flat hosting (where
+    checkers never see individual deliveries) records identically. *)
 
 val create_detached : ?depth:int -> Suite.t -> t
 (** A recorder with no tap subscriptions — for hosts that do not route
@@ -41,9 +43,9 @@ val create_detached : ?depth:int -> Suite.t -> t
     {!record}. *)
 
 val record : t -> time:int -> Name.t -> unit
-(** Manually feed one event into every matching entry ring (no-op for
-    names outside all alphabets).  Only needed after
-    {!create_detached}. *)
+(** Manually feed one event into every matching entry ring, along the
+    route a {!create} subscription takes (no-op for names outside all
+    alphabets).  Only needed after {!create_detached}. *)
 
 val note_violation : t -> label:string -> Diag.violation -> unit
 (** Freeze [label]'s ring at the violation instant: events after that

@@ -26,14 +26,25 @@ let subs_iter s event =
     s.fns.(i) event
   done
 
+(* Names to dense ids: a string-specialised table, so a lookup hashes
+   the name once and compares with [String.equal], never the
+   polymorphic compare. *)
+module Ids = Hashtbl.Make (struct
+  type t = Name.t
+
+  let equal = Name.equal
+  let hash = Name.hash
+end)
+
 type t = {
   kernel : Kernel.t;
   record : bool;
   mutable events_rev : Trace.event list;
   all : subscribers;
   (* per-name routing: names interned once per tap into dense ids *)
-  ids : (Name.t, int) Hashtbl.t;
+  ids : int Ids.t;
   mutable by_name : subscribers array;  (* indexed by interned id *)
+  mutable names : Name.t array;  (* the name of each interned id *)
   mutable count : int;
 }
 
@@ -43,55 +54,59 @@ let create ?(record = true) kernel =
     record;
     events_rev = [];
     all = subs_empty ();
-    ids = Hashtbl.create 16;
+    ids = Ids.create 16;
     by_name = [||];
+    names = [||];
     count = 0;
   }
 
 let kernel t = t.kernel
 let now_ps t = Time.to_ps (Kernel.now t.kernel)
 
-let intern t name =
-  match Hashtbl.find_opt t.ids name with
-  | Some id -> id
-  | None ->
-      let id = Hashtbl.length t.ids in
-      Hashtbl.replace t.ids name id;
-      if id >= Array.length t.by_name then begin
-        let grown =
-          Array.init
-            (max 8 (2 * Array.length t.by_name))
-            (fun i ->
-              if i < Array.length t.by_name then t.by_name.(i)
-              else subs_empty ())
-        in
-        t.by_name <- grown
-      end;
-      id
+let lookup t name = match Ids.find t.ids name with id -> id | exception Not_found -> -1
 
-let emit_name t name =
+let intern t name =
+  match lookup t name with
+  | -1 ->
+      let id = Ids.length t.ids in
+      Ids.replace t.ids name id;
+      let cap = Array.length t.by_name in
+      if id >= cap then begin
+        let grown = max 8 (2 * cap) in
+        t.by_name <-
+          Array.init grown (fun i ->
+              if i < cap then t.by_name.(i) else subs_empty ());
+        t.names <-
+          Array.init grown (fun i -> if i < cap then t.names.(i) else name)
+      end;
+      t.names.(id) <- name;
+      id
+  | id -> id
+
+let name t id = t.names.(id)
+
+(* The one emission body.  [id] is the name's interned id, or -1 for a
+   name nobody subscribed to: that event is still counted, recorded and
+   seen by the whole-trace subscribers, and grows no table. *)
+let emission t id name =
   let event = { Trace.name; time = now_ps t } in
   t.count <- t.count + 1;
   if t.record then t.events_rev <- event :: t.events_rev;
   subs_iter t.all event;
-  match Hashtbl.find t.ids name with
-  | id -> subs_iter t.by_name.(id) event
-  | exception Not_found -> ()
+  if id >= 0 then subs_iter t.by_name.(id) event
 
+let emit_id t id = emission t id t.names.(id)
+let emit_name t name = emission t (lookup t name) name
 let emit t s = emit_name t (Name.v s)
 
 (* A pre-bound emission port: the name is interned at bind time, so
-   per-event emission skips the name hash entirely.  [t.by_name] must
-   be re-read on every call — interning another name may replace the
+   per-event emission skips the name hash entirely.  {!emit_id} re-reads
+   [t.by_name] on every call — interning another name may replace the
    backing array. *)
 let port t name =
   let id = intern t name in
-  fun () ->
-    let event = { Trace.name; time = now_ps t } in
-    t.count <- t.count + 1;
-    if t.record then t.events_rev <- event :: t.events_rev;
-    subs_iter t.all event;
-    subs_iter t.by_name.(id) event
+  fun () -> emit_id t id
+
 let subscribe t f = subs_add t.all f
 
 let subscribe_name t name f =

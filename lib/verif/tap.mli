@@ -19,12 +19,37 @@ val emit : t -> string -> unit
 (** [emit tap "set_irq"] — observe one interface event now. *)
 
 val emit_name : t -> Name.t -> unit
+(** {!lookup}, then {!emit_id}; a name no per-name subscriber listens
+    to is counted, recorded and seen by the whole-trace subscribers,
+    and interns nothing. *)
 
 val port : t -> Name.t -> unit -> unit
 (** [port t n] binds an emission port for [n] once — the SystemC idiom
     of binding ports at elaboration time.  Calling the returned thunk
     emits one [n] event at the current simulation time, identical to
-    {!emit_name} but without re-hashing the name per event. *)
+    {!emit_name} but without re-hashing the name per event ({!intern},
+    then {!emit_id}). *)
+
+(** {1 Dense ids}
+
+    Every name with a per-name subscriber is interned into a dense id,
+    [0, 1, ...] in order of first subscription.  A host that resolves
+    its names once (a wire decoder's stream ids, a port) emits by id and
+    never hashes a name per event. *)
+
+val intern : t -> Name.t -> int
+(** The id of [n], interning it (with no subscriber yet) if new. *)
+
+val lookup : t -> Name.t -> int
+(** The id of [n], or [-1] if it was never interned: then no per-name
+    subscriber listens to it. *)
+
+val name : t -> int -> Name.t
+(** The name interned as [id]. *)
+
+val emit_id : t -> int -> unit
+(** Observe one event of the name interned as [id] now: the emission
+    {!emit_name} makes, without the lookup. *)
 
 val subscribe : t -> (Trace.event -> unit) -> unit
 (** Subscribers are called synchronously, in subscription order. *)

@@ -2,6 +2,10 @@
 # Live-ingestion end-to-end gate.  Each check is a named gate (grep the
 # name in the CI log to find it):
 #   convert-roundtrip     CSV -> LSQB binary -> CSV is byte-identical
+#   wire-agreement        serve on ipu.csv and on its LSQB conversion
+#                         (stream ids resolved once to tap ids) writes
+#                         byte-identical NDJSON: verdicts, provenance
+#                         chains, stats and checkpoint records
 #   stream-batch-agreement  serve --backend compiled (on serve and
 #                         suite: the suite engine) over stdin decides
 #                         what `suite` decides
@@ -125,6 +129,26 @@ $LOSEQ convert "$TRACE" -o "$WORK/ipu.lsqb"
 $LOSEQ convert "$WORK/ipu.lsqb" -o "$WORK/ipu.back.csv"
 cmp "$TRACE" "$WORK/ipu.back.csv"
 echo "round-trip OK ($(wc -c < "$WORK/ipu.lsqb") bytes binary)"
+
+gate "wire-agreement"
+# the default hosting with stats and checkpoint records, once per wire
+# format; both runs write the same checkpoint path, so the records match
+wire_serve() {
+  local status=0
+  $LOSEQ serve --suite "$SUITE" --stats-interval 100 \
+    --checkpoint "$WORK/wire.ckpt" --checkpoint-every 50 < "$1" > "$2" \
+    || status=$?
+  rm -f "$WORK/wire.ckpt"
+  return "$status"
+}
+csv_status=0
+wire_serve "$TRACE" "$WORK/wire.csv.ndjson" || csv_status=$?
+lsqb_status=0
+wire_serve "$WORK/ipu.lsqb" "$WORK/wire.lsqb.ndjson" || lsqb_status=$?
+test "$csv_status" -eq "$lsqb_status"
+cmp "$WORK/wire.csv.ndjson" "$WORK/wire.lsqb.ndjson"
+echo "CSV and LSQB serve write identical NDJSON" \
+  "($(wc -l < "$WORK/wire.csv.ndjson") records, exit $csv_status)"
 
 gate "stream-batch-agreement"
 # the example trace genuinely violates one property, so both exit 1

@@ -92,6 +92,11 @@ let test_decode_errors () =
     (Codec.magic ^ "\x7fjunk")
     "unknown record tag";
   expect_decode_error "undefined id" (Codec.magic ^ "\x02\x05\x00") "undefined";
+  (* a 63-bit id varint wraps negative: refused as undefined, not an
+     out-of-bounds index *)
+  expect_decode_error "negative id"
+    (Codec.magic ^ "\x01\x01a\x02" ^ String.make 8 '\xff' ^ "\x7f\x00")
+    "undefined name id -";
   expect_decode_error "overlong varint"
     (Codec.magic ^ "\x02" ^ String.make 12 '\x80')
     "overlong";
@@ -209,6 +214,36 @@ let prop_chunked_decode =
       | Ok tr' -> trace_equal tr tr'
       | Error msg -> QCheck2.Test.fail_report msg)
 
+(* The id parser behind [feed]: its (stream id, time) pairs name the
+   decoded events through [Decoder.name], ids below [defined]. *)
+let prop_feed_ids =
+  qtest ~count:300 "feed_ids pairs map back to the trace" gen_trace_and_chunks
+    (fun (tr, sizes) ->
+      Printf.sprintf "%s / chunks %s" (Trace.to_string tr)
+        (String.concat "," (List.map string_of_int sizes)))
+    (fun (tr, sizes) ->
+      let data = Codec.encode_exn tr in
+      let dec = Codec.Decoder.create () in
+      let acc = ref [] in
+      let emit id time =
+        if id >= Codec.Decoder.defined dec then
+          QCheck2.Test.fail_reportf "id %d not yet defined" id;
+        acc := ev time (Name.to_string (Codec.Decoder.name dec id)) :: !acc
+      in
+      let rec go pos sizes =
+        if pos < String.length data then
+          let size =
+            match sizes with
+            | [] -> String.length data - pos
+            | s :: _ -> min s (String.length data - pos)
+          in
+          match Codec.Decoder.feed_ids dec ~off:pos ~len:size data ~emit with
+          | Ok () -> go (pos + size) (match sizes with [] -> [] | _ :: r -> r)
+          | Error msg -> QCheck2.Test.fail_report msg
+      in
+      go 0 sizes;
+      Codec.Decoder.finish dec = Ok () && trace_equal tr (List.rev !acc))
+
 let () =
   Alcotest.run "codec"
     [
@@ -230,5 +265,5 @@ let () =
       ( "streaming",
         [ Alcotest.test_case "byte at a time" `Quick test_byte_at_a_time ] );
       ( "properties",
-        [ prop_roundtrip; prop_csv_equivalence; prop_chunked_decode ] );
+        [ prop_roundtrip; prop_csv_equivalence; prop_chunked_decode; prop_feed_ids ] );
     ]

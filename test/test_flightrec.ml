@@ -351,6 +351,85 @@ let prop_minimized_chain =
            (fun i -> replay (List.filteri (fun j _ -> j <> i) minimized))
            (List.init (List.length minimized) Fun.id))
 
+(* Random suites and long chronological streams (a generated trace
+   repeated up to 12 times, foreign names spliced in): every captured
+   chain is the last <= 64 events of its entry's alphabet at or before
+   its freeze time, computed from the stream.  The tap-fed recorder and
+   a detached one fed through [record] agree on it. *)
+let gen_capture_case =
+  QCheck2.Gen.(
+    let* p, trace = gen_pattern_and_trace in
+    let* reps = int_range 1 12 in
+    let* seed = int_bound 10_000 in
+    return (p, trace, reps, seed))
+
+let prop_captured_chain =
+  qtest ~count:300 "captured chain = last 64 alphabet events to the freeze"
+    gen_capture_case
+    (fun (p, trace, reps, seed) ->
+      Printf.sprintf "%s (x%d, seed %d)"
+        (print_pattern_and_trace (p, trace))
+        reps seed)
+    (fun (p, trace, reps, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let span = Trace.end_time trace + 1 in
+      let stream =
+        List.concat
+          (List.init reps (fun r ->
+               List.concat_map
+                 (fun (e : Trace.event) ->
+                   let e = { e with Trace.time = e.time + (r * span) } in
+                   if Random.State.int rng 4 = 0 then
+                     [ { e with Trace.name = name "zz" }; e ]
+                   else [ e ])
+                 (List.stable_sort
+                    (fun (a : Trace.event) b -> compare a.time b.time)
+                    trace)))
+      in
+      let suite = [ entry "p" (Pattern.to_string p); entry "q" "{a, c} <<! e" ] in
+      let session = Session.create suite in
+      let tapped = Provenance.create (Hub.tap (Session.hub session)) suite in
+      let detached = Provenance.create_detached suite in
+      Session.on_violation session (fun ~name v ->
+          Provenance.note_violation tapped ~label:name v;
+          Provenance.note_violation detached ~label:name v);
+      List.iter
+        (fun (e : Trace.event) ->
+          (* after the offer, as the tap subscription runs after the
+             hub's: a deadline the offer fires freezes the ring first *)
+          Session.offer_force session e;
+          Provenance.record detached ~time:e.time e.name)
+        stream;
+      ignore (Session.finalize session);
+      let links chain =
+        List.map
+          (fun (l : Provenance.link) -> (l.time, Name.to_string l.name))
+          chain
+      in
+      List.for_all
+        (fun (en : Suite.entry) ->
+          let alpha = Pattern.alpha en.pattern in
+          let cut =
+            match Provenance.violation_of tapped en.label with
+            | Some v -> v.time
+            | None -> max_int
+          in
+          let heard =
+            List.filter
+              (fun (e : Trace.event) ->
+                Name.Set.mem e.name alpha && e.time <= cut)
+              stream
+          in
+          let n = List.length heard in
+          let expected =
+            List.filteri (fun i _ -> i >= n - 64) heard
+            |> List.map (fun (e : Trace.event) ->
+                   (e.time, Name.to_string e.name))
+          in
+          links (Provenance.captured tapped en.label) = expected
+          && links (Provenance.captured detached en.label) = expected)
+        suite)
+
 (* ------------------------------------------------------------------------ *)
 
 let () =
@@ -383,5 +462,6 @@ let () =
           Alcotest.test_case "retraction + seen counts" `Quick
             test_provenance_retraction;
           prop_minimized_chain;
+          prop_captured_chain;
         ] );
     ]

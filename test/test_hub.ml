@@ -24,6 +24,28 @@ let test_subscribe_name_routing () =
   Alcotest.(check int) "b routed" 1 !b_hits;
   Alcotest.(check int) "whole-trace sees all" 4 !all_hits
 
+(* Dense ids: interned in subscription order, [emit_id] is [emit_name]
+   without the lookup, and a name nobody subscribed to is counted and
+   seen by the whole-trace subscribers without being interned. *)
+let test_dense_ids () =
+  let tap = Tap.create (Kernel.create ()) in
+  let seen = ref [] and a_hits = ref 0 in
+  Tap.subscribe tap (fun e -> seen := Name.to_string e.Trace.name :: !seen);
+  Tap.subscribe_name tap (name "a") (fun _ -> incr a_hits);
+  Tap.subscribe_name tap (name "b") ignore;
+  Alcotest.(check (list int)) "ids" [ 0; 1; -1 ]
+    (List.map (fun n -> Tap.lookup tap (name n)) [ "a"; "b"; "zzz" ]);
+  Tap.emit_id tap (Tap.lookup tap (name "a"));
+  Tap.emit tap "zzz";
+  (Tap.port tap (name "a")) ();
+  Alcotest.(check int) "a routed by id, name and port" 2 !a_hits;
+  Alcotest.(check (list string)) "whole-trace sees all" [ "a"; "zzz"; "a" ]
+    (List.rev !seen);
+  Alcotest.(check int) "counted" 3 (Tap.count tap);
+  Alcotest.(check int) "foreign name not interned" (-1)
+    (Tap.lookup tap (name "zzz"));
+  Alcotest.(check string) "name by id" "b" (Name.to_string (Tap.name tap 1))
+
 let test_delivery_order () =
   let kernel = Kernel.create () in
   let tap = Tap.create kernel in
@@ -325,6 +347,7 @@ let () =
           Alcotest.test_case "per-name routing" `Quick
             test_subscribe_name_routing;
           Alcotest.test_case "delivery order" `Quick test_delivery_order;
+          Alcotest.test_case "dense ids" `Quick test_dense_ids;
         ] );
       ( "routing",
         [

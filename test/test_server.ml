@@ -95,11 +95,13 @@ let golden_path file =
     Filename.concat "golden" file
   else Filename.concat "test/golden" file
 
-let check_golden ?(golden = "") name ~exit:expected_exit (code, lines) =
+let check_golden ?(golden = "") ?(update = true) name ~exit:expected_exit
+    (code, lines) =
   let golden = if golden = "" then name else golden in
   (match Sys.getenv_opt "LOSEQ_GOLDEN_UPDATE" with
-  | Some dir -> write_lines (Filename.concat dir (golden ^ ".ndjson")) lines
-  | None -> ());
+  | Some dir when update ->
+      write_lines (Filename.concat dir (golden ^ ".ndjson")) lines
+  | Some _ | None -> ());
   let golden = read_lines (golden_path (golden ^ ".ndjson")) in
   Alcotest.(check (list string)) (name ^ " records") golden lines;
   Alcotest.(check int) (name ^ " exit code") expected_exit code
@@ -112,21 +114,36 @@ let has_line lines needle =
       at 0)
     lines
 
+(* The LSQB encoding of a CSV trace, in a temporary file. *)
+let lsqb_of csv =
+  let path = Filename.temp_file "loseq_wire" ".lsqb" in
+  (match Trace_io.load_csv csv with
+  | Error msg -> Alcotest.failf "%s: %s" csv msg
+  | Ok trace -> (
+      match Codec.save ~path trace with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%s: %s" csv msg));
+  path
+
 (* [backend] [None] names no backend: [Server.serve]'s own default.
    [golden] (default: the case name) is the file the output must
-   match. *)
-let case name ?golden ~exit ?(check = fun _ -> ()) ~suite ~trace
-    ?(backend = Some compiled) ?stats_interval ?lateness ?ooo ?checkpoint
-    ?checkpoint_every () =
+   match.  [wire] serves the trace's LSQB encoding instead of the CSV,
+   against the same golden file (never rewritten from the wire run). *)
+let case name ?golden ?(wire = false) ~exit ?(check = fun _ -> ()) ~suite
+    ~trace ?(backend = Some compiled) ?stats_interval ?lateness ?ooo
+    ?checkpoint ?checkpoint_every () =
   Alcotest.test_case name `Quick @@ fun () ->
   let suite = load_suite suite in
-  let trace = trace () in
+  let trace = if wire then lsqb_of (trace ()) else trace () in
   let result =
-    run_serve ~trace (fun ~out ->
-        Server.serve ?stats_interval ?backend ?lateness
-          ?checkpoint ?checkpoint_every ?ooo ~out ~input:`Stdin suite)
+    Fun.protect
+      ~finally:(fun () -> if wire then Sys.remove trace)
+      (fun () ->
+        run_serve ~trace (fun ~out ->
+            Server.serve ?stats_interval ?backend ?lateness ?checkpoint
+              ?checkpoint_every ?ooo ~out ~input:`Stdin suite))
   in
-  check_golden ?golden name ~exit result;
+  check_golden ?golden ~update:(not wire) name ~exit result;
   check (snd result)
 
 let ipu () = example "traces" "ipu.csv"
@@ -170,6 +187,30 @@ let golden_cases =
     (* direct monitors have no persistence: the first checkpoint ends
        the run with a typed error record *)
     case "direct_checkpoint_refused" ~exit:2 ~suite:"ipu.suite" ~trace:ipu
+      ~backend:(Some direct) ~checkpoint:"server_golden_direct.ckpt"
+      ~checkpoint_every:20 ();
+  ]
+
+(* Every chronological golden case again, fed its trace as LSQB: the
+   binary wire path (stream ids resolved once to tap ids) must write
+   the CSV run's records byte for byte. *)
+let wire_cases =
+  let wire name ?(golden = name) = case name ~golden ~wire:true in
+  [
+    wire "ipu_compiled" ~exit:1 ~suite:"ipu.suite" ~trace:ipu
+      ~stats_interval:100 ();
+    wire "ipu_flat" ~exit:1 ~suite:"ipu.suite" ~trace:ipu ~backend:(Some flat)
+      ~stats_interval:100 ();
+    wire "ipu_default" ~golden:"ipu_compiled" ~exit:1 ~suite:"ipu.suite"
+      ~trace:ipu ~backend:None ~stats_interval:100 ();
+    wire "catalog_bad_flat" ~exit:1 ~suite:"catalog.suite"
+      ~trace:(fun () -> example "traces" "catalog_bad.csv")
+      ~backend:(Some flat) ();
+    wire "ipu_checkpoint" ~exit:1 ~suite:"ipu.suite" ~trace:ipu
+      ~checkpoint:"server_golden.ckpt" ~checkpoint_every:50
+      ~check:(fun _ -> Sys.remove "server_golden.ckpt")
+      ();
+    wire "direct_checkpoint_refused" ~exit:2 ~suite:"ipu.suite" ~trace:ipu
       ~backend:(Some direct) ~checkpoint:"server_golden_direct.ckpt"
       ~checkpoint_every:20 ();
   ]
@@ -344,6 +385,7 @@ let () =
   Alcotest.run "server"
     [
       ("golden", golden_cases);
+      ("wire", wire_cases);
       ("resume", resume_cases);
       ("artifacts", artifact_cases);
     ]
