@@ -1610,7 +1610,8 @@ let trace_cmd =
    2 otherwise. *)
 let explain_fail ~format ~property ~ft (entry : Suite.entry) prov =
   let chain =
-    Prov.minimize ~final_time:ft ~label:property entry.pattern
+    Prov.minimize ?violation:(Prov.violation_of prov property) ~final_time:ft
+      ~label:property entry.pattern
       (Prov.captured prov property)
   in
   let compiled_fails =

@@ -434,15 +434,13 @@ let write_artifacts ~out ~metrics ~trace ~trace_out ~profile_out ~checkers =
 let provenance_field ?backend ~prov ~final_time ~suite name passed =
   match List.find_opt (fun (e : Suite.entry) -> String.equal e.label name) suite with
   | Some entry when not passed ->
+      let violation = Provenance.violation_of prov name in
       let chain =
-        Provenance.minimize ?backend ~final_time ~label:name entry.pattern
+        Provenance.minimize ?backend ?violation ~final_time ~label:name
+          entry.pattern
           (Provenance.captured prov name)
       in
-      [
-        ( "provenance",
-          Provenance.chain_json ?violation:(Provenance.violation_of prov name)
-            chain );
-      ]
+      [ ("provenance", Provenance.chain_json ?violation chain) ]
   | _ -> []
 
 (* ---- hosts --------------------------------------------------------------

@@ -168,14 +168,30 @@ let replay ?backend ~final_time ~label pattern chain =
   | [ (_, passed) ] -> passed
   | _ -> true
 
-let minimize ?(backend = Backend.flat_views) ~final_time ~label pattern chain =
+(* The same failure: the same fragment and reason.  Deadline reasons
+   match by constructor, since their times move with the chain's
+   start. *)
+let same_violation (a : Diag.violation) (b : Diag.violation) =
+  a.fragment = b.fragment
+  &&
+  match (a.reason, b.reason) with
+  | Diag.Deadline_miss _, Diag.Deadline_miss _
+  | Diag.Late_conclusion _, Diag.Late_conclusion _ ->
+      true
+  | ra, rb -> Diag.equal_reason ra rb
+
+let minimize ?(backend = Backend.flat_views) ?violation ~final_time ~label
+    pattern chain =
   (* One monitor for the whole minimization, reset before each
      candidate. *)
   let b = (backend [ (label, pattern) ]).(0) in
   let fails c =
     b.Backend.reset ();
     List.iter (fun e -> ignore (b.Backend.step e)) (to_trace c);
-    not (Backend.passed (b.Backend.finalize ~now:final_time))
+    match b.Backend.finalize ~now:final_time with
+    | Backend.Violated v -> (
+        match violation with None -> true | Some w -> same_violation v w)
+    | Backend.Running | Backend.Satisfied -> false
   in
   (* Greedy delta-debugging, one event at a time.  Walking from the
      front drops prefix noise (events of completed rounds) first.  A

@@ -10,9 +10,10 @@
     chain is then
     {e minimized} by greedy delta-debugging — drop one event at a
     time, replay the candidate on one monitor reset between
-    candidates, keep the drop when the entry still fails, repeat until
-    nothing drops — so the reported chain is 1-minimal: removing any
-    single event makes the failure disappear.
+    candidates, keep the drop when the entry still fails with the
+    recorded violation, repeat until nothing drops — so the reported
+    chain is 1-minimal: removing any single event makes that failure
+    disappear.
 
     Minimized chains are attached to failed verdict NDJSON records by
     [serve] and replayed standalone by [loseq explain-verdict] (the
@@ -88,6 +89,7 @@ val replay :
 
 val minimize :
   ?backend:Backend.suite_factory ->
+  ?violation:Diag.violation ->
   final_time:int ->
   label:string ->
   Pattern.t ->
@@ -95,7 +97,11 @@ val minimize :
   link list
 (** Greedy 1-minimal reduction of a failing chain: each event is
     dropped in turn and the drop kept when the entry still fails at
-    [final_time], in passes until one drops nothing.  [backend]
+    [final_time], in passes until one drops nothing.  With [violation]
+    (the one recorded, {!violation_of}), "fails" means fails {e the
+    same way}: in the same fragment with the same reason (deadline
+    reasons by constructor, as their times move with the chain), so the
+    chain explains the reported violation and not another one.  [backend]
     (default {!Loseq_core.Backend.flat_views}) is built once and reset
     before each candidate.  A chain that does not fail to begin with
     is returned unchanged.  At most [O(n^2)] replays of at most [n]

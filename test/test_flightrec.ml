@@ -305,6 +305,33 @@ let test_provenance_minimal_chain () =
            (fun (l : Provenance.link) -> (l.time, Name.to_string l.name))
            back)
 
+(* The chain must explain the recorded violation, not another one:
+   here the reported failure is the second run of [a], and [c] alone
+   would fail too, but only because the premise never occurred. *)
+let test_provenance_same_violation () =
+  let src = "{a | b[2,2]} < c => d within 0" in
+  let suite = [ entry "p" src ] in
+  let session = Session.create suite in
+  let prov = Provenance.create (Hub.tap (Session.hub session)) suite in
+  Session.on_violation session (fun ~name v ->
+      Provenance.note_violation prov ~label:name v);
+  List.iter
+    (Session.offer_force session)
+    (List.init 7 (fun _ -> ev 0 "a") @ [ ev 0 "b"; ev 0 "a"; ev 0 "c" ]);
+  ignore (Session.finalize session);
+  let violation = Provenance.violation_of prov "p" in
+  Alcotest.(check bool) "a violation was recorded" true (violation <> None);
+  let chain =
+    Provenance.minimize ?violation ~final_time:(Session.now session)
+      ~label:"p" (pat src) (Provenance.captured prov "p")
+  in
+  Alcotest.(check (list (pair int string)))
+    "the chain reproduces the recorded violation"
+    [ (0, "a"); (0, "a") ]
+    (List.map
+       (fun (l : Provenance.link) -> (l.time, Name.to_string l.name))
+       chain)
+
 let test_provenance_retraction () =
   let suite = [ entry "p" "{a, b} <<! go" ] in
   let prov = Provenance.create_detached suite in
@@ -459,6 +486,8 @@ let () =
         [
           Alcotest.test_case "minimal causal chain" `Quick
             test_provenance_minimal_chain;
+          Alcotest.test_case "chain explains the recorded violation" `Quick
+            test_provenance_same_violation;
           Alcotest.test_case "retraction + seen counts" `Quick
             test_provenance_retraction;
           prop_minimized_chain;
