@@ -1,1 +1,1 @@
-let current = "1.19.0"
+let current = "1.20.0"

@@ -61,8 +61,9 @@ let deliver t id name ~time =
 let deliver_event t (e : Trace.event) =
   deliver t (Tap.lookup t.tap e.name) e.name ~time:e.time
 
-(* The one admission.  [name] is the tap's own name for [id] >= 0 and
-   is read only when the event must be queued. *)
+(* The one admission.  [name] is [id]'s name, the tap's own when
+   [id] >= 0: the in-order path reads it only for a name no checker
+   hears, the reorder path to queue the event. *)
 let admit t id name ~time =
   (* In-order fast path: with no reorder margin and nothing buffered an
      admissible event cannot be overtaken, so it skips the heap and
@@ -122,12 +123,10 @@ let admit_force t id name ~time =
 
 let resolve t name = Tap.lookup t.tap name
 
-let known t id =
+let offer_id t id ~time =
   if id < 0 then invalid_arg "Session.offer_id: not a tap id";
-  Tap.name t.tap id
+  admit t id (Tap.name t.tap id) ~time
 
-let offer_id t id ~time = admit t id (known t id) ~time
-let offer_id_force t id ~time = admit_force t id (known t id) ~time
 let offer t (e : Trace.event) = admit t (resolve t e.name) e.name ~time:e.time
 
 let offer_force t (e : Trace.event) =

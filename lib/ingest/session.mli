@@ -85,9 +85,6 @@ val offer_id : t -> int -> time:int -> [ `Accepted | `Blocked ]
 (** {!offer} of the name with tap id [id].  Raises [Invalid_argument]
     on a negative [id]. *)
 
-val offer_id_force : t -> int -> time:int -> unit
-(** {!offer_id}, force-draining until accepted. *)
-
 val wire : t -> Codec.Decoder.t -> int -> int -> unit
 (** [wire t dec] is the [emit] callback for {!Codec.Decoder.feed_ids}
     that [serve] uses: [wire t dec sid time] admits one event as

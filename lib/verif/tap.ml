@@ -63,7 +63,8 @@ let create ?(record = true) kernel =
 let kernel t = t.kernel
 let now_ps t = Time.to_ps (Kernel.now t.kernel)
 
-let lookup t name = match Ids.find t.ids name with id -> id | exception Not_found -> -1
+let lookup t name =
+  match Ids.find t.ids name with id -> id | exception Not_found -> -1
 
 let intern t name =
   match lookup t name with

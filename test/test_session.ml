@@ -216,13 +216,22 @@ let observe ~lateness ~window suite admit input =
 
 let by_name session = List.iter (Session.offer_force session)
 
-(* Resolve each name to its tap id, admit by id; a name no checker
-   hears goes by name. *)
+(* Resolve each name to its tap id and admit by id, force-draining
+   while blocked as [offer_force] does; a name no checker hears goes by
+   name. *)
 let by_id session =
   List.iter (fun (e : Trace.event) ->
       match Session.resolve session e.name with
       | -1 -> Session.offer_force session e
-      | id -> Session.offer_id_force session id ~time:e.time)
+      | id ->
+          let rec admit () =
+            match Session.offer_id session id ~time:e.time with
+            | `Accepted -> ()
+            | `Blocked ->
+                ignore (Session.force_drain session);
+                admit ()
+          in
+          admit ())
 
 (* A generated case, re-timed and disordered: foreign names spliced in,
    adjacent events swapped at random (so that, at lateness 0 or beyond
