@@ -135,27 +135,25 @@ let offer_force t (e : Trace.event) =
 (* Stream ids resolve to tap ids once, at first use: -2 marks an id not
    resolved yet, -1 a name no checker hears.  The table grows with the
    ids actually used, never past the decoder's own name table. *)
-type wire = { mutable ids : int array }
-
 let wire t dec =
-  let w = { ids = [||] } in
+  let ids = ref [||] in
   fun sid time ->
-    let len = Array.length w.ids in
+    let len = Array.length !ids in
     if sid >= len then begin
       let grown =
         Array.make
           (max (sid + 1) (min (Codec.Decoder.defined dec) (max 16 (2 * len))))
           (-2)
       in
-      Array.blit w.ids 0 grown 0 len;
-      w.ids <- grown
+      Array.blit !ids 0 grown 0 len;
+      ids := grown
     end;
-    let id = w.ids.(sid) in
+    let id = !ids.(sid) in
     if id >= 0 then admit_force t id (Tap.name t.tap id) ~time
     else begin
       let name = Codec.Decoder.name dec sid in
       let id = if id = -2 then resolve t name else id in
-      w.ids.(sid) <- id;
+      !ids.(sid) <- id;
       admit_force t id (if id >= 0 then Tap.name t.tap id else name) ~time
     end
 

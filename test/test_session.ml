@@ -252,7 +252,8 @@ let with_foreign ~seed trace =
   List.concat_map
     (fun (e : Trace.event) ->
       if Random.State.int rng 3 = 0 then
-        [ { e with Trace.name = name (Printf.sprintf "zz%d" (Random.State.int rng 2)) }; e ]
+        let foreign = name (Printf.sprintf "zz%d" (Random.State.int rng 2)) in
+        [ { e with Trace.name = foreign }; e ]
       else [ e ])
     trace
 
