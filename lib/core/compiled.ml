@@ -84,21 +84,8 @@ type snapshot = {
   rounds : int;
 }
 
-type persisted = Flat.persisted = {
-  p_recs : rec_state array;
-  p_active : int;
-  p_index : int;
-  p_started : int;
-  p_q_done : bool;
-  p_rounds : int;
-  p_verdict : verdict;
-}
-
-let persist t = Flat.persist_checker t 0
-let restore t p = Flat.restore_checker t 0 p
-
 let snapshot t =
-  let p = persist t in
+  let p = Flat.persist_checker t 0 in
   {
     active = p.p_active;
     recs = p.p_recs;

@@ -114,34 +114,6 @@ val snapshot : t -> snapshot
 (** The current configuration ([Running] monitors only carry useful
     snapshots, but the call is always safe). *)
 
-(** {1 Persistence}
-
-    The complete mutable run state, for checkpoint/resume of streaming
-    monitors ([Loseq_ingest.Checkpoint]).  Unlike {!snapshot} — an
-    abstraction-friendly view for the analyzer — {!persisted} is exact:
-    {!restore} followed by any event sequence behaves identically to
-    the uninterrupted monitor (property-tested by the suite). *)
-
-type persisted = Flat.persisted = {
-  p_recs : rec_state array;  (** per recognizer, in table order *)
-  p_active : int;
-  p_index : int;  (** events consumed so far *)
-  p_started : int;  (** timed: premise-recognition time, [-1] unarmed *)
-  p_q_done : bool;
-  p_rounds : int;
-  p_verdict : verdict;
-}
-
-val persist : t -> persisted
-(** A self-contained copy of the run state (mutating it cannot corrupt
-    the monitor). *)
-
-val restore : t -> persisted -> unit
-(** Overwrite the run state with a previously {!persist}ed one.  The
-    monitor must have been compiled from the same pattern; raises
-    [Invalid_argument], leaving the monitor as it was, when the state
-    does not fit ({!Flat.restore_checker}). *)
-
 (** {1 Table patches}
 
     Mutable views of the compiled tables, as fresh patched copies: the

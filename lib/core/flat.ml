@@ -1116,101 +1116,30 @@ let persist_checker t ck =
     p_verdict = verdict t ck;
   }
 
-let rec_of_range t ck (range : Pattern.range) =
-  let r0 = t.ck_rec0.(ck) in
-  let rec find j =
-    if j >= t.ck_nrecs.(ck) then
-      invalid_arg
-        "Flat.restore_checker: diagnostic range is not in the pattern"
-    else if t.rec_range.(r0 + j) = range then r0 + j
-    else find (j + 1)
-  in
-  find 0
-
-let restore_checker t ck p =
-  let base = t.ck_base.(ck) in
-  let n = t.ck_nrecs.(ck) in
-  if Array.length p.p_recs <> n then
-    invalid_arg "Flat.restore_checker: recognizer count mismatch";
-  if p.p_active < 0 || p.p_active >= t.ck_q.(ck) then
-    invalid_arg "Flat.restore_checker: active fragment out of range";
-  (* The verdict words first: a state that does not fit must leave the
-     checker as it was. *)
-  let verdict, code, vrec, time, index, a, b, c =
-    match p.p_verdict with
-    | Running -> (v_running, r_before, -1, 0, 0, 0, 0, 0)
-    | Satisfied -> (v_satisfied, r_before, -1, 0, 0, 0, 0, 0)
-    | Violated { reason; time; index } ->
-        let code, vrec, a, b, c =
-          match reason with
-          | Diag.Before_name -> (r_before, -1, 0, 0, 0)
-          | Diag.After_name -> (r_after, -1, 0, 0, 0)
-          | Diag.Overflow range ->
-              (r_overflow, rec_of_range t ck range, 0, 0, 0)
-          | Diag.Underflow range ->
-              (r_underflow, rec_of_range t ck range, 0, 0, 0)
-          | Diag.Reentered range ->
-              (r_reentered, rec_of_range t ck range, 0, 0, 0)
-          | Diag.Missing range ->
-              (r_missing, rec_of_range t ck range, 0, 0, 0)
-          | Diag.Empty_fragment -> (r_empty, -1, 0, 0, 0)
-          | Diag.Trigger_early -> (r_trigger_early, -1, 0, 0, 0)
-          | Diag.Deadline_miss { started; deadline; now } ->
-              (r_deadline, -1, started, deadline, now)
-          | Diag.Late_conclusion { deadline; at } ->
-              (r_late, -1, deadline, at, 0)
-          | Diag.Foreign _ | Diag.Formula_falsified ->
-              invalid_arg
-                "Flat.restore_checker: reason is not a flat-engine diagnostic"
-        in
-        (v_violated, code, vrec, time, index, a, b, c)
-  in
-  Array.iteri
-    (fun j s ->
-      let code, counter =
-        match s with
-        | Idle -> (s_idle, 0)
-        | Waiting -> (s_waiting, 0)
-        | Started -> (s_started, 0)
-        | Counting c -> (s_counting, c)
-        | Done -> (s_done, 0)
-      in
-      Ba.set t.st (base + ctrl_slots + j) code;
-      Ba.set t.st (base + ctrl_slots + n + j) counter)
-    p.p_recs;
-  Ba.set t.st (base + o_active) p.p_active;
-  Ba.set t.st (base + o_index) p.p_index;
-  Ba.set t.st (base + o_started) p.p_started;
-  Ba.set t.st (base + o_qdone) (if p.p_q_done then 1 else 0);
-  Ba.set t.st (base + o_rounds) p.p_rounds;
-  Ba.set t.st (base + o_verdict) verdict;
-  Ba.set t.st (base + o_vrec) vrec;
-  if verdict = v_violated then begin
-    Ba.set t.st (base + o_vreason) code;
-    Ba.set t.st (base + o_vtime) time;
-    Ba.set t.st (base + o_vindex) index;
-    Ba.set t.st (base + o_va) a;
-    Ba.set t.st (base + o_vb) b;
-    Ba.set t.st (base + o_vc) c
-  end;
-  Bytes.set t.op_open ck '\000';
-  touch t ck
-
 (* ---- engine-to-engine copies ------------------------------------------ *)
 
-let copy_checker ~src t ck =
-  let base = t.ck_base.(ck) in
-  let width = ctrl_slots + (2 * t.ck_nrecs.(ck)) in
-  if
-    Ba.dim src.st <> Ba.dim t.st
-    || src.ck_base.(ck) <> base
-    || src.ck_nrecs.(ck) <> t.ck_nrecs.(ck)
-  then invalid_arg "Flat.copy_checker: engines of different suites";
-  for i = base to base + width - 1 do
-    Ba.set t.st i (Ba.get src.st i)
+(* Overwrite checker [ck] of [t] with checker [from] of [src], which
+   holds the same pattern: one slot-range copy.  Every control word is
+   checker-local except [o_vrec], a global recognizer index, rebased by
+   the two checkers' first recognizers. *)
+let blit_checker ~src from t ck =
+  let base = t.ck_base.(ck) and src_base = src.ck_base.(from) in
+  for i = 0 to ctrl_slots + (2 * t.ck_nrecs.(ck)) - 1 do
+    Ba.set t.st (base + i) (Ba.get src.st (src_base + i))
   done;
+  let vrec = Ba.get t.st (base + o_vrec) in
+  if vrec >= 0 then
+    Ba.set t.st (base + o_vrec) (vrec - src.ck_rec0.(from) + t.ck_rec0.(ck));
   Bytes.set t.op_open ck '\000';
   touch t ck
+
+let copy_checker ~src t ck =
+  if
+    Ba.dim src.st <> Ba.dim t.st
+    || src.ck_base.(ck) <> t.ck_base.(ck)
+    || src.ck_nrecs.(ck) <> t.ck_nrecs.(ck)
+  then invalid_arg "Flat.copy_checker: engines of different suites";
+  blit_checker ~src ck t ck
 
 (* ---- blob -------------------------------------------------------------- *)
 
@@ -1417,5 +1346,5 @@ let slice t cks =
       seen.(ck) <- true)
     cks;
   let sliced = compile (List.map (fun ck -> (label t ck, pattern t ck)) cks) in
-  List.iteri (fun i ck -> restore_checker sliced i (persist_checker t ck)) cks;
+  List.iteri (fun i ck -> blit_checker ~src:t ck sliced i) cks;
   sliced

@@ -197,14 +197,10 @@ val reset_checker : t -> int -> unit
 val reset : t -> unit
 
 val persist_checker : t -> int -> persisted
-(** One checker's state, self-contained — the bridge between a
-    checkpoint's flat blob and checkers hosted one engine each, and
-    how {!slice} carries state over. *)
-
-val restore_checker : t -> int -> persisted -> unit
-(** Raises [Invalid_argument], leaving the checker as it was, when the
-    state does not fit (wrong recognizer count, an active fragment out
-    of range, a diagnostic range not in the pattern). *)
+(** One checker's state, self-contained: a read-only view (mutating it
+    cannot corrupt the engine), for {!Compiled.snapshot} and tests.
+    State moves between engines only by slot copy ({!copy_checker},
+    {!slice}, {!load_blob}). *)
 
 val copy_checker : src:t -> t -> int -> unit
 (** [copy_checker ~src t ck] overwrites checker [ck]'s slot range in
@@ -267,7 +263,8 @@ val checker_slots : t -> int -> int
 val slice : t -> int list -> t
 (** [slice t cks] is a fresh engine hosting exactly the checkers
     [cks] (new indices are list order; labels, patterns and run state
-    carry over via {!persist_checker}/{!restore_checker}).  The slice
+    carry over, each checker's slot range copied as {!copy_checker}
+    does).  The slice
     re-interns its own gid space over the sub-suite's names — the
     flat-slab shape a single shard of a partitioned suite runs with.
     Raises [Invalid_argument] on an out-of-range or duplicate

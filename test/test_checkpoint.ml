@@ -1,7 +1,9 @@
 (* Checkpoint/resume: killing a streaming session at ANY prefix and
    resuming from the checkpoint must be observationally identical to
    the uninterrupted run — same rendered verdicts, same violation
-   de-duplication, same pending reorder buffer. *)
+   de-duplication, same pending reorder buffer.  Pinned suites cut at
+   every prefix here; random samples cut at random points are
+   test_oracle's "checkpoint" mode. *)
 
 open Loseq_core
 open Loseq_verif
@@ -21,26 +23,6 @@ let demo_suite =
   ]
 
 let offer_all session trace = List.iter (Session.offer_force session) trace
-
-(* Rendered verdicts without the " on NAME (event #N)" locator, which
-   only the structural monitor prints. *)
-let unlocated (label, verdict) =
-  let find needle from =
-    let n = String.length needle in
-    let rec at i =
-      if i + n > String.length verdict then None
-      else if String.sub verdict i n = needle then Some i
-      else at (i + 1)
-    in
-    at from
-  in
-  match (find " on " 0, find " (event #" 0) with
-  | Some on, Some event when on < event ->
-      let close = String.index_from verdict event ')' in
-      ( label,
-        String.sub verdict 0 on
-        ^ String.sub verdict (close + 1) (String.length verdict - close - 1) )
-  | _ -> (label, verdict)
 
 let summary_of session trace =
   offer_all session trace;
@@ -340,32 +322,6 @@ let test_restore_refuses_mismatches () =
   | Ok () -> Alcotest.fail "restored from garbage"
   | Error _ -> ()
 
-(* Property: random pattern, random chronological trace, random kill
-   point — rendered verdicts are identical to the uninterrupted run. *)
-let gen_case =
-  QCheck2.Gen.(
-    let* p, trace = gen_pattern_and_trace in
-    let* cut_frac = int_bound 100 in
-    return (p, trace, cut_frac))
-
-let prop_resume_equivalence =
-  qtest ~count:300 "resume at any prefix = uninterrupted"
-    gen_case
-    (fun (p, trace, cut_frac) ->
-      Printf.sprintf "%s (cut %d%%)"
-        (print_pattern_and_trace (p, trace))
-        cut_frac)
-    (fun (p, trace, cut_frac) ->
-      let trace =
-        List.stable_sort
-          (fun (a : Trace.event) (b : Trace.event) -> compare a.time b.time)
-          trace
-      in
-      let suite = [ { Suite.label = "p"; pattern = p; line = 1 } ] in
-      let cut = List.length trace * cut_frac / 100 in
-      let baseline = summary_of (Session.create ~backend:direct suite) trace in
-      resumed_summary suite trace cut = baseline)
-
 let () =
   Alcotest.run "checkpoint"
     [
@@ -404,5 +360,4 @@ let () =
             test_unreadable_path;
           Alcotest.test_case "refused window" `Quick test_refused_window;
         ] );
-      ("properties", [ prop_resume_equivalence ]);
     ]

@@ -362,18 +362,6 @@ let test_blob_unreachable_words () =
   Alcotest.(check string) "decoded as its own range" "FAIL"
     (match Flat.verdict eng 1 with Flat.Violated _ -> "FAIL" | _ -> "ok")
 
-let test_restore_checks_active () =
-  let eng = Flat.compile (demo_entries ()) in
-  Flat.step_event eng (ev 0 "start");
-  let before = Flat.persist_checker eng 1 in
-  (match
-     Flat.restore_checker eng 1 { before with p_active = 3; p_index = 42 }
-   with
-  | () -> Alcotest.fail "active fragment 3 of 3 accepted"
-  | exception Invalid_argument _ -> ());
-  Alcotest.(check bool) "checker left as it was" true
-    (Flat.persist_checker eng 1 = before)
-
 let test_reset () =
   let eng = Flat.compile [ ("p", pat "a <<! i") ] in
   Flat.step_event eng (ev 0 "i");
@@ -717,10 +705,6 @@ let prop_cache_moves (ps, trace, cut) =
   in
   let moved =
     [
-      ( "restore_checker",
-        twin
-          (each (fun e ck ->
-               Flat.restore_checker e ck (Flat.persist_checker whole ck))) );
       ( "copy_checker",
         twin (each (fun e ck -> Flat.copy_checker ~src:whole e ck)) );
       ( "load_blob",
@@ -927,8 +911,6 @@ let () =
           Alcotest.test_case "rejections" `Quick test_blob_rejections;
           Alcotest.test_case "unreachable words" `Quick
             test_blob_unreachable_words;
-          Alcotest.test_case "restore checks the active fragment" `Quick
-            test_restore_checks_active;
           Alcotest.test_case "reset" `Quick test_reset;
         ] );
       ( "touches",

@@ -190,10 +190,10 @@ let test_flat_views_engine_direct () =
   Alcotest.(check bool) "per-pattern direct: no engine" true
     (Hub.engine (hub ~backend:direct ()) = None)
 
-(* Feed timestamped [events] through a fresh hub over [suite]; [after]
-   runs after every event.  Returns the hub and its violations as
-   (label, time, reason), in report order. *)
-let run_hosted ?metrics ?backend ?(after = fun _ -> ()) suite events =
+(* Feed timestamped [events] through a fresh hub over [suite].  Returns
+   the hub and its violations as (label, time, reason), in report
+   order. *)
+let run_hosted ?metrics ?backend suite events =
   let kernel = Kernel.create () in
   let tap = Tap.create ~record:false kernel in
   let hub = Suite.attach_hub ?metrics ?backend tap suite in
@@ -207,8 +207,7 @@ let run_hosted ?metrics ?backend ?(after = fun _ -> ()) suite events =
   List.iter
     (fun (t, nm) ->
       advance t;
-      Tap.emit_name tap (name nm);
-      after hub)
+      Tap.emit_name tap (name nm))
     events;
   advance (List.fold_left (fun m (t, _) -> max m t) 0 events + 100);
   Hub.finalize hub;
@@ -276,69 +275,6 @@ let test_same_instant_misses_in_suite_order () =
     "engine-direct" expected
     (labels (snd (run_hosted ~backend:Backend.flat_views suite events)))
 
-(* Timed suites over a small shared name pool, events spaced so they
-   land on, just before and just after deadlines: the engine path
-   re-arms only the checkers the engine marked, and must still report
-   exactly what the structural monitor hosted per checker reports,
-   with every pending deadline live in the wheel after every event.
-   Flat views that share no engine ([per_pattern flat]: one engine
-   each) take [attach_hub]'s per-view branch and must agree too. *)
-let gen_timed_case =
-  let open QCheck2.Gen in
-  let pool = [ "a"; "b"; "c"; "d"; "e" ] in
-  let entry i =
-    let* names = shuffle_l pool in
-    let n k = List.nth names k in
-    let* deadline = oneofl [ 3; 5; 10 ] in
-    let* shape = int_range 0 3 in
-    return
-      (Printf.sprintf "t%d: %s" i
-         (match shape with
-         | 0 -> Printf.sprintf "%s => %s within %d" (n 0) (n 1) deadline
-         | 1 ->
-             Printf.sprintf "%s => %s < %s within %d" (n 0) (n 1) (n 2)
-               deadline
-         | 2 ->
-             Printf.sprintf "%s < %s => %s[1,2] within %d" (n 0) (n 1) (n 2)
-               deadline
-         | _ -> Printf.sprintf "{%s, %s} <<! %s" (n 0) (n 1) (n 2)))
-  in
-  let* k = int_range 2 5 in
-  let* lines = flatten_l (List.init k entry) in
-  let* steps =
-    list_size (int_range 1 40)
-      (pair (oneofl pool) (oneofl [ 0; 1; 2; 3; 4; 5; 6; 9; 10; 11 ]))
-  in
-  let _, events_rev =
-    List.fold_left
-      (fun (t, acc) (nm, gap) -> (t + gap, (t + gap, nm) :: acc))
-      (0, []) steps
-  in
-  return (String.concat "\n" lines ^ "\n", List.rev events_rev)
-
-let print_timed_case (src, events) =
-  src
-  ^ String.concat " "
-      (List.map (fun (t, nm) -> Printf.sprintf "%s@%d" nm t) events)
-
-let test_dirty_resettle =
-  qtest ~count:300 "engine-direct = per-checker direct, wheel live"
-    gen_timed_case print_timed_case (fun (src, events) ->
-      let suite = parse_suite src in
-      let consistent = ref true in
-      let after hub = if not (Hub.wheel_consistent hub) then consistent := false in
-      let _, reference = run_hosted ~backend:direct ~after suite events in
-      let _, flat =
-        run_hosted ~backend:Backend.flat_views ~after suite events
-      in
-      let per_view_hub, per_view =
-        run_hosted ~backend:(Backend.per_pattern Backend.flat) ~after suite
-          events
-      in
-      !consistent
-      && Hub.engine per_view_hub = None
-      && reference = flat && reference = per_view)
-
 let () =
   Alcotest.run "hub"
     [
@@ -374,6 +310,5 @@ let () =
             test_metrics_match_across_hosting;
           Alcotest.test_case "same-instant misses in suite order" `Quick
             test_same_instant_misses_in_suite_order;
-          test_dirty_resettle;
         ] );
     ]

@@ -1,10 +1,10 @@
 (* The telemetry layer: registry semantics (dedup, noop, collected
-   sources), exposition formats, the version pin against the CHANGELOG,
-   and the qcheck law that a live metrics sink never changes a verdict
-   while the steps counter obeys exact conservation. *)
+   sources), exposition formats and the version pin against the
+   CHANGELOG.  That a live registry never changes a verdict, and that
+   its counters read exact values, is checked by test_oracle's
+   "batch+metrics", "hub+obs" and "session+obs" modes. *)
 
 open Loseq_core
-open Loseq_testutil
 module Obs = Loseq_obs.Metrics
 module Expo = Loseq_obs.Expo
 
@@ -173,51 +173,6 @@ let test_version_pin () =
   Alcotest.(check string)
     "Version.current matches the top CHANGELOG entry" top Version.current
 
-(* ---- qcheck: telemetry is observation-only ---------------------------- *)
-
-(* A small suite plus a trace touching every entry's alphabet. *)
-let gen_suite_and_trace =
-  QCheck2.Gen.(
-    let* n = int_range 1 3 in
-    let* ps = list_size (return n) gen_pattern in
-    let* words = flatten_l (List.map gen_alpha_word ps) in
-    let word = List.concat words in
-    let* gaps = list_size (return (List.length word)) (int_range 0 30) in
-    let time = ref 0 in
-    let trace =
-      List.map2
-        (fun nm gap ->
-          time := !time + gap;
-          { Trace.name = nm; time = !time })
-        word gaps
-    in
-    let suite =
-      List.mapi
-        (fun i p ->
-          { Loseq_verif.Suite.label = Printf.sprintf "p%d" i;
-            pattern = p;
-            line = i + 1 })
-        ps
-    in
-    return (suite, trace))
-
-let print_suite_and_trace (suite, trace) =
-  Format.asprintf "@[<v>suite:@,%s@,trace: %s@]"
-    (Loseq_verif.Suite.to_string suite)
-    (Trace.to_string trace)
-
-let test_live_noop_agree =
-  qtest ~count:200 "live metrics never change a verdict"
-    gen_suite_and_trace print_suite_and_trace (fun (suite, trace) ->
-      let plain = Loseq_verif.Suite.check_trace suite trace in
-      let m = Obs.create () in
-      let live = Loseq_verif.Suite.check_trace ~metrics:m suite trace in
-      plain = live
-      && Obs.read_counter m ~name:"loseq_backend_steps_total"
-           ~labels:[ ("backend", "flat") ]
-           ()
-         = Some (List.length trace * List.length suite))
-
 let () =
   Alcotest.run "obs"
     [
@@ -236,5 +191,4 @@ let () =
         ] );
       ( "version",
         [ Alcotest.test_case "changelog pin" `Quick test_version_pin ] );
-      ("qcheck", [ test_live_noop_agree ]);
     ]

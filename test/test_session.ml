@@ -1,6 +1,9 @@
-(* Streaming sessions: a suite hosted live must decide exactly what the
-   batch checker decides, absorb bounded disorder, and exert
-   backpressure instead of dying. *)
+(* Streaming sessions, pinned cases: a suite hosted live decides what
+   the batch checker decides, reports deadlines mid-stream, absorbs
+   bounded disorder, drops what comes too late, and exerts backpressure
+   instead of dying.  Sessions admitting by name, by id and from the
+   wire, against the declarative semantics on random samples, are
+   test_oracle's modes. *)
 
 open Loseq_core
 open Loseq_verif
@@ -122,201 +125,6 @@ let test_backpressure () =
   Alcotest.(check int) "forced counted" 1 stats.forced;
   ignore (Session.finalize session)
 
-(* ---- properties ------------------------------------------------------- *)
-
-(* Generated traces are chronological except for the Delay_conclusion
-   mutation; a session is a consumer of chronological streams, so
-   stable-sort first (ties keep their order — monitors are sensitive to
-   the order of simultaneous events). *)
-let chronological trace =
-  List.stable_sort
-    (fun (a : Trace.event) (b : Trace.event) -> compare a.time b.time)
-    trace
-
-(* Any generated pattern + chronological trace: streaming one event at
-   a time through the session decides exactly what the batch backend
-   decides. *)
-let prop_streaming_equals_batch =
-  qtest ~count:300 "session = Suite.check_trace" gen_pattern_and_trace
-    print_pattern_and_trace (fun (p, trace) ->
-      let trace = chronological trace in
-      let suite = [ { Suite.label = "p"; pattern = p; line = 1 } ] in
-      let session = Session.create suite in
-      offer_all session trace;
-      let report = Session.finalize session in
-      let streaming = passed_of (Report.summary report) in
-      streaming = Suite.check_trace suite trace)
-
-(* Jitter a chronological trace within K, stream with lateness K: same
-   verdict as the batch run on the clean trace (dropped events would
-   break the equivalence, so the property also asserts none dropped). *)
-let gen_jittered_case =
-  QCheck2.Gen.(
-    let* p, trace = gen_pattern_and_trace in
-    let* lateness = int_range 1 20 in
-    let* seed = int_bound 10_000 in
-    return (p, trace, lateness, seed))
-
-(* Bounded shuffle: swap adjacent events while timestamps stay within
-   the lateness budget of the maximum seen so far. *)
-let jitter ~lateness ~seed trace =
-  let arr = Array.of_list trace in
-  let rng = Random.State.make [| seed |] in
-  let n = Array.length arr in
-  for _ = 1 to n * 2 do
-    if n > 1 then begin
-      let i = Random.State.int rng (n - 1) in
-      let a = arr.(i) and b = arr.(i + 1) in
-      (* swapping delays [a] by one arrival slot; admissible when its
-         timestamp stays within lateness of what now precedes it.
-         Never swap ties: the reorder stage is stable, so tie inversion
-         would change what the monitors see. *)
-      if b.Trace.time <> a.Trace.time && b.Trace.time - a.Trace.time <= lateness
-      then begin
-        arr.(i) <- b;
-        arr.(i + 1) <- a
-      end
-    end
-  done;
-  Array.to_list arr
-
-let prop_disorder_absorbed =
-  qtest ~count:200 "lateness-K session absorbs K-bounded jitter"
-    gen_jittered_case
-    (fun (p, trace, lateness, seed) ->
-      Printf.sprintf "%s (lateness %d, seed %d)"
-        (print_pattern_and_trace (p, trace))
-        lateness seed)
-    (fun (p, trace, lateness, seed) ->
-      let trace = chronological trace in
-      let suite = [ { Suite.label = "p"; pattern = p; line = 1 } ] in
-      let shuffled = jitter ~lateness ~seed trace in
-      let session = Session.create ~lateness suite in
-      offer_all session shuffled;
-      let report = Session.finalize session in
-      let stats = Session.stats session in
-      stats.dropped_late = 0
-      && passed_of (Report.summary report) = Suite.check_trace suite trace)
-
-(* ---- admission by id ------------------------------------------------- *)
-
-(* Everything a session exposes about how it admitted a stream: the
-   report, the violation hooks in order, the counters and the tap's
-   emission count. *)
-let observe ~lateness ~window suite admit input =
-  let session = Session.create ~lateness ~window suite in
-  let hooks = ref [] in
-  Session.on_violation session (fun ~name v -> hooks := (name, v) :: !hooks);
-  admit session input;
-  let report = Session.finalize session in
-  ( Report.summary_strings report,
-    List.rev !hooks,
-    Session.stats session,
-    Tap.count (Hub.tap (Session.hub session)) )
-
-let by_name session = List.iter (Session.offer_force session)
-
-(* Resolve each name to its tap id and admit by id, force-draining
-   while blocked as [offer_force] does; a name no checker hears goes by
-   name. *)
-let by_id session =
-  List.iter (fun (e : Trace.event) ->
-      match Session.resolve session e.name with
-      | -1 -> Session.offer_force session e
-      | id ->
-          let rec admit () =
-            match Session.offer_id session id ~time:e.time with
-            | `Accepted -> ()
-            | `Blocked ->
-                ignore (Session.force_drain session);
-                admit ()
-          in
-          admit ())
-
-(* A generated case, re-timed and disordered: foreign names spliced in,
-   adjacent events swapped at random (so that, at lateness 0 or beyond
-   the margin, some arrive late and are dropped), a reorder margin of
-   0 or K and a window of 1 to 3 so that full windows force drains.
-   Two entries share the alphabet, so every name fans out. *)
-let gen_admission_case =
-  QCheck2.Gen.(
-    let* p, trace = gen_pattern_and_trace in
-    let* k = int_range 1 20 in
-    let* late = bool in
-    let* window = int_range 1 3 in
-    let* seed = int_bound 10_000 in
-    return (p, trace, (if late then k else 0), window, seed))
-
-let with_foreign ~seed trace =
-  let rng = Random.State.make [| seed |] in
-  List.concat_map
-    (fun (e : Trace.event) ->
-      if Random.State.int rng 3 = 0 then
-        let foreign = name (Printf.sprintf "zz%d" (Random.State.int rng 2)) in
-        [ { e with Trace.name = foreign }; e ]
-      else [ e ])
-    trace
-
-let disorder ~seed trace =
-  let arr = Array.of_list trace in
-  let rng = Random.State.make [| seed + 1 |] in
-  let n = Array.length arr in
-  for _ = 1 to n do
-    if n > 1 then begin
-      let i = Random.State.int rng (n - 1) in
-      let a = arr.(i) in
-      arr.(i) <- arr.(i + 1);
-      arr.(i + 1) <- a
-    end
-  done;
-  Array.to_list arr
-
-let print_admission_case (p, trace, lateness, window, seed) =
-  Printf.sprintf "%s (lateness %d, window %d, seed %d)"
-    (print_pattern_and_trace (p, trace))
-    lateness window seed
-
-let two_entries p =
-  [
-    { Suite.label = "p"; pattern = p; line = 1 };
-    { Suite.label = "q"; pattern = p; line = 2 };
-  ]
-
-let prop_id_equals_name =
-  qtest ~count:300 "admission by id = offer_force" gen_admission_case
-    print_admission_case (fun (p, trace, lateness, window, seed) ->
-      let input = disorder ~seed (with_foreign ~seed (chronological trace)) in
-      let suite = two_entries p in
-      observe ~lateness ~window suite by_name input
-      = observe ~lateness ~window suite by_id input)
-
-(* The LSQB path [serve] takes: the encoded stream, cut into small
-   chunks, decoded to (stream id, time) pairs and admitted through
-   {!Session.wire}, against the events offered by name. *)
-let prop_wire_equals_name =
-  qtest ~count:300 "Session.wire = offer_force" gen_admission_case
-    print_admission_case (fun (p, trace, lateness, window, seed) ->
-      let input = with_foreign ~seed (chronological trace) in
-      let suite = two_entries p in
-      let bytes = Codec.encode_exn input in
-      let wire session =
-        let dec = Codec.Decoder.create () in
-        let emit = Session.wire session dec in
-        let chunk = 1 + (seed mod 7) in
-        let rec go off =
-          if off < String.length bytes then begin
-            let len = min chunk (String.length bytes - off) in
-            Result.iter_error failwith
-              (Codec.Decoder.feed_ids dec ~off ~len bytes ~emit);
-            go (off + len)
-          end
-        in
-        go 0;
-        Result.iter_error failwith (Codec.Decoder.finish dec)
-      in
-      observe ~lateness ~window suite by_name input
-      = observe ~lateness ~window suite (fun s _ -> wire s) input)
-
 let () =
   Alcotest.run "session"
     [
@@ -335,7 +143,4 @@ let () =
           Alcotest.test_case "drops late" `Quick test_drops_late_events;
           Alcotest.test_case "backpressure" `Quick test_backpressure;
         ] );
-      ( "properties",
-        [ prop_streaming_equals_batch; prop_disorder_absorbed ] );
-      ("admission", [ prop_id_equals_name; prop_wire_equals_name ]);
     ]

@@ -169,9 +169,51 @@ let gen_pattern_and_trace =
     let* trace = gen_trace_for p in
     return (p, trace))
 
+(* A K-bounded scramble that preserves the relative order of
+   equal-timestamp events: jitter each *timestamp* (not each event) by
+   at most K and stable-sort by the jittered key.  Two events more than
+   K apart can never swap, so a reorder stage of lateness K always
+   admits the result; ties share a key, so its stable drain reproduces
+   the chronological trace exactly. *)
+let gen_scramble k trace =
+  QCheck2.Gen.(
+    let times =
+      List.sort_uniq compare (List.map (fun e -> e.Trace.time) trace)
+    in
+    let* jitters = list_size (return (List.length times)) (int_range 0 k) in
+    let jitter = Hashtbl.create 16 in
+    List.iter2 (fun t j -> Hashtbl.replace jitter t j) times jitters;
+    return
+      (List.stable_sort
+         (fun (a : Trace.event) (b : Trace.event) ->
+           compare
+             (a.Trace.time + Hashtbl.find jitter a.Trace.time)
+             (b.Trace.time + Hashtbl.find jitter b.Trace.time))
+         trace))
+
 let print_pattern_and_trace (p, trace) =
   Format.asprintf "@[<v>pattern: %a@,trace: %s@]" Pattern.pp p
     (Trace.to_string trace)
+
+(* A rendered verdict without the " on NAME (event #N)" locator, which
+   only the structural monitor prints. *)
+let unlocated (label, verdict) =
+  let find needle from =
+    let n = String.length needle in
+    let rec at i =
+      if i + n > String.length verdict then None
+      else if String.sub verdict i n = needle then Some i
+      else at (i + 1)
+    in
+    at from
+  in
+  match (find " on " 0, find " (event #" 0) with
+  | Some on, Some event when on < event ->
+      let close = String.index_from verdict event ')' in
+      ( label,
+        String.sub verdict 0 on
+        ^ String.sub verdict (close + 1) (String.length verdict - close - 1) )
+  | _ -> (label, verdict)
 
 (* ---- qcheck-to-alcotest shortcut -------------------------------------- *)
 
