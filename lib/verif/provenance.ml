@@ -14,7 +14,8 @@ type ring = {
   times : int array;
   slots : int array;  (* index into [alpha] *)
   mask : int;
-  mutable total : int;
+  mutable total : int;  (* pushes that landed; the write index *)
+  mutable skipped : int;  (* pushes after the freeze, counted only *)
   mutable freeze_time : int option;
       (* first-violation time: later events no longer enter the ring *)
   mutable violation : Diag.violation option;
@@ -55,7 +56,7 @@ let snapshot r =
    the chain is cut at read time. *)
 let push r ~time slot =
   match r.freeze_time with
-  | Some ft when time > ft -> ()
+  | Some ft when time > ft -> r.skipped <- r.skipped + 1
   | _ ->
       let i = r.total land r.mask in
       r.times.(i) <- time;
@@ -81,6 +82,7 @@ let make_rings depth suite =
              slots = Array.make depth 0;
              mask = depth - 1;
              total = 0;
+             skipped = 0;
              freeze_time = None;
              violation = None;
            })
@@ -125,7 +127,7 @@ let record t ~time name =
   | Some route -> push_route t route ~time
 
 let seen t =
-  Array.to_list (Array.map (fun r -> (r.label, r.total)) t.rings)
+  Array.to_list (Array.map (fun r -> (r.label, r.total + r.skipped)) t.rings)
 
 let note_violation t ~label (v : Diag.violation) =
   match Hashtbl.find_opt t.by_label label with
