@@ -26,9 +26,9 @@ let engine session =
   | None, c :: _ ->
       Error
         (Printf.sprintf
-           "checker %S: backend %S has no persistence capability \
-            (checkpointing requires the compiled or flat backend)"
-           (Checker.name c) (Checker.backend c).Backend.label)
+           "checker %S: hosted one monitor per pattern, which cannot be \
+            checkpointed (checkpointing needs the one suite engine)"
+           (Checker.name c))
 
 (* ---- capture ----------------------------------------------------------- *)
 

@@ -317,9 +317,10 @@ let test_resume_direct_refused () =
   | [ record ] ->
       Alcotest.(check bool) "an error record" true
         (contains record {|"type":"error"|});
-      Alcotest.(check bool) "naming the missing capability" true
+      Alcotest.(check bool) "naming the hosting" true
         (contains record
-           {|backend \"direct\" has no persistence capability (checkpointing requires the compiled or flat backend)|})
+           "hosted one monitor per pattern, which cannot be checkpointed \
+            (checkpointing needs the one suite engine)")
   | _ -> Alcotest.failf "expected one record, got %d" (List.length lines)
 
 let resume_cases =
@@ -367,9 +368,53 @@ let test_unwritable_artifact ~ooo ~trace_out ~profile_out () =
     (has_line [ last lines ] {|"type":"error"|}
     && has_line [ last lines ] "no-such-dir/")
 
+(* The profile counts every event of each entry's alphabet, also
+   after the entry's first violation froze its provenance ring. *)
+let test_profile_counts_every_event () =
+  let suite = load_suite "ipu.suite" in
+  let path = Filename.temp_file "loseq_profile" ".json" in
+  let code, _ =
+    run_serve ~trace:(ipu ()) (fun ~out ->
+        Server.serve ~profile_out:path ~out ~input:`Stdin suite)
+  in
+  let profile = String.concat "\n" (read_lines path) in
+  Sys.remove path;
+  Alcotest.(check int) "exit code" 1 code;
+  let trace =
+    match Trace_io.load_csv (ipu ()) with
+    | Ok t -> t
+    | Error msg -> Alcotest.fail msg
+  in
+  let steps =
+    match Json.of_string profile with
+    | Ok json ->
+        List.map
+          (fun c ->
+            match (Json.member "label" c, Json.member "steps" c) with
+            | Some (Json.String l), Some (Json.Int n) -> (l, n)
+            | _ -> Alcotest.fail "malformed checker record")
+          (Option.value ~default:[]
+             (Option.bind (Json.member "checkers" json) Json.to_list_opt))
+    | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.(check (list (pair string int)))
+    "steps = alphabet events"
+    (List.map
+       (fun (e : Suite.entry) ->
+         ( e.label,
+           List.length
+             (List.filter
+                (fun (ev : Trace.event) ->
+                  Name.Set.mem ev.name (Pattern.alpha e.pattern))
+                trace) ))
+       suite)
+    steps
+
 let artifact_cases =
   [
     Alcotest.test_case "atomic write" `Quick test_atomic_write;
+    Alcotest.test_case "profile counts every event" `Quick
+      test_profile_counts_every_event;
     Alcotest.test_case "unwritable trace, buffered" `Quick
       (test_unwritable_artifact ~ooo:false
          ~trace_out:(Some "no-such-dir/t.json") ~profile_out:None);
