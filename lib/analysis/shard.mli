@@ -25,8 +25,9 @@
     cost, plus an independence certificate — every cross-shard checker
     pair either shares no name or had {e all} its cross-relevant pairs
     proven commuting.  [Verif.Sharded] replays a trace under the plan
-    and must agree with the unsharded suite verdicts; the qcheck gate
-    in [test_shard] holds the two together. *)
+    and must agree with the unsharded suite verdicts; the differential
+    oracle's [sharded] mode ([test_oracle]) holds it to the declarative
+    semantics. *)
 
 open Loseq_core
 

@@ -175,7 +175,7 @@ val timed_checkers : t -> int array
 val deadlines_dirty : t -> bool
 (** Some timed checker's armed-deadline state may have changed since
     the last {!drain_deadlines} (arming, completion, round reset,
-    verdict, restore, or a whole-engine {!reset}/{!load_blob}).  The
+    verdict, {!copy_checker}, or a whole-engine {!reset}/{!load_blob}).  The
     steady-state step path leaves it false, so a host tests one flag
     per event. *)
 

@@ -9,8 +9,9 @@
     alphabet slice contains its name, and a sequencer stub merges the
     per-shard verdicts back into suite order.  On a certified plan the
     merged verdicts must equal unsharded {!Suite.check_trace} verdicts
-    on every trace — the qcheck gate in [test_shard], and the
-    [shard-divergence] check behind [loseq analyze --shard-plan].
+    on every trace — the [sharded] mode of the differential oracle in
+    [test_oracle], and the [shard-divergence] check behind [loseq
+    analyze --shard-plan].
 
     The harness is the single-domain dress rehearsal for multicore
     hosting: same slab slicing, same per-shard deadline wheels, same
