@@ -553,7 +553,7 @@ let modes =
     mode ~samples:500 "sharded" sharded;
   ]
 
-(* ---- driver 1: random samples ----------------------------------------- *)
+(* ---- random samples --------------------------------------------------- *)
 
 (* Every mode gets its own qcheck test over the same generator and the
    same seed, so all modes see the same samples (a mode running fewer
@@ -567,7 +567,7 @@ let random_case mode =
       | Ok () -> true
       | Error msg -> QCheck2.Test.fail_reportf "mode %s: %s" mode.name msg)
 
-(* ---- driver 2: every short word --------------------------------------- *)
+(* ---- every short word ------------------------------------------------- *)
 
 (* Every word up to [max_len] over the alphabet of [p], unit-spaced, one
    entry, judged well after its end; every mode runs on every word. *)
