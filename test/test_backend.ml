@@ -1,9 +1,11 @@
 (* The monitor-backend abstraction: four strategies (structural Drct,
    compiled flat-table, whole-suite flat engine, PSL progression)
-   behind one interface, their capabilities, flat state moving between
-   engines, deadline-only violations hosted on a simulated tap, and the
-   PSL backend against its progression oracle.  Every backend's
-   verdicts against the declarative semantics, offline and hosted, are
+   behind one interface, their capabilities, step-by-step agreement of
+   direct, compiled and flat offline (verdict class, armed deadline and
+   rendered diagnostic), flat state moving between engines,
+   deadline-only violations hosted on a simulated tap, and the PSL
+   backend against its progression oracle.  Every backend's verdicts
+   against the declarative semantics, offline and hosted, are
    test_oracle's. *)
 
 open Loseq_core
@@ -102,6 +104,62 @@ let test_reset () =
   ignore (b.Backend.step { Trace.name = Name.v "i"; time = 3 });
   Alcotest.(check string) "clean rerun" "running"
     (verdict_class (b.Backend.verdict ()))
+
+(* ---- property: offline agreement -------------------------------------- *)
+
+let prop_direct_compiled_agree (p, trace) =
+  let d = Backend.direct p in
+  let c = Backend.compiled p in
+  let f = Backend.flat p in
+  List.iter
+    (fun e ->
+      let vd = d.Backend.step e in
+      let vc = c.Backend.step e in
+      let vf = f.Backend.step e in
+      if
+        verdict_class vd <> verdict_class vc
+        || verdict_class vc <> verdict_class vf
+      then
+        QCheck2.Test.fail_reportf
+          "step %a@%d: direct %s, compiled %s, flat %s" Name.pp e.Trace.name
+          e.Trace.time (verdict_class vd) (verdict_class vc)
+          (verdict_class vf);
+      if d.Backend.next_deadline () <> c.Backend.next_deadline () then
+        QCheck2.Test.fail_reportf "deadline mismatch after %a@%d" Name.pp
+          e.Trace.name e.Trace.time;
+      if c.Backend.next_deadline () <> f.Backend.next_deadline () then
+        QCheck2.Test.fail_reportf "flat deadline mismatch after %a@%d" Name.pp
+          e.Trace.name e.Trace.time)
+    trace;
+  let now = Trace.end_time trace in
+  verdict_class (d.Backend.finalize ~now)
+  = verdict_class (c.Backend.finalize ~now)
+  && verdict_class (c.Backend.verdict ())
+     = verdict_class (f.Backend.finalize ~now)
+
+(* The flat engine and the structural monitor are built independently;
+   they must agree not just on the verdict class but on the whole
+   diagnostic — time, event ordinal, active fragment and reason — all
+   but the offending name, which only the structural monitor keeps. *)
+let prop_flat_direct_diagnostics_agree (p, trace) =
+  let d = Backend.direct p in
+  let f = Backend.flat p in
+  List.iter
+    (fun e ->
+      ignore (d.Backend.step e);
+      ignore (f.Backend.step e))
+    trace;
+  let now = Trace.end_time trace in
+  let render = function
+    | Backend.Violated v ->
+        Format.asprintf "%a" Backend.pp_verdict
+          (Backend.Violated { v with Diag.name = None })
+    | v -> Format.asprintf "%a" Backend.pp_verdict v
+  in
+  let vd = render (d.Backend.finalize ~now)
+  and vf = render (f.Backend.finalize ~now) in
+  if vd <> vf then QCheck2.Test.fail_reportf "direct %S, flat %S" vd vf
+  else true
 
 (* A flat checker's persisted state is exact: after every prefix it
    survives a trip through a second engine unchanged, and the second
@@ -226,6 +284,12 @@ let () =
         ] );
       ( "equivalence",
         [
+          qtest "direct, compiled and flat agree offline"
+            gen_pattern_and_trace print_pattern_and_trace
+            prop_direct_compiled_agree;
+          qtest ~count:300 "flat and direct render equal diagnostics"
+            gen_pattern_and_trace print_pattern_and_trace
+            prop_flat_direct_diagnostics_agree;
           qtest ~count:300 "flat state moves between engines exactly"
             gen_pattern_and_trace print_pattern_and_trace
             prop_state_moves_between_engines;

@@ -1,6 +1,7 @@
-(* The compiled monitor's own interface: verdicts, deadlines, interning,
-   reset.  Its verdicts against the declarative semantics are
-   test_oracle's "batch/compiled" mode. *)
+(* The compiled monitor's own interface (verdicts, deadlines, interning,
+   reset) and its verdict equivalence with the reference monitor and the
+   declarative semantics on every pattern and trace.  test_oracle's
+   "batch/compiled" mode checks it as a suite backend as well. *)
 
 open Loseq_core
 open Loseq_testutil
@@ -8,6 +9,13 @@ open Loseq_testutil
 let verdict_bool = function
   | Compiled.Running | Compiled.Satisfied -> true
   | Compiled.Violated _ -> false
+
+let same_kind c m =
+  match (c, m) with
+  | Compiled.Running, Monitor.Running -> true
+  | Compiled.Satisfied, Monitor.Satisfied -> true
+  | Compiled.Violated _, Monitor.Violated _ -> true
+  | _ -> false
 
 let test_basic_verdicts () =
   let p = pat "{a, b} << go" in
@@ -73,6 +81,39 @@ let test_rejects_ill_formed () =
   | (_ : Compiled.t) -> Alcotest.fail "expected Ill_formed"
   | exception Wellformed.Ill_formed _ -> ()
 
+let qcheck_compiled_equals_monitor =
+  qtest ~count:3000 "compiled verdicts = reference monitor verdicts"
+    gen_pattern_and_trace print_pattern_and_trace
+    (fun (p, trace) ->
+      if not (Trace.is_chronological trace) then true
+      else begin
+        let final_time = Trace.end_time trace + 1_000 in
+        let compiled = Compiled.compile p in
+        let monitor = Monitor.create p in
+        let stepwise_equal =
+          List.for_all
+            (fun e ->
+              let c = Compiled.step compiled e in
+              let m = Monitor.step monitor e in
+              same_kind c m)
+            trace
+        in
+        stepwise_equal
+        && same_kind
+             (Compiled.finalize compiled ~now:final_time)
+             (Monitor.finalize monitor ~now:final_time)
+      end)
+
+let qcheck_compiled_equals_semantics =
+  qtest ~count:800 "compiled verdicts = declarative semantics"
+    gen_pattern_and_trace print_pattern_and_trace
+    (fun (p, trace) ->
+      if not (Trace.is_chronological trace) then true
+      else
+        let final_time = Trace.end_time trace + 1_000 in
+        Compiled.accepts ~final_time p trace
+        = Semantics.holds ~final_time p trace)
+
 let qcheck_reset_equivalent_to_fresh =
   qtest ~count:300 "reset monitor behaves like a fresh one"
     gen_pattern_and_trace print_pattern_and_trace
@@ -101,5 +142,10 @@ let () =
           Alcotest.test_case "reset" `Quick test_reset_reusable;
           Alcotest.test_case "ill-formed" `Quick test_rejects_ill_formed;
         ] );
-      ("equivalence", [ qcheck_reset_equivalent_to_fresh ]);
+      ( "equivalence",
+        [
+          qcheck_compiled_equals_monitor;
+          qcheck_compiled_equals_semantics;
+          qcheck_reset_equivalent_to_fresh;
+        ] );
     ]

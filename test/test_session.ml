@@ -1,9 +1,10 @@
 (* Streaming sessions, pinned cases: a suite hosted live decides what
    the batch checker decides, reports deadlines mid-stream, absorbs
    bounded disorder, drops what comes too late, and exerts backpressure
-   instead of dying.  Sessions admitting by name, by id and from the
-   wire, against the declarative semantics on random samples, are
-   test_oracle's modes. *)
+   instead of dying; on random samples, a session decides what the
+   batch checker decides, with and without bounded jitter.  Sessions
+   admitting by name, by id and from the wire, against the declarative
+   semantics on random samples, are test_oracle's modes. *)
 
 open Loseq_core
 open Loseq_verif
@@ -125,6 +126,82 @@ let test_backpressure () =
   Alcotest.(check int) "forced counted" 1 stats.forced;
   ignore (Session.finalize session)
 
+(* ---- properties ------------------------------------------------------- *)
+
+(* Generated traces are chronological except for the Delay_conclusion
+   mutation; a session is a consumer of chronological streams, so
+   stable-sort first (ties keep their order — monitors are sensitive to
+   the order of simultaneous events). *)
+let chronological trace =
+  List.stable_sort
+    (fun (a : Trace.event) (b : Trace.event) -> compare a.time b.time)
+    trace
+
+(* Any generated pattern + chronological trace: streaming one event at
+   a time through the session decides exactly what the batch backend
+   decides. *)
+let prop_streaming_equals_batch =
+  qtest ~count:300 "session = Suite.check_trace" gen_pattern_and_trace
+    print_pattern_and_trace (fun (p, trace) ->
+      let trace = chronological trace in
+      let suite = [ { Suite.label = "p"; pattern = p; line = 1 } ] in
+      let session = Session.create suite in
+      offer_all session trace;
+      let report = Session.finalize session in
+      let streaming = passed_of (Report.summary report) in
+      streaming = Suite.check_trace suite trace)
+
+(* Jitter a chronological trace within K, stream with lateness K: same
+   verdict as the batch run on the clean trace (dropped events would
+   break the equivalence, so the property also asserts none dropped). *)
+let gen_jittered_case =
+  QCheck2.Gen.(
+    let* p, trace = gen_pattern_and_trace in
+    let* lateness = int_range 1 20 in
+    let* seed = int_bound 10_000 in
+    return (p, trace, lateness, seed))
+
+(* Bounded shuffle: swap adjacent events while timestamps stay within
+   the lateness budget of the maximum seen so far. *)
+let jitter ~lateness ~seed trace =
+  let arr = Array.of_list trace in
+  let rng = Random.State.make [| seed |] in
+  let n = Array.length arr in
+  for _ = 1 to n * 2 do
+    if n > 1 then begin
+      let i = Random.State.int rng (n - 1) in
+      let a = arr.(i) and b = arr.(i + 1) in
+      (* swapping delays [a] by one arrival slot; admissible when its
+         timestamp stays within lateness of what now precedes it.
+         Never swap ties: the reorder stage is stable, so tie inversion
+         would change what the monitors see. *)
+      if b.Trace.time <> a.Trace.time && b.Trace.time - a.Trace.time <= lateness
+      then begin
+        arr.(i) <- b;
+        arr.(i + 1) <- a
+      end
+    end
+  done;
+  Array.to_list arr
+
+let prop_disorder_absorbed =
+  qtest ~count:200 "lateness-K session absorbs K-bounded jitter"
+    gen_jittered_case
+    (fun (p, trace, lateness, seed) ->
+      Printf.sprintf "%s (lateness %d, seed %d)"
+        (print_pattern_and_trace (p, trace))
+        lateness seed)
+    (fun (p, trace, lateness, seed) ->
+      let trace = chronological trace in
+      let suite = [ { Suite.label = "p"; pattern = p; line = 1 } ] in
+      let shuffled = jitter ~lateness ~seed trace in
+      let session = Session.create ~lateness suite in
+      offer_all session shuffled;
+      let report = Session.finalize session in
+      let stats = Session.stats session in
+      stats.dropped_late = 0
+      && passed_of (Report.summary report) = Suite.check_trace suite trace)
+
 let () =
   Alcotest.run "session"
     [
@@ -143,4 +220,6 @@ let () =
           Alcotest.test_case "drops late" `Quick test_drops_late_events;
           Alcotest.test_case "backpressure" `Quick test_backpressure;
         ] );
+      ( "properties",
+        [ prop_streaming_equals_batch; prop_disorder_absorbed ] );
     ]
