@@ -28,7 +28,12 @@
      stderr), an unwritable [soc --csv] path (exit 2), [serve --ooo]
      with a [--backend] (exit 2, one [error] record), a dangling
      symlink in a --traces directory (skipped with a warning) and the
-     stderr of [dfa] past its state limit (exit 1). *)
+     stderr of [dfa] past its state limit (exit 1);
+   - the [soc] verification report (verdicts and per-checker coverage)
+     byte for byte against test/golden/soc_<case>.txt, with its exit
+     code, and the PSL backend's refusal of the recognition property
+     (exit 2); regenerate one with
+     [loseq_cli soc --presses 2 <flags> > test/golden/soc_<case>.txt]. *)
 
 open Loseq_core
 
@@ -285,6 +290,22 @@ let help_case cmd =
        (Printf.sprintf "help_%s.txt" (Option.value cmd ~default:"loseq_cli")))
     out
 
+(* [soc --presses 2 flags] prints test/golden/soc_<case>.txt and exits
+   [code]. *)
+let soc_case case ~code flags =
+  cli_case ("soc " ^ case) @@ fun root ->
+  let got, out, _ = run root ([ "soc"; "--presses"; "2" ] @ flags) in
+  Alcotest.(check int) "exit code" code got;
+  Alcotest.(check string) "report" (golden ("soc_" ^ case ^ ".txt")) out
+
+let soc_cases =
+  [
+    soc_case "default" ~code:0 [];
+    soc_case "start_first" ~code:1 [ "--bug"; "start-first" ];
+    soc_case "slow_ipu" ~code:1 [ "--slow-ipu" ];
+    soc_case "direct" ~code:0 [ "--backend"; "direct" ];
+  ]
+
 (* [args] must fail with exactly [stderr] and exit [code]. *)
 let input_error name ~code ~stderr args =
   cli_case name @@ fun root ->
@@ -369,6 +390,12 @@ let input_errors =
     input_error "bad stats addr" ~code:2
       ~stderr:"stats: --addr \"nope\": expected HOST:PORT\n"
       [ "stats"; "--addr"; "nope" ];
+    input_error "soc psl refused" ~code:2
+      ~stderr:
+        "backend error: Translate.to_psl: range read_img[100,60000] is wider \
+         than 256; its quadratic PSL encoding would not fit in memory (use \
+         formula_size)\n"
+      [ "soc"; "--presses"; "2"; "--backend"; "psl" ];
   ]
 
 let () =
@@ -389,5 +416,5 @@ let () =
           ]
           @ List.map help_case
               (None :: List.map Option.some subcommands)
-          @ input_errors );
+          @ soc_cases @ input_errors );
       ])
