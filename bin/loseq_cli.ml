@@ -238,13 +238,12 @@ let serve_backend_kind_arg =
 
 let factory_of = function
   | `Direct -> fun p -> Backend.direct p
-  | `Compiled -> Backend.compiled
-  | `Flat -> Backend.flat
+  | `Compiled | `Flat -> Backend.flat
   | `Psl -> Loseq_psl.Progress.backend
 
-(* Suite commands: compiled and flat name the one suite engine (the
-   whole suite compiled into one flat engine, stepped engine-direct);
-   direct and psl host per pattern. *)
+(* Hub hosts: compiled and flat name the one suite engine (the whole
+   suite compiled into one flat engine, stepped engine-direct); direct
+   and psl host per pattern. *)
 let suite_factory_of = function
   | `Compiled | `Flat -> Backend.flat_views
   | (`Direct | `Psl) as kind -> Backend.per_pattern (factory_of kind)
@@ -278,12 +277,6 @@ let with_stats enabled f =
   if enabled then Format.eprintf "%a" Loseq_obs.Expo.pp_human metrics;
   result
 
-(* Instrument every backend the factory builds (hosted paths thread the
-   registry themselves; the batch paths wrap here). *)
-let instrumented metrics factory =
-  if Obs.is_live metrics then fun p -> Backend.instrument metrics (factory p)
-  else factory
-
 (* ---- check ----------------------------------------------------------- *)
 
 let check_cmd =
@@ -296,7 +289,9 @@ let check_cmd =
       if strict then Backend.direct ~mode:Monitor.Strict
       else factory_of backend_kind
     in
-    let* b = with_backend (fun () -> instrumented metrics factory pattern) in
+    let* b = with_backend (fun () -> factory pattern) in
+    (* hub hosts count through the hub; this batch path counts here *)
+    let b = if Obs.is_live metrics then Backend.instrument metrics b else b in
     let expected = ref Name.Set.empty in
     let update () =
       Option.iter (fun acceptable -> expected := acceptable ())
@@ -1771,8 +1766,8 @@ let soc_cmd =
     (* e.g. the PSL backend rejecting read_img[100,60000]. *)
     let* report =
       with_backend (fun () ->
-          Soc.attach_standard_checkers
-            ~backend:(instrumented metrics (factory_of backend_kind))
+          Soc.attach_standard_checkers ~metrics
+            ~backend:(suite_factory_of backend_kind)
             soc)
     in
     Soc.run soc;

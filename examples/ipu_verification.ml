@@ -10,11 +10,13 @@ open Loseq_platform
 open Loseq_verif
 
 (* The checkers are hosted on an alphabet-routed hub; [backend] picks
-   the monitor implementation behind each one (the CLI equivalent is
-   `loseq_cli soc --backend compiled`).  Compiled is the production
-   default; direct is the paper's structural construction with the
-   richest diagnostics. *)
-let scenario ?(backend = Backend.compiled) title config =
+   the monitor implementation behind them (the CLI equivalent is
+   `loseq_cli soc --backend flat`).  The flat engine is the production
+   default: the three properties compiled into one table engine that
+   the hub steps directly.  Direct is the paper's structural
+   construction with the richest diagnostics, one monitor per
+   property. *)
+let scenario ?(backend = Backend.flat_views) title config =
   Format.printf "@.===== %s =====@." title;
   let soc = Soc.create ~config () in
   let hub = Soc.standard_hub ~backend soc in
@@ -49,7 +51,7 @@ let () =
   (* The same scenario on the structural (Drct) backend: identical
      verdicts, richer per-fragment coverage. *)
   scenario
-    ~backend:(fun p -> Backend.direct p)
+    ~backend:(Backend.per_pattern (fun p -> Backend.direct p))
     "correct firmware, structural backend" Soc.default_config;
 
   (* Buggy firmware: recognition started before the gallery size was

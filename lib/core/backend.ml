@@ -8,7 +8,6 @@ type t = {
   pattern : Pattern.t;
   alphabet : Name.Set.t;
   step : Trace.event -> verdict;
-  prepare : Name.t -> int -> verdict;
   check_time : now:int -> verdict;
   next_deadline : unit -> int option;
   finalize : now:int -> verdict;
@@ -20,15 +19,10 @@ type t = {
   engine : Flat.t option;
 }
 
-let make ~label ~pattern ?alphabet ~step ?prepare ?check_time ?next_deadline
+let make ~label ~pattern ?alphabet ~step ?check_time ?next_deadline
     ?finalize ~verdict ~reset ?states ?acceptable ?ops ?engine () =
   let alphabet =
     match alphabet with Some a -> a | None -> Pattern.alpha pattern
-  in
-  let prepare =
-    match prepare with
-    | Some f -> f
-    | None -> fun name time -> step { Trace.name; time }
   in
   let check_time =
     match check_time with Some f -> f | None -> fun ~now:_ -> verdict ()
@@ -44,7 +38,6 @@ let make ~label ~pattern ?alphabet ~step ?prepare ?check_time ?next_deadline
     pattern;
     alphabet;
     step;
-    prepare;
     check_time;
     next_deadline;
     finalize;
@@ -96,21 +89,14 @@ let lift_flat eng ck = function
    closure indexes the engine's packed table.  Hosts that know about
    engines ([Hub.host_flat], checkpoint blobs) recognize a shared one
    through the [engine] capability. *)
-let view ~label ?engine eng ck =
+let flat_view eng ck =
   let verdict () = lift_flat eng ck (Flat.verdict eng ck) in
-  make ~label
+  make ~label:"flat"
     ~pattern:(Flat.pattern eng ck)
     ~alphabet:(Flat.alphabet eng ck)
     ~step:(fun e ->
       Flat.step_checker eng ck e;
       if Flat.verdict_code eng ck = 0 then Running else verdict ())
-    ~prepare:(fun name ->
-      let loc = Flat.local_of_name eng ck name in
-      if loc < 0 then fun _time -> verdict ()
-      else
-        fun time ->
-          Flat.step_local eng ck loc ~time;
-          if Flat.verdict_code eng ck = 0 then Running else verdict ())
     ~check_time:(fun ~now ->
       Flat.check_time_checker eng ck ~now;
       verdict ())
@@ -120,14 +106,7 @@ let view ~label ?engine eng ck =
       verdict ())
     ~verdict
     ~reset:(fun () -> Flat.reset_checker eng ck)
-    ?engine ()
-
-(* A compiled monitor is a one-checker engine of its own, hosted per
-   checker: it carries no [engine], so no host shares it. *)
-let compiled pattern =
-  view ~label:"compiled" (Flat.compile [ ("pattern", pattern) ]) 0
-
-let flat_view eng ck = view ~label:"flat" ~engine:eng eng ck
+    ~engine:eng ()
 
 let flat_engine_views eng = Array.init (Flat.size eng) (flat_view eng)
 
@@ -142,8 +121,8 @@ let per_pattern f entries =
 
 (* One steps counter per backend flavor, shared across every instrumented
    backend with the same label on the same registry (Metrics deduplicates
-   by (name, labels)).  The wrapped [step]/[prepare] keep the original
-   closures — the bump is an int store in front of them. *)
+   by (name, labels)).  The wrapped [step] keeps the original closure —
+   the bump is an int store in front of it. *)
 let instrument metrics b =
   let steps =
     Loseq_obs.Metrics.counter metrics ~name:"loseq_backend_steps_total"
@@ -155,13 +134,7 @@ let instrument metrics b =
     Loseq_obs.Metrics.incr steps;
     b.step e
   in
-  let prepare name =
-    let f = b.prepare name in
-    fun time ->
-      Loseq_obs.Metrics.incr steps;
-      f time
-  in
-  { b with step; prepare }
+  { b with step }
 
 (* ---- helpers ----------------------------------------------------------- *)
 

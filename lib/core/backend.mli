@@ -2,10 +2,10 @@
 
     Three monitor strategies coexist in the code base: the structural
     {!Monitor} (the paper's Drct construction, literally — rich
-    diagnostics, coverage-grade introspection), the flat-table
-    {!Compiled} fast path (a step is a handful of array reads) and the
-    formula-progression ViaPSL monitor of [Loseq_psl.Progress], plus
-    the whole-suite {!Flat} engine.  Every host targets one value type,
+    diagnostics, coverage-grade introspection), the {!Flat} table
+    engine (one engine per suite; a step is a handful of array reads)
+    and the formula-progression ViaPSL monitor of
+    [Loseq_psl.Progress].  Every host targets one value type,
     {!t}: a single-property host chooses a backend with a
     [Pattern.t -> t] {!factory}, a suite host with one
     {!suite_factory} ({!per_pattern} lifts the former).  Strategies
@@ -22,7 +22,7 @@
 
     Verdicts are {e shared} with {!Monitor} (the type equation below),
     so existing verdict-matching code hosts any backend unchanged.
-    Backends whose native diagnostics are coarser (compiled, PSL)
+    Backends whose native diagnostics are coarser (flat, PSL)
     synthesize a {!Diag.violation} with what they know. *)
 
 type verdict = Monitor.verdict =
@@ -31,7 +31,7 @@ type verdict = Monitor.verdict =
   | Violated of Diag.violation
 
 type t = {
-  label : string;  (** ["direct"], ["compiled"], ["psl"], ... *)
+  label : string;  (** ["direct"], ["flat"], ["psl"] *)
   pattern : Pattern.t;
   alphabet : Name.Set.t;
       (** [α(pattern)] — the routing key: a hosting layer must deliver
@@ -40,12 +40,6 @@ type t = {
   step : Trace.event -> verdict;
       (** Consume one event.  Sticky after a decided verdict.  Events
           outside {!alphabet} are ignored (lenient). *)
-  prepare : Name.t -> int -> verdict;
-      (** [prepare name] resolves [name] once (interning, category-row
-          lookup, ...) and returns a stepper [fun time -> ...]
-          equivalent to [step { name; time }] — the fast path for a
-          per-name-routed host that subscribes one closure per alphabet
-          name. *)
   check_time : now:int -> verdict;
       (** Report a deadline miss if [now] exceeds an armed deadline. *)
   next_deadline : unit -> int option;
@@ -66,11 +60,10 @@ type t = {
       (** Elementary operations executed so far, when the strategy
           meters them. *)
   engine : Flat.t option;
-      (** The shared suite engine this backend is a view of (flat
-          backend only).  Hosts that can exploit suite-level sharing —
-          engine-direct dispatch, one-blob checkpoints — discover it
-          here; everyone else treats the view as an ordinary
-          per-checker backend. *)
+      (** The engine this backend is a view of (flat backend only).
+          Hosts that can exploit suite-level sharing — engine-direct
+          dispatch, one-blob checkpoints — discover it here; everyone
+          else treats the view as an ordinary per-checker backend. *)
 }
 
 val make :
@@ -78,7 +71,6 @@ val make :
   pattern:Pattern.t ->
   ?alphabet:Name.Set.t ->
   step:(Trace.event -> verdict) ->
-  ?prepare:(Name.t -> int -> verdict) ->
   ?check_time:(now:int -> verdict) ->
   ?next_deadline:(unit -> int option) ->
   ?finalize:(now:int -> verdict) ->
@@ -91,18 +83,19 @@ val make :
   unit ->
   t
 (** Build a backend, defaulting the optional operations: [alphabet]
-    defaults to [Pattern.alpha pattern]; [prepare] to a [step] wrapper;
-    [check_time]/[finalize] to deadline-free no-ops returning the
+    defaults to [Pattern.alpha pattern]; [check_time]/[finalize] to
+    deadline-free no-ops returning the
     current verdict; [next_deadline] to [fun () -> None]. *)
 
 (** {1 Factories} *)
 
 type factory = Pattern.t -> t
-(** What single-property hosts ({!Loseq_verif.Hub.add}, the SoC
-    checkers) take as a [?backend] argument.  Factories raise
-    {!Wellformed.Ill_formed} on ill-formed patterns (and the ViaPSL
-    factory additionally [Invalid_argument] on ranges too wide to
-    materialize a formula). *)
+(** One backend per pattern: what a batch host stepping a single
+    property takes ([loseq check]), and what {!per_pattern} lifts to a
+    suite host.  Factories raise {!Wellformed.Ill_formed} on
+    ill-formed patterns (and the ViaPSL factory additionally
+    [Invalid_argument] on ranges too wide to materialize a
+    formula). *)
 
 val direct : ?mode:Monitor.mode -> factory
 (** The structural {!Monitor}: rich diagnostics, state coverage,
@@ -110,30 +103,26 @@ val direct : ?mode:Monitor.mode -> factory
     only makes sense for a host that delivers {e all} events, not just
     the alphabet-routed ones. *)
 
-val compiled : factory
-(** The {!Compiled} fast path — the default of single-property hosts: a
-    one-checker {!Flat} engine per pattern, hosted per checker (it
-    carries no {!t.engine}).  Suite hosts use {!flat_views} instead. *)
-
 type suite_factory = (string * Pattern.t) list -> t array
-(** What every suite host ({!Loseq_verif.Suite.attach_hub} and
-    everything built on it, the server) takes as its one [?backend]
-    argument: the whole labelled suite in one call, so the factory can
-    share state across checkers.  The returned array is in entry
-    order. *)
+(** What every hub host ({!Loseq_verif.Hub.add},
+    {!Loseq_verif.Suite.attach_hub} and everything built on them, the
+    server, the SoC checkers) takes as its one [?backend] argument: the
+    whole labelled suite in one call, so the factory can share state
+    across checkers.  The returned array is in entry order. *)
 
 val per_pattern : factory -> suite_factory
 (** One backend per entry, built independently — how the per-pattern
-    strategies ({!direct}, {!compiled}, the ViaPSL monitor) host a
-    suite.  Such a hosting has no single engine, so it cannot be
-    checkpointed. *)
+    reference strategies ({!direct}, the ViaPSL monitor) host a suite.
+    Such a hosting has no single engine: it is hosted one checker at a
+    time and cannot be checkpointed. *)
 
 val flat_views : suite_factory
 (** Compile the whole suite into one {!Flat} engine and return one
     backend view per entry (label ["flat"]).  The views share the
     engine's packed state array and each carries it in {!t.engine}, so
     a host that recognizes the sharing steps the engine directly.  The
-    default of every suite host. *)
+    default of every hub host, which [--backend compiled] and
+    [--backend flat] both name. *)
 
 val flat_engine_views : Flat.t -> t array
 (** Backend views over an {e existing} engine — e.g. one produced by
@@ -142,13 +131,14 @@ val flat_engine_views : Flat.t -> t array
 
 val flat : factory
 (** A single-pattern flat engine (a one-entry suite) — [--backend flat]
-    on per-pattern hosts.  {!flat_views} is where the flavor earns its
+    and [--backend compiled] on [loseq check], which steps one backend
+    without a hub.  {!flat_views} is where the flavor earns its
     keep. *)
 
 (** {1 Telemetry} *)
 
 val instrument : Loseq_obs.Metrics.t -> t -> t
-(** The same backend with its [step]/[prepare] paths counting into
+(** The same backend with its [step] counting into
     [loseq_backend_steps_total{backend=label}] on the given registry.
     Hosts apply this only when handed a live sink — an uninstrumented
     backend stays closure-for-closure what the factory built. *)

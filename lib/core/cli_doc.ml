@@ -3,10 +3,8 @@ let backend_names = [ "direct"; "compiled"; "flat"; "psl" ]
 let backend_doc =
   "Monitor backend: $(b,direct) (the paper's structural Drct \
    construction, one monitor per pattern, richest diagnostics), \
-   $(b,compiled) (the table-driven fast path and the default of \
-   $(b,check), $(b,suite), $(b,soc) and $(b,trace): one table per \
-   pattern on $(b,check) and $(b,soc), the suite engine on \
-   $(b,suite), $(b,serve) and $(b,trace)), $(b,flat) (the suite \
+   $(b,compiled) (the default of $(b,check), $(b,suite), $(b,soc) \
+   and $(b,trace); another name for $(b,flat)), $(b,flat) (the suite \
    engine: the whole suite compiled into one table engine, every \
    checker's state packed into one array, one shared dispatch — the \
    fastest hosted path and the only hosting $(b,serve) can \

@@ -13,8 +13,7 @@ val backend_names : string list
 val backend_doc : string
 (** The [--backend] option description shared by [check], [suite],
     [soc], [trace] and [serve].  Mentions each of {!backend_names},
-    what [compiled] means where (one table per pattern on [check] and
-    [soc], the suite engine on [suite], [serve] and [trace]) and the
+    that [compiled] names the [flat] engine on every command, and the
     defaults: [compiled] for the batch commands; for [serve], [flat]
     when buffered, and always [flat] under [--ooo], which refuses
     [--backend]. *)

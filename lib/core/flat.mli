@@ -110,10 +110,10 @@ val gid_of_name : t -> Name.t -> int option
 val local_of_name : t -> int -> Name.t -> int
 (** [local_of_name t ck nm] is the checker-local id of [nm] for [ck]
     (its position in the sorted alphabet), or [-1] when [nm] is not in
-    that checker's alphabet — resolved once by per-name-routed hosts
-    ({!Backend.t.prepare}).  A scan of [ck]'s own locals: compilation
-    keeps no checker-by-name table, so it stays linear in suite
-    size. *)
+    that checker's alphabet — what {!step_local} takes, resolved once
+    by a caller that steps one checker by id.  A scan of [ck]'s own
+    locals: compilation keeps no checker-by-name table, so it stays
+    linear in suite size. *)
 
 (** {1 Stepping} *)
 

@@ -153,20 +153,20 @@ let property_recognition t =
     ]
     ~deadline:(Time.to_ps t.config.recognition_deadline)
 
-let standard_hub ?backend t =
-  let hub = Hub.create t.tap in
+let standard_hub ?metrics ?(backend = Backend.flat_views) t =
+  let hub = Hub.create ?metrics t.tap in
   ignore
-    (Hub.add ?backend ~name:"IPU configuration before start" hub
-       (property_configuration t));
-  ignore
-    (Hub.add ?backend ~name:"IPU configuration before start (repeated)" hub
-       (property_configuration_repeated t));
-  ignore
-    (Hub.add ?backend ~name:"recognition completes within deadline" hub
-       (property_recognition t));
+    (Hub.host_suite hub backend
+       [
+         ("IPU configuration before start", property_configuration t);
+         ( "IPU configuration before start (repeated)",
+           property_configuration_repeated t );
+         ("recognition completes within deadline", property_recognition t);
+       ]);
   hub
 
-let attach_standard_checkers ?backend t = Hub.report (standard_hub ?backend t)
+let attach_standard_checkers ?metrics ?backend t =
+  Hub.report (standard_hub ?metrics ?backend t)
 
 let run ?until t =
   let horizon =

@@ -38,13 +38,18 @@ val property_recognition : t -> Pattern.t
 (** Section 3 (ii) / Example 3:
     [start => read_img[100,60000] < set_irq within T]. *)
 
-val standard_hub : ?backend:Backend.factory -> t -> Hub.t
-(** Host the three properties above on an alphabet-routed {!Hub}
-    (backend defaults to {!Loseq_core.Backend.compiled}).  Note the
-    PSL backend rejects {!property_recognition} — its
-    [read_img[100,60000]] range is far past the re-encoding bound. *)
+val standard_hub :
+  ?metrics:Loseq_obs.Metrics.t -> ?backend:Backend.suite_factory -> t -> Hub.t
+(** Host the three properties above as one suite on an alphabet-routed
+    {!Hub} ({!Hub.host_suite}) with telemetry into [metrics] (see
+    {!Hub.create}).  [backend] defaults to
+    {!Loseq_core.Backend.flat_views}: one engine for the three, stepped
+    engine-direct.  Note the PSL backend rejects
+    {!property_recognition} — its [read_img[100,60000]] range is far
+    past the re-encoding bound. *)
 
-val attach_standard_checkers : ?backend:Backend.factory -> t -> Report.t
+val attach_standard_checkers :
+  ?metrics:Loseq_obs.Metrics.t -> ?backend:Backend.suite_factory -> t -> Report.t
 (** {!standard_hub}, reported. *)
 
 val run : ?until:Time.t -> t -> unit

@@ -6,14 +6,15 @@ type t = {
   now : unit -> int;  (** the host's clock, for {!finalize} *)
   coverage : Coverage.t;
   mutable events_seen : int;
-  seen : unit -> int;  (** deliveries a host made outside {!deliver} *)
+  counts : (Name.t -> int) option;
+      (** per-name deliveries a host made outside {!deliver} *)
   mutable violation_hooks : (Diag.violation -> unit) list;
   mutable violation_reported : bool;
   mutable transition_hook :
     (before:Backend.verdict -> after:Backend.verdict -> unit) option;
 }
 
-let make ?name ?(now = fun () -> 0) ?(seen = fun () -> 0) backend =
+let make ?name ?(now = fun () -> 0) ?counts backend =
   let name =
     match name with
     | Some n -> n
@@ -26,7 +27,7 @@ let make ?name ?(now = fun () -> 0) ?(seen = fun () -> 0) backend =
       now;
       coverage = Coverage.create backend.Backend.pattern;
       events_seen = 0;
-      seen;
+      counts;
       violation_hooks = [];
       violation_reported = false;
       transition_hook = None;
@@ -35,6 +36,7 @@ let make ?name ?(now = fun () -> 0) ?(seen = fun () -> 0) backend =
   (match backend.Backend.states with
   | Some states -> Coverage.observe_states t.coverage (states ())
   | None -> ());
+  Option.iter (Coverage.count_from t.coverage) counts;
   t
 
 let report_if_violated t =
@@ -70,16 +72,12 @@ let deliver t event =
   let after = t.backend.Backend.step event in
   note t ~before ~after
 
-(* Per-name routed delivery: the backend resolves [name] once and the
-   returned handler only takes the event for its time stamp. *)
-let routed t name =
-  let stepper = t.backend.Backend.prepare name in
-  fun (event : Trace.event) ->
-    t.events_seen <- t.events_seen + 1;
-    Coverage.observe_event t.coverage event;
-    let before = t.backend.Backend.verdict () in
-    let after = stepper event.Trace.time in
-    note t ~before ~after
+(* Deliveries the host counted itself, over the alphabet. *)
+let counted t =
+  match t.counts with
+  | None -> 0
+  | Some count ->
+      Name.Set.fold (fun n acc -> acc + count n) t.backend.Backend.alphabet 0
 
 let poll t ~now =
   ignore (t.backend.Backend.check_time ~now);
@@ -103,7 +101,7 @@ let finalize t = finalize_at t ~now:(t.now ())
    hosts only): align the bookkeeping with the backend so an
    already-reported violation does not fire the hooks a second time. *)
 let restore_meta t ~events_seen =
-  t.events_seen <- events_seen - t.seen ();
+  t.events_seen <- events_seen - counted t;
   match t.backend.Backend.verdict () with
   | Backend.Violated _ -> t.violation_reported <- true
   | Backend.Running | Backend.Satisfied -> t.violation_reported <- false
@@ -116,6 +114,6 @@ let sync_external t = report_if_violated t
 let passed t = Backend.passed (t.backend.Backend.verdict ())
 let on_violation t hook = t.violation_hooks <- hook :: t.violation_hooks
 let on_transition t hook = t.transition_hook <- Some hook
-let events_seen t = t.events_seen + t.seen ()
+let events_seen t = t.events_seen + counted t
 let coverage t = t.coverage
 let pp_verdict = Backend.pp_verdict

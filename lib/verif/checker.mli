@@ -1,9 +1,10 @@
 (** Assertion checkers: monitor backends hosted in a simulation.
 
-    A checker wraps one {!Loseq_core.Backend} (structural, compiled,
-    flat or ViaPSL), drives it with observed events, collects coverage
-    and reports violations once.  A checker is passive: a host
-    subscribes it to a tap.  That host is the {!Hub}: its merged
+    A checker wraps one {!Loseq_core.Backend} (structural, flat or
+    ViaPSL), drives it with observed events, collects coverage and
+    reports violations once.  A checker is passive: a host subscribes
+    it to a tap, or steps the flat engine behind it and tells it
+    ({!sync_external}).  That host is the {!Hub}: its merged
     deadline wheel keeps each timed checker's deadline scheduled in the
     kernel, so a miss is reported the moment it elapses (the
     [sc_time]-based mechanism of the paper's Section 6 monitors).  To
@@ -19,20 +20,18 @@ type t
     is not subscribed anywhere. *)
 
 val make :
-  ?name:string -> ?now:(unit -> int) -> ?seen:(unit -> int) -> Backend.t -> t
+  ?name:string -> ?now:(unit -> int) -> ?counts:(Name.t -> int) -> Backend.t -> t
 (** A detached checker over an existing backend.  [now] is the host's
-    clock, consulted by {!finalize} (defaults to constant 0).  [seen]
+    clock, consulted by {!finalize} (defaults to constant 0).  [counts]
     is for hosts that step the backend outside the checker
-    ({!sync_external}): it counts the deliveries the host made on the
-    checker's behalf, and {!events_seen} adds it in. *)
+    ({!sync_external}): per alphabet name, the deliveries the host made
+    on the checker's behalf.  {!events_seen} and the name counts of
+    {!coverage} add them in when read. *)
 
 val deliver : t -> Trace.event -> unit
-(** Feed one event (coverage, verdict transitions, violation hooks). *)
-
-val routed : t -> Name.t -> Trace.event -> unit
-(** [routed t n] is the per-name fast path: the backend resolves [n]
-    once ({!Backend.t.prepare}) and the returned handler is what a host
-    subscribes for that name. *)
+(** Feed one event (coverage, verdict transitions, violation hooks) —
+    how {!Hub.host} delivers, routed by name or, for a strict checker,
+    every event. *)
 
 val poll : t -> now:int -> unit
 (** Deadline check at time [now] (reports a miss through the hooks). *)

@@ -12,6 +12,7 @@ let kind_of_state = function
 type t = {
   alpha : Name.Set.t;
   counts : (Name.t, int) Hashtbl.t;
+  mutable counted : Name.t -> int;  (** counts kept outside, by a host *)
   visited : (int * state_kind, unit) Hashtbl.t;
   reachable : int;  (* denominator for state coverage *)
   mutable rounds : int;
@@ -42,6 +43,7 @@ let create p =
   {
     alpha = Pattern.alpha p;
     counts = Hashtbl.create 16;
+    counted = (fun _ -> 0);
     visited = Hashtbl.create 16;
     reachable;
     rounds = 0;
@@ -64,13 +66,14 @@ let observe_states t states =
         frag)
     states
 
+let count_from t counted = t.counted <- counted
 let record_round t = t.rounds <- t.rounds + 1
 let record_violation t = t.violations <- t.violations + 1
 
 let name_counts t =
   Name.Set.elements t.alpha
   |> List.map (fun n ->
-         (n, Option.value ~default:0 (Hashtbl.find_opt t.counts n)))
+         (n, Option.value ~default:0 (Hashtbl.find_opt t.counts n) + t.counted n))
 
 let names_covered t =
   let total = Name.Set.cardinal t.alpha in

@@ -15,6 +15,13 @@ type t
 val create : Pattern.t -> t
 val observe_event : t -> Trace.event -> unit
 val observe_states : t -> Recognizer.state list list -> unit
+
+val count_from : t -> (Name.t -> int) -> unit
+(** Name counts a host keeps itself, added to the observed ones
+    whenever they are read — how a host that steps the backend outside
+    the checker ({!Hub.host_flat}) fills name coverage without
+    per-event work. *)
+
 val record_round : t -> unit
 val record_violation : t -> unit
 

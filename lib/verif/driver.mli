@@ -46,7 +46,7 @@ val drive_sequence : ?gap:Time.t * Time.t -> t -> Name.t list -> unit
 (** Drive an explicit sequence (e.g. a mutated, violating one). *)
 
 val drive_monitored :
-  ?backend:Backend.factory ->
+  ?backend:Backend.suite_factory ->
   ?seed:int ->
   ?rounds:int ->
   ?gap:Time.t * Time.t ->
@@ -56,7 +56,8 @@ val drive_monitored :
   Checker.t
 (** {!drive}, closed-loop: hosts a checker for the pattern on a fresh
     {!Hub} over [tap] ({!Hub.add}; backend defaults to
-    {!Loseq_core.Backend.compiled}) before spawning the driver process,
+    {!Loseq_core.Backend.flat_views}, an engine stepped engine-direct)
+    before spawning the driver process,
     and returns it.  Alphabet names
     without a binding are bound to emit the abstract event on [tap],
     so the generated stimulus is observable out of the box; explicit

@@ -350,11 +350,10 @@ let host ?(latency_sample_rate = default_sample_rate) t checker ~strict =
   else
     Name.Set.iter
       (fun n ->
-        let handler = Checker.routed checker n in
         match (t.obs, t.trc) with
         | None, None ->
             Tap.subscribe_name t.tap n (fun e ->
-                handler e;
+                Checker.deliver checker e;
                 after_delivery t entry)
         | obs, _ ->
             (* The just-bumped deliveries count doubles as the 1-in-N
@@ -381,10 +380,10 @@ let host ?(latency_sample_rate = default_sample_rate) t checker ~strict =
             Tap.subscribe_name t.tap n (fun e ->
                 if sampled () then
                   sampled_dispatch t (fun () ->
-                      handler e;
+                      Checker.deliver checker e;
                       after_delivery t entry)
                 else begin
-                  handler e;
+                  Checker.deliver checker e;
                   after_delivery t entry
                 end))
       backend.Backend.alphabet;
@@ -399,10 +398,11 @@ let host ?(latency_sample_rate = default_sample_rate) t checker ~strict =
    steps the engine's CSR dispatch row directly — no per-checker
    closure chain, no per-delivery checker bookkeeping.  Checker views
    exist only for reports, finalization and hooks; verdict decisions
-   reach them through the engine's notify callback.  A checker's
-   deliveries are the emissions of its alphabet names, so one count per
-   name (bumped once per event, whatever the row length) yields its
-   [events_seen] and the delivery/step counters as read-time sums.  The
+   reach them through the engine's notify callback, which also counts
+   the checker's completed rounds.  A checker's deliveries are the
+   emissions of its alphabet names, so one count per name (bumped once
+   per event, whatever the row length) yields its [events_seen], its
+   name coverage and the delivery/step counters as read-time sums.  The
    deadline wheel re-arms only the checkers the engine marked, so the
    steady-state event path is count + step + one flag test. *)
 let host_flat ?(latency_sample_rate = default_sample_rate) t eng views =
@@ -411,20 +411,17 @@ let host_flat ?(latency_sample_rate = default_sample_rate) t eng views =
   let names = Flat.names eng in
   let emitted = Array.make (Array.length names) 0 in
   let row = Array.make (Array.length names) 0 in
+  let gid nm = Option.get (Flat.gid_of_name eng nm) in
+  let count nm = emitted.(gid nm) in
   let checkers =
     Array.mapi
       (fun ck view ->
-        let gids =
-          Array.of_list
-            (List.map
-               (fun nm -> Option.get (Flat.gid_of_name eng nm))
-               (Name.Set.elements (Flat.alphabet eng ck)))
-        in
-        Array.iter (fun g -> row.(g) <- row.(g) + 1) gids;
+        Name.Set.iter
+          (fun nm -> row.(gid nm) <- row.(gid nm) + 1)
+          (Flat.alphabet eng ck);
         Checker.make ~name:(Flat.label eng ck)
           ~now:(fun () -> Tap.now_ps t.tap)
-          ~seen:(fun () -> Array.fold_left (fun n g -> n + emitted.(g)) 0 gids)
-          view)
+          ~counts:count view)
       views
   in
   let entries =
@@ -480,9 +477,11 @@ let host_flat ?(latency_sample_rate = default_sample_rate) t eng views =
   Flat.set_notify eng
     (Some
        (fun ck ->
-         (match t.obs with
-         | Some o when Flat.verdict_code eng ck = 1 -> Obs.incr o.satisfied
-         | Some _ | None -> ());
+         (* code 1 is a Running -> Satisfied decision: a round *)
+         if Flat.verdict_code eng ck = 1 then begin
+           Coverage.record_round (Checker.coverage checkers.(ck));
+           match t.obs with Some o -> Obs.incr o.satisfied | None -> ()
+         end;
          (* violations reach the hooks (and the violated counter set up
             by [observe_checker]) through the checker, exactly once *)
          Checker.sync_external checkers.(ck)));
@@ -528,12 +527,32 @@ let host_flat ?(latency_sample_rate = default_sample_rate) t eng views =
   resettle ();
   Array.to_list checkers
 
-let add ?(backend = Backend.compiled) ?name ?latency_sample_rate t pattern =
-  let checker =
-    Checker.make ?name ~now:(fun () -> Tap.now_ps t.tap) (backend pattern)
-  in
-  host ?latency_sample_rate t checker ~strict:false;
-  checker
+(* Views of one engine compiled over exactly these entries, in entry
+   order, are stepped engine-direct; any other views are hosted one
+   checker each. *)
+let host_suite ?latency_sample_rate t backend entries =
+  let views = backend entries in
+  match if Array.length views = 0 then None else views.(0).Backend.engine with
+  | Some eng
+    when Array.for_all
+           (fun v -> Option.equal ( == ) v.Backend.engine (Some eng))
+           views
+         && List.map fst entries = List.init (Flat.size eng) (Flat.label eng)
+    ->
+      host_flat ?latency_sample_rate t eng views
+  | Some _ | None ->
+      List.mapi
+        (fun i (label, _) ->
+          let checker =
+            Checker.make ~name:label ~now:(fun () -> Tap.now_ps t.tap) views.(i)
+          in
+          host ?latency_sample_rate t checker ~strict:false;
+          checker)
+        entries
+
+let add ?(backend = Backend.flat_views) ?name ?latency_sample_rate t pattern =
+  let name = Option.value name ~default:(Pattern.to_string pattern) in
+  List.hd (host_suite ?latency_sample_rate t backend [ (name, pattern) ])
 
 let on_violation t hook =
   List.iter

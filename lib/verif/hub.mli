@@ -2,16 +2,18 @@
 
     The hub is the hosting layer for monitor backends: a single
     property is [add (create tap) pattern], a whole suite
-    {!Suite.attach_hub}.  Two properties make it cheap:
+    {!Suite.attach_hub}.  Both go through {!host_suite}, which hosts
+    views of one flat engine engine-direct ({!host_flat}: one tap
+    subscription per interned name steps the engine's dispatch row)
+    and any other backend — the reference monitors [direct] and
+    [psl] — one checker at a time ({!host}).  Two properties make it
+    cheap:
 
     - {e alphabet routing}: each emitted event reaches only the
-      checkers whose pattern alphabet contains its name (one interned
-      per-name subscription per alphabet name, resolved through
-      {!Loseq_core.Backend.t.prepare} so even the name lookup happens
-      once per tap, not once per event).  A tap carrying [k] checkers
-      with disjoint alphabets does {e one} monitor step per event, not
-      [k] — the hosted realization of the paper's Θ(max|α(Fᵢ)|)
-      per-event cost;
+      checkers whose pattern alphabet contains its name.  A tap
+      carrying [k] checkers with disjoint alphabets does {e one}
+      monitor step per event, not [k] — the hosted realization of the
+      paper's Θ(max|α(Fᵢ)|) per-event cost;
     - {e a merged deadline wheel}: a single kernel timeout parked at
       the minimum of all checkers' [next_deadline]s (a lazy min-heap),
       instead of one timeout per timed checker.  Deadline-only
@@ -48,25 +50,42 @@ val create : ?metrics:Loseq_obs.Metrics.t -> ?trace:Loseq_obs.Trace.t -> Tap.t -
     missed deadline) and [wheel_depth] counter samples. *)
 
 val add :
-  ?backend:Backend.factory ->
+  ?backend:Backend.suite_factory ->
   ?name:string ->
   ?latency_sample_rate:int ->
   t ->
   Pattern.t ->
   Checker.t
-(** Host one property, alphabet-routed.  [backend] defaults to
-    {!Backend.compiled}.  [latency_sample_rate] (default 64, rounded up
-    to a power of two) samples one delivery in N into
+(** Host one property: {!host_suite} on the one entry [(name,
+    pattern)].  [name] defaults to the pattern's text; [backend] to
+    {!Backend.flat_views}, so the property runs on an engine of its
+    own, stepped engine-direct (wrap a per-pattern factory in
+    {!Backend.per_pattern}).  [latency_sample_rate] (default 64,
+    rounded up to a power of two) samples one delivery in N into
     [loseq_hub_dispatch_ns] and the dispatch spans; [Invalid_argument]
     when [< 1].  Raises {!Wellformed.Ill_formed} (and whatever the
     factory raises). *)
 
+val host_suite :
+  ?latency_sample_rate:int ->
+  t ->
+  Backend.suite_factory ->
+  (string * Pattern.t) list ->
+  Checker.t list
+(** Host a labelled suite, alphabet-routed: the one place that picks
+    the hosting.  When the factory returns views of one flat engine
+    compiled over exactly these labels, in order, the engine is hosted
+    with {!host_flat}; otherwise each backend is hosted as one checker
+    named by its label ({!host}).  Returns the checkers in entry
+    order. *)
+
 val host : ?latency_sample_rate:int -> t -> Checker.t -> strict:bool -> unit
-(** Host a detached checker built with {!Checker.make} (advanced: a
-    custom backend already constructed).  [strict:true] subscribes it
-    to the whole stream instead of its alphabet — what a strict-mode
-    structural monitor ([Backend.direct ~mode:Monitor.Strict]) needs to
-    see, and reject, foreign events. *)
+(** Host a detached checker built with {!Checker.make}, one
+    subscription per alphabet name delivering through
+    {!Checker.deliver}.  [strict:true] subscribes it to the whole
+    stream instead of its alphabet — what a strict-mode structural
+    monitor ([Backend.direct ~mode:Monitor.Strict]) needs to see, and
+    reject, foreign events. *)
 
 val host_flat :
   ?latency_sample_rate:int -> t -> Flat.t -> Backend.t array -> Checker.t list
@@ -78,14 +97,17 @@ val host_flat :
     {!Loseq_core.Backend.flat_engine_views}); the returned checkers (entry
     order, also appended to {!checkers}) carry reports, finalization
     and violation hooks — verdict decisions reach them through the
-    engine's notify callback.  These checkers never see individual
-    deliveries, so their coverage stays empty; their [events_seen],
+    engine's notify callback, which also counts their completed rounds.
+    These checkers never see individual deliveries: their
+    [events_seen], coverage name counts,
     [loseq_hub_deliveries_total{name=..}] and
-    [loseq_backend_steps_total{backend=flat}] count one delivery per
-    listening checker per emission, as {!host} does.  The deadline
+    [loseq_backend_steps_total{backend=flat}] are read from one
+    emission count per name, one delivery per listening checker per
+    emission, as {!host} counts them.  They have no state coverage
+    (the flat engine exposes no recognizer states).  The deadline
     wheel re-arms only the checkers the engine marked
-    ({!Loseq_core.Flat.drain_deadlines}).  {!Suite.attach_hub} takes
-    this path for views of one shared engine. *)
+    ({!Loseq_core.Flat.drain_deadlines}).  {!host_suite} takes this
+    path for views of one shared engine. *)
 
 val tap : t -> Tap.t
 
@@ -93,8 +115,8 @@ val engine : t -> Flat.t option
 (** The flat engine this hub hosts engine-direct ({!host_flat}), when
     it hosts exactly one and no other checker — then the engine's
     state is the whole hub's monitor state.  Checkpoints read and
-    write only this engine: a hub without one ({!add}, {!host}) cannot
-    be checkpointed. *)
+    write only this engine: a hub without one (several {!add}s, or a
+    checker hosted with {!host}) cannot be checkpointed. *)
 
 val checkers : t -> Checker.t list
 (** In {!add} order. *)

@@ -89,38 +89,10 @@ let find suite label =
 
 let entries_of suite = List.map (fun e -> (e.label, e.pattern)) suite
 
-(* Views of one engine compiled over exactly this suite, in entry
-   order — what [Hub.host_flat] steps engine-direct. *)
-let shared_engine suite (views : Backend.t array) =
-  match views with
-  | [||] -> None
-  | _ -> (
-      match views.(0).Backend.engine with
-      | Some eng
-        when Array.for_all
-               (fun v ->
-                 match v.Backend.engine with Some e -> e == eng | None -> false)
-               views
-             && List.map (fun e -> e.label) suite
-                = List.init (Flat.size eng) (Flat.label eng) ->
-          Some eng
-      | Some _ | None -> None)
-
 let attach_hub ?metrics ?trace ?(backend = Backend.flat_views)
     ?latency_sample_rate tap suite =
   let hub = Hub.create ?metrics ?trace tap in
-  let views = backend (entries_of suite) in
-  (* Views of one shared engine are hosted engine-direct; any other
-     views are hosted one checker each. *)
-  (match shared_engine suite views with
-  | Some eng -> ignore (Hub.host_flat ?latency_sample_rate hub eng views)
-  | None ->
-      List.iteri
-        (fun i e ->
-          Hub.host ?latency_sample_rate hub ~strict:false
-            (Checker.make ~name:e.label ~now:(fun () -> Tap.now_ps tap)
-               views.(i)))
-        suite);
+  ignore (Hub.host_suite ?latency_sample_rate hub backend (entries_of suite));
   hub
 
 let attach_all ?backend tap suite = Hub.report (attach_hub ?backend tap suite)

@@ -50,16 +50,15 @@ val attach_hub :
   t ->
   Hub.t
 (** One {!Checker} per entry, hosted on a fresh alphabet-routed
-    {!Hub} with a shared deadline wheel.  [backend] compiles the whole
-    suite in one call; it defaults to {!Loseq_core.Backend.flat_views}.
-    When its views are the entries of one shared {!Loseq_core.Flat}
-    engine, as the default's are, that engine is hosted engine-direct
-    ({!Hub.host_flat}, and {!Hub.engine} returns it for blob
-    checkpoints and direct stepping); any other views (e.g. the
-    structural monitor's, [Backend.per_pattern (fun p -> Backend.direct
-    p)]) are hosted one checker each ({!Hub.host}).  [metrics], [trace] and
-    [latency_sample_rate] (defaults noop, noop, 64) are handed to the
-    hub — see {!Hub.create} and {!Hub.add}. *)
+    {!Hub} with a shared deadline wheel by {!Hub.host_suite}.
+    [backend] compiles the whole suite in one call; it defaults to
+    {!Loseq_core.Backend.flat_views}, whose one engine is hosted
+    engine-direct ({!Hub.engine} returns it for blob checkpoints and
+    direct stepping); the structural monitor's views,
+    [Backend.per_pattern (fun p -> Backend.direct p)], are hosted one
+    checker each.  [metrics], [trace] and [latency_sample_rate]
+    (defaults noop, noop, 64) are handed to the hub — see {!Hub.create}
+    and {!Hub.add}. *)
 
 val attach_all : ?backend:Backend.suite_factory -> Tap.t -> t -> Report.t
 (** {!attach_hub}, reported: one checker per entry, collected in a

@@ -1,8 +1,8 @@
-(* The monitor-backend abstraction: four strategies (structural Drct,
-   compiled flat-table, whole-suite flat engine, PSL progression)
-   behind one interface, their capabilities, step-by-step agreement of
-   direct, compiled and flat offline (verdict class, armed deadline and
-   rendered diagnostic), flat state moving between engines,
+(* The monitor-backend abstraction: three strategies (structural Drct,
+   the flat table engine, PSL progression) behind one interface, their
+   capabilities, step-by-step agreement of direct, the single-pattern
+   Compiled interface and flat offline (verdict class, armed deadline
+   and rendered diagnostic), flat state moving between engines,
    deadline-only violations hosted on a simulated tap, and the PSL
    backend against its progression oracle.  Every backend's verdicts
    against the declarative semantics, offline and hosted, are
@@ -40,7 +40,6 @@ let test_alphabet_accessors () =
         (Name.Set.equal expected b.Backend.alphabet))
     [
       ("direct", Backend.direct p);
-      ("compiled", Backend.compiled p);
       ("flat", Backend.flat p);
       ("psl", Loseq_psl.Progress.backend p);
     ]
@@ -48,13 +47,10 @@ let test_alphabet_accessors () =
 let test_capabilities () =
   let p = pat "a <<! i" in
   let direct = Backend.direct p in
-  let compiled = Backend.compiled p in
   let flat = Backend.flat p in
   Alcotest.(check bool) "direct has states" true (direct.Backend.states <> None);
   Alcotest.(check bool) "direct has acceptable" true
     (direct.Backend.acceptable <> None);
-  Alcotest.(check bool) "compiled has no states" true
-    (compiled.Backend.states = None);
   Alcotest.(check bool) "flat has no states" true (flat.Backend.states = None);
   Alcotest.(check bool) "flat carries its engine" true
     (flat.Backend.engine <> None);
@@ -68,11 +64,8 @@ let test_capabilities () =
     (Flat.persist_checker copy 0 = persisted);
   Alcotest.(check bool) "a stepped state, not the initial one" true
     (persisted <> Flat.persist_checker (Flat.compile [ ("p", p) ]) 0);
-  Alcotest.(check bool) "compiled carries no engine" true
-    (compiled.Backend.engine = None);
-  Alcotest.(check string) "labels" "direct/compiled/flat"
-    (direct.Backend.label ^ "/" ^ compiled.Backend.label ^ "/"
-   ^ flat.Backend.label)
+  Alcotest.(check string) "labels" "direct/flat"
+    (direct.Backend.label ^ "/" ^ flat.Backend.label)
 
 let test_next_deadline_mirrors () =
   let p = pat "a => b < c within 100" in
@@ -93,7 +86,7 @@ let test_next_deadline_mirrors () =
   step "c" 30
 
 let test_reset () =
-  let b = Backend.compiled (pat "a <<! i") in
+  let b = Backend.flat (pat "a <<! i") in
   ignore (b.Backend.step { Trace.name = Name.v "i"; time = 1 });
   Alcotest.(check string) "violated" "violated"
     (verdict_class (b.Backend.verdict ()));
@@ -107,34 +100,35 @@ let test_reset () =
 
 (* ---- property: offline agreement -------------------------------------- *)
 
+let compiled_class = function
+  | Compiled.Running -> "running"
+  | Compiled.Satisfied -> "satisfied"
+  | Compiled.Violated _ -> "violated"
+
 let prop_direct_compiled_agree (p, trace) =
   let d = Backend.direct p in
-  let c = Backend.compiled p in
+  let c = Compiled.compile p in
   let f = Backend.flat p in
   List.iter
     (fun e ->
-      let vd = d.Backend.step e in
-      let vc = c.Backend.step e in
-      let vf = f.Backend.step e in
-      if
-        verdict_class vd <> verdict_class vc
-        || verdict_class vc <> verdict_class vf
-      then
+      let vd = verdict_class (d.Backend.step e) in
+      let vc = compiled_class (Compiled.step c e) in
+      let vf = verdict_class (f.Backend.step e) in
+      if vd <> vc || vc <> vf then
         QCheck2.Test.fail_reportf
           "step %a@%d: direct %s, compiled %s, flat %s" Name.pp e.Trace.name
-          e.Trace.time (verdict_class vd) (verdict_class vc)
-          (verdict_class vf);
-      if d.Backend.next_deadline () <> c.Backend.next_deadline () then
+          e.Trace.time vd vc vf;
+      if d.Backend.next_deadline () <> Compiled.next_deadline c then
         QCheck2.Test.fail_reportf "deadline mismatch after %a@%d" Name.pp
           e.Trace.name e.Trace.time;
-      if c.Backend.next_deadline () <> f.Backend.next_deadline () then
+      if Compiled.next_deadline c <> f.Backend.next_deadline () then
         QCheck2.Test.fail_reportf "flat deadline mismatch after %a@%d" Name.pp
           e.Trace.name e.Trace.time)
     trace;
   let now = Trace.end_time trace in
   verdict_class (d.Backend.finalize ~now)
-  = verdict_class (c.Backend.finalize ~now)
-  && verdict_class (c.Backend.verdict ())
+  = compiled_class (Compiled.finalize c ~now)
+  && compiled_class (Compiled.verdict c)
      = verdict_class (f.Backend.finalize ~now)
 
 (* The flat engine and the structural monitor are built independently;
@@ -197,14 +191,15 @@ let prop_state_moves_between_engines (p, trace) =
 
 (* ---- hosted on a simulated tap ------------------------------------------ *)
 
-(* Replay the trace on a simulated tap with the checker hosted on a hub,
-   and run the kernel well past every possible deadline: deadline-only
-   violations (no trailing event) must be caught by the merged wheel. *)
+(* Replay the trace on a simulated tap with the checker hosted on a hub
+   one checker at a time, and run the kernel well past every possible
+   deadline: deadline-only violations (no trailing event) must be
+   caught by the merged wheel. *)
 let hosted backend p trace =
   let kernel = Kernel.create () in
   let tap = Tap.create kernel in
   let hub = Hub.create tap in
-  let checker = Hub.add ~backend hub p in
+  let checker = Hub.add ~backend:(Backend.per_pattern backend) hub p in
   Stimuli.replay tap trace;
   Kernel.run ~until:(Time.ps (Trace.end_time trace + 500)) kernel;
   Hub.finalize hub;
@@ -237,7 +232,6 @@ let test_hosted_deadline_only () =
       Alcotest.(check string) label "violated" (verdict_class v))
     [
       ("direct", fun p -> Backend.direct p);
-      ("compiled", Backend.compiled);
       ("flat", Backend.flat);
     ];
   let v =

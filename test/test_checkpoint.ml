@@ -90,7 +90,7 @@ let flat = Backend.flat_views
 
 (* Checkpoints cross hostings only through the one engine: every cut
    resumes flat-to-flat, and a hosting with one monitor per pattern
-   (the structural monitor, or compiled monitors built one each)
+   (the structural monitor, or flat engines built one each)
    refuses both to write one and to resume one, with one message. *)
 let test_cross_backend_resume () =
   List.iter
@@ -111,7 +111,7 @@ let test_cross_backend_resume () =
       | Ok () -> Alcotest.failf "%s hosting resumed a checkpoint" label
       | Error msg ->
           Alcotest.(check string) (label ^ " resume refused") refusal msg)
-    [ ("direct", direct); ("compiled", Backend.per_pattern Backend.compiled) ]
+    [ ("direct", direct); ("per-pattern flat", Backend.per_pattern Backend.flat) ]
 
 let test_cross_backend_resume_with_pending_reorder () =
   let disordered =

@@ -190,6 +190,44 @@ let test_flat_views_engine_direct () =
   Alcotest.(check bool) "per-pattern direct: no engine" true
     (Hub.engine (hub ~backend:direct ()) = None)
 
+(* [Hub.add] with the default backend compiles an engine of its own and
+   hosts it engine-direct; a per-pattern backend is hosted per checker. *)
+let test_add_engine_direct () =
+  let hub = Hub.create (Tap.create (Kernel.create ())) in
+  let c = Hub.add ~name:"p" hub (pat "{a, b} << i") in
+  (match Hub.engine hub with
+  | Some eng ->
+      Alcotest.(check (list string)) "one checker, labelled" [ "p" ]
+        (List.init (Flat.size eng) (Flat.label eng))
+  | None -> Alcotest.fail "Hub.add hosted per checker");
+  Alcotest.(check string) "checker name" "p" (Checker.name c);
+  let per_checker = Hub.create (Tap.create (Kernel.create ())) in
+  ignore (Hub.add ~backend:direct per_checker (pat "{a, b} << i"));
+  Alcotest.(check bool) "per-pattern direct: no engine" true
+    (Hub.engine per_checker = None)
+
+(* An engine-direct checker's coverage counts every delivery per name
+   and every completed round, as a checker stepped one delivery at a
+   time counts them. *)
+let test_engine_direct_coverage () =
+  let coverage backend =
+    let tap = Tap.create (Kernel.create ()) in
+    let c = Hub.add ?backend (Hub.create tap) (pat "{a, b} << i") in
+    List.iter (Tap.emit tap) [ "b"; "x"; "a"; "i"; "i" ];
+    let cov = Checker.coverage c in
+    ( List.map (fun (n, k) -> (Name.to_string n, k)) (Coverage.name_counts cov),
+      Coverage.rounds cov,
+      Checker.events_seen c )
+  in
+  let engine = coverage None and reference = coverage (Some direct) in
+  Alcotest.(check (list (pair string int))) "name counts"
+    [ ("a", 1); ("b", 1); ("i", 2) ]
+    (let names, _, _ = engine in names);
+  Alcotest.(check bool) "same as per-checker direct" true (engine = reference);
+  let _, rounds, seen = engine in
+  Alcotest.(check int) "one round" 1 rounds;
+  Alcotest.(check int) "events seen" 4 seen
+
 (* Feed timestamped [events] through a fresh hub over [suite].  Returns
    the hub and its violations as (label, time, reason), in report
    order. *)
@@ -306,6 +344,10 @@ let () =
         [
           Alcotest.test_case "flat views host engine-direct" `Quick
             test_flat_views_engine_direct;
+          Alcotest.test_case "Hub.add hosts one engine" `Quick
+            test_add_engine_direct;
+          Alcotest.test_case "engine-direct coverage" `Quick
+            test_engine_direct_coverage;
           Alcotest.test_case "metrics match across hosting" `Quick
             test_metrics_match_across_hosting;
           Alcotest.test_case "same-instant misses in suite order" `Quick

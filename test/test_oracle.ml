@@ -199,25 +199,22 @@ let verdict_class = function
   | Backend.Satisfied -> "satisfied"
   | Backend.Violated _ -> "violated"
 
-(* The structural monitor and the compiled and flat views of the flat
-   engine, stepped in lockstep per entry: the same verdict class and
-   armed deadline after every event, and the same rendered diagnostic
-   (time, event ordinal, fragment, reason; all but the offending name,
-   which only the structural monitor keeps) at the end. *)
+(* The structural monitor and a flat engine per pattern, stepped in
+   lockstep per entry: the same verdict class and armed deadline after
+   every event, and the same rendered diagnostic (time, event ordinal,
+   fragment, reason; all but the offending name, which only the
+   structural monitor keeps) at the end. *)
 let lockstep s =
   List.iter
     (fun (e : Suite.entry) ->
-      let backends =
-        [ Backend.direct e.pattern; Backend.compiled e.pattern;
-          Backend.flat e.pattern ]
-      in
+      let backends = [ Backend.direct e.pattern; Backend.flat e.pattern ] in
       List.iter
         (fun (ev : Trace.event) ->
           let classes =
             List.map (fun b -> verdict_class (b.Backend.step ev)) backends
           in
           if not (all_equal classes) then
-            post "%s: after %a@%d direct/compiled/flat are %s" e.label Name.pp
+            post "%s: after %a@%d direct/flat are %s" e.label Name.pp
               ev.name ev.time (String.concat "/" classes);
           let armed = List.map (fun b -> b.Backend.next_deadline ()) backends in
           if not (all_equal armed) then
@@ -234,7 +231,7 @@ let lockstep s =
       in
       let rendered = List.map render backends in
       if not (all_equal rendered) then
-        post "%s: direct/compiled/flat render %s" e.label
+        post "%s: direct/flat render %s" e.label
           (String.concat " / " rendered))
     s.suite
 
@@ -530,14 +527,13 @@ let modes =
   [
     mode "batch" (fun s -> Ok (batch Backend.flat_views s));
     mode "batch/direct" (fun s -> Ok (batch direct s));
-    mode "batch/compiled" (fun s ->
+    mode "batch/per-view flat" (fun s ->
         lockstep s;
-        Ok (batch (Backend.per_pattern Backend.compiled) s));
+        Ok (batch (Backend.per_pattern Backend.flat) s));
     mode "batch/psl" psl;
     mode "batch+metrics" batch_metrics;
     mode "hub" (hub ~engine:true Backend.flat_views);
     mode "hub/direct" (per_checker direct);
-    mode "hub/compiled" (per_checker (Backend.per_pattern Backend.compiled));
     mode "hub/per-view flat" (per_checker (Backend.per_pattern Backend.flat));
     mode "hub+obs" hub_observed;
     mode "session" (fun s -> Ok (streamed by_name s.arrival s));

@@ -191,6 +191,15 @@ let run_scenario config =
   Report.finalize report;
   (soc, report)
 
+(* The three properties are one suite: one engine, stepped
+   engine-direct. *)
+let test_standard_hub_one_engine () =
+  let hub = Soc.standard_hub (Soc.create ()) in
+  Alcotest.(check int) "three checkers" 3 (Hub.size hub);
+  match Hub.engine hub with
+  | Some eng -> Alcotest.(check int) "one engine of three" 3 (Flat.size eng)
+  | None -> Alcotest.fail "standard hub hosted per checker"
+
 let test_soc_correct_firmware () =
   let soc, report = run_scenario Soc.default_config in
   Alcotest.(check bool) "all properties pass" true (Report.all_passed report);
@@ -301,6 +310,8 @@ let () =
         ] );
       ( "soc",
         [
+          Alcotest.test_case "standard hub hosts one engine" `Quick
+            test_standard_hub_one_engine;
           Alcotest.test_case "correct firmware" `Slow
             test_soc_correct_firmware;
           Alcotest.test_case "determinism" `Slow test_soc_determinism;

@@ -1,7 +1,7 @@
 (* Commutation analysis and lateness-robustness certificates:
    deterministic pins on the committed example suites (including the
    twin-trace CSVs), replay of every racy-pair witness through both the
-   direct and compiled backends, qcheck swap-invariance of
+   direct and flat backends, qcheck swap-invariance of
    commuting-declared pairs, and completeness of the Explain
    registry. *)
 
@@ -48,7 +48,6 @@ let passes_via (factory : Backend.factory) ?final_time p tr =
 
 let backends =
   [
-    ("compiled", Backend.compiled);
     ("direct", fun p -> Backend.direct p);
     ("flat", Backend.flat);
   ]
