@@ -20,8 +20,7 @@
 #                         feeds every bench check: end to end (bytes
 #                         -> decoder -> session) within 2x of
 #                         in-memory hub dispatch is enforced; the
-#                         flat engine at 2x the hub at 64 checkers and
-#                         the flight recorder's 5% overhead bound are
+#                         flight recorder's 5% overhead bound is
 #                         advisory (wall-clock micro-benchmarks are
 #                         noisy on shared CI runners)
 #   strict-reorder        --strict-reorder refuses (exit 2) a lateness
@@ -223,7 +222,6 @@ dune exec --profile release --no-build bench/main.exe -- dispatch
 test -s BENCH_dispatch.json
 grep -q '"e2e_within_2x_hub": *true' BENCH_dispatch.json
 echo "BENCH_dispatch.json written, end to end within 2x of the hub"
-advisory flat_engine_2x_hub_at_64
 advisory trace_within_5pct
 
 gate "strict-reorder"
