@@ -343,18 +343,16 @@ let host ?(latency_sample_rate = default_sample_rate) t checker ~strict =
           let seen = Checker.events_seen checker in
           Obs.add steps (seen - !last);
           last := seen));
-  if strict then
-    Tap.subscribe t.tap (fun e ->
-        Checker.deliver checker e;
-        after_delivery t entry)
+  let deliver e =
+    Checker.deliver checker e;
+    after_delivery t entry
+  in
+  if strict then Tap.subscribe t.tap deliver
   else
     Name.Set.iter
       (fun n ->
         match (t.obs, t.trc) with
-        | None, None ->
-            Tap.subscribe_name t.tap n (fun e ->
-                Checker.deliver checker e;
-                after_delivery t entry)
+        | None, None -> Tap.subscribe_name t.tap n deliver
         | obs, _ ->
             (* The just-bumped deliveries count doubles as the 1-in-N
                latency sampling phase — no separate phase cell (a local
@@ -378,14 +376,8 @@ let host ?(latency_sample_rate = default_sample_rate) t checker ~strict =
                     !phase land mask = 0
             in
             Tap.subscribe_name t.tap n (fun e ->
-                if sampled () then
-                  sampled_dispatch t (fun () ->
-                      Checker.deliver checker e;
-                      after_delivery t entry)
-                else begin
-                  Checker.deliver checker e;
-                  after_delivery t entry
-                end))
+                if sampled () then sampled_dispatch t (fun () -> deliver e)
+                else deliver e))
       backend.Backend.alphabet;
   after_delivery t entry;
   match t.obs with
