@@ -49,7 +49,10 @@ val standard_hub :
     past the re-encoding bound. *)
 
 val attach_standard_checkers :
-  ?metrics:Loseq_obs.Metrics.t -> ?backend:Backend.suite_factory -> t -> Report.t
+  ?metrics:Loseq_obs.Metrics.t ->
+  ?backend:Backend.suite_factory ->
+  t ->
+  Report.t
 (** {!standard_hub}, reported. *)
 
 val run : ?until:Time.t -> t -> unit

@@ -20,7 +20,11 @@ type t
     is not subscribed anywhere. *)
 
 val make :
-  ?name:string -> ?now:(unit -> int) -> ?counts:(Name.t -> int) -> Backend.t -> t
+  ?name:string ->
+  ?now:(unit -> int) ->
+  ?counts:(Name.t -> int) ->
+  Backend.t ->
+  t
 (** A detached checker over an existing backend.  [now] is the host's
     clock, consulted by {!finalize} (defaults to constant 0).  [counts]
     is for hosts that step the backend outside the checker

@@ -73,7 +73,8 @@ let record_violation t = t.violations <- t.violations + 1
 let name_counts t =
   Name.Set.elements t.alpha
   |> List.map (fun n ->
-         (n, Option.value ~default:0 (Hashtbl.find_opt t.counts n) + t.counted n))
+         let observed = Option.value ~default:0 (Hashtbl.find_opt t.counts n) in
+         (n, observed + t.counted n))
 
 let names_covered t =
   let total = Name.Set.cardinal t.alpha in

@@ -111,7 +111,10 @@ let test_cross_backend_resume () =
       | Ok () -> Alcotest.failf "%s hosting resumed a checkpoint" label
       | Error msg ->
           Alcotest.(check string) (label ^ " resume refused") refusal msg)
-    [ ("direct", direct); ("per-pattern flat", Backend.per_pattern Backend.flat) ]
+    [
+      ("direct", direct);
+      ("per-pattern flat", Backend.per_pattern Backend.flat);
+    ]
 
 let test_cross_backend_resume_with_pending_reorder () =
   let disordered =
