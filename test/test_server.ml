@@ -334,6 +334,88 @@ let resume_cases =
       test_resume_direct_refused;
   ]
 
+(* ---- chunk boundaries --------------------------------------------------- *)
+
+(* A CSV with everything the line grammar tolerates: CRLF and LF
+   endings, a comment, a blank line, padded fields, a name no checker
+   hears, a late event, no final newline. *)
+let mixed_csv =
+  String.concat ""
+    [
+      "time,name\r\n";
+      "# bring-up excerpt\r\n";
+      "45000,lcdc_refresh\r\n";
+      "  53150000 , set_imgAddr \r\n";
+      "53180000,set_glAddr\n";
+      "\r\n";
+      "53165000,set_glSize\r\n";
+      "53195000,start\r\n";
+      "53195000, other_component\r\n";
+      "53195000,read_img\r\n";
+      "\t53294267,read_img\r\n";
+      "53384281,read_img";
+    ]
+
+(* [serve] with stdin a sequenced-packet socket holding [pieces]: each
+   read returns exactly one piece, so the chunk boundaries are the
+   caller's. *)
+let run_serve_pieces pieces serve =
+  let reader, writer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_SEQPACKET 0 in
+  List.iter
+    (fun p ->
+      if p <> "" then
+        ignore (Unix.write_substring writer p 0 (String.length p)))
+    pieces;
+  Unix.close writer;
+  let out_path = Filename.temp_file "loseq_serve" ".ndjson" in
+  let oc = open_out_bin out_path in
+  let saved = Unix.dup Unix.stdin in
+  Unix.dup2 reader Unix.stdin;
+  Unix.close reader;
+  let code =
+    Fun.protect
+      ~finally:(fun () ->
+        close_out oc;
+        Unix.dup2 saved Unix.stdin;
+        Unix.close saved)
+      (fun () -> serve ~out:oc)
+  in
+  let lines = read_lines out_path in
+  Sys.remove out_path;
+  (code, lines)
+
+(* The mixed CSV split in two at every byte offset serves exactly as
+   the whole, buffered and speculative. *)
+let test_split_everywhere ~ooo () =
+  let suite = load_suite "ipu.suite" in
+  let serve ~out =
+    Server.serve ~lateness:75000 ~ooo ~stats_interval:3 ~out ~input:`Stdin
+      suite
+  in
+  let whole = run_serve_pieces [ mixed_csv ] serve in
+  Alcotest.(check bool)
+    "the foreign name is counted" true
+    (has_line (snd whole) {|"events":9|});
+  let n = String.length mixed_csv in
+  for cut = 1 to n - 1 do
+    let split =
+      run_serve_pieces
+        [ String.sub mixed_csv 0 cut; String.sub mixed_csv cut (n - cut) ]
+        serve
+    in
+    Alcotest.(check (pair int (list string)))
+      (Printf.sprintf "split at byte %d" cut)
+      whole split
+  done
+
+let split_cases =
+  [
+    Alcotest.test_case "mixed CSV, buffered" `Quick
+      (test_split_everywhere ~ooo:false);
+    Alcotest.test_case "mixed CSV, speculative" `Quick
+      (test_split_everywhere ~ooo:true);
+  ]
+
 (* ---- artifact writes ---------------------------------------------------- *)
 
 let last l = List.nth l (List.length l - 1)
@@ -432,5 +514,6 @@ let () =
       ("golden", golden_cases);
       ("wire", wire_cases);
       ("resume", resume_cases);
+      ("split", split_cases);
       ("artifacts", artifact_cases);
     ]

@@ -86,7 +86,40 @@ let test_parse_csv_line_permissive () =
   | Error msg -> Alcotest.fail msg);
   (* ...but garbage still does not *)
   expect_error_mentioning "line 9" (Trace_io.parse_csv_line ~lineno:9 "x,y,z,");
-  expect_error_mentioning "line 9" (Trace_io.parse_csv_line ~lineno:9 "-1,a")
+  expect_error_mentioning "line 9" (Trace_io.parse_csv_line ~lineno:9 "-1,a");
+  (* The exact result of every edge the line grammar has: padding,
+     CRLF, the literal forms [int_of_string] accepts, overflow, empty
+     fields, a bad name, comments, the header and blanks.  A name error
+     wins over a timestamp error on the same line. *)
+  let render = function
+    | Ok None -> "skip"
+    | Ok (Some (e : Trace.event)) ->
+        Printf.sprintf "%s@%d" (Name.to_string e.name) e.time
+    | Error msg -> "error: " ^ msg
+  in
+  List.iter
+    (fun (line, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%S" line)
+        expected
+        (render (Trace_io.parse_csv_line ~lineno:9 line)))
+    [
+      (" 3 , a ", "a@3");
+      ("3,a\r", "a@3");
+      ("0x1F,a", "a@31");
+      ("1_000,a", "a@1000");
+      ("+5,a", "a@5");
+      ("-1,a", "error: line 9: negative timestamp -1");
+      ( "99999999999999999999,a",
+        {|error: line 9: bad timestamp "99999999999999999999"|} );
+      ("5,", "error: line 9: Name.v: empty name");
+      (",a", {|error: line 9: bad timestamp ""|});
+      ("x,y,z,", {|error: line 9: Name.v: invalid character ',' in "y,z,"|});
+      ("3,a b", {|error: line 9: Name.v: invalid character ' ' in "a b"|});
+      ("#c", "skip");
+      ("time,name", "skip");
+      ("", "skip");
+    ]
 
 let test_merge_interleaves () =
   let cpu = [ ev 0 "wr"; ev 10 "wr" ] in
