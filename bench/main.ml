@@ -562,7 +562,7 @@ let dispatch () =
   (* [emit decoder] admits the decoder's (stream id, time) pairs *)
   let decode ~emit =
     let decoder = Codec.Decoder.create () in
-    let emit = emit decoder in
+    let emit = emit (Codec.Decoder.name decoder) in
     let chunk = 65_536 and len = String.length bytes in
     let rec go off =
       if off < len then begin

@@ -636,17 +636,21 @@ let alphabet t ck = t.alphas.(ck)
 let names t = t.names
 let gid_of_name t nm = Hashtbl.find_opt t.gids nm
 
-(* A scan of [ck]'s own locals: alphabets are small, and hosts resolve
-   a name once, not per event. *)
+(* A scan of [gid]'s dispatch row, whose checkers are in suite order:
+   rows are short (the checkers hearing one name). *)
+let local_of_gid t ck gid =
+  let hi = t.sub_off.(gid + 1) in
+  let rec find k =
+    if k >= hi || t.sub_ck.(k) > ck then -1
+    else if t.sub_ck.(k) = ck then t.sub_loc.(k)
+    else find (k + 1)
+  in
+  find t.sub_off.(gid)
+
 let local_of_name t ck nm =
   match Hashtbl.find_opt t.gids nm with
   | None -> -1
-  | Some gid ->
-      let l0 = t.ck_loc0.(ck) and n = t.ck_nloc.(ck) in
-      let rec find l =
-        if l >= n then -1 else if t.loc_gid.(l0 + l) = gid then l else find (l + 1)
-      in
-      find 0
+  | Some gid -> local_of_gid t ck gid
 
 let timed_checkers t = t.timed_cks
 let set_notify t f = t.notify <- f

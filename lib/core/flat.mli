@@ -107,13 +107,18 @@ val names : t -> Name.t array
 
 val gid_of_name : t -> Name.t -> int option
 
+val local_of_gid : t -> int -> int -> int
+(** [local_of_gid t ck gid] is the checker-local id of the name
+    interned as [gid] for checker [ck] (its position in the sorted
+    alphabet), or [-1] when [ck] does not hear it — what {!step_local}
+    takes.  A scan of [gid]'s dispatch row (the checkers hearing that
+    name): compilation keeps no checker-by-name table, so it stays
+    linear in suite size.  Raises [Invalid_argument] on a [gid] out of
+    range. *)
+
 val local_of_name : t -> int -> Name.t -> int
-(** [local_of_name t ck nm] is the checker-local id of [nm] for [ck]
-    (its position in the sorted alphabet), or [-1] when [nm] is not in
-    that checker's alphabet — what {!step_local} takes, resolved once
-    by a caller that steps one checker by id.  A scan of [ck]'s own
-    locals: compilation keeps no checker-by-name table, so it stays
-    linear in suite size. *)
+(** {!local_of_gid} after interning; [-1] for a name foreign to the
+    suite. *)
 
 (** {1 Stepping} *)
 

@@ -39,47 +39,242 @@ end
    pays for the ["line N"] string. *)
 let line_error lineno msg = Error (Printf.sprintf "line %d: %s" lineno msg)
 
+module Csv = struct
+  let foreign = 0
+
+  (* [names.(sid)] for every interned stream id [1 .. count - 1];
+     [names.(0)] is the last name [keep] refused.  [slots] is an
+     open-addressing table over the interned names' bytes: a stream id,
+     or 0 for an empty slot.  [recent] is a fixed, direct-mapped memory
+     of refused names, so a repeated foreign name skips validation
+     without growing anything.  [unset] fills the cells no id names. *)
+  type t = {
+    keep : Name.t -> bool;
+    validator : Validator.t option;
+    mutable names : Name.t array;
+    mutable count : int;
+    mutable slots : int array;
+    recent : Name.t option array;
+    partial : Buffer.t;
+    mutable lineno : int;
+  }
+
+  let unset = Name.v "_"
+
+  let create ?validator ?(keep = fun _ -> true) () =
+    {
+      keep;
+      validator;
+      names = Array.make 16 unset;
+      count = 1;
+      slots = Array.make 32 0;
+      recent = Array.make 64 None;
+      partial = Buffer.create 64;
+      lineno = 0;
+    }
+
+  let name t sid =
+    if sid < 0 || sid >= t.count then invalid_arg "Trace_io.Csv.name: unknown id";
+    t.names.(sid)
+
+  let interned t = t.count - 1
+
+  (* [String.trim]'s whitespace. *)
+  let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+  let rec skip_space s a b = if a < b && is_space s.[a] then skip_space s (a + 1) b else a
+
+  let rec drop_space s a b =
+    if b > a && is_space s.[b - 1] then drop_space s a (b - 1) else b
+
+  let hash s a b =
+    let h = ref 0 in
+    for i = a to b - 1 do
+      h := (!h * 31) + Char.code (String.unsafe_get s i)
+    done;
+    !h land max_int
+
+  let same (n : Name.t) s a b =
+    let n = Name.to_string n in
+    String.length n = b - a
+    &&
+    let rec eq i = i >= b - a || (n.[i] = s.[a + i] && eq (i + 1)) in
+    eq 0
+
+  (* The slot holding the name [s.[a .. b-1]], or the empty slot where
+     it would go. *)
+  let probe t s a b =
+    let mask = Array.length t.slots - 1 in
+    let rec go i =
+      let sid = t.slots.(i) in
+      if sid = 0 || same t.names.(sid) s a b then i else go ((i + 1) land mask)
+    in
+    go (hash s a b land mask)
+
+  let intern t name =
+    let n = Name.to_string name in
+    if 2 * t.count >= Array.length t.slots then begin
+      let slots = Array.make (2 * Array.length t.slots) 0 in
+      t.slots <- slots;
+      for sid = 1 to t.count - 1 do
+        let m = Name.to_string t.names.(sid) in
+        slots.(probe t m 0 (String.length m)) <- sid
+      done
+    end;
+    if t.count >= Array.length t.names then begin
+      let names = Array.make (2 * t.count) unset in
+      Array.blit t.names 0 names 0 t.count;
+      t.names <- names
+    end;
+    let sid = t.count in
+    t.names.(sid) <- name;
+    t.count <- sid + 1;
+    t.slots.(probe t n 0 (String.length n)) <- sid;
+    sid
+
+  (* The stream id of the name [s.[a .. b-1]]: one probe for a name
+     seen before, validation ([Name.v], which raises) and [keep] for a
+     new one. *)
+  let resolve t s a b =
+    let sid = t.slots.(probe t s a b) in
+    if sid > 0 then sid
+    else
+      let r = hash s a b land (Array.length t.recent - 1) in
+      match t.recent.(r) with
+      | Some name when same name s a b ->
+          t.names.(foreign) <- name;
+          foreign
+      | Some _ | None ->
+        let name = Name.v (String.sub s a (b - a)) in
+        if t.keep name then intern t name
+        else begin
+          t.recent.(r) <- Some name;
+          t.names.(foreign) <- name;
+          foreign
+        end
+
+  (* Digits only, short enough not to overflow: the common timestamp,
+     parsed in place.  [-1] sends anything else through
+     [int_of_string_opt], which owns the accepted literal forms. *)
+  let digits s a b =
+    if b = a || b - a > 18 then -1
+    else
+      let rec go i acc =
+        if i >= b then acc
+        else
+          match s.[i] with
+          | '0' .. '9' as c -> go (i + 1) ((10 * acc) + Char.code c - 48)
+          | _ -> -1
+      in
+      go a 0
+
+  let is_header s a b =
+    b - a = 9
+    &&
+    let h = "time,name" in
+    let rec eq i = i >= 9 || (h.[i] = s.[a + i] && eq (i + 1)) in
+    eq 0
+
+  let rec index_comma s a b =
+    if a >= b then -1 else if s.[a] = ',' then a else index_comma s (a + 1) b
+
+  let line t s off len ~emit =
+    t.lineno <- t.lineno + 1;
+    let lineno = t.lineno in
+    let a = skip_space s off (off + len) in
+    let b = drop_space s a (off + len) in
+    if a = b || s.[a] = '#' || is_header s a b then Ok ()
+    else
+      match index_comma s a b with
+      | -1 -> line_error lineno "expected 'time,name'"
+      | comma -> (
+          let ta = skip_space s a comma in
+          let tb = drop_space s ta comma in
+          let na = skip_space s (comma + 1) b in
+          let nb = drop_space s na b in
+          (* the name first: its error wins over the timestamp's *)
+          match resolve t s na nb with
+          | exception Invalid_argument msg -> line_error lineno msg
+          | sid -> (
+              let accept time =
+                match t.validator with
+                | Some v when not (Validator.accept v ~time) -> (
+                    match
+                      Validator.check v ~pos:(Printf.sprintf "line %d" lineno)
+                        ~time
+                    with
+                    | Error msg -> Error msg
+                    | Ok () -> assert false (* accept and check agree *))
+                | None when time < 0 ->
+                    line_error lineno
+                      (Printf.sprintf "negative timestamp %d" time)
+                | Some _ | None ->
+                    emit sid time;
+                    Ok ()
+              in
+              match digits s ta tb with
+              | -1 -> (
+                  let field = String.sub s ta (tb - ta) in
+                  match int_of_string_opt field with
+                  | Some time -> accept time
+                  | None ->
+                      line_error lineno
+                        (Printf.sprintf "bad timestamp %S" field))
+              | time -> accept time))
+
+  let rec index_newline s i n =
+    if i >= n then -1 else if String.unsafe_get s i = '\n' then i
+    else index_newline s (i + 1) n
+
+  let feed t chunk ~emit =
+    let n = String.length chunk in
+    let rec lines from =
+      match index_newline chunk from n with
+      | -1 ->
+          Buffer.add_substring t.partial chunk from (n - from);
+          Ok ()
+      | nl -> (
+          let parsed =
+            if Buffer.length t.partial = 0 then
+              line t chunk from (nl - from) ~emit
+            else begin
+              Buffer.add_substring t.partial chunk from (nl - from);
+              let l = Buffer.contents t.partial in
+              Buffer.clear t.partial;
+              line t l 0 (String.length l) ~emit
+            end
+          in
+          match parsed with Ok () -> lines (nl + 1) | Error _ as e -> e)
+    in
+    lines 0
+
+  let finish t ~emit =
+    if Buffer.length t.partial = 0 then Ok ()
+    else begin
+      let l = Buffer.contents t.partial in
+      Buffer.clear t.partial;
+      line t l 0 (String.length l) ~emit
+    end
+end
+
 let parse_csv_line ~lineno ?validator line =
-  let trimmed = String.trim line in
-  if trimmed = "" || trimmed.[0] = '#' || trimmed = "time,name" then Ok None
-  else
-    match String.index_opt trimmed ',' with
-    | None -> line_error lineno "expected 'time,name'"
-    | Some comma -> (
-        let time_str = String.trim (String.sub trimmed 0 comma) in
-        let name_str =
-          String.trim
-            (String.sub trimmed (comma + 1)
-               (String.length trimmed - comma - 1))
-        in
-        match (int_of_string_opt time_str, Name.v name_str) with
-        | Some time, name -> (
-            match validator with
-            | Some v when not (Validator.accept v ~time) -> (
-                match
-                  Validator.check v ~pos:(Printf.sprintf "line %d" lineno) ~time
-                with
-                | Error msg -> Error msg
-                | Ok () -> assert false (* accept and check agree *))
-            | None when time < 0 ->
-                line_error lineno (Printf.sprintf "negative timestamp %d" time)
-            | Some _ | None -> Ok (Some { Trace.name; time }))
-        | None, _ ->
-            line_error lineno (Printf.sprintf "bad timestamp %S" time_str)
-        | exception Invalid_argument msg -> line_error lineno msg)
+  let r = Csv.create ?validator () in
+  r.Csv.lineno <- lineno - 1;
+  let event = ref None in
+  match
+    Csv.line r line 0 (String.length line) ~emit:(fun sid time ->
+        event := Some { Trace.name = Csv.name r sid; time })
+  with
+  | Ok () -> Ok !event
+  | Error _ as e -> e
 
 let of_csv source =
-  let lines = String.split_on_char '\n' source in
-  let validator = Validator.create () in
-  let rec loop lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-        match parse_csv_line ~lineno ~validator line with
-        | Ok (Some e) -> loop (lineno + 1) (e :: acc) rest
-        | Ok None -> loop (lineno + 1) acc rest
-        | Error _ as e -> e)
-  in
-  loop 1 [] lines
+  let r = Csv.create ~validator:(Validator.create ()) () in
+  let events = ref [] in
+  let emit sid time = events := { Trace.name = Csv.name r sid; time } :: !events in
+  match Result.bind (Csv.feed r source ~emit) (fun () -> Csv.finish r ~emit) with
+  | Ok () -> Ok (List.rev !events)
+  | Error _ as e -> e
 
 let save_csv ~path trace =
   let oc = open_out path in

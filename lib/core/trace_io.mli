@@ -7,8 +7,8 @@
 
 (** {1 Chronology validation}
 
-    Every trace reader in the code base (CSV here, the binary codec in
-    [Loseq_ingest.Codec], the streaming CSV mode of [loseq serve])
+    Every trace reader in the code base (CSV here, also behind
+    [loseq serve], and the binary codec in [Loseq_ingest.Codec])
     funnels timestamps through this one validator, so "trace is not
     chronological" errors carry the same information everywhere: the
     position of the offending record and both timestamps involved. *)
@@ -37,18 +37,63 @@ end
 val to_csv : Trace.t -> string
 (** ["time,name\n"] header plus one row per event. *)
 
+(** {1 CSV}
+
+    A line is [time,name], both fields trimmed of {!String.trim}'s
+    whitespace (so CRLF endings and padding pass); blank lines, [#]
+    comments and the [time,name] header are skipped.  The time is
+    anything [int_of_string] accepts ([0x1F], [1_000], [+5]); a
+    digits-only time is parsed in place.  The name must satisfy
+    {!Name.v}, whose error wins over a bad timestamp on the same line.
+    Error messages carry ["line N"]. *)
+
+(** The one CSV line parser, streaming: lines are parsed in place in
+    the chunk that holds them (a line split across chunks is assembled
+    once), and each event reaches the caller as [(stream id, time)],
+    the way the binary codec's [Decoder.feed_ids] emits them.  A name
+    is validated and resolved once, when first seen; later lines with
+    the same bytes cost one table probe. *)
+module Csv : sig
+  type t
+
+  val create : ?validator:Validator.t -> ?keep:(Name.t -> bool) -> unit -> t
+  (** With [validator], chronology is enforced through it; without,
+      only negative timestamps are rejected — the mode of a
+      bounded-reorder host, where out-of-order lines are its business,
+      not a parse error.  [keep] (default: every name) picks the names
+      to intern: a host passes the names it resolves, so the table is
+      bounded by its alphabet.  A name [keep] refuses is reported as
+      stream id {!foreign} and never interned: a stream of fresh
+      foreign names grows nothing (a fixed 64-entry memory spares a
+      recent one re-validation). *)
+
+  val foreign : int
+  (** [0], the stream id of every name [keep] refused. *)
+
+  val feed : t -> string -> emit:(int -> int -> unit) -> (unit, string) result
+  (** Consume one chunk, calling [emit sid time] for each complete
+      event line; a trailing partial line waits for the next chunk.
+      Stops at the first bad line with its error. *)
+
+  val finish : t -> emit:(int -> int -> unit) -> (unit, string) result
+  (** End of input: parse a final line that has no newline. *)
+
+  val name : t -> int -> Name.t
+  (** The name of stream id [sid]; for {!foreign}, the name of the last
+      refused line.  Raises [Invalid_argument] on an id never
+      emitted. *)
+
+  val interned : t -> int
+  (** Names interned so far: at most those [keep] accepted. *)
+end
+
 val parse_csv_line :
   lineno:int ->
   ?validator:Validator.t ->
   string ->
   (Trace.event option, string) result
-(** Parse one CSV line ([None] for blanks, [#] comments and the
-    header).  Error messages carry ["line N"].  With [validator],
-    chronology is enforced through it; without, only negative
-    timestamps are rejected — the mode a bounded-reorder ingestion
-    session uses, where out-of-order lines are the session's business,
-    not a parse error.  This is the single code path behind {!of_csv}
-    and the streaming CSV reader of [loseq serve]. *)
+(** One line, numbered [lineno], through {!Csv}'s parser ([None] for a
+    skipped line). *)
 
 val of_csv : string -> (Trace.t, string) result
 (** Accepts the {!to_csv} format (header optional, blank lines and [#]

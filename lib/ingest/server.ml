@@ -3,10 +3,13 @@ open Loseq_verif
 module Obs = Loseq_obs.Metrics
 module Tr = Loseq_obs.Trace
 
+(* Records are buffered in [out] and leave in one write per input
+   chunk: the serve loop flushes before every blocking wait (input,
+   socket accept, linger), before a checkpoint is saved, and on every
+   exit. *)
 let emit_record out record =
   output_string out (Json.to_string record);
-  output_char out '\n';
-  flush out
+  output_char out '\n'
 
 let violation_fields ~name (v : Diag.violation) =
   [
@@ -41,44 +44,24 @@ exception Input_error of string
 
 (* ---- input formats ----------------------------------------------------- *)
 
-type csv_state = { mutable partial : string; mutable lineno : int }
-
-(* A binary stream carries its decoder and the [emit] that admits its
-   [(stream id, time)] pairs. *)
+(* A stream carries its decoder and the [emit] that admits its
+   [(stream id, time)] pairs: both wire formats reach the host the same
+   way. *)
 type parser_state =
   | Sniffing of Buffer.t
   | Binary of Codec.Decoder.t * (int -> int -> unit)
-  | Csv of csv_state
+  | Csv of Trace_io.Csv.t * (int -> int -> unit)
 
-let feed_csv st chunk ~push =
-  let data = st.partial ^ chunk in
-  let rec split from =
-    match String.index_from_opt data from '\n' with
-    | None -> st.partial <- String.sub data from (String.length data - from)
-    | Some nl ->
-        let line = String.sub data from (nl - from) in
-        st.lineno <- st.lineno + 1;
-        (match Trace_io.parse_csv_line ~lineno:st.lineno line with
-        | Ok (Some e) -> push e
-        | Ok None -> ()
-        | Error msg -> raise (Input_error msg));
-        split (nl + 1)
-  in
-  split 0
-
-let feed_binary dec chunk ~emit =
-  match Codec.Decoder.feed_ids dec chunk ~emit with
-  | Ok () -> ()
-  | Error msg -> raise (Input_error msg)
+let check_input = function Ok () -> () | Error msg -> raise (Input_error msg)
 
 (* Route one chunk; the first chunk(s) resolve the format (binary iff
-   the stream starts with the LSQB magic).  CSV lines reach [push] as
-   events; a binary stream's events reach the emitter [wire] builds for
-   its decoder as [(stream id, time)]. *)
-let rec feed_chunk state chunk ~push ~wire =
+   the stream starts with the LSQB magic).  [wire name] builds the
+   emitter of a decoder whose ids [name] maps back; the CSV reader
+   interns only the names [known] accepts. *)
+let rec feed_chunk state chunk ~known ~wire =
   match !state with
-  | Binary (dec, emit) -> feed_binary dec chunk ~emit
-  | Csv st -> feed_csv st chunk ~push
+  | Binary (dec, emit) -> check_input (Codec.Decoder.feed_ids dec chunk ~emit)
+  | Csv (csv, emit) -> check_input (Trace_io.Csv.feed csv chunk ~emit)
   | Sniffing buf ->
       Buffer.add_string buf chunk;
       let data = Buffer.contents buf in
@@ -86,27 +69,24 @@ let rec feed_chunk state chunk ~push ~wire =
       (* a binary-looking prefix shorter than the magic is still
          ambiguous: keep sniffing *)
       if not (binary && String.length data < String.length Codec.magic) then begin
-        state :=
-          if binary then
-            let dec = Codec.Decoder.create () in
-            Binary (dec, wire dec)
-          else Csv { partial = ""; lineno = 0 };
-        feed_chunk state data ~push ~wire
+        (state :=
+           if binary then
+             let dec = Codec.Decoder.create () in
+             Binary (dec, wire (Codec.Decoder.name dec))
+           else
+             let csv = Trace_io.Csv.create ~keep:known () in
+             Csv (csv, wire (Trace_io.Csv.name csv)));
+        feed_chunk state data ~known ~wire
       end
 
-let finish_input state ~push =
+(* Still sniffing at end of input means a strict prefix of the magic. *)
+let finish_input state =
   match !state with
-  | Binary (dec, _) -> (
-      match Codec.Decoder.finish dec with
-      | Ok () -> ()
-      | Error msg -> raise (Input_error msg))
-  | Csv st -> if st.partial <> "" then feed_csv st "\n" ~push
+  | Binary (dec, _) -> check_input (Codec.Decoder.finish dec)
+  | Csv (csv, emit) -> check_input (Trace_io.Csv.finish csv ~emit)
   | Sniffing buf ->
-      let data = Buffer.contents buf in
-      if data = "" then ()
-      else if Codec.looks_binary data then
+      if Buffer.length buf > 0 then
         raise (Input_error "truncated stream: incomplete header")
-      else feed_csv { partial = data; lineno = 0 } "\n" ~push
 
 (* Consult the suite's lateness-robustness certificate before any event
    flows.  Skipped entirely on the default in-order path (lateness 0,
@@ -386,6 +366,7 @@ let default_metrics ~metrics ~metrics_addr ~stats_interval ~profile_out =
 let error_record out msg =
   emit_record out
     (Json.Obj [ ("type", Json.String "error"); ("message", Json.String msg) ]);
+  flush out;
   2
 
 (* ---- flight-recorder artifacts ------------------------------------------ *)
@@ -456,9 +437,10 @@ type host = {
   lateness : int;  (** the window the reorder gate certifies *)
   certificate : unit -> Loseq_analysis.Robust.certificate;
   skip : int;  (** leading events a resumed host already accounts for *)
-  offer : Trace.event -> unit;
-  wire : Codec.Decoder.t -> int -> int -> unit;
-      (** the emitter of a binary stream's [(stream id, time)] pairs *)
+  known : Name.t -> bool;  (** the names the host resolves *)
+  wire : (int -> Name.t) -> int -> int -> unit;
+      (** the emitter of a stream's [(stream id, time)] pairs, given the
+          decoder's id-to-name map *)
   position : unit -> int;  (** events accepted so far *)
   stats : unit -> (string * Json.t) list;
   finalize : unit -> (string * Backend.verdict) list * string list * int;
@@ -513,7 +495,7 @@ let buffered ~metrics ~trace ?backend ?latency_sample_rate ~lateness ~window
         lateness = Session.lateness session;
         certificate = (fun () -> Session.reorder_certificate session);
         skip;
-        offer = Session.offer_force session;
+        known = (fun n -> Session.resolve session n >= 0);
         wire = Session.wire session;
         position = (fun () -> Session.position session);
         stats = counters ~max_seen:false;
@@ -574,12 +556,21 @@ let speculative ~metrics ~trace ~lateness ?final_time ~out suite =
       (List.map (fun (e : Suite.entry) -> (e.label, e.pattern)) suite)
   in
   let offered = ref 0 in
-  let offer (e : Trace.event) =
-    incr offered;
-    (* Ring first, offer second: a violation the offer raises
-       synchronously must find its deciding event captured. *)
-    Provenance.record prov ~time:e.time e.name;
-    ignore (Engine.offer engine e)
+  (* Each stream id resolves once to its engine gid (-1: foreign to the
+     suite) and provenance route. *)
+  let wire name =
+    let resolve =
+      Session.by_stream_id (fun sid ->
+          let n = name sid in
+          (Engine.gid engine n, Provenance.route prov n))
+    in
+    fun sid time ->
+      let gid, route = resolve sid in
+      incr offered;
+      (* Ring first, offer second: a violation the offer raises
+         synchronously must find its deciding event captured. *)
+      Provenance.record prov route ~time;
+      ignore (Engine.offer_gid engine ~gid ~time)
   in
   let counters () =
     let s = Engine.stats engine in
@@ -600,9 +591,8 @@ let speculative ~metrics ~trace ~lateness ?final_time ~out suite =
       lateness;
       certificate = (fun () -> Engine.certificate engine);
       skip = 0;
-      offer;
-      wire =
-        (fun dec sid time -> offer { Trace.name = Codec.Decoder.name dec sid; time });
+      known = (fun n -> Engine.gid engine n >= 0);
+      wire;
       position = (fun () -> !offered);
       stats =
         (fun () ->
@@ -664,6 +654,9 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
     match host.save with
     | None -> ()
     | Some (path, save) -> (
+        (* the records of every event the checkpoint accounts for leave
+           first: a resume skips those events *)
+        flush out;
         Tr.emit trace ckpt Tr.Span_begin 0;
         match save () with
         | Ok bytes ->
@@ -701,14 +694,8 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
       emit_record out
         (Json.Obj (("type", Json.String "stats") :: host.stats ()))
   in
-  let push e =
-    if fresh () then begin
-      host.offer e;
-      admitted ()
-    end
-  in
-  let wire dec =
-    let offer = host.wire dec in
+  let wire name =
+    let offer = host.wire name in
     fun sid time ->
       if fresh () then begin
         offer sid time;
@@ -718,6 +705,8 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
   match
     with_signals @@ fun () ->
     with_http ~out ~metrics_addr @@ fun http ->
+    (* a caller learns the metrics port before serve waits for input *)
+    flush out;
     let fd, cleanup = open_input input in
     Fun.protect ~finally:cleanup @@ fun () ->
     obs (fun o -> Obs.set o.sessions 1);
@@ -728,12 +717,14 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
             ("properties", Json.Int (List.length suite));
           ]
          @ host.start));
+    flush out;
     let state = ref (Sniffing (Buffer.create 8)) in
     let consume chunk =
       obs (fun o -> Obs.add o.bytes_in (String.length chunk));
       Tr.emit trace admit Tr.Span_begin 0;
-      feed_chunk state chunk ~push ~wire;
-      Tr.emit trace admit Tr.Span_end (String.length chunk)
+      feed_chunk state chunk ~known:host.known ~wire;
+      Tr.emit trace admit Tr.Span_end (String.length chunk);
+      flush out
     in
     match stream_loop ~fd ~metrics ~consume http with
     | `Interrupted ->
@@ -745,9 +736,10 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
                ("events", Json.Int (host.position ()));
              ]);
         artifacts ();
+        flush out;
         0
     | `Eof ->
-        finish_input state ~push;
+        finish_input state;
         let verdicts, rendered, final_time = host.finalize () in
         List.iter2
           (fun (name, verdict) rendered ->
@@ -771,6 +763,7 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
              ([ ("type", Json.String "summary"); ("passed", Json.Bool passed) ]
              @ host.summary ()));
         artifacts ();
+        flush out;
         linger ~metrics http;
         if passed then 0 else 1
   with

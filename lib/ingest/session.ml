@@ -132,30 +132,29 @@ let offer t (e : Trace.event) = admit t (resolve t e.name) e.name ~time:e.time
 let offer_force t (e : Trace.event) =
   admit_force t (resolve t e.name) e.name ~time:e.time
 
-(* Stream ids resolve to tap ids once, at first use: -2 marks an id not
-   resolved yet, -1 a name no checker hears.  The table grows with the
-   ids actually used, never past the decoder's own name table. *)
-let wire t dec =
-  let ids = ref [||] in
-  fun sid time ->
-    let len = Array.length !ids in
+(* Each stream id resolves once, at first use; the table grows with
+   the ids actually used, to at most twice the largest. *)
+let by_stream_id resolve =
+  let cache = ref [||] in
+  fun sid ->
+    let len = Array.length !cache in
     if sid >= len then begin
-      let grown =
-        Array.make
-          (max (sid + 1) (min (Codec.Decoder.defined dec) (max 16 (2 * len))))
-          (-2)
-      in
-      Array.blit !ids 0 grown 0 len;
-      ids := grown
+      let grown = Array.make (max (sid + 1) (max 16 (2 * len))) None in
+      Array.blit !cache 0 grown 0 len;
+      cache := grown
     end;
-    let id = !ids.(sid) in
-    if id >= 0 then admit_force t id (Tap.name t.tap id) ~time
-    else begin
-      let name = Codec.Decoder.name dec sid in
-      let id = if id = -2 then resolve t name else id in
-      !ids.(sid) <- id;
-      admit_force t id (if id >= 0 then Tap.name t.tap id else name) ~time
-    end
+    match !cache.(sid) with
+    | Some v -> v
+    | None ->
+        let v = resolve sid in
+        !cache.(sid) <- Some v;
+        v
+
+let wire t name =
+  let id_of = by_stream_id (fun sid -> resolve t (name sid)) in
+  fun sid time ->
+    let id = id_of sid in
+    admit_force t id (if id >= 0 then Tap.name t.tap id else name sid) ~time
 
 let flush t = ignore (Reorder.flush t.reorder ~emit:(deliver_event t))
 

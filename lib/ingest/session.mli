@@ -85,12 +85,21 @@ val offer_id : t -> int -> time:int -> [ `Accepted | `Blocked ]
 (** {!offer} of the name with tap id [id].  Raises [Invalid_argument]
     on a negative [id]. *)
 
-val wire : t -> Codec.Decoder.t -> int -> int -> unit
-(** [wire t dec] is the [emit] callback for {!Codec.Decoder.feed_ids}
-    that [serve] uses: [wire t dec sid time] admits one event as
-    {!offer_force} would, mapping the LSQB stream id [sid] to its tap
-    id once, at first use, in a growable int table that never outgrows
-    [dec]'s own name table. *)
+val wire : t -> (int -> Loseq_core.Name.t) -> int -> int -> unit
+(** [wire t name] is the [emit] callback of a stream decoder —
+    {!Codec.Decoder.feed_ids} or {!Loseq_core.Trace_io.Csv.feed} — that
+    [serve] uses, [name] the decoder's own id-to-name map: [wire t name
+    sid time] admits one event as {!offer_force} would, mapping the
+    stream id [sid] to its tap id once, at first use
+    ({!by_stream_id}).  [name] is read again per event only for a name
+    no checker hears. *)
+
+val by_stream_id : (int -> 'a) -> int -> 'a
+(** [by_stream_id resolve] memoizes [resolve] on stream ids, for a
+    host that maps a decoder's ids to its own: each id is resolved
+    once, at first use, in a growable table that stays within twice
+    the largest id used (and so within twice the decoder's own name
+    table). *)
 
 val flush : t -> unit
 (** Deliver everything pending, in timestamp order. *)

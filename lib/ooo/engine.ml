@@ -24,19 +24,23 @@ type stats = {
   max_journal : int;
 }
 
+(* Commuting gid pairs, keyed [a * names + b]. *)
+module Pairs = Hashtbl.Make (Int)
+
 (* Per-checker speculation state beside the engine's slab.
-   [decided_at] is meaningful only while the verdict is decided: the
-   timestamp of the deciding step (or the missed deadline), i.e. the
-   point the watermark must pass for the verdict to settle.  [touched]
-   and [pending] mark membership of the engine lists of the same
-   names. *)
+   [certified]: the analysis decided the checker and certified it for
+   the engine's lateness.  [commuting] holds both orders of each
+   certified commuting pair.  [decided_at] is meaningful only while the
+   verdict is decided: the timestamp of the deciding step (or the
+   missed deadline), i.e. the point the watermark must pass for the
+   verdict to settle.  [touched] and [pending] mark membership of the
+   engine lists of the same names. *)
 type chk = {
   label : string;
-  alpha : Name.Set.t;
   timed : bool;
-  cert_bound : Robust.bound;
+  certified : bool;
   cert_decided : bool;
-  commuting : (Name.t * Name.t, unit) Hashtbl.t;
+  commuting : unit Pairs.t;
   mutable decided_at : int;
   mutable notified : Backend.verdict;
   mutable settled : bool;
@@ -61,6 +65,8 @@ type t = {
   views : Backend.t array;  (** verdict rendering *)
   chks : chk array;
   row : int array;  (** gid -> checkers subscribed to it *)
+  seen : int array;
+      (** gid -> the late event that last listed it in a replay window *)
   journal : Journal.t;  (** events stamped at or after the watermark *)
   frontier : Flat.t;
       (** the same suite, stepped with every journalled event once the
@@ -72,6 +78,7 @@ type t = {
   trc : trc option;
   notice : notice -> unit;
   mutable clock : int;  (** time of the event being stepped *)
+  mutable lates : int;  (** stamp of the late event in hand, for [seen] *)
   mutable touched : int list;
       (** checkers whose verdict may have moved since the notice scan:
           decided by a step or deadline, or restored by a rollback *)
@@ -112,9 +119,9 @@ let on_decision t i =
     | Backend.Running | Backend.Satisfied -> t.clock);
   touch t i
 
-let step_name t gid (e : Trace.event) =
-  t.clock <- e.Trace.time;
-  Flat.step_name t.eng ~gid ~time:e.Trace.time;
+let step_name t gid ~time =
+  t.clock <- time;
+  Flat.step_name t.eng ~gid ~time;
   t.steps <- t.steps + t.row.(gid)
 
 (* The frontier's decision hook, [on_decision]'s twin. *)
@@ -124,11 +131,14 @@ let on_frontier_decision t i =
     | Compiled.Violated { time; _ } -> time
     | Compiled.Running | Compiled.Satisfied -> t.frontier_clock)
 
+let hears t i gid = Flat.local_of_gid t.eng i gid >= 0
+
 (* One checker, on the late-event and replay paths. *)
-let step_checker t i (e : Trace.event) =
-  if Name.Set.mem e.Trace.name t.chks.(i).alpha then begin
-    t.clock <- e.Trace.time;
-    Flat.step_checker t.eng i e;
+let step_checker t i gid ~time =
+  let loc = Flat.local_of_gid t.eng i gid in
+  if loc >= 0 then begin
+    t.clock <- time;
+    Flat.step_local t.eng i loc ~time;
     t.steps <- t.steps + 1
   end
 
@@ -149,10 +159,10 @@ let fire t i ~upto =
    only what a late event could still land among. *)
 let advance_frontier t =
   let wm = watermark t in
-  Journal.pop_before t.journal ~time:wm (fun gid e ->
-      Flat.fire_due t.frontier ~upto:e.Trace.time;
-      t.frontier_clock <- e.Trace.time;
-      Flat.step_name t.frontier ~gid ~time:e.Trace.time);
+  Journal.pop_before t.journal ~time:wm (fun gid time ->
+      Flat.fire_due t.frontier ~upto:time;
+      t.frontier_clock <- time;
+      Flat.step_name t.frontier ~gid ~time);
   Flat.fire_due t.frontier ~upto:wm
 
 let note_journal_depth t =
@@ -219,27 +229,33 @@ let settle_scan t =
     List.iter (settle t) (List.sort compare (List.filter (is_decided t) ripe))
   end
 
-let pair a b = if Name.compare a b <= 0 then (a, b) else (b, a)
-
 let create ?metrics ?(trace = Tr.noop) ?(cert_budget = 20_000) ?notice
     ~lateness entries =
   if lateness < 0 then invalid_arg "Loseq_ooo.Engine.create: negative lateness";
   let eng = Flat.compile entries in
+  let names = Array.length (Flat.names eng) in
   let cert = Robust.certificate ~budget:cert_budget entries in
   let chks =
     Array.of_list
       (List.map2
          (fun (label, p) (ce : Robust.entry) ->
-           let commuting = Hashtbl.create 16 in
+           let commuting = Pairs.create 16 in
            List.iter
-             (fun (a, b) -> Hashtbl.replace commuting (pair a b) ())
+             (fun (a, b) ->
+               match (Flat.gid_of_name eng a, Flat.gid_of_name eng b) with
+               | Some a, Some b ->
+                   Pairs.replace commuting ((a * names) + b) ();
+                   Pairs.replace commuting ((b * names) + a) ()
+               | _ -> ())
              ce.Robust.commuting;
            {
              label;
-             alpha = Pattern.alpha p;
              timed =
                (match p with Pattern.Timed _ -> true | Pattern.Antecedent _ -> false);
-             cert_bound = ce.Robust.bound;
+             certified =
+               ce.Robust.decided
+               && Robust.compare_bound ce.Robust.bound (Robust.Finite lateness)
+                  >= 0;
              cert_decided = ce.Robust.decided;
              commuting;
              decided_at = -1;
@@ -250,14 +266,14 @@ let create ?metrics ?(trace = Tr.noop) ?(cert_budget = 20_000) ?notice
            })
          entries cert.Robust.entries)
   in
-  let row = Array.make (Array.length (Flat.names eng)) 0 in
-  Array.iter
-    (fun c ->
+  let row = Array.make names 0 in
+  Array.iteri
+    (fun i _ ->
       Name.Set.iter
         (fun n ->
           let g = Option.get (Flat.gid_of_name eng n) in
           row.(g) <- row.(g) + 1)
-        c.alpha)
+        (Flat.alphabet eng i))
     chks;
   let t =
     {
@@ -266,6 +282,7 @@ let create ?metrics ?(trace = Tr.noop) ?(cert_budget = 20_000) ?notice
       views = Backend.flat_engine_views eng;
       chks;
       row;
+      seen = Array.make names 0;
       journal = Journal.create ();
       frontier = Flat.compile entries;
       frontier_decided = Array.make (Array.length chks) (-1);
@@ -283,6 +300,7 @@ let create ?metrics ?(trace = Tr.noop) ?(cert_budget = 20_000) ?notice
          else None);
       notice = Option.value notice ~default:(fun _ -> ());
       clock = 0;
+      lates = 0;
       touched = [];
       pending = [];
       steps = 0;
@@ -340,118 +358,134 @@ let create ?metrics ?(trace = Tr.noop) ?(cert_budget = 20_000) ?notice
           Obs.set g_wm (watermark t)));
   t
 
-(* The certificate fast path: may late event [e] commit in place for
-   checker [c], given the distinct names [suffix] of the journal events
-   it would jump over?  See the soundness notes in the interface. *)
-let commits_in_place t c (e : Trace.event) suffix =
-  let n = e.Trace.name in
+let gid t name =
+  match Flat.gid_of_name t.eng name with Some g -> g | None -> -1
+
+(* The certificate fast path: may a late event of [gid] commit in place
+   for checker [i], given the distinct gids [suffix] of the journal
+   events it would jump over?  See the soundness notes in the
+   interface. *)
+let commits_in_place t i gid suffix =
+  let c = t.chks.(i) in
+  let names = Array.length t.row in
   c.settled
-  || (not (Name.Set.mem n c.alpha))
-  || (c.cert_decided
-     && Robust.compare_bound c.cert_bound (Robust.Finite t.k) >= 0)
+  || (not (hears t i gid))
+  || c.certified
   || (not c.timed) && c.cert_decided
-     && Name.Set.for_all
+     && List.for_all
           (fun m ->
-            (not (Name.Set.mem m c.alpha))
-            || Name.equal m n
-            || Hashtbl.mem c.commuting (pair n m))
+            m = gid
+            || (not (hears t i m))
+            || Pairs.mem c.commuting ((gid * names) + m))
           suffix
 
-let offer_in_order t (e : Trace.event) =
-  Flat.fire_due t.eng ~upto:e.Trace.time;
-  (match Flat.gid_of_name t.eng e.Trace.name with
-  | Some gid ->
-      step_name t gid e;
-      Journal.append t.journal ~gid e;
-      note_journal_depth t
-  | None -> ());
-  if e.Trace.time > t.max_seen then begin
-    t.max_seen <- e.Trace.time;
+let offer_in_order t gid ~time =
+  Flat.fire_due t.eng ~upto:time;
+  if gid >= 0 then begin
+    step_name t gid ~time;
+    Journal.append t.journal ~gid ~time;
+    note_journal_depth t
+  end;
+  if time > t.max_seen then begin
+    t.max_seen <- time;
     advance_frontier t
   end;
   t.applied <- t.applied + 1;
   `Applied
 
-let commute_hit t (e : Trace.event) =
+let commute_hit t ~time =
   t.commute_hits <- t.commute_hits + 1;
   match t.trc with
-  | Some c -> Tr.emit c.tr c.tr_commute Tr.Instant e.Trace.time
+  | Some c -> Tr.emit c.tr c.tr_commute Tr.Instant time
   | None -> ()
 
-let offer_late t (e : Trace.event) =
+(* The distinct gids of the journal from position [q] on: the names a
+   late event inserted at [q] would jump over. *)
+let window_gids t q =
+  t.lates <- t.lates + 1;
+  let suffix = ref [] in
+  for p = q to Journal.length t.journal - 1 do
+    let g = Journal.gid t.journal p in
+    if t.seen.(g) <> t.lates then begin
+      t.seen.(g) <- t.lates;
+      suffix := g :: !suffix
+    end
+  done;
+  !suffix
+
+let offer_late t gid ~time =
   t.late <- t.late + 1;
-  match Flat.gid_of_name t.eng e.Trace.name with
-  | None ->
-      (* Foreign to every checker: nothing to step, nothing to replay
-         (deadline firing is driven by timestamps already covered by
-         max_seen, not by the event itself). *)
-      commute_hit t e;
-      `Applied
-  | Some gid -> (
-      let q = Journal.insertion_point t.journal ~time:e.Trace.time in
-      let suffix = ref Name.Set.empty in
-      for i = q to Journal.length t.journal - 1 do
-        suffix := Name.Set.add (Journal.get t.journal i).Trace.name !suffix
-      done;
-      (* Checkers that must roll back, and those that take the late
-         event in place, both in suite order. *)
-      let affected = ref [] and in_place = ref [] in
-      for i = Array.length t.chks - 1 downto 0 do
-        let c = t.chks.(i) in
-        if not (commits_in_place t c e !suffix) then affected := i :: !affected
-        else if Name.Set.mem e.Trace.name c.alpha then in_place := i :: !in_place
-      done;
-      match !affected with
-      | [] ->
-          step_name t gid e;
-          Journal.insert t.journal ~at:q ~gid e;
-          note_journal_depth t;
-          commute_hit t e;
-          `Commuted
-      | affected ->
-          (* The whole repair is one span on the ooo track: restore from
-             the frontier, re-step the journal, catch up. *)
-          (match t.trc with
-          | Some c ->
-              Tr.emit c.tr c.tr_replay Tr.Span_begin (List.length affected)
-          | None -> ());
+  if gid < 0 then begin
+    (* Foreign to every checker: nothing to step, nothing to replay
+       (deadline firing is driven by timestamps already covered by
+       max_seen, not by the event itself). *)
+    commute_hit t ~time;
+    `Applied
+  end
+  else begin
+    let q = Journal.insertion_point t.journal ~time in
+    let suffix = window_gids t q in
+    (* Checkers that must roll back, and those that take the late
+       event in place, both in suite order. *)
+    let affected = ref [] and in_place = ref [] in
+    for i = Array.length t.chks - 1 downto 0 do
+      if not (commits_in_place t i gid suffix) then affected := i :: !affected
+      else if hears t i gid then in_place := i :: !in_place
+    done;
+    match !affected with
+    | [] ->
+        step_name t gid ~time;
+        Journal.insert t.journal ~at:q ~gid ~time;
+        note_journal_depth t;
+        commute_hit t ~time;
+        `Commuted
+    | affected ->
+        (* The whole repair is one span on the ooo track: restore from
+           the frontier, re-step the journal, catch up. *)
+        (match t.trc with
+        | Some c ->
+            Tr.emit c.tr c.tr_replay Tr.Span_begin (List.length affected)
+        | None -> ());
+        List.iter
+          (fun i ->
+            Flat.copy_checker ~src:t.frontier t.eng i;
+            t.chks.(i).decided_at <- t.frontier_decided.(i);
+            touch t i)
+          affected;
+        List.iter (fun i -> step_checker t i gid ~time) !in_place;
+        Journal.insert t.journal ~at:q ~gid ~time;
+        note_journal_depth t;
+        let count = Journal.length t.journal in
+        for p = 0 to count - 1 do
+          let g = Journal.gid t.journal p and tm = Journal.time t.journal p in
           List.iter
             (fun i ->
-              Flat.copy_checker ~src:t.frontier t.eng i;
-              t.chks.(i).decided_at <- t.frontier_decided.(i);
-              touch t i)
-            affected;
-          List.iter (fun i -> step_checker t i e) !in_place;
-          Journal.insert t.journal ~at:q ~gid e;
-          note_journal_depth t;
-          let count = Journal.length t.journal in
-          for p = 0 to count - 1 do
-            let ev = Journal.get t.journal p in
-            List.iter
-              (fun i ->
-                fire t i ~upto:ev.Trace.time;
-                step_checker t i ev)
-              affected
-          done;
-          (* Catch the replayed checkers back up to the present: the
-             in-order path had fired their deadlines up to max_seen. *)
-          List.iter (fun i -> fire t i ~upto:t.max_seen) affected;
-          t.rollbacks <- t.rollbacks + 1;
-          t.replayed <- t.replayed + count;
-          (match t.trc with
-          | Some c -> Tr.emit c.tr c.tr_replay Tr.Span_end count
-          | None -> ());
-          `Replayed count)
+              fire t i ~upto:tm;
+              step_checker t i g ~time:tm)
+            affected
+        done;
+        (* Catch the replayed checkers back up to the present: the
+           in-order path had fired their deadlines up to max_seen. *)
+        List.iter (fun i -> fire t i ~upto:t.max_seen) affected;
+        t.rollbacks <- t.rollbacks + 1;
+        t.replayed <- t.replayed + count;
+        (match t.trc with
+        | Some c -> Tr.emit c.tr c.tr_replay Tr.Span_end count
+        | None -> ());
+        `Replayed count
+  end
 
-let offer t (e : Trace.event) =
+let offer_gid t ~gid ~time =
   if t.finalized then invalid_arg "Loseq_ooo.Engine.offer: already finalized";
+  if gid < -1 || gid >= Array.length t.row then
+    invalid_arg "Loseq_ooo.Engine.offer_gid: not a gid";
   let res =
-    if e.Trace.time >= t.max_seen then offer_in_order t e
-    else if e.Trace.time < t.max_seen - t.k then begin
+    if time >= t.max_seen then offer_in_order t gid ~time
+    else if time < t.max_seen - t.k then begin
       t.dropped_late <- t.dropped_late + 1;
       `Dropped_late
     end
-    else offer_late t e
+    else offer_late t gid ~time
   in
   (match res with
   | `Dropped_late -> ()
@@ -459,6 +493,8 @@ let offer t (e : Trace.event) =
       notice_scan t;
       settle_scan t);
   res
+
+let offer t (e : Trace.event) = offer_gid t ~gid:(gid t e.name) ~time:e.time
 
 let finalize ?final_time t =
   if not t.finalized then begin

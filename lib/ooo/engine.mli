@@ -102,15 +102,28 @@ val create :
     Raises [Invalid_argument] if [lateness < 0];
     {!Loseq_core.Wellformed.Ill_formed} on an ill-formed pattern. *)
 
+val gid : t -> Name.t -> int
+(** The engine's id of a name in the suite alphabet, or [-1] for a name
+    foreign to it: what {!offer_gid} takes.  A host resolves each name
+    once. *)
+
+val offer_gid :
+  t -> gid:int -> time:int -> [ `Applied | `Commuted | `Replayed of int | `Dropped_late ]
+(** Feed one event in arrival order, by its {!gid}.  [`Applied]:
+    in-order (or foreign to every checker) and stepped immediately.
+    [`Commuted]: late but committed in place by the certificate fast
+    path.  [`Replayed n]: late; the engine restored the affected
+    checkers from the frontier and replayed the [n] journalled events.
+    [`Dropped_late]: beyond the lateness bound — same admissibility
+    rule as {!Loseq_ingest.Reorder} (an event exactly at the watermark
+    is admitted).  No name is hashed and no event is built: alphabet
+    membership and checker-local ids come from the engine's dispatch
+    rows, and commuting pairs from an int-keyed table.  Raises
+    [Invalid_argument] after {!finalize} or on a [gid] that is neither
+    [-1] nor an engine id. *)
+
 val offer : t -> Trace.event -> [ `Applied | `Commuted | `Replayed of int | `Dropped_late ]
-(** Feed one event in arrival order.  [`Applied]: in-order (or foreign
-    to every checker) and stepped immediately.  [`Commuted]: late but
-    committed in place by the certificate fast path.  [`Replayed n]:
-    late; the engine restored the affected checkers from the frontier
-    and replayed the [n] journalled events.  [`Dropped_late]: beyond the
-    lateness bound — same admissibility rule as
-    {!Loseq_ingest.Reorder} (an event exactly at the watermark is
-    admitted).  Raises [Invalid_argument] after {!finalize}. *)
+(** {!offer_gid} of the event's resolved name. *)
 
 val finalize : ?final_time:int -> t -> unit
 (** End of observation at [max (max_seen, final_time, 0)]: fire

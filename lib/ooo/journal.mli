@@ -2,7 +2,8 @@
 
     The journal is the engine's event memory: the window of
     suite-alphabet events that a late arrival could still be inserted
-    among, in timestamp order, each with its engine name id ([gid]).
+    among, in timestamp order, each held as its engine name id ([gid])
+    and its time in two int arrays — no event record, no pointer.
     Everything older lives in the engine's frontier: {!pop_before}
     hands the events stamped before the watermark over to it, so the
     journal never holds more than the window the lateness bound leaves
@@ -12,8 +13,6 @@
     at most the suite-alphabet events offered, not dropped, and stamped
     at or after the watermark [max_seen - lateness]. *)
 
-open Loseq_core
-
 type t
 
 val create : unit -> t
@@ -21,10 +20,12 @@ val create : unit -> t
 val length : t -> int
 (** Number of live events. *)
 
-val get : t -> int -> Trace.event
-(** [get t i] is the [i]-th live event, [0 <= i < length t]. *)
+val gid : t -> int -> int
+val time : t -> int -> int
+(** [gid t i] and [time t i] describe the [i]-th live event,
+    [0 <= i < length t]; raise [Invalid_argument] outside it. *)
 
-val append : t -> gid:int -> Trace.event -> unit
+val append : t -> gid:int -> time:int -> unit
 (** Add an in-order event at the head. *)
 
 val insertion_point : t -> time:int -> int
@@ -32,9 +33,9 @@ val insertion_point : t -> time:int -> int
     where a late event at [time] lands, keeping ties stable (the late
     arrival goes after existing equal-time events). *)
 
-val insert : t -> at:int -> gid:int -> Trace.event -> unit
+val insert : t -> at:int -> gid:int -> time:int -> unit
 (** Splice a late event in at position [at]. *)
 
-val pop_before : t -> time:int -> (int -> Trace.event -> unit) -> unit
+val pop_before : t -> time:int -> (int -> int -> unit) -> unit
 (** [pop_before t ~time f] removes every event stamped strictly before
-    [time], oldest first, handing each to [f gid event]. *)
+    [time], oldest first, handing each to [f gid time]. *)

@@ -121,10 +121,12 @@ let create ?(depth = 64) tap suite =
     t.routes;
   t
 
-let record t ~time name =
-  match Name.Map.find_opt name t.routes with
-  | None -> ()
-  | Some route -> push_route t route ~time
+let no_route = { ring_ids = [||]; ring_slots = [||] }
+
+let route t name =
+  Option.value (Name.Map.find_opt name t.routes) ~default:no_route
+
+let record t route ~time = push_route t route ~time
 
 let seen t =
   Array.to_list (Array.map (fun r -> (r.label, r.total + r.skipped)) t.rings)

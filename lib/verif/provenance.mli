@@ -43,10 +43,18 @@ val create_detached : ?depth:int -> Suite.t -> t
     through a tap (the speculative engine): feed it with
     {!record}. *)
 
-val record : t -> time:int -> Name.t -> unit
-(** Manually feed one event into every matching entry ring, along the
-    route a {!create} subscription takes (no-op for names outside all
-    alphabets).  Only needed after {!create_detached}. *)
+type route
+(** Everything one name feeds: the rings listening to it and the
+    name's index in each. *)
+
+val route : t -> Name.t -> route
+(** The route a {!create} subscription takes for a name — empty for a
+    name outside every alphabet.  A host resolves each name once. *)
+
+val record : t -> route -> time:int -> unit
+(** Manually feed one event into every ring on [route]: two int
+    writes per ring, no name lookup.  Only needed after
+    {!create_detached}. *)
 
 val note_violation : t -> label:string -> Diag.violation -> unit
 (** Freeze [label]'s ring at the violation instant: events after that

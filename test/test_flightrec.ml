@@ -335,7 +335,7 @@ let test_provenance_same_violation () =
 let test_provenance_retraction () =
   let suite = [ entry "p" "{a, b} <<! go" ] in
   let prov = Provenance.create_detached suite in
-  Provenance.record prov ~time:2 (name "b");
+  Provenance.record prov (Provenance.route prov (name "b")) ~time:2;
   Provenance.note_violation prov ~label:"p"
     {
       Diag.time = 2;
@@ -425,7 +425,8 @@ let prop_captured_chain =
           (* after the offer, as the tap subscription runs after the
              hub's: a deadline the offer fires freezes the ring first *)
           Session.offer_force session e;
-          Provenance.record detached ~time:e.time e.name)
+          Provenance.record detached (Provenance.route detached e.name)
+            ~time:e.time)
         stream;
       ignore (Session.finalize session);
       let links chain =

@@ -226,6 +226,100 @@ let test_dropped_late_boundary () =
   Alcotest.(check int) "one drop counted" 1
     (Engine.stats eng).Engine.dropped_late
 
+let test_foreign_gid_late_is_commute_hit () =
+  (* the gid path's foreign event (-1) is what a foreign name resolves
+     to: a late one is a plain apply counted as a commute hit *)
+  let suite = [ entry "c" "{a, b} <<! go" ] in
+  let eng = Engine.create ~lateness:50 (to_engine_suite suite) in
+  Alcotest.(check int) "foreign names resolve to -1" (-1)
+    (Engine.gid eng (name "yy"));
+  ignore (Engine.offer_gid eng ~gid:(Engine.gid eng (name "a")) ~time:0);
+  ignore (Engine.offer_gid eng ~gid:(-1) ~time:20);
+  Alcotest.(check bool) "late foreign gid is a plain apply" true
+    (Engine.offer_gid eng ~gid:(-1) ~time:15 = `Applied);
+  let s = Engine.stats eng in
+  Alcotest.(check (list int)) "late, commute hits, rollbacks" [ 1; 1; 0 ]
+    [ s.Engine.late; s.Engine.commute_hits; s.Engine.rollbacks ];
+  Alcotest.check_raises "a gid out of range"
+    (Invalid_argument "Loseq_ooo.Engine.offer_gid: not a gid") (fun () ->
+      ignore (Engine.offer_gid eng ~gid:(-2) ~time:30))
+
+(* ---- the journal -------------------------------------------------------- *)
+
+let test_journal_order () =
+  let module J = Loseq_ooo.Journal in
+  let j = J.create () in
+  let contents () =
+    List.init (J.length j) (fun i -> (J.gid j i, J.time j i))
+  in
+  (* 20 appends outgrow the first 16 cells *)
+  for i = 0 to 19 do
+    J.append j ~gid:i ~time:(10 * i)
+  done;
+  let popped = ref [] in
+  let pop time = J.pop_before j ~time (fun g t -> popped := (g, t) :: !popped) in
+  pop 50;
+  Alcotest.(check (list (pair int int)))
+    "pop_before hands out the oldest first"
+    [ (0, 0); (1, 10); (2, 20); (3, 30); (4, 40) ]
+    (List.rev !popped);
+  (* late arrivals at an existing time land after it, in arrival
+     order *)
+  List.iter
+    (fun g -> J.insert j ~at:(J.insertion_point j ~time:60) ~gid:g ~time:60)
+    [ 100; 101; 102 ];
+  Alcotest.(check (list (pair int int)))
+    "equal-time inserts are stable"
+    [ (5, 50); (6, 60); (100, 60); (101, 60); (102, 60); (7, 70) ]
+    (List.filteri (fun i _ -> i < 6) (contents ()));
+  (* appending past the capacity compacts the popped prefix away *)
+  for i = 20 to 39 do
+    J.append j ~gid:i ~time:(10 * i)
+  done;
+  popped := [];
+  pop max_int;
+  Alcotest.(check (list (pair int int)))
+    "every event once, oldest first, across grow and compaction"
+    ((5, 50) :: (6, 60)
+    :: List.map (fun g -> (g, 60)) [ 100; 101; 102 ]
+    @ List.init 33 (fun i -> (i + 7, 10 * (i + 7))))
+    (List.rev !popped);
+  Alcotest.(check int) "empty" 0 (J.length j)
+
+(* A CSV reader interning only the engine's names: fresh foreign names
+   never enter its table. *)
+let test_csv_table_bounded () =
+  let suite = to_engine_suite ipu_suite in
+  let eng = Engine.create ~lateness:0 suite in
+  let alphabet =
+    Name.Set.cardinal
+      (List.fold_left
+         (fun acc (_, p) -> Name.Set.union acc (Pattern.alpha p))
+         Name.Set.empty suite)
+  in
+  let csv = Trace_io.Csv.create ~keep:(fun n -> Engine.gid eng n >= 0) () in
+  let foreign = ref 0 and kept = ref 0 in
+  let emit sid _ =
+    if sid = Trace_io.Csv.foreign then incr foreign else incr kept
+  in
+  let feed chunk =
+    match Trace_io.Csv.feed csv chunk ~emit with
+    | Ok () -> ()
+    | Error msg -> Alcotest.fail msg
+  in
+  feed "0,start\n1,read_img\n";
+  for i = 1 to 10_000 do
+    feed (Printf.sprintf "%d,fresh_%d\n%d,start\n" (i + 1) i (i + 1))
+  done;
+  Alcotest.(check (pair int int)) "foreign and kept events" (10_000, 10_002)
+    (!foreign, !kept);
+  Alcotest.(check int) "the table holds the two suite names" 2
+    (Trace_io.Csv.interned csv);
+  Alcotest.(check bool) "within the suite alphabet" true
+    (Trace_io.Csv.interned csv <= alphabet);
+  Alcotest.(check string) "a foreign id names its last line" "fresh_10000"
+    (Name.to_string (Trace_io.Csv.name csv Trace_io.Csv.foreign))
+
 (* ---- settlement ------------------------------------------------------- *)
 
 let test_settlement_follows_watermark () =
@@ -496,6 +590,8 @@ let () =
             test_commute_fast_path_in_place;
           Alcotest.test_case "foreign late bypass" `Quick
             test_foreign_late_bypasses;
+          Alcotest.test_case "foreign gid late bypass" `Quick
+            test_foreign_gid_late_is_commute_hit;
           Alcotest.test_case "dropped-late boundary" `Quick
             test_dropped_late_boundary;
           Alcotest.test_case "settlement follows watermark" `Quick
@@ -503,6 +599,9 @@ let () =
         ] );
       ( "journal",
         [
+          Alcotest.test_case "gid and time order" `Quick test_journal_order;
+          Alcotest.test_case "CSV name table bounded" `Quick
+            test_csv_table_bounded;
           test_journal_bound;
           Alcotest.test_case "racy x32 journal bounded" `Quick
             test_racy_journal_bounded;

@@ -386,7 +386,7 @@ let by_id session =
 let by_wire ~chunk session input =
   let bytes = Codec.encode_exn input in
   let dec = Codec.Decoder.create () in
-  let emit = Session.wire session dec in
+  let emit = Session.wire session (Codec.Decoder.name dec) in
   let rec go off =
     if off < String.length bytes then begin
       let len = min chunk (String.length bytes - off) in
