@@ -45,16 +45,13 @@ module Csv = struct
   (* [names.(sid)] for every interned stream id [1 .. count - 1];
      [names.(0)] is the last name [keep] refused.  [slots] is an
      open-addressing table over the interned names' bytes: a stream id,
-     or 0 for an empty slot.  [recent] is a fixed, direct-mapped memory
-     of refused names, so a repeated foreign name skips validation
-     without growing anything.  [unset] fills the cells no id names. *)
+     or 0 for an empty slot.  [unset] fills the cells no id names. *)
   type t = {
     keep : Name.t -> bool;
     validator : Validator.t option;
     mutable names : Name.t array;
     mutable count : int;
     mutable slots : int array;
-    recent : Name.t option array;
     partial : Buffer.t;
     mutable lineno : int;
   }
@@ -68,7 +65,6 @@ module Csv = struct
       names = Array.make 16 unset;
       count = 1;
       slots = Array.make 32 0;
-      recent = Array.make 64 None;
       partial = Buffer.create 64;
       lineno = 0;
     }
@@ -94,11 +90,11 @@ module Csv = struct
     done;
     !h land max_int
 
-  let same (n : Name.t) s a b =
-    let n = Name.to_string n in
-    String.length n = b - a
+  (* [s.[a .. b-1]] is [str]. *)
+  let same str s a b =
+    String.length str = b - a
     &&
-    let rec eq i = i >= b - a || (n.[i] = s.[a + i] && eq (i + 1)) in
+    let rec eq i = i >= b - a || (str.[i] = s.[a + i] && eq (i + 1)) in
     eq 0
 
   (* The slot holding the name [s.[a .. b-1]], or the empty slot where
@@ -107,7 +103,8 @@ module Csv = struct
     let mask = Array.length t.slots - 1 in
     let rec go i =
       let sid = t.slots.(i) in
-      if sid = 0 || same t.names.(sid) s a b then i else go ((i + 1) land mask)
+      if sid = 0 || same (Name.to_string t.names.(sid)) s a b then i
+      else go ((i + 1) land mask)
     in
     go (hash s a b land mask)
 
@@ -133,25 +130,18 @@ module Csv = struct
     sid
 
   (* The stream id of the name [s.[a .. b-1]]: one probe for a name
-     seen before, validation ([Name.v], which raises) and [keep] for a
-     new one. *)
+     interned before; validation ([Name.v], which raises) and [keep]
+     for any other. *)
   let resolve t s a b =
     let sid = t.slots.(probe t s a b) in
     if sid > 0 then sid
     else
-      let r = hash s a b land (Array.length t.recent - 1) in
-      match t.recent.(r) with
-      | Some name when same name s a b ->
-          t.names.(foreign) <- name;
-          foreign
-      | Some _ | None ->
-        let name = Name.v (String.sub s a (b - a)) in
-        if t.keep name then intern t name
-        else begin
-          t.recent.(r) <- Some name;
-          t.names.(foreign) <- name;
-          foreign
-        end
+      let name = Name.v (String.sub s a (b - a)) in
+      if t.keep name then intern t name
+      else begin
+        t.names.(foreign) <- name;
+        foreign
+      end
 
   (* Digits only, short enough not to overflow: the common timestamp,
      parsed in place.  [-1] sends anything else through
@@ -168,22 +158,27 @@ module Csv = struct
       in
       go a 0
 
-  let is_header s a b =
-    b - a = 9
-    &&
-    let h = "time,name" in
-    let rec eq i = i >= 9 || (h.[i] = s.[a + i] && eq (i + 1)) in
-    eq 0
-
   let rec index_comma s a b =
     if a >= b then -1 else if s.[a] = ',' then a else index_comma s (a + 1) b
+
+  let accept t ~lineno ~emit sid time =
+    match t.validator with
+    | Some v when not (Validator.accept v ~time) -> (
+        match Validator.check v ~pos:(Printf.sprintf "line %d" lineno) ~time with
+        | Error msg -> Error msg
+        | Ok () -> assert false (* accept and check agree *))
+    | None when time < 0 ->
+        line_error lineno (Printf.sprintf "negative timestamp %d" time)
+    | Some _ | None ->
+        emit sid time;
+        Ok ()
 
   let line t s off len ~emit =
     t.lineno <- t.lineno + 1;
     let lineno = t.lineno in
     let a = skip_space s off (off + len) in
     let b = drop_space s a (off + len) in
-    if a = b || s.[a] = '#' || is_header s a b then Ok ()
+    if a = b || s.[a] = '#' || same "time,name" s a b then Ok ()
     else
       match index_comma s a b with
       | -1 -> line_error lineno "expected 'time,name'"
@@ -196,35 +191,24 @@ module Csv = struct
           match resolve t s na nb with
           | exception Invalid_argument msg -> line_error lineno msg
           | sid -> (
-              let accept time =
-                match t.validator with
-                | Some v when not (Validator.accept v ~time) -> (
-                    match
-                      Validator.check v ~pos:(Printf.sprintf "line %d" lineno)
-                        ~time
-                    with
-                    | Error msg -> Error msg
-                    | Ok () -> assert false (* accept and check agree *))
-                | None when time < 0 ->
-                    line_error lineno
-                      (Printf.sprintf "negative timestamp %d" time)
-                | Some _ | None ->
-                    emit sid time;
-                    Ok ()
-              in
               match digits s ta tb with
               | -1 -> (
                   let field = String.sub s ta (tb - ta) in
                   match int_of_string_opt field with
-                  | Some time -> accept time
+                  | Some time -> accept t ~lineno ~emit sid time
                   | None ->
-                      line_error lineno
-                        (Printf.sprintf "bad timestamp %S" field))
-              | time -> accept time))
+                      line_error lineno (Printf.sprintf "bad timestamp %S" field))
+              | time -> accept t ~lineno ~emit sid time))
 
   let rec index_newline s i n =
     if i >= n then -1 else if String.unsafe_get s i = '\n' then i
     else index_newline s (i + 1) n
+
+  (* The line a chunk boundary split, assembled in [partial]. *)
+  let partial_line t ~emit =
+    let l = Buffer.contents t.partial in
+    Buffer.clear t.partial;
+    line t l 0 (String.length l) ~emit
 
   let feed t chunk ~emit =
     let n = String.length chunk in
@@ -239,9 +223,7 @@ module Csv = struct
               line t chunk from (nl - from) ~emit
             else begin
               Buffer.add_substring t.partial chunk from (nl - from);
-              let l = Buffer.contents t.partial in
-              Buffer.clear t.partial;
-              line t l 0 (String.length l) ~emit
+              partial_line t ~emit
             end
           in
           match parsed with Ok () -> lines (nl + 1) | Error _ as e -> e)
@@ -249,12 +231,7 @@ module Csv = struct
     lines 0
 
   let finish t ~emit =
-    if Buffer.length t.partial = 0 then Ok ()
-    else begin
-      let l = Buffer.contents t.partial in
-      Buffer.clear t.partial;
-      line t l 0 (String.length l) ~emit
-    end
+    if Buffer.length t.partial = 0 then Ok () else partial_line t ~emit
 end
 
 let parse_csv_line ~lineno ?validator line =

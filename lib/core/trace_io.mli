@@ -63,9 +63,9 @@ module Csv : sig
       not a parse error.  [keep] (default: every name) picks the names
       to intern: a host passes the names it resolves, so the table is
       bounded by its alphabet.  A name [keep] refuses is reported as
-      stream id {!foreign} and never interned: a stream of fresh
-      foreign names grows nothing (a fixed 64-entry memory spares a
-      recent one re-validation). *)
+      stream id {!foreign} and never interned, so a stream of fresh
+      foreign names grows nothing; such a name is validated on every
+      line. *)
 
   val foreign : int
   (** [0], the stream id of every name [keep] refused. *)

@@ -15,6 +15,20 @@
     artifacts, error mapping — is the same for both; a mode only
     decides what one event does and what a few records carry.
 
+    Both wire formats reach a host as [(stream id, time)] pairs — the
+    LSQB decoder's ids, or the CSV reader's ({!Loseq_core.Trace_io.Csv},
+    which interns only the names the host resolves) — and each stream
+    id is resolved once: to a tap id (buffered), or to an engine gid
+    and a provenance route (speculative).
+
+    Records are written to [out] as they arise and leave in one flush
+    per input chunk: after each chunk is consumed, before serve waits
+    for input (so [metrics-listening] and [start] are out before the
+    first byte is read), before each checkpoint save (every record of
+    an event the checkpoint accounts for is out before the file is),
+    before the post-stream linger, and on every exit, error records
+    included.
+
     Records, in order of appearance:
 
     - [{"type":"reorder-certificate", "lateness":.., "certified":..,

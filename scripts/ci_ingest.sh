@@ -6,6 +6,11 @@
 #                         (stream ids resolved once to tap ids) writes
 #                         byte-identical NDJSON: verdicts, provenance
 #                         chains, stats and checkpoint records
+#   csv-agreement         serve on ipu.csv and on a rewrite of it with
+#                         CRLF endings, padded fields and # comments
+#                         writes byte-identical NDJSON, buffered and
+#                         --ooo --lateness 75000 (the in-place CSV
+#                         reader accepts what the line grammar allows)
 #   stream-batch-agreement  serve --backend compiled (on serve and
 #                         suite: the suite engine) over stdin decides
 #                         what `suite` decides
@@ -148,6 +153,26 @@ test "$csv_status" -eq "$lsqb_status"
 cmp "$WORK/wire.csv.ndjson" "$WORK/wire.lsqb.ndjson"
 echo "CSV and LSQB serve write identical NDJSON" \
   "($(wc -l < "$WORK/wire.csv.ndjson") records, exit $csv_status)"
+
+gate "csv-agreement"
+# the header stays as is: padded, it would no longer read as the header
+awk 'NR == 1 { printf "%s\r\n# rewritten: CRLF, padding, comments\r\n", $0; next }
+     { sub(/,/, " , "); printf "  %s \r\n", $0 }
+     NR % 50 == 0 { printf "# line %d\r\n", NR }' "$TRACE" > "$WORK/ipu.mixed.csv"
+for mode in buffered ooo; do
+  args=(--suite "$SUITE" --stats-interval 100)
+  if [ "$mode" = ooo ]; then args+=(--ooo --lateness 75000); fi
+  plain_status=0
+  $LOSEQ serve "${args[@]}" < "$TRACE" > "$WORK/csv.plain.ndjson" \
+    || plain_status=$?
+  mixed_status=0
+  $LOSEQ serve "${args[@]}" < "$WORK/ipu.mixed.csv" \
+    > "$WORK/csv.mixed.ndjson" || mixed_status=$?
+  test "$plain_status" -eq "$mixed_status"
+  cmp "$WORK/csv.plain.ndjson" "$WORK/csv.mixed.ndjson"
+  echo "$mode: plain and rewritten CSV write identical NDJSON" \
+    "($(wc -l < "$WORK/csv.plain.ndjson") records, exit $plain_status)"
+done
 
 gate "stream-batch-agreement"
 # the example trace genuinely violates one property, so both exit 1
