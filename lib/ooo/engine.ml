@@ -234,6 +234,8 @@ let create ?metrics ?(trace = Tr.noop) ?(cert_budget = 20_000) ?notice
   if lateness < 0 then invalid_arg "Loseq_ooo.Engine.create: negative lateness";
   let eng = Flat.compile entries in
   let names = Array.length (Flat.names eng) in
+  (* every name of a pattern is interned *)
+  let gid n = Option.get (Flat.gid_of_name eng n) in
   let cert = Robust.certificate ~budget:cert_budget entries in
   let chks =
     Array.of_list
@@ -242,11 +244,8 @@ let create ?metrics ?(trace = Tr.noop) ?(cert_budget = 20_000) ?notice
            let commuting = Pairs.create 16 in
            List.iter
              (fun (a, b) ->
-               match (Flat.gid_of_name eng a, Flat.gid_of_name eng b) with
-               | Some a, Some b ->
-                   Pairs.replace commuting ((a * names) + b) ();
-                   Pairs.replace commuting ((b * names) + a) ()
-               | _ -> ())
+               Pairs.replace commuting ((gid a * names) + gid b) ();
+               Pairs.replace commuting ((gid b * names) + gid a) ())
              ce.Robust.commuting;
            {
              label;
@@ -270,9 +269,7 @@ let create ?metrics ?(trace = Tr.noop) ?(cert_budget = 20_000) ?notice
   Array.iteri
     (fun i _ ->
       Name.Set.iter
-        (fun n ->
-          let g = Option.get (Flat.gid_of_name eng n) in
-          row.(g) <- row.(g) + 1)
+        (fun n -> row.(gid n) <- row.(gid n) + 1)
         (Flat.alphabet eng i))
     chks;
   let t =

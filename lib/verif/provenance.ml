@@ -63,7 +63,7 @@ let push r ~time slot =
       r.slots.(i) <- slot;
       r.total <- r.total + 1
 
-let push_route t route ~time =
+let record t route ~time =
   for k = 0 to Array.length route.ring_ids - 1 do
     push t.rings.(route.ring_ids.(k)) ~time route.ring_slots.(k)
   done
@@ -117,7 +117,7 @@ let create ?(depth = 64) tap suite =
   Name.Map.iter
     (fun n route ->
       Tap.subscribe_name tap n (fun (e : Trace.event) ->
-          push_route t route ~time:e.time))
+          record t route ~time:e.time))
     t.routes;
   t
 
@@ -125,8 +125,6 @@ let no_route = { ring_ids = [||]; ring_slots = [||] }
 
 let route t name =
   Option.value (Name.Map.find_opt name t.routes) ~default:no_route
-
-let record t route ~time = push_route t route ~time
 
 let seen t =
   Array.to_list (Array.map (fun r -> (r.label, r.total + r.skipped)) t.rings)
