@@ -45,13 +45,17 @@ module Csv = struct
   (* [names.(sid)] for every interned stream id [1 .. count - 1];
      [names.(0)] is the last name [keep] refused.  [slots] is an
      open-addressing table over the interned names' bytes: a stream id,
-     or 0 for an empty slot.  [unset] fills the cells no id names. *)
+     or 0 for an empty slot.  [refused] is a fixed, direct-mapped
+     memory of names [keep] refused, so a repeated foreign name costs a
+     probe, not validation and the host's lookup, and a stream of fresh
+     ones grows nothing.  [unset] fills the cells no id names. *)
   type t = {
     keep : Name.t -> bool;
     validator : Validator.t option;
     mutable names : Name.t array;
     mutable count : int;
     mutable slots : int array;
+    refused : Name.t option array;
     partial : Buffer.t;
     mutable lineno : int;
   }
@@ -65,6 +69,7 @@ module Csv = struct
       names = Array.make 16 unset;
       count = 1;
       slots = Array.make 32 0;
+      refused = Array.make 64 None;
       partial = Buffer.create 64;
       lineno = 0;
     }
@@ -130,18 +135,25 @@ module Csv = struct
     sid
 
   (* The stream id of the name [s.[a .. b-1]]: one probe for a name
-     interned before; validation ([Name.v], which raises) and [keep]
-     for any other. *)
+     interned or recently refused; validation ([Name.v], which raises)
+     and [keep] for any other. *)
   let resolve t s a b =
     let sid = t.slots.(probe t s a b) in
     if sid > 0 then sid
     else
-      let name = Name.v (String.sub s a (b - a)) in
-      if t.keep name then intern t name
-      else begin
-        t.names.(foreign) <- name;
-        foreign
-      end
+      let r = hash s a b land (Array.length t.refused - 1) in
+      match t.refused.(r) with
+      | Some name when same (Name.to_string name) s a b ->
+          t.names.(foreign) <- name;
+          foreign
+      | Some _ | None ->
+          let name = Name.v (String.sub s a (b - a)) in
+          if t.keep name then intern t name
+          else begin
+            t.refused.(r) <- Some name;
+            t.names.(foreign) <- name;
+            foreign
+          end
 
   (* Digits only, short enough not to overflow: the common timestamp,
      parsed in place.  [-1] sends anything else through

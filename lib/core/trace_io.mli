@@ -64,8 +64,8 @@ module Csv : sig
       to intern: a host passes the names it resolves, so the table is
       bounded by its alphabet.  A name [keep] refuses is reported as
       stream id {!foreign} and never interned, so a stream of fresh
-      foreign names grows nothing; such a name is validated on every
-      line. *)
+      foreign names grows nothing; a fixed 64-entry memory of refused
+      names spares a repeated one validation and [keep]. *)
 
   val foreign : int
   (** [0], the stream id of every name [keep] refused. *)

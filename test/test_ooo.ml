@@ -287,7 +287,7 @@ let test_journal_order () =
   Alcotest.(check int) "empty" 0 (J.length j)
 
 (* A CSV reader interning only the engine's names: fresh foreign names
-   never enter its table. *)
+   never enter its table, and a repeated one is not resolved again. *)
 let test_csv_table_bounded () =
   let suite = to_engine_suite ipu_suite in
   let eng = Engine.create ~lateness:0 suite in
@@ -297,7 +297,12 @@ let test_csv_table_bounded () =
          (fun acc (_, p) -> Name.Set.union acc (Pattern.alpha p))
          Name.Set.empty suite)
   in
-  let csv = Trace_io.Csv.create ~keep:(fun n -> Engine.gid eng n >= 0) () in
+  let asked = ref 0 in
+  let keep n =
+    incr asked;
+    Engine.gid eng n >= 0
+  in
+  let csv = Trace_io.Csv.create ~keep () in
   let foreign = ref 0 and kept = ref 0 in
   let emit sid _ =
     if sid = Trace_io.Csv.foreign then incr foreign else incr kept
@@ -318,7 +323,14 @@ let test_csv_table_bounded () =
   Alcotest.(check bool) "within the suite alphabet" true
     (Trace_io.Csv.interned csv <= alphabet);
   Alcotest.(check string) "a foreign id names its last line" "fresh_10000"
-    (Name.to_string (Trace_io.Csv.name csv Trace_io.Csv.foreign))
+    (Name.to_string (Trace_io.Csv.name csv Trace_io.Csv.foreign));
+  Alcotest.(check int) "each name asked about once" 10_002 !asked;
+  for i = 1 to 100 do
+    feed (Printf.sprintf "%d,lcdc_refresh\n" (10_001 + i))
+  done;
+  Alcotest.(check int) "a repeated foreign name asked about once" 10_003
+    !asked;
+  Alcotest.(check int) "still two names" 2 (Trace_io.Csv.interned csv)
 
 (* ---- settlement ------------------------------------------------------- *)
 
