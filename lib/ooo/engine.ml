@@ -25,7 +25,12 @@ type stats = {
 }
 
 (* Commuting gid pairs, keyed [a * names + b]. *)
-module Pairs = Hashtbl.Make (Int)
+module Pairs = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
 
 (* Per-checker speculation state beside the engine's slab.
    [certified]: the analysis decided the checker and certified it for
