@@ -45,17 +45,15 @@ module Csv = struct
   (* [names.(sid)] for every interned stream id [1 .. count - 1];
      [names.(0)] is the last name [keep] refused.  [slots] is an
      open-addressing table over the interned names' bytes: a stream id,
-     or 0 for an empty slot.  [refused] is a fixed, direct-mapped
-     memory of names [keep] refused, so a repeated foreign name costs a
-     probe, not validation and the host's lookup, and a stream of fresh
-     ones grows nothing.  [unset] fills the cells no id names. *)
+     or 0 for an empty slot.  A refused name is never interned, so a
+     stream of fresh ones grows nothing.  [unset] fills the cells no id
+     names. *)
   type t = {
     keep : Name.t -> bool;
     validator : Validator.t option;
     mutable names : Name.t array;
     mutable count : int;
     mutable slots : int array;
-    refused : Name.t option array;
     partial : Buffer.t;
     mutable lineno : int;
   }
@@ -69,7 +67,6 @@ module Csv = struct
       names = Array.make 16 unset;
       count = 1;
       slots = Array.make 32 0;
-      refused = Array.make 64 None;
       partial = Buffer.create 64;
       lineno = 0;
     }
@@ -134,26 +131,19 @@ module Csv = struct
     t.slots.(probe t n 0 (String.length n)) <- sid;
     sid
 
-  (* The stream id of the name [s.[a .. b-1]]: one probe for a name
-     interned or recently refused; validation ([Name.v], which raises)
-     and [keep] for any other. *)
+  (* The stream id of the name [s.[a .. b-1]]: one probe for an
+     interned name; validation ([Name.v], which raises) and [keep] for
+     any other. *)
   let resolve t s a b =
     let sid = t.slots.(probe t s a b) in
     if sid > 0 then sid
     else
-      let r = hash s a b land (Array.length t.refused - 1) in
-      match t.refused.(r) with
-      | Some name when same (Name.to_string name) s a b ->
-          t.names.(foreign) <- name;
-          foreign
-      | Some _ | None ->
-          let name = Name.v (String.sub s a (b - a)) in
-          if t.keep name then intern t name
-          else begin
-            t.refused.(r) <- Some name;
-            t.names.(foreign) <- name;
-            foreign
-          end
+      let name = Name.v (String.sub s a (b - a)) in
+      if t.keep name then intern t name
+      else begin
+        t.names.(foreign) <- name;
+        foreign
+      end
 
   (* Digits only, short enough not to overflow: the common timestamp,
      parsed in place.  [-1] sends anything else through
@@ -245,17 +235,6 @@ module Csv = struct
   let finish t ~emit =
     if Buffer.length t.partial = 0 then Ok () else partial_line t ~emit
 end
-
-let parse_csv_line ~lineno ?validator line =
-  let r = Csv.create ?validator () in
-  r.Csv.lineno <- lineno - 1;
-  let event = ref None in
-  match
-    Csv.line r line 0 (String.length line) ~emit:(fun sid time ->
-        event := Some { Trace.name = Csv.name r sid; time })
-  with
-  | Ok () -> Ok !event
-  | Error _ as e -> e
 
 let of_csv source =
   let r = Csv.create ~validator:(Validator.create ()) () in

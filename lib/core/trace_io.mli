@@ -51,8 +51,8 @@ val to_csv : Trace.t -> string
     the chunk that holds them (a line split across chunks is assembled
     once), and each event reaches the caller as [(stream id, time)],
     the way the binary codec's [Decoder.feed_ids] emits them.  A name
-    is validated and resolved once, when first seen; later lines with
-    the same bytes cost one table probe. *)
+    the host keeps is validated and resolved once, when first seen;
+    later lines with the same bytes cost one table probe. *)
 module Csv : sig
   type t
 
@@ -64,8 +64,8 @@ module Csv : sig
       to intern: a host passes the names it resolves, so the table is
       bounded by its alphabet.  A name [keep] refuses is reported as
       stream id {!foreign} and never interned, so a stream of fresh
-      foreign names grows nothing; a fixed 64-entry memory of refused
-      names spares a repeated one validation and [keep]. *)
+      foreign names grows nothing; it is validated and offered to
+      [keep] again on every line that carries it. *)
 
   val foreign : int
   (** [0], the stream id of every name [keep] refused. *)
@@ -86,14 +86,6 @@ module Csv : sig
   val interned : t -> int
   (** Names interned so far: at most those [keep] accepted. *)
 end
-
-val parse_csv_line :
-  lineno:int ->
-  ?validator:Validator.t ->
-  string ->
-  (Trace.event option, string) result
-(** One line, numbered [lineno], through {!Csv}'s parser ([None] for a
-    skipped line). *)
 
 val of_csv : string -> (Trace.t, string) result
 (** Accepts the {!to_csv} format (header optional, blank lines and [#]

@@ -37,20 +37,23 @@ let load_suite path =
   | Error e -> Alcotest.failf "%a" Suite.pp_error e
 
 let load_csv path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go lineno acc =
-        match input_line ic with
-        | exception End_of_file -> List.rev acc
-        | line -> (
-            match Trace_io.parse_csv_line ~lineno line with
-            | Ok (Some e) -> go (lineno + 1) (e :: acc)
-            | Ok None -> go (lineno + 1) acc
-            | Error msg -> Alcotest.failf "%s: %s" path msg)
-      in
-      go 1 [])
+  let ic = open_in_bin path in
+  let source =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let csv = Trace_io.Csv.create () in
+  let events = ref [] in
+  let emit sid time =
+    events := { Trace.name = Trace_io.Csv.name csv sid; time } :: !events
+  in
+  match
+    Result.bind (Trace_io.Csv.feed csv source ~emit) (fun () ->
+        Trace_io.Csv.finish csv ~emit)
+  with
+  | Ok () -> List.rev !events
+  | Error msg -> Alcotest.failf "%s: %s" path msg
 
 (* ---- ring semantics ---------------------------------------------------- *)
 
