@@ -534,12 +534,22 @@ let dispatch () =
       suite;
     fun () -> Hub.all_passed hub
   in
+  (* every checker subscribes to every name of the suite *)
   let broadcast tap suite =
+    let names =
+      List.fold_left
+        (fun acc (e : Suite.entry) -> Name.Set.union acc (Pattern.alpha e.pattern))
+        Name.Set.empty suite
+    in
     let checkers =
       List.map
         (fun (e : Suite.entry) ->
           let c = Checker.make (Backend.direct e.pattern) in
-          Tap.subscribe tap (Checker.deliver c);
+          Name.Set.iter
+            (fun name ->
+              Tap.subscribe_name tap name (fun time ->
+                  Checker.deliver c { Trace.name; time }))
+            names;
           c)
         suite
     in

@@ -195,7 +195,6 @@ let position (t : t) = t.accepted
 let on_violation t hook =
   Hub.on_violation t.hub (fun c v -> hook ~name:(Checker.name c) v)
 
-let report t = Hub.report t.hub
 let all_passed t = Hub.all_passed t.hub
 let suite t = t.suite
 let hub t = t.hub
@@ -214,8 +213,3 @@ let reorder_certificate ?(budget = 20_000) t =
     (List.map
        (fun (e : Suite.entry) -> (e.label, e.pattern))
        (suite t))
-
-let reorder_robust ?budget t =
-  let cert = reorder_certificate ?budget t in
-  Loseq_analysis.Robust.(
-    compare_bound cert.bound (Finite (lateness t)) >= 0)

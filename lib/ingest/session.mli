@@ -70,7 +70,7 @@ val offer_force : t -> Trace.event -> unit
     [(id, time)] pairs.  Every admission — these, {!offer} and
     {!offer_force} — goes through one core: in order with lateness 0,
     the event reaches the engine as ints (no name hashing, no event
-    record built before the tap); on the reorder path the event is
+    record); on the reorder path the event is
     built from the tap's name table only to be queued.  Backpressure,
     forced drains and every counter behave the same on both entry
     points. *)
@@ -129,9 +129,6 @@ val on_violation : t -> (name:string -> Diag.violation -> unit) -> unit
 (** Incremental reporting: called the moment any hosted checker first
     violates, with the suite entry name. *)
 
-val report : t -> Report.t
-(** The current verdicts without finalizing. *)
-
 val all_passed : t -> bool
 
 val reorder_certificate :
@@ -143,11 +140,6 @@ val reorder_certificate :
     analyzer's default so that consulting the certificate at session
     startup stays cheap; an undecided entry certifies [Finite 0]
     conservatively). *)
-
-val reorder_robust : ?budget:int -> t -> bool
-(** The session's configured [lateness] is within the certified bound:
-    every reordering the {!Reorder} stage can silently absorb is
-    verdict-invariant. *)
 
 (** {1 Checkpoint plumbing} (used by {!Checkpoint}) *)
 

@@ -34,8 +34,8 @@ val make :
 
 val deliver : t -> Trace.event -> unit
 (** Feed one event (coverage, verdict transitions, violation hooks) —
-    how {!Hub.host} delivers, routed by name or, for a strict checker,
-    every event. *)
+    how {!Hub.host_suite} delivers to a backend it hosts one checker at
+    a time, routed by name. *)
 
 val poll : t -> now:int -> unit
 (** Deadline check at time [now] (reports a miss through the hooks). *)

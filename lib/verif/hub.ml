@@ -318,7 +318,10 @@ let observe_checker o checker =
       | _, (Backend.Running | Backend.Satisfied | Backend.Violated _) -> ());
   Checker.on_violation checker (fun _ -> Obs.incr o.violated)
 
-let host ?(latency_sample_rate = default_sample_rate) t checker ~strict =
+(* Host a detached checker, one subscription per alphabet name; the
+   reference monitors take events, so the delivery builds one from the
+   subscribed name and the time. *)
+let host ?(latency_sample_rate = default_sample_rate) t checker =
   let mask = sample_mask latency_sample_rate in
   let entry = { checker; seq = t.hosted; armed = -1 } in
   t.hosted <- t.hosted + 1;
@@ -343,42 +346,40 @@ let host ?(latency_sample_rate = default_sample_rate) t checker ~strict =
           let seen = Checker.events_seen checker in
           Obs.add steps (seen - !last);
           last := seen));
-  let deliver e =
-    Checker.deliver checker e;
-    after_delivery t entry
-  in
-  if strict then Tap.subscribe t.tap deliver
-  else
-    Name.Set.iter
-      (fun n ->
-        match (t.obs, t.trc) with
-        | None, None -> Tap.subscribe_name t.tap n deliver
-        | obs, _ ->
-            (* The just-bumped deliveries count doubles as the 1-in-N
-               latency sampling phase — no separate phase cell (a local
-               cell stands in when only the flight recorder is live). *)
-            let sampled =
-              match obs with
-              | Some o ->
-                  let deliveries =
-                    Obs.counter o.metrics ~name:"loseq_hub_deliveries_total"
-                      ~help:"Routed checker deliveries, by event name"
-                      ~labels:[ ("name", Name.to_string n) ]
-                      ()
-                  in
-                  fun () ->
-                    Obs.incr deliveries;
-                    Obs.counter_value deliveries land mask = 0
-              | None ->
-                  let phase = ref 0 in
-                  fun () ->
-                    incr phase;
-                    !phase land mask = 0
-            in
-            Tap.subscribe_name t.tap n (fun e ->
-                if sampled () then sampled_dispatch t (fun () -> deliver e)
-                else deliver e))
-      backend.Backend.alphabet;
+  Name.Set.iter
+    (fun n ->
+      let deliver time =
+        Checker.deliver checker { Trace.name = n; time };
+        after_delivery t entry
+      in
+      match (t.obs, t.trc) with
+      | None, None -> Tap.subscribe_name t.tap n deliver
+      | obs, _ ->
+          (* The just-bumped deliveries count doubles as the 1-in-N
+             latency sampling phase — no separate phase cell (a local
+             cell stands in when only the flight recorder is live). *)
+          let sampled =
+            match obs with
+            | Some o ->
+                let deliveries =
+                  Obs.counter o.metrics ~name:"loseq_hub_deliveries_total"
+                    ~help:"Routed checker deliveries, by event name"
+                    ~labels:[ ("name", Name.to_string n) ]
+                    ()
+                in
+                fun () ->
+                  Obs.incr deliveries;
+                  Obs.counter_value deliveries land mask = 0
+            | None ->
+                let phase = ref 0 in
+                fun () ->
+                  incr phase;
+                  !phase land mask = 0
+          in
+          Tap.subscribe_name t.tap n (fun time ->
+              if sampled () then sampled_dispatch t (fun () -> deliver time)
+              else deliver time))
+    backend.Backend.alphabet;
   after_delivery t entry;
   match t.obs with
   | Some o -> Obs.set o.wheel_depth t.wheel.Wheel.len
@@ -396,7 +397,7 @@ let host ?(latency_sample_rate = default_sample_rate) t checker ~strict =
    per event, whatever the row length) yields its [events_seen], its
    name coverage and the delivery/step counters as read-time sums.  The
    deadline wheel re-arms only the checkers the engine marked, so the
-   steady-state event path is count + step + one flag test. *)
+   steady-state event path is count + step + two flag tests. *)
 let host_flat ?(latency_sample_rate = default_sample_rate) t eng views =
   let mask = sample_mask latency_sample_rate in
   let module Flat = Loseq_core.Flat in
@@ -487,33 +488,22 @@ let host_flat ?(latency_sample_rate = default_sample_rate) t eng views =
     | Some o -> Obs.set o.wheel_depth t.wheel.Wheel.len
     | None -> ()
   in
-  let step gid (e : Trace.event) =
-    Flat.step_name eng ~gid ~time:e.Trace.time;
+  (* One handler per name: count, then step.  The per-name emission
+     count doubles as the 1-in-N sampling phase when a registry or a
+     ring is live. *)
+  let observed = Option.is_some t.obs || Option.is_some t.trc in
+  let step gid time =
+    Flat.step_name eng ~gid ~time;
     if Flat.deadlines_dirty eng then resettle ()
   in
-  (* With no timed checker nothing is ever marked, so the untimed fast
-     path is the bare engine step. *)
-  let untimed = Array.length (Flat.timed_checkers eng) = 0 in
   Array.iteri
     (fun gid nm ->
-      Tap.subscribe_name t.tap nm
-        (match (t.obs, t.trc) with
-        | None, None when untimed ->
-            fun e ->
-              emitted.(gid) <- emitted.(gid) + 1;
-              Flat.step_name eng ~gid ~time:e.Trace.time
-        | None, None ->
-            fun e ->
-              emitted.(gid) <- emitted.(gid) + 1;
-              step gid e
-        | _ ->
-            (* the per-name emission count doubles as the 1-in-N
-               sampling phase *)
-            fun e ->
-              let n = emitted.(gid) + 1 in
-              emitted.(gid) <- n;
-              if n land mask = 0 then sampled_dispatch t (fun () -> step gid e)
-              else step gid e))
+      Tap.subscribe_name t.tap nm (fun time ->
+          let n = emitted.(gid) + 1 in
+          emitted.(gid) <- n;
+          if observed && n land mask = 0 then
+            sampled_dispatch t (fun () -> step gid time)
+          else step gid time))
     names;
   Array.iter (fun entry -> rearm t entry) entries;
   resettle ();
@@ -538,7 +528,7 @@ let host_suite ?latency_sample_rate t backend entries =
           let checker =
             Checker.make ~name:label ~now:(fun () -> Tap.now_ps t.tap) views.(i)
           in
-          host ?latency_sample_rate t checker ~strict:false;
+          host ?latency_sample_rate t checker;
           checker)
         entries
 

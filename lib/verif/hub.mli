@@ -6,7 +6,8 @@
     views of one flat engine engine-direct ({!host_flat}: one tap
     subscription per interned name steps the engine's dispatch row)
     and any other backend — the reference monitors [direct] and
-    [psl] — one checker at a time ({!host}).  Two properties make it
+    [psl] — one checker at a time, one tap subscription per alphabet
+    name delivering through {!Checker.deliver}.  Two properties make it
     cheap:
 
     - {e alphabet routing}: each emitted event reaches only the
@@ -18,11 +19,7 @@
       the minimum of all checkers' [next_deadline]s (a lazy min-heap),
       instead of one timeout per timed checker.  Deadline-only
       violations — no trailing event — are still reported the moment
-      they elapse.
-
-    Strict-mode checkers are the exception to routing: they must see
-    foreign events, so they subscribe to the whole stream
-    ({!host} with [~strict:true]). *)
+      they elapse. *)
 
 open Loseq_core
 
@@ -76,16 +73,9 @@ val host_suite :
     the hosting.  When the factory returns views of one flat engine
     compiled over exactly these labels, in order, the engine is hosted
     with {!host_flat}; otherwise each backend is hosted as one checker
-    named by its label ({!host}).  Returns the checkers in entry
+    named by its label, one subscription per alphabet name delivering
+    through {!Checker.deliver}.  Returns the checkers in entry
     order. *)
-
-val host : ?latency_sample_rate:int -> t -> Checker.t -> strict:bool -> unit
-(** Host a detached checker built with {!Checker.make}, one
-    subscription per alphabet name delivering through
-    {!Checker.deliver}.  [strict:true] subscribes it to the whole
-    stream instead of its alphabet — what a strict-mode structural
-    monitor ([Backend.direct ~mode:Monitor.Strict]) needs to see, and
-    reject, foreign events. *)
 
 val host_flat :
   ?latency_sample_rate:int -> t -> Flat.t -> Backend.t array -> Checker.t list
@@ -103,7 +93,7 @@ val host_flat :
     [loseq_hub_deliveries_total{name=..}] and
     [loseq_backend_steps_total{backend=flat}] are read from one
     emission count per name, one delivery per listening checker per
-    emission, as {!host} counts them.  They have no state coverage
+    emission, as per-checker hosting counts them.  They have no state coverage
     (the flat engine exposes no recognizer states).  The deadline
     wheel re-arms only the checkers the engine marked
     ({!Loseq_core.Flat.drain_deadlines}).  {!host_suite} takes this
@@ -116,7 +106,7 @@ val engine : t -> Flat.t option
     it hosts exactly one and no other checker — then the engine's
     state is the whole hub's monitor state.  Checkpoints read and
     write only this engine: a hub without one (several {!add}s, or a
-    checker hosted with {!host}) cannot be checkpointed. *)
+    backend hosted one checker at a time) cannot be checkpointed. *)
 
 val checkers : t -> Checker.t list
 (** In {!add} order. *)

@@ -77,12 +77,11 @@ let create ~from ~until tap =
   in
   (* Alphabet-routed: the collector is only invoked for its two
      endpoint names, however busy the tap is. *)
-  Tap.subscribe_name tap t.from (fun (e : Trace.event) ->
-      t.pending <- Some e.time);
-  Tap.subscribe_name tap t.until (fun (e : Trace.event) ->
+  Tap.subscribe_name tap t.from (fun time -> t.pending <- Some time);
+  Tap.subscribe_name tap t.until (fun time ->
       (match t.pending with
       | Some t0 ->
-          let interval = e.time - t0 in
+          let interval = time - t0 in
           t.collected_rev <- interval :: t.collected_rev;
           List.iter
             (fun (threshold, callback) ->

@@ -116,8 +116,7 @@ let create ?(depth = 64) tap suite =
   let t = make_rings depth suite in
   Name.Map.iter
     (fun n route ->
-      Tap.subscribe_name tap n (fun (e : Trace.event) ->
-          record t route ~time:e.time))
+      Tap.subscribe_name tap n (fun time -> record t route ~time))
     t.routes;
   t
 

@@ -5,7 +5,7 @@ open Loseq_sim
    [emit] walks them front to back without reversing (or allocating)
    anything per event. *)
 type subscribers = {
-  mutable fns : (Trace.event -> unit) array;
+  mutable fns : (int -> unit) array;
   mutable len : int;
 }
 
@@ -21,11 +21,6 @@ let subs_add s f =
   s.fns.(s.len) <- f;
   s.len <- s.len + 1
 
-let subs_iter s event =
-  for i = 0 to s.len - 1 do
-    s.fns.(i) event
-  done
-
 (* Names to dense ids: a string-specialised table, so a lookup hashes
    the name once and compares with [String.equal], never the
    polymorphic compare. *)
@@ -40,7 +35,6 @@ type t = {
   kernel : Kernel.t;
   record : bool;
   mutable events_rev : Trace.event list;
-  all : subscribers;
   (* per-name routing: names interned once per tap into dense ids *)
   ids : int Ids.t;
   mutable by_name : subscribers array;  (* indexed by interned id *)
@@ -53,7 +47,6 @@ let create ?(record = true) kernel =
     kernel;
     record;
     events_rev = [];
-    all = subs_empty ();
     ids = Ids.create 16;
     by_name = [||];
     names = [||];
@@ -87,14 +80,19 @@ let intern t name =
 let name t id = t.names.(id)
 
 (* The one emission body.  [id] is the name's interned id, or -1 for a
-   name nobody subscribed to: that event is still counted, recorded and
-   seen by the whole-trace subscribers, and grows no table. *)
+   name nobody subscribed to: that event is still counted and recorded,
+   and grows no table.  An event record is built only to be recorded;
+   subscribers get the time. *)
 let emission t id name =
-  let event = { Trace.name; time = now_ps t } in
+  let time = now_ps t in
   t.count <- t.count + 1;
-  if t.record then t.events_rev <- event :: t.events_rev;
-  subs_iter t.all event;
-  if id >= 0 then subs_iter t.by_name.(id) event
+  if t.record then t.events_rev <- { Trace.name; time } :: t.events_rev;
+  if id >= 0 then begin
+    let s = t.by_name.(id) in
+    for i = 0 to s.len - 1 do
+      s.fns.(i) time
+    done
+  end
 
 let emit_id t id = emission t id t.names.(id)
 let emit_name t name = emission t (lookup t name) name
@@ -107,8 +105,6 @@ let emit t s = emit_name t (Name.v s)
 let port t name =
   let id = intern t name in
   fun () -> emit_id t id
-
-let subscribe t f = subs_add t.all f
 
 let subscribe_name t name f =
   let id = intern t name in

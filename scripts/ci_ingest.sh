@@ -95,7 +95,9 @@
 # Run from the repository root:  scripts/ci_ingest.sh
 set -euo pipefail
 
-LOSEQ="dune exec --no-build bin/loseq_cli.exe --"
+# The built binary, not `dune exec`: gates that run the server and a
+# feeder concurrently would race on dune's build lock.
+LOSEQ=_build/default/bin/loseq_cli.exe
 SUITE=examples/specs/ipu.suite
 TRACE=examples/traces/ipu.csv
 WORK=$(mktemp -d)

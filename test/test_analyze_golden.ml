@@ -26,7 +26,8 @@
      endpoint address and a negative --certify-lateness;
    - an unwritable [analyze --plan-out] path (exit 3, the path on
      stderr), an unwritable [soc --csv] path (exit 2), [serve --ooo]
-     with a [--backend] (exit 2, one [error] record), a dangling
+     with a [--backend] (exit 2, one [error] record), [check --strict]
+     on a foreign name (exit 1, a FAIL line), a dangling
      symlink in a --traces directory (skipped with a warning) and the
      stderr of [dfa] past its state limit (exit 1);
    - the [soc] verification report (verdicts and per-checker coverage)
@@ -251,6 +252,22 @@ let dfa_state_limit root =
      explode; that is what the modular monitors avoid)\n"
     err
 
+(* check --strict rejects a name foreign to the pattern (exit 1, one
+   FAIL line naming it); without --strict the same trace passes. *)
+let check_strict_foreign root =
+  let args = [ "check"; "a <<! i"; "-t"; "a zzz i" ] in
+  let code, out, _ = run root (args @ [ "--strict" ]) in
+  Alcotest.(check int) "strict: exit code" 1 code;
+  (match String.split_on_char '\n' out with
+  | first :: _ ->
+      Alcotest.(check bool) "a FAIL line" true
+        (String.starts_with ~prefix:"FAIL: " first);
+      Alcotest.(check bool) "naming the foreign event" true
+        (contains ~sub:"foreign event zzz" first)
+  | [] -> Alcotest.fail "no output");
+  let code, _, _ = run root args in
+  Alcotest.(check int) "lenient: exit code" 0 code
+
 (* explain-verdict replays the minimized chain on the compiled engine
    and on the structural monitor, built independently of it, and exits
    0 when both reproduce the Fail. *)
@@ -412,6 +429,7 @@ let () =
             cli_case "traces dangling symlink" traces_dangling_symlink;
             cli_case "checkpoint directory" checkpoint_directory;
             cli_case "ooo backend refused" ooo_backend_refused;
+            cli_case "check --strict foreign name" check_strict_foreign;
             cli_case "explain-verdict replays" explain_verdict_replays;
           ]
           @ List.map help_case

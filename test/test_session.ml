@@ -202,6 +202,53 @@ let prop_disorder_absorbed =
       stats.dropped_late = 0
       && passed_of (Report.summary report) = Suite.check_trace suite trace)
 
+(* ---- allocation on the wire path -------------------------------------- *)
+
+(* The buffered LSQB path serve takes, with the provenance recorder it
+   attaches: once every name is resolved, admitting an in-order event
+   allocates nothing (the tap hands subscribers the time, not an event
+   record).  16 disjoint {a_i, b_i} <<! go_i checkers fed round-robin
+   satisfying rounds, one tick per round. *)
+let test_wire_allocation () =
+  let n = 16 and rounds = 2_000 in
+  let suite =
+    List.init n (fun i ->
+        entry (Printf.sprintf "p%d" i) (Printf.sprintf "{a%d, b%d} <<! go%d" i i i))
+  in
+  let trace =
+    List.concat
+      (List.init rounds (fun r ->
+           let i = r mod n in
+           List.map
+             (fun x -> ev r (Printf.sprintf "%s%d" x i))
+             [ "a"; "b"; "go" ]))
+  in
+  let bytes = Codec.encode_exn trace in
+  let session = Session.create suite in
+  let prov = Provenance.create (Hub.tap (Session.hub session)) suite in
+  let dec = Codec.Decoder.create () in
+  let emit = Session.wire session (Codec.Decoder.name dec) in
+  let feed off len =
+    Result.iter_error failwith (Codec.Decoder.feed_ids dec ~off ~len bytes ~emit)
+  in
+  (* the first rounds define every name and resolve every stream id *)
+  let warm = String.length bytes / 4 in
+  feed 0 warm;
+  let warmed = Session.position session in
+  let before = Gc.minor_words () in
+  feed warm (String.length bytes - warm);
+  let words = Gc.minor_words () -. before in
+  Result.iter_error failwith (Codec.Decoder.finish dec);
+  let per_event =
+    words /. float_of_int (Session.position session - warmed)
+  in
+  Printf.printf "%.3f minor words per event\n" per_event;
+  if per_event > 0.1 then
+    Alcotest.failf "%.3f minor words per event (at most 0.1)" per_event;
+  Alcotest.(check bool) "all passed" true (Session.all_passed session);
+  Alcotest.(check int) "provenance saw every event" (3 * rounds)
+    (List.fold_left (fun acc (_, k) -> acc + k) 0 (Provenance.seen prov))
+
 let () =
   Alcotest.run "session"
     [
@@ -219,6 +266,11 @@ let () =
           Alcotest.test_case "absorbs" `Quick test_absorbs_disorder;
           Alcotest.test_case "drops late" `Quick test_drops_late_events;
           Alcotest.test_case "backpressure" `Quick test_backpressure;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "wire path allocates nothing per event" `Quick
+            test_wire_allocation;
         ] );
       ( "properties",
         [ prop_streaming_equals_batch; prop_disorder_absorbed ] );

@@ -18,15 +18,6 @@ let test_tap_records_with_time () =
       Alcotest.(check int) "t2" 10_000 e2.Trace.time
   | _ -> Alcotest.fail "expected two events"
 
-let test_tap_subscribers_in_order () =
-  let k = Kernel.create () in
-  let tap = Tap.create k in
-  let log = ref [] in
-  Tap.subscribe tap (fun _ -> log := "first" :: !log);
-  Tap.subscribe tap (fun _ -> log := "second" :: !log);
-  Tap.emit tap "x";
-  Alcotest.(check (list string)) "order" [ "first"; "second" ] (List.rev !log)
-
 let test_tap_no_record_mode () =
   let k = Kernel.create () in
   let tap = Tap.create ~record:false k in
@@ -181,8 +172,6 @@ let () =
         [
           Alcotest.test_case "records with time" `Quick
             test_tap_records_with_time;
-          Alcotest.test_case "subscriber order" `Quick
-            test_tap_subscribers_in_order;
           Alcotest.test_case "no-record mode" `Quick test_tap_no_record_mode;
         ] );
       ( "checker",
