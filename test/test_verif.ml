@@ -18,6 +18,15 @@ let test_tap_records_with_time () =
       Alcotest.(check int) "t2" 10_000 e2.Trace.time
   | _ -> Alcotest.fail "expected two events"
 
+let test_tap_subscribers_in_order () =
+  let k = Kernel.create () in
+  let tap = Tap.create k in
+  let log = ref [] in
+  Tap.subscribe_name tap (name "x") (fun _ -> log := "first" :: !log);
+  Tap.subscribe_name tap (name "x") (fun _ -> log := "second" :: !log);
+  Tap.emit tap "x";
+  Alcotest.(check (list string)) "order" [ "first"; "second" ] (List.rev !log)
+
 let test_tap_no_record_mode () =
   let k = Kernel.create () in
   let tap = Tap.create ~record:false k in
@@ -172,6 +181,8 @@ let () =
         [
           Alcotest.test_case "records with time" `Quick
             test_tap_records_with_time;
+          Alcotest.test_case "subscriber order" `Quick
+            test_tap_subscribers_in_order;
           Alcotest.test_case "no-record mode" `Quick test_tap_no_record_mode;
         ] );
       ( "checker",
