@@ -12,17 +12,9 @@ type report = {
   uncovered_witness : Trace.t option;
 }
 
-let system m =
-  {
-    Reach.init = Machine.init m;
-    n_ids = Machine.n_ids m;
-    step = Machine.step m;
-    final = Machine.is_final;
-  }
-
 let report ?budget ~label pattern traces =
   let m = Machine.make pattern in
-  let ex = Reach.explore ?budget (system m) in
+  let ex = Reach.explore ?budget (Machine.system m) in
   let n = Array.length ex.Reach.states in
   let index = Hashtbl.create (2 * n) in
   Array.iteri (fun i st -> Hashtbl.replace index st i) ex.Reach.states;

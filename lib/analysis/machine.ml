@@ -260,11 +260,81 @@ let step t state id =
       else if f >= 0 then viol Diag.After_name
       else viol Diag.Trigger_early
 
+(* Hash and equality by hand: no allocation, and every [recs] entry
+   counts, counters included (the polymorphic hash samples a bounded
+   prefix of the structure, so exact-counter states that differ deep in
+   [recs] would collide). *)
+let mix h x = (h lxor x) * 0x100000001b3
+
+let rclass_code = function
+  | Idle -> 0
+  | Waiting -> 1
+  | Started -> 2
+  | Ready -> 3
+  | Full -> 4
+  | Done -> 5
+  | Below c -> (c lsl 3) lor 6
+  | Counting c -> (c lsl 3) lor 7
+
+let hash state =
+  let h = if state.matched then 1 else 2 in
+  let h =
+    match state.status with
+    | Satisfied -> mix h 3
+    | Violated reason -> mix (mix h 4) (Hashtbl.hash reason)
+    | Running cfg ->
+        let h = ref (mix (mix h 5) cfg.active) in
+        h :=
+          mix !h
+            ((if cfg.armed then 1 else 0) lor if cfg.q_done then 2 else 0);
+        for r = 0 to Array.length cfg.recs - 1 do
+          h := mix !h (rclass_code cfg.recs.(r))
+        done;
+        !h
+  in
+  (h lxor (h lsr 31)) land max_int
+
+let equal_rclass a b =
+  match (a, b) with
+  | Below x, Below y | Counting x, Counting y -> Int.equal x y
+  | Below _, _ | Counting _, _ | _, Below _ | _, Counting _ -> false
+  | _ -> a == b
+
+let equal_recs a b =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let rec loop r = r >= n || (equal_rclass a.(r) b.(r) && loop (r + 1)) in
+  loop 0
+
+let equal a b =
+  Bool.equal a.matched b.matched
+  &&
+  match (a.status, b.status) with
+  | Running x, Running y ->
+      Int.equal x.active y.active
+      && Bool.equal x.armed y.armed
+      && Bool.equal x.q_done y.q_done
+      && equal_recs x.recs y.recs
+  | Satisfied, Satisfied -> true
+  | Violated x, Violated y -> Diag.equal_reason x y
+  | (Running _ | Satisfied | Violated _), _ -> false
+
 let is_violated state =
   match state.status with Violated _ -> true | _ -> false
 
 let is_final state =
   match state.status with Violated _ | Satisfied -> true | Running _ -> false
+
+let system t =
+  {
+    Reach.init = init t;
+    n_ids = n_ids t;
+    step = step t;
+    final = is_final;
+    hash;
+    equal;
+  }
 
 let can_time_violate t state =
   t.s.timed

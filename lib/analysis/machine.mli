@@ -101,9 +101,20 @@ val step : t -> state -> int -> state list
 (** All abstract successors on event [id] — one or two states;
     [Satisfied] and [Violated] are absorbing. *)
 
+val hash : state -> int
+(** Allocation-free, over every field of the state, counters included;
+    non-negative.  [equal a b] implies [hash a = hash b]. *)
+
+val equal : state -> state -> bool
+(** Structural equality, without allocation. *)
+
 val is_violated : state -> bool
 val is_final : state -> bool
 (** No successor differs from the state itself. *)
+
+val system : t -> state Reach.system
+(** The machine as a transition system for {!Reach.explore}: {!init},
+    {!step}, {!is_final}, {!hash} and {!equal}. *)
 
 val can_time_violate : t -> state -> bool
 (** A running, armed, not-yet-[q_done] configuration of a timed

@@ -13,14 +13,6 @@ let table : (key, Machine.t * Machine.state Reach.exploration) Hashtbl.t =
 
 let misses = ref 0
 
-let system m =
-  {
-    Reach.init = Machine.init m;
-    n_ids = Machine.n_ids m;
-    step = Machine.step m;
-    final = Machine.is_final;
-  }
-
 let explore ?budget ~exact c =
   let budget = Option.value budget ~default:default_budget in
   let pattern = Canon.pattern c in
@@ -29,7 +21,7 @@ let explore ?budget ~exact c =
   | Some hit -> hit
   | None ->
       let m = Machine.make ~exact pattern in
-      let ex = Reach.explore ~budget (system m) in
+      let ex = Reach.explore ~budget (Machine.system m) in
       incr misses;
       Hashtbl.replace table key (m, ex);
       (m, ex)

@@ -538,42 +538,6 @@ let differential ~items ~orig_make mutant ~divergences ~cross_checked =
 
 (* ---- tier (b): exact product equivalence ------------------------------- *)
 
-let machine_product ?budget ma mb =
-  let names_of m =
-    let s = ref Name.Set.empty in
-    for i = 0 to Machine.n_ids m - 1 do
-      s := Name.Set.add (Machine.name m i) !s
-    done;
-    !s
-  in
-  let union =
-    Array.of_list (Name.Set.elements (Name.Set.union (names_of ma) (names_of mb)))
-  in
-  let id_in m =
-    let tbl = Hashtbl.create 16 in
-    for i = 0 to Machine.n_ids m - 1 do
-      Hashtbl.replace tbl (Machine.name m i) i
-    done;
-    Array.map
-      (fun nm -> match Hashtbl.find_opt tbl nm with Some i -> i | None -> -1)
-      union
-  in
-  let ida = id_in ma and idb = id_in mb in
-  let step (sa, sb) uid =
-    let sas = if ida.(uid) >= 0 then Machine.step ma sa ida.(uid) else [ sa ] in
-    let sbs = if idb.(uid) >= 0 then Machine.step mb sb idb.(uid) else [ sb ] in
-    List.concat_map (fun a -> List.map (fun b -> (a, b)) sbs) sas
-  in
-  let sys =
-    {
-      Reach.init = (Machine.init ma, Machine.init mb);
-      n_ids = Array.length union;
-      step;
-      final = (fun (a, b) -> Machine.is_final a && Machine.is_final b);
-    }
-  in
-  (Reach.explore ?budget sys, union)
-
 let aq_of (st : Machine.state) =
   match st.status with
   | Machine.Running cfg -> cfg.armed && cfg.q_done
@@ -581,7 +545,7 @@ let aq_of (st : Machine.state) =
 
 let equivalence ~budget ~orig_make ~ma mutant =
   let mb = Machine.of_compiled ~exact:true (mutant.make ()) in
-  let ex, union = machine_product ~budget ma mb in
+  let ex, union = Suite_checks.product ~budget ma mb in
   let da = Machine.deadline ma and db = Machine.deadline mb in
   let inv = mutant.inverted in
   let pass_a sa = not (Machine.is_violated sa) in

@@ -3,6 +3,8 @@ type 'a system = {
   n_ids : int;
   step : 'a -> int -> 'a list;
   final : 'a -> bool;
+  hash : 'a -> int;
+  equal : 'a -> 'a -> bool;
 }
 
 type 'a exploration = {
@@ -13,50 +15,77 @@ type 'a exploration = {
   complete : bool;
 }
 
+let pair_hash ha hb (a, b) = (ha a * 1_000_003) + hb b
+let pair_equal ea eb (a, b) (a', b') = ea a a' && eb b b'
+
+(* Fibonacci hashing: the top [bits] bits of [h * 2^62/phi], so every
+   slot bit depends on every low bit of [h]. *)
+let slot h bits = ((h * 0x4F1BBCDCBFA53E0B) land max_int) lsr (62 - bits)
+
 let explore ?(budget = 200_000) sys =
-  let index = Hashtbl.create 1024 in
-  (* The default polymorphic hash samples only ~10 meaningful nodes, so
-     exact-counter states differing deep inside a [recs] array collide
-     en masse and lookups degenerate to bucket scans.  Keying by a
-     deep hash (paired with the state, so equality stays structural)
-     keeps the table O(1) on counter-heavy products. *)
-  let key st = (Hashtbl.hash_param 256 256 st, st) in
+  (* The index is an open-addressing table of state indices, keyed by
+     the state itself through the system's [hash] and [equal]: one
+     hash per successor, stored beside the state so that probes and
+     rehashes compare ints before states, and no key is allocated. *)
   let states = ref (Array.make 1024 sys.init) in
-  let pred = ref (Array.make 1024 (-1, -1)) in
+  let hashes = ref (Array.make 1024 0) in
+  let parent = ref (Array.make 1024 (-1)) in
+  let via = ref (Array.make 1024 (-1)) in
   let succ = ref (Array.make 1024 []) in
+  let bits = ref 11 in
+  let slots = ref (Array.make (1 lsl !bits) (-1)) in
   let n = ref 0 in
   let complete = ref true in
-  let ensure i =
-    if i >= Array.length !states then begin
-      let grow a fill =
-        let b = Array.make (2 * Array.length a) fill in
-        Array.blit a 0 b 0 (Array.length a);
-        b
-      in
-      states := grow !states sys.init;
-      pred := grow !pred (-1, -1);
-      succ := grow !succ []
+  let grow a fill =
+    let b = Array.make (2 * Array.length a) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  let rec free_slot s i =
+    if s.(i) < 0 then i else free_slot s ((i + 1) land (Array.length s - 1))
+  in
+  let rehash () =
+    incr bits;
+    let s = Array.make (1 lsl !bits) (-1) in
+    for k = 0 to !n - 1 do
+      s.(free_slot s (slot !hashes.(k) !bits)) <- k
+    done;
+    slots := s
+  in
+  (* The index of [st], adding it (index [!n] before the call) when it
+     is new; [-1] when it is new and the budget is spent. *)
+  let find_or_add st =
+    let h = sys.hash st in
+    let s = !slots in
+    let mask = Array.length s - 1 in
+    let i = ref (slot h !bits) in
+    while s.(!i) >= 0 && not (!hashes.(s.(!i)) = h && sys.equal !states.(s.(!i)) st)
+    do
+      i := (!i + 1) land mask
+    done;
+    if s.(!i) >= 0 then s.(!i)
+    else if !n >= budget then begin
+      complete := false;
+      -1
+    end
+    else begin
+      let k = !n in
+      if k >= Array.length !states then begin
+        states := grow !states sys.init;
+        hashes := grow !hashes 0;
+        parent := grow !parent (-1);
+        via := grow !via (-1);
+        succ := grow !succ []
+      end;
+      incr n;
+      !states.(k) <- st;
+      !hashes.(k) <- h;
+      s.(!i) <- k;
+      if 2 * !n > Array.length s then rehash ();
+      k
     end
   in
-  let add st pr =
-    match Hashtbl.find_opt index (key st) with
-    | Some i -> Some i
-    | None ->
-        if !n >= budget then begin
-          complete := false;
-          None
-        end
-        else begin
-          let i = !n in
-          ensure i;
-          incr n;
-          Hashtbl.replace index (key st) i;
-          !states.(i) <- st;
-          !pred.(i) <- pr;
-          Some i
-        end
-  in
-  ignore (add sys.init (-1, -1));
+  ignore (find_or_add sys.init);
   let q = Queue.create () in
   Queue.add 0 q;
   while not (Queue.is_empty q) do
@@ -66,20 +95,25 @@ let explore ?(budget = 200_000) sys =
       for id = 0 to sys.n_ids - 1 do
         List.iter
           (fun st' ->
-            let existed = Hashtbl.mem index (key st') in
-            match add st' (i, id) with
-            | None -> ()
-            | Some j ->
-                !succ.(i) <- (id, j) :: !succ.(i);
-                if not existed then Queue.add j q)
+            let fresh = !n in
+            let j = find_or_add st' in
+            if j >= 0 then begin
+              !succ.(i) <- (id, j) :: !succ.(i);
+              if j = fresh then begin
+                !parent.(j) <- i;
+                !via.(j) <- id;
+                Queue.add j q
+              end
+            end)
           (sys.step st id)
       done
   done;
+  let n = !n in
   {
     system = sys;
-    states = Array.sub !states 0 !n;
-    pred = Array.sub !pred 0 !n;
-    succ = Array.sub !succ 0 !n;
+    states = Array.sub !states 0 n;
+    pred = Array.init n (fun i -> (!parent.(i), !via.(i)));
+    succ = Array.sub !succ 0 n;
     complete = !complete;
   }
 

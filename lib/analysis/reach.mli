@@ -9,13 +9,22 @@
     the result is marked incomplete and callers must not draw
     universally-quantified conclusions (unreachability, dead names,
     safe sinks) from it — existential ones ({!find} hits) remain
-    valid. *)
+    valid.
+
+    The explorer indexes states in an open-addressing table keyed by
+    the state itself, through the system's own [hash] and [equal]:
+    each successor is hashed once, and one probe sequence both finds
+    a known state and places a new one.  Discovery order, and so every
+    index, depends only on [step] and the budget, never on the hash. *)
 
 type 'a system = {
   init : 'a;
   n_ids : int;  (** event ids are [0 .. n_ids-1] *)
   step : 'a -> int -> 'a list;
   final : 'a -> bool;  (** absorbing — not expanded *)
+  hash : 'a -> int;
+      (** agrees with [equal]: [equal a b] implies [hash a = hash b] *)
+  equal : 'a -> 'a -> bool;  (** structural equality of states *)
 }
 
 type 'a exploration = private {
@@ -28,6 +37,11 @@ type 'a exploration = private {
 
 val explore : ?budget:int -> 'a system -> 'a exploration
 (** [budget] defaults to 200000 states. *)
+
+val pair_hash : ('a -> int) -> ('b -> int) -> 'a * 'b -> int
+val pair_equal :
+  ('a -> 'a -> bool) -> ('b -> 'b -> bool) -> 'a * 'b -> 'a * 'b -> bool
+(** The [hash] and [equal] of a product system, from its components'. *)
 
 val find : 'a exploration -> ('a -> bool) -> int option
 (** Lowest-index (hence shortest-path) state satisfying the

@@ -1,14 +1,15 @@
 open Loseq_core
 
-(* The synchronous product of two machines over the union alphabet.
-   Returns the exploration plus the union name table. *)
 let product ?budget ma mb =
+  let names_of m =
+    let s = ref Name.Set.empty in
+    for i = 0 to Machine.n_ids m - 1 do
+      s := Name.Set.add (Machine.name m i) !s
+    done;
+    !s
+  in
   let union =
-    Array.of_list
-      (Name.Set.elements
-         (Name.Set.union
-            (Pattern.alpha (Machine.pattern ma))
-            (Pattern.alpha (Machine.pattern mb))))
+    Array.of_list (Name.Set.elements (Name.Set.union (names_of ma) (names_of mb)))
   in
   let id_in m =
     let tbl = Hashtbl.create 16 in
@@ -31,6 +32,8 @@ let product ?budget ma mb =
       n_ids = Array.length union;
       step;
       final = (fun (a, b) -> Machine.is_final a && Machine.is_final b);
+      hash = Reach.pair_hash Machine.hash Machine.hash;
+      equal = Reach.pair_equal Machine.equal Machine.equal;
     }
   in
   (Reach.explore ?budget sys, union)

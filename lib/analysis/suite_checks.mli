@@ -25,6 +25,16 @@
 
 open Loseq_core
 
+val product :
+  ?budget:int ->
+  Machine.t ->
+  Machine.t ->
+  (Machine.state * Machine.state) Reach.exploration * Name.t array
+(** The synchronous product of two machines over the union of their
+    alphabets, explored, and the union alphabet in {!Name} order
+    (product event id [u] is name [u] of it).  A machine that does not
+    know a name stays put on it. *)
+
 val subsumes : ?budget:int -> Pattern.t -> Pattern.t -> bool option
 (** [subsumes a b]: do [b]'s violations imply [a]'s (making [b]
     redundant beside [a])?  [None] when undecided — a timed pattern is

@@ -652,7 +652,6 @@ let local_of_name t ck nm =
   | None -> -1
   | Some gid -> local_of_gid t ck gid
 
-let timed_checkers t = t.timed_cks
 let set_notify t f = t.notify <- f
 
 (* ---- verdict accessors ------------------------------------------------- *)

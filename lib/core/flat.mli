@@ -175,8 +175,6 @@ val next_deadline : t -> int option
 (** Earliest armed deadline across the suite — what a hub parks its
     single kernel timeout at. *)
 
-val timed_checkers : t -> int array
-
 val deadlines_dirty : t -> bool
 (** Some timed checker's armed-deadline state may have changed since
     the last {!drain_deadlines} (arming, completion, round reset,

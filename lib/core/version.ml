@@ -1,1 +1,1 @@
-let current = "1.24.0"
+let current = "1.25.0"

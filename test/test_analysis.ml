@@ -362,6 +362,139 @@ let qcheck_analyze_never_crashes =
       ignore (Analysis.analyze_pattern p);
       true)
 
+(* ---- qcheck: the explorer against a reference BFS ---------------------- *)
+
+(* The reference explorer: the plain BFS with a polymorphic-key index
+   ([Hashtbl] on a deep hash paired with the state), one lookup to test
+   membership and another to add.  [Reach.explore] must reproduce its
+   discovery order, predecessor tree, edge lists and completeness
+   exactly: race witnesses and every reported index depend on them. *)
+type 'a reference = {
+  r_states : 'a array;
+  r_pred : (int * int) array;
+  r_succ : (int * int) list array;
+  r_complete : bool;
+}
+
+let reference_explore ~budget (sys : 'a Reach.system) =
+  let index = Hashtbl.create 1024 in
+  let key st = (Hashtbl.hash_param 256 256 st, st) in
+  let states = ref [] and pred = ref [] and n = ref 0 in
+  let succ = Hashtbl.create 1024 in
+  let complete = ref true in
+  let add st pr =
+    match Hashtbl.find_opt index (key st) with
+    | Some i -> Some i
+    | None ->
+        if !n >= budget then begin
+          complete := false;
+          None
+        end
+        else begin
+          let i = !n in
+          incr n;
+          Hashtbl.replace index (key st) i;
+          states := st :: !states;
+          pred := pr :: !pred;
+          Some i
+        end
+  in
+  ignore (add sys.init (-1, -1));
+  let q = Queue.create () in
+  Queue.add (0, sys.init) q;
+  while not (Queue.is_empty q) do
+    let i, st = Queue.pop q in
+    if not (sys.final st) then
+      for id = 0 to sys.n_ids - 1 do
+        List.iter
+          (fun st' ->
+            let existed = Hashtbl.mem index (key st') in
+            match add st' (i, id) with
+            | None -> ()
+            | Some j ->
+                Hashtbl.replace succ i
+                  ((id, j) :: Option.value ~default:[] (Hashtbl.find_opt succ i));
+                if not existed then Queue.add (j, st') q)
+          (sys.step st id)
+      done
+  done;
+  {
+    r_states = Array.of_list (List.rev !states);
+    r_pred = Array.of_list (List.rev !pred);
+    r_succ =
+      Array.init !n (fun i ->
+          Option.value ~default:[] (Hashtbl.find_opt succ i));
+    r_complete = !complete;
+  }
+
+let same_exploration ~budget sys =
+  let ex = Reach.explore ~budget sys and r = reference_explore ~budget sys in
+  if ex.Reach.states <> r.r_states then
+    QCheck2.Test.fail_reportf "states differ (%d explored, %d expected)"
+      (Array.length ex.Reach.states) (Array.length r.r_states)
+  else if ex.Reach.pred <> r.r_pred then QCheck2.Test.fail_report "pred differs"
+  else if ex.Reach.succ <> r.r_succ then QCheck2.Test.fail_report "succ differs"
+  else if ex.Reach.complete <> r.r_complete then
+    QCheck2.Test.fail_report "complete differs"
+  else true
+
+(* Budgets small enough that most explorations truncate. *)
+let gen_budget = QCheck2.Gen.int_range 1 300
+
+let qcheck_explore_matches_reference =
+  qtest ~count:200 "explore = reference BFS on one machine"
+    QCheck2.Gen.(triple gen_pattern bool gen_budget)
+    (fun (p, exact, budget) ->
+      Printf.sprintf "%s (exact %b, budget %d)" (pp_pattern p) exact budget)
+    (fun (p, exact, budget) ->
+      same_exploration ~budget (Machine.system (Machine.make ~exact p)))
+
+let qcheck_product_explore_matches_reference =
+  qtest ~count:150 "explore = reference BFS on a two-machine product"
+    QCheck2.Gen.(triple (pair gen_pattern gen_pattern) bool gen_budget)
+    (fun ((a, b), exact, budget) ->
+      Printf.sprintf "a: %s\nb: %s\nexact %b, budget %d" (pp_pattern a)
+        (pp_pattern b) exact budget)
+    (fun ((a, b), exact, budget) ->
+      (* budget 1: only the product's system is wanted here *)
+      let ex, _ =
+        Suite_checks.product ~budget:1 (Machine.make ~exact a)
+          (Machine.make ~exact b)
+      in
+      same_exploration ~budget ex.Reach.system)
+
+(* [Machine.equal] is structural equality and [Machine.hash] agrees
+   with it: over the explored states, each state's deep copy is equal
+   and hashes alike, and equality matches [(=)] on pairs of states. *)
+let qcheck_machine_hash_agrees_with_equal =
+  qtest ~count:150 "Machine.equal a b => Machine.hash a = Machine.hash b"
+    QCheck2.Gen.(triple gen_pattern bool gen_budget)
+    (fun (p, exact, budget) ->
+      Printf.sprintf "%s (exact %b, budget %d)" (pp_pattern p) exact budget)
+    (fun (p, exact, budget) ->
+      let states =
+        (Reach.explore ~budget (Machine.system (Machine.make ~exact p)))
+          .Reach.states
+      in
+      let n = Array.length states in
+      let copy (s : Machine.state) : Machine.state =
+        Marshal.from_string (Marshal.to_string s []) 0
+      in
+      let ok = ref true in
+      Array.iteri
+        (fun i s ->
+          let c = copy s in
+          if not (Machine.equal s c && Machine.hash s = Machine.hash c) then
+            ok := false;
+          for d = 1 to min 8 (n - 1) do
+            let t = states.((i + d) mod n) in
+            if Machine.equal s t <> (s = t) then ok := false;
+            if Machine.equal s t && Machine.hash s <> Machine.hash t then
+              ok := false
+          done)
+        states;
+      !ok)
+
 let () =
   Alcotest.run "analysis"
     [
@@ -393,5 +526,11 @@ let () =
           qcheck_subsumption_cross_validation;
           qcheck_conflict_cross_validation;
           qcheck_analyze_never_crashes;
+        ] );
+      ( "explorer",
+        [
+          qcheck_explore_matches_reference;
+          qcheck_product_explore_matches_reference;
+          qcheck_machine_hash_agrees_with_equal;
         ] );
     ]

@@ -438,6 +438,15 @@ let test_fanout_touches () =
 
 (* ---- checker copies between engines ------------------------------------ *)
 
+(* The checkers of [eng] whose compiled pattern is timed. *)
+let timed_checkers eng =
+  List.filter
+    (fun ck ->
+      match Flat.pattern eng ck with
+      | Pattern.Timed _ -> true
+      | Pattern.Antecedent _ -> false)
+    (List.init (Flat.size eng) Fun.id)
+
 (* A suite of one to three random entries, their traces merged in time
    order, and a cut point. *)
 let gen_copy_case =
@@ -491,9 +500,7 @@ let prop_copy_exact (ps, trace, cut) =
     QCheck2.Test.fail_report "the copy changed the source"
   else if
     not
-      (Array.for_all
-         (fun ck -> List.mem ck !handed)
-         (Flat.timed_checkers eng))
+      (List.for_all (fun ck -> List.mem ck !handed) (timed_checkers eng))
   then QCheck2.Test.fail_report "a copied timed checker was not drained"
   else if run eng rest <> run src rest then
     QCheck2.Test.fail_report "stepping the rest diverged"
@@ -585,12 +592,12 @@ let test_step_allocates_nothing () =
   in
   Alcotest.(check (float 0.)) "step_name and fire_due" 0. (minor_words fire);
   Alcotest.(check bool) "fire_due decided a miss" true
-    (Array.exists
+    (List.exists
        (fun ck ->
          match Flat.verdict eng ck with
          | Compiled.Violated { reason = Diag.Deadline_miss _; _ } -> true
          | _ -> false)
-       (Flat.timed_checkers eng))
+       (timed_checkers eng))
 
 (* ---- opened-fragment cache --------------------------------------------- *)
 
