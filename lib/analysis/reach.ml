@@ -59,7 +59,9 @@ let explore ?(budget = 200_000) sys =
     let s = !slots in
     let mask = Array.length s - 1 in
     let i = ref (slot h !bits) in
-    while s.(!i) >= 0 && not (!hashes.(s.(!i)) = h && sys.equal !states.(s.(!i)) st)
+    while
+      s.(!i) >= 0
+      && not (!hashes.(s.(!i)) = h && sys.equal !states.(s.(!i)) st)
     do
       i := (!i + 1) land mask
     done;

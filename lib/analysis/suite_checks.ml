@@ -9,7 +9,8 @@ let product ?budget ma mb =
     !s
   in
   let union =
-    Array.of_list (Name.Set.elements (Name.Set.union (names_of ma) (names_of mb)))
+    Array.of_list
+      (Name.Set.elements (Name.Set.union (names_of ma) (names_of mb)))
   in
   let id_in m =
     let tbl = Hashtbl.create 16 in
