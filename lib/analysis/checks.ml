@@ -101,7 +101,7 @@ let results = Memo.results ()
 
 let report ?(budget = Memo.default_budget) pattern =
   let c, r =
-    Memo.result results ~budget ~rounds:0 (report_canonical ~budget) pattern
+    Memo.result results ~budget (report_canonical ~budget) pattern
   in
   let trace = Canon.trace c in
   {

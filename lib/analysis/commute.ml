@@ -29,76 +29,133 @@ let final_time_for = function
    the deadline.  Everything else passes. *)
 let obs m s = Machine.is_violated s || Machine.can_time_violate m s
 
-(* Moore partition refinement over the (complete) explored state set:
-   start from the observable, split classes whose successor class rows
-   differ, stop at a fixpoint or after [rounds] splits.  Splits are
-   always sound (states in different classes really are
-   distinguishable by some suffix of length <= rounds performed);
-   equality of classes certifies indistinguishability only when the
-   fixpoint was reached.  [succ.(i * n_ids + id)] is the successor
-   table.  A row (a class and its [n_ids] successor classes) is hashed
-   once per round into an open-addressing table of representative
-   states, and compared in place: no row is ever allocated. *)
-let refine ~rounds ~n_ids ~succ cls0 =
-  let n = Array.length cls0 in
-  let cls = Array.copy cls0 in
-  let count p =
-    let t = Hashtbl.create 16 in
-    Array.iter (fun c -> if not (Hashtbl.mem t c) then Hashtbl.add t c ()) p;
-    Hashtbl.length t
-  in
-  let prev = ref (count cls) in
-  let stable = ref false in
-  let round = ref 0 in
-  let size = ref 1 in
-  while !size < 2 * n do
-    size := 2 * !size
+(* Hopcroft's partition refinement over the (complete) explored state
+   set: the coarsest partition that refines the observable [obs] and
+   is compatible with the successor table [succ.(i * n_ids + id)],
+   which must be total.  Two states share a class exactly when no
+   suffix tells them apart, so every complete exploration is decided.
+
+   Blocks are contiguous slices [first.(b), past.(b)) of the
+   permutation [elems]; [loc] inverts it.  A splitter block is copied
+   out before use, then for each event id its predecessors are marked
+   by moving them to the front of their blocks.  A partly marked block
+   splits, the smaller part becoming the new block and the next
+   splitter; that keeps the work in O(n_ids * n log n). *)
+let refine ~n_ids ~succ obs =
+  let n = Array.length obs in
+  (* predecessors of state [j] on [id], in [pre.(pre_first.(j * n_ids
+     + id)) ..] up to the next entry *)
+  let pre_first = Array.make ((n * n_ids) + 1) 0 in
+  Array.iteri
+    (fun k j ->
+      let slot = (j * n_ids) + (k mod n_ids) + 1 in
+      pre_first.(slot) <- pre_first.(slot) + 1)
+    succ;
+  for k = 1 to n * n_ids do
+    pre_first.(k) <- pre_first.(k) + pre_first.(k - 1)
   done;
-  let slots = Array.make !size (-1) and mask = !size - 1 in
-  let hashes = Array.make n 0 in
-  let next = Array.make n 0 in
-  let same_row r i =
-    cls.(r) = cls.(i)
-    &&
-    let rec loop id =
-      id >= n_ids
-      || cls.(succ.((r * n_ids) + id)) = cls.(succ.((i * n_ids) + id))
-         && loop (id + 1)
-    in
-    loop 0
-  in
-  while (not !stable) && !round < rounds do
-    incr round;
-    Array.fill slots 0 !size (-1);
-    let classes = ref 0 in
-    for i = 0 to n - 1 do
-      let h = ref cls.(i) in
-      for id = 0 to n_ids - 1 do
-        h := (!h * 1_000_003) + cls.(succ.((i * n_ids) + id))
-      done;
-      let h = !h in
-      hashes.(i) <- h;
-      let k = ref (Hashtbl.hash h land mask) in
-      while
-        slots.(!k) >= 0
-        && not (hashes.(slots.(!k)) = h && same_row slots.(!k) i)
-      do
-        k := (!k + 1) land mask
-      done;
-      if slots.(!k) >= 0 then next.(i) <- next.(slots.(!k))
-      else begin
-        slots.(!k) <- i;
-        next.(i) <- !classes;
-        incr classes
-      end
-    done;
-    if !classes = !prev then stable := true
-    else begin
-      Array.blit next 0 cls 0 n;
-      prev := !classes
+  let pre = Array.make (n * n_ids) 0 in
+  let fill = Array.sub pre_first 0 (n * n_ids) in
+  Array.iteri
+    (fun k j ->
+      let slot = (j * n_ids) + (k mod n_ids) in
+      pre.(fill.(slot)) <- k / n_ids;
+      fill.(slot) <- fill.(slot) + 1)
+    succ;
+  (* the initial partition: one block per observable value *)
+  let cls = Array.make n 0 in
+  let values = Hashtbl.create 4 in
+  Array.iteri
+    (fun i o ->
+      match Hashtbl.find_opt values o with
+      | Some b -> cls.(i) <- b
+      | None ->
+          let b = Hashtbl.length values in
+          Hashtbl.add values o b;
+          cls.(i) <- b)
+    obs;
+  let blocks = ref (Hashtbl.length values) in
+  let first = Array.make (max n 1) 0 and past = Array.make (max n 1) 0 in
+  Array.iter (fun b -> past.(b) <- past.(b) + 1) cls;
+  for b = 1 to !blocks - 1 do
+    first.(b) <- past.(b - 1);
+    past.(b) <- past.(b) + past.(b - 1)
+  done;
+  let elems = Array.make n 0 and loc = Array.make n 0 in
+  let fill = Array.sub first 0 (max n 1) in
+  Array.iteri
+    (fun i b ->
+      elems.(fill.(b)) <- i;
+      loc.(i) <- fill.(b);
+      fill.(b) <- fill.(b) + 1)
+    cls;
+  let marked = Array.make (max n 1) 0 in
+  let waiting = Stack.create () in
+  let push b = Stack.push b waiting in
+  (* every initial block but the largest: its preimage is implied *)
+  let largest = ref 0 in
+  for b = 1 to !blocks - 1 do
+    if past.(b) - first.(b) > past.(!largest) - first.(!largest) then
+      largest := b
+  done;
+  for b = 0 to !blocks - 1 do
+    if b <> !largest then push b
+  done;
+  let touched = Stack.create () and splitter = Array.make n 0 in
+  let mark i =
+    let b = cls.(i) in
+    let slot = first.(b) + marked.(b) in
+    if loc.(i) >= slot then begin
+      let other = elems.(slot) in
+      elems.(loc.(i)) <- other;
+      loc.(other) <- loc.(i);
+      elems.(slot) <- i;
+      loc.(i) <- slot;
+      if marked.(b) = 0 then Stack.push b touched;
+      marked.(b) <- marked.(b) + 1
     end
+  in
+  let split b =
+    let m = marked.(b) in
+    marked.(b) <- 0;
+    if m < past.(b) - first.(b) then begin
+      let nb = !blocks in
+      incr blocks;
+      (* the smaller part becomes [nb]: the marked prefix or the rest *)
+      if 2 * m <= past.(b) - first.(b) then begin
+        first.(nb) <- first.(b);
+        past.(nb) <- first.(b) + m;
+        first.(b) <- first.(b) + m
+      end
+      else begin
+        first.(nb) <- first.(b) + m;
+        past.(nb) <- past.(b);
+        past.(b) <- first.(b) + m
+      end;
+      for k = first.(nb) to past.(nb) - 1 do
+        cls.(elems.(k)) <- nb
+      done;
+      (* whether or not [b] is still waiting, [nb] must be *)
+      push nb
+    end
+  in
+  while not (Stack.is_empty waiting) do
+    let c = Stack.pop waiting in
+    let size = past.(c) - first.(c) in
+    Array.blit elems first.(c) splitter 0 size;
+    for id = 0 to n_ids - 1 do
+      for k = 0 to size - 1 do
+        let slot = (splitter.(k) * n_ids) + id in
+        for q = pre_first.(slot) to pre_first.(slot + 1) - 1 do
+          mark pre.(q)
+        done
+      done;
+      while not (Stack.is_empty touched) do
+        split (Stack.pop touched)
+      done
+    done
   done;
-  (cls, !stable)
+  cls
 
 (* The successor table of a deterministic exploration:
    [t.(i * n_ids + id)] is the index of state [i]'s [id]-successor, or
@@ -130,7 +187,7 @@ let successors ex =
    states are compared by index; a successor the budget cut off (no
    index, and no refinement then) is stepped.  Returns the races, the
    commuting pairs and whether every pair was decided. *)
-let scan ~budget ~refine_rounds ~obs ~relevant ~witness ex =
+let scan ~budget ~obs ~relevant ~witness ex =
   let sys = ex.Reach.system in
   let n = sys.Reach.n_ids in
   let states = ex.Reach.states in
@@ -144,11 +201,10 @@ let scan ~budget ~refine_rounds ~obs ~relevant ~witness ex =
   let obsv = Array.map obs states in
   (* verdict-equivalence classes; only meaningful when exploration
      covered the whole space *)
-  let tables =
+  let classes =
     if not ex.Reach.complete then None
-    else Some (refine ~rounds:refine_rounds ~n_ids:n ~succ obsv)
+    else Some (refine ~n_ids:n ~succ obsv)
   in
-  let stable = match tables with Some (_, s) -> s | None -> false in
   (* Distinguishing suffix (event ids) for a pair of states known or
      suspected to differ: lock-step BFS until the observable splits. *)
   let suffix_between u v =
@@ -194,15 +250,11 @@ let scan ~budget ~refine_rounds ~obs ~relevant ~witness ex =
               if jab = jba then None
               else if obsv.(jab) <> obsv.(jba) then Some (Some [])
               else
-                match tables with
-                | Some (cls, stable) ->
+                match classes with
+                | Some cls ->
                     if cls.(jab) <> cls.(jba) then
                       Some (suffix_between states.(jab) states.(jba))
-                    else if stable then None (* certified equivalent here *)
-                    else begin
-                      decided := false;
-                      None
-                    end
+                    else None (* certified equivalent here *)
                 | None ->
                     (* truncated exploration: only immediate observable
                        divergence is checked; anything subtler stays
@@ -227,7 +279,7 @@ let scan ~budget ~refine_rounds ~obs ~relevant ~witness ex =
         match !race with
         | Some r -> races := r :: !races
         | None ->
-            if !decided && ex.Reach.complete && stable then
+            if !decided && ex.Reach.complete then
               commuting := (a, b) :: !commuting
             else all_decided := false
       end
@@ -235,23 +287,102 @@ let scan ~budget ~refine_rounds ~obs ~relevant ~witness ex =
   done;
   ( List.rev !races,
     List.rev !commuting,
-    ex.Reach.complete && stable && !all_decided )
+    ex.Reach.complete && !all_decided )
 
-(* The analysis of one canonical form ([p]); a failure names the
-   concrete pattern. *)
-let analyze_canonical ~budget ~refine_rounds c =
+(* ---- clamped range counters ----------------------------------------- *)
+
+(* The per-entry questions are decided on the pattern with every range
+   [u,v] clamped to [u',v'] = [min u k, min u k + min (v-u) k].  A
+   counter only ever restarts at 1, counts one maximal run of its own
+   name, and is compared with [u] and [v]; so a verdict depends on a
+   run of length [n] only through which of [n < u], [u <= n <= v],
+   [n > v] holds, and an adjacent swap lengthens the run next to it by
+   one.  With k >= 3 the clamped bounds keep every such region and
+   every pair of adjacent regions non-empty exactly when the real
+   bounds do, so races, commuting pairs and [time_sensitive] agree
+   (DESIGN.md, "Clamped range counters").  3 is the least such k. *)
+let clamp_k = 3
+
+let clamp_range (r : Pattern.range) =
+  let lo = min r.lo clamp_k in
+  Pattern.range ~lo ~hi:(lo + min (r.hi - r.lo) clamp_k) r.name
+
+let clamp p =
+  let ordering =
+    List.map (fun (f : Pattern.fragment) ->
+        Pattern.fragment ~connective:f.connective
+          (List.map clamp_range f.ranges))
+  in
+  match p with
+  | Pattern.Antecedent a ->
+      Pattern.antecedent ~repeated:a.repeated (ordering a.body)
+        ~trigger:a.trigger
+  | Pattern.Timed g ->
+      Pattern.timed (ordering g.premise) (ordering g.conclusion)
+        ~deadline:g.deadline
+
+(* The length of a real run standing for a clamped run of [n] events
+   of a range clamped from [u,v] to [u',v']: the least real length in
+   the same region whose successor is also in the successor's region,
+   so a run the swap lengthens by one keeps both regions, and a least
+   clamped witness maps to a least real one. *)
+let stretch (r : Pattern.range) n =
+  let r' = clamp_range r in
+  if n < r'.lo - 1 then n
+  else if n < r'.hi then n + r.lo - r'.lo
+  else n + r.hi - r'.hi
+
+(* Re-expand a clamped word: every maximal run of a range's own name
+   gets its {!stretch}ed length; other names (triggers) are kept. *)
+let expand ranges names =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | nm :: _ as l ->
+        let rec run k = function
+          | x :: rest when Name.equal x nm -> run (k + 1) rest
+          | rest -> (k, rest)
+        in
+        let k, rest = run 0 l in
+        let k =
+          match Name.Map.find_opt nm ranges with
+          | Some r -> stretch r k
+          | None -> k
+        in
+        go (List.rev_append (List.init k (fun _ -> nm)) acc) rest
+  in
+  go [] names
+
+(* The analysis of one canonical form ([p]) on its clamped pattern
+   (unless [~clamped:false]); witnesses are re-expanded to [p]'s
+   bounds and replayed on [p].  A failure names the concrete
+   pattern. *)
+let analyze_canonical ~clamped ~budget c =
   let p = Canon.pattern c in
-  let m, ex = Memo.explore ~budget ~exact:true c in
+  let m, ex =
+    Memo.explore ~budget ~exact:true
+      (if clamped then Canon.make (clamp p) else c)
+  in
+  (* the ranges whose runs are re-expanded: none when unclamped *)
+  let ranges =
+    if not clamped then Name.Map.empty
+    else
+      List.fold_left
+        (fun acc (f : Pattern.fragment) ->
+          List.fold_left
+            (fun acc (r : Pattern.range) -> Name.Map.add r.name r acc)
+            acc f.ranges)
+        Name.Map.empty (Pattern.body_ordering p)
+  in
   let time_sensitive = Reach.find ex (Machine.can_time_violate m) <> None in
   let timed = Machine.timed m in
   let ft = final_time_for p in
   let witness i ida idb suffix_ids =
     let prefix, _ = Witness.concretize m (Reach.path ex i) in
     let na = Machine.name m ida and nb = Machine.name m idb in
+    let prefix = expand ranges (Trace.names prefix)
+    and suffix = expand ranges (List.map (Machine.name m) suffix_ids) in
     let mk order =
-      let names =
-        Trace.names prefix @ order @ List.map (Machine.name m) suffix_ids
-      in
+      let names = prefix @ order @ suffix in
       if timed then List.map (fun nm -> Trace.event ~time:0 nm) names
       else List.mapi (fun t nm -> Trace.event ~time:t nm) names
     in
@@ -271,7 +402,7 @@ let analyze_canonical ~budget ~refine_rounds c =
     { a = na; b = nb; trace_ab; trace_ba; ab_passes; time_divergence }
   in
   let races, commuting, complete =
-    scan ~budget ~refine_rounds
+    scan ~budget
       ~obs:(fun s -> Bool.to_int (obs m s))
       ~relevant:(fun _ _ -> true)
       ~witness ex
@@ -286,11 +417,14 @@ let analyze_canonical ~budget ~refine_rounds c =
   }
 
 let results = Memo.results ()
+let unclamped_results = Memo.results ()
 
-let analyze ?(budget = 200_000) ?(refine_rounds = 64) p =
+let analyze ?(budget = 200_000) ?(clamped = true) p =
   let c, r =
-    Memo.result results ~budget ~rounds:refine_rounds
-      (analyze_canonical ~budget ~refine_rounds)
+    Memo.result
+      (if clamped then results else unclamped_results)
+      ~budget
+      (analyze_canonical ~clamped ~budget)
       p
   in
   let name = Canon.name c and trace = Canon.trace c in
@@ -332,8 +466,7 @@ type product_result = {
   shared : Name.t list;
 }
 
-let analyze_product ?(budget = 200_000) ?(refine_rounds = 64) (la, pa) (lb, pb)
-    =
+let analyze_product ?(budget = 200_000) (la, pa) (lb, pb) =
   let ma = Machine.make ~exact:true pa and mb = Machine.make ~exact:true pb in
   let alpha_a = Pattern.alpha pa and alpha_b = Pattern.alpha pb in
   let ex, union = Suite_checks.product ~budget ma mb in
@@ -381,7 +514,7 @@ let analyze_product ?(budget = 200_000) ?(refine_rounds = 64) (la, pa) (lb, pb)
       ab_verdicts; ba_verdicts }
   in
   let races, commuting, complete =
-    scan ~budget ~refine_rounds ~obs:pobs ~relevant ~witness ex
+    scan ~budget ~obs:pobs ~relevant ~witness ex
   in
   {
     labels = (la, lb);

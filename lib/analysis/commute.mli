@@ -10,9 +10,21 @@
     them apart on the only observables a hosting layer acts on:
     violated-or-not, and armed-past-deadline-or-not
     ({!Machine.can_time_violate}).  Equivalence is computed once for
-    the whole explored state set by Moore partition refinement seeded
-    with that two-bit observable, so each [(state, pair)] query is a
-    table lookup.
+    the whole explored state set by Hopcroft's partition refinement
+    ({!refine}) seeded with that two-bit observable, so each
+    [(state, pair)] query is a table lookup and every complete
+    exploration is decided.
+
+    {b Clamped ranges.}  {!analyze} explores the pattern with every
+    range [[u,v]] clamped to [[min u 3, min u 3 + min (v-u) 3]]
+    ({!clamp}).  A counter is compared only with [u] and [v], counts
+    one run of its own name, and an adjacent swap moves a run by one
+    event, so the clamped machine has the same race pairs, commuting
+    pairs and [time_sensitive] as the real one (DESIGN.md, "Clamped
+    range counters") at a state count independent of the bounds.  Its
+    witnesses are re-expanded to the real bounds (each run of a
+    range's name stretched to the least real length in its region)
+    and replayed on the real pattern.
 
     A pair that fails the test at some reachable state is {e racy}:
     the order of [a] and [b] is verdict-relevant there, and the
@@ -25,8 +37,8 @@
     ({!Robust}) is built from.
 
     Soundness of the budget: racy verdicts carry replayed witnesses
-    and are valid even when exploration or refinement was truncated;
-    commuting claims are only made when [complete] is set. *)
+    and are valid even when exploration was truncated; commuting
+    claims are only made when [complete] is set. *)
 
 open Loseq_core
 
@@ -48,8 +60,8 @@ type race = {
 type result = {
   pattern : Pattern.t;
   complete : bool;
-      (** exploration within budget and refinement stabilized: absence
-          of a race means the pair really commutes *)
+      (** exploration within budget (and every witness search too):
+          absence of a race means the pair really commutes *)
   races : race list;  (** one (shortest-prefix) witness per racy pair *)
   commuting : (Name.t * Name.t) list;
       (** pairs certified to commute (empty unless [complete]) *)
@@ -58,19 +70,37 @@ type result = {
           conclusion incomplete — the deadline verdict is live *)
 }
 
-val analyze : ?budget:int -> ?refine_rounds:int -> Pattern.t -> result
+val analyze : ?budget:int -> ?clamped:bool -> Pattern.t -> result
 (** [budget] bounds the exact-counter exploration and each witness
-    search (default 200000 states); [refine_rounds] bounds partition
-    refinement (default 64 rounds — a cap on distinguishing-suffix
-    length; hitting it clears [complete] but keeps every race found).
-    Raises {!Loseq_core.Wellformed.Ill_formed}, and [Failure] if a
-    witness fails to replay (an abstraction soundness bug, as in
+    search (default 200000 states).  [clamped] (default [true])
+    explores the {!clamp}ed pattern; [~clamped:false] explores the
+    real bounds, one state per counter value — the reference the
+    clamp is tested against.  Raises
+    {!Loseq_core.Wellformed.Ill_formed}, and [Failure] if a witness
+    fails to replay (an abstraction soundness bug, as in
     {!Witness.concretize}).
 
     The analysis runs on the pattern's {!Canon} form and is cached per
-    (canonical pattern, budget, refine_rounds) in a {!Memo} result
-    table: renamed copies of one pattern are analysed once, and each
-    gets the result with its own names back. *)
+    (canonical pattern, budget) in a {!Memo} result table: renamed
+    copies of one pattern are analysed once, and each gets the result
+    with its own names back. *)
+
+val clamp : Pattern.t -> Pattern.t
+(** Every range [[u,v]] narrowed to [[min u 3, min u 3 + min (v-u) 3]];
+    names, fragments and deadline are kept. *)
+
+val refine : n_ids:int -> succ:int array -> int array -> int array
+(** [refine ~n_ids ~succ obs] is Hopcroft's coarsest partition of
+    states [0 .. n-1] ([n = Array.length obs]) that refines [obs] and
+    is compatible with the total successor table
+    [succ.(i * n_ids + id)]: [cls.(i) = cls.(j)] iff no event suffix
+    leads [i] and [j] to states of different [obs].  Class numbers are
+    arbitrary. *)
+
+val successors : 'a Reach.exploration -> int array
+(** The successor table of a deterministic exploration, as {!refine}
+    reads it: [-1] where the budget cut a successor off; final states
+    are their own successors. *)
 
 val final_time_for : Pattern.t -> int option
 (** The finalization instant twin traces are decided at:
@@ -108,8 +138,8 @@ type product_race = {
 type product_result = {
   labels : string * string;
   complete : bool;
-      (** product exploration within budget, refinement stabilized and
-          every cross-relevant pair decided *)
+      (** product exploration within budget and every cross-relevant
+          pair decided *)
   cross_races : product_race list;
       (** one (shortest-prefix) witness per racy cross-relevant pair *)
   cross_commuting : (Name.t * Name.t) list;
@@ -120,7 +150,6 @@ type product_result = {
 
 val analyze_product :
   ?budget:int ->
-  ?refine_rounds:int ->
   string * Pattern.t ->
   string * Pattern.t ->
   product_result
@@ -129,5 +158,6 @@ val analyze_product :
     {e cross-relevant} pairs: unordered union-alphabet pairs not
     wholly private to one checker (those belong to that checker's own
     {!analyze}).  Budget and failure behaviour as in {!analyze}.  The
-    work is on the concrete names (shared names are what it is about),
-    so nothing here is cached in {!Memo}. *)
+    work is on the concrete names (shared names are what it is about)
+    and the real bounds (no {!clamp}), so nothing here is cached in
+    {!Memo}. *)

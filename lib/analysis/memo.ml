@@ -26,7 +26,7 @@ let explore ?budget ~exact c =
       Hashtbl.replace table key (m, ex);
       (m, ex)
 
-type 'a results = (Pattern.t * int * int, 'a) Hashtbl.t
+type 'a results = (Pattern.t * int, 'a) Hashtbl.t
 
 let clear_results = ref []
 
@@ -35,9 +35,9 @@ let results () =
   clear_results := (fun () -> Hashtbl.reset t) :: !clear_results;
   t
 
-let result results ~budget ~rounds compute p =
+let result results ~budget compute p =
   let c = Canon.make p in
-  let key = (Canon.pattern c, budget, rounds) in
+  let key = (Canon.pattern c, budget) in
   match Hashtbl.find_opt results key with
   | Some r -> (c, r)
   | None ->

@@ -27,9 +27,14 @@
     {b Result tables.}  Beside the explorations, {!results} tables hold
     the finished per-entry analyses ({!Commute.analyze},
     {!Checks.report}) on canonical patterns, keyed by (canonical
-    pattern, budget, refinement rounds); the analyses rename a hit
-    back to the caller's names.  {!reset} clears them with the
-    explorations.
+    pattern, budget); the analyses rename a hit back to the caller's
+    names.  {!reset} clears them with the explorations.
+
+    {b Clamped explorations.}  {!Commute.analyze} explores the
+    canonical pattern with its ranges clamped ({!Commute.clamp}), so
+    its exploration is keyed by that clamped canonical pattern: entries
+    that differ only in wide range bounds share one exploration, while
+    each keeps its own result (re-expanded to its real bounds).
 
     The tables are process-global and unbounded — the analyzer is a
     batch tool whose working set is the suites named on one command
@@ -57,15 +62,10 @@ val results : unit -> 'a results
     module initialization. *)
 
 val result :
-  'a results ->
-  budget:int ->
-  rounds:int ->
-  (Canon.t -> 'a) ->
-  Pattern.t ->
-  Canon.t * 'a
-(** [result t ~budget ~rounds compute p] canonicalizes [p] and returns
+  'a results -> budget:int -> (Canon.t -> 'a) -> Pattern.t -> Canon.t * 'a
+(** [result t ~budget compute p] canonicalizes [p] and returns
     [compute] of its canonical form, computed at most once per
-    (canonical pattern, budget, rounds) in [t]; the caller renames the
+    (canonical pattern, budget) in [t]; the caller renames the
     result back through the returned {!Canon.t}.  Raises
     {!Loseq_core.Wellformed.Ill_formed} carrying [p] itself when [p] is
     ill-formed (see {!Canon.make}). *)

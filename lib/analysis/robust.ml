@@ -20,6 +20,7 @@ type entry = {
   order_bound : bound;
   time_bound : bound;
   decided : bool;
+  complete : bool;
   races : Commute.race list;
   commuting : (Name.t * Name.t) list;
   time_fragile : bool;
@@ -69,6 +70,7 @@ let entry ?budget (label, p) =
     order_bound;
     time_bound;
     decided;
+    complete = c.Commute.complete;
     races = c.Commute.races;
     commuting = c.Commute.commuting;
     time_fragile;
@@ -115,14 +117,20 @@ let findings ?lateness cert =
       else []
     in
     let undecided =
-      if e.decided then []
-      else
+      if not e.decided then
         [
           Finding.v ~subject Finding.Info "analysis-budget"
             "commutation analysis incomplete within the state budget; \
              lateness bound conservatively certified as %a"
             pp_bound e.bound;
         ]
+      else if not e.complete then
+        [
+          Finding.v ~subject Finding.Info "analysis-budget"
+            "commutation analysis stopped at the state budget: the race \
+             pairs reported are real, but more may exist"
+        ]
+      else []
     in
     let unsafe =
       match lateness with

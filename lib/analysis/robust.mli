@@ -30,7 +30,10 @@
       certifies [Finite 0] ([jitter-fragile]: the verdict is a
       timestamp race);
     - anything undecided within the analysis budget certifies
-      [Finite 0] conservatively.
+      [Finite 0] conservatively.  Since the commutation analysis runs
+      on clamped range counters ({!Commute.clamp}), its state count
+      does not grow with range bounds, and the budget only stops
+      patterns with many names and fragments.
 
     The suite bound is the minimum over its entries; {!Loseq_ingest}
     consults it at startup so that hosting behind a larger reorder
@@ -58,8 +61,14 @@ type entry = {
                            configuration is reachable or the pattern is
                            untimed *)
   decided : bool;
-      (** both analyses ran to completion; an undecided entry is
-          conservatively bounded by [Finite 0] *)
+      (** the bound is exact: a race fixed it at [0], or both analyses
+          ran to completion; an undecided entry is conservatively
+          bounded by [Finite 0] *)
+  complete : bool;
+      (** the commutation analysis explored every state within the
+          budget, so [races] lists every racy pair; a decided entry
+          may still be incomplete (a race fixed its bound before the
+          exploration was cut) *)
   races : Commute.race list;
   commuting : (Name.t * Name.t) list;
   time_fragile : bool;
@@ -81,7 +90,8 @@ val certificate : ?budget:int -> (string * Pattern.t) list -> certificate
 val findings : ?lateness:int -> certificate -> Finding.t list
 (** [race-pair] (warning, twin-trace witness) per racy pair,
     [jitter-fragile] (warning) per time-fragile entry,
-    [analysis-budget] (info) per undecided entry, and — when
+    [analysis-budget] (info) per undecided entry and per decided entry
+    whose race list may be incomplete ([complete] unset), and — when
     [lateness] exceeds an entry's certified bound — [reorder-unsafe]
     (error) for that entry. *)
 

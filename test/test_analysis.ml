@@ -495,6 +495,204 @@ let qcheck_machine_hash_agrees_with_equal =
         states;
       !ok)
 
+(* ---- commutation: Hopcroft refinement and clamped range counters ---- *)
+
+(* [p] with its ranges drawn again: [lo] up to 7 and [hi - lo] up to 7,
+   so bounds on both sides of the clamp constant (3) occur. *)
+let gen_wide_pattern =
+  QCheck2.Gen.(
+    let* p = gen_pattern in
+    let* bounds =
+      list_repeat (Pattern.range_count p)
+        (pair (int_range 1 7) (int_range 0 7))
+    in
+    let bounds = ref bounds in
+    let widen (r : Pattern.range) =
+      match !bounds with
+      | (lo, extra) :: rest ->
+          bounds := rest;
+          Pattern.range ~lo ~hi:(lo + extra) r.name
+      | [] -> r
+    in
+    return (map_pattern ~range:widen ~trigger:Fun.id p))
+
+(* The uncapped Moore fixpoint: split classes by their successor-class
+   rows until no class splits. *)
+let moore ~n_ids ~succ obs =
+  let n = Array.length obs in
+  let count cls =
+    let t = Hashtbl.create 16 in
+    Array.iter (fun c -> Hashtbl.replace t c ()) cls;
+    Hashtbl.length t
+  in
+  let rec go cls =
+    let rows = Hashtbl.create n in
+    let next =
+      Array.init n (fun i ->
+          let row =
+            (cls.(i), List.init n_ids (fun id -> cls.(succ.((i * n_ids) + id))))
+          in
+          match Hashtbl.find_opt rows row with
+          | Some c -> c
+          | None ->
+              let c = Hashtbl.length rows in
+              Hashtbl.add rows row c;
+              c)
+    in
+    if count next = count cls then cls else go next
+  in
+  go obs
+
+(* Two class arrays induce the same partition: class numbers map
+   one-to-one. *)
+let same_partition a b =
+  let ab = Hashtbl.create 16 and ba = Hashtbl.create 16 in
+  let agree t x y =
+    match Hashtbl.find_opt t x with
+    | Some y' -> y = y'
+    | None ->
+        Hashtbl.add t x y;
+        true
+  in
+  let ok = ref (Array.length a = Array.length b) in
+  Array.iteri (fun i x -> if !ok then ok := agree ab x b.(i) && agree ba b.(i) x) a;
+  !ok
+
+let qcheck_hopcroft_matches_moore =
+  qtest ~count:300 "Hopcroft classes = uncapped Moore fixpoint"
+    QCheck2.Gen.(pair gen_wide_pattern (int_range 1 3000))
+    (fun (p, budget) -> Printf.sprintf "%s (budget %d)" (pp_pattern p) budget)
+    (fun (p, budget) ->
+      let m = Machine.make ~exact:true p in
+      let ex = Reach.explore ~budget (Machine.system m) in
+      (not ex.Reach.complete)
+      ||
+      let succ = Commute.successors ex in
+      (* three observable bits, so the initial partition has up to
+         eight blocks *)
+      let obs =
+        Array.map
+          (fun (st : Machine.state) ->
+            Bool.to_int (Machine.is_violated st)
+            lor (Bool.to_int (Machine.can_time_violate m st) lsl 1)
+            lor (Bool.to_int st.matched lsl 2))
+          ex.Reach.states
+      in
+      let n_ids = Machine.n_ids m in
+      same_partition
+        (Commute.refine ~n_ids ~succ obs)
+        (moore ~n_ids ~succ obs))
+
+let qcheck_hopcroft_random_tables =
+  qtest ~count:500 "Hopcroft = Moore on random total tables"
+    QCheck2.Gen.(
+      let* n = int_range 1 60 and* n_ids = int_range 1 4 in
+      let* succ = array_repeat (n * n_ids) (int_bound (n - 1)) in
+      let* obs = array_repeat n (int_bound 2) in
+      return (n_ids, succ, obs))
+    (fun (n_ids, succ, obs) ->
+      Printf.sprintf "n_ids %d, succ [%s], obs [%s]" n_ids
+        (String.concat ";" (Array.to_list (Array.map string_of_int succ)))
+        (String.concat ";" (Array.to_list (Array.map string_of_int obs))))
+    (fun (n_ids, succ, obs) ->
+      same_partition (Commute.refine ~n_ids ~succ obs) (moore ~n_ids ~succ obs))
+
+let race_pairs (r : Commute.result) =
+  List.sort compare
+    (List.map
+       (fun (x : Commute.race) -> (Name.to_string x.a, Name.to_string x.b))
+       r.races)
+
+let name_pairs l =
+  List.sort compare
+    (List.map (fun (a, b) -> (Name.to_string a, Name.to_string b)) l)
+
+(* A race's twin traces are one adjacent swap of its two names apart,
+   and their verdicts on the real pattern differ as recorded. *)
+let witness_replays p (x : Commute.race) =
+  let ab = Array.of_list x.trace_ab and ba = Array.of_list x.trace_ba in
+  let differ =
+    List.filter
+      (fun i -> not (Name.equal ab.(i).Trace.name ba.(i).Trace.name))
+      (List.init (min (Array.length ab) (Array.length ba)) Fun.id)
+  in
+  let final_time = Commute.final_time_for p in
+  let passes tr = Compiled.accepts ?final_time p tr in
+  Array.length ab = Array.length ba
+  && (match differ with
+     | [ i; j ] ->
+         j = i + 1
+         && Name.equal ab.(i).Trace.name x.a
+         && Name.equal ab.(j).Trace.name x.b
+         && Name.equal ba.(i).Trace.name x.b
+         && Name.equal ba.(j).Trace.name x.a
+     | _ -> false)
+  && passes x.trace_ab = x.ab_passes
+  && passes x.trace_ba = not x.ab_passes
+
+(* Robust's bound rules on a commutation result. *)
+let bound_of p (c : Commute.result) =
+  if c.races <> [] then Robust.Finite 0
+  else
+    match p with
+    | Pattern.Antecedent _ -> Robust.Infinite
+    | Pattern.Timed g -> (
+        if not c.time_sensitive then Robust.Infinite
+        else
+          match (Checks.report p).Checks.min_conclusion_events with
+          | Some m when g.Pattern.deadline < m ->
+              Robust.Finite ((m - g.Pattern.deadline - 1) / 2)
+          | _ -> Robust.Finite 0)
+
+let qcheck_clamp_matches_exact =
+  qtest ~count:200 "clamped analysis = exact analysis" gen_wide_pattern
+    pp_pattern (fun p ->
+      let exact = Commute.analyze ~budget:20_000 ~clamped:false p in
+      (not exact.complete)
+      ||
+      let clamped = Commute.analyze ~budget:20_000 p in
+      let entry = Robust.entry ~budget:20_000 ("e", p) in
+      let fail what = QCheck2.Test.fail_reportf "%s differ" what in
+      if not clamped.complete then fail "completeness"
+      else if race_pairs clamped <> race_pairs exact then fail "race pairs"
+      else if name_pairs clamped.commuting <> name_pairs exact.commuting then
+        fail "commuting pairs"
+      else if clamped.time_sensitive <> exact.time_sensitive then
+        fail "time_sensitive"
+      else if entry.Robust.bound <> bound_of p exact then fail "bounds"
+      else if not (List.for_all (witness_replays p) clamped.races) then
+        fail "witness replays"
+      else true)
+
+(* The clamp answers for every bound: the three race pairs of the
+   case-study shape at any [lo], where 64 rounds of Moore refinement
+   used to lose two of them from lo = 64 on. *)
+let test_clamp_any_lo () =
+  let three =
+    [ ("read_img", "set_irq"); ("read_img", "start"); ("set_irq", "start") ]
+  in
+  List.iter
+    (fun (lo, hi) ->
+      let p =
+        pat
+          (Printf.sprintf
+             "start => read_img[%d,%d] < set_irq within 120000" lo hi)
+      in
+      let what = Printf.sprintf "[%d,%d]" lo hi in
+      let check (r : Commute.result) =
+        Alcotest.(check bool) (what ^ " complete") true r.complete;
+        Alcotest.(check (list (pair string string)))
+          (what ^ " race pairs") three (race_pairs r);
+        List.iter
+          (fun x ->
+            Alcotest.(check bool) (what ^ " witness replays") true
+              (witness_replays p x))
+          r.races
+      in
+      check (Commute.analyze p);
+      if hi - lo < 10 then check (Commute.analyze ~clamped:false p))
+    [ (3, 7); (63, 67); (64, 68); (65, 69); (100, 104); (100, 60000) ]
+
 let () =
   Alcotest.run "analysis"
     [
@@ -532,5 +730,13 @@ let () =
           qcheck_explore_matches_reference;
           qcheck_product_explore_matches_reference;
           qcheck_machine_hash_agrees_with_equal;
+        ] );
+      ( "commutation",
+        [
+          Alcotest.test_case "three race pairs at any lo" `Quick
+            test_clamp_any_lo;
+          qcheck_hopcroft_matches_moore;
+          qcheck_hopcroft_random_tables;
+          qcheck_clamp_matches_exact;
         ] );
     ]

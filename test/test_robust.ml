@@ -104,6 +104,37 @@ let test_racy_findings () =
   in
   Alcotest.(check int) "reorder-unsafe is an error" 2 (Finding.exit_code unsafe)
 
+(* An entry whose bound a race fixed before the budget cut its
+   exploration is decided, but its race list may be incomplete: it
+   says so with an [analysis-budget] note, which a full budget
+   drops. *)
+let test_incomplete_race_list () =
+  let budget_notes cert =
+    List.filter_map
+      (fun (f : Finding.t) ->
+        if String.equal f.code "analysis-budget" then f.subject else None)
+      (Robust.findings cert)
+  in
+  let cut = Robust.certificate ~budget:2 (labeled racy) in
+  let handshake =
+    List.find (fun (e : Robust.entry) -> e.label = "handshake") cut.entries
+  in
+  Alcotest.(check bool) "handshake decided" true handshake.decided;
+  Alcotest.(check bool) "handshake incomplete" false handshake.complete;
+  Alcotest.(check bool) "handshake has a race" true (handshake.races <> []);
+  Alcotest.(check bool)
+    "handshake bound 0" true
+    (handshake.bound = Robust.Finite 0);
+  Alcotest.(check bool)
+    "every incomplete entry is noted" true
+    (List.for_all
+       (fun (e : Robust.entry) ->
+         e.complete || List.mem e.label (budget_notes cut))
+       cut.entries);
+  let full = Robust.certificate (labeled racy) in
+  Alcotest.(check (list string))
+    "no note at the full budget" [] (budget_notes full)
+
 let test_ipu_certificate () =
   let cert = Robust.certificate ~budget:20_000 (labeled ipu) in
   Alcotest.(check bool) "ipu bound is 0" true (cert.bound = Robust.Finite 0)
@@ -571,6 +602,8 @@ let () =
           Alcotest.test_case "racy.suite certificate" `Quick
             test_racy_certificate;
           Alcotest.test_case "racy.suite findings" `Quick test_racy_findings;
+          Alcotest.test_case "incomplete race list noted" `Quick
+            test_incomplete_race_list;
           Alcotest.test_case "ipu.suite certificate" `Quick
             test_ipu_certificate;
           Alcotest.test_case "twin trace CSVs" `Quick test_twin_traces;
