@@ -75,23 +75,22 @@ let refine ~n_ids ~succ obs =
           cls.(i) <- b)
     obs;
   let blocks = ref (Hashtbl.length values) in
-  let first = Array.make (max n 1) 0 and past = Array.make (max n 1) 0 in
+  let first = Array.make n 0 and past = Array.make n 0 in
   Array.iter (fun b -> past.(b) <- past.(b) + 1) cls;
   for b = 1 to !blocks - 1 do
     first.(b) <- past.(b - 1);
     past.(b) <- past.(b) + past.(b - 1)
   done;
   let elems = Array.make n 0 and loc = Array.make n 0 in
-  let fill = Array.sub first 0 (max n 1) in
+  let fill = Array.sub first 0 n in
   Array.iteri
     (fun i b ->
       elems.(fill.(b)) <- i;
       loc.(i) <- fill.(b);
       fill.(b) <- fill.(b) + 1)
     cls;
-  let marked = Array.make (max n 1) 0 in
+  let marked = Array.make n 0 in
   let waiting = Stack.create () in
-  let push b = Stack.push b waiting in
   (* every initial block but the largest: its preimage is implied *)
   let largest = ref 0 in
   for b = 1 to !blocks - 1 do
@@ -99,7 +98,7 @@ let refine ~n_ids ~succ obs =
       largest := b
   done;
   for b = 0 to !blocks - 1 do
-    if b <> !largest then push b
+    if b <> !largest then Stack.push b waiting
   done;
   let touched = Stack.create () and splitter = Array.make n 0 in
   let mark i =
@@ -136,7 +135,7 @@ let refine ~n_ids ~succ obs =
         cls.(elems.(k)) <- nb
       done;
       (* whether or not [b] is still waiting, [nb] must be *)
-      push nb
+      Stack.push nb waiting
     end
   in
   while not (Stack.is_empty waiting) do
