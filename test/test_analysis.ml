@@ -664,9 +664,9 @@ let qcheck_clamp_matches_exact =
         fail "witness replays"
       else true)
 
-(* The clamp answers for every bound: the three race pairs of the
-   case-study shape at any [lo], where 64 rounds of Moore refinement
-   used to lose two of them from lo = 64 on. *)
+(* The three race pairs of the case-study shape at any [lo]: a
+   refinement capped at 64 rounds loses two of them from lo = 64 on,
+   because their distinguishing suffix counts up to [lo]. *)
 let test_clamp_any_lo () =
   let three =
     [ ("read_img", "set_irq"); ("read_img", "start"); ("set_irq", "start") ]
