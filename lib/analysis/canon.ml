@@ -19,22 +19,10 @@ let make p =
   let fwd = Name.Map.of_list ranked in
   let back = Name.Map.of_list (List.map (fun (nm, c) -> (c, nm)) ranked) in
   let rename nm = Name.Map.find nm fwd in
-  let ordering =
-    List.map (fun (f : Pattern.fragment) ->
-        Pattern.fragment ~connective:f.connective
-          (List.map
-             (fun (r : Pattern.range) ->
-               Pattern.range ~lo:r.lo ~hi:r.hi (rename r.name))
-             f.ranges))
-  in
   let canonical =
-    match p with
-    | Pattern.Antecedent a ->
-        Pattern.antecedent ~repeated:a.repeated (ordering a.body)
-          ~trigger:(rename a.trigger)
-    | Pattern.Timed g ->
-        Pattern.timed (ordering g.premise) (ordering g.conclusion)
-          ~deadline:g.deadline
+    Pattern.map_ranges ~trigger:rename
+      (fun (r : Pattern.range) -> Pattern.range ~lo:r.lo ~hi:r.hi (rename r.name))
+      p
   in
   { canonical; concrete = p; back }
 

@@ -182,7 +182,9 @@ let successors ex =
    [a < b], that is [relevant], scan the states in BFS order for the
    first where [ab] and [ba] reach states the observable [obs] tells
    apart, now ([obs] differs) or after some suffix (their refinement
-   classes differ); [witness i a b suffix] builds that race.  Successor
+   classes differ); [witness i a b suffix] builds that race, or is
+   [None] when its twin traces would exceed the budget, which leaves
+   the pair undecided.  Successor
    states are compared by index; a successor the budget cut off (no
    index, and no refinement then) is stepped.  Returns the races, the
    commuting pairs and whether every pair was decided. *)
@@ -270,7 +272,13 @@ let scan ~budget ~obs ~relevant ~witness ex =
               end
           in
           (match differs with
-          | Some (Some suffix) -> race := Some (witness !i a b suffix)
+          | Some (Some suffix) -> (
+              match witness !i a b suffix with
+              | Some r -> race := Some r
+              | None ->
+                  (* racy, but its twin traces exceed the budget *)
+                  decided := false;
+                  i := nstates)
           | Some None -> decided := false (* suffix search hit the budget *)
           | None -> ());
           incr i
@@ -306,34 +314,25 @@ let clamp_range (r : Pattern.range) =
   let lo = min r.lo clamp_k in
   Pattern.range ~lo ~hi:(lo + min (r.hi - r.lo) clamp_k) r.name
 
-let clamp p =
-  let ordering =
-    List.map (fun (f : Pattern.fragment) ->
-        Pattern.fragment ~connective:f.connective
-          (List.map clamp_range f.ranges))
-  in
-  match p with
-  | Pattern.Antecedent a ->
-      Pattern.antecedent ~repeated:a.repeated (ordering a.body)
-        ~trigger:a.trigger
-  | Pattern.Timed g ->
-      Pattern.timed (ordering g.premise) (ordering g.conclusion)
-        ~deadline:g.deadline
+let clamp = Pattern.map_ranges clamp_range
+
+let sat_add a b = if a > max_int - b then max_int else a + b
 
 (* The length of a real run standing for a clamped run of [n] events
    of a range clamped from [u,v] to [u',v']: the least real length in
    the same region whose successor is also in the successor's region,
    so a run the swap lengthens by one keeps both regions, and a least
-   clamped witness maps to a least real one. *)
+   clamped witness maps to a least real one.  Saturates at [max_int]. *)
 let stretch (r : Pattern.range) n =
   let r' = clamp_range r in
   if n < r'.lo - 1 then n
-  else if n < r'.hi then n + r.lo - r'.lo
-  else n + r.hi - r'.hi
+  else if n < r'.hi then sat_add n (r.lo - r'.lo)
+  else sat_add n (r.hi - r'.hi)
 
-(* Re-expand a clamped word: every maximal run of a range's own name
-   gets its {!stretch}ed length; other names (triggers) are kept. *)
-let expand ranges names =
+(* The maximal runs of a clamped word, each as its name and real
+   length: a range's own name gets its {!stretch}ed length, other
+   names (triggers) keep theirs. *)
+let runs ranges names =
   let rec go acc = function
     | [] -> List.rev acc
     | nm :: _ as l ->
@@ -347,58 +346,51 @@ let expand ranges names =
           | Some r -> stretch r k
           | None -> k
         in
-        go (List.rev_append (List.init k (fun _ -> nm)) acc) rest
+        go ((nm, k) :: acc) rest
   in
   go [] names
 
-(* The analysis of one canonical form ([p]) on its clamped pattern
-   (unless [~clamped:false]); witnesses are re-expanded to [p]'s
-   bounds and replayed on [p].  A failure names the concrete
-   pattern. *)
-let analyze_canonical ~clamped ~budget c =
-  let p = Canon.pattern c in
-  let m, ex =
-    Memo.explore ~budget ~exact:true
-      (if clamped then Canon.make (clamp p) else c)
-  in
-  (* the ranges whose runs are re-expanded: none when unclamped *)
-  let ranges =
-    if not clamped then Name.Map.empty
-    else
-      List.fold_left
-        (fun acc (f : Pattern.fragment) ->
-          List.fold_left
-            (fun acc (r : Pattern.range) -> Name.Map.add r.name r acc)
-            acc f.ranges)
-        Name.Map.empty (Pattern.body_ordering p)
-  in
+let runs_length = List.fold_left (fun acc (_, k) -> sat_add acc k) 0
+let expand = List.concat_map (fun (nm, k) -> List.init k (fun _ -> nm))
+
+(* The analysis of [p] on the exploration [(m, ex)] of [p] itself or of
+   its {!clamp}; [ranges] maps each name whose runs are re-expanded to
+   its real range (empty for [p]'s own machine).  Witnesses are
+   replayed on [p]; a failure names [concrete].  A race whose twin
+   traces would exceed [budget] events leaves its pair undecided. *)
+let analysis ~budget ~ranges ~concrete p (m, ex) =
   let time_sensitive = Reach.find ex (Machine.can_time_violate m) <> None in
   let timed = Machine.timed m in
   let ft = final_time_for p in
   let witness i ida idb suffix_ids =
     let prefix, _ = Witness.concretize m (Reach.path ex i) in
-    let na = Machine.name m ida and nb = Machine.name m idb in
-    let prefix = expand ranges (Trace.names prefix)
-    and suffix = expand ranges (List.map (Machine.name m) suffix_ids) in
-    let mk order =
-      let names = prefix @ order @ suffix in
-      if timed then List.map (fun nm -> Trace.event ~time:0 nm) names
-      else List.mapi (fun t nm -> Trace.event ~time:t nm) names
-    in
-    let trace_ab = mk [ na; nb ] and trace_ba = mk [ nb; na ] in
-    let pass tr = Compiled.accepts ?final_time:ft p tr in
-    let ab_passes = pass trace_ab and ba_passes = pass trace_ba in
-    if ab_passes = ba_passes then
-      failwith
-        (Format.asprintf
-           "Commute.analyze: twin traces agree on %a (abstraction bug)"
-           Pattern.pp (Canon.concrete c));
-    let time_divergence =
-      match ft with
-      | None -> false
-      | Some _ -> Compiled.accepts p trace_ab = Compiled.accepts p trace_ba
-    in
-    { a = na; b = nb; trace_ab; trace_ba; ab_passes; time_divergence }
+    let prefix = runs ranges (Trace.names prefix)
+    and suffix = runs ranges (List.map (Machine.name m) suffix_ids) in
+    (* sized before anything is built: a real bound of 10^9 re-expands
+       a two-event clamped run to 10^9 events *)
+    if sat_add (runs_length prefix) (runs_length suffix) > budget - 2 then None
+    else
+      let na = Machine.name m ida and nb = Machine.name m idb in
+      let prefix = expand prefix and suffix = expand suffix in
+      let mk order =
+        let names = prefix @ order @ suffix in
+        if timed then List.map (fun nm -> Trace.event ~time:0 nm) names
+        else List.mapi (fun t nm -> Trace.event ~time:t nm) names
+      in
+      let trace_ab = mk [ na; nb ] and trace_ba = mk [ nb; na ] in
+      let pass tr = Compiled.accepts ?final_time:ft p tr in
+      let ab_passes = pass trace_ab and ba_passes = pass trace_ba in
+      if ab_passes = ba_passes then
+        failwith
+          (Format.asprintf
+             "Commute.analyze: twin traces agree on %a (abstraction bug)"
+             Pattern.pp concrete);
+      let time_divergence =
+        match ft with
+        | None -> false
+        | Some _ -> Compiled.accepts p trace_ab = Compiled.accepts p trace_ba
+      in
+      Some { a = na; b = nb; trace_ab; trace_ba; ab_passes; time_divergence }
   in
   let races, commuting, complete =
     scan ~budget
@@ -415,17 +407,25 @@ let analyze_canonical ~clamped ~budget c =
     time_sensitive;
   }
 
-let results = Memo.results ()
-let unclamped_results = Memo.results ()
-
-let analyze ?(budget = 200_000) ?(clamped = true) p =
-  let c, r =
-    Memo.result
-      (if clamped then results else unclamped_results)
-      ~budget
-      (analyze_canonical ~clamped ~budget)
-      p
+(* One canonical form, on its clamped pattern: runs re-expand to the
+   canonical pattern's bounds. *)
+let analyze_canonical ~budget c =
+  let p = Canon.pattern c in
+  let ranges =
+    List.fold_left
+      (fun acc (f : Pattern.fragment) ->
+        List.fold_left
+          (fun acc (r : Pattern.range) -> Name.Map.add r.name r acc)
+          acc f.ranges)
+      Name.Map.empty (Pattern.body_ordering p)
   in
+  analysis ~budget ~ranges ~concrete:(Canon.concrete c) p
+    (Memo.explore ~budget ~exact:true (Canon.make (clamp p)))
+
+let results = Memo.results ()
+
+let analyze ?(budget = 200_000) p =
+  let c, r = Memo.result results ~budget (analyze_canonical ~budget) p in
   let name = Canon.name c and trace = Canon.trace c in
   {
     r with
@@ -443,6 +443,12 @@ let analyze ?(budget = 200_000) ?(clamped = true) p =
         r.races;
     commuting = List.map (fun (a, b) -> (name a, name b)) r.commuting;
   }
+
+let analyze_exact ?(budget = 200_000) p =
+  Wellformed.check_exn p;
+  let m = Machine.make ~exact:true p in
+  analysis ~budget ~ranges:Name.Map.empty ~concrete:p p
+    (m, Reach.explore ~budget (Machine.system m))
 
 (* ---- cross-checker commutation on the synchronous product ------------- *)
 
@@ -509,8 +515,9 @@ let analyze_product ?(budget = 200_000) (la, pa) (lb, pb) =
            "Commute.analyze_product: twin traces agree on %s x %s \
             (abstraction bug)"
            la lb);
-    { label_a = la; label_b = lb; a = na; b = nb; trace_ab; trace_ba;
-      ab_verdicts; ba_verdicts }
+    Some
+      { label_a = la; label_b = lb; a = na; b = nb; trace_ab; trace_ba;
+        ab_verdicts; ba_verdicts }
   in
   let races, commuting, complete =
     scan ~budget ~obs:pobs ~relevant ~witness ex

@@ -24,7 +24,9 @@
     range counters") at a state count independent of the bounds.  Its
     witnesses are re-expanded to the real bounds (each run of a
     range's name stretched to the least real length in its region)
-    and replayed on the real pattern.
+    and replayed on the real pattern.  A re-expanded witness grows
+    with the real bounds, so its length is worked out first, and a
+    pair whose twin traces would exceed the budget is left undecided.
 
     A pair that fails the test at some reachable state is {e racy}:
     the order of [a] and [b] is verdict-relevant there, and the
@@ -60,8 +62,9 @@ type race = {
 type result = {
   pattern : Pattern.t;
   complete : bool;
-      (** exploration within budget (and every witness search too):
-          absence of a race means the pair really commutes *)
+      (** exploration within budget, and every witness search and
+          twin trace too: absence of a race means the pair really
+          commutes *)
   races : race list;  (** one (shortest-prefix) witness per racy pair *)
   commuting : (Name.t * Name.t) list;
       (** pairs certified to commute (empty unless [complete]) *)
@@ -70,12 +73,13 @@ type result = {
           conclusion incomplete — the deadline verdict is live *)
 }
 
-val analyze : ?budget:int -> ?clamped:bool -> Pattern.t -> result
-(** [budget] bounds the exact-counter exploration and each witness
-    search (default 200000 states).  [clamped] (default [true])
-    explores the {!clamp}ed pattern; [~clamped:false] explores the
-    real bounds, one state per counter value — the reference the
-    clamp is tested against.  Raises
+val analyze : ?budget:int -> Pattern.t -> result
+(** [budget] bounds the exploration of the {!clamp}ed pattern, each
+    witness search, and the length of each re-expanded twin trace
+    (default 200000 states or events).  A race whose twin traces would
+    be longer leaves its pair undecided and clears [complete]; the
+    length is worked out before any trace is built, so a range bound
+    of 10^9 costs no more than one of 10^3.  Raises
     {!Loseq_core.Wellformed.Ill_formed}, and [Failure] if a witness
     fails to replay (an abstraction soundness bug, as in
     {!Witness.concretize}).
@@ -84,6 +88,11 @@ val analyze : ?budget:int -> ?clamped:bool -> Pattern.t -> result
     (canonical pattern, budget) in a {!Memo} result table: renamed
     copies of one pattern are analysed once, and each gets the result
     with its own names back. *)
+
+val analyze_exact : ?budget:int -> Pattern.t -> result
+(** {!analyze} on the real bounds, one state per counter value: the
+    reference the clamp is tested against.  Not cached; witnesses
+    need no re-expansion. *)
 
 val clamp : Pattern.t -> Pattern.t
 (** Every range [[u,v]] narrowed to [[min u 3, min u 3 + min (v-u) 3]];

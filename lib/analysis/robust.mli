@@ -32,8 +32,9 @@
     - anything undecided within the analysis budget certifies
       [Finite 0] conservatively.  Since the commutation analysis runs
       on clamped range counters ({!Commute.clamp}), its state count
-      does not grow with range bounds, and the budget only stops
-      patterns with many names and fragments.
+      does not grow with range bounds; the budget stops patterns
+      with many names and fragments, and races whose witnesses,
+      re-expanded to huge bounds, would exceed it.
 
     The suite bound is the minimum over its entries; {!Loseq_ingest}
     consults it at startup so that hosting behind a larger reorder

@@ -29,6 +29,19 @@ let timed premise conclusion ~deadline =
   if deadline < 0 then invalid_arg "Pattern.timed: negative deadline";
   Timed { premise; conclusion; deadline }
 
+let map_ranges ?(trigger = Fun.id) f p =
+  let ordering frags =
+    List.map (fun fr -> { fr with ranges = List.map f fr.ranges }) frags
+  in
+  match p with
+  | Antecedent a ->
+      let body = ordering a.body in
+      Antecedent { a with body; trigger = trigger a.trigger }
+  | Timed g ->
+      let premise = ordering g.premise in
+      let conclusion = ordering g.conclusion in
+      Timed { g with premise; conclusion }
+
 let alpha_range r = Name.Set.singleton r.name
 
 let alpha_fragment f =

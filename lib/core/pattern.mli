@@ -66,6 +66,12 @@ val timed : ordering -> ordering -> deadline:int -> t
 (** [timed p q ~deadline] is [(p => q, deadline)].
     Raises [Invalid_argument] on an empty ordering or negative deadline. *)
 
+val map_ranges : ?trigger:(Name.t -> Name.t) -> (range -> range) -> t -> t
+(** [map_ranges ?trigger f p] is [p] with every range [r] replaced by
+    [f r], applied in syntactic order (premise before conclusion), and
+    an antecedent's trigger [i] by [trigger i] (default: kept).
+    Connectives, repetition and deadline are kept. *)
+
 (** {1 Alphabets}
 
     [alpha_*] is the set [α] of interface names appearing in a construct. *)

@@ -514,7 +514,7 @@ let gen_wide_pattern =
           Pattern.range ~lo ~hi:(lo + extra) r.name
       | [] -> r
     in
-    return (map_pattern ~range:widen ~trigger:Fun.id p))
+    return (Pattern.map_ranges widen p))
 
 (* The uncapped Moore fixpoint: split classes by their successor-class
    rows until no class splits. *)
@@ -647,7 +647,7 @@ let bound_of p (c : Commute.result) =
 let qcheck_clamp_matches_exact =
   qtest ~count:200 "clamped analysis = exact analysis" gen_wide_pattern
     pp_pattern (fun p ->
-      let exact = Commute.analyze ~budget:20_000 ~clamped:false p in
+      let exact = Commute.analyze_exact ~budget:20_000 p in
       (not exact.complete)
       ||
       let clamped = Commute.analyze ~budget:20_000 p in
@@ -690,8 +690,40 @@ let test_clamp_any_lo () =
           r.races
       in
       check (Commute.analyze p);
-      if hi - lo < 10 then check (Commute.analyze ~clamped:false p))
+      if hi - lo < 10 then check (Commute.analyze_exact p))
     [ (3, 7); (63, 67); (64, 68); (65, 69); (100, 104); (100, 60000) ]
+
+(* A race on a range bound of 10^9 is found on a clamped run of a few
+   events, but its re-expanded twin traces would hold 10^9 events: the
+   analysis sizes them first, leaves the pair undecided, and finishes
+   at once.  Robust then certifies the conservative bound with an
+   [analysis-budget] note. *)
+let test_huge_bounds () =
+  List.iter
+    (fun src ->
+      let p = pat src in
+      let t0 = Sys.time () in
+      let r = Commute.analyze p in
+      let e = Robust.entry ("e", p) in
+      let fs = Robust.findings { entries = [ e ]; bound = e.bound; decided = e.decided } in
+      let spent = Sys.time () -. t0 in
+      Alcotest.(check bool) (src ^ " incomplete") false r.complete;
+      List.iter
+        (fun x ->
+          Alcotest.(check bool) (src ^ " witness replays") true
+            (witness_replays p x))
+        r.races;
+      Alcotest.(check bool) (src ^ " bound 0") true (e.bound = Robust.Finite 0);
+      Alcotest.(check bool)
+        (src ^ " analysis-budget noted") true
+        (List.exists
+           (fun (f : Finding.t) -> String.equal f.code "analysis-budget")
+           fs);
+      if spent > 5.0 then Alcotest.failf "%s took %.1f s of CPU" src spent)
+    [
+      "start => a[1000000000,1000000000] < b within 10";
+      "{a[1000000000,2000000000], b} << t";
+    ]
 
 let () =
   Alcotest.run "analysis"
@@ -735,6 +767,8 @@ let () =
         [
           Alcotest.test_case "three race pairs at any lo" `Quick
             test_clamp_any_lo;
+          Alcotest.test_case "huge bounds finish undecided" `Quick
+            test_huge_bounds;
           qcheck_hopcroft_matches_moore;
           qcheck_hopcroft_random_tables;
           qcheck_clamp_matches_exact;

@@ -80,18 +80,13 @@ let qcheck_measured_ops_independent_of_bounds =
     (fun p ->
       (* Widen every range: per-event measured ops on the same accepted
          prefix must not change. *)
-      let widen (f : Pattern.fragment) =
-        Pattern.fragment ~connective:f.connective
-          (List.map
-             (fun (r : Pattern.range) ->
-               Pattern.range ~lo:r.lo ~hi:(r.hi + 1000) r.name)
-             f.ranges)
-      in
       match p with
-      | Pattern.Antecedent a ->
+      | Pattern.Antecedent _ ->
           let p' =
-            Pattern.antecedent ~repeated:a.repeated (List.map widen a.body)
-              ~trigger:a.trigger
+            Pattern.map_ranges
+              (fun (r : Pattern.range) ->
+                Pattern.range ~lo:r.lo ~hi:(r.hi + 1000) r.name)
+              p
           in
           let rng = Random.State.make [| 42 |] in
           let trace = Generate.valid ~rounds:1 ~max_run:0 rng p in

@@ -25,24 +25,9 @@ let verdict_testable =
   in
   Alcotest.testable pp eq
 
-(* [p] with every range [r] replaced by [range r] and the trigger
-   [t] by [trigger t], in syntactic order. *)
-let map_pattern ~range ~trigger p =
-  let ordering =
-    List.map (fun (fr : Pattern.fragment) ->
-        Pattern.fragment ~connective:fr.connective (List.map range fr.ranges))
-  in
-  match p with
-  | Pattern.Antecedent a ->
-      Pattern.antecedent ~repeated:a.repeated (ordering a.body)
-        ~trigger:(trigger a.trigger)
-  | Pattern.Timed g ->
-      Pattern.timed (ordering g.premise) (ordering g.conclusion)
-        ~deadline:g.deadline
-
 (* [p] with every event name [n] replaced by [f n]. *)
 let rename_pattern f =
-  map_pattern ~trigger:f ~range:(fun (r : Pattern.range) ->
+  Pattern.map_ranges ~trigger:f (fun (r : Pattern.range) ->
       Pattern.range ~lo:r.lo ~hi:r.hi (f r.name))
 
 let accepts p trace = Monitor.accepts p trace
