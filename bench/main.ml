@@ -503,6 +503,56 @@ let disjoint_suite n =
         line = i + 1;
       })
 
+(* The render layer: the two records [serve --ooo] writes per late
+   event on servebench's racy workload, a speculative [violation] (a
+   missing [req]) and its [retracted], each built and written through
+   the serve emitter to /dev/null, [render_count] records per timed
+   run.  The figure is ns per record, channel writes included. *)
+let render_count = 50_000
+
+let render_records () =
+  let open Loseq_ingest in
+  let req = Pattern.range (Name.v "req_0") in
+  let violation k =
+    Server.violation_record ~speculative:true ~name:"handshake_0"
+      {
+        Diag.name = None;
+        time = 150 * k;
+        index = 3 * k;
+        fragment = 0;
+        reason = Diag.Missing req;
+      }
+  in
+  let retracted _ = Server.retracted_record ~name:"handshake_0" in
+  let null = open_out_bin "/dev/null" in
+  let sink = Server.sink null in
+  let timed record () () =
+    for k = 1 to render_count do
+      Server.emit_record sink (record k)
+    done;
+    flush null
+  in
+  let timings =
+    measure
+      [ ("violation", timed violation); ("retracted", timed retracted) ]
+  in
+  close_out null;
+  let per_record t = t *. 1e9 /. float_of_int render_count in
+  Format.printf "@.render, %d records per run, written to /dev/null:@."
+    render_count;
+  Format.printf "%-10s | %27s@." "record" "ns/record [q1, q3]";
+  Json.Obj
+    (("records", Json.Int render_count)
+    :: List.map
+         (fun (record, t) ->
+           Format.printf "%-10s | %9.1f [%.1f, %.1f]@." record
+             (per_record t.median) (per_record t.q1) (per_record t.q3);
+           ( record,
+             Json.Obj
+               (timing_json t
+               @ [ ("ns_per_record", fixed (per_record t.median)) ]) ))
+         timings)
+
 let dispatch () =
   section "Hosted dispatch: N disjoint checkers on one tap, every hosting";
   let open Loseq_sim in
@@ -695,6 +745,7 @@ let dispatch () =
       | Json.Float x -> Format.printf "  %-28s %.3f@." k x
       | v -> Format.printf "  %-28s %s@." k (Json.to_string v))
     bounds;
+  let render = render_records () in
   let row ((n, _, stream) as w) =
     Json.Obj
       (("checkers", Json.Int n)
@@ -719,7 +770,8 @@ let dispatch () =
         Json.String
           "N disjoint {a_i, b_i} <<! go_i checkers, round-robin satisfying \
            stream, every hosting; decode, session, metrics and trace \
-           layers at 16 checkers" );
+           layers at 16 checkers; render: serve's violation and \
+           retracted records through its emitter to /dev/null" );
       ( "clock",
         Json.String
           "monotonic wall clock; 1 warm-up round, then interleaved rounds; \
@@ -731,6 +783,7 @@ let dispatch () =
       ("trace_records_emitted", Json.Int (Ring.total !last_ring));
       ("trace_records_dropped", Json.Int (Ring.dropped !last_ring));
       ("rows", Json.List (List.map row workloads));
+      ("render", render);
       ("bounds", Json.Obj bounds);
     ]
 

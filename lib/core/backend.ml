@@ -155,7 +155,17 @@ let tri_to_string = function
 
 let pp_tri ppf t = Format.pp_print_string ppf (tri_to_string t)
 
+let verdict_to_string = function
+  | Running -> "pass (running)"
+  | Satisfied -> "pass (satisfied)"
+  | Violated v ->
+      let buf = Buffer.create 128 in
+      Buffer.add_string buf "FAIL: ";
+      Diag.add_violation buf v;
+      Buffer.contents buf
+
+(* The violation keeps its own h box after the prefix, where the
+   printer has always opened it. *)
 let pp_verdict ppf = function
-  | Running -> Format.pp_print_string ppf "pass (running)"
-  | Satisfied -> Format.pp_print_string ppf "pass (satisfied)"
   | Violated v -> Format.fprintf ppf "FAIL: %a" Diag.pp_violation v
+  | v -> Format.pp_print_string ppf (verdict_to_string v)

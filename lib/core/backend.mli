@@ -168,6 +168,10 @@ val tri_to_string : tri -> string
 
 val pp_tri : Format.formatter -> tri -> unit
 
+val verdict_to_string : verdict -> string
+(** ["pass (running)"], ["pass (satisfied)"] or ["FAIL: "] followed by
+    {!Diag.violation_to_string} — the rendering hosts print in reports
+    and verdict records. *)
+
 val pp_verdict : Format.formatter -> verdict -> unit
-(** ["pass (running)"], ["pass (satisfied)"] or ["FAIL: ..."] — the
-    rendering hosts print in reports. *)
+(** {!verdict_to_string}'s text, the violation in an [h] box. *)

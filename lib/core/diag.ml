@@ -20,41 +20,93 @@ type violation = {
   reason : reason;
 }
 
-let pp_reason ppf = function
-  | Before_name -> Format.pp_print_string ppf "name of an earlier fragment"
-  | After_name -> Format.pp_print_string ppf "name of a later fragment"
+(* One text per message, written into a [Buffer]: the NDJSON records of
+   [serve] render a message per violation, and the [Format] printers
+   below wrap the same text. *)
+
+let add_int = Json.add_int
+
+let add_range buf (r : Pattern.range) =
+  Buffer.add_string buf (Name.to_string r.name);
+  if not (r.lo = 1 && r.hi = 1) then begin
+    Buffer.add_char buf '[';
+    add_int buf r.lo;
+    Buffer.add_char buf ',';
+    add_int buf r.hi;
+    Buffer.add_char buf ']'
+  end
+
+let add_reason buf = function
+  | Before_name -> Buffer.add_string buf "name of an earlier fragment"
+  | After_name -> Buffer.add_string buf "name of a later fragment"
   | Overflow r ->
-      Format.fprintf ppf "more than %d occurrence(s) of %a" r.hi Name.pp
-        r.name
+      Buffer.add_string buf "more than ";
+      add_int buf r.hi;
+      Buffer.add_string buf " occurrence(s) of ";
+      Buffer.add_string buf (Name.to_string r.name)
   | Underflow r ->
-      Format.fprintf ppf "block of %a ended before %d occurrence(s)" Name.pp
-        r.name r.lo
+      Buffer.add_string buf "block of ";
+      Buffer.add_string buf (Name.to_string r.name);
+      Buffer.add_string buf " ended before ";
+      add_int buf r.lo;
+      Buffer.add_string buf " occurrence(s)"
   | Reentered r ->
-      Format.fprintf ppf "second block for range %a" Pattern.pp_range r
+      Buffer.add_string buf "second block for range ";
+      add_range buf r
   | Missing r ->
-      Format.fprintf ppf "required range %a never occurred" Pattern.pp_range r
+      Buffer.add_string buf "required range ";
+      add_range buf r;
+      Buffer.add_string buf " never occurred"
   | Empty_fragment ->
-      Format.pp_print_string ppf "disjunctive fragment matched no range"
+      Buffer.add_string buf "disjunctive fragment matched no range"
   | Trigger_early ->
-      Format.pp_print_string ppf "trigger before its antecedent was observed"
+      Buffer.add_string buf "trigger before its antecedent was observed"
   | Deadline_miss { started; deadline; now } ->
-      Format.fprintf ppf
-        "conclusion not finished by t=%d (premise ended at %d, checked at %d)"
-        deadline started now
+      Buffer.add_string buf "conclusion not finished by t=";
+      add_int buf deadline;
+      Buffer.add_string buf " (premise ended at ";
+      add_int buf started;
+      Buffer.add_string buf ", checked at ";
+      add_int buf now;
+      Buffer.add_char buf ')'
   | Late_conclusion { deadline; at } ->
-      Format.fprintf ppf "conclusion event at t=%d after deadline t=%d" at
-        deadline
-  | Foreign n -> Format.fprintf ppf "foreign event %a" Name.pp n
+      Buffer.add_string buf "conclusion event at t=";
+      add_int buf at;
+      Buffer.add_string buf " after deadline t=";
+      add_int buf deadline
+  | Foreign n ->
+      Buffer.add_string buf "foreign event ";
+      Buffer.add_string buf (Name.to_string n)
   | Formula_falsified ->
-      Format.pp_print_string ppf "PSL residual obligation falsified"
+      Buffer.add_string buf "PSL residual obligation falsified"
 
-let pp_violation ppf v =
-  Format.fprintf ppf "@[<h>violation at t=%d" v.time;
+let add_violation buf v =
+  Buffer.add_string buf "violation at t=";
+  add_int buf v.time;
   (match v.name with
-  | Some n -> Format.fprintf ppf " on %a (event #%d)" Name.pp n v.index
+  | Some n ->
+      Buffer.add_string buf " on ";
+      Buffer.add_string buf (Name.to_string n);
+      Buffer.add_string buf " (event #";
+      add_int buf v.index;
+      Buffer.add_char buf ')'
   | None -> ());
-  Format.fprintf ppf ", fragment %d: %a@]" v.fragment pp_reason v.reason
+  Buffer.add_string buf ", fragment ";
+  add_int buf v.fragment;
+  Buffer.add_string buf ": ";
+  add_reason buf v.reason
 
-let violation_to_string v = Format.asprintf "%a" pp_violation v
+let render add x =
+  let buf = Buffer.create 96 in
+  add buf x;
+  Buffer.contents buf
+
+let violation_to_string v = render add_violation v
+
+(* The message holds no break hint, so printing it as one string is
+   what the former field-by-field printers printed; the violation keeps
+   its h box, whose opening is where [Format] may break a line. *)
+let pp_reason ppf r = Format.pp_print_string ppf (render add_reason r)
+let pp_violation ppf v = Format.fprintf ppf "@[<h>%s@]" (violation_to_string v)
 
 let equal_reason (a : reason) (b : reason) = a = b

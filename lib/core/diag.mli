@@ -26,7 +26,20 @@ type violation = {
   reason : reason;
 }
 
-val pp_reason : Format.formatter -> reason -> unit
-val pp_violation : Format.formatter -> violation -> unit
+val add_reason : Buffer.t -> reason -> unit
+(** Appends the reason's one-line text, e.g. [required range a[1,2]
+    never occurred]. *)
+
+val add_violation : Buffer.t -> violation -> unit
+(** Appends [violation at t=T[ on NAME (event #I)], fragment F: REASON].
+    Every rendering of a violation goes through this one writer. *)
+
 val violation_to_string : violation -> string
+
+val pp_reason : Format.formatter -> reason -> unit
+(** {!add_reason}'s text, as one string. *)
+
+val pp_violation : Format.formatter -> violation -> unit
+(** {!violation_to_string} in an [h] box. *)
+
 val equal_reason : reason -> reason -> bool

@@ -9,11 +9,16 @@ type t =
 
 (* ---- emission --------------------------------------------------------- *)
 
+(* Runs of bytes that need no escape go in with one [add_substring];
+   the escaped set is ['"'], ['\\'] and the bytes below 0x20. *)
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      Buffer.add_substring buf s !start (i - !start);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
@@ -21,11 +26,25 @@ let escape buf s =
       | '\t' -> Buffer.add_string buf "\\t"
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start);
   Buffer.add_char buf '"'
+
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+(* [min_int] has no positive counterpart to write the digits of. *)
+let add_int buf i =
+  if i = min_int then Buffer.add_string buf (string_of_int i)
+  else if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf (-i)
+  end
+  else add_digits buf i
 
 let float_repr f =
   if Float.is_integer f && Float.abs f < 1e15 then
@@ -35,7 +54,7 @@ let float_repr f =
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f -> Buffer.add_string buf (float_repr f)
   | String s -> escape buf s
   | List items ->

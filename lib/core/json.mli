@@ -17,8 +17,17 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+val emit : Buffer.t -> t -> unit
+(** Appends the compact, single-line rendering to the buffer: a writer
+    that reuses one buffer renders a record without allocating a new
+    one. *)
+
 val to_string : t -> string
-(** Compact, single-line rendering. *)
+(** {!emit} into a fresh buffer. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Appends [string_of_int i] without building the string: the
+    decimal writer of {!emit}, shared with {!Diag}'s messages. *)
 
 val pp : Format.formatter -> t -> unit
 (** Indented rendering (two-space indent), for human-facing [--format

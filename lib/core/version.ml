@@ -1,1 +1,1 @@
-let current = "1.26.0"
+let current = "1.27.0"

@@ -3,23 +3,43 @@ open Loseq_verif
 module Obs = Loseq_obs.Metrics
 module Tr = Loseq_obs.Trace
 
-(* Records are buffered in [out] and leave in one write per input
-   chunk: the serve loop flushes before every blocking wait (input,
-   socket accept, linger), before a checkpoint is saved, and on every
-   exit. *)
-let emit_record out record =
-  output_string out (Json.to_string record);
-  output_char out '\n'
+(* A record is rendered into the sink's one buffer, newline included,
+   and handed to the channel whole: under OCaml 5 every channel
+   operation takes the channel's lock, so one call per record is the
+   cheap way in.  Records then wait in the channel and leave in one
+   write per input chunk: the serve loop flushes before every blocking
+   wait (input, socket accept, linger), before a checkpoint is saved,
+   and on every exit. *)
+type sink = { chan : out_channel; buf : Buffer.t }
 
-let violation_fields ~name (v : Diag.violation) =
-  [
-    ("type", Json.String "violation");
-    ("property", Json.String name);
-    ("time", Json.Int v.time);
-    ("index", Json.Int v.index);
-    ("fragment", Json.Int v.fragment);
-    ("message", Json.String (Diag.violation_to_string v));
-  ]
+let sink chan = { chan; buf = Buffer.create 1024 }
+
+let emit_record sink record =
+  Buffer.clear sink.buf;
+  Json.emit sink.buf record;
+  Buffer.add_char sink.buf '\n';
+  Buffer.output_buffer sink.chan sink.buf
+
+let flush_records sink = flush sink.chan
+
+let violation_record ?speculative ~name (v : Diag.violation) =
+  Json.Obj
+    ([
+       ("type", Json.String "violation");
+       ("property", Json.String name);
+       ("time", Json.Int v.time);
+       ("index", Json.Int v.index);
+       ("fragment", Json.Int v.fragment);
+       ("message", Json.String (Diag.violation_to_string v));
+     ]
+    @
+    match speculative with
+    | Some b -> [ ("speculative", Json.Bool b) ]
+    | None -> [])
+
+let retracted_record ~name =
+  Json.Obj
+    [ ("type", Json.String "retracted"); ("property", Json.String name) ]
 
 (* The flag a signal flips; the read loop checks it between chunks
    (a signal interrupts the blocking select with EINTR). *)
@@ -95,13 +115,13 @@ let finish_input state =
    certified for, and under strict mode an uncertified window refuses
    to start.  [cert_thunk] defers the (possibly budgeted) analysis to
    when it is actually consulted. *)
-let reorder_gate ~lateness ~strict_reorder ~out cert_thunk =
+let reorder_gate ~lateness ~strict_reorder ~sink cert_thunk =
   let module R = Loseq_analysis.Robust in
   if lateness = 0 && not strict_reorder then Ok ()
   else begin
     let cert : R.certificate = cert_thunk () in
     let robust = R.compare_bound cert.bound (Finite lateness) >= 0 in
-    emit_record out
+    emit_record sink
       (Json.Obj
          [
            ("type", Json.String "reorder-certificate");
@@ -276,7 +296,7 @@ let open_input = function
           Unix.close conn;
           if Sys.file_exists path then Sys.remove path )
 
-let with_http ~out ~metrics_addr f =
+let with_http ~sink ~metrics_addr f =
   let http =
     match metrics_addr with
     | None -> None
@@ -290,7 +310,7 @@ let with_http ~out ~metrics_addr f =
           | Unix.ADDR_INET (a, p) -> (Unix.string_of_inet_addr a, p)
           | _ -> (host, port)
         in
-        emit_record out
+        emit_record sink
           (Json.Obj
              [
                ("type", Json.String "metrics-listening");
@@ -363,10 +383,10 @@ let default_metrics ~metrics ~metrics_addr ~stats_interval ~profile_out =
       then Obs.create ()
       else Obs.noop
 
-let error_record out msg =
-  emit_record out
+let error_record sink msg =
+  emit_record sink
     (Json.Obj [ ("type", Json.String "error"); ("message", Json.String msg) ]);
-  flush out;
+  flush_records sink;
   2
 
 (* ---- flight-recorder artifacts ------------------------------------------ *)
@@ -381,13 +401,13 @@ let write_or_raise ~path data =
    trace export format goes by extension: [.ndjson] gets the
    line-oriented record dump, anything else the Chrome trace-event
    JSON Perfetto loads. *)
-let write_artifacts ~out ~metrics ~trace ~trace_out ~profile_out ~checkers =
+let write_artifacts ~sink ~metrics ~trace ~trace_out ~profile_out ~checkers =
   (match trace_out with
   | Some path when Tr.is_live trace ->
       let ndjson = Filename.check_suffix path ".ndjson" in
       write_or_raise ~path
         (if ndjson then Tr.to_ndjson trace else Tr.to_chrome trace);
-      emit_record out
+      emit_record sink
         (Json.Obj
            [
              ("type", Json.String "trace");
@@ -400,7 +420,7 @@ let write_artifacts ~out ~metrics ~trace ~trace_out ~profile_out ~checkers =
   match profile_out with
   | Some path ->
       write_or_raise ~path (Loseq_obs.Profile.render ~metrics ~checkers ());
-      emit_record out
+      emit_record sink
         (Json.Obj
            [
              ("type", Json.String "profile");
@@ -452,7 +472,7 @@ type host = {
 }
 
 let buffered ~metrics ~trace ?backend ?latency_sample_rate ~lateness ~window
-    ?checkpoint ~resume ?final_time ~out suite =
+    ?checkpoint ~resume ?final_time ~sink suite =
   let resuming =
     resume
     && match checkpoint with Some p -> Sys.file_exists p | None -> false
@@ -474,7 +494,7 @@ let buffered ~metrics ~trace ?backend ?latency_sample_rate ~lateness ~window
       let prov = Provenance.create (Hub.tap (Session.hub session)) suite in
       Session.on_violation session (fun ~name v ->
           Provenance.note_violation prov ~label:name v;
-          emit_record out (Json.Obj (violation_fields ~name v)));
+          emit_record sink (violation_record ~name v));
       let counters ~max_seen () =
         let s = Session.stats session
         and r = Reorder.stats (Session.reorder session) in
@@ -520,33 +540,26 @@ module Engine = Loseq_ooo.Engine
    markers: violation records carry ["speculative"], [retracted]
    records withdraw them, [settled] records mark verdicts the
    watermark has made definitive. *)
-let speculative ~metrics ~trace ~lateness ?final_time ~out suite =
+let speculative ~metrics ~trace ~lateness ?final_time ~sink suite =
   (* The engine routes no tap, so the provenance recorder is detached
      and fed from the arrival stream; retractions unfreeze the ring. *)
   let prov = Provenance.create_detached suite in
   let notice = function
     | Engine.Violation { label; violation; settled; _ } ->
         Provenance.note_violation prov ~label violation;
-        emit_record out
-          (Json.Obj
-             (violation_fields ~name:label violation
-             @ [ ("speculative", Json.Bool (not settled)) ]))
+        emit_record sink
+          (violation_record ~speculative:(not settled) ~name:label violation)
     | Engine.Retracted { label; _ } ->
         Provenance.clear_violation prov ~label;
-        emit_record out
-          (Json.Obj
-             [
-               ("type", Json.String "retracted"); ("property", Json.String label);
-             ])
+        emit_record sink (retracted_record ~name:label)
     | Engine.Settled { label; verdict; _ } ->
-        emit_record out
+        emit_record sink
           (Json.Obj
              [
                ("type", Json.String "settled");
                ("property", Json.String label);
                ("passed", Json.Bool (Backend.passed verdict));
-               ( "verdict",
-                 Json.String (Format.asprintf "%a" Backend.pp_verdict verdict) );
+               ("verdict", Json.String (Backend.verdict_to_string verdict));
              ])
   in
   let engine =
@@ -626,7 +639,7 @@ let speculative ~metrics ~trace ~lateness ?final_time ~out suite =
 
 (* Build the host and pass the reorder gate; construction failures
    (ill-formed patterns, backends unfit for the mode) become errors. *)
-let setup ~strict_reorder ~out make_host =
+let setup ~strict_reorder ~sink make_host =
   match make_host () with
   | exception Wellformed.Ill_formed (p, errs) ->
       Error
@@ -636,13 +649,13 @@ let setup ~strict_reorder ~out make_host =
   | exception Invalid_argument msg -> Error msg
   | result ->
       Result.bind result (fun host ->
-          reorder_gate ~lateness:host.lateness ~strict_reorder ~out
+          reorder_gate ~lateness:host.lateness ~strict_reorder ~sink
             host.certificate
           |> Result.map (fun () -> host))
 
 let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
-    ~trace ~trace_out ~profile_out ~out ~input suite host =
-  let error msg = error_record out msg in
+    ~trace ~trace_out ~profile_out ~sink ~input suite host =
+  let error msg = error_record sink msg in
   let srv_obs = make_server_obs metrics in
   let obs f = Option.iter f srv_obs in
   (* Server-track flight-recorder categories: the admission span
@@ -656,13 +669,13 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
     | Some (path, save) -> (
         (* the records of every event the checkpoint accounts for leave
            first: a resume skips those events *)
-        flush out;
+        flush_records sink;
         Tr.emit trace ckpt Tr.Span_begin 0;
         match save () with
         | Ok bytes ->
             Tr.emit trace ckpt Tr.Span_end bytes;
             obs (fun o -> Obs.incr o.ckpt);
-            emit_record out
+            emit_record sink
               (Json.Obj
                  [
                    ("type", Json.String "checkpoint");
@@ -675,7 +688,7 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
             raise (Input_error msg))
   in
   let artifacts () =
-    write_artifacts ~out ~metrics ~trace ~trace_out ~profile_out
+    write_artifacts ~sink ~metrics ~trace ~trace_out ~profile_out
       ~checkers:(Provenance.seen host.prov)
   in
   let offered = ref 0 in
@@ -691,7 +704,7 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
     if checkpoint_every > 0 && pos mod checkpoint_every = 0 then
       save_checkpoint ();
     if stats_interval > 0 && pos mod stats_interval = 0 then
-      emit_record out
+      emit_record sink
         (Json.Obj (("type", Json.String "stats") :: host.stats ()))
   in
   let wire name =
@@ -704,39 +717,39 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
   in
   match
     with_signals @@ fun () ->
-    with_http ~out ~metrics_addr @@ fun http ->
+    with_http ~sink ~metrics_addr @@ fun http ->
     (* a caller learns the metrics port before serve waits for input *)
-    flush out;
+    flush_records sink;
     let fd, cleanup = open_input input in
     Fun.protect ~finally:cleanup @@ fun () ->
     obs (fun o -> Obs.set o.sessions 1);
-    emit_record out
+    emit_record sink
       (Json.Obj
          ([
             ("type", Json.String "start");
             ("properties", Json.Int (List.length suite));
           ]
          @ host.start));
-    flush out;
+    flush_records sink;
     let state = ref (Sniffing (Buffer.create 8)) in
     let consume chunk =
       obs (fun o -> Obs.add o.bytes_in (String.length chunk));
       Tr.emit trace admit Tr.Span_begin 0;
       feed_chunk state chunk ~known:host.known ~wire;
       Tr.emit trace admit Tr.Span_end (String.length chunk);
-      flush out
+      flush_records sink
     in
     match stream_loop ~fd ~metrics ~consume http with
     | `Interrupted ->
         save_checkpoint ();
-        emit_record out
+        emit_record sink
           (Json.Obj
              [
                ("type", Json.String "interrupted");
                ("events", Json.Int (host.position ()));
              ]);
         artifacts ();
-        flush out;
+        flush_records sink;
         0
     | `Eof ->
         finish_input state;
@@ -745,7 +758,7 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
           (fun (name, verdict) rendered ->
             let passed = Backend.passed verdict in
             obs (fun o -> Obs.incr (if passed then o.pass else o.fail));
-            emit_record out
+            emit_record sink
               (Json.Obj
                  ([
                     ("type", Json.String "verdict");
@@ -758,12 +771,12 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
           verdicts rendered;
         let passed = List.for_all (fun (_, v) -> Backend.passed v) verdicts in
         obs (fun o -> Obs.set o.sessions 0);
-        emit_record out
+        emit_record sink
           (Json.Obj
              ([ ("type", Json.String "summary"); ("passed", Json.Bool passed) ]
              @ host.summary ()));
         artifacts ();
-        flush out;
+        flush_records sink;
         linger ~metrics http;
         if passed then 0 else 1
   with
@@ -786,31 +799,33 @@ let serve ?metrics ?metrics_addr ?(stats_interval = 0) ?backend
      noop ring keeps every instrumented hot path on its one-branch
      fast path. *)
   let trace = if trace_out <> None then Tr.create () else Tr.noop in
+  let sink = sink out in
   if ooo && (checkpoint <> None || resume) then
-    error_record out
+    error_record sink
       "--ooo does not support --checkpoint/--resume: speculative state \
        (journal, frontier, unsettled verdicts) is not checkpointable"
   else if ooo && backend <> None then
-    error_record out
+    error_record sink
       "--ooo does not support --backend: speculative hosting always steps \
        the flat engine"
   else
     match
-      setup ~strict_reorder ~out (fun () ->
-          if ooo then speculative ~metrics ~trace ~lateness ?final_time ~out suite
+      setup ~strict_reorder ~sink (fun () ->
+          if ooo then
+            speculative ~metrics ~trace ~lateness ?final_time ~sink suite
           else
             (* With no backend named, buffered hosting steps the flat
                suite engine directly (the session's default). *)
             buffered ~metrics ~trace ?backend ?latency_sample_rate ~lateness
-              ~window ?checkpoint ~resume ?final_time ~out suite)
+              ~window ?checkpoint ~resume ?final_time ~sink suite)
     with
-    | Error msg -> error_record out msg
+    | Error msg -> error_record sink msg
     | Ok host ->
         (* Provenance replays keep the caller's own choice, the flat
            engine when none was named, so failure chains do not depend
            on the hosting mode. *)
         host_loop ~metrics ~metrics_addr ~stats_interval ?backend
-          ~checkpoint_every ~trace ~trace_out ~profile_out ~out ~input suite
+          ~checkpoint_every ~trace ~trace_out ~profile_out ~sink ~input suite
           host
 
 (* ---- the producer side ------------------------------------------------- *)

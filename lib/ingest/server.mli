@@ -180,6 +180,29 @@ val serve :
     with an [error] record and exit [2].  [latency_sample_rate] (default 64, buffered mode)
     tunes the hub's dispatch-latency sampling. *)
 
+(** {1 Records}
+
+    The writer every record of {!serve} goes through, exposed so that
+    tests and benchmarks measure the same path. *)
+
+type sink
+(** An output channel and the one buffer its records are rendered in. *)
+
+val sink : out_channel -> sink
+
+val emit_record : sink -> Loseq_core.Json.t -> unit
+(** Writes [Json.to_string record ^ "\n"] to the sink's channel, in one
+    channel call; the channel is not flushed. *)
+
+val violation_record :
+  ?speculative:bool -> name:string -> Loseq_core.Diag.violation ->
+  Loseq_core.Json.t
+(** The [violation] record of property [name]; [speculative] adds the
+    member the speculative mode carries. *)
+
+val retracted_record : name:string -> Loseq_core.Json.t
+(** The speculative mode's [retracted] record of property [name]. *)
+
 val feed : ?timeout:float -> path:string -> in_channel -> (int, string) result
 (** Copy [in_channel] to the Unix-domain socket at [path] (connecting
     with retries for up to [timeout] seconds, default 5 — the server

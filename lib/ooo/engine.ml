@@ -512,9 +512,7 @@ let finalize ?final_time t =
 let report t = Array.to_list (Array.mapi (fun i c -> (c.label, verdict t i)) t.chks)
 
 let report_strings t =
-  List.map
-    (fun (_, v) -> Format.asprintf "%a" Backend.pp_verdict v)
-    (report t)
+  List.map (fun (_, v) -> Backend.verdict_to_string v) (report t)
 
 let tri t =
   Array.mapi

@@ -137,7 +137,7 @@ val report : t -> (string * Backend.verdict) list
     buffered session's {!Loseq_verif.Report.summary}. *)
 
 val report_strings : t -> string list
-(** Rendered via {!Backend.pp_verdict} — byte-compatible with
+(** Rendered by {!Backend.verdict_to_string} — byte-compatible with
     {!Loseq_verif.Report.summary_strings}. *)
 
 val tri : t -> Backend.tri array

@@ -14,7 +14,7 @@ let summary_strings t =
   List.map
     (fun c ->
       ( Checker.name c,
-        Format.asprintf "%a" Checker.pp_verdict (Checker.verdict c) ))
+        Loseq_core.Backend.verdict_to_string (Checker.verdict c) ))
     (checkers t)
 
 let pp ppf t =

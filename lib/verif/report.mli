@@ -15,10 +15,10 @@ val summary : t -> (string * Loseq_core.Backend.verdict) list
 (** [(name, verdict)] per checker, in report order. *)
 
 val summary_strings : t -> (string * string) list
-(** Like {!summary} with verdicts rendered ({!Checker.pp_verdict},
-    full diagnostic text) — the comparison currency of the
-    checkpoint-equivalence tests: two runs are equivalent iff their
-    summaries are equal. *)
+(** Like {!summary} with verdicts rendered
+    ({!Loseq_core.Backend.verdict_to_string}, full diagnostic text) —
+    the comparison currency of the checkpoint-equivalence tests: two
+    runs are equivalent iff their summaries are equal. *)
 
 val pp : Format.formatter -> t -> unit
 val print : t -> unit
