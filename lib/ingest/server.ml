@@ -20,8 +20,6 @@ let emit_record sink record =
   Buffer.add_char sink.buf '\n';
   Buffer.output_buffer sink.chan sink.buf
 
-let flush_records sink = flush sink.chan
-
 let violation_record ?speculative ~name (v : Diag.violation) =
   Json.Obj
     ([
@@ -386,7 +384,7 @@ let default_metrics ~metrics ~metrics_addr ~stats_interval ~profile_out =
 let error_record sink msg =
   emit_record sink
     (Json.Obj [ ("type", Json.String "error"); ("message", Json.String msg) ]);
-  flush_records sink;
+  flush sink.chan;
   2
 
 (* ---- flight-recorder artifacts ------------------------------------------ *)
@@ -669,7 +667,7 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
     | Some (path, save) -> (
         (* the records of every event the checkpoint accounts for leave
            first: a resume skips those events *)
-        flush_records sink;
+        flush sink.chan;
         Tr.emit trace ckpt Tr.Span_begin 0;
         match save () with
         | Ok bytes ->
@@ -719,7 +717,7 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
     with_signals @@ fun () ->
     with_http ~sink ~metrics_addr @@ fun http ->
     (* a caller learns the metrics port before serve waits for input *)
-    flush_records sink;
+    flush sink.chan;
     let fd, cleanup = open_input input in
     Fun.protect ~finally:cleanup @@ fun () ->
     obs (fun o -> Obs.set o.sessions 1);
@@ -730,14 +728,14 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
             ("properties", Json.Int (List.length suite));
           ]
          @ host.start));
-    flush_records sink;
+    flush sink.chan;
     let state = ref (Sniffing (Buffer.create 8)) in
     let consume chunk =
       obs (fun o -> Obs.add o.bytes_in (String.length chunk));
       Tr.emit trace admit Tr.Span_begin 0;
       feed_chunk state chunk ~known:host.known ~wire;
       Tr.emit trace admit Tr.Span_end (String.length chunk);
-      flush_records sink
+      flush sink.chan
     in
     match stream_loop ~fd ~metrics ~consume http with
     | `Interrupted ->
@@ -749,7 +747,7 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
                ("events", Json.Int (host.position ()));
              ]);
         artifacts ();
-        flush_records sink;
+        flush sink.chan;
         0
     | `Eof ->
         finish_input state;
@@ -776,7 +774,7 @@ let host_loop ~metrics ~metrics_addr ~stats_interval ?backend ~checkpoint_every
              ([ ("type", Json.String "summary"); ("passed", Json.Bool passed) ]
              @ host.summary ()));
         artifacts ();
-        flush_records sink;
+        flush sink.chan;
         linger ~metrics http;
         if passed then 0 else 1
   with
