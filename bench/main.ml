@@ -636,6 +636,25 @@ let dispatch () =
     Result.iter_error failwith (Codec.Decoder.finish decoder);
     assert (Codec.Decoder.events decoder = Array.length stream16)
   in
+  (* the same stream as CSV, through [serve]'s line reader *)
+  let csv = Trace_io.to_csv (Array.to_list stream16) in
+  let decode_csv () =
+    let reader = Trace_io.Csv.create () in
+    let events = ref 0 in
+    let emit _ _ = incr events in
+    let chunk = 65_536 and len = String.length csv in
+    let rec go off =
+      if off < len then begin
+        let l = min chunk (len - off) in
+        Result.iter_error failwith
+          (Trace_io.Csv.feed reader (String.sub csv off l) ~emit);
+        go (off + l)
+      end
+    in
+    go 0;
+    Result.iter_error failwith (Trace_io.Csv.finish reader ~emit);
+    assert (!events = Array.length stream16)
+  in
   let last_registry = ref Metrics.noop and last_ring = ref Ring.noop in
   let layers =
     [
@@ -655,6 +674,7 @@ let dispatch () =
             ignore (Session.finalize session);
             assert (Session.all_passed session) );
       ("decode_only", fun () () -> decode ~emit:(fun _ _ _ -> ()));
+      ("decode_csv", fun () -> decode_csv);
     ]
   in
   (* in-round order: the hub last among the hostings, then its layers
@@ -710,8 +730,8 @@ let dispatch () =
       Format.printf "@.")
     workloads;
   let hub16 = (layered, "hub_per_entry") in
-  Format.printf "@.%d checkers, %d events, %d LSQB bytes:@." layered
-    (Array.length stream16) (String.length bytes);
+  Format.printf "@.%d checkers, %d events, %d LSQB bytes, %d CSV bytes:@."
+    layered (Array.length stream16) (String.length bytes) (String.length csv);
   Format.printf "%-16s | %27s | %8s@." "layer" "ms [q1, q3]" "vs hub";
   List.iter
     (fun v ->
@@ -769,8 +789,8 @@ let dispatch () =
       ( "workload",
         Json.String
           "N disjoint {a_i, b_i} <<! go_i checkers, round-robin satisfying \
-           stream, every hosting; decode, session, metrics and trace \
-           layers at 16 checkers; render: serve's violation and \
+           stream, every hosting; decode (LSQB and CSV), session, \
+           metrics and trace layers at 16 checkers; render: serve's violation and \
            retracted records through its emitter to /dev/null" );
       ( "clock",
         Json.String
@@ -779,6 +799,7 @@ let dispatch () =
            per-round ratio" );
       ("rounds", Json.Int rounds);
       ("stream_bytes_at_16", Json.Int (String.length bytes));
+      ("stream_csv_bytes_at_16", Json.Int (String.length csv));
       ("events_dispatched_total", Json.Int (Option.get dispatched));
       ("trace_records_emitted", Json.Int (Ring.total !last_ring));
       ("trace_records_dropped", Json.Int (Ring.dropped !last_ring));

@@ -100,7 +100,8 @@ let flat_view eng ck =
     ~check_time:(fun ~now ->
       Flat.check_time_checker eng ck ~now;
       verdict ())
-    ~next_deadline:(fun () -> Flat.next_deadline_checker eng ck)
+    ~next_deadline:(fun () ->
+      match Flat.next_deadline_checker eng ck with -1 -> None | dl -> Some dl)
     ~finalize:(fun ~now ->
       Flat.check_time_checker eng ck ~now;
       verdict ())

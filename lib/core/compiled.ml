@@ -15,7 +15,10 @@ let alphabet t = Flat.alphabet t 0
 let id_of_name = Flat.gid_of_name
 let verdict t = Flat.verdict t 0
 let active_fragment t = Flat.active_fragment t 0
-let next_deadline t = Flat.next_deadline_checker t 0
+
+let next_deadline t =
+  match Flat.next_deadline_checker t 0 with -1 -> None | dl -> Some dl
+
 let reset t = Flat.reset_checker t 0
 let rounds_completed t = Flat.rounds_completed t 0
 

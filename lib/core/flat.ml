@@ -162,6 +162,12 @@ type t = {
   dl_dirty : int array;
   mutable dl_ndirty : int;
   mutable dl_all : bool;
+  (* the due floor, beside the slab (never in a blob): a lower bound
+     on every armed deadline's expiry instant [started + deadline + 1],
+     so [fire_due] below it has nothing to fire.  Arming lowers it, a
+     sweep recomputes it, disarming leaves it low, and a whole-engine
+     [reset]/[load_blob] sets it to [min_int] *)
+  mutable dl_floor : int;
   (* opened-fragment cache, beside the slab (never in a blob): the
      checker's active fragment has no waiting recognizer ([op_open]),
      and [op_count] is its one counting recognizer, -1 = none *)
@@ -448,6 +454,7 @@ let compile entries =
       dl_dirty = Array.make (max 1 n_ck) 0;
       dl_ndirty = 0;
       dl_all = false;
+      dl_floor = max_int;
       op_open = Bytes.make n_ck '\000';
       op_count = Array.make n_ck (-1);
       notify = None;
@@ -515,7 +522,8 @@ let reset t =
   for ck = 0 to Array.length t.labels - 1 do
     init_checker t ck
   done;
-  t.dl_all <- true
+  t.dl_all <- true;
+  t.dl_floor <- min_int
 
 (* [r]'s category of the checker-local name [loc]. *)
 let cat_of t r loc =
@@ -880,6 +888,8 @@ let refresh_timed t ck ~time =
     if active = Array.unsafe_get t.ck_premise_last ck && min_complete t ck
     then begin
       Ba.unsafe_set st (base + o_started) time;
+      let due = time + Array.unsafe_get t.ck_deadline ck + 1 in
+      if due < t.dl_floor then t.dl_floor <- due;
       touch t ck
     end
     else if
@@ -1058,24 +1068,6 @@ let check_time t ~now =
 
 let finalize t ~now = check_time t ~now
 
-(* Each armed deadline [dl] (the test [next_deadline_checker] makes,
-   without its option) fires at its exact expiry instant [dl + 1]. *)
-let fire_due t ~upto =
-  let st = t.st in
-  for k = 0 to Array.length t.timed_cks - 1 do
-    let ck = Array.unsafe_get t.timed_cks k in
-    let base = t.ck_base.(ck) in
-    let started = Ba.get st (base + o_started) in
-    if
-      started >= 0
-      && Ba.get st (base + o_verdict) = v_running
-      && Ba.get st (base + o_qdone) = 0
-    then begin
-      let now = started + t.ck_deadline.(ck) + 1 in
-      if now <= upto then check_time_checker t ck ~now
-    end
-  done
-
 let next_deadline_checker t ck =
   let st = t.st in
   let base = t.ck_base.(ck) in
@@ -1084,16 +1076,39 @@ let next_deadline_checker t ck =
     && t.ck_timed.(ck)
     && Ba.get st (base + o_started) >= 0
     && Ba.get st (base + o_qdone) = 0
-  then Some (Ba.get st (base + o_started) + t.ck_deadline.(ck))
-  else None
+  then Ba.get st (base + o_started) + t.ck_deadline.(ck)
+  else -1
+
+(* [ck]'s armed deadline [dl], fired at its exact expiry instant
+   [dl + 1] if that is at most [upto]; the instant of a deadline left
+   armed, else [max_int] (a fired deadline decides the checker, and an
+   arming in [notify] lowers the floor itself). *)
+let fire_due_at t ck ~upto =
+  let dl = next_deadline_checker t ck in
+  if dl < 0 then max_int
+  else if dl + 1 <= upto then begin
+    check_time_checker t ck ~now:(dl + 1);
+    max_int
+  end
+  else dl + 1
+
+(* Below the floor nothing is due.  A sweep rebuilds the floor from
+   the deadlines it leaves armed. *)
+let fire_due t ~upto =
+  if upto >= t.dl_floor then begin
+    t.dl_floor <- max_int;
+    for k = 0 to Array.length t.timed_cks - 1 do
+      let due = fire_due_at t (Array.unsafe_get t.timed_cks k) ~upto in
+      if due < t.dl_floor then t.dl_floor <- due
+    done
+  end
 
 let next_deadline t =
   Array.fold_left
     (fun acc ck ->
       match next_deadline_checker t ck with
-      | None -> acc
-      | Some d -> (
-          match acc with Some m when m <= d -> acc | _ -> Some d))
+      | -1 -> acc
+      | d -> ( match acc with Some m when m <= d -> acc | _ -> Some d))
     None t.timed_cks
 
 (* ---- persistence ------------------------------------------------------- *)
@@ -1134,6 +1149,9 @@ let blit_checker ~src from t ck =
   if vrec >= 0 then
     Ba.set t.st (base + o_vrec) (vrec - src.ck_rec0.(from) + t.ck_rec0.(ck));
   Bytes.set t.op_open ck '\000';
+  (* the copy may arm [ck] (a rollback's restore from the frontier) *)
+  let dl = next_deadline_checker t ck in
+  if dl >= 0 && dl + 1 < t.dl_floor then t.dl_floor <- dl + 1;
   touch t ck
 
 let copy_checker ~src t ck =
@@ -1290,6 +1308,7 @@ let load_blob t blob =
                     done;
                     Bytes.fill t.op_open 0 (Bytes.length t.op_open) '\000';
                     t.dl_all <- true;
+                    t.dl_floor <- min_int;
                     Ok ())
           end
 

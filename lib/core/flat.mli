@@ -167,9 +167,19 @@ val finalize : t -> now:int -> unit
 val fire_due : t -> upto:int -> unit
 (** Fire every armed deadline [dl] with [dl + 1 <= upto], each through
     {!check_time_checker} at its exact expiry instant [dl + 1] — the
-    schedule of a timeout wheel.  Allocation-free. *)
+    schedule of a timeout wheel.  Allocation-free, and O(1) while
+    [upto] is below the engine's due floor: a lower bound on every
+    armed deadline's expiry instant, kept beside the slab.  Arming
+    (a step, or a {!copy_checker} that restores an armed checker)
+    lowers the floor; a sweep, which runs only once [upto] reaches it,
+    recomputes it from the deadlines left armed; {!reset} and
+    {!load_blob} send the next call to a sweep. *)
 
-val next_deadline_checker : t -> int -> int option
+val next_deadline_checker : t -> int -> int
+(** [ck]'s armed deadline [dl] (it expires at [dl + 1]), or [-1] when
+    none is armed: [ck] is untimed, decided, not yet armed, or its
+    conclusion is already complete.  The test {!fire_due} makes,
+    without allocating. *)
 
 val next_deadline : t -> int option
 (** Earliest armed deadline across the suite — what a hub parks its

@@ -92,23 +92,28 @@ module Csv = struct
     done;
     !h land max_int
 
-  (* [s.[a .. b-1]] is [str]. *)
-  let same str s a b =
-    String.length str = b - a
-    &&
-    let rec eq i = i >= b - a || (str.[i] = s.[a + i] && eq (i + 1)) in
-    eq 0
+  (* [s.[a + i .. a + n - 1]] is [str.[i .. n - 1]]. *)
+  let rec same_from str s a i n =
+    i >= n
+    || String.unsafe_get str i = String.unsafe_get s (a + i)
+       && same_from str s a (i + 1) n
 
-  (* The slot holding the name [s.[a .. b-1]], or the empty slot where
-     it would go. *)
-  let probe t s a b =
+  (* [s.[a .. b-1]] is [str]. *)
+  let same str s a b = String.length str = b - a && same_from str s a 0 (b - a)
+
+  let rec probe_from t s a b mask i =
+    let sid = Array.unsafe_get t.slots i in
+    if sid = 0 || same (Name.to_string (Array.unsafe_get t.names sid)) s a b
+    then i
+    else probe_from t s a b mask ((i + 1) land mask)
+
+  (* The slot holding the name [s.[a .. b-1]] of hash [h] ({!hash}), or
+     the empty slot where it would go. *)
+  let probe_hashed t s a b h =
     let mask = Array.length t.slots - 1 in
-    let rec go i =
-      let sid = t.slots.(i) in
-      if sid = 0 || same (Name.to_string t.names.(sid)) s a b then i
-      else go ((i + 1) land mask)
-    in
-    go (hash s a b land mask)
+    probe_from t s a b mask (h land mask)
+
+  let probe t s a b = probe_hashed t s a b (hash s a b)
 
   let intern t name =
     let n = Name.to_string name in
@@ -145,20 +150,17 @@ module Csv = struct
         foreign
       end
 
+  let rec digits_from s i b acc =
+    if i >= b then acc
+    else
+      match String.unsafe_get s i with
+      | '0' .. '9' as c -> digits_from s (i + 1) b ((10 * acc) + Char.code c - 48)
+      | _ -> -1
+
   (* Digits only, short enough not to overflow: the common timestamp,
      parsed in place.  [-1] sends anything else through
      [int_of_string_opt], which owns the accepted literal forms. *)
-  let digits s a b =
-    if b = a || b - a > 18 then -1
-    else
-      let rec go i acc =
-        if i >= b then acc
-        else
-          match s.[i] with
-          | '0' .. '9' as c -> go (i + 1) ((10 * acc) + Char.code c - 48)
-          | _ -> -1
-      in
-      go a 0
+  let digits s a b = if b = a || b - a > 18 then -1 else digits_from s a b 0
 
   let rec index_comma s a b =
     if a >= b then -1 else if s.[a] = ',' then a else index_comma s (a + 1) b
@@ -202,6 +204,46 @@ module Csv = struct
                       line_error lineno (Printf.sprintf "bad timestamp %S" field))
               | time -> accept t ~lineno ~emit sid time))
 
+  (* The name field of a plain line, [s.[a .. i-1]] so far, of running
+     hash [h] ({!hash} before its mask).  At the newline, an interned
+     name whose timestamp [time] the validator admits is emitted as
+     [line] would, and the newline's index returned; [-1] for anything
+     else, left untouched for [line]. *)
+  let rec plain_name t s a i n h time ~emit =
+    if i >= n then -1
+    else
+      let c = String.unsafe_get s i in
+      if c <> '\n' then
+        plain_name t s a (i + 1) n ((h * 31) + Char.code c) time ~emit
+      else
+        let sid =
+          Array.unsafe_get t.slots (probe_hashed t s a i (h land max_int))
+        in
+        if
+          sid > 0
+          &&
+          match t.validator with
+          | Some v -> Validator.accept v ~time
+          | None -> true
+        then begin
+          t.lineno <- t.lineno + 1;
+          emit sid time;
+          i
+        end
+        else -1
+
+  (* A plain [digits,name\n] line from [a], parsed in the pass that
+     finds its newline: at most 18 digits (as [digits] takes), a comma,
+     then {!plain_name}.  [-1] at the first byte that does not fit. *)
+  let rec plain_time t s a i n acc ~emit =
+    if i >= n then -1
+    else
+      match String.unsafe_get s i with
+      | '0' .. '9' as c when i - a < 18 ->
+          plain_time t s a (i + 1) n ((10 * acc) + Char.code c - 48) ~emit
+      | ',' when i > a -> plain_name t s (i + 1) (i + 1) n 0 acc ~emit
+      | _ -> -1
+
   let rec index_newline s i n =
     if i >= n then -1 else if String.unsafe_get s i = '\n' then i
     else index_newline s (i + 1) n
@@ -212,23 +254,32 @@ module Csv = struct
     Buffer.clear t.partial;
     line t l 0 (String.length l) ~emit
 
+  (* A plain line takes one pass ([plain_time]); any other line, or one
+     that continues a split line, is found and handed to [line]. *)
   let feed t chunk ~emit =
     let n = String.length chunk in
     let rec lines from =
-      match index_newline chunk from n with
-      | -1 ->
-          Buffer.add_substring t.partial chunk from (n - from);
-          Ok ()
-      | nl -> (
-          let parsed =
-            if Buffer.length t.partial = 0 then
-              line t chunk from (nl - from) ~emit
-            else begin
-              Buffer.add_substring t.partial chunk from (nl - from);
-              partial_line t ~emit
-            end
-          in
-          match parsed with Ok () -> lines (nl + 1) | Error _ as e -> e)
+      let nl =
+        if Buffer.length t.partial = 0 then
+          plain_time t chunk from from n 0 ~emit
+        else -1
+      in
+      if nl >= 0 then lines (nl + 1)
+      else
+        match index_newline chunk from n with
+        | -1 ->
+            Buffer.add_substring t.partial chunk from (n - from);
+            Ok ()
+        | nl -> (
+            let parsed =
+              if Buffer.length t.partial = 0 then
+                line t chunk from (nl - from) ~emit
+              else begin
+                Buffer.add_substring t.partial chunk from (nl - from);
+                partial_line t ~emit
+              end
+            in
+            match parsed with Ok () -> lines (nl + 1) | Error _ as e -> e)
     in
     lines 0
 

@@ -52,7 +52,13 @@ val to_csv : Trace.t -> string
     once), and each event reaches the caller as [(stream id, time)],
     the way the binary codec's [Decoder.feed_ids] emits them.  A name
     the host keeps is validated and resolved once, when first seen;
-    later lines with the same bytes cost one table probe. *)
+    later lines with the same bytes cost one table probe.  A plain
+    [digits,name] line (at most 18 digits, an interned name, no
+    whitespace, whole in its chunk) is parsed in the one forward pass
+    that finds its newline, allocation-free; every other line (padding,
+    CRLF, comments, the header, other timestamp forms, a name not yet
+    interned or refused, a split line) takes the trimmed parse, with
+    the same results and errors. *)
 module Csv : sig
   type t
 

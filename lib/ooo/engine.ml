@@ -153,9 +153,8 @@ let step_checker t i gid ~time =
    to the in-order ones.  A fired deadline decides the checker, so
    there is at most one. *)
 let fire t i ~upto =
-  match Flat.next_deadline_checker t.eng i with
-  | Some dl when dl + 1 <= upto -> Flat.check_time_checker t.eng i ~now:(dl + 1)
-  | _ -> ()
+  let dl = Flat.next_deadline_checker t.eng i in
+  if dl >= 0 && dl + 1 <= upto then Flat.check_time_checker t.eng i ~now:(dl + 1)
 
 (* Hand every journalled event the watermark has passed to the
    frontier, under the same deadline schedule the live engine ran, then
@@ -224,11 +223,18 @@ let settle t i =
    decision point: every event that could still arrive is stamped at or
    after the watermark, hence after the decision.  Checkers a rollback
    made undecided leave [pending] too. *)
+let leaves t wm i = t.chks.(i).decided_at < wm || not (is_decided t i)
+
+(* [List.exists (leaves t wm)], without the closure: [settle_scan] runs
+   on every offer. *)
+let rec any_leaves t wm = function
+  | [] -> false
+  | i :: rest -> leaves t wm i || any_leaves t wm rest
+
 let settle_scan t =
   let wm = watermark t in
-  let leaves i = t.chks.(i).decided_at < wm || not (is_decided t i) in
-  if List.exists leaves t.pending then begin
-    let ripe, stay = List.partition leaves t.pending in
+  if any_leaves t wm t.pending then begin
+    let ripe, stay = List.partition (leaves t wm) t.pending in
     t.pending <- stay;
     List.iter (fun i -> t.chks.(i).pending <- false) ripe;
     List.iter (settle t) (List.sort compare (List.filter (is_decided t) ripe))

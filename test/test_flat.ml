@@ -513,6 +513,124 @@ let test_copy_refuses_other_suite () =
     (Invalid_argument "Flat.copy_checker: engines of different suites")
     (fun () -> Flat.copy_checker ~src eng 0)
 
+(* ---- due floor ----------------------------------------------------------- *)
+
+(* [fire_due] skips its sweep while [upto] is below the engine's due
+   floor.  Against the sweep it replaced (every timed checker, every
+   call, kept here as the reference), an engine must reach the same slab
+   and notify the same checkers in the same order, whatever the mix of
+   steps, firings at any [upto], copies from an engine that lags behind
+   (the rollback's restore from the frontier, which can bring back an
+   earlier armed deadline), resets and blob loads. *)
+type floor_op = Step | Fire of int | Copy of int * int | Reset | Load of int
+
+let sweep_due eng ~upto =
+  List.iter
+    (fun ck ->
+      let dl = Flat.next_deadline_checker eng ck in
+      if dl >= 0 && dl + 1 <= upto then
+        Flat.check_time_checker eng ck ~now:(dl + 1))
+    (timed_checkers eng)
+
+let gen_floor_case =
+  QCheck2.Gen.(
+    let* cases =
+      list_size (int_range 1 3)
+        (let* p = frequency [ (3, gen_timed); (1, gen_antecedent) ] in
+         let* trace = gen_trace_for p in
+         return (p, trace))
+    in
+    let trace =
+      List.stable_sort
+        (fun (a : Trace.event) (b : Trace.event) -> compare a.time b.time)
+        (List.concat_map snd cases)
+    in
+    let* ops =
+      list_size (int_range 5 60)
+        (frequency
+           [
+             (6, return Step);
+             (3, map (fun d -> Fire d) (int_range (-20) 140));
+             ( 2,
+               map2 (fun ck lag -> Copy (ck, lag)) (int_bound 2) (int_range 1 8)
+             );
+             (1, return Reset);
+             (1, map (fun lag -> Load lag) (int_range 0 8));
+           ])
+    in
+    return (List.map fst cases, trace, ops))
+
+let print_floor_case (ps, trace, ops) =
+  let op = function
+    | Step -> "step"
+    | Fire d -> Printf.sprintf "fire %+d" d
+    | Copy (ck, lag) -> Printf.sprintf "copy %d lag %d" ck lag
+    | Reset -> "reset"
+    | Load lag -> Printf.sprintf "load lag %d" lag
+  in
+  Format.asprintf "@[<v>%a@,trace: %s@,ops: %s@]"
+    (Format.pp_print_list Pattern.pp)
+    ps (Trace.to_string trace)
+    (String.concat "; " (List.map op ops))
+
+let prop_due_floor (ps, trace, ops) =
+  let entries = List.mapi (fun i p -> (Printf.sprintf "p%d" i, p)) ps in
+  let events = Array.of_list trace in
+  let floor = Flat.compile entries and sweep = Flat.compile entries in
+  let logged e =
+    let log = ref [] in
+    Flat.set_notify e (Some (fun ck -> log := ck :: !log));
+    log
+  in
+  let floor_log = logged floor and sweep_log = logged sweep in
+  let cursor = ref 0 and now = ref 0 in
+  let step e (ev : Trace.event) =
+    match Flat.gid_of_name e ev.name with
+    | Some gid -> Flat.step_name e ~gid ~time:ev.time
+    | None -> ()
+  in
+  (* the first [cursor - lag] events, no deadline fired *)
+  let source lag =
+    let src = Flat.compile entries in
+    for i = 0 to !cursor - lag - 1 do
+      step src events.(i)
+    done;
+    src
+  in
+  let apply = function
+    | Step ->
+        if !cursor < Array.length events then begin
+          let e = events.(!cursor) in
+          incr cursor;
+          now := e.time;
+          step floor e;
+          step sweep e
+        end
+    | Fire d ->
+        Flat.fire_due floor ~upto:(!now + d);
+        sweep_due sweep ~upto:(!now + d)
+    | Copy (ck, lag) ->
+        let src = source lag and ck = ck mod List.length ps in
+        Flat.copy_checker ~src floor ck;
+        Flat.copy_checker ~src sweep ck
+    | Reset ->
+        Flat.reset floor;
+        Flat.reset sweep
+    | Load lag ->
+        let blob = Flat.save_blob (source lag) in
+        Result.iter_error failwith (Flat.load_blob floor blob);
+        Result.iter_error failwith (Flat.load_blob sweep blob)
+  in
+  let rec run i = function
+    | [] -> true
+    | op :: rest ->
+        apply op;
+        if Flat.save_blob floor = Flat.save_blob sweep && !floor_log = !sweep_log
+        then run (i + 1) rest
+        else QCheck2.Test.fail_reportf "diverged at op %d, time %d" i !now
+  in
+  run 0 (ops @ [ Fire 200 ])
+
 (* ---- allocation ---------------------------------------------------------- *)
 
 (* The example catalog beside the fanout group: every name is
@@ -911,6 +1029,8 @@ let () =
         [
           Alcotest.test_case "wheel firing order" `Quick
             test_deadline_firing_order;
+          qtest ~count:500 "the due floor fires as the full sweep"
+            gen_floor_case print_floor_case prop_due_floor;
         ] );
       ( "blob",
         [

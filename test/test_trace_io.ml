@@ -137,6 +137,223 @@ let test_parse_csv_line_permissive () =
       ("", "skip");
     ]
 
+(* ---- the one-pass line against the trimmed parse ----------------------- *)
+
+(* The reader's trimmed parse as it stood before plain lines got their
+   one-pass path, kept as the reference: every line is trimmed, split at
+   its first comma, its name validated, interned or refused, and its
+   timestamp read by [int_of_string_opt]. *)
+module Ref_csv = struct
+  type t = {
+    keep : Name.t -> bool;
+    validator : Trace_io.Validator.t option;
+    ids : (string, int) Hashtbl.t;
+    partial : Buffer.t;
+    mutable lineno : int;
+  }
+
+  let create ?validator ~keep () =
+    {
+      keep;
+      validator;
+      ids = Hashtbl.create 16;
+      partial = Buffer.create 16;
+      lineno = 0;
+    }
+
+  let interned t = Hashtbl.length t.ids
+
+  let line t l ~emit =
+    t.lineno <- t.lineno + 1;
+    let err msg = Error (Printf.sprintf "line %d: %s" t.lineno msg) in
+    let l = String.trim l in
+    if l = "" || l.[0] = '#' || l = "time,name" then Ok ()
+    else
+      match String.index_opt l ',' with
+      | None -> err "expected 'time,name'"
+      | Some c -> (
+          let field = String.trim (String.sub l 0 c)
+          and nm =
+            String.trim (String.sub l (c + 1) (String.length l - c - 1))
+          in
+          (* the name first: its error wins over the timestamp's *)
+          let sid =
+            match Hashtbl.find_opt t.ids nm with
+            | Some sid -> Ok sid
+            | None -> (
+                match Name.v nm with
+                | exception Invalid_argument msg -> Error msg
+                | name when t.keep name ->
+                    let sid = Hashtbl.length t.ids + 1 in
+                    Hashtbl.replace t.ids nm sid;
+                    Ok sid
+                | _ -> Ok Trace_io.Csv.foreign)
+          in
+          match (sid, int_of_string_opt field) with
+          | Error msg, _ -> err msg
+          | Ok _, None -> err (Printf.sprintf "bad timestamp %S" field)
+          | Ok sid, Some time -> (
+              match t.validator with
+              | Some v ->
+                  Result.map
+                    (fun () -> emit sid time)
+                    (Trace_io.Validator.check v
+                       ~pos:(Printf.sprintf "line %d" t.lineno)
+                       ~time)
+              | None when time < 0 ->
+                  err (Printf.sprintf "negative timestamp %d" time)
+              | None -> Ok (emit sid time)))
+
+  let feed t chunk ~emit =
+    let rec lines from =
+      match String.index_from_opt chunk from '\n' with
+      | None ->
+          Buffer.add_substring t.partial chunk from (String.length chunk - from);
+          Ok ()
+      | Some nl ->
+          Buffer.add_substring t.partial chunk from (nl - from);
+          let l = Buffer.contents t.partial in
+          Buffer.clear t.partial;
+          Result.bind (line t l ~emit) (fun () -> lines (nl + 1))
+    in
+    lines 0
+
+  let finish t ~emit =
+    if Buffer.length t.partial = 0 then Ok ()
+    else begin
+      let l = Buffer.contents t.partial in
+      Buffer.clear t.partial;
+      line t l ~emit
+    end
+end
+
+(* One line of the differential mix: a plain line, or one dressed in
+   padding, CR, a comment or the header, with timestamps of every
+   literal form and width around the one-pass limit, and names that
+   are kept, refused ([zz], [q.1]), invalid or empty. *)
+let gen_csv_line =
+  QCheck2.Gen.(
+    let* time =
+      frequency
+        [
+          (6, map string_of_int (int_range 0 60));
+          (1, return "123456789012345678");
+          (1, return "1234567890123456789");
+          (1, return "000000000000000042");
+          ( 1,
+            oneofl
+              [ "0x1F"; "1_000"; "+5"; "-3"; ""; "x"; "99999999999999999999" ] );
+        ]
+    in
+    let* nm =
+      frequency
+        [
+          (6, oneofl [ "a"; "b"; "go"; "a_1"; "b.2" ]);
+          (2, oneofl [ "zz"; "q.1" ]);
+          (1, oneofl [ ""; "a b"; "a,b"; "b\r\r"; "\xc3\xa9" ]);
+        ]
+    in
+    let* pad =
+      frequency
+        [
+          (6, return ("", ""));
+          (1, oneofl [ (" ", ""); ("", " "); ("\t", " \r") ]);
+        ]
+    in
+    let* shape =
+      frequency
+        [
+          (8, return `Plain);
+          (1, oneofl [ `Comment; `Header; `Blank; `Crlf ]);
+        ]
+    in
+    let body = Printf.sprintf "%s%s,%s%s" (fst pad) time nm (snd pad) in
+    return
+      (match shape with
+      | `Plain -> body ^ "\n"
+      | `Crlf -> body ^ "\r\n"
+      | `Comment -> "# " ^ body ^ "\n"
+      | `Header -> "time,name\n"
+      | `Blank -> "\n"))
+
+let gen_csv_stream =
+  QCheck2.Gen.(
+    let* lines = list_size (int_range 0 24) gen_csv_line in
+    let* last = oneofl [ ""; "7,a"; "8,zz"; " 9,b" ] in
+    return (String.concat "" lines ^ last))
+
+(* Everything a reader reports for [stream] cut at [cut]: its events,
+   the names it interned, and its error. *)
+let read_cut ~create ~feed ~finish ~interned stream cut =
+  let events = ref [] in
+  let emit sid time = events := (sid, time) :: !events in
+  let r = create () in
+  let result =
+    Result.bind (feed r (String.sub stream 0 cut) ~emit) (fun () ->
+        Result.bind
+          (feed r (String.sub stream cut (String.length stream - cut)) ~emit)
+          (fun () -> finish r ~emit))
+  in
+  (List.rev !events, interned r, result)
+
+let qcheck_csv_one_pass =
+  qtest ~count:300 "one-pass lines read as the trimmed parse, every cut"
+    gen_csv_stream (Printf.sprintf "%S") (fun stream ->
+      let keep n = not (List.mem (Name.to_string n) [ "zz"; "q.1" ]) in
+      List.for_all
+        (fun validated ->
+          let validator () =
+            if validated then Some (Trace_io.Validator.create ()) else None
+          in
+          List.for_all
+            (fun cut ->
+              let got =
+                read_cut
+                  ~create:(fun () ->
+                    Trace_io.Csv.create ?validator:(validator ()) ~keep ())
+                  ~feed:Trace_io.Csv.feed ~finish:Trace_io.Csv.finish
+                  ~interned:Trace_io.Csv.interned stream cut
+              and want =
+                read_cut
+                  ~create:(fun () ->
+                    Ref_csv.create ?validator:(validator ()) ~keep ())
+                  ~feed:Ref_csv.feed ~finish:Ref_csv.finish
+                  ~interned:Ref_csv.interned stream cut
+              in
+              got = want
+              || QCheck2.Test.fail_reportf "validator %b, cut %d" validated
+                   cut)
+            (List.init (String.length stream + 1) Fun.id))
+        [ false; true ])
+
+(* Plain lines of interned names, as serve reads them: once every name
+   is interned, a chunk of them allocates nothing per event, with or
+   without a validator. *)
+let test_csv_allocation () =
+  let names = Array.init 16 (Printf.sprintf "ipu%d_set_irq") in
+  let chunk from =
+    String.concat ""
+      (List.init 20_000 (fun i ->
+           Printf.sprintf "%d,%s\n" (from + i) names.(i mod 16)))
+  in
+  let warm = chunk 0 and hot = chunk 20_000 in
+  List.iter
+    (fun validator ->
+      let csv = Trace_io.Csv.create ?validator () in
+      let events = ref 0 in
+      let emit _ _ = incr events in
+      Result.iter_error failwith (Trace_io.Csv.feed csv warm ~emit);
+      let before = Gc.minor_words () in
+      Result.iter_error failwith (Trace_io.Csv.feed csv hot ~emit);
+      let words = Gc.minor_words () -. before in
+      let per_event = words /. 20_000. in
+      Printf.printf "%.3f minor words per event\n" per_event;
+      if per_event > 0.1 then
+        Alcotest.failf "%.3f minor words per event (at most 0.1)" per_event;
+      Alcotest.(check int) "every line read" 40_000 !events;
+      Alcotest.(check int) "interned" 16 (Trace_io.Csv.interned csv))
+    [ None; Some (Trace_io.Validator.create ()) ]
+
 let test_merge_interleaves () =
   let cpu = [ ev 0 "wr"; ev 10 "wr" ] in
   let ipu = [ ev 5 "rd"; ev 10 "irq" ] in
@@ -224,6 +441,9 @@ let () =
           Alcotest.test_case "permissive line parse" `Quick
             test_parse_csv_line_permissive;
           qcheck_csv_roundtrip;
+          qcheck_csv_one_pass;
+          Alcotest.test_case "plain lines allocate nothing" `Quick
+            test_csv_allocation;
         ] );
       ( "toolkit",
         [
